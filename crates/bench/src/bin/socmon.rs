@@ -26,22 +26,9 @@
 //! socmon --watch N            # N live refreshes of the history view
 //! socmon --plain              # line-oriented output (no headers/ANSI);
 //!                             # auto-selected when stdout is not a TTY
-//! socmon --load               # open-loop load view: drive an arrival-
-//!                             # schedule workload and render live frames
-//!                             # (offered vs achieved rate, intended
-//!                             # p50/p99/p99.9, top bottleneck stage)
-//!   --load-arrival SPEC       #   poisson:RATE | uniform:RATE |
-//!                             #   burst:RATE:MULT:PERIOD_MS[:DUTY]
-//!   --load-sessions N         #   simulated session population
-//!   --load-mix SPEC           #   commit=..,read=..,scan=..,hist=..
-//!   --load-duration MS        #   phase length in milliseconds
 //! ```
 
 use socrates::{Socrates, SocratesConfig};
-use socrates_bench::loadgen::{
-    attribute_window, build_schedule, run_phase, seed_load_table, Arrival, FabricExecutor,
-    LoadRecorder, LoadSpec, OpMix,
-};
 use socrates_common::obs::{
     chrome_trace_json, json_snapshot, json_trace_summary, prometheus_text, MetricValue, ReadStage,
     Stage,
@@ -71,17 +58,16 @@ struct Options {
     /// Layered-store view (`--layers`): seal aggressively, checkpoint,
     /// compact and GC, then render the per-partition layer metrics.
     layers: bool,
-    /// Open-loop load view (`--load`): drive an arrival-schedule workload
-    /// and render live frames instead of the one-shot commit workload.
-    load: bool,
-    /// Arrival process spec (`--load-arrival`), `Arrival::parse` grammar.
-    load_arrival: String,
-    /// Simulated session population (`--load-sessions`).
-    load_sessions: u64,
-    /// Op mix spec (`--load-mix`), `OpMix::parse` grammar.
-    load_mix: String,
-    /// Load phase length in milliseconds (`--load-duration`).
-    load_duration_ms: u64,
+}
+
+/// The numeric operand of `flag` at `args[i]`, or exit 2: a typo must not
+/// silently become the default.
+fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    let operand = args.get(i).map(String::as_str).unwrap_or("");
+    operand.parse().unwrap_or_else(|_| {
+        eprintln!("socmon: {flag} requires a number, got {operand:?}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_args() -> Options {
@@ -96,11 +82,6 @@ fn parse_args() -> Options {
         watch: 0,
         plain: !std::io::stdout().is_terminal(),
         layers: false,
-        load: false,
-        load_arrival: "poisson:400".into(),
-        load_sessions: 5_000,
-        load_mix: "commit=25,read=60,scan=15".into(),
-        load_duration_ms: 1_000,
     };
     let mut i = 1;
     while i < args.len() {
@@ -111,11 +92,11 @@ fn parse_args() -> Options {
             }
             "--commits" | "-n" => {
                 i += 1;
-                opts.commits = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(200);
+                opts.commits = number(&args, i, "--commits");
             }
             "--secondaries" | "-s" => {
                 i += 1;
-                opts.secondaries = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1);
+                opts.secondaries = number(&args, i, "--secondaries");
             }
             "--reads" | "-r" => {
                 opts.reads = true;
@@ -142,45 +123,15 @@ fn parse_args() -> Options {
             }
             "--watch" | "-w" => {
                 i += 1;
-                opts.watch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(5);
+                opts.watch = number(&args, i, "--watch");
             }
             "--plain" => opts.plain = true,
             "--layers" | "-L" => opts.layers = true,
-            "--load" => opts.load = true,
-            "--load-arrival" => {
-                i += 1;
-                match args.get(i) {
-                    Some(spec) => opts.load_arrival = spec.clone(),
-                    None => {
-                        eprintln!("socmon: --load-arrival requires a spec (e.g. poisson:400)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--load-sessions" => {
-                i += 1;
-                opts.load_sessions = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(5_000);
-            }
-            "--load-mix" => {
-                i += 1;
-                match args.get(i) {
-                    Some(spec) => opts.load_mix = spec.clone(),
-                    None => {
-                        eprintln!("socmon: --load-mix requires a spec (e.g. commit=25,read=75)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--load-duration" => {
-                i += 1;
-                opts.load_duration_ms = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1_000);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: socmon [--format table|prom|json] [--commits N] [--secondaries N] \
                      [--reads] [--layers] [--export-chrome [PATH]] [--slo SPEC] [--watch N] \
-                     [--plain] [--load] [--load-arrival SPEC] [--load-sessions N] \
-                     [--load-mix SPEC] [--load-duration MS]"
+                     [--plain]"
                 );
                 std::process::exit(0);
             }
@@ -200,9 +151,6 @@ fn parse_args() -> Options {
 
 fn main() {
     let opts = parse_args();
-    if opts.load {
-        std::process::exit(run_load(&opts));
-    }
     let sys = match run_workload(&opts) {
         Ok(sys) => sys,
         Err(e) => {
@@ -350,138 +298,6 @@ fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
         }
     }
     Ok(sys)
-}
-
-/// The `--load` view: launch a deployment, drive one open-loop phase from
-/// the arrival-schedule driver, and render live frames while it runs —
-/// offered vs achieved rate, intended-latency p50/p99/p99.9, and the
-/// top-ranked bottleneck stage over each frame window. Frames use the
-/// same plain/TTY convention as `--watch`; `--slo` exit-3 plumbing is
-/// honored at the end of the run. Returns the process exit code.
-fn run_load(opts: &Options) -> i32 {
-    let Some(arrival) = Arrival::parse(&opts.load_arrival) else {
-        eprintln!("socmon: bad --load-arrival spec {:?}", opts.load_arrival);
-        return 2;
-    };
-    let Some(mix) = OpMix::parse(&opts.load_mix) else {
-        eprintln!("socmon: bad --load-mix spec {:?}", opts.load_mix);
-        return 2;
-    };
-    let spec = LoadSpec {
-        arrival,
-        sessions: opts.load_sessions.max(1),
-        mix,
-        duration: Duration::from_millis(opts.load_duration_ms.max(100)),
-        seed: 8,
-        workers: 4,
-    };
-
-    let mut config = SocratesConfig::fast_test();
-    config.secondaries = opts.secondaries;
-    // The load view always scores live: the recorder's hub histograms feed
-    // both the SLO engine and the per-frame readout below.
-    config.hub_history_capacity = 1024;
-    config.hub_history_interval = Duration::from_millis(10);
-    if !opts.slo.is_empty() {
-        config.slo_spec = opts.slo.clone();
-    }
-    let sys = match Socrates::launch(config) {
-        Ok(sys) => sys,
-        Err(e) => {
-            eprintln!("socmon: launch failed: {e}");
-            return 1;
-        }
-    };
-    const ROWS: u64 = 200;
-    if let Err(e) = seed_load_table(&sys, ROWS) {
-        eprintln!("socmon: seeding load table failed: {e}");
-        sys.shutdown();
-        return 1;
-    }
-    let recorder = LoadRecorder::new();
-    recorder.register(sys.hub());
-    let exec = FabricExecutor::new(&sys, ROWS, None);
-    let schedule = build_schedule(&spec);
-    let phase = recorder.begin_phase("load", spec.arrival.rate_hz());
-
-    let run_start = sys.hub().snapshot();
-    let frames = opts.watch.max(4);
-    let frame_interval = Duration::from_millis((spec.duration.as_millis() as u64 / frames).max(50));
-    let t0 = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        let driver = scope.spawn(|| run_phase(&phase, &schedule, spec.workers, &exec));
-        let mut prev = sys.hub().snapshot();
-        let mut frame = 0u64;
-        while !driver.is_finished() {
-            std::thread::sleep(frame_interval);
-            let now = sys.hub().snapshot();
-            let top = attribute_window(&prev, &now, frame_interval);
-            let top = top.first();
-            let intended = phase.intended_snapshot();
-            let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-            if !opts.plain {
-                // ANSI clear + home; only ever emitted on a real terminal.
-                print!("\x1b[2J\x1b[H");
-            }
-            println!(
-                "load.frame {frame} offered_hz {:.0} achieved_hz {:.0} dispatched {} \
-                 completed {} errors {} p50_us {} p99_us {} p999_us {} top {} score {:.2}",
-                spec.arrival.rate_hz(),
-                phase.completed() as f64 / elapsed,
-                phase.dispatched(),
-                phase.completed(),
-                phase.errors(),
-                intended.percentile(0.50),
-                intended.percentile(0.99),
-                intended.percentile(0.999),
-                top.map(|r| r.stage).unwrap_or("-"),
-                top.map(|r| r.score).unwrap_or(0.0),
-            );
-            for status in sys.fabric().slo_statuses() {
-                println!("{}", status.render());
-            }
-            prev = now;
-            frame += 1;
-        }
-        let _ = driver.join();
-    });
-    let wall = t0.elapsed();
-    let run_end = sys.hub().snapshot();
-
-    // Final summary: whole-run rates, both latency views (intended is the
-    // coordinated-omission-safe one), and the full ranked attribution.
-    let intended = phase.intended_snapshot();
-    let service = phase.service_snapshot();
-    println!(
-        "load.summary offered_hz {:.0} achieved_hz {:.0} dispatched {} completed {} errors {}",
-        spec.arrival.rate_hz(),
-        phase.achieved_hz(),
-        phase.dispatched(),
-        phase.completed(),
-        phase.errors(),
-    );
-    println!(
-        "load.intended p50_us {} p99_us {} p999_us {}",
-        intended.percentile(0.50),
-        intended.percentile(0.99),
-        intended.percentile(0.999),
-    );
-    println!(
-        "load.service p50_us {} p99_us {} p999_us {}",
-        service.percentile(0.50),
-        service.percentile(0.99),
-        service.percentile(0.999),
-    );
-    for row in attribute_window(&run_start, &run_end, wall).iter().take(3) {
-        println!("load.bottleneck {} {:.2} {}", row.stage, row.score, row.detail);
-    }
-
-    let mut exit = 0;
-    if !opts.slo.is_empty() && render_slo(&sys) {
-        exit = EXIT_SLO_BREACH;
-    }
-    sys.shutdown();
-    exit
 }
 
 /// Write the sampled causal spans as a Chrome trace-event file and report

@@ -121,6 +121,9 @@ pub const PS_APPLY_HANDLE: u32 = 350;
 pub const PS_CKPT_HANDLE: u32 = 360;
 /// `pageserver::PageServer.seed_handle` — seeding worker handle.
 pub const PS_SEED_HANDLE: u32 = 370;
+/// `pageserver::CompactionWorker.live` — task channel + worker handle
+/// (a leaf: held only across a non-blocking channel send).
+pub const PS_COMPACTOR: u32 = 380;
 
 // --- secondary fetch dedup (400s, below storage) ----------------------
 /// `core::secondary::PendingFetches.map` — in-flight page fetches.
@@ -137,8 +140,6 @@ pub const STORAGE_SCHED_QUEUE: u32 = 520;
 /// `storage::sched::IoScheduler.sink` — completion sink (held while
 /// installing completed prefetches into the cache, hence below `mem`).
 pub const STORAGE_SCHED_SINK: u32 = 530;
-/// `storage::sched::IoScheduler.tasks` — background task lane queue.
-pub const STORAGE_SCHED_TASKS: u32 = 535;
 /// `storage::sched::IoScheduler.workers` — worker join handles.
 pub const STORAGE_SCHED_WORKERS: u32 = 540;
 /// `storage::layermap::LayerMap.inner` — the layer index (images + delta
@@ -250,14 +251,6 @@ pub const COMMON_OBS_SLOW: u32 = 1050;
 /// ring stays a leaf below every sampling closure's own locks.
 pub const COMMON_OBS_HISTORY: u32 = 1060;
 
-// --- bench load observatory (1100s) -----------------------------------
-/// `bench::loadgen::LoadRecorder.phases` — phase registry; hub sampling
-/// closures read the current phase under it, so it sits above every
-/// tier lock and below only other bench leaves.
-pub const BENCH_LOAD_PHASES: u32 = 1110;
-/// `bench::loadgen::Phase.slow` — slowest-op table of one phase.
-pub const BENCH_LOAD_SLOW: u32 = 1120;
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -294,10 +287,10 @@ mod tests {
             super::PS_APPLY_HANDLE,
             super::PS_CKPT_HANDLE,
             super::PS_SEED_HANDLE,
+            super::PS_COMPACTOR,
             super::STORAGE_SCHED_INFLIGHT,
             super::STORAGE_SCHED_QUEUE,
             super::STORAGE_SCHED_SINK,
-            super::STORAGE_SCHED_TASKS,
             super::STORAGE_SCHED_WORKERS,
             super::STORAGE_LAYERMAP,
             super::STORAGE_CACHE_MEM,
@@ -329,8 +322,6 @@ mod tests {
             super::COMMON_FAULT_LOG,
             super::COMMON_OBS_SLOW,
             super::COMMON_OBS_HISTORY,
-            super::BENCH_LOAD_PHASES,
-            super::BENCH_LOAD_SLOW,
         ];
         let mut sorted = all.to_vec();
         sorted.sort_unstable();

@@ -94,8 +94,7 @@ const NUM_BUCKETS: usize = crate::obs::hdr::num_buckets(SUB_BITS);
 /// A lock-free, log-bucketed histogram of `u64` samples (microseconds by
 /// convention). A thin facade over [`crate::obs::hdr::HdrHistogram`] at
 /// 1/32 relative bucket error; exact min/max/mean/stddev are tracked on
-/// the side. Callers that need full percentile curves or sharded
-/// recording use the HDR type directly.
+/// the side.
 #[derive(Debug)]
 pub struct Histogram {
     inner: crate::obs::hdr::HdrHistogram,
@@ -149,12 +148,6 @@ impl Histogram {
     /// A point-in-time summary.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.inner.summary()
-    }
-
-    /// An owned full-resolution snapshot (bucket counts + percentile
-    /// curves), for callers that need more than the fixed summary.
-    pub fn hdr_snapshot(&self) -> crate::obs::hdr::HdrSnapshot {
-        self.inner.snapshot()
     }
 
     /// Forget all samples.

@@ -1,22 +1,13 @@
-//! HDR-style log-linear latency histograms for the load observatory.
-//!
-//! The fixed [`crate::metrics::Histogram`] answers "roughly where is p99"
-//! for always-on hub metrics. The open-loop load driver needs more: full
-//! percentile *curves* (p50 through p99.99), tail resolution that does not
-//! saturate, and recording cheap enough to sit on every simulated-client
-//! operation without the clients contending on one cache line. This module
-//! provides that primitive:
+//! HDR-style log-linear latency histograms: the primitive the hub-facing
+//! [`crate::metrics::Histogram`] sits on.
 //!
 //! - [`HdrHistogram`]: a log-linear (HdrHistogram-layout) histogram. Major
 //!   buckets are powers of two; each major bucket is split into
 //!   `2^sub_bits` linear sub-buckets, bounding relative error at
 //!   `2^-sub_bits` across the whole `u64` range — no configured "max
 //!   trackable value", no tail saturation.
-//! - [`HdrShards`]: N independent histograms, one picked per recording
-//!   thread, merged only when a snapshot is taken. Recording threads never
-//!   share bucket cache lines; merging is the reader's problem.
 //! - [`HdrSnapshot`]: an owned, mergeable copy of the bucket counts with
-//!   exact side-stats, from which percentile curves are read.
+//!   exact side-stats, from which percentiles are read.
 //!
 //! All recording-path operations are single relaxed atomic RMWs; snapshots
 //! tolerate torn reads across cells (a sample may be visible in a bucket
@@ -24,18 +15,12 @@
 //! in-flight samples, exactly like the fixed histogram).
 
 use crate::metrics::HistogramSnapshot;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Sub-bucket resolution used by the hub-facing [`crate::metrics::Histogram`]
-/// and by the load driver: 32 linear sub-buckets per power of two, relative
-/// error ≤ 1/32 (≈3%) at every magnitude.
+/// Sub-bucket resolution used by the hub-facing [`crate::metrics::Histogram`]:
+/// 32 linear sub-buckets per power of two, relative error ≤ 1/32 (≈3%) at
+/// every magnitude.
 pub const DEFAULT_SUB_BITS: u32 = 5;
-
-/// The quantile grid reported by [`HdrSnapshot::curve`]. Chosen so the knee
-/// of a latency cliff is visible: the far tail (p99.9, p99.99) is exactly
-/// where coordinated omission hides.
-pub const CURVE_QUANTILES: [f64; 12] =
-    [0.0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.995, 0.999, 0.9999, 1.0];
 
 /// Number of buckets for a given sub-bucket resolution: 64 major (one per
 /// possible leading-bit position of a `u64`) × `2^sub_bits` linear.
@@ -237,15 +222,6 @@ impl HdrHistogram {
     }
 }
 
-/// One point of a percentile curve.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CurvePoint {
-    /// The quantile in `[0, 1]`.
-    pub q: f64,
-    /// The value at that quantile (µs by convention).
-    pub us: u64,
-}
-
 /// An owned copy of an [`HdrHistogram`]'s state: mergeable, readable
 /// without touching the live atomics.
 #[derive(Clone, Debug)]
@@ -346,11 +322,6 @@ impl HdrSnapshot {
         self.max
     }
 
-    /// The full percentile curve over [`CURVE_QUANTILES`].
-    pub fn curve(&self) -> Vec<CurvePoint> {
-        CURVE_QUANTILES.iter().map(|&q| CurvePoint { q, us: self.percentile(q) }).collect()
-    }
-
     /// The fixed-summary view the hub exporters expect.
     pub fn to_summary(&self) -> HistogramSnapshot {
         let mean = self.mean();
@@ -368,81 +339,6 @@ impl HdrSnapshot {
             p50_us: self.percentile(0.50),
             p90_us: self.percentile(0.90),
             p99_us: self.percentile(0.99),
-        }
-    }
-}
-
-/// Round-robin shard assignment: each recording thread gets a sticky shard
-/// index on first use. Threads never contend on assignment after that.
-fn shard_hint() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    HINT.with(|h| {
-        let mut v = h.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — unique ticket draw; no other state published
-            h.set(v);
-        }
-        v
-    })
-}
-
-/// A set of independent [`HdrHistogram`] shards merged only on snapshot.
-///
-/// Recording picks a per-thread shard, so concurrent recorders touch
-/// disjoint cache lines; the merge cost is paid by the (rare) reader.
-#[derive(Debug)]
-pub struct HdrShards {
-    shards: Box<[HdrHistogram]>,
-}
-
-impl HdrShards {
-    /// `n_shards` independent histograms at `sub_bits` resolution.
-    /// `n_shards` is rounded up to at least 1.
-    pub fn new(n_shards: usize, sub_bits: u32) -> HdrShards {
-        let n = n_shards.max(1);
-        HdrShards { shards: (0..n).map(|_| HdrHistogram::new(sub_bits)).collect() }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Record into the calling thread's sticky shard.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.shards[shard_hint() % self.shards.len()].record(v);
-    }
-
-    /// Record into an explicit shard (for callers that already have a
-    /// worker index; avoids the thread-local lookup).
-    #[inline]
-    pub fn record_in(&self, shard: usize, v: u64) {
-        self.shards[shard % self.shards.len()].record(v);
-    }
-
-    /// Total samples across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards.iter().map(|s| s.count()).sum()
-    }
-
-    /// Merge every shard into one owned snapshot.
-    pub fn snapshot(&self) -> HdrSnapshot {
-        let mut acc = HdrSnapshot::empty(self.shards[0].sub_bits());
-        for s in self.shards.iter() {
-            acc.merge(&s.snapshot());
-        }
-        acc
-    }
-
-    /// Reset every shard.
-    pub fn reset(&self) {
-        for s in self.shards.iter() {
-            s.reset();
         }
     }
 }
@@ -480,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_percentiles_and_curve() {
+    fn snapshot_percentiles() {
         let h = HdrHistogram::new(5);
         for v in 1..=100_000u64 {
             h.record(v);
@@ -495,26 +391,6 @@ mod tests {
             let err = (exact - got).abs() / exact;
             assert!(err <= 1.0 / 32.0, "q={q} got={got} exact={exact} err={err}");
         }
-        let curve = snap.curve();
-        assert_eq!(curve.len(), CURVE_QUANTILES.len());
-        for w in curve.windows(2) {
-            assert!(w[0].us <= w[1].us, "curve not monotone: {:?}", curve);
-        }
-    }
-
-    #[test]
-    fn shards_spread_and_merge() {
-        let sh = HdrShards::new(4, 5);
-        for i in 0..4 {
-            sh.record_in(i, 100 * (i as u64 + 1));
-        }
-        assert_eq!(sh.count(), 4);
-        let snap = sh.snapshot();
-        assert_eq!(snap.count(), 4);
-        assert_eq!(snap.min(), 100);
-        assert_eq!(snap.max(), 400);
-        sh.reset();
-        assert_eq!(sh.count(), 0);
     }
 
     #[test]

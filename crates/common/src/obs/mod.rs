@@ -29,10 +29,9 @@
 //! - [`export`] renders hub snapshots as Prometheus text or JSON (and
 //!   span rings as Chrome trace JSON), and [`testjson`] is the minimal
 //!   parser tests use to validate them;
-//! - [`hdr`] is the HDR-style log-linear histogram the open-loop load
-//!   driver records intended-to-completion latencies into: lock-free
-//!   per-thread shards merged on snapshot, full percentile curves with
-//!   bounded relative error all the way into the p99.99 tail.
+//! - [`hdr`] is the HDR-style log-linear histogram the hub's histograms
+//!   sit on: lock-free recording, bounded relative error all the way
+//!   into the tail.
 //!
 //! The LSN-lag watcher thread that feeds trace frontiers and lag gauges
 //! lives in the `socrates` core crate (it needs the deployment's
@@ -53,7 +52,7 @@ pub mod trace;
 pub use blackbox::{BlackboxRecorder, BlackboxSources, BLACKBOX_VERSION};
 pub use ctx::{SpanEvent, SpanKind, SpanRing, TraceCtx};
 pub use export::{chrome_trace_json, json_snapshot, json_trace_summary, prometheus_text};
-pub use hdr::{CurvePoint, HdrHistogram, HdrShards, HdrSnapshot};
+pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use history::{HistorySample, HubHistory};
 pub use hub::{MetricSample, MetricSnapshot, MetricValue, MetricsHub};
 pub use slo::{SloEngine, SloSpec, SloStatus};

@@ -1,14 +1,12 @@
 //! Property tests for the HDR log-linear histogram (`obs::hdr`): the
 //! bucket-layout invariants every percentile read depends on, merge
-//! algebra, percentile monotonicity, and a Miri-sized concurrent-shard
-//! merge exercising the lock-free recording path under real threads.
+//! algebra, and percentile monotonicity.
 
 use proptest::prelude::*;
 use socrates_common::obs::hdr::{
-    bucket_floor, bucket_index, num_buckets, HdrHistogram, HdrShards, HdrSnapshot,
+    bucket_floor, bucket_index, num_buckets, HdrHistogram, HdrSnapshot,
 };
 use socrates_common::rng::Rng;
-use std::sync::Arc;
 
 fn snapshot_of(sub_bits: u32, vals: &[u64]) -> HdrSnapshot {
     let h = HdrHistogram::new(sub_bits);
@@ -117,55 +115,5 @@ proptest! {
             prop_assert!(p <= snap.max());
             last = p;
         }
-        let curve = snap.curve();
-        for w in curve.windows(2) {
-            prop_assert!(w[0].us <= w[1].us, "curve not monotone");
-        }
-    }
-}
-
-/// Concurrent recorders on independent shards lose no samples and the
-/// merged snapshot equals the sequential reference. Sized to run under
-/// Miri (few threads, few records).
-#[test]
-fn concurrent_shard_merge_loses_nothing() {
-    let threads = 4usize;
-    let per_thread = if cfg!(miri) { 50u64 } else { 5_000 };
-    let shards = Arc::new(HdrShards::new(threads, 5));
-
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let shards = Arc::clone(&shards);
-            std::thread::spawn(move || {
-                let mut rng = Rng::new(0xC0FFEE + t as u64);
-                for _ in 0..per_thread {
-                    // Spread over 6 decades so many buckets are hit.
-                    let v = 1u64 << rng.gen_range(20);
-                    shards.record(v + rng.gen_range(v.max(1)));
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    let merged = shards.snapshot();
-    assert_eq!(merged.count(), threads as u64 * per_thread, "samples lost in shard merge");
-
-    // Sequential reference with the same per-thread streams.
-    let reference = HdrHistogram::new(5);
-    for t in 0..threads {
-        let mut rng = Rng::new(0xC0FFEE + t as u64);
-        for _ in 0..per_thread {
-            let v = 1u64 << rng.gen_range(20);
-            reference.record(v + rng.gen_range(v.max(1)));
-        }
-    }
-    let ref_snap = reference.snapshot();
-    assert_eq!(merged.min(), ref_snap.min());
-    assert_eq!(merged.max(), ref_snap.max());
-    for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-        assert_eq!(merged.percentile(q), ref_snap.percentile(q), "divergence at q={q}");
     }
 }

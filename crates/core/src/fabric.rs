@@ -19,13 +19,13 @@ use socrates_common::obs::{
 };
 use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
 use socrates_engine::PageAccess;
-use socrates_pageserver::{PageServer, PageServerHandler, PartitionSpec};
+use socrates_pageserver::{CompactionWorker, PageServer, PageServerHandler, PartitionSpec};
 use socrates_rbio::replica::ReplicaSet;
 use socrates_rbio::transport::{NetworkConfig, RbioServer};
 use socrates_storage::cache::{FetchMeta, PageRef, PageSource};
 use socrates_storage::fcb::{Fcb, LatencyFcb, MemFcb};
 use socrates_storage::page::{Page, PAGE_SIZE};
-use socrates_storage::sched::{IoScheduler, RangedPageSource};
+use socrates_storage::sched::RangedPageSource;
 use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
 use socrates_wal::quorum::{Acceptor, QuorumConfig, QuorumLog};
 use socrates_wal::store::LogStore;
@@ -131,10 +131,9 @@ pub struct Fabric {
     /// whole failure scenario. Disabled (one atomic load per site) unless
     /// `config.fault_spec` armed it or a test installs rules directly.
     pub faults: FaultRegistry,
-    /// Background compaction lane shared by every page server: merges of
-    /// sealed L0 delta layers into L1 images run here at the scheduler's
-    /// lowest priority, so foreground GetPage traffic always wins.
-    compaction_sched: Arc<IoScheduler>,
+    /// Background compaction worker shared by every page server: merges
+    /// of sealed L0 delta layers into L1 images run here, one at a time.
+    compaction: Arc<CompactionWorker>,
     /// Copy-on-write branches created by [`Fabric::branch_partition`],
     /// keyed by the server index baked into their name. Branches share
     /// their parent's immutable layers zero-copy and are stopped at
@@ -351,7 +350,7 @@ impl Fabric {
             blackbox,
             slo_breach: AtomicBool::new(false),
             faults,
-            compaction_sched: IoScheduler::start_tasks_only(1),
+            compaction: CompactionWorker::start(),
             branches: Mutex::with_rank(
                 HashMap::new(),
                 lock_rank::CORE_FABRIC_BRANCHES,
@@ -816,7 +815,7 @@ impl Fabric {
             branch.set_span_ring(Arc::clone(&self.spans), NodeId::page_server(idx));
         }
         branch.set_faults(self.faults.clone());
-        branch.set_compaction_scheduler(Arc::clone(&self.compaction_sched));
+        branch.set_compaction_scheduler(Arc::clone(&self.compaction));
         self.branches.lock().insert(idx, Arc::clone(&branch));
         Ok(branch)
     }
@@ -844,7 +843,7 @@ impl Fabric {
     }
 
     /// Shut down all page servers (branches included), the background
-    /// compaction lane, and the XLOG destager.
+    /// compaction worker, and the XLOG destager.
     pub fn shutdown(&self) {
         for h in self.partitions.read().values() {
             for s in &h.servers {
@@ -854,7 +853,7 @@ impl Fabric {
         for b in self.branches.lock().values() {
             b.stop();
         }
-        self.compaction_sched.stop();
+        self.compaction.stop();
         self.xlog.shutdown();
     }
 
@@ -882,7 +881,7 @@ impl Fabric {
                 ps.set_span_ring(Arc::clone(&self.spans), *node);
             }
             ps.set_faults(self.faults.clone());
-            ps.set_compaction_scheduler(Arc::clone(&self.compaction_sched));
+            ps.set_compaction_scheduler(Arc::clone(&self.compaction));
             // Every apply advance wakes the fabric's wait_applied sleepers.
             let signal = Arc::clone(&self.apply_signal);
             ps.set_apply_listener(Arc::new(move |_lsn| signal.notify()));

@@ -74,6 +74,12 @@ const METHOD_BLOCKLIST: [&str; 48] = [
     "zip",
 ];
 
+/// Locks a function transitively acquires, each with the call chain
+/// below the function that reaches it.
+type AcquireChains = Vec<(Acquire, Vec<String>)>;
+/// A hot-path offense description and the call chain that reaches it.
+type HotWitness = Option<(String, Vec<String>)>;
+
 /// One indexed function.
 struct Node {
     /// Index into `WorkspaceFacts::files`.
@@ -252,7 +258,7 @@ impl<'a> CallGraph<'a> {
     /// The edge's inner line is the call site in the holder's file, so a
     /// `soclint-allow` there suppresses the cycle.
     pub fn transitive_lock_edges(&self) -> Vec<Edge> {
-        let mut memo: Vec<Option<Vec<(Acquire, Vec<String>)>>> = vec![None; self.nodes.len()];
+        let mut memo: Vec<Option<AcquireChains>> = vec![None; self.nodes.len()];
         let mut out = Vec::new();
         for id in 0..self.nodes.len() {
             let caller = self.fn_facts(id);
@@ -301,8 +307,8 @@ impl<'a> CallGraph<'a> {
     fn transitive_acquires(
         &self,
         id: usize,
-        memo: &mut Vec<Option<Vec<(Acquire, Vec<String>)>>>,
-    ) -> Vec<(Acquire, Vec<String>)> {
+        memo: &mut Vec<Option<AcquireChains>>,
+    ) -> AcquireChains {
         if let Some(cached) = &memo[id] {
             return cached.clone();
         }
@@ -341,7 +347,7 @@ impl<'a> CallGraph<'a> {
     pub fn check_hot_transitive(&self, out: &mut Vec<Finding>) {
         let allow_index: Vec<Allows> =
             self.ws.files.iter().map(|f| Allows::from_map(&f.allows)).collect();
-        let mut memo: Vec<Option<Option<(String, Vec<String>)>>> = vec![None; self.nodes.len()];
+        let mut memo: Vec<Option<HotWitness>> = vec![None; self.nodes.len()];
         for id in 0..self.nodes.len() {
             let file_idx = self.nodes[id].file;
             let file = &self.ws.files[file_idx];
@@ -390,8 +396,8 @@ impl<'a> CallGraph<'a> {
         &self,
         id: usize,
         allow_index: &[Allows],
-        memo: &mut Vec<Option<Option<(String, Vec<String>)>>>,
-    ) -> Option<(String, Vec<String>)> {
+        memo: &mut Vec<Option<HotWitness>>,
+    ) -> HotWitness {
         if let Some(cached) = &memo[id] {
             return cached.clone();
         }

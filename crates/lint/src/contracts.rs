@@ -304,8 +304,8 @@ mod tests {
         );
         assert_eq!(parse_slo_metrics("xlog.0.lag < 100 over 1m"), vec!["lag".to_string()]);
         assert_eq!(
-            parse_slo_metrics("client.0.load_intended_us.p99 < 50ms over 2s"),
-            vec!["load_intended_us".to_string()]
+            parse_slo_metrics("primary.0.commit_stage_harden_us.p99 < 5ms over 10s"),
+            vec!["commit_stage_harden_us".to_string()]
         );
         assert!(parse_slo_metrics("not a spec at all").is_empty());
         assert!(parse_slo_metrics("a.b.c < x over 1m").is_empty(), "non-numeric threshold");

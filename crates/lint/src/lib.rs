@@ -109,11 +109,14 @@ struct Input {
     aux: bool,
 }
 
+/// `(relative path, bytes)` of every file the tree fingerprint covers.
+type FingerprintInputs = Vec<(String, Vec<u8>)>;
+
 /// Discover every input, sorted by relative path: production sources
 /// from crates/*/src, shims/*/src, and the root src/ (or the
 /// scan_override), aux sources from tests/ and examples/, plus the doc
 /// files the contract rules read.
-fn scan_inputs(cfg: &Config) -> std::io::Result<(Vec<(String, Vec<u8>)>, Vec<Input>)> {
+fn scan_inputs(cfg: &Config) -> std::io::Result<(FingerprintInputs, Vec<Input>)> {
     let scan_roots: Vec<PathBuf> = match &cfg.scan_override {
         Some(roots) => roots.clone(),
         None => {
@@ -170,7 +173,7 @@ fn scan_inputs(cfg: &Config) -> std::io::Result<(Vec<(String, Vec<u8>)>, Vec<Inp
 
     // Fingerprint inputs: every scanned source plus the doc/CI files the
     // contract rules read — a README edit must invalidate a cached table.
-    let mut fp_inputs: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut fp_inputs: FingerprintInputs = Vec::new();
     for i in &inputs {
         fp_inputs.push((i.rel.clone(), std::fs::read(&i.path)?));
     }

@@ -314,9 +314,11 @@ mod tests {
 
     #[test]
     fn finalize_sorts_and_dedupes_edges() {
-        let mut r = Report::default();
-        r.edges = vec!["b -> c".into(), "a -> b".into(), "a -> b".into()];
-        r.call_edges = vec!["z -> y".into(), "x -> y".into()];
+        let mut r = Report {
+            edges: vec!["b -> c".into(), "a -> b".into(), "a -> b".into()],
+            call_edges: vec!["z -> y".into(), "x -> y".into()],
+            ..Report::default()
+        };
         r.finalize();
         assert_eq!(r.edges, vec!["a -> b".to_string(), "b -> c".to_string()]);
         assert_eq!(r.call_edges, vec!["x -> y".to_string(), "z -> y".to_string()]);

@@ -476,10 +476,10 @@ pub fn check_span_pairing(file: &SourceFile, allows: &Allows, out: &mut Vec<Find
                     begins.push(t.line);
                 }
             }
-            "record_root" | "record_child" => {
-                if toks.get(i + 1).map(|t| t.text.as_str()) == Some("(") {
-                    records.push(t.line);
-                }
+            "record_root" | "record_child"
+                if toks.get(i + 1).map(|t| t.text.as_str()) == Some("(") =>
+            {
+                records.push(t.line);
             }
             "return" | "?" => exits.push(t.line),
             _ => {}

@@ -30,6 +30,9 @@
 //! replica is **seeded asynchronously** while it is already serving
 //! requests (misses fall through to XStore until seeding completes).
 
+mod compactor;
+pub use compactor::CompactionWorker;
+
 use parking_lot::{Condvar, Mutex};
 use socrates_common::fault::{sites as fault_sites, FaultOutcome, FaultRegistry};
 use socrates_common::lsn::AtomicLsn;
@@ -43,7 +46,6 @@ use socrates_storage::layer::{Delta, DeltaLayer, ImageLayer, LayerDeviceFactory,
 use socrates_storage::layermap::{LayerCounts, LayerMap};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
-use socrates_storage::sched::IoScheduler;
 use socrates_wal::record::LogPayload;
 use socrates_xlog::XLogService;
 use socrates_xstore::{SnapshotId, XStore};
@@ -142,8 +144,8 @@ pub struct PageServerMetrics {
     pub historical_reads: Counter,
     /// Wall time the apply loop spent doing productive work (pulling and
     /// applying non-empty batches), in microseconds. Delta over a window ÷
-    /// window length = apply-loop utilization, the saturation signal the
-    /// load observatory's bottleneck attribution reads.
+    /// window length = apply-loop utilization, the saturation signal
+    /// socbench reports as `pageserver.apply_busy_ratio`.
     pub apply_busy_us: Counter,
 }
 
@@ -191,8 +193,8 @@ pub struct PageServer {
     l1_seq: AtomicU64,
     /// Devices for new L1 images; defaults to in-memory devices.
     device_factory: OnceLock<LayerDeviceFactory>,
-    /// Background-task lane that runs scheduled compactions.
-    compactor: OnceLock<Arc<IoScheduler>>,
+    /// The worker that runs scheduled compactions.
+    compactor: OnceLock<Arc<CompactionWorker>>,
     /// Self-reference handed to scheduled compaction closures.
     self_weak: OnceLock<Weak<PageServer>>,
     /// Fault sites consulted by compaction (`ps.compact.merge`) and GC
@@ -592,11 +594,11 @@ impl PageServer {
         let _ = self.faults.set(faults);
     }
 
-    /// Install the background-task scheduler that runs compactions.
-    /// First call wins; without one, compaction only runs when driven
-    /// explicitly via [`compact_blocking`](Self::compact_blocking).
-    pub fn set_compaction_scheduler(&self, sched: Arc<IoScheduler>) {
-        let _ = self.compactor.set(sched);
+    /// Install the worker that runs background compactions. First call
+    /// wins; without one, compaction only runs when driven explicitly via
+    /// [`compact_blocking`](Self::compact_blocking).
+    pub fn set_compaction_scheduler(&self, worker: Arc<CompactionWorker>) {
+        let _ = self.compactor.set(worker);
     }
 
     /// Install the device factory for new L1 image layers. First call
@@ -813,13 +815,13 @@ impl PageServer {
         Ok(())
     }
 
-    /// Queue a background compaction on the task lane once enough sealed
+    /// Queue a background compaction on the worker once enough sealed
     /// L0s accumulate. At most one task is in flight per server.
     fn maybe_schedule_compaction(&self) {
         if self.layers.counts().l0 < self.config.layer_compact_threshold {
             return;
         }
-        let Some(sched) = self.compactor.get() else { return };
+        let Some(worker) = self.compactor.get() else { return };
         if self
             .compacting
             // ordering: acqrel CAS — the winner owns the single task slot; the
@@ -835,12 +837,12 @@ impl PageServer {
             self.compacting.store(false, Ordering::Release);
             return;
         };
-        let queued = sched.submit_task(Box::new(move || {
+        let queued = worker.submit(move || {
             let _ = me.compact_blocking();
             let _ = me.gc();
             // ordering: release — reopen the task slot after the pass
             me.compacting.store(false, Ordering::Release);
-        }));
+        });
         if !queued {
             // ordering: release — reopen the task slot; the task never ran
             self.compacting.store(false, Ordering::Release);

@@ -20,8 +20,8 @@
 //! * [`cache`] — the compute node's tiered cache (memory → RBPEX → remote
 //!   page source) with WAL discipline and evicted-LSN tracking.
 //! * [`sched`] — the I/O scheduler between the cache and the remote
-//!   source: single-flight GetPage@LSN, range coalescing, background
-//!   prefetch, and a lowest-priority background task lane (compaction).
+//!   source: single-flight GetPage@LSN, range coalescing and background
+//!   prefetch.
 
 pub mod cache;
 pub mod fcb;

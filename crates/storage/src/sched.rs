@@ -27,15 +27,10 @@ use crate::page::Page;
 use parking_lot::{Condvar, Mutex, RwLock};
 use socrates_common::metrics::Counter;
 use socrates_common::{Error, Lsn, PageId, Result};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-
-/// A queued background task (the lowest-priority lane — page-server
-/// compaction rides here so merge work shares the worker pool with, but
-/// never starves, demand I/O).
-pub type BgTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// A [`PageSource`] that can also serve contiguous ranges (the compute
 /// side of the `GetPageRange` protocol arm). The scheduler coalesces
@@ -123,8 +118,6 @@ pub struct SchedStats {
     pub prefetch_hints: Counter,
     /// Prefetch hints dropped because the queue was full.
     pub prefetch_dropped: Counter,
-    /// Background tasks executed on the task lane.
-    pub tasks_run: Counter,
 }
 
 impl SchedStats {
@@ -225,9 +218,6 @@ struct Shared {
     /// Where completed prefetches are installed. Weak: the cache owns the
     /// scheduler, not the other way round.
     sink: RwLock<Option<Weak<TieredCache>>>,
-    /// The background task lane: run only when no demand or prefetch work
-    /// is dispatchable. Dropped (not run) on stop.
-    tasks: Mutex<VecDeque<BgTask>>,
     stats: SchedStats,
     stop: AtomicBool,
 }
@@ -261,11 +251,6 @@ impl IoScheduler {
                 socrates_common::lock_rank::STORAGE_SCHED_SINK,
                 "sched.sink",
             ),
-            tasks: Mutex::with_rank(
-                VecDeque::new(),
-                socrates_common::lock_rank::STORAGE_SCHED_TASKS,
-                "sched.tasks",
-            ),
             stats: SchedStats::default(),
             stop: AtomicBool::new(false),
         });
@@ -289,50 +274,9 @@ impl IoScheduler {
         })
     }
 
-    /// Start a scheduler that only runs the background task lane (no page
-    /// backend): the fabric's compaction pool. Demand fetches against it
-    /// fail `Unavailable`.
-    pub fn start_tasks_only(workers: usize) -> Arc<IoScheduler> {
-        struct NullSource;
-        impl PageSource for NullSource {
-            fn fetch_page(&self, _id: PageId, _min_lsn: Lsn) -> Result<Page> {
-                Err(Error::Unavailable("task-only scheduler has no page backend".into()))
-            }
-        }
-        impl RangedPageSource for NullSource {
-            fn fetch_page_range(
-                &self,
-                _first: PageId,
-                _count: u32,
-                _min_lsn: Lsn,
-            ) -> Result<Vec<Page>> {
-                Err(Error::Unavailable("task-only scheduler has no page backend".into()))
-            }
-        }
-        IoScheduler::start(
-            Arc::new(NullSource),
-            IoSchedulerConfig { workers: workers.max(1), ..IoSchedulerConfig::fast_test() },
-        )
-    }
-
     /// Wire the cache completed prefetches are installed into.
     pub fn set_prefetch_sink(&self, cache: &Arc<TieredCache>) {
         *self.shared.sink.write() = Some(Arc::downgrade(cache));
-    }
-
-    /// Enqueue a task on the lowest-priority background lane. Returns
-    /// `false` (without queuing) once the scheduler is stopping; queued
-    /// but unexecuted tasks are dropped on stop.
-    pub fn submit_task(&self, task: BgTask) -> bool {
-        let s = &self.shared;
-        // ordering: relaxed — racing a concurrent stop() just means the task is
-        // either dropped here or drained below; both are the "not run" outcome
-        if s.stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        s.tasks.lock().push_back(task);
-        s.q_cv.notify_all();
-        true
     }
 
     /// Counters.
@@ -364,10 +308,9 @@ impl IoScheduler {
         counter!("sched_range_pages", range_pages);
         counter!("sched_prefetch_hints", prefetch_hints);
         counter!("sched_prefetch_dropped", prefetch_dropped);
-        counter!("sched_tasks_run", tasks_run);
         let s = Arc::clone(&self.shared);
         hub.register_gauge_fn(node, "sched_depth", move || s.inflight.lock().len() as i64);
-        // Saturation signal for the load observatory: requests parked in
+        // Saturation signal (socbench samples its maximum): requests parked in
         // the dispatch queue, i.e. demand the worker pool has not yet
         // picked up. Sustained growth means the read path is the choke.
         let s = Arc::clone(&self.shared);
@@ -500,8 +443,6 @@ impl IoScheduler {
         for e in drained {
             e.fulfill(Err(Error::Unavailable("io scheduler stopped".into())));
         }
-        // Drop (never run) tasks that no worker picked up.
-        self.shared.tasks.lock().clear();
     }
 }
 
@@ -519,32 +460,18 @@ struct Batch {
     enqueued: Vec<Instant>,
 }
 
-/// One unit of worker work: a dispatchable page batch or a background
-/// task from the lowest-priority lane.
-enum Work {
-    Batch(Batch),
-    Task(BgTask),
-}
-
 fn worker_loop(s: Arc<Shared>) {
-    while let Some(work) = next_work(&s) {
-        match work {
-            Work::Batch(batch) => execute(&s, batch),
-            Work::Task(task) => {
-                task();
-                s.stats.tasks_run.incr();
-            }
-        }
+    while let Some(batch) = next_batch(&s) {
+        execute(&s, batch);
     }
 }
 
-/// Block until work is dispatchable (or the scheduler stops).
+/// Block until a batch is dispatchable (or the scheduler stops).
 ///
 /// Priority: expired demand runs, then prefetch runs (keeping workers busy
-/// while young demands gather), then background tasks, then waiting out
-/// the youngest demand's remaining window. A gathering demand blocks the
-/// task lane — a long merge must not delay a latency-bound read.
-fn next_work(s: &Shared) -> Option<Work> {
+/// while young demands gather), then waiting out the youngest demand's
+/// remaining window.
+fn next_batch(s: &Shared) -> Option<Batch> {
     let mut q = s.q.lock();
     loop {
         // ordering: relaxed — checked under the queue mutex; the mutex orders it
@@ -561,22 +488,19 @@ fn next_work(s: &Shared) -> Option<Work> {
         if let Some((seed, enqueued)) = oldest_demand {
             let age = now.saturating_duration_since(enqueued);
             if age >= s.cfg.gather_window {
-                return Some(Work::Batch(take_run(&mut q, seed, s.cfg.max_batch)));
+                return Some(take_run(&mut q, seed, s.cfg.max_batch));
             }
             // The demand is still gathering: service a prefetch meanwhile,
             // or sleep out the remaining window.
             if let Some(seed) = first_prefetch(&q) {
-                return Some(Work::Batch(take_run(&mut q, seed, s.cfg.max_batch)));
+                return Some(take_run(&mut q, seed, s.cfg.max_batch));
             }
             let remaining = s.cfg.gather_window - age;
             s.q_cv.wait_for(&mut q, remaining);
             continue;
         }
         if let Some(seed) = first_prefetch(&q) {
-            return Some(Work::Batch(take_run(&mut q, seed, s.cfg.max_batch)));
-        }
-        if let Some(task) = s.tasks.lock().pop_front() {
-            return Some(Work::Task(task));
+            return Some(take_run(&mut q, seed, s.cfg.max_batch));
         }
         s.q_cv.wait_for(&mut q, Duration::from_millis(20));
     }
@@ -960,57 +884,6 @@ mod tests {
         assert_eq!(s.stats().joined.get(), 0);
         // ordering: relaxed — asserted after the fetches returned
         assert_eq!(src.single_calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn task_lane_runs_submitted_tasks() {
-        let s = IoScheduler::start_tasks_only(2);
-        let ran = Arc::new(AtomicU64::new(0));
-        for _ in 0..5 {
-            let ran = Arc::clone(&ran);
-            // ordering: relaxed — test statistic
-            assert!(s.submit_task(Box::new(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })));
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        // ordering: relaxed — test statistic
-        while ran.load(Ordering::Relaxed) < 5 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // ordering: relaxed — test statistic
-        assert_eq!(ran.load(Ordering::Relaxed), 5, "all tasks executed");
-        assert_eq!(s.stats().tasks_run.get(), 5);
-        // Demand fetches against the task-only scheduler fail cleanly.
-        assert!(s.fetch(PageId::new(0), Lsn::ZERO).is_err());
-    }
-
-    #[test]
-    fn task_lane_yields_to_demand_io_and_stops_cleanly() {
-        let src = TestSource::new(16, Duration::ZERO);
-        let s = sched(&src, IoSchedulerConfig::fast_test());
-        // Tasks interleave with demand fetches without wedging either lane.
-        let ran = Arc::new(AtomicU64::new(0));
-        for _ in 0..3 {
-            let ran = Arc::clone(&ran);
-            // ordering: relaxed — test statistic
-            s.submit_task(Box::new(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        for i in 0..8 {
-            assert_eq!(s.fetch(PageId::new(i), Lsn::ZERO).unwrap().body()[0], i as u8);
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        // ordering: relaxed — test statistic
-        while ran.load(Ordering::Relaxed) < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // ordering: relaxed — test statistic
-        assert_eq!(ran.load(Ordering::Relaxed), 3);
-        s.stop();
-        // Post-stop submissions are refused.
-        assert!(!s.submit_task(Box::new(|| {})));
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl LogPipeline {
         });
         let m = Arc::clone(self);
         hub.register_gauge_fn(node, "hardened_lsn", move || m.hardened.load().offset() as i64);
-        // Saturation signal for the load observatory: bytes accepted by
+        // Saturation signal (socbench samples its maximum): bytes accepted by
         // append() but not yet hardened. A pipeline keeping up hovers near
         // one block; a saturated landing zone grows without bound.
         let m = Arc::clone(self);

@@ -104,8 +104,8 @@ impl XLogFeed {
     }
 
     /// Blocks sitting in the feed channel waiting for the pump thread —
-    /// the feed's queue depth (saturation signal for the load observatory;
-    /// a pump keeping up with the primary holds this near zero).
+    /// the feed's queue depth (a saturation signal: a pump keeping up
+    /// with the primary holds this near zero).
     pub fn queue_depth(&self) -> usize {
         self.channel.pending()
     }

@@ -14,7 +14,7 @@ use socrates_common::obs::{
 };
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
 const COMMITS: u64 = 120;
@@ -323,4 +323,31 @@ fn node_lifecycle_updates_the_hub() {
         other => panic!("failover primary not registered: {other:?}"),
     }
     sys.shutdown();
+}
+
+/// socbench and the SLO grammar look hub metrics up *by string*, and a
+/// missing name reads as "absent", not as a failure — so a rename
+/// silently zeroes whatever consumed it. Pin the `<tier>.<metric>` set
+/// (node index dropped) a `fast_test` deployment registers.
+#[test]
+fn hub_metric_names_are_pinned() {
+    let sys = observed_deployment();
+    let names: BTreeSet<String> = sys
+        .hub()
+        .snapshot()
+        .samples
+        .iter()
+        .map(|s| format!("{}.{}", s.node.kind.tier_name(), s.name))
+        .collect();
+    sys.shutdown();
+
+    let golden: BTreeSet<String> =
+        include_str!("golden/hub_names.txt").lines().map(str::to_owned).collect();
+    let only_hub: Vec<&String> = names.difference(&golden).collect();
+    let only_golden: Vec<&String> = golden.difference(&names).collect();
+    assert!(
+        only_hub.is_empty() && only_golden.is_empty(),
+        "hub names drifted from tests/golden/hub_names.txt\n\
+         only in the hub: {only_hub:#?}\nonly in the golden file: {only_golden:#?}"
+    );
 }
