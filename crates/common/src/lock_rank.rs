@@ -16,8 +16,6 @@
 //! ```text
 //! deployment → fabric → engine → cache.mem → wal flush → xlog → LZ/xstore
 //! pageserver.mem → rbpex / xlog                 (apply + checkpoint)
-//! wal.disseminators → hadr shipper              (log dissemination)
-//! sched.sink → cache.mem                        (prefetch completion)
 //! ```
 //!
 //! | band | locks |
@@ -59,7 +57,8 @@ pub const CORE_SECONDARY_APPLY_HANDLE: u32 = 165;
 
 // --- engine (200s) ----------------------------------------------------
 /// `engine::db::Database.catalog` — table catalog. Held across table
-/// create/open, which allocates pages (hence below the io hooks).
+/// create/open, which allocates pages (the allocate hook upcalls into the
+/// fabric's 300s band).
 pub const ENGINE_CATALOG: u32 = 205;
 /// `engine::txn::TxnManager.prepare_mutex` — commit-prepare serializer.
 pub const ENGINE_TXN_PREPARE: u32 = 210;
@@ -68,17 +67,13 @@ pub const ENGINE_TXN_TABLE: u32 = 220;
 /// `engine::txn::TxnManager.aborted_map` — aborted-txn set.
 pub const ENGINE_TXN_ABORTED: u32 = 230;
 /// `engine::btree::BTree.lock` — tree structure latch. Held across node
-/// splits, which allocate pages (hence below the io hook slots).
+/// splits, which allocate pages (same upcall).
 pub const ENGINE_BTREE: u32 = 235;
 /// `engine::version::VersionStore.current` — current version slot. Held
-/// across version-page allocation (hence below the io hook slots).
+/// across version-page allocation (same upcall).
 pub const ENGINE_VERSION_CURRENT: u32 = 238;
-/// `engine::io::LoggedPageIo.trace` — commit-trace sink.
-pub const ENGINE_IO_TRACE: u32 = 240;
 /// `engine::io::LoggedPageIo.txn_begun` — begun-txn dedup map.
 pub const ENGINE_IO_TXN_BEGUN: u32 = 250;
-/// `engine::io::LoggedPageIo.on_allocate` — allocation hook slot.
-pub const ENGINE_IO_ON_ALLOCATE: u32 = 255;
 /// `engine::io::MemIo.pages` — in-memory page store map.
 pub const ENGINE_MEM_PAGES: u32 = 290;
 
@@ -113,8 +108,6 @@ pub const PS_MEM: u32 = 320;
 pub const PS_DIRTY: u32 = 330;
 /// `pageserver::PageServer.open` — the open (unsealed) L0 delta layer.
 pub const PS_OPEN_LAYER: u32 = 335;
-/// `pageserver::PageServer.apply_listener` — apply-progress listener.
-pub const PS_APPLY_LISTENER: u32 = 340;
 /// `pageserver::PageServer.apply_handle` — apply worker handle.
 pub const PS_APPLY_HANDLE: u32 = 350;
 /// `pageserver::PageServer.ckpt_handle` — checkpoint worker handle.
@@ -137,9 +130,6 @@ pub const CORE_SECONDARY_PENDING: u32 = 450;
 pub const STORAGE_SCHED_INFLIGHT: u32 = 510;
 /// `storage::sched::IoScheduler.q` — request queue.
 pub const STORAGE_SCHED_QUEUE: u32 = 520;
-/// `storage::sched::IoScheduler.sink` — completion sink (held while
-/// installing completed prefetches into the cache, hence below `mem`).
-pub const STORAGE_SCHED_SINK: u32 = 530;
 /// `storage::sched::IoScheduler.workers` — worker join handles.
 pub const STORAGE_SCHED_WORKERS: u32 = 540;
 /// `storage::layermap::LayerMap.inner` — the layer index (images + delta
@@ -151,10 +141,6 @@ pub const STORAGE_LAYERMAP: u32 = 545;
 /// across dirty-page eviction, which forces a WAL flush (hence below
 /// the pipeline locks).
 pub const STORAGE_CACHE_MEM: u32 = 550;
-/// `storage::cache::TieredCache.read_trace` — read-trace sink.
-pub const STORAGE_CACHE_TRACE: u32 = 560;
-/// `storage::cache::TieredCache.spans` — causal span-ring slot.
-pub const STORAGE_CACHE_SPANS: u32 = 565;
 /// `storage::rbpex::Rbpex.dir` — resilient-cache directory.
 pub const STORAGE_RBPEX_DIR: u32 = 570;
 /// `engine::evicted::EvictedLsnMap.buckets` — eviction LSN buckets.
@@ -171,12 +157,6 @@ pub const WAL_BUF: u32 = 610;
 pub const WAL_UNFLUSHED: u32 = 620;
 /// `wal::pipeline::LogPipeline.wait_mutex` — durability-wait condvar mutex.
 pub const WAL_WAIT: u32 = 630;
-/// `wal::pipeline::LogPipeline.disseminators` — dissemination fan-out
-/// list (held while offering blocks to the HADR shipper, hence below
-/// the hadr band).
-pub const WAL_DISSEMINATORS: u32 = 640;
-/// `wal::pipeline::LogPipeline.spans` — causal span-ring slot.
-pub const WAL_SPANS: u32 = 645;
 
 // --- hadr (660s) ------------------------------------------------------
 /// `hadr::Hadr.retained` — retained-page list for failback.
@@ -213,16 +193,12 @@ pub const WAL_QUORUM_STATE: u32 = 742;
 pub const WAL_QUORUM_WORKERS: u32 = 744;
 /// `wal::quorum::Acceptor.state` — per-acceptor log + term state.
 pub const WAL_ACCEPTOR_STATE: u32 = 746;
-/// `wal::quorum::QuorumLog.faults` — fault registry slot.
-pub const WAL_QUORUM_FAULTS: u32 = 748;
 
 // --- wal landing zone (750s) ------------------------------------------
 /// `wal::landing_zone::LandingZone.worker_handles` — LZ worker handles.
 pub const WAL_LZ_WORKERS: u32 = 750;
 /// `wal::landing_zone::LandingZone.state` — LZ head/tail watermarks.
 pub const WAL_LZ_STATE: u32 = 760;
-/// `wal::landing_zone::LandingZone.faults` — fault registry slot.
-pub const WAL_LZ_FAULTS: u32 = 770;
 
 // --- rbio (800s) ------------------------------------------------------
 /// `rbio::replica::ReplicaSet.states` — per-replica delivery states.
@@ -233,8 +209,6 @@ pub const RBIO_TRANSPORT_RNG: u32 = 860;
 // --- xstore (900s) ----------------------------------------------------
 /// `xstore::service::XStore.inner` — blob map + version index.
 pub const XSTORE_INNER: u32 = 910;
-/// `xstore::service::XStore.faults` — fault registry slot.
-pub const XSTORE_FAULTS: u32 = 920;
 
 // --- common leaves (1000s) --------------------------------------------
 /// `common::fault::FaultRegistry.sites` — fault-site table (every tier
@@ -270,9 +244,7 @@ mod tests {
             super::ENGINE_TXN_PREPARE,
             super::ENGINE_TXN_TABLE,
             super::ENGINE_TXN_ABORTED,
-            super::ENGINE_IO_TRACE,
             super::ENGINE_IO_TXN_BEGUN,
-            super::ENGINE_IO_ON_ALLOCATE,
             super::ENGINE_VERSION_CURRENT,
             super::ENGINE_BTREE,
             super::ENGINE_MEM_PAGES,
@@ -283,26 +255,20 @@ mod tests {
             super::PS_MEM,
             super::PS_DIRTY,
             super::PS_OPEN_LAYER,
-            super::PS_APPLY_LISTENER,
             super::PS_APPLY_HANDLE,
             super::PS_CKPT_HANDLE,
             super::PS_SEED_HANDLE,
             super::PS_COMPACTOR,
             super::STORAGE_SCHED_INFLIGHT,
             super::STORAGE_SCHED_QUEUE,
-            super::STORAGE_SCHED_SINK,
             super::STORAGE_SCHED_WORKERS,
             super::STORAGE_LAYERMAP,
             super::STORAGE_CACHE_MEM,
-            super::STORAGE_CACHE_TRACE,
-            super::STORAGE_CACHE_SPANS,
             super::STORAGE_RBPEX_DIR,
             super::WAL_FLUSH_LOCK,
             super::WAL_BUF,
             super::WAL_UNFLUSHED,
             super::WAL_WAIT,
-            super::WAL_DISSEMINATORS,
-            super::WAL_SPANS,
             super::HADR_RETAINED,
             super::HADR_HANDLE,
             super::HADR_RNG,
@@ -312,11 +278,9 @@ mod tests {
             super::XLOG_DESTAGER,
             super::WAL_LZ_WORKERS,
             super::WAL_LZ_STATE,
-            super::WAL_LZ_FAULTS,
             super::RBIO_REPLICA_STATES,
             super::RBIO_TRANSPORT_RNG,
             super::XSTORE_INNER,
-            super::XSTORE_FAULTS,
             super::COMMON_FAULT_SITES,
             super::COMMON_FAULT_HUB,
             super::COMMON_FAULT_LOG,

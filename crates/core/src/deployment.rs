@@ -8,7 +8,7 @@
 //! being recovered (as in the paper).
 
 use crate::config::SocratesConfig;
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, ServerOrigin};
 use crate::obs::{LagWatcher, SecondaryList};
 use crate::primary::Primary;
 use crate::secondary::Secondary;
@@ -19,7 +19,6 @@ use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
 use socrates_engine::recovery::{analyze, find_last_checkpoint};
 use socrates_engine::txn::TxnCheckpointMeta;
 use socrates_engine::TxnManager;
-use socrates_pageserver::PageServer;
 use socrates_wal::record::SequencedRecord;
 use socrates_xlog::XLogService;
 use socrates_xstore::SnapshotId;
@@ -285,24 +284,11 @@ impl Socrates {
             let meta =
                 self.fabric.xstore.create_blob(&format!("data/{tag}-p{}.meta", pid.raw()))?;
             self.fabric.xstore.write_at(meta, 0, &part_lsn.offset().to_le_bytes())?;
-            let ps = PageServer::attach(
-                &format!("ps-{tag}-{}", pid.raw()),
-                new_fabric.partition_spec(*pid),
-                new_fabric.config.page_server.clone(),
-                Arc::new(socrates_storage::MemFcb::new(format!("{tag}-p{}-ssd", pid.raw())))
-                    as Arc<dyn socrates_storage::Fcb>,
-                Arc::new(socrates_storage::MemFcb::new(format!("{tag}-p{}-meta", pid.raw())))
-                    as Arc<dyn socrates_storage::Fcb>,
-                Arc::clone(&self.fabric.xstore),
-                data,
-                meta,
-                Arc::clone(&new_fabric.xlog),
-                new_fabric.cpu.accountant(socrates_common::NodeId::page_server(1000 + pid.raw())),
+            let server = new_fabric.spawn_server(
+                *pid,
+                ServerOrigin::Blobs { data, meta, replay: Some((&blocks, target_lsn)) },
             )?;
-            ps.apply_blocks(&blocks, target_lsn)?;
-            ps.checkpoint()?;
-            ps.start();
-            new_fabric.install_partition(*pid, vec![ps])?;
+            new_fabric.install_partition(*pid, vec![server])?;
         }
 
         // Analysis over the restored range for the new primary's

@@ -9,6 +9,7 @@
 use crate::config::SocratesConfig;
 use parking_lot::{Condvar, Mutex, RwLock};
 use socrates_common::fault::FaultRegistry;
+use socrates_common::ids::NodeKind;
 use socrates_common::latency::LatencyInjector;
 use socrates_common::lock_rank;
 use socrates_common::lsn::AtomicLsn;
@@ -19,13 +20,19 @@ use socrates_common::obs::{
 };
 use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
 use socrates_engine::PageAccess;
-use socrates_pageserver::{CompactionWorker, PageServer, PageServerHandler, PartitionSpec};
+use socrates_pageserver::{
+    CompactionWorker, PageServer, PageServerHandler, PageServerWiring, PartitionSpec,
+};
 use socrates_rbio::replica::ReplicaSet;
 use socrates_rbio::transport::{NetworkConfig, RbioServer};
-use socrates_storage::cache::{FetchMeta, PageRef, PageSource};
+use socrates_storage::cache::{
+    EvictionListener, FetchMeta, PageRef, PageSource, TieredCache, WalFlushHook,
+};
 use socrates_storage::fcb::{Fcb, LatencyFcb, MemFcb};
 use socrates_storage::page::{Page, PAGE_SIZE};
+use socrates_storage::rbpex::{Rbpex, RbpexPolicy};
 use socrates_storage::sched::RangedPageSource;
+use socrates_wal::block::LogBlock;
 use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
 use socrates_wal::quorum::{Acceptor, QuorumConfig, QuorumLog};
 use socrates_wal::store::LogStore;
@@ -67,6 +74,17 @@ struct DegradedIndex {
     from: Lsn,
     released: Lsn,
     first_write_after: HashMap<PageId, Lsn>,
+}
+
+/// Where a page server started by [`Fabric::spawn_server`] gets its state.
+pub enum ServerOrigin<'a> {
+    /// A brand-new partition: empty, apply cursor at the given LSN.
+    Fresh(Lsn),
+    /// Existing XStore blobs (a replacement, a replica, a restore target).
+    /// With `replay`, the archived blocks are applied up to the given LSN
+    /// and checkpointed before the server starts — PITR's "log applied to
+    /// bring the database to the requested time".
+    Blobs { data: BlobId, meta: BlobId, replay: Option<(&'a [LogBlock], Lsn)> },
 }
 
 /// Condvar rendezvous between page-server apply threads and fabric-side
@@ -164,32 +182,49 @@ impl Fabric {
     /// Build the fabric: LZ replicas, XStore, XLOG (with its destager
     /// running), and no partitions yet.
     pub fn new(config: SocratesConfig) -> Result<Arc<Fabric>> {
-        let xstore = Arc::new(XStore::new(XStoreConfig {
-            profile: config.xstore_profile.clone(),
-            mode: config.latency_mode,
-            seed: config.seed ^ 0x5704E,
-        }));
-        Self::build(config, Lsn::ZERO, xstore, "xlog/lt")
+        Self::build(config, Lsn::ZERO, None, "xlog/lt")
     }
 
     /// Build a fabric for a restored deployment: the log starts at
     /// `start` (the PITR target) and the existing XStore service is
-    /// shared. `lt_name` must be unique per restore.
+    /// shared — untouched, so it keeps consulting the fault registry of
+    /// the deployment that created it. `lt_name` must be unique per
+    /// restore.
     pub fn new_restored(
         config: SocratesConfig,
         start: Lsn,
         xstore: Arc<XStore>,
         lt_name: &str,
     ) -> Result<Arc<Fabric>> {
-        Self::build(config, start, xstore, lt_name)
+        Self::build(config, start, Some(xstore), lt_name)
     }
 
     fn build(
         config: SocratesConfig,
         start: Lsn,
-        xstore: Arc<XStore>,
+        shared_xstore: Option<Arc<XStore>>,
         lt_name: &str,
     ) -> Result<Arc<Fabric>> {
+        let hub = MetricsHub::new();
+        // One fault registry for the whole deployment: shared by the LZ,
+        // XStore, every RBIO client, every page server and its handler,
+        // and the primary's lossy feed. `fault_injected_total.<site>`
+        // counters land under the dedicated fault node.
+        let faults = FaultRegistry::new(config.fault_seed);
+        faults.bind_hub(&hub, NodeId::FAULT);
+        if !config.fault_spec.is_empty() {
+            faults.install_spec(&config.fault_spec)?;
+        }
+        let xstore = shared_xstore.unwrap_or_else(|| {
+            Arc::new(XStore::new(
+                XStoreConfig {
+                    profile: config.xstore_profile.clone(),
+                    mode: config.latency_mode,
+                    seed: config.seed ^ 0x5704E,
+                },
+                faults.clone(),
+            ))
+        });
         let cpu = CpuRegistry::new();
         let primary_cpu = cpu.accountant(NodeId::PRIMARY);
         // LZ replicas: each a memory device behind the configured landing
@@ -221,6 +256,7 @@ impl Fabric {
                     ack_required: config.quorum_ack_required,
                     capacity: config.lz_capacity,
                 },
+                faults.clone(),
             ));
             // Initial election (term 1) so the bootstrap primary may
             // append; later primaries campaign again via recover().
@@ -243,6 +279,7 @@ impl Fabric {
             let lz = Arc::new(LandingZone::with_start(
                 lz_replicas,
                 LandingZoneConfig { capacity: config.lz_capacity, write_quorum: config.lz_quorum },
+                faults.clone(),
                 start,
             ));
             (lz as Arc<dyn LogStore>, None)
@@ -265,7 +302,6 @@ impl Fabric {
             lt_name,
         )?;
         xlog.start_destager();
-        let hub = MetricsHub::new();
         xlog.register_metrics(&hub, NodeId::XLOG);
         if let Some(q) = &quorum {
             // Per-acceptor flush/term/lag gauges plus quorum-wide commit
@@ -301,17 +337,6 @@ impl Fabric {
                 move || t.stage_snapshot(stage),
             );
         }
-        // One fault registry for the whole deployment: shared by the LZ,
-        // XStore, every RBIO client, every page-server handler, and the
-        // primary's lossy feed. `fault_injected_total.<site>` counters
-        // land under the dedicated fault node.
-        let faults = FaultRegistry::new(config.fault_seed);
-        faults.bind_hub(&hub, NodeId::FAULT);
-        if !config.fault_spec.is_empty() {
-            faults.install_spec(&config.fault_spec)?;
-        }
-        lz.set_fault_registry(faults.clone());
-        xstore.set_fault_registry(faults.clone());
         let degraded_reads = Arc::new(Counter::new());
         hub.register_counter(NodeId::PRIMARY, "degraded_reads_total", Arc::clone(&degraded_reads));
         let spans = Arc::new(SpanRing::new(config.span_capacity, config.trace_sample));
@@ -457,29 +482,13 @@ impl Fabric {
         if let Some(h) = parts.get(&partition) {
             return Ok(Arc::clone(h));
         }
-        // ordering: relaxed — index uniqueness needs only RMW atomicity
-        let idx = self.next_ps_index.fetch_add(1, Ordering::Relaxed);
-        let name = format!("ps-{}-{idx}", partition.raw());
-        let spec = self.partition_spec(partition);
-        let ps = PageServer::create(
-            &name,
-            spec,
-            self.config.page_server.clone(),
-            self.ps_device(&name, "ssd", idx),
-            self.ps_device(&name, "meta", idx),
-            Arc::clone(&self.xstore),
-            Arc::clone(&self.xlog),
-            self.cpu.accountant(NodeId::page_server(idx)),
-            cursor,
-        )?;
-        ps.start();
-        self.xlog.register_consumer(&name, cursor);
-        let (data_blob, meta_blob) = ps.blobs();
+        let server = self.spawn_server(partition, ServerOrigin::Fresh(cursor))?;
+        let (data_blob, meta_blob) = server.1.blobs();
         self.partition_blobs.write().insert(
             partition,
             PartitionDurable { data_blob, meta_blob, checkpoint_lsn: Lsn::ZERO },
         );
-        let handle = self.wrap_servers(vec![(NodeId::page_server(idx), ps)])?;
+        let handle = self.wrap_servers(vec![server])?;
         parts.insert(partition, Arc::clone(&handle));
         Ok(handle)
     }
@@ -491,29 +500,13 @@ impl Fabric {
         let existing = self
             .partition(partition)
             .ok_or_else(|| Error::NotFound(format!("{partition} has no page server")))?;
-        let (data_blob, meta_blob) = existing.servers[0].blobs();
+        let (data, meta) = existing.servers[0].blobs();
         // Replicas need a consistent XStore image to seed from.
         existing.servers[0].checkpoint()?;
-        // ordering: relaxed — index uniqueness needs only RMW atomicity
-        let idx = self.next_ps_index.fetch_add(1, Ordering::Relaxed);
-        let name = format!("ps-{}-{idx}", partition.raw());
-        let ps = PageServer::attach(
-            &name,
-            self.partition_spec(partition),
-            self.config.page_server.clone(),
-            self.ps_device(&name, "ssd", idx),
-            self.ps_device(&name, "meta", idx),
-            Arc::clone(&self.xstore),
-            data_blob,
-            meta_blob,
-            Arc::clone(&self.xlog),
-            self.cpu.accountant(NodeId::page_server(idx)),
-        )?;
-        ps.start();
-        self.xlog.register_consumer(&name, ps.applied_lsn());
         let mut servers: Vec<(NodeId, Arc<PageServer>)> =
             existing.nodes.iter().copied().zip(existing.servers.iter().cloned()).collect();
-        servers.push((NodeId::page_server(idx), ps));
+        servers
+            .push(self.spawn_server(partition, ServerOrigin::Blobs { data, meta, replay: None })?);
         // The carried-over nodes (and the partition's route telemetry) are
         // about to re-register under the same names; free them first so
         // the hub's keep-first rule doesn't pin the old route's counters.
@@ -525,17 +518,68 @@ impl Fabric {
         Ok(())
     }
 
-    /// Replace a partition's server set (failure injection in tests, PITR).
+    /// Start a page server for `partition` from `origin`: fresh node id and
+    /// devices, the deployment's fault registry, span ring, compaction
+    /// worker and apply signal handed to it at construction, apply loop
+    /// running, registered as an XLOG consumer. The one place a page
+    /// server comes to exist; route it with
+    /// [`install_partition`](Self::install_partition).
+    pub fn spawn_server(
+        &self,
+        partition: PartitionId,
+        origin: ServerOrigin<'_>,
+    ) -> Result<(NodeId, Arc<PageServer>)> {
+        // ordering: relaxed — index uniqueness needs only RMW atomicity
+        let idx = self.next_ps_index.fetch_add(1, Ordering::Relaxed);
+        let node = NodeId::page_server(idx);
+        let name = format!("ps-{}-{idx}", partition.raw());
+        let spec = self.partition_spec(partition);
+        let config = self.config.page_server.clone();
+        let (ssd, ssd_meta) =
+            (self.ps_device(&name, "ssd", idx), self.ps_device(&name, "meta", idx));
+        let (xstore, xlog) = (Arc::clone(&self.xstore), Arc::clone(&self.xlog));
+        let wiring = self.wiring(node);
+        let ps = match origin {
+            ServerOrigin::Fresh(cursor) => PageServer::create(
+                &name, spec, config, ssd, ssd_meta, xstore, xlog, cursor, wiring,
+            )?,
+            ServerOrigin::Blobs { data, meta, replay } => {
+                let ps = PageServer::attach(
+                    &name, spec, config, ssd, ssd_meta, xstore, data, meta, xlog, wiring,
+                )?;
+                if let Some((blocks, upto)) = replay {
+                    ps.apply_blocks(blocks, upto)?;
+                    ps.checkpoint()?;
+                }
+                ps
+            }
+        };
+        ps.start();
+        self.xlog.register_consumer(&name, ps.applied_lsn());
+        Ok((node, ps))
+    }
+
+    /// What every page server of this deployment is handed at construction.
+    fn wiring(&self, node: NodeId) -> PageServerWiring {
+        let signal = Arc::clone(&self.apply_signal);
+        PageServerWiring {
+            faults: self.faults.clone(),
+            spans: Arc::clone(&self.spans),
+            node,
+            cpu: self.cpu.accountant(node),
+            compactor: Some(Arc::clone(&self.compaction)),
+            // Every apply advance wakes the fabric's wait_applied sleepers.
+            on_applied: Arc::new(move |_lsn| signal.notify()),
+        }
+    }
+
+    /// Replace a partition's server set with servers from
+    /// [`spawn_server`](Self::spawn_server) (replacement, PITR).
     pub fn install_partition(
         &self,
         partition: PartitionId,
-        servers: Vec<Arc<PageServer>>,
+        servers: Vec<(NodeId, Arc<PageServer>)>,
     ) -> Result<()> {
-        let servers: Vec<(NodeId, Arc<PageServer>)> = servers
-            .into_iter()
-            // ordering: relaxed — index uniqueness needs only RMW atomicity
-            .map(|ps| (NodeId::page_server(self.next_ps_index.fetch_add(1, Ordering::Relaxed)), ps))
-            .collect();
         if let Some((_, first)) = servers.first() {
             let (data_blob, meta_blob) = first.blobs();
             self.partition_blobs.write().insert(
@@ -630,30 +674,15 @@ impl Fabric {
     /// paper's page-server recovery story — state lives in XStore + log,
     /// so a replacement node only needs the blob ids and a log cursor.
     pub fn restart_partition(&self, partition: PartitionId) -> Result<()> {
-        let PartitionDurable { data_blob, meta_blob, .. } = self
+        let PartitionDurable { data_blob: data, meta_blob: meta, .. } = self
             .partition_blobs
             .read()
             .get(&partition)
             .copied()
             .ok_or_else(|| Error::NotFound(format!("{partition} has never run")))?;
-        // ordering: relaxed — index uniqueness needs only RMW atomicity
-        let idx = self.next_ps_index.fetch_add(1, Ordering::Relaxed);
-        let name = format!("ps-{}-{idx}", partition.raw());
-        let ps = PageServer::attach(
-            &name,
-            self.partition_spec(partition),
-            self.config.page_server.clone(),
-            self.ps_device(&name, "ssd", idx),
-            self.ps_device(&name, "meta", idx),
-            Arc::clone(&self.xstore),
-            data_blob,
-            meta_blob,
-            Arc::clone(&self.xlog),
-            self.cpu.accountant(NodeId::page_server(idx)),
-        )?;
-        ps.start();
-        self.xlog.register_consumer(&name, ps.applied_lsn());
-        self.install_partition(partition, vec![ps])
+        let server =
+            self.spawn_server(partition, ServerOrigin::Blobs { data, meta, replay: None })?;
+        self.install_partition(partition, vec![server])
     }
 
     /// Degraded read: serve `id` straight from the partition's last XStore
@@ -763,7 +792,7 @@ impl Fabric {
     /// Wait until every page server has applied the log up to `lsn`.
     /// Sleeps on the apply signal — every page-server apply advance
     /// notifies it — instead of busy-polling; the capped wait is a
-    /// backstop against servers installed before the listener existed.
+    /// backstop against a stopped apply loop.
     pub fn wait_applied(&self, lsn: Lsn, timeout: std::time::Duration) -> Result<()> {
         let deadline = std::time::Instant::now() + timeout;
         let mut guard = self.apply_signal.lock.lock();
@@ -804,18 +833,9 @@ impl Fabric {
         // ordering: relaxed — index uniqueness needs only RMW atomicity
         let idx = self.next_ps_index.fetch_add(1, Ordering::Relaxed);
         let name = format!("branch-{}-{idx}", partition.raw());
-        let branch = PageServer::branch_from(
-            &handle.servers[0],
-            &name,
-            at_lsn,
-            self.cpu.accountant(NodeId::page_server(idx)),
-        )?;
-        branch.register_metrics(&self.hub, NodeId::page_server(idx));
-        if self.spans.is_enabled() {
-            branch.set_span_ring(Arc::clone(&self.spans), NodeId::page_server(idx));
-        }
-        branch.set_faults(self.faults.clone());
-        branch.set_compaction_scheduler(Arc::clone(&self.compaction));
+        let node = NodeId::page_server(idx);
+        let branch = PageServer::branch_from(&handle.servers[0], &name, at_lsn, self.wiring(node))?;
+        branch.register_metrics(&self.hub, node);
         self.branches.lock().insert(idx, Arc::clone(&branch));
         Ok(branch)
     }
@@ -857,6 +877,70 @@ impl Fabric {
         self.xlog.shutdown();
     }
 
+    /// Assemble compute node `node`'s tiered cache: memory over (optional)
+    /// RBPEX over GetPage@LSN, misses through the I/O scheduler when it is
+    /// enabled, the deployment's read-trace recorder and span ring handed
+    /// in, scheduler metrics registered under `node`.
+    pub(crate) fn compute_cache(
+        self: &Arc<Self>,
+        node: NodeId,
+        wal_flush: WalFlushHook,
+        on_evict: EvictionListener,
+    ) -> Result<Arc<TieredCache>> {
+        let config = &self.config;
+        let cpu = self.cpu.accountant(node);
+        let rbpex = if config.rbpex_pages > 0 {
+            // One latency stream per compute node's RBPEX device.
+            let salt = match node.kind {
+                NodeKind::Primary => 0x11,
+                _ => 0x200 + node.index as u64,
+            };
+            let dev: Arc<dyn Fcb> = Arc::new(LatencyFcb::new(
+                MemFcb::new(format!("{node}-rbpex")),
+                LatencyInjector::new(
+                    config.ssd_profile.clone(),
+                    config.latency_mode,
+                    config.seed ^ salt,
+                ),
+                Some(Arc::clone(&cpu)),
+            ));
+            let meta: Arc<dyn Fcb> = Arc::new(MemFcb::new(format!("{node}-rbpex-meta")));
+            let policy = RbpexPolicy::Sparse { capacity_pages: config.rbpex_pages };
+            Some(Arc::new(Rbpex::create(dev, meta, policy)?))
+        } else {
+            None
+        };
+        let source = Arc::new(RemotePageSource::new(Arc::clone(self), cpu, node));
+        let read_trace = Arc::clone(&self.read_trace);
+        let spans = (Arc::clone(&self.spans), node);
+        let cache = if config.sched.enabled {
+            TieredCache::with_scheduler(
+                config.mem_cache_pages,
+                rbpex,
+                source,
+                wal_flush,
+                on_evict,
+                read_trace,
+                spans,
+                config.sched.clone(),
+            )
+        } else {
+            Arc::new(TieredCache::new(
+                config.mem_cache_pages,
+                rbpex,
+                source,
+                wal_flush,
+                on_evict,
+                read_trace,
+                spans,
+            ))
+        };
+        if let Some(sched) = cache.scheduler() {
+            sched.register_metrics(&self.hub, node);
+        }
+        Ok(cache)
+    }
+
     fn ps_device(&self, name: &str, kind: &str, idx: u32) -> Arc<dyn Fcb> {
         Arc::new(LatencyFcb::new(
             MemFcb::new(format!("{name}-{kind}")),
@@ -877,16 +961,8 @@ impl Fabric {
         let mut clients = Vec::with_capacity(servers.len());
         for (i, (node, ps)) in servers.iter().enumerate() {
             ps.register_metrics(&self.hub, *node);
-            if self.spans.is_enabled() {
-                ps.set_span_ring(Arc::clone(&self.spans), *node);
-            }
-            ps.set_faults(self.faults.clone());
-            ps.set_compaction_scheduler(Arc::clone(&self.compaction));
-            // Every apply advance wakes the fabric's wait_applied sleepers.
-            let signal = Arc::clone(&self.apply_signal);
-            ps.set_apply_listener(Arc::new(move |_lsn| signal.notify()));
             let server = Arc::new(RbioServer::start(
-                Arc::new(PageServerHandler::with_faults(Arc::clone(ps), self.faults.clone())),
+                Arc::new(PageServerHandler::new(Arc::clone(ps), self.faults.clone())),
                 self.config.rbio_workers,
             ));
             let net = NetworkConfig {
@@ -924,24 +1000,12 @@ pub struct RemotePageSource {
 }
 
 impl RemotePageSource {
-    /// A source for one compute node (its accountant pays the network
-    /// driver cost). Wire spans are attributed to the primary; replicas
-    /// use [`RemotePageSource::with_node`].
-    pub fn new(fabric: Arc<Fabric>, cpu: Arc<CpuAccountant>) -> RemotePageSource {
-        RemotePageSource::with_node(fabric, cpu, NodeId::PRIMARY)
-    }
-
-    /// [`RemotePageSource::new`] with an explicit span-attribution node.
-    pub fn with_node(
-        fabric: Arc<Fabric>,
-        cpu: Arc<CpuAccountant>,
-        node: NodeId,
-    ) -> RemotePageSource {
+    /// A source for compute node `node`: its accountant pays the network
+    /// driver cost and its wire spans are attributed to it.
+    pub fn new(fabric: Arc<Fabric>, cpu: Arc<CpuAccountant>, node: NodeId) -> RemotePageSource {
         RemotePageSource { fabric, cpu, node }
     }
-}
 
-impl RemotePageSource {
     fn route_for(&self, id: PageId) -> Result<Arc<PartitionHandle>> {
         let partition = self.fabric.partition_of(id);
         self.fabric
@@ -1179,7 +1243,7 @@ impl DirectFabricAccess {
     /// Build one.
     pub fn new(fabric: Arc<Fabric>) -> DirectFabricAccess {
         let cpu = fabric.cpu.accountant(NodeId::client(0));
-        DirectFabricAccess { source: RemotePageSource::new(fabric, cpu) }
+        DirectFabricAccess { source: RemotePageSource::new(fabric, cpu, NodeId::PRIMARY) }
     }
 }
 

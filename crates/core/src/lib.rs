@@ -30,7 +30,7 @@ pub mod secondary;
 
 pub use config::SocratesConfig;
 pub use deployment::{BackupDescriptor, Socrates};
-pub use fabric::{Fabric, PartitionHandle, RemotePageSource};
+pub use fabric::{Fabric, PartitionHandle, RemotePageSource, ServerOrigin};
 pub use obs::LagWatcher;
 pub use primary::Primary;
 pub use secondary::Secondary;

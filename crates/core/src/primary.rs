@@ -12,16 +12,12 @@
 //! — rebuild the transaction table from the last checkpoint and the log
 //! tail — because pages live on page servers and no undo pass exists.
 
-use crate::fabric::{Fabric, RemotePageSource};
-use socrates_common::latency::LatencyInjector;
+use crate::fabric::Fabric;
 use socrates_common::metrics::{Counter, CpuAccountant};
 use socrates_common::{Lsn, NodeId, PageId, Result};
 use socrates_engine::recovery::{analyze, find_last_checkpoint};
 use socrates_engine::txn::TxnCheckpointMeta;
 use socrates_engine::{Database, EvictedLsnMap, LoggedPageIo, TxnManager};
-use socrates_storage::cache::TieredCache;
-use socrates_storage::fcb::{Fcb, LatencyFcb, MemFcb};
-use socrates_storage::rbpex::{Rbpex, RbpexPolicy};
 use socrates_wal::pipeline::{LogDisseminator, LogPipeline};
 use socrates_wal::record::SequencedRecord;
 use socrates_xlog::feed::XLogFeed;
@@ -97,50 +93,28 @@ impl Primary {
         }
 
         // Log pipeline: LZ for durability, XLOG feed for availability.
-        let fabric_for_parts = Arc::clone(&fabric);
-        let pipeline = Arc::new(LogPipeline::new(
-            Arc::clone(&fabric.lz) as Arc<dyn socrates_wal::pipeline::BlockSink>,
-            Arc::new(move |p: PageId| fabric_for_parts.partition_of(p)),
-            config.pipeline.clone(),
-            start_lsn,
-        ));
-        let feed = Arc::new(XLogFeed::start_with_obs(
+        let spans = (Arc::clone(&fabric.spans), NodeId::PRIMARY);
+        let feed = Arc::new(XLogFeed::start(
             Arc::clone(&fabric.xlog),
             config.lossy_feed.clone(),
             fabric.faults.clone(),
-            fabric.spans.is_enabled().then(|| Arc::clone(&fabric.spans)),
+            Arc::clone(&fabric.spans),
         ));
-        pipeline.add_disseminator(Arc::clone(&feed) as Arc<dyn LogDisseminator>);
-        if fabric.spans.is_enabled() {
-            pipeline.set_span_ring(Arc::clone(&fabric.spans), NodeId::PRIMARY);
-        }
+        let fabric_for_parts = Arc::clone(&fabric);
+        let pipeline = Arc::new(LogPipeline::new(
+            Arc::clone(&fabric.lz) as Arc<dyn socrates_wal::pipeline::BlockSink>,
+            vec![Arc::clone(&feed) as Arc<dyn LogDisseminator>],
+            Arc::new(move |p: PageId| fabric_for_parts.partition_of(p)),
+            config.pipeline.clone(),
+            start_lsn,
+            spans.clone(),
+        ));
         // Feed health (drop count, queue depth) lands under the PRIMARY
         // node: the pump belongs to this primary process, so failover's
         // unregister_primary_process_metrics retires the closures with it
         // and the successor can re-register its own feed.
         feed.register_metrics(&fabric.hub, NodeId::PRIMARY);
 
-        // Tiered cache: memory over (optional) RBPEX over GetPage@LSN.
-        let rbpex = if config.rbpex_pages > 0 {
-            let dev: Arc<dyn Fcb> = Arc::new(LatencyFcb::new(
-                MemFcb::new("primary-rbpex"),
-                LatencyInjector::new(
-                    config.ssd_profile.clone(),
-                    config.latency_mode,
-                    config.seed ^ 0x11,
-                ),
-                Some(Arc::clone(&cpu)),
-            ));
-            let meta: Arc<dyn Fcb> = Arc::new(MemFcb::new("primary-rbpex-meta"));
-            Some(Arc::new(Rbpex::create(
-                dev,
-                meta,
-                RbpexPolicy::Sparse { capacity_pages: config.rbpex_pages },
-            )?))
-        } else {
-            None
-        };
-        let source = Arc::new(RemotePageSource::new(Arc::clone(&fabric), Arc::clone(&cpu)));
         // WAL rule: a page may leave the node only once the log covers its
         // PageLSN. Persistent flush failures are surfaced as a counter so
         // socmon sees them (they only matter combined with a crash).
@@ -166,45 +140,9 @@ impl Primary {
         let on_evict = Arc::new(move |id: PageId, lsn: Lsn| {
             evicted_for_cb.note_eviction(id, lsn);
         });
-        let cache = if config.sched.enabled {
-            TieredCache::with_scheduler(
-                config.mem_cache_pages,
-                rbpex,
-                source,
-                wal_flush,
-                on_evict,
-                config.sched.clone(),
-            )
-        } else {
-            Arc::new(TieredCache::new(config.mem_cache_pages, rbpex, source, wal_flush, on_evict))
-        };
-        if let Some(sched) = cache.scheduler() {
-            sched.register_metrics(&fabric.hub, NodeId::PRIMARY);
-        }
-        if fabric.read_trace.is_enabled() {
-            cache.set_read_trace(Arc::clone(&fabric.read_trace));
-        }
-        if fabric.spans.is_enabled() {
-            cache.set_span_ring(Arc::clone(&fabric.spans), NodeId::PRIMARY);
-        }
+        // Tiered cache: memory over (optional) RBPEX over GetPage@LSN.
+        let cache = fabric.compute_cache(NodeId::PRIMARY, wal_flush, on_evict)?;
 
-        let io = Arc::new(LoggedPageIo::new(
-            cache,
-            Arc::clone(&pipeline),
-            Arc::clone(&evicted),
-            next_page,
-        ));
-        // Observability: commit tracing + this node's metrics in the hub.
-        // A failover primary re-registers under the same node id, replacing
-        // the dead node's sources.
-        if fabric.trace.is_enabled() {
-            io.set_trace_recorder(Arc::clone(&fabric.trace));
-        }
-        if fabric.spans.is_enabled() {
-            io.set_span_ring(Arc::clone(&fabric.spans), NodeId::PRIMARY);
-        }
-        pipeline.register_metrics(&fabric.hub, NodeId::PRIMARY);
-        io.register_metrics(&fabric.hub, NodeId::PRIMARY);
         // Growing into a fresh partition spins up its page server — O(1)
         // in data size. Allocation failures surface as a counter.
         let partition_alloc_failures = Arc::new(Counter::new());
@@ -215,7 +153,7 @@ impl Primary {
         );
         let fabric_for_alloc = Arc::clone(&fabric);
         let pipeline_for_alloc = Arc::clone(&pipeline);
-        io.set_on_allocate(Arc::new(move |id: PageId| {
+        let on_allocate = Arc::new(move |id: PageId| {
             let p = fabric_for_alloc.partition_of(id);
             if fabric_for_alloc.partition(p).is_none() {
                 // The cursor must be a block boundary at or before the new
@@ -226,7 +164,20 @@ impl Primary {
                     partition_alloc_failures.incr();
                 }
             }
-        }));
+        });
+        let io = Arc::new(LoggedPageIo::new(
+            cache,
+            Arc::clone(&pipeline),
+            Arc::clone(&evicted),
+            next_page,
+            Arc::clone(&fabric.trace),
+            spans,
+            on_allocate,
+        ));
+        // This node's metrics in the hub. A failover primary re-registers
+        // under the same node id, replacing the dead node's sources.
+        pipeline.register_metrics(&fabric.hub, NodeId::PRIMARY);
+        io.register_metrics(&fabric.hub, NodeId::PRIMARY);
 
         let db = if fresh {
             let db = Database::create(io.clone() as Arc<dyn socrates_engine::PageMutator>)?;

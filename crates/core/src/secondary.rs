@@ -18,7 +18,7 @@
 //!   consumed log up to the page's LSN — the paper's "pause and restart
 //!   the traversal" made systematic.
 
-use crate::fabric::{Fabric, RemotePageSource};
+use crate::fabric::Fabric;
 use parking_lot::Mutex;
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant};
@@ -28,7 +28,6 @@ use socrates_engine::{Database, EvictedLsnMap, PageAccess, PageMutator, TxnManag
 use socrates_storage::cache::{PageRef, TieredCache};
 use socrates_storage::page::Page;
 use socrates_storage::pageops::{apply_page_op, PageOp};
-use socrates_storage::Fcb;
 use socrates_wal::record::LogPayload;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -156,7 +155,6 @@ impl Secondary {
     /// deployment passes the current released frontier; the cache warms
     /// on demand).
     pub fn launch(fabric: Arc<Fabric>, index: u32, start_lsn: Lsn) -> Result<Arc<Secondary>> {
-        let config = &fabric.config;
         let node = NodeId::secondary(index);
         let cpu = fabric.cpu.accountant(node);
         let evicted = Arc::new(EvictedLsnMap::new(1 << 16));
@@ -172,50 +170,15 @@ impl Secondary {
             ),
         });
 
-        let rbpex = if config.rbpex_pages > 0 {
-            let dev: Arc<dyn Fcb> = Arc::new(socrates_storage::fcb::LatencyFcb::new(
-                socrates_storage::fcb::MemFcb::new(format!("sec{index}-rbpex")),
-                socrates_common::latency::LatencyInjector::new(
-                    config.ssd_profile.clone(),
-                    config.latency_mode,
-                    config.seed ^ (0x200 + index as u64),
-                ),
-                Some(Arc::clone(&cpu)),
-            ));
-            let meta: Arc<dyn Fcb> =
-                Arc::new(socrates_storage::fcb::MemFcb::new(format!("sec{index}-rbpex-meta")));
-            Some(Arc::new(socrates_storage::rbpex::Rbpex::create(
-                dev,
-                meta,
-                socrates_storage::rbpex::RbpexPolicy::Sparse { capacity_pages: config.rbpex_pages },
-            )?))
-        } else {
-            None
-        };
         let evicted_cb = Arc::clone(&evicted);
-        let source =
-            Arc::new(RemotePageSource::with_node(Arc::clone(&fabric), Arc::clone(&cpu), node));
-        let wal_flush: Arc<dyn Fn(Lsn) + Send + Sync> = Arc::new(|_| {}); // read-only node
-        let on_evict: Arc<dyn Fn(PageId, Lsn) + Send + Sync> =
-            Arc::new(move |id, lsn| evicted_cb.note_eviction(id, lsn));
         // Secondaries get the scheduler's single-flight dedupe but post no
         // prefetch hints: a background install could land a page from the
         // future without the coherence wait below.
-        let cache = if config.sched.enabled {
-            TieredCache::with_scheduler(
-                config.mem_cache_pages,
-                rbpex,
-                source,
-                wal_flush,
-                on_evict,
-                config.sched.clone(),
-            )
-        } else {
-            Arc::new(TieredCache::new(config.mem_cache_pages, rbpex, source, wal_flush, on_evict))
-        };
-        if fabric.spans.is_enabled() {
-            cache.set_span_ring(Arc::clone(&fabric.spans), node);
-        }
+        let cache = fabric.compute_cache(
+            node,
+            Arc::new(|_| {}), // read-only node: nothing to flush
+            Arc::new(move |id, lsn| evicted_cb.note_eviction(id, lsn)),
+        )?;
         let io = Arc::new(SecondaryIo {
             cache,
             evicted: Arc::clone(&evicted),

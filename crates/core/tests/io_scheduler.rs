@@ -48,6 +48,7 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
     let source = Arc::new(RemotePageSource::new(
         Arc::clone(sys.fabric()),
         sys.fabric().cpu.accountant(NodeId::client(7)),
+        NodeId::client(7),
     ));
     let sched = IoScheduler::start(
         source as Arc<dyn RangedPageSource>,
@@ -59,6 +60,7 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
             workers: 2,
             ..IoSchedulerConfig::default()
         },
+        std::sync::Weak::new(),
     );
 
     let served_before = ps.metrics().pages_served.get();
@@ -89,6 +91,7 @@ fn get_page_range_arm_serves_coalesced_reads() {
     let source = Arc::new(RemotePageSource::new(
         Arc::clone(sys.fabric()),
         sys.fabric().cpu.accountant(NodeId::client(8)),
+        NodeId::client(8),
     ));
 
     // Straight through the protocol arm: one RBIO GetPageRange call.
@@ -110,6 +113,7 @@ fn get_page_range_arm_serves_coalesced_reads() {
             workers: 2,
             ..IoSchedulerConfig::default()
         },
+        std::sync::Weak::new(),
     );
     let range_before = ps.metrics().range_requests.get();
     let readers: Vec<_> = (1..=8u64)

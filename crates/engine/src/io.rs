@@ -62,7 +62,7 @@ pub trait PageMutator: PageAccess {
 }
 
 /// Callback invoked with each freshly allocated page id (see
-/// [`LoggedPageIo::set_on_allocate`]).
+/// [`LoggedPageIo::new`]).
 pub type AllocateHook = Arc<dyn Fn(PageId) + Send + Sync>;
 
 /// The production implementation: mutations are logged through the
@@ -80,33 +80,37 @@ pub struct LoggedPageIo {
     /// record is logged. Socrates deployments use this to spin up a page
     /// server when the database grows into a partition that has none —
     /// the O(1)-in-data upsize path.
-    on_allocate: parking_lot::RwLock<Option<AllocateHook>>,
-    /// Commit tracing, when the deployment installed a recorder. The sync
+    on_allocate: AllocateHook,
+    /// Commit tracing (a disabled recorder costs nothing). The sync
     /// stages are stamped here: engine time (txn begin → commit append) and
     /// harden time (the `commit_wait`); the async stages are completed by
     /// the deployment's LSN-lag watcher.
-    trace: parking_lot::RwLock<Option<Arc<TraceRecorder>>>,
-    /// Begin timestamps of in-flight transactions, consulted only when a
-    /// recorder is installed (the map stays empty — and the commit path
+    trace: Arc<TraceRecorder>,
+    /// Begin timestamps of in-flight transactions, consulted only when
+    /// tracing is on (the map stays empty — and the commit path
     /// lock-free — otherwise).
     txn_begun: Mutex<HashMap<TxnId, std::time::Instant>>,
-    /// Cross-tier span ring plus this node's identity, set once at fabric
-    /// wiring time (lock-free read; no new lock rank). Commits mint their
+    /// Cross-tier span ring plus this node's identity. Commits mint their
     /// causal [`TraceCtx`](socrates_common::obs::TraceCtx) here — the ring
-    /// owns the sampling decision, so an unsampled commit pays one relaxed
-    /// load and a compare.
-    spans: std::sync::OnceLock<(Arc<SpanRing>, NodeId)>,
+    /// owns the sampling decision, so an unsampled commit pays one
+    /// immutable-field compare.
+    spans: (Arc<SpanRing>, NodeId),
 }
 
 impl LoggedPageIo {
     /// Wire up the node's cache, pipeline, and evicted-LSN map.
     /// `next_page` is the first unallocated page id (1 for a fresh
-    /// database — page 0 is the catalog).
+    /// database — page 0 is the catalog). Commits record their sync
+    /// stages into `trace` and mint sampled contexts from `spans`;
+    /// `on_allocate` observes every allocation.
     pub fn new(
         cache: Arc<TieredCache>,
         pipeline: Arc<LogPipeline>,
         evicted: Arc<EvictedLsnMap>,
         next_page: u64,
+        trace: Arc<TraceRecorder>,
+        spans: (Arc<SpanRing>, NodeId),
+        on_allocate: AllocateHook,
     ) -> LoggedPageIo {
         LoggedPageIo {
             cache,
@@ -115,47 +119,20 @@ impl LoggedPageIo {
             evicted,
             data_hits: Counter::new(),
             data_misses: Counter::new(),
-            on_allocate: parking_lot::RwLock::with_rank(
-                None,
-                socrates_common::lock_rank::ENGINE_IO_ON_ALLOCATE,
-                "io.on_allocate",
-            ),
-            trace: parking_lot::RwLock::with_rank(
-                None,
-                socrates_common::lock_rank::ENGINE_IO_TRACE,
-                "io.trace",
-            ),
+            on_allocate,
+            trace,
             txn_begun: Mutex::with_rank(
                 HashMap::new(),
                 socrates_common::lock_rank::ENGINE_IO_TXN_BEGUN,
                 "io.txn_begun",
             ),
-            spans: std::sync::OnceLock::new(),
+            spans,
         }
     }
 
-    /// Route cross-tier commit spans into `ring`, attributed to `node`.
-    /// First caller wins; later calls are ignored (fabric wiring happens
-    /// once per node).
-    pub fn set_span_ring(&self, ring: Arc<SpanRing>, node: NodeId) {
-        let _ = self.spans.set((ring, node));
-    }
-
-    /// Whether the cross-tier span ring is armed (commits may sample).
-    fn spans_armed(&self) -> bool {
-        self.spans.get().is_some_and(|(ring, _)| ring.is_enabled())
-    }
-
-    /// Install the commit trace recorder. Transactions that begin after
-    /// this point get full engine-stage timings; ones already in flight
-    /// record a clamped-to-minimum engine stage.
-    pub fn set_trace_recorder(&self, recorder: Arc<TraceRecorder>) {
-        *self.trace.write() = Some(recorder);
-    }
-
-    /// The installed trace recorder, if any.
-    pub fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
-        self.trace.read().clone()
+    /// Whether commits stamp their engine stage (either sink is armed).
+    fn tracing(&self) -> bool {
+        self.trace.is_enabled() || self.spans.0.is_enabled()
     }
 
     /// Register this node's engine-side metrics (data-page cache hit
@@ -190,11 +167,6 @@ impl LoggedPageIo {
     pub fn reset_data_hit_stats(&self) {
         self.data_hits.reset();
         self.data_misses.reset();
-    }
-
-    /// Install the allocation observer (see the field docs).
-    pub fn set_on_allocate(&self, f: AllocateHook) {
-        *self.on_allocate.write() = Some(f);
     }
 
     /// The node's cache (hit-rate metrics and maintenance).
@@ -255,13 +227,7 @@ impl PageMutator for LoggedPageIo {
     fn allocate(&self, txn: TxnId) -> Result<PageId> {
         // ordering: relaxed — id uniqueness needs only RMW atomicity
         let id = PageId::new(self.next_page.fetch_add(1, Ordering::Relaxed));
-        // Lock order: clone the hook out so the upcall into the deployment
-        // (which takes fabric locks, ranked *below* engine locks) runs
-        // without this guard held — holding it was a rank inversion.
-        let hook = self.on_allocate.read().clone();
-        if let Some(f) = hook {
-            f(id);
-        }
+        (self.on_allocate)(id);
         self.pipeline
             .append(&LogRecord { txn, payload: LogPayload::AllocPages { first: id, count: 1 } });
         self.cache.install(Page::new(id, PageType::Free))?;
@@ -280,15 +246,14 @@ impl PageMutator for LoggedPageIo {
     }
 
     fn log_txn_begin(&self, txn: TxnId) {
-        if self.trace.read().is_some() || self.spans_armed() {
+        if self.tracing() {
             self.txn_begun.lock().insert(txn, std::time::Instant::now());
         }
         self.pipeline.append(&LogRecord { txn, payload: LogPayload::TxnBegin });
     }
 
     fn log_txn_commit(&self, txn: TxnId, commit_ts: u64) -> Result<()> {
-        let trace = self.trace.read().clone();
-        let engine_ns = if trace.is_some() || self.spans_armed() {
+        let engine_ns = if self.tracing() {
             self.txn_begun.lock().remove(&txn).map_or(0, |t0| t0.elapsed().as_nanos() as u64)
         } else {
             0
@@ -296,42 +261,39 @@ impl PageMutator for LoggedPageIo {
         // Mint the cross-tier trace ctx; the ring owns the sampling
         // decision, and the ctx rides the commit's log block across every
         // tier boundary downstream.
-        let ctx_sink = self
-            .spans
-            .get()
-            .and_then(|(ring, node)| ring.try_sample().map(|ctx| (Arc::clone(ring), *node, ctx)));
+        let (ring, node) = &self.spans;
+        let ctx = ring.try_sample();
         let record = LogRecord { txn, payload: LogPayload::TxnCommit { commit_ts } };
-        let lsn = match &ctx_sink {
-            Some((_, _, ctx)) => self.pipeline.append_traced(&record, *ctx),
+        let lsn = match ctx {
+            Some(ctx) => self.pipeline.append_traced(&record, ctx),
             None => self.pipeline.append(&record),
         };
         let harden_start = std::time::Instant::now();
         self.pipeline.commit_wait(lsn)?;
-        if let Some((ring, node, ctx)) = ctx_sink {
+        if let Some(ctx) = ctx {
             let harden_ns = harden_start.elapsed().as_nanos() as u64;
             let end_ns = ring.now_ns();
             let root_ns = engine_ns + harden_ns;
             let root_start = end_ns.saturating_sub(root_ns);
-            ring.record_root(ctx, SpanKind::Commit, node, root_start, root_ns);
-            if engine_ns > 0 {
-                ring.record_child(ctx, SpanKind::CommitEngine, node, root_start, engine_ns);
-            }
+            ring.record_root(ctx, SpanKind::Commit, *node, root_start, root_ns);
+            ring.record_child(ctx, SpanKind::CommitEngine, *node, root_start, engine_ns);
             ring.record_child(
                 ctx,
                 SpanKind::CommitHarden,
-                node,
+                *node,
                 end_ns.saturating_sub(harden_ns),
                 harden_ns,
             );
         }
-        if let Some(recorder) = trace {
-            recorder.record_commit(txn, lsn, engine_ns, harden_start.elapsed().as_nanos() as u64);
+        if self.trace.is_enabled() {
+            let harden_ns = harden_start.elapsed().as_nanos() as u64;
+            self.trace.record_commit(txn, lsn, engine_ns, harden_ns);
         }
         Ok(())
     }
 
     fn log_txn_abort(&self, txn: TxnId) {
-        if self.trace.read().is_some() || self.spans_armed() {
+        if self.tracing() {
             self.txn_begun.lock().remove(&txn);
         }
         self.pipeline.append(&LogRecord { txn, payload: LogPayload::TxnAbort });
@@ -426,6 +388,7 @@ mod tests {
 
     #[test]
     fn traced_commit_records_commit_and_harden_spans() {
+        use socrates_common::fault::FaultRegistry;
         use socrates_storage::{Fcb, MemFcb};
         use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
         use socrates_wal::pipeline::{BlockSink, LogPipelineConfig};
@@ -441,23 +404,30 @@ mod tests {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
+        let ring = Arc::new(SpanRing::new(64, 1));
         let pipeline = Arc::new(LogPipeline::new(
             Arc::clone(&lz) as Arc<dyn BlockSink>,
+            vec![],
             Arc::new(|_p: PageId| socrates_common::PartitionId::new(0)),
             LogPipelineConfig::default(),
             Lsn::ZERO,
+            (Arc::clone(&ring), NodeId::PRIMARY),
         ));
         let cache = Arc::new(TieredCache::with_defaults(8, None, Arc::new(NoRemote)));
-        let io = LoggedPageIo::new(
-            Arc::clone(&cache),
-            Arc::clone(&pipeline),
-            Arc::new(EvictedLsnMap::new(16)),
-            1,
-        );
-        let ring = Arc::new(SpanRing::new(64, 1));
-        io.set_span_ring(Arc::clone(&ring), NodeId::PRIMARY);
-        pipeline.set_span_ring(Arc::clone(&ring), NodeId::PRIMARY);
+        let io_on = |spans: Arc<SpanRing>| {
+            LoggedPageIo::new(
+                Arc::clone(&cache),
+                Arc::clone(&pipeline),
+                Arc::new(EvictedLsnMap::new(16)),
+                1,
+                Arc::new(TraceRecorder::disabled()),
+                (spans, NodeId::PRIMARY),
+                Arc::new(|_| {}),
+            )
+        };
+        let io = io_on(Arc::clone(&ring));
 
         io.log_txn_begin(TxnId::new(1));
         io.log_txn_commit(TxnId::new(1), 42).unwrap();
@@ -476,8 +446,7 @@ mod tests {
         }
         // Sampling off (ring disabled): nothing new is recorded.
         let before = spans.len();
-        let quiet = LoggedPageIo::new(cache, pipeline, Arc::new(EvictedLsnMap::new(16)), 1);
-        quiet.set_span_ring(Arc::new(SpanRing::disabled()), NodeId::PRIMARY);
+        let quiet = io_on(Arc::new(SpanRing::disabled()));
         quiet.log_txn_begin(TxnId::new(2));
         quiet.log_txn_commit(TxnId::new(2), 43).unwrap();
         assert_eq!(ring.spans().len(), before);

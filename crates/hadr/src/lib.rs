@@ -23,9 +23,11 @@
 //!   per undone record, which is what the recovery experiment measures.)
 
 use parking_lot::Mutex;
+use socrates_common::fault::FaultRegistry;
 use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant, CpuRegistry};
+use socrates_common::obs::{SpanRing, TraceRecorder};
 use socrates_common::rng::Rng;
 use socrates_common::{Error, Lsn, NodeId, PageId, Result, TxnId};
 use socrates_engine::recovery::find_last_checkpoint;
@@ -369,11 +371,14 @@ impl Hadr {
         let metrics = Arc::new(HadrMetrics::default());
         let replicas: Vec<Arc<HadrReplica>> =
             (0..config.replicas).map(|i| HadrReplica::launch(i as u32)).collect();
-        let xstore = Arc::new(XStore::new(XStoreConfig {
-            profile: config.xstore_profile.clone(),
-            mode: config.latency_mode,
-            seed: config.seed ^ 0xBAC,
-        }));
+        let xstore = Arc::new(XStore::new(
+            XStoreConfig {
+                profile: config.xstore_profile.clone(),
+                mode: config.latency_mode,
+                seed: config.seed ^ 0xBAC,
+            },
+            FaultRegistry::disabled(),
+        ));
         let latency_on = !matches!(config.latency_mode, LatencyMode::Disabled);
         let sink = Arc::new(HadrSink {
             replicas: replicas.clone(),
@@ -403,26 +408,27 @@ impl Hadr {
             ),
             latency_on,
         });
+        // The baseline runs untraced: every observability sink is disarmed.
+        let spans = (Arc::new(SpanRing::disabled()), NodeId::PRIMARY);
         let pipeline = Arc::new(LogPipeline::new(
             Arc::clone(&sink) as Arc<dyn BlockSink>,
+            vec![], // replicas are shipped to by the sink itself
             Arc::new(|_p: PageId| socrates_common::PartitionId::new(0)),
             config.pipeline.clone(),
             Lsn::ZERO,
+            spans.clone(),
         ));
         // The primary's "cache" is the full local copy: effectively
         // unbounded, misses are errors.
-        let cache = Arc::new(TieredCache::new(
-            usize::MAX / 2,
-            None,
-            Arc::new(NoRemote),
-            Arc::new(|_| {}),
-            Arc::new(|_, _| {}),
-        ));
+        let cache = Arc::new(TieredCache::with_defaults(usize::MAX / 2, None, Arc::new(NoRemote)));
         let io = Arc::new(LoggedPageIo::new(
             cache,
             Arc::clone(&pipeline),
             Arc::new(EvictedLsnMap::new(1)),
             0,
+            Arc::new(TraceRecorder::disabled()),
+            spans,
+            Arc::new(|_| {}),
         ));
         let db = Database::create(io.clone() as Arc<dyn PageMutator>)?;
         Ok(Hadr { config, db, io, pipeline, replicas, sink, xstore, cpu, metrics })

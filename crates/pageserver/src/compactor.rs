@@ -15,7 +15,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// The worker handle shared by every [`PageServer`](crate::PageServer)
 /// of a deployment (see
-/// [`set_compaction_scheduler`](crate::PageServer::set_compaction_scheduler)).
+/// [`PageServerWiring::compactor`](crate::PageServerWiring::compactor)).
 pub struct CompactionWorker {
     /// The task channel and the thread draining it; `None` once stopped.
     live: Mutex<Option<(mpsc::Sender<Task>, JoinHandle<()>)>>,

@@ -42,7 +42,7 @@ use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
 use socrates_rbio::proto::{RbioRequest, RbioResponse};
 use socrates_rbio::transport::RbioHandler;
 use socrates_storage::fcb::Fcb;
-use socrates_storage::layer::{Delta, DeltaLayer, ImageLayer, LayerDeviceFactory, OpenLayer};
+use socrates_storage::layer::{mem_layer_devices, Delta, DeltaLayer, ImageLayer, OpenLayer};
 use socrates_storage::layermap::{LayerCounts, LayerMap};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
@@ -51,7 +51,7 @@ use socrates_xlog::XLogService;
 use socrates_xstore::{SnapshotId, XStore};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Pages held in the apply buffer before spilling to RBPEX.
@@ -154,6 +154,41 @@ pub struct PageServerMetrics {
 /// polling.
 pub type ApplyListener = Arc<dyn Fn(Lsn) + Send + Sync>;
 
+/// Everything a page server is handed by whoever runs it, as opposed to
+/// what it *is* (its partition, devices and blobs). A fabric fills this in
+/// once per server; [`PageServerWiring::unwired`] is the stand-alone form.
+#[derive(Clone)]
+pub struct PageServerWiring {
+    /// Consulted by compaction (`ps.compact.merge`) and GC (`ps.gc.drop`).
+    pub faults: FaultRegistry,
+    /// Causal span sink for apply, serve, checkpoint and compaction spans.
+    pub spans: Arc<SpanRing>,
+    /// This server's fabric identity: the node its spans are attributed to.
+    pub node: NodeId,
+    /// Modelled CPU accounting for that node.
+    pub cpu: Arc<CpuAccountant>,
+    /// Runs scheduled compactions; without one, compaction only runs when
+    /// driven explicitly via [`PageServer::compact_blocking`].
+    pub compactor: Option<Arc<CompactionWorker>>,
+    /// Fired after every apply advance (a fabric wakes its own
+    /// `wait_applied` sleepers with it).
+    pub on_applied: ApplyListener,
+}
+
+impl PageServerWiring {
+    /// No faults, no tracing, no background compaction, nobody listening.
+    pub fn unwired() -> PageServerWiring {
+        PageServerWiring {
+            faults: FaultRegistry::disabled(),
+            spans: Arc::new(SpanRing::disabled()),
+            node: NodeId::page_server(0),
+            cpu: Arc::new(CpuAccountant::new()),
+            compactor: None,
+            on_applied: Arc::new(|_| {}),
+        }
+    }
+}
+
 /// One page server.
 pub struct PageServer {
     name: String,
@@ -191,38 +226,26 @@ pub struct PageServer {
     compacting: AtomicBool,
     /// Name sequence for L1 image devices.
     l1_seq: AtomicU64,
-    /// Devices for new L1 images; defaults to in-memory devices.
-    device_factory: OnceLock<LayerDeviceFactory>,
-    /// The worker that runs scheduled compactions.
-    compactor: OnceLock<Arc<CompactionWorker>>,
     /// Self-reference handed to scheduled compaction closures.
-    self_weak: OnceLock<Weak<PageServer>>,
-    /// Fault sites consulted by compaction (`ps.compact.merge`) and GC
-    /// (`ps.gc.drop`).
-    faults: OnceLock<FaultRegistry>,
-    cpu: Arc<CpuAccountant>,
+    self_weak: Weak<PageServer>,
+    wiring: PageServerWiring,
     metrics: PageServerMetrics,
     /// Condvar protocol for GetPage@LSN freshness waits: `wait_applied`
     /// sleeps here and every apply advance notifies, replacing the old
     /// 100 µs busy-poll.
     apply_mutex: Mutex<()>,
     apply_cv: Condvar,
-    apply_listener: Mutex<Option<ApplyListener>>,
     stop: AtomicBool,
     seeded: AtomicBool,
     apply_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     ckpt_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     seed_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Causal span sink + this server's node identity. Set once at fabric
-    /// wiring time; a lock-free `OnceLock` read on the hot paths (one
-    /// atomic load when tracing is wired, and the recording sites only
-    /// dereference it for ctx-carrying work).
-    spans: std::sync::OnceLock<(Arc<SpanRing>, NodeId)>,
 }
 
 impl PageServer {
     /// Create a page server for a brand-new partition: fresh covering
-    /// cache, fresh XStore blobs, apply cursor at `start_lsn`.
+    /// cache, fresh XStore blobs, apply cursor at `start_lsn`, collaborators
+    /// from `wiring`.
     #[allow(clippy::too_many_arguments)] // a constructor: every dependency is explicit
     pub fn create(
         name: &str,
@@ -232,8 +255,8 @@ impl PageServer {
         ssd_meta: Arc<dyn Fcb>,
         xstore: Arc<XStore>,
         xlog: Arc<XLogService>,
-        cpu: Arc<CpuAccountant>,
         start_lsn: Lsn,
+        wiring: PageServerWiring,
     ) -> Result<Arc<PageServer>> {
         let base_image = ImageLayer::create(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
         let data_blob = xstore.create_blob(&format!("data/{name}"))?;
@@ -251,10 +274,10 @@ impl PageServer {
             data_blob,
             meta_blob,
             xlog,
-            cpu,
             start_lsn,
             true,
             Lsn::ZERO,
+            wiring,
         ))
     }
 
@@ -273,7 +296,7 @@ impl PageServer {
         data_blob: BlobId,
         meta_blob: BlobId,
         xlog: Arc<XLogService>,
-        cpu: Arc<CpuAccountant>,
+        wiring: PageServerWiring,
     ) -> Result<Arc<PageServer>> {
         let meta = xstore.read_at(meta_blob, 0, 8)?;
         let start_lsn = Lsn::new(u64::from_le_bytes(meta[0..8].try_into().unwrap()));
@@ -290,10 +313,10 @@ impl PageServer {
             data_blob,
             meta_blob,
             xlog,
-            cpu,
             start_lsn,
             false,
             Lsn::ZERO,
+            wiring,
         ))
     }
 
@@ -307,7 +330,7 @@ impl PageServer {
         parent: &Arc<PageServer>,
         name: &str,
         at_lsn: Lsn,
-        cpu: Arc<CpuAccountant>,
+        wiring: PageServerWiring,
     ) -> Result<Arc<PageServer>> {
         if !parent.is_seeded() {
             return Err(Error::InvalidState(format!(
@@ -348,7 +371,7 @@ impl PageServer {
         let data_blob = parent.xstore.create_blob(&format!("data/{name}"))?;
         let meta_blob = parent.xstore.create_blob(&format!("data/{name}.meta"))?;
         parent.xstore.write_at(meta_blob, 0, &at_lsn.offset().to_le_bytes())?;
-        let child = PageServer::build(
+        Ok(PageServer::build(
             name,
             parent.spec,
             parent.config.clone(),
@@ -358,13 +381,11 @@ impl PageServer {
             data_blob,
             meta_blob,
             Arc::clone(&parent.xlog),
-            cpu,
             at_lsn,
             true,
             floor,
-        );
-        let _ = child.device_factory.set(parent.layer_devices());
-        Ok(child)
+            wiring,
+        ))
     }
 
     #[allow(clippy::too_many_arguments)] // single assembly point for all three constructors
@@ -378,12 +399,12 @@ impl PageServer {
         data_blob: BlobId,
         meta_blob: BlobId,
         xlog: Arc<XLogService>,
-        cpu: Arc<CpuAccountant>,
         start_lsn: Lsn,
         seeded: bool,
         gc_floor: Lsn,
+        wiring: PageServerWiring,
     ) -> Arc<PageServer> {
-        let ps = Arc::new(PageServer {
+        Arc::new_cyclic(|self_weak| PageServer {
             name: name.to_string(),
             spec,
             config,
@@ -419,11 +440,8 @@ impl PageServer {
             ),
             compacting: AtomicBool::new(false),
             l1_seq: AtomicU64::new(0),
-            device_factory: OnceLock::new(),
-            compactor: OnceLock::new(),
-            self_weak: OnceLock::new(),
-            faults: OnceLock::new(),
-            cpu,
+            self_weak: self_weak.clone(),
+            wiring,
             metrics: PageServerMetrics::default(),
             apply_mutex: Mutex::with_rank(
                 (),
@@ -431,11 +449,6 @@ impl PageServer {
                 "ps.apply_mutex",
             ),
             apply_cv: Condvar::new(),
-            apply_listener: Mutex::with_rank(
-                None,
-                socrates_common::lock_rank::PS_APPLY_LISTENER,
-                "ps.apply_listener",
-            ),
             stop: AtomicBool::new(false),
             seeded: AtomicBool::new(seeded),
             apply_handle: Mutex::with_rank(
@@ -453,10 +466,7 @@ impl PageServer {
                 socrates_common::lock_rank::PS_SEED_HANDLE,
                 "ps.seed_handle",
             ),
-            spans: std::sync::OnceLock::new(),
-        });
-        let _ = ps.self_weak.set(Arc::downgrade(&ps));
-        ps
+        })
     }
 
     /// The server's diagnostic name.
@@ -529,32 +539,15 @@ impl PageServer {
         });
     }
 
-    /// Attach the causal span sink; spans are attributed to `node` (this
-    /// server's fabric identity). First call wins — re-wiring a running
-    /// server would tear spans across rings.
-    pub fn set_span_ring(&self, ring: Arc<SpanRing>, node: NodeId) {
-        let _ = self.spans.set((ring, node));
-    }
-
-    /// The span sink for ctx-carrying work, or `None` when tracing is
-    /// unwired or `ctx` is unsampled.
-    fn span_sink(&self, ctx: TraceCtx) -> Option<&(Arc<SpanRing>, NodeId)> {
-        if !ctx.sampled() {
-            return None;
-        }
-        self.spans.get()
+    /// The span sink and attribution node for ctx-carrying work, or `None`
+    /// when `ctx` is unsampled.
+    fn span_sink(&self, ctx: TraceCtx) -> Option<(&SpanRing, NodeId)> {
+        ctx.sampled().then_some((&*self.wiring.spans, self.wiring.node))
     }
 
     /// The log-apply watermark.
     pub fn applied_lsn(&self) -> Lsn {
         self.applied.load()
-    }
-
-    /// Install a callback fired after every apply advance (at most one;
-    /// replaces any previous listener). The fabric uses this to wake its
-    /// own `wait_applied` sleepers.
-    pub fn set_apply_listener(&self, listener: ApplyListener) {
-        *self.apply_listener.lock() = Some(listener);
     }
 
     /// Record that `applied` advanced to `lsn`: wake freshness waiters and
@@ -565,10 +558,7 @@ impl PageServer {
             let _g = self.apply_mutex.lock();
             self.apply_cv.notify_all();
         }
-        let listener = self.apply_listener.lock().clone();
-        if let Some(l) = listener {
-            l(lsn);
-        }
+        (self.wiring.on_applied)(lsn);
     }
 
     /// Everything at or below this LSN is durable in XStore.
@@ -586,29 +576,6 @@ impl PageServer {
     /// The XStore blobs backing this partition (restore workflows).
     pub fn blobs(&self) -> (BlobId, BlobId) {
         (self.data_blob, self.meta_blob)
-    }
-
-    /// Install the fault registry consulted by compaction and GC.
-    /// First call wins.
-    pub fn set_faults(&self, faults: FaultRegistry) {
-        let _ = self.faults.set(faults);
-    }
-
-    /// Install the worker that runs background compactions. First call
-    /// wins; without one, compaction only runs when driven explicitly via
-    /// [`compact_blocking`](Self::compact_blocking).
-    pub fn set_compaction_scheduler(&self, worker: Arc<CompactionWorker>) {
-        let _ = self.compactor.set(worker);
-    }
-
-    /// Install the device factory for new L1 image layers. First call
-    /// wins; the default hands out in-memory devices.
-    pub fn set_layer_devices(&self, factory: LayerDeviceFactory) {
-        let _ = self.device_factory.set(factory);
-    }
-
-    fn layer_devices(&self) -> LayerDeviceFactory {
-        Arc::clone(self.device_factory.get_or_init(socrates_storage::layer::mem_device_factory))
     }
 
     /// The layer index (tests assert zero-copy sharing against it).
@@ -709,7 +676,7 @@ impl PageServer {
                 // soclint-allow: span-pairing a records()/apply error abandons
                 // the whole pull; the per-block span is deliberately dropped
                 // with it and the retried pull re-samples.
-                .map(|(ring, node)| (Arc::clone(ring), *node, ring.now_ns()));
+                .map(|(ring, node)| (ring, node, ring.now_ns()));
             for rec in block.records()? {
                 if let LogPayload::PageWrite { page_id, op } = &rec.record.payload {
                     if self.spec.contains(*page_id) {
@@ -769,7 +736,7 @@ impl PageServer {
 
     fn apply_page_write(&self, page_id: PageId, op_bytes: &[u8], lsn: Lsn) -> Result<()> {
         // Model the apply CPU cost (decode + page edit).
-        self.cpu.charge_us(2 + (op_bytes.len() as u64) / 512);
+        self.wiring.cpu.charge_us(2 + (op_bytes.len() as u64) / 512);
         let mut sealed = false;
         {
             let mut mem = self.mem.lock();
@@ -821,7 +788,7 @@ impl PageServer {
         if self.layers.counts().l0 < self.config.layer_compact_threshold {
             return;
         }
-        let Some(worker) = self.compactor.get() else { return };
+        let Some(worker) = &self.wiring.compactor else { return };
         if self
             .compacting
             // ordering: acqrel CAS — the winner owns the single task slot; the
@@ -832,7 +799,7 @@ impl PageServer {
         {
             return;
         }
-        let Some(me) = self.self_weak.get().and_then(Weak::upgrade) else {
+        let Some(me) = self.self_weak.upgrade() else {
             // ordering: release — reopen the task slot for the next scheduler
             self.compacting.store(false, Ordering::Release);
             return;
@@ -863,7 +830,7 @@ impl PageServer {
     pub fn get_page_ctx(&self, page_id: PageId, min_lsn: Lsn, ctx: TraceCtx) -> Result<Page> {
         self.check_partition(page_id)?;
         self.wait_applied(min_lsn)?;
-        self.cpu.charge_us(5);
+        self.wiring.cpu.charge_us(5);
         if let Some(p) = self.mem.lock().get(&page_id) {
             self.metrics.pages_served.incr();
             return Ok(p.clone());
@@ -897,7 +864,7 @@ impl PageServer {
             )));
         }
         self.wait_applied(lsn)?;
-        self.cpu.charge_us(5);
+        self.wiring.cpu.charge_us(5);
         self.metrics.historical_reads.incr();
         let page = self.materialize(page_id, lsn, ctx)?;
         // The floor check above is only a snapshot: a GC pass racing the
@@ -1023,7 +990,7 @@ impl PageServer {
             }
         }
         self.wait_applied(min_lsn)?;
-        self.cpu.charge_us(5 + count as u64);
+        self.wiring.cpu.charge_us(5 + count as u64);
         self.metrics.range_requests.incr();
         let at = self.applied.load();
         let overlay: Vec<Option<Page>> = {
@@ -1126,11 +1093,10 @@ impl PageServer {
         }
         // Checkpoints are trace roots of their own: they are not caused by
         // any one commit, so they self-sample at the ring's rate.
-        let ckpt_span = self.spans.get().and_then(|(ring, node)| {
-            // soclint-allow: span-pairing a materialize/write_batch error
-            // abandons the checkpoint; its root span is deliberately dropped.
-            ring.try_sample().map(|ctx| (Arc::clone(ring), *node, ctx, ring.now_ns()))
-        });
+        let ring = &self.wiring.spans;
+        // soclint-allow: span-pairing a materialize/write_batch error
+        // abandons the checkpoint; its root span is deliberately dropped.
+        let ckpt_span = ring.try_sample().map(|ctx| (ctx, ring.now_ns()));
         // Aggregate the dirty pages into large batched writes (§4.6).
         let mut shipped: Vec<(PageId, Lsn)> = Vec::with_capacity(batch.len());
         for chunk in batch.chunks(128) {
@@ -1152,17 +1118,17 @@ impl PageServer {
                 let off = (page_id.raw() - self.spec.base_page) * PAGE_SIZE as u64;
                 shipped.push((*page_id, page.page_lsn()));
                 images.push((off, page.to_io_bytes()));
-                self.cpu.charge_us(10);
+                self.wiring.cpu.charge_us(10);
             }
             let writes: Vec<(u64, &[u8])> =
                 images.iter().map(|(off, img)| (*off, img.as_slice())).collect();
             // soclint-allow: span-pairing a write_batch failure aborts the
             // checkpoint; the in-flight put child is dropped with it.
-            let put_start = ckpt_span.as_ref().map(|(ring, ..)| ring.now_ns());
+            let put_start = ckpt_span.map(|_| ring.now_ns());
             self.xstore.write_batch(self.data_blob, &writes)?;
-            if let (Some((ring, _, ctx, _)), Some(start)) = (&ckpt_span, put_start) {
+            if let (Some((ctx, _)), Some(start)) = (ckpt_span, put_start) {
                 let dur = ring.now_ns().saturating_sub(start);
-                ring.record_child(*ctx, SpanKind::XstorePut, NodeId::XSTORE, start, dur);
+                ring.record_child(ctx, SpanKind::XstorePut, NodeId::XSTORE, start, dur);
             }
             self.metrics.pages_checkpointed.add(writes.len() as u64);
         }
@@ -1189,9 +1155,9 @@ impl PageServer {
             }
         }
         self.write_checkpoint_meta(at)?;
-        if let Some((ring, node, ctx, start)) = ckpt_span {
+        if let Some((ctx, start)) = ckpt_span {
             let dur = ring.now_ns().saturating_sub(start);
-            ring.record_root(ctx, SpanKind::PsCheckpoint, node, start, dur);
+            ring.record_root(ctx, SpanKind::PsCheckpoint, self.wiring.node, start, dur);
         }
         Ok(at)
     }
@@ -1221,7 +1187,7 @@ impl PageServer {
         if off + PAGE_SIZE as u64 > len {
             return Ok(None);
         }
-        let span = self.span_sink(ctx).map(|(ring, _)| (Arc::clone(ring), ring.now_ns()));
+        let span = self.span_sink(ctx).map(|(ring, _)| (ring, ring.now_ns()));
         let res = self.xstore.read_at(self.data_blob, off, PAGE_SIZE);
         if let Some((ring, start)) = span {
             // Attributed to the XStore tier: the blob service did the work.
@@ -1292,18 +1258,14 @@ impl PageServer {
             return Ok(false);
         }
         let _g = self.compact_lock.lock();
-        if let Some(faults) = self.faults.get() {
-            match faults.check(fault_sites::PS_COMPACT_MERGE) {
-                Some(FaultOutcome::Err(e)) => return Err(e),
-                Some(FaultOutcome::Drop) => return Ok(false),
-                Some(FaultOutcome::Crash) => {
-                    self.stop();
-                    return Err(Error::Unavailable(
-                        "fault: page server crashed mid-compaction".into(),
-                    ));
-                }
-                None => {}
+        match self.wiring.faults.check(fault_sites::PS_COMPACT_MERGE) {
+            Some(FaultOutcome::Err(e)) => return Err(e),
+            Some(FaultOutcome::Drop) => return Ok(false),
+            Some(FaultOutcome::Crash) => {
+                self.stop();
+                return Err(Error::Unavailable("fault: page server crashed mid-compaction".into()));
             }
+            None => {}
         }
         let (input, prior) = self.layers.compaction_input();
         if input.is_empty() {
@@ -1311,12 +1273,11 @@ impl PageServer {
         }
         // Compactions are trace roots of their own (like checkpoints):
         // not caused by any one commit, so they self-sample.
-        let span = self.spans.get().and_then(|(ring, node)| {
-            // soclint-allow: span-pairing a create/materialize/put error
-            // abandons the compaction pass; its root span is deliberately
-            // dropped with it.
-            ring.try_sample().map(|ctx| (Arc::clone(ring), *node, ctx, ring.now_ns()))
-        });
+        let ring = &self.wiring.spans;
+        // soclint-allow: span-pairing a create/materialize/put error
+        // abandons the compaction pass; its root span is deliberately
+        // dropped with it.
+        let span = ring.try_sample().map(|ctx| (ctx, ring.now_ns()));
         let cutoff = input.iter().map(|(l, cap)| l.end().min(*cap)).max().unwrap_or(Lsn::ZERO);
         let mut pages: BTreeSet<PageId> = input.iter().flat_map(|(l, _)| l.pages()).collect();
         if let Some(img) = &prior {
@@ -1324,20 +1285,20 @@ impl PageServer {
         }
         // ordering: relaxed — a device-name sequence, not a sync point
         let seq = self.l1_seq.fetch_add(1, Ordering::Relaxed);
-        let (data, meta) = (self.layer_devices())(&format!("{}-l1-{seq}", self.name));
+        let (data, meta) = mem_layer_devices(&format!("{}-l1-{seq}", self.name));
         let image = ImageLayer::create(cutoff, data, meta, self.spec.base_page, self.spec.span)?;
         for page_id in &pages {
             if let Some(p) = self.materialize(*page_id, cutoff, TraceCtx::NONE)? {
                 image.put(&p)?;
             }
-            self.cpu.charge_us(4);
+            self.wiring.cpu.charge_us(4);
         }
         let merged = DeltaLayer::merge(&input);
         self.layers.apply_compaction(&input, merged, image);
         self.metrics.compactions_run.incr();
-        if let Some((ring, node, ctx, start)) = span {
+        if let Some((ctx, start)) = span {
             let dur = ring.now_ns().saturating_sub(start);
-            ring.record_root(ctx, SpanKind::PsCompact, node, start, dur);
+            ring.record_root(ctx, SpanKind::PsCompact, self.wiring.node, start, dur);
         }
         Ok(true)
     }
@@ -1350,16 +1311,14 @@ impl PageServer {
         if self.config.retention_window_bytes == u64::MAX {
             return Ok(None); // retention disabled: keep all history
         }
-        if let Some(faults) = self.faults.get() {
-            match faults.check(fault_sites::PS_GC_DROP) {
-                Some(FaultOutcome::Err(e)) => return Err(e),
-                Some(FaultOutcome::Drop) => return Ok(None),
-                Some(FaultOutcome::Crash) => {
-                    self.stop();
-                    return Err(Error::Unavailable("fault: page server crashed during gc".into()));
-                }
-                None => {}
+        match self.wiring.faults.check(fault_sites::PS_GC_DROP) {
+            Some(FaultOutcome::Err(e)) => return Err(e),
+            Some(FaultOutcome::Drop) => return Ok(None),
+            Some(FaultOutcome::Crash) => {
+                self.stop();
+                return Err(Error::Unavailable("fault: page server crashed during gc".into()));
             }
+            None => {}
         }
         let horizon = Lsn::new(
             self.applied.load().offset().saturating_sub(self.config.retention_window_bytes),
@@ -1396,13 +1355,7 @@ impl PageServer {
 
 impl Drop for PageServer {
     fn drop(&mut self) {
-        // ordering: relaxed — poll flag; the joins below are the real sync point
-        self.stop.store(true, Ordering::Relaxed);
-        for handle in [&self.apply_handle, &self.ckpt_handle, &self.seed_handle] {
-            if let Some(h) = handle.lock().take() {
-                let _ = h.join();
-            }
-        }
+        self.stop();
     }
 }
 
@@ -1414,16 +1367,11 @@ pub struct PageServerHandler {
 }
 
 impl PageServerHandler {
-    /// Adapter with fault injection disabled.
-    pub fn new(ps: Arc<PageServer>) -> PageServerHandler {
-        PageServerHandler::with_faults(ps, FaultRegistry::disabled())
-    }
-
-    /// Adapter consulting the `pageserver.serve` site on every request.
-    /// This is the one site with true crash semantics: a `Crash` action
-    /// stops the page server's threads, so subsequent requests fail until
-    /// the fabric restarts the partition.
-    pub fn with_faults(ps: Arc<PageServer>, faults: FaultRegistry) -> PageServerHandler {
+    /// Adapter consulting `faults` at the `pageserver.serve` site on every
+    /// request. This is the one site with true crash semantics: a `Crash`
+    /// action stops the page server's threads, so subsequent requests fail
+    /// until the fabric restarts the partition.
+    pub fn new(ps: Arc<PageServer>, faults: FaultRegistry) -> PageServerHandler {
         PageServerHandler { ps, faults }
     }
 
@@ -1457,12 +1405,11 @@ impl RbioHandler for PageServerHandler {
         self.check_serve_fault(&req)?;
         // A sampled GetPage records a `ps.serve` child under the caller's
         // span; its XStore fallback (if any) nests a further child.
-        let span =
-            self.ps.span_sink(ctx).map(|(ring, node)| (Arc::clone(ring), *node, ring.now_ns()));
+        let span = self.ps.span_sink(ctx).map(|(ring, node)| (ring, node, ring.now_ns()));
         let record_serve = |resp: &Result<RbioResponse>| {
-            if let (Some((ring, node, start)), Ok(_)) = (&span, resp) {
-                let dur = ring.now_ns().saturating_sub(*start);
-                ring.record_child(ctx, SpanKind::PsServe, *node, *start, dur);
+            if let (Some((ring, node, start)), Ok(_)) = (span, resp) {
+                let dur = ring.now_ns().saturating_sub(start);
+                ring.record_child(ctx, SpanKind::PsServe, node, start, dur);
             }
         };
         match req {
@@ -1520,8 +1467,9 @@ mod tests {
             let lz = Arc::new(LandingZone::new(
                 vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
                 LandingZoneConfig { capacity: 8 << 20, write_quorum: 1 },
+                FaultRegistry::disabled(),
             ));
-            let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+            let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
             let xlog = XLogService::new(
                 Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
                 Arc::new(MemFcb::new("xlog-ssd")) as Arc<dyn Fcb>,
@@ -1535,16 +1483,43 @@ mod tests {
         }
 
         fn server(&self, name: &str, spec: PartitionSpec) -> Arc<PageServer> {
+            self.server_with(name, spec, PageServerConfig::default(), PageServerWiring::unwired())
+        }
+
+        fn server_with(
+            &self,
+            name: &str,
+            spec: PartitionSpec,
+            config: PageServerConfig,
+            wiring: PageServerWiring,
+        ) -> Arc<PageServer> {
             PageServer::create(
                 name,
                 spec,
-                PageServerConfig::default(),
+                config,
                 Arc::new(MemFcb::new(format!("{name}-ssd"))) as Arc<dyn Fcb>,
                 Arc::new(MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
                 Arc::clone(&self.xstore),
                 Arc::clone(&self.xlog),
-                Arc::new(CpuAccountant::new()),
                 Lsn::ZERO,
+                wiring,
+            )
+            .unwrap()
+        }
+
+        /// A replacement server over existing blobs.
+        fn attach(&self, name: &str, data_blob: BlobId, meta_blob: BlobId) -> Arc<PageServer> {
+            PageServer::attach(
+                name,
+                spec(0),
+                PageServerConfig::default(),
+                Arc::new(MemFcb::new(format!("{name}-ssd"))) as Arc<dyn Fcb>,
+                Arc::new(MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
+                Arc::clone(&self.xstore),
+                data_blob,
+                meta_blob,
+                Arc::clone(&self.xlog),
+                PageServerWiring::unwired(),
             )
             .unwrap()
         }
@@ -1629,18 +1604,9 @@ mod tests {
     #[test]
     fn get_page_timeout_when_log_never_arrives() {
         let f = Fixture::new();
-        let ps = PageServer::create(
-            "ps0",
-            spec(0),
-            PageServerConfig { get_page_timeout: Duration::from_millis(50), ..Default::default() },
-            Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new("meta")) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-            Lsn::ZERO,
-        )
-        .unwrap();
+        let config =
+            PageServerConfig { get_page_timeout: Duration::from_millis(50), ..Default::default() };
+        let ps = f.server_with("ps0", spec(0), config, PageServerWiring::unwired());
         let err = ps.get_page(PageId::new(1), Lsn::new(1_000_000)).unwrap_err();
         assert_eq!(err.kind(), "timeout");
     }
@@ -1663,19 +1629,7 @@ mod tests {
         drop(ps); // the page server dies
 
         // A replacement attaches to the same blobs and serves immediately.
-        let ps2 = PageServer::attach(
-            "ps0b",
-            spec(0),
-            PageServerConfig::default(),
-            Arc::new(MemFcb::new("ssd2")) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new("meta2")) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            data_blob,
-            meta_blob,
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-        )
-        .unwrap();
+        let ps2 = f.attach("ps0b", data_blob, meta_blob);
         assert_eq!(ps2.applied_lsn(), end, "cursor resumes from checkpoint meta");
         assert!(!ps2.is_seeded());
         let page = ps2.get_page(PageId::new(3), Lsn::ZERO).unwrap();
@@ -1729,19 +1683,7 @@ mod tests {
         let restored = f.xstore.restore_snapshot(snap, "data/restored").unwrap();
         let meta2 = f.xstore.create_blob("data/restored.meta").unwrap();
         f.xstore.write_at(meta2, 0, &lsn.offset().to_le_bytes()).unwrap();
-        let ps2 = PageServer::attach(
-            "restored",
-            spec(0),
-            PageServerConfig::default(),
-            Arc::new(MemFcb::new("ssd-r")) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new("meta-r")) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            restored,
-            meta2,
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-        )
-        .unwrap();
+        let ps2 = f.attach("restored", restored, meta2);
         let page = ps2.get_page(PageId::new(2), Lsn::ZERO).unwrap();
         // Only the pre-backup record is present.
         assert_eq!(Slotted::slot_count(&page), 1);
@@ -1774,10 +1716,9 @@ mod tests {
     #[test]
     fn ctx_carrying_blocks_record_apply_and_serve_spans() {
         let f = Fixture::new();
-        let ps = f.server("ps0", spec(0));
         let ring = Arc::new(SpanRing::new(32, 1));
-        let node = NodeId::page_server(0);
-        ps.set_span_ring(Arc::clone(&ring), node);
+        let wiring = PageServerWiring { spans: Arc::clone(&ring), ..PageServerWiring::unwired() };
+        let ps = f.server_with("ps0", spec(0), PageServerConfig::default(), wiring);
         let root = ring.try_sample().expect("1-in-1 sampling");
         // Emit a block carrying the sampled ctx.
         let mut b = BlockBuilder::new(f.next_lsn, 1 << 16);
@@ -1802,7 +1743,7 @@ mod tests {
         assert_eq!(spans[0].trace_id, root.trace_id);
         assert_eq!(spans[0].parent_id, root.span_id);
         // Serving with a ctx records ps.serve under the caller's span.
-        let handler = PageServerHandler::new(Arc::clone(&ps));
+        let handler = PageServerHandler::new(Arc::clone(&ps), FaultRegistry::disabled());
         let serve_ctx = ring.try_sample().expect("sampled");
         handler
             .handle_ctx(
@@ -1830,18 +1771,7 @@ mod tests {
     }
 
     fn layered_server(f: &Fixture, name: &str, spec: PartitionSpec) -> Arc<PageServer> {
-        PageServer::create(
-            name,
-            spec,
-            tiny_layer_config(),
-            Arc::new(MemFcb::new(format!("{name}-ssd"))) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-            Lsn::ZERO,
-        )
-        .unwrap()
+        f.server_with(name, spec, tiny_layer_config(), PageServerWiring::unwired())
     }
 
     #[test]
@@ -1905,23 +1835,9 @@ mod tests {
     #[test]
     fn gc_retires_history_and_floors_reads() {
         let mut f = Fixture::new();
-        let ps = PageServer::create(
-            "ps0",
-            spec(0),
-            PageServerConfig {
-                layer_seal_bytes: 64,
-                layer_compact_threshold: 2,
-                retention_window_bytes: 1, // nearly everything is past retention
-                ..Default::default()
-            },
-            Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new("meta")) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-            Lsn::ZERO,
-        )
-        .unwrap();
+        // Nearly everything is past retention.
+        let config = PageServerConfig { retention_window_bytes: 1, ..tiny_layer_config() };
+        let ps = f.server_with("ps0", spec(0), config, PageServerWiring::unwired());
         let early = f.emit(&[(5, PageOp::Format { ptype: PageType::BTreeLeaf })]);
         let mut ops = Vec::new();
         for i in 0..20u8 {
@@ -1952,13 +1868,9 @@ mod tests {
         }
         let branch_point = f.emit(&ops);
         parent.apply_once().unwrap();
-        let child = PageServer::branch_from(
-            &parent,
-            "branch0",
-            branch_point,
-            Arc::new(CpuAccountant::new()),
-        )
-        .unwrap();
+        let child =
+            PageServer::branch_from(&parent, "branch0", branch_point, PageServerWiring::unwired())
+                .unwrap();
         // Zero-copy: every child delta layer is the parent's allocation.
         let parent_layers = parent.layers().delta_layers();
         let child_layers = child.layers().delta_layers();
@@ -2008,13 +1920,13 @@ mod tests {
     fn compact_and_gc_fault_sites_fire() {
         use socrates_common::fault::sites;
         let mut f = Fixture::new();
-        let ps = layered_server(&f, "ps0", spec(0));
         let faults = FaultRegistry::new(7);
         faults
             .install_spec(&format!("{}@always=error:unavailable", sites::PS_COMPACT_MERGE))
             .unwrap();
         faults.install_spec(&format!("{}@always=error:unavailable", sites::PS_GC_DROP)).unwrap();
-        ps.set_faults(faults.clone());
+        let wiring = PageServerWiring { faults: faults.clone(), ..PageServerWiring::unwired() };
+        let ps = f.server_with("ps0", spec(0), tiny_layer_config(), wiring.clone());
         let mut ops = vec![(3u64, PageOp::Format { ptype: PageType::BTreeLeaf })];
         for i in 0..10u8 {
             ops.push((3, insert_op(&[i; 16])));
@@ -2025,19 +1937,8 @@ mod tests {
         assert_eq!(faults.fired_count(sites::PS_COMPACT_MERGE), 1);
         assert_eq!(ps.metrics().compactions_run.get(), 0);
         // GC checks its own site (force a finite window so it gets there).
-        let ps2 = PageServer::create(
-            "ps2",
-            spec(1),
-            PageServerConfig { retention_window_bytes: 1, ..tiny_layer_config() },
-            Arc::new(MemFcb::new("ssd2")) as Arc<dyn Fcb>,
-            Arc::new(MemFcb::new("meta2")) as Arc<dyn Fcb>,
-            Arc::clone(&f.xstore),
-            Arc::clone(&f.xlog),
-            Arc::new(CpuAccountant::new()),
-            Lsn::ZERO,
-        )
-        .unwrap();
-        ps2.set_faults(faults.clone());
+        let config = PageServerConfig { retention_window_bytes: 1, ..tiny_layer_config() };
+        let ps2 = f.server_with("ps2", spec(1), config, wiring);
         assert!(ps2.gc().unwrap_err().is_transient());
         assert_eq!(faults.fired_count(sites::PS_GC_DROP), 1);
     }

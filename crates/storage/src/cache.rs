@@ -29,7 +29,6 @@ use socrates_common::obs::span::{HedgeOutcome, ReadTrace, ReadTraceRecorder};
 use socrates_common::obs::{SpanKind, SpanRing};
 use socrates_common::{Error, Lsn, NodeId, PageId, Result};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -164,21 +163,19 @@ pub struct TieredCache {
     wal_flush: WalFlushHook,
     on_evict: EvictionListener,
     stats: CacheStats,
-    /// The read-span recorder misses report into, when the node enables
-    /// read tracing ([`TieredCache::set_read_trace`]).
-    read_trace: RwLock<Option<Arc<ReadTraceRecorder>>>,
-    /// Mirrors `read_trace.is_some() && recorder enabled`: the hit path
-    /// pays exactly one relaxed load, and a disabled recorder costs the
-    /// miss path nothing (no clocks, no allocation).
-    trace_on: AtomicBool,
-    /// Cross-tier span ring plus this node's identity, set once at fabric
-    /// wiring time. Lock-free read on the miss path; no new lock rank.
-    spans: std::sync::OnceLock<(Arc<SpanRing>, NodeId)>,
+    /// The read-span recorder misses report into. A disabled recorder
+    /// (capacity 0) leaves the miss path untraced — no clock reads, no
+    /// allocation — which is the `read_trace_capacity = 0` contract.
+    read_trace: Arc<ReadTraceRecorder>,
+    /// Cross-tier span ring (`getpage` root spans) plus this node's
+    /// identity.
+    spans: (Arc<SpanRing>, NodeId),
 }
 
 impl TieredCache {
     /// Build a cache holding at most `mem_capacity` pages in memory, spilling
-    /// to `rbpex` when present, missing to `source`.
+    /// to `rbpex` when present, missing to `source`. Miss-path spans go to
+    /// `read_trace`; sampled misses close their `getpage` root in `spans`.
     // soclint-allow: hot-path one-time construction
     pub fn new(
         mem_capacity: usize,
@@ -186,6 +183,8 @@ impl TieredCache {
         source: Arc<dyn PageSource>,
         wal_flush: WalFlushHook,
         on_evict: EvictionListener,
+        read_trace: Arc<ReadTraceRecorder>,
+        spans: (Arc<SpanRing>, NodeId),
     ) -> TieredCache {
         assert!(mem_capacity > 0, "cache needs at least one frame");
         TieredCache {
@@ -201,19 +200,15 @@ impl TieredCache {
             wal_flush,
             on_evict,
             stats: CacheStats::default(),
-            read_trace: RwLock::with_rank(
-                None,
-                socrates_common::lock_rank::STORAGE_CACHE_TRACE,
-                "cache.read_trace",
-            ),
-            trace_on: AtomicBool::new(false),
-            spans: std::sync::OnceLock::new(),
+            read_trace,
+            spans,
         }
     }
 
     /// Build a cache whose remote misses go through an [`IoScheduler`]
     /// over `source` (which must speak ranges). The scheduler's prefetch
     /// completions are installed back into the returned cache.
+    #[allow(clippy::too_many_arguments)]
     // soclint-allow: hot-path one-time construction wiring, not the serve path
     pub fn with_scheduler(
         mem_capacity: usize,
@@ -221,30 +216,41 @@ impl TieredCache {
         source: Arc<dyn RangedPageSource>,
         wal_flush: WalFlushHook,
         on_evict: EvictionListener,
+        read_trace: Arc<ReadTraceRecorder>,
+        spans: (Arc<SpanRing>, NodeId),
         sched_config: IoSchedulerConfig,
     ) -> Arc<TieredCache> {
-        let sched = IoScheduler::start(Arc::clone(&source), sched_config);
-        let mut cache = TieredCache::new(
-            mem_capacity,
-            rbpex,
-            source as Arc<dyn PageSource>,
-            wal_flush,
-            on_evict,
-        );
-        cache.sched = Some(Arc::clone(&sched));
-        let cache = Arc::new(cache);
-        sched.set_prefetch_sink(&cache);
-        cache
+        Arc::new_cyclic(|sink| {
+            let mut cache = TieredCache::new(
+                mem_capacity,
+                rbpex,
+                Arc::clone(&source) as Arc<dyn PageSource>,
+                wal_flush,
+                on_evict,
+                read_trace,
+                spans,
+            );
+            cache.sched = Some(IoScheduler::start(source, sched_config, sink.clone()));
+            cache
+        })
     }
 
-    /// Convenience constructor with no-op hooks (tests, secondaries that
-    /// track evictions elsewhere).
+    /// Convenience constructor with no-op hooks and disarmed tracing
+    /// (tests).
     pub fn with_defaults(
         mem_capacity: usize,
         rbpex: Option<Arc<Rbpex>>,
         source: Arc<dyn PageSource>,
     ) -> TieredCache {
-        TieredCache::new(mem_capacity, rbpex, source, Arc::new(|_| {}), Arc::new(|_, _| {}))
+        TieredCache::new(
+            mem_capacity,
+            rbpex,
+            source,
+            Arc::new(|_| {}),
+            Arc::new(|_, _| {}),
+            Arc::new(ReadTraceRecorder::disabled()),
+            (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
+        )
     }
 
     /// Statistics.
@@ -260,27 +266,6 @@ impl TieredCache {
     /// The I/O scheduler, if this cache was built with one.
     pub fn scheduler(&self) -> Option<&Arc<IoScheduler>> {
         self.sched.as_ref()
-    }
-
-    /// Route miss-path spans into `recorder`. A disabled recorder
-    /// (capacity 0) leaves the miss path untraced — no clock reads, no
-    /// allocation — which is the `read_trace_capacity = 0` contract.
-    pub fn set_read_trace(&self, recorder: Arc<ReadTraceRecorder>) {
-        // ordering: relaxed — sampling toggle; reads tolerate a stale value
-        self.trace_on.store(recorder.is_enabled(), Ordering::Relaxed);
-        *self.read_trace.write() = Some(recorder);
-    }
-
-    /// The read-span recorder, if tracing was wired up.
-    pub fn read_trace(&self) -> Option<Arc<ReadTraceRecorder>> {
-        self.read_trace.read().clone()
-    }
-
-    /// Route cross-tier `getpage` root spans into `ring`, attributed to
-    /// `node`. First caller wins; later calls are ignored (fabric wiring
-    /// happens once per node).
-    pub fn set_span_ring(&self, ring: Arc<SpanRing>, node: NodeId) {
-        let _ = self.spans.set((ring, node));
     }
 
     /// Fetch a page from the remote source, through the scheduler when
@@ -360,15 +345,14 @@ impl TieredCache {
     /// When read tracing is on, every remote miss records a complete span
     /// (probe → queue → gather → network → serve → sink) into the node's
     /// [`ReadTraceRecorder`].
-    // soclint-allow: hot-path clock reads sit behind the trace_on sampling gate; untraced reads early-return without touching the clock
+    // soclint-allow: hot-path clock reads sit behind the `traced` gate; untraced reads early-return without touching the clock
     pub fn get_traced(
         &self,
         id: PageId,
         min_lsn: impl FnOnce() -> Lsn,
     ) -> Result<(PageRef, CacheTier)> {
-        // ordering: relaxed — sampling toggle; worst case one unstamped span
-        let traced = self.trace_on.load(Ordering::Relaxed)
-            || self.spans.get().is_some_and(|(ring, _)| ring.is_enabled());
+        let (ring, node) = &self.spans;
+        let traced = self.read_trace.is_enabled() || ring.is_enabled();
         let probe_t0 = if traced { Some(Instant::now()) } else { None };
         if let Some(p) = self.mem_lookup(id) {
             self.stats.mem_hits.incr();
@@ -402,43 +386,39 @@ impl TieredCache {
         if meta.trace_id != 0 {
             // The source sampled this miss: close out the `getpage` root
             // span (the source's own child spans hang off `root_span`).
-            if let Some((ring, node)) = self.spans.get() {
-                let dur_ns = probe_ns + fetch_ns + sink_ns;
-                let end_ns = ring.now_ns();
-                ring.record(
-                    meta.trace_id,
-                    meta.root_span,
-                    0,
-                    SpanKind::GetPage,
-                    *node,
-                    end_ns.saturating_sub(dur_ns),
-                    dur_ns,
-                );
-            }
+            let dur_ns = probe_ns + fetch_ns + sink_ns;
+            let end_ns = ring.now_ns();
+            ring.record(
+                meta.trace_id,
+                meta.root_span,
+                0,
+                SpanKind::GetPage,
+                *node,
+                end_ns.saturating_sub(dur_ns),
+                dur_ns,
+            );
         }
-        if let Some(rec) = self.read_trace.read().as_ref() {
-            rec.record(ReadTrace {
-                page: id,
-                min_lsn: lsn,
-                stage_ns: [
-                    probe_ns,
-                    meta.queue_ns,
-                    meta.gather_ns,
-                    meta.net_ns,
-                    meta.serve_ns,
-                    sink_ns,
-                ],
-                hedge: if meta.hedge_won {
-                    HedgeOutcome::Won
-                } else if meta.hedge_fired {
-                    HedgeOutcome::Lost
-                } else {
-                    HedgeOutcome::None
-                },
-                range_width: meta.range_width,
-                range_fallback: meta.range_fallback,
-            });
-        }
+        self.read_trace.record(ReadTrace {
+            page: id,
+            min_lsn: lsn,
+            stage_ns: [
+                probe_ns,
+                meta.queue_ns,
+                meta.gather_ns,
+                meta.net_ns,
+                meta.serve_ns,
+                sink_ns,
+            ],
+            hedge: if meta.hedge_won {
+                HedgeOutcome::Won
+            } else if meta.hedge_fired {
+                HedgeOutcome::Lost
+            } else {
+                HedgeOutcome::None
+            },
+            range_width: meta.range_width,
+            range_fallback: meta.range_fallback,
+        });
         Ok((page_ref, CacheTier::Remote))
     }
 
@@ -635,6 +615,8 @@ mod tests {
             src,
             Arc::new(move |lsn| o1.lock().push(format!("flush:{lsn}"))),
             Arc::new(move |id, lsn| o2.lock().push(format!("evict:{id}@{lsn}"))),
+            Arc::new(ReadTraceRecorder::disabled()),
+            (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
         );
         cache.get(PageId::new(5), || Lsn::ZERO).unwrap();
         cache.get(PageId::new(6), || Lsn::ZERO).unwrap(); // evicts 5
@@ -740,8 +722,15 @@ mod tests {
 
         let ring = Arc::new(SpanRing::new(16, 1));
         let src = Arc::new(TracingSource { inner: MapSource::new(0..10), ring: Arc::clone(&ring) });
-        let cache = TieredCache::with_defaults(4, None, src);
-        cache.set_span_ring(Arc::clone(&ring), NodeId::PRIMARY);
+        let cache = TieredCache::new(
+            4,
+            None,
+            src,
+            Arc::new(|_| {}),
+            Arc::new(|_, _| {}),
+            Arc::new(ReadTraceRecorder::disabled()),
+            (Arc::clone(&ring), NodeId::PRIMARY),
+        );
         cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
         let spans = ring.spans();
         assert_eq!(spans.len(), 1);

@@ -31,19 +31,13 @@ use std::sync::Arc;
 /// [`PageOp`](crate::pageops::PageOp) bytes straight off the log.
 pub type Delta = (Lsn, Vec<u8>);
 
-/// Builds a pair of `(data, meta)` devices for a new L1 image layer's
-/// backing store, keyed by a diagnostic name. The default factory hands
-/// out in-memory devices; a fabric can substitute latency-modelled ones.
-pub type LayerDeviceFactory = Arc<dyn Fn(&str) -> (Arc<dyn Fcb>, Arc<dyn Fcb>) + Send + Sync>;
-
-/// The default [`LayerDeviceFactory`]: plain in-memory devices.
-pub fn mem_device_factory() -> LayerDeviceFactory {
-    Arc::new(|name: &str| {
-        (
-            Arc::new(crate::fcb::MemFcb::new(format!("{name}-data"))) as Arc<dyn Fcb>,
-            Arc::new(crate::fcb::MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
-        )
-    })
+/// The `(data, meta)` device pair backing a new L1 image layer: plain
+/// in-memory devices, keyed by a diagnostic name.
+pub fn mem_layer_devices(name: &str) -> (Arc<dyn Fcb>, Arc<dyn Fcb>) {
+    (
+        Arc::new(crate::fcb::MemFcb::new(format!("{name}-data"))) as Arc<dyn Fcb>,
+        Arc::new(crate::fcb::MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
+    )
 }
 
 /// The mutable head of the delta stack: WAL records land here in apply

@@ -35,7 +35,7 @@ pub mod slotted;
 
 pub use cache::{FetchMeta, PageRef, PageSource, TieredCache};
 pub use fcb::{FaultFcb, Fcb, FileFcb, LatencyFcb, MemFcb, PageFile};
-pub use layer::{mem_device_factory, DeltaLayer, ImageLayer, LayerDeviceFactory, OpenLayer};
+pub use layer::{mem_layer_devices, DeltaLayer, ImageLayer, OpenLayer};
 pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pageops::{apply_page_op, PageOp};

@@ -24,7 +24,7 @@
 
 use crate::cache::{FetchMeta, PageSource, TieredCache};
 use crate::page::Page;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use socrates_common::metrics::Counter;
 use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -217,7 +217,7 @@ struct Shared {
     inflight: Mutex<HashMap<PageId, Arc<InFlight>>>,
     /// Where completed prefetches are installed. Weak: the cache owns the
     /// scheduler, not the other way round.
-    sink: RwLock<Option<Weak<TieredCache>>>,
+    sink: Weak<TieredCache>,
     stats: SchedStats,
     stop: AtomicBool,
 }
@@ -230,8 +230,13 @@ pub struct IoScheduler {
 }
 
 impl IoScheduler {
-    /// Start the scheduler and its worker pool over `backend`.
-    pub fn start(backend: Arc<dyn RangedPageSource>, cfg: IoSchedulerConfig) -> Arc<IoScheduler> {
+    /// Start the scheduler and its worker pool over `backend`; completed
+    /// prefetches are installed into `sink` (dropped while it is dangling).
+    pub fn start(
+        backend: Arc<dyn RangedPageSource>,
+        cfg: IoSchedulerConfig,
+        sink: Weak<TieredCache>,
+    ) -> Arc<IoScheduler> {
         let shared = Arc::new(Shared {
             backend,
             cfg,
@@ -246,11 +251,7 @@ impl IoScheduler {
                 socrates_common::lock_rank::STORAGE_SCHED_INFLIGHT,
                 "sched.inflight",
             ),
-            sink: RwLock::with_rank(
-                None,
-                socrates_common::lock_rank::STORAGE_SCHED_SINK,
-                "sched.sink",
-            ),
+            sink,
             stats: SchedStats::default(),
             stop: AtomicBool::new(false),
         });
@@ -272,11 +273,6 @@ impl IoScheduler {
                 "sched.workers",
             ),
         })
-    }
-
-    /// Wire the cache completed prefetches are installed into.
-    pub fn set_prefetch_sink(&self, cache: &Arc<TieredCache>) {
-        *self.shared.sink.write() = Some(Arc::downgrade(cache));
     }
 
     /// Counters.
@@ -621,7 +617,7 @@ fn complete_one(s: &Shared, id: PageId, res: Result<(Page, FetchMeta)>) {
     if !entry.demand.load(Ordering::SeqCst) {
         // Pure prefetch: no waiter; land the page in the cache.
         if let Ok((page, _)) = &res {
-            if let Some(cache) = s.sink.read().as_ref().and_then(|w| w.upgrade()) {
+            if let Some(cache) = s.sink.upgrade() {
                 let _ = cache.install_prefetched(page.clone());
             }
         }
@@ -690,7 +686,7 @@ mod tests {
     }
 
     fn sched(src: &Arc<TestSource>, cfg: IoSchedulerConfig) -> Arc<IoScheduler> {
-        IoScheduler::start(Arc::clone(src) as Arc<dyn RangedPageSource>, cfg)
+        IoScheduler::start(Arc::clone(src) as Arc<dyn RangedPageSource>, cfg, Weak::new())
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! writer beyond wraparound protection, as in the paper.
 
 use crate::block::{LogBlock, BLOCK_HEADER};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
 use socrates_common::{Error, Lsn, Result};
 use socrates_storage::Fcb;
@@ -64,12 +64,17 @@ pub struct LandingZone {
     worker_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: LandingZoneConfig,
     state: Mutex<LzState>,
-    faults: RwLock<FaultRegistry>,
+    faults: FaultRegistry,
 }
 
 impl LandingZone {
-    /// Create an LZ over `replicas` (all starting empty).
-    pub fn new(replicas: Vec<Arc<dyn Fcb>>, config: LandingZoneConfig) -> LandingZone {
+    /// Create an LZ over `replicas` (all starting empty). `write_block`
+    /// consults `faults` at the `lz.write` site.
+    pub fn new(
+        replicas: Vec<Arc<dyn Fcb>>,
+        config: LandingZoneConfig,
+        faults: FaultRegistry,
+    ) -> LandingZone {
         assert!(!replicas.is_empty(), "landing zone needs at least one replica");
         assert!(
             config.write_quorum >= 1 && config.write_quorum <= replicas.len(),
@@ -111,17 +116,8 @@ impl LandingZone {
                 socrates_common::lock_rank::WAL_LZ_STATE,
                 "lz.state",
             ),
-            faults: RwLock::with_rank(
-                FaultRegistry::disabled(),
-                socrates_common::lock_rank::WAL_LZ_FAULTS,
-                "lz.faults",
-            ),
+            faults,
         }
-    }
-
-    /// Attach a fault registry; `write_block` consults the `lz.write` site.
-    pub fn set_fault_registry(&self, faults: FaultRegistry) {
-        *self.faults.write() = faults;
     }
 
     /// Create an LZ whose first block will start at `start` instead of
@@ -130,9 +126,10 @@ impl LandingZone {
     pub fn with_start(
         replicas: Vec<Arc<dyn Fcb>>,
         config: LandingZoneConfig,
+        faults: FaultRegistry,
         start: Lsn,
     ) -> LandingZone {
-        let lz = LandingZone::new(replicas, config);
+        let lz = LandingZone::new(replicas, config, faults);
         {
             let mut s = lz.state.lock();
             s.head = start;
@@ -168,7 +165,7 @@ impl LandingZone {
     /// [`Error::Unavailable`] when the LZ is full (destage backpressure) or
     /// quorum cannot be reached.
     pub fn write_block(&self, block: &LogBlock) -> Result<()> {
-        match self.faults.read().check_at(sites::LZ_WRITE, Some(block.start_lsn())) {
+        match self.faults.check_at(sites::LZ_WRITE, Some(block.start_lsn())) {
             Some(FaultOutcome::Err(e)) => return Err(e),
             // The LZ has no single node to crash (it is a replicated
             // service); dropped/crashed writes surface as a transient
@@ -357,7 +354,8 @@ mod tests {
             (0..n).map(|i| Arc::new(FaultFcb::new(MemFcb::new(format!("lz-{i}"))))).collect();
         let replicas: Vec<Arc<dyn Fcb>> =
             faults.iter().map(|f| Arc::clone(f) as Arc<dyn Fcb>).collect();
-        (LandingZone::new(replicas, LandingZoneConfig { capacity, write_quorum: quorum }), faults)
+        let config = LandingZoneConfig { capacity, write_quorum: quorum };
+        (LandingZone::new(replicas, config, FaultRegistry::disabled()), faults)
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::block::{BlockBuilder, LogBlock};
 use crate::landing_zone::LandingZone;
 use crate::record::{LogPayload, LogRecord};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, Histogram};
 use socrates_common::obs::{SpanKind, SpanRing, TraceCtx};
@@ -102,25 +102,28 @@ pub struct LogPipeline {
     wait_mutex: Mutex<()>,
     wait_cv: Condvar,
     sink: Arc<dyn BlockSink>,
-    disseminators: RwLock<Vec<Arc<dyn LogDisseminator>>>,
+    disseminators: Vec<Arc<dyn LogDisseminator>>,
     hardened: AtomicLsn,
     partition_of: PartitionMap,
     config: LogPipelineConfig,
     metrics: LogPipelineMetrics,
     /// Causal span sink + the node identity harden spans are attributed
-    /// to. `None` until [`set_span_ring`](Self::set_span_ring); read once
-    /// per flushed block, never on the append path.
-    spans: RwLock<Option<(Arc<SpanRing>, NodeId)>>,
+    /// to (the primary that owns this pipeline).
+    spans: (Arc<SpanRing>, NodeId),
 }
 
 impl LogPipeline {
-    /// Create a pipeline writing to `sink`, starting at LSN `start`
-    /// (zero for a fresh database; the old tail after a restore).
+    /// Create a pipeline writing to `sink` and offering every block to
+    /// `disseminators`, starting at LSN `start` (zero for a fresh
+    /// database; the old tail after a restore). Harden spans of sampled
+    /// commits go to `spans`.
     pub fn new(
         sink: Arc<dyn BlockSink>,
+        disseminators: Vec<Arc<dyn LogDisseminator>>,
         partition_of: PartitionMap,
         config: LogPipelineConfig,
         start: Lsn,
+        spans: (Arc<SpanRing>, NodeId),
     ) -> LogPipeline {
         LogPipeline {
             buf: Mutex::with_rank(
@@ -145,29 +148,13 @@ impl LogPipeline {
             ),
             wait_cv: Condvar::new(),
             sink,
-            disseminators: RwLock::with_rank(
-                Vec::new(),
-                socrates_common::lock_rank::WAL_DISSEMINATORS,
-                "wal.disseminators",
-            ),
+            disseminators,
             hardened: AtomicLsn::new(start),
             partition_of,
             config,
             metrics: LogPipelineMetrics::default(),
-            spans: RwLock::with_rank(None, socrates_common::lock_rank::WAL_SPANS, "wal.spans"),
+            spans,
         }
-    }
-
-    /// Attach the causal span ring; harden spans are recorded against
-    /// `node` (the primary that owns this pipeline).
-    pub fn set_span_ring(&self, ring: Arc<SpanRing>, node: NodeId) {
-        *self.spans.write() = Some((ring, node));
-    }
-
-    /// Attach a consumer. Consumers added later simply see later blocks;
-    /// they catch up through XLOG's tiered reads.
-    pub fn add_disseminator(&self, d: Arc<dyn LogDisseminator>) {
-        self.disseminators.write().push(d);
     }
 
     /// Pipeline metrics.
@@ -301,18 +288,17 @@ impl LogPipeline {
             // Speculative dissemination: consumers get the block before it
             // is durable, but only act on it once `report_hardened` covers
             // it.
-            for d in self.disseminators.read().iter() {
+            for d in &self.disseminators {
                 d.offer_block(&block);
             }
             let t0 = Instant::now();
-            // Resolve the span sink only for ctx-carrying blocks: the
-            // untraced path never touches the lock.
-            let span_sink = if block.ctx().sampled() { self.spans.read().clone() } else { None };
-            let span_start = span_sink.as_ref().map(|(ring, _)| ring.now_ns());
+            // Only ctx-carrying blocks read the span clock.
+            let (ring, node) = &self.spans;
+            let span_start = block.ctx().sampled().then(|| ring.now_ns());
             match self.sink.harden(&block) {
                 Ok(()) => {
                     self.metrics.harden_latency.record_duration(t0.elapsed());
-                    if let (Some((ring, node)), Some(start)) = (&span_sink, span_start) {
+                    if let Some(start) = span_start {
                         let dur = ring.now_ns().saturating_sub(start);
                         ring.record_child(block.ctx(), SpanKind::WalHarden, *node, start, dur);
                     }
@@ -320,7 +306,7 @@ impl LogPipeline {
                     self.metrics.blocks_hardened.incr();
                     let end = block.end_lsn();
                     self.hardened.advance_to(end);
-                    for d in self.disseminators.read().iter() {
+                    for d in &self.disseminators {
                         d.report_hardened(end);
                     }
                     // Wake the group: their commits may now be covered.
@@ -437,11 +423,22 @@ mod tests {
     }
 
     fn pipeline(sink: Arc<TestSink>, max_block: usize) -> LogPipeline {
+        wired(sink, max_block, vec![], Arc::new(SpanRing::disabled()))
+    }
+
+    fn wired(
+        sink: Arc<TestSink>,
+        max_block: usize,
+        disseminators: Vec<Arc<dyn LogDisseminator>>,
+        ring: Arc<SpanRing>,
+    ) -> LogPipeline {
         LogPipeline::new(
             sink,
+            disseminators,
             Arc::new(|p: PageId| PartitionId::new((p.raw() / 100) as u32)),
             LogPipelineConfig { max_block_bytes: max_block },
             Lsn::ZERO,
+            (ring, NodeId::PRIMARY),
         )
     }
 
@@ -506,12 +503,16 @@ mod tests {
     #[test]
     fn dissemination_offer_precedes_hardened_report() {
         let sink = Arc::new(TestSink::default());
-        let p = pipeline(Arc::clone(&sink), 1 << 16);
         let d = Arc::new(TestDisseminator {
             offered: Mutex::new(vec![]),
             hardened_reports: AtomicU64::new(0),
         });
-        p.add_disseminator(Arc::clone(&d) as Arc<dyn LogDisseminator>);
+        let p = wired(
+            Arc::clone(&sink),
+            1 << 16,
+            vec![Arc::clone(&d) as Arc<dyn LogDisseminator>],
+            Arc::new(SpanRing::disabled()),
+        );
         let lsn = p.append(&record(1, 10));
         p.commit_wait(lsn).unwrap();
         assert_eq!(d.offered.lock().len(), 1);
@@ -562,9 +563,8 @@ mod tests {
     #[test]
     fn traced_append_records_a_harden_span() {
         let sink = Arc::new(TestSink::default());
-        let p = pipeline(Arc::clone(&sink), 1 << 16);
         let ring = Arc::new(SpanRing::new(16, 1));
-        p.set_span_ring(Arc::clone(&ring), NodeId::PRIMARY);
+        let p = wired(Arc::clone(&sink), 1 << 16, vec![], Arc::clone(&ring));
         let ctx = ring.try_sample().expect("1-in-1 sampling");
         let lsn = p.append_traced(&record(1, 10), ctx);
         p.commit_wait(lsn).unwrap();

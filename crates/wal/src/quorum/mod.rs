@@ -29,7 +29,7 @@ pub mod sim;
 use crate::block::LogBlock;
 use crate::pipeline::BlockSink;
 use crate::store::LogStore;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use protocol::{
     choose_donor, AcceptorCore, AppendVerdict, ElectedResp, Entry, Term, TermHistory, VoteResp,
 };
@@ -307,14 +307,14 @@ struct Ack {
 /// State shared between the proposer front and its acceptor workers.
 struct Shared {
     acceptors: Vec<Arc<Acceptor>>,
-    faults: RwLock<FaultRegistry>,
+    faults: FaultRegistry,
     /// Blocks replicated during catch-up (straggler backfill volume).
     catchup_blocks: Counter,
 }
 
 impl Shared {
     fn check_fault(&self, site: &str, lsn: Option<Lsn>) -> Option<FaultOutcome> {
-        self.faults.read().check_at(site, lsn)
+        self.faults.check_at(site, lsn)
     }
 
     /// Stream the laggard `idx` forward until its flush reaches `target`,
@@ -448,21 +448,27 @@ pub struct QuorumLog {
 
 impl QuorumLog {
     /// Build the tier and its acceptors, logs starting at [`Lsn::ZERO`].
-    /// `latency(i)` supplies each acceptor's device model.
+    /// `latency(i)` supplies each acceptor's device model; the
+    /// append/ack/vote paths consult `faults` at the `lz.quorum.*` sites.
     pub fn new(
         config: QuorumConfig,
         latency: impl Fn(usize) -> Option<LatencyInjector>,
+        faults: FaultRegistry,
     ) -> QuorumLog {
         let acceptors = (0..config.acceptors)
             .map(|i| Arc::new(Acceptor::new(i, Lsn::ZERO, latency(i))))
             .collect();
-        QuorumLog::with_acceptors(acceptors, config)
+        QuorumLog::with_acceptors(acceptors, config, faults)
     }
 
     /// Mount a proposer over existing acceptors — how a restarted primary
     /// reattaches to the surviving quorum (it must [`LogStore::recover`]
     /// before writing).
-    pub fn with_acceptors(acceptors: Vec<Arc<Acceptor>>, config: QuorumConfig) -> QuorumLog {
+    pub fn with_acceptors(
+        acceptors: Vec<Arc<Acceptor>>,
+        config: QuorumConfig,
+        faults: FaultRegistry,
+    ) -> QuorumLog {
         assert_eq!(acceptors.len(), config.acceptors, "acceptor count mismatch");
         assert!(config.acceptors >= 1, "quorum log needs at least one acceptor");
         assert!(
@@ -471,15 +477,7 @@ impl QuorumLog {
             config.required(),
             config.acceptors
         );
-        let shared = Arc::new(Shared {
-            acceptors,
-            faults: RwLock::with_rank(
-                FaultRegistry::disabled(),
-                lock_rank::WAL_QUORUM_FAULTS,
-                "quorum.faults",
-            ),
-            catchup_blocks: Counter::new(),
-        });
+        let shared = Arc::new(Shared { acceptors, faults, catchup_blocks: Counter::new() });
         let mut workers = Vec::with_capacity(config.acceptors);
         let mut handles = Vec::with_capacity(config.acceptors);
         for i in 0..config.acceptors {
@@ -530,12 +528,6 @@ impl QuorumLog {
     /// these).
     pub fn acceptors(&self) -> &[Arc<Acceptor>] {
         &self.shared.acceptors
-    }
-
-    /// Attach a fault registry; the append/ack/vote paths consult the
-    /// `lz.quorum.*` sites.
-    pub fn set_fault_registry(&self, faults: FaultRegistry) {
-        *self.shared.faults.write() = faults;
     }
 
     /// The current proposer term (0 until the first campaign).
@@ -876,10 +868,6 @@ impl LogStore for QuorumLog {
         Ok(())
     }
 
-    fn set_fault_registry(&self, faults: FaultRegistry) {
-        QuorumLog::set_fault_registry(self, faults)
-    }
-
     fn recover(&self) -> Result<Lsn> {
         self.campaign()
     }
@@ -969,9 +957,14 @@ mod tests {
     }
 
     fn quorum(n: usize, ack: usize) -> Arc<QuorumLog> {
+        quorum_with_faults(n, ack, FaultRegistry::disabled())
+    }
+
+    fn quorum_with_faults(n: usize, ack: usize, faults: FaultRegistry) -> Arc<QuorumLog> {
         Arc::new(QuorumLog::new(
             QuorumConfig { acceptors: n, ack_required: ack, capacity: 1 << 20 },
             |_| None,
+            faults,
         ))
     }
 
@@ -1053,17 +1046,16 @@ mod tests {
         // LSN even when every (re)append is slowed by an injected
         // lz.quorum.append latency fault, and must then serve reads for
         // its recovered range.
-        let q = quorum(3, 0);
+        let faults = FaultRegistry::new(7);
+        let q = quorum_with_faults(3, 0, faults.clone());
         q.recover().unwrap();
         q.kill_acceptor(1);
         let end = fill(&q, Lsn::ZERO, 5);
-        let faults = FaultRegistry::new(7);
         faults.install(FaultRule {
             site: sites::LZ_QUORUM_APPEND.into(),
             schedule: FaultSchedule::Always,
             action: FaultAction::Latency(LatencyModel::fixed(200)),
         });
-        q.set_fault_registry(faults);
         let flushed = q.reconnect_acceptor(1).unwrap();
         assert_eq!(flushed, end);
         assert_eq!(q.acceptors()[1].flush_lsn(), end);
@@ -1118,6 +1110,7 @@ mod tests {
         let q2 = Arc::new(QuorumLog::with_acceptors(
             acceptors,
             QuorumConfig { acceptors: 3, ack_required: 0, capacity: 1 << 20 },
+            FaultRegistry::disabled(),
         ));
         let start = q2.recover().unwrap();
         assert_eq!(start, end, "new term starts at the donor's flush LSN");
@@ -1132,39 +1125,37 @@ mod tests {
 
     #[test]
     fn dropped_votes_fail_campaign_until_cleared() {
-        let q = quorum(3, 0);
         let faults = FaultRegistry::new(3);
+        let q = quorum_with_faults(3, 0, faults.clone());
         faults.install(FaultRule {
             site: sites::LZ_QUORUM_VOTE.into(),
             schedule: FaultSchedule::Always,
             action: FaultAction::Drop,
         });
-        q.set_fault_registry(faults);
         let err = q.recover().unwrap_err();
         assert!(err.is_transient(), "vote loss must be retryable: {err}");
-        q.set_fault_registry(FaultRegistry::disabled());
+        faults.clear();
         q.recover().unwrap();
         fill(&q, Lsn::ZERO, 1);
     }
 
     #[test]
     fn lost_acks_stall_commit_but_acceptors_flushed() {
-        let q = quorum(3, 0);
-        q.recover().unwrap();
         let faults = FaultRegistry::new(5);
+        let q = quorum_with_faults(3, 0, faults.clone());
+        q.recover().unwrap();
         faults.install(FaultRule {
             site: sites::LZ_QUORUM_ACK.into(),
             schedule: FaultSchedule::Always,
             action: FaultAction::Drop,
         });
-        q.set_fault_registry(faults);
         let b = block_at(Lsn::ZERO, 80);
         let err = q.write_block(&b).unwrap_err();
         assert!(err.is_transient(), "ack loss must be retryable: {err}");
         // The acceptors flushed it; only the proposer could not count it.
         assert!(q.acceptors().iter().filter(|a| a.flush_lsn() >= b.end_lsn()).count() >= 2);
         // Retrying with acks flowing again commits idempotently.
-        q.set_fault_registry(FaultRegistry::disabled());
+        faults.clear();
         q.write_block(&b).unwrap();
         assert_eq!(q.commit_lsn(), b.end_lsn());
     }
@@ -1192,6 +1183,7 @@ mod tests {
         let q = Arc::new(QuorumLog::new(
             QuorumConfig { acceptors: 3, ack_required: 0, capacity: 600 },
             |_| None,
+            FaultRegistry::disabled(),
         ));
         q.recover().unwrap();
         let b1 = block_at(Lsn::ZERO, 300);

@@ -12,7 +12,6 @@
 
 use crate::block::LogBlock;
 use crate::pipeline::BlockSink;
-use socrates_common::fault::FaultRegistry;
 use socrates_common::{Lsn, Result};
 
 /// An LSN-addressed durable block window. `BlockSink::harden` appends at
@@ -36,11 +35,6 @@ pub trait LogStore: BlockSink {
 
     /// Visit blocks in order from `from` until `f` returns false.
     fn scan_from(&self, from: Lsn, f: &mut dyn FnMut(LogBlock) -> bool) -> Result<()>;
-
-    /// Attach the deployment's fault registry (the store's own fault
-    /// sites: `lz.write` for the landing zone, `lz.quorum.*` for the
-    /// quorum tier).
-    fn set_fault_registry(&self, faults: FaultRegistry);
 
     /// Re-establish the right to append after a (possible) writer
     /// restart, returning the LSN new appends must start at.
@@ -77,10 +71,6 @@ impl LogStore for LandingZone {
 
     fn scan_from(&self, from: Lsn, f: &mut dyn FnMut(LogBlock) -> bool) -> Result<()> {
         LandingZone::scan_from(self, from, f)
-    }
-
-    fn set_fault_registry(&self, faults: FaultRegistry) {
-        LandingZone::set_fault_registry(self, faults)
     }
 
     fn recover(&self) -> Result<Lsn> {

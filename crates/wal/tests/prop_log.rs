@@ -2,6 +2,7 @@
 //! behaviour under arbitrary block sequences.
 
 use proptest::prelude::*;
+use socrates_common::fault::FaultRegistry;
 use socrates_common::{Lsn, PageId, PartitionId, TxnId};
 use socrates_storage::{Fcb, MemFcb};
 use socrates_wal::block::{BlockBuilder, LogBlock};
@@ -80,6 +81,7 @@ proptest! {
         let lz = LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         );
         let mut start = Lsn::ZERO;
         let mut written = Vec::new();
@@ -114,6 +116,7 @@ proptest! {
         let lz = LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 2048, write_quorum: 1 },
+            FaultRegistry::disabled(),
         );
         let mut start = Lsn::ZERO;
         let mut last: Option<LogBlock> = None;

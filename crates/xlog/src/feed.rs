@@ -30,31 +30,17 @@ pub struct XLogFeed {
 
 impl XLogFeed {
     /// Spawn the pump thread delivering blocks from the lossy channel into
-    /// the service.
-    pub fn start(svc: Arc<XLogService>, lossy: LossyConfig) -> XLogFeed {
-        XLogFeed::start_with_faults(svc, lossy, FaultRegistry::disabled())
-    }
-
-    /// [`XLogFeed::start`], with a fault registry consulted at the
-    /// `xlog.feed.poll` site for every delivered block. Any fired fault
-    /// discards the block — safe by design: the feed is lossy and XLOG
-    /// gap-fills from the landing zone.
-    pub fn start_with_faults(
+    /// the service. `faults` is consulted at the `xlog.feed.poll` site for
+    /// every delivered block; any fired fault discards the block — safe by
+    /// design: the feed is lossy and XLOG gap-fills from the landing zone.
+    /// Every delivered ctx-carrying block records an `xlog.feed` child
+    /// span into `spans` (the XLOG leg of a sampled commit's cross-tier
+    /// trace).
+    pub fn start(
         svc: Arc<XLogService>,
         lossy: LossyConfig,
         faults: FaultRegistry,
-    ) -> XLogFeed {
-        XLogFeed::start_with_obs(svc, lossy, faults, None)
-    }
-
-    /// [`XLogFeed::start_with_faults`], recording an `xlog.feed` child
-    /// span into `spans` for every delivered ctx-carrying block (the
-    /// XLOG leg of a sampled commit's cross-tier trace).
-    pub fn start_with_obs(
-        svc: Arc<XLogService>,
-        lossy: LossyConfig,
-        faults: FaultRegistry,
-        spans: Option<Arc<SpanRing>>,
+        spans: Arc<SpanRing>,
     ) -> XLogFeed {
         let (channel, rx) = LossyChannel::<LogBlock>::new(lossy);
         let stop = Arc::new(AtomicBool::new(false));
@@ -74,15 +60,12 @@ impl XLogFeed {
                             {
                                 continue; // injected loss; LZ gap fill recovers
                             }
-                            let span_start = match (&spans, block.ctx().sampled()) {
-                                (Some(ring), true) => Some(ring.now_ns()),
-                                _ => None,
-                            };
                             let ctx = block.ctx();
+                            let span_start = ctx.sampled().then(|| spans.now_ns());
                             svc.offer_block(block);
-                            if let (Some(ring), Some(start)) = (&spans, span_start) {
-                                let dur = ring.now_ns().saturating_sub(start);
-                                ring.record_child(
+                            if let Some(start) = span_start {
+                                let dur = spans.now_ns().saturating_sub(start);
+                                spans.record_child(
                                     ctx,
                                     SpanKind::XlogFeed,
                                     NodeId::XLOG,
@@ -163,8 +146,9 @@ mod tests {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 4 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
-        let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+        let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
         let svc = XLogService::new(
             Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
             Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
@@ -174,15 +158,21 @@ mod tests {
             "xlog/lt",
         )
         .unwrap();
-        let feed =
-            Arc::new(XLogFeed::start(Arc::clone(&svc), LossyConfig::unreliable(0.3, 0.2, 99)));
+        let spans = Arc::new(SpanRing::disabled());
+        let feed = Arc::new(XLogFeed::start(
+            Arc::clone(&svc),
+            LossyConfig::unreliable(0.3, 0.2, 99),
+            FaultRegistry::disabled(),
+            Arc::clone(&spans),
+        ));
         let pipeline = LogPipeline::new(
             Arc::clone(&lz) as Arc<dyn socrates_wal::pipeline::BlockSink>,
+            vec![feed.clone() as Arc<dyn LogDisseminator>],
             Arc::new(|p: PageId| PartitionId::new((p.raw() / 1000) as u32)),
             LogPipelineConfig { max_block_bytes: 256 },
             Lsn::ZERO,
+            (spans, NodeId::PRIMARY),
         );
-        pipeline.add_disseminator(feed.clone() as Arc<dyn LogDisseminator>);
 
         let mut last = Lsn::ZERO;
         for i in 0..200u64 {
@@ -228,8 +218,9 @@ mod tests {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 4 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
-        let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+        let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
         let svc = XLogService::new(
             Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
             Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
@@ -239,7 +230,12 @@ mod tests {
             "xlog/lt",
         )
         .unwrap();
-        let feed = XLogFeed::start(Arc::clone(&svc), LossyConfig::reliable());
+        let feed = XLogFeed::start(
+            Arc::clone(&svc),
+            LossyConfig::reliable(),
+            FaultRegistry::disabled(),
+            Arc::new(SpanRing::disabled()),
+        );
         let mut b = BlockBuilder::new(Lsn::ZERO, 1 << 16);
         b.append(&LogRecord { txn: TxnId::new(1), payload: LogPayload::TxnBegin }, None);
         let block = b.seal();

@@ -1,6 +1,7 @@
 //! The XLOG service implementation.
 
 use parking_lot::Mutex;
+use socrates_common::fault::FaultRegistry;
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::Counter;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
@@ -128,6 +129,7 @@ impl XLogService {
         let ssd_cache = LandingZone::with_start(
             vec![ssd],
             LandingZoneConfig { capacity: config.ssd_cache_bytes, write_quorum: 1 },
+            FaultRegistry::disabled(), // the block cache is not a fault site
             start,
         );
         Ok(Arc::new(XLogService {
@@ -603,8 +605,9 @@ mod tests {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
-        let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+        let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
         let svc = XLogService::new(
             Arc::clone(&lz) as Arc<dyn LogStore>,
             Arc::new(MemFcb::new("xlog-ssd")) as Arc<dyn Fcb>,

@@ -3,6 +3,7 @@
 //! duplicates, or reorders blocks.
 
 use proptest::prelude::*;
+use socrates_common::fault::FaultRegistry;
 use socrates_common::{Lsn, PageId, PartitionId, TxnId};
 use socrates_storage::{Fcb, MemFcb};
 use socrates_wal::block::{BlockBuilder, LogBlock};
@@ -50,8 +51,9 @@ proptest! {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
-        let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+        let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
         let svc = XLogService::new(
             Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
             Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
@@ -116,8 +118,9 @@ proptest! {
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
             LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            FaultRegistry::disabled(),
         ));
-        let xstore = Arc::new(XStore::new(XStoreConfig::instant()));
+        let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
         let svc = XLogService::new(
             Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
             Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,

@@ -62,12 +62,14 @@ pub struct XStore {
     available: AtomicBool,
     latency: LatencyInjector,
     metrics: XStoreMetrics,
-    faults: RwLock<FaultRegistry>,
+    faults: FaultRegistry,
 }
 
 impl XStore {
-    /// Create an empty store.
-    pub fn new(config: XStoreConfig) -> XStore {
+    /// Create an empty store. Writes consult `faults` at `xstore.put`,
+    /// reads at `xstore.get` — for as long as the store lives, whichever
+    /// deployments come to share it.
+    pub fn new(config: XStoreConfig, faults: FaultRegistry) -> XStore {
         XStore {
             inner: RwLock::with_rank(
                 Inner { blobs: HashMap::new(), names: HashMap::new(), snapshots: HashMap::new() },
@@ -79,18 +81,8 @@ impl XStore {
             available: AtomicBool::new(true),
             latency: LatencyInjector::new(config.profile, config.mode, config.seed),
             metrics: XStoreMetrics::default(),
-            faults: RwLock::with_rank(
-                FaultRegistry::disabled(),
-                socrates_common::lock_rank::XSTORE_FAULTS,
-                "xstore.faults",
-            ),
+            faults,
         }
-    }
-
-    /// Attach a fault registry; writes consult `xstore.put`, reads
-    /// `xstore.get`.
-    pub fn set_fault_registry(&self, faults: FaultRegistry) {
-        *self.faults.write() = faults;
     }
 
     /// Consult a fault site. The store is a replicated service with no
@@ -98,7 +90,7 @@ impl XStore {
     /// transient failure callers already tolerate (checkpoints defer,
     /// destaging retries).
     fn check_fault(&self, site: &str) -> Result<()> {
-        match self.faults.read().check(site) {
+        match self.faults.check(site) {
             Some(FaultOutcome::Err(e)) => Err(e),
             Some(FaultOutcome::Drop) | Some(FaultOutcome::Crash) => {
                 Err(Error::Unavailable(format!("fault: xstore op dropped at {site}")))
@@ -291,7 +283,7 @@ mod tests {
     use super::*;
 
     fn store() -> XStore {
-        XStore::new(XStoreConfig::instant())
+        XStore::new(XStoreConfig::instant(), FaultRegistry::disabled())
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! isolation under arbitrary interleavings of writes and snapshots.
 
 use proptest::prelude::*;
+use socrates_common::fault::FaultRegistry;
 use socrates_xstore::{XStore, XStoreConfig};
 
 #[derive(Clone, Debug)]
@@ -24,7 +25,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn blob_matches_model_and_snapshots_freeze(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let store = XStore::new(XStoreConfig::instant());
+        let store = XStore::new(XStoreConfig::instant(), FaultRegistry::disabled());
         let blob = store.create_blob("b").unwrap();
         let mut model: Vec<u8> = Vec::new();
         // Extent bookkeeping so RewriteExtent hits exact boundaries.
@@ -77,7 +78,7 @@ proptest! {
         b_off_frac in 0.01f64..0.99,
         b_len in 2usize..64,
     ) {
-        let store = XStore::new(XStoreConfig::instant());
+        let store = XStore::new(XStoreConfig::instant(), FaultRegistry::disabled());
         let blob = store.create_blob("b").unwrap();
         store.write_at(blob, 0, &vec![1; a_len]).unwrap();
         let b_off = ((a_len as f64 * b_off_frac) as u64).max(1);

@@ -52,20 +52,10 @@ fn main() -> socrates_common::Result<()> {
         let (data_blob, meta_blob) = handle.servers[0].blobs();
         drop(handle);
         println!("killed page servers of {pid}; attaching a replacement...");
-        let ps = socrates_pageserver::PageServer::attach(
-            &format!("replacement-{}", pid.raw()),
-            fabric.partition_spec(pid),
-            fabric.config.page_server.clone(),
-            std::sync::Arc::new(socrates_storage::MemFcb::new("repl-ssd")),
-            std::sync::Arc::new(socrates_storage::MemFcb::new("repl-meta")),
-            std::sync::Arc::clone(&fabric.xstore),
-            data_blob,
-            meta_blob,
-            std::sync::Arc::clone(&fabric.xlog),
-            fabric.cpu.accountant(socrates_common::NodeId::page_server(99)),
-        )?;
-        ps.start();
-        fabric.install_partition(pid, vec![ps])?;
+        let origin =
+            socrates::ServerOrigin::Blobs { data: data_blob, meta: meta_blob, replay: None };
+        let server = fabric.spawn_server(pid, origin)?;
+        fabric.install_partition(pid, vec![server])?;
     }
     fabric.wait_applied(committed_lsn, Duration::from_secs(10))?;
     // A fresh primary (cold cache) must read everything through the

@@ -10,9 +10,13 @@
 
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
-use socrates_common::obs::MetricValue;
-use socrates_common::{Error, Lsn, NodeId, PageId};
+use socrates_common::obs::{MetricValue, SpanKind};
+use socrates_common::{Error, Lsn, NodeId, PageId, PartitionId};
 use socrates_engine::value::{ColumnType, Schema, Value};
+use socrates_rbio::proto::RbioRequest;
+use socrates_rbio::transport::NetworkConfig;
+use socrates_storage::page::PageType;
+use socrates_storage::pageops::PageOp;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -341,6 +345,119 @@ fn kill_partition_unregisters_metrics_and_restart_reregisters() {
 /// make this a non-event for history — every (page, LSN) version
 /// resolvable before the crash resolves to byte-identical contents from
 /// the fresh server `restart_partition` attaches afterwards.
+/// What a routed page server must have been handed at construction,
+/// checked on server `idx` of `pid` in `sys`: the apply signal (a commit
+/// reaches it and `wait_applied` returns), the fault registry (compaction
+/// and serve sites fire) and the span ring under its own node id.
+fn assert_routed_server_wired(label: &str, sys: &Socrates, pid: PartitionId, idx: usize, id: i64) {
+    let fabric = sys.fabric();
+    let handle = fabric.partition(pid).unwrap();
+    let (ps, node) = (&handle.servers[idx], handle.nodes[idx]);
+
+    let p = sys.primary().unwrap();
+    let h = p.db().begin();
+    p.db().insert(&h, "t", &row(id, label)).unwrap();
+    p.db().commit(h).unwrap();
+    fabric
+        .wait_applied(p.pipeline().hardened_lsn(), Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+    // Compaction refuses to run (and to consult its site) before seeding.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !ps.is_seeded() {
+        assert!(std::time::Instant::now() < deadline, "{label}: never seeded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let fired = |site| fabric.faults.fired_count(site);
+    let before = fired(sites::PS_COMPACT_MERGE);
+    ps.compact_blocking().unwrap();
+    assert!(fired(sites::PS_COMPACT_MERGE) > before, "{label}: compaction saw no registry");
+
+    let before = fired(sites::PAGESERVER_SERVE);
+    let ctx = fabric.spans.try_sample().expect("1-in-1 sampling");
+    handle.endpoints[idx]
+        .connect(NetworkConfig::instant())
+        .call_with_ctx(RbioRequest::GetPage { page_id: PageId::new(0), min_lsn: Lsn::ZERO }, ctx)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert!(fired(sites::PAGESERVER_SERVE) > before, "{label}: handler saw no registry");
+    assert!(
+        fabric
+            .spans
+            .spans()
+            .iter()
+            .any(|s| s.kind == SpanKind::PsServe && s.node == node && s.trace_id == ctx.trace_id),
+        "{label}: no ps.serve span under {node}"
+    );
+}
+
+/// Every way a page server comes to exist hands it the deployment's
+/// fault registry, span ring and apply signal — no origin is left to a
+/// later wiring pass.
+#[test]
+fn every_page_server_origin_is_fully_wired() {
+    // Latency actions fire (and count) without failing anything.
+    let spec = format!(
+        "{}@always=latency:1us;{}@always=latency:1us",
+        sites::PS_COMPACT_MERGE,
+        sites::PAGESERVER_SERVE
+    );
+    let config = SocratesConfig::fast_test().with_fault_spec(5, &spec).with_trace_sample(1, 4096);
+    let sys = Socrates::launch(config).unwrap();
+    sys.primary().unwrap().db().create_table("t", schema()).unwrap();
+    let pid = PartitionId::new(0);
+
+    // Each origin returns the deployment that now runs the new server (a
+    // restore makes its own) and the server's index in the partition.
+    type Origin = fn(&Socrates, PartitionId) -> (Option<Socrates>, usize);
+    let origins: [(&str, Origin); 4] = [
+        ("ensure_partition", |_, _| (None, 0)),
+        ("add_partition_replica", |sys, pid| {
+            sys.fabric().add_partition_replica(pid).unwrap();
+            (None, 1)
+        }),
+        ("restart_partition", |sys, pid| {
+            sys.fabric().kill_partition(pid).unwrap();
+            sys.fabric().restart_partition(pid).unwrap();
+            (None, 0)
+        }),
+        ("restore_pitr", |sys, _| {
+            sys.checkpoint().unwrap();
+            let backup = sys.backup().unwrap();
+            let target = sys.primary().unwrap().pipeline().hardened_lsn();
+            (Some(sys.restore_pitr(&backup, target).unwrap()), 0)
+        }),
+    ];
+    for (i, (label, origin)) in origins.into_iter().enumerate() {
+        let (restored, idx) = origin(&sys, pid);
+        let owner = restored.as_ref().unwrap_or(&sys);
+        assert_routed_server_wired(label, owner, pid, idx, i as i64);
+        if let Some(r) = restored {
+            r.shutdown();
+        }
+    }
+
+    // The fifth origin is unrouted: a branch serves no RBIO and applies no
+    // log, so its registry shows at compaction and its node id on the
+    // checkpoint span of an ingested write.
+    let fabric = sys.fabric();
+    let at = sys.primary().unwrap().pipeline().hardened_lsn();
+    fabric.wait_applied(at, Duration::from_secs(10)).unwrap();
+    let branch = fabric.branch_partition(pid, at).unwrap();
+    let before = fabric.faults.fired_count(sites::PS_COMPACT_MERGE);
+    branch.compact_blocking().unwrap();
+    assert!(fabric.faults.fired_count(sites::PS_COMPACT_MERGE) > before);
+    let idx: u32 = branch.name().rsplit('-').next().unwrap().parse().unwrap();
+    let op = PageOp::Format { ptype: PageType::BTreeLeaf };
+    branch.ingest(PageId::new(900), &op, Lsn::new(at.offset() + 1000)).unwrap();
+    branch.checkpoint().unwrap();
+    assert!(fabric
+        .spans
+        .spans()
+        .iter()
+        .any(|s| s.kind == SpanKind::PsCheckpoint && s.node == NodeId::page_server(idx)));
+    sys.shutdown();
+}
+
 #[test]
 fn crash_mid_compaction_loses_no_resolvable_version() {
     // A tiny seal threshold banks real sealed L0s (the compaction input)

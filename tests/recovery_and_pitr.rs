@@ -187,6 +187,37 @@ fn pitr_excludes_transactions_in_flight_at_target() {
     sys.shutdown();
 }
 
+/// A restored deployment shares the source's XStore service. Building its
+/// fabric must leave the store's fault registry alone: the store belongs
+/// to the deployment that created it, whose `xstore.*` rules, counters and
+/// `nth:`/`first:` schedules keep running.
+#[test]
+fn pitr_restore_leaves_the_shared_xstore_on_the_source_fault_registry() {
+    let sys = Socrates::launch(SocratesConfig::fast_test()).unwrap();
+    let p = sys.primary().unwrap();
+    p.db().create_table("t", schema()).unwrap();
+    let h = p.db().begin();
+    p.db().insert(&h, "t", &row(1, 1)).unwrap();
+    p.db().commit(h).unwrap();
+    sys.checkpoint().unwrap();
+    let backup = sys.backup().unwrap();
+    let restored = sys.restore_pitr(&backup, p.pipeline().hardened_lsn()).unwrap();
+
+    let site = socrates_common::fault::sites::XSTORE_GET;
+    let source = sys.fabric();
+    source.faults.install_spec(&format!("{site}@always=error:unavailable")).unwrap();
+    let pid = source.partition_ids()[0];
+    let (data_blob, _) = source.partition(pid).unwrap().servers[0].blobs();
+    let read = source.xstore.read_at(data_blob, 0, socrates_storage::page::PAGE_SIZE);
+    let err = read.map(|bytes| bytes.len()).unwrap_err();
+    source.faults.clear();
+    assert!(matches!(err, Error::Unavailable(_)), "source rule did not fire: {err}");
+    assert!(source.faults.fired_count(site) > 0);
+    assert_eq!(restored.fabric().faults.fired_count(site), 0);
+    restored.shutdown();
+    sys.shutdown();
+}
+
 #[test]
 fn page_server_loss_and_replacement_preserves_data() {
     let sys = Socrates::launch(SocratesConfig::fast_test()).unwrap();
@@ -206,21 +237,9 @@ fn page_server_loss_and_replacement_preserves_data() {
         let old = fabric.kill_partition(pid).unwrap();
         let (data, meta) = old.servers[0].blobs();
         drop(old);
-        let ps = socrates_pageserver::PageServer::attach(
-            &format!("replacement-{}", pid.raw()),
-            fabric.partition_spec(pid),
-            fabric.config.page_server.clone(),
-            std::sync::Arc::new(socrates_storage::MemFcb::new("r-ssd")),
-            std::sync::Arc::new(socrates_storage::MemFcb::new("r-meta")),
-            std::sync::Arc::clone(&fabric.xstore),
-            data,
-            meta,
-            std::sync::Arc::clone(&fabric.xlog),
-            fabric.cpu.accountant(socrates_common::NodeId::page_server(7)),
-        )
-        .unwrap();
-        ps.start();
-        fabric.install_partition(pid, vec![ps]).unwrap();
+        let origin = socrates::ServerOrigin::Blobs { data, meta, replay: None };
+        let server = fabric.spawn_server(pid, origin).unwrap();
+        fabric.install_partition(pid, vec![server]).unwrap();
     }
     fabric.wait_applied(lsn, Duration::from_secs(10)).unwrap();
 

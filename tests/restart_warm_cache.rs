@@ -2,6 +2,7 @@
 //! recovers its SSD cache and only replays the log records newer than each
 //! cached page — instead of refetching its whole working set.
 
+use socrates_common::fault::FaultRegistry;
 use socrates_common::{Lsn, PageId, TxnId};
 use socrates_storage::fcb::{Fcb, MemFcb};
 use socrates_storage::page::{Page, PageType};
@@ -101,6 +102,7 @@ fn log_blocks_roundtrip_through_landing_zone_after_restart() {
     let lz = LandingZone::new(
         vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
         LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+        FaultRegistry::disabled(),
     );
     let mut start = Lsn::ZERO;
     let mut block_starts = Vec::new();
