@@ -2,18 +2,19 @@
 //!
 //! Launches a deployment, drives a short commit workload through it, lets
 //! the LSN-lag watcher drain, then renders everything the observability
-//! layer knows — the unified metrics hub and the commit-path trace
-//! percentiles — in one of three formats:
+//! layer knows — the unified metrics hub, per-stage commit and read
+//! latency included — in one of three formats:
 //!
 //! ```text
 //! socmon                      # human-readable dashboard (default)
 //! socmon --format prom        # Prometheus text exposition format
-//! socmon --format json        # JSON (metrics + trace summary)
+//! socmon --format json        # JSON (the hub snapshot)
 //! socmon --commits 500        # size of the driven workload
 //! socmon --secondaries 2      # read-only secondaries to launch
-//! socmon --reads              # also fail over and cold-read the table,
-//!                             # then show the read-path span breakdown
-//!                             # and the slowest GetPage spans
+//! socmon --reads              # sample every GetPage, fail over and
+//!                             # cold-read the table, then show each
+//!                             # node's read-stage breakdown and the
+//!                             # slowest sampled GetPage span trees
 //! socmon --export-chrome [P]  # sample every commit/GetPage, write the
 //!                             # causal cross-tier spans as a Chrome
 //!                             # trace-event file (chrome://tracing)
@@ -29,11 +30,13 @@
 //! ```
 
 use socrates::{Socrates, SocratesConfig};
+use socrates_common::metrics::HistogramSnapshot;
+use socrates_common::obs::ctx::{unpack_coalesce, HEDGE_LOST, HEDGE_WON};
 use socrates_common::obs::{
-    chrome_trace_json, json_snapshot, json_trace_summary, prometheus_text, MetricValue, ReadStage,
-    Stage,
+    chrome_trace_json, json_snapshot, prometheus_text, slowest_spans, MetricSnapshot, MetricValue,
+    SpanKind, Stage, StageSet,
 };
-use socrates_common::{Error, Lsn, PageId};
+use socrates_common::{Error, Lsn, NodeId, PageId};
 use socrates_engine::value::{ColumnType, Schema};
 use socrates_engine::Value;
 use std::io::IsTerminal;
@@ -165,16 +168,12 @@ fn main() {
 
     match opts.format.as_str() {
         "prom" => print!("{}", prometheus_text(&sys.hub().snapshot())),
-        "json" => {
-            // One document: the hub snapshot plus the trace summary.
-            // `json_snapshot` returns `{"metrics":[...]}`; graft the trace
-            // object in before the closing brace.
-            let metrics = json_snapshot(&sys.hub().snapshot());
-            let trace = json_trace_summary(sys.trace());
-            println!("{},\"trace\":{}}}", &metrics[..metrics.len() - 1], trace);
-        }
+        "json" => println!("{}", json_snapshot(&sys.hub().snapshot())),
         _ if opts.plain => {
             render_plain(&sys);
+            if opts.reads {
+                render_reads(&sys, true);
+            }
             if opts.layers {
                 render_layers(&sys, true);
             }
@@ -182,7 +181,7 @@ fn main() {
         _ => {
             render_table(&sys);
             if opts.reads {
-                render_reads(&sys);
+                render_reads(&sys, false);
             }
             if opts.layers {
                 render_layers(&sys, false);
@@ -211,9 +210,9 @@ fn main() {
 fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
     let mut config = SocratesConfig::fast_test();
     config.secondaries = opts.secondaries;
-    if opts.chrome.is_some() {
+    if opts.chrome.is_some() || opts.reads {
         // Sample every commit/GetPage so even a tiny workload yields a
-        // renderable flamegraph.
+        // renderable flamegraph / a slowest-reads list.
         config.trace_sample = 1;
     }
     if !opts.slo.is_empty() || opts.watch > 0 {
@@ -278,7 +277,7 @@ fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
     if opts.reads {
         // Fail over so the replacement primary starts with a cold cache:
         // re-reading the table forces every page over GetPage@LSN, and
-        // each miss records a read-path span.
+        // each miss records its stages (and, sampled, its span tree).
         sys.kill_primary();
         let p = sys.failover()?;
         let r = p.db().begin();
@@ -365,64 +364,81 @@ fn watch(sys: &Socrates, opts: &Options) {
     }
 }
 
-/// The `--reads` view: per-stage GetPage latency attribution plus the
-/// slow-op ring (the postmortem query surface).
-fn render_reads(sys: &Socrates) {
-    let trace = sys.read_trace();
-    println!("\n== read path (per-stage miss latency, µs) ==");
-    println!("{:<16} {:>8} {:>9} {:>9} {:>9} {:>9}", "stage", "count", "mean", "p50", "p99", "max");
-    for stage in ReadStage::ALL {
-        let s = trace.stage_snapshot(stage);
-        println!(
-            "{:<16} {:>8} {:>9.1} {:>9} {:>9} {:>9}",
-            stage.name(),
-            s.count,
-            s.mean_us,
-            s.p50_us,
-            s.p99_us,
-            s.max_us
-        );
+/// `primary.commit_stage_<stage>_us`, as the hub holds it.
+fn commit_stage(snapshot: &MetricSnapshot, stage: Stage) -> HistogramSnapshot {
+    match snapshot.get(NodeId::PRIMARY, &format!("commit_stage_{}_us", stage.name())) {
+        Some(MetricValue::Histogram(h)) => *h,
+        _ => HistogramSnapshot::default(),
     }
-    println!("spans recorded: {}", trace.spans_recorded());
+}
 
-    let slow = trace.slow_ops();
-    println!("\n== slowest reads (top {}) ==", slow.len());
-    println!(
-        "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>5}",
-        "page", "total", "probe", "queue", "gather", "net", "serve", "sink", "width", "hedge", "fb"
-    );
-    for t in slow.iter().take(10) {
-        println!(
-            "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>5}",
-            t.page.to_string(),
-            t.total_ns() / 1_000,
-            t.stage_ns(ReadStage::CacheProbe) / 1_000,
-            t.stage_ns(ReadStage::SchedQueue) / 1_000,
-            t.stage_ns(ReadStage::GatherWait) / 1_000,
-            t.stage_ns(ReadStage::NetRbio) / 1_000,
-            t.stage_ns(ReadStage::ServerServe) / 1_000,
-            t.stage_ns(ReadStage::Sink) / 1_000,
-            t.range_width,
-            t.hedge.name(),
-            if t.range_fallback { "yes" } else { "no" },
-        );
+/// The `--reads` view: the slowest sampled misses, each reassembled from
+/// its `getpage` span tree (every compute node's always-on per-stage
+/// histograms are already in its hub section).
+fn render_reads(sys: &Socrates, plain: bool) {
+    const STAGES: [&str; 7] = ["total", "probe", "queue", "gather", "net", "serve", "sink"];
+    let spans = sys.fabric().spans.spans();
+    let slow = slowest_spans(&spans, SpanKind::GetPage, 10);
+    if plain {
+        println!("reads_sampled {}", spans.iter().filter(|s| s.kind == SpanKind::GetPage).count());
+    } else {
+        println!("\n== slowest sampled reads (top {}, µs) ==", slow.len());
+        print!("{:<12} {:<14}", "page", "node");
+        STAGES.iter().for_each(|stage| print!(" {stage:>8}"));
+        println!(" {:>6} {:>6} {:>5}", "width", "hedge", "fb");
+    }
+    for (rank, root) in slow.iter().enumerate() {
+        // A stage's span under this root (a coalesced range's members
+        // each record theirs: take the longest).
+        let child = |kind: SpanKind| {
+            spans
+                .iter()
+                .filter(|s| s.parent_id == root.span_id && s.kind == kind)
+                .max_by_key(|s| s.dur_ns)
+        };
+        let us = |kind: SpanKind| child(kind).map_or(0, |s| s.dur_ns / 1_000);
+        let stages = [
+            root.dur_ns / 1_000,
+            us(SpanKind::GetPageProbe),
+            us(SpanKind::GetPageQueue),
+            us(SpanKind::GetPageGather),
+            us(SpanKind::RbioNet).saturating_sub(us(SpanKind::PsServe)),
+            us(SpanKind::PsServe),
+            us(SpanKind::GetPageSink),
+        ];
+        let (width, fallback) =
+            unpack_coalesce(child(SpanKind::GetPageGather).map_or(0, |s| s.arg));
+        let hedge = match child(SpanKind::RbioNet).map_or(0, |s| s.arg) {
+            HEDGE_WON => "won",
+            HEDGE_LOST => "lost",
+            _ => "none",
+        };
+        if plain {
+            print!("slow_read.{rank} page {} node {}", root.arg, root.node);
+            STAGES.iter().zip(stages).for_each(|(stage, us)| print!(" {stage}_us {us}"));
+            println!(" width {width} hedge {hedge} fallback {fallback}");
+        } else {
+            print!("{:<12} {:<14}", PageId::new(root.arg).to_string(), root.node.to_string());
+            stages.iter().for_each(|us| print!(" {us:>8}"));
+            println!(" {width:>6} {hedge:>6} {:>5}", if fallback { "yes" } else { "no" });
+        }
     }
 }
 
 /// Plain mode: one `key value` line per datum, no headers, no alignment,
 /// no ANSI — stable output for pipes, greps, and CI logs.
 fn render_plain(sys: &Socrates) {
-    let trace = sys.trace();
+    let snapshot = sys.hub().snapshot();
     for stage in Stage::ALL {
-        let s = trace.stage_snapshot(stage);
+        let s = commit_stage(&snapshot, *stage);
         let name = stage.name();
         println!("commit_stage.{name}.count {}", s.count);
         println!("commit_stage.{name}.mean_us {:.1}", s.mean_us);
         println!("commit_stage.{name}.p50_us {}", s.p50_us);
         println!("commit_stage.{name}.p99_us {}", s.p99_us);
     }
-    println!("commits_traced {}", trace.commits_recorded());
-    for sample in &sys.hub().snapshot().samples {
+    println!("commits_traced {}", commit_stage(&snapshot, Stage::Engine).count);
+    for sample in &snapshot.samples {
         match &sample.value {
             socrates_common::obs::MetricValue::Counter(v) => {
                 println!("metric.{}.{} {v}", sample.node, sample.name);
@@ -518,12 +534,11 @@ fn render_layers(sys: &Socrates, plain: bool) {
 
 fn render_table(sys: &Socrates) {
     let snapshot = sys.hub().snapshot();
-    let trace = sys.trace();
 
     println!("== commit path (per-stage latency, µs) ==");
     println!("{:<16} {:>8} {:>9} {:>9} {:>9} {:>9}", "stage", "count", "mean", "p50", "p99", "max");
     for stage in Stage::ALL {
-        let s = trace.stage_snapshot(stage);
+        let s = commit_stage(&snapshot, *stage);
         println!(
             "{:<16} {:>8} {:>9.1} {:>9} {:>9} {:>9}",
             stage.name(),
@@ -534,7 +549,7 @@ fn render_table(sys: &Socrates) {
             s.max_us
         );
     }
-    println!("commits traced: {}", trace.commits_recorded());
+    println!("commits traced: {}", commit_stage(&snapshot, Stage::Engine).count);
 
     for node in snapshot.nodes() {
         println!("\n== {node} ==");

@@ -58,12 +58,12 @@ impl TestSystem for SocratesSut {
     }
 
     fn local_hit_rate(&self) -> f64 {
-        self.primary.io().data_hit_rate()
+        self.primary.io().data_pages().hit_rate()
     }
 
     fn reset_cache_stats(&self) {
         self.primary.io().cache().stats().reset();
-        self.primary.io().reset_data_hit_stats();
+        self.primary.io().data_pages().reset();
     }
 }
 

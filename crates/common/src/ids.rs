@@ -152,6 +152,19 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
+    /// Every tier, in declaration order: `ALL[k as usize] == k` (the
+    /// span ring stores a kind as that position).
+    pub const ALL: [NodeKind; 8] = [
+        NodeKind::Primary,
+        NodeKind::Secondary,
+        NodeKind::XLog,
+        NodeKind::PageServer,
+        NodeKind::XStore,
+        NodeKind::Client,
+        NodeKind::Fault,
+        NodeKind::Acceptor,
+    ];
+
     /// Lowercase tier name used in metric names (`tier.node.metric`).
     pub const fn tier_name(self) -> &'static str {
         match self {

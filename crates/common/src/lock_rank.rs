@@ -72,8 +72,6 @@ pub const ENGINE_BTREE: u32 = 235;
 /// `engine::version::VersionStore.current` — current version slot. Held
 /// across version-page allocation (same upcall).
 pub const ENGINE_VERSION_CURRENT: u32 = 238;
-/// `engine::io::LoggedPageIo.txn_begun` — begun-txn dedup map.
-pub const ENGINE_IO_TXN_BEGUN: u32 = 250;
 /// `engine::io::MemIo.pages` — in-memory page store map.
 pub const ENGINE_MEM_PAGES: u32 = 290;
 
@@ -218,8 +216,6 @@ pub const COMMON_FAULT_SITES: u32 = 1010;
 pub const COMMON_FAULT_HUB: u32 = 1020;
 /// `common::fault::FaultRegistry.log` — injection log.
 pub const COMMON_FAULT_LOG: u32 = 1030;
-/// `common::obs::span::SlowRing` — slow-op admission ring.
-pub const COMMON_OBS_SLOW: u32 = 1050;
 /// `common::obs::history::HubHistory.ring` — retained hub snapshots.
 /// The hub snapshot itself runs *before* this lock is taken, so the
 /// ring stays a leaf below every sampling closure's own locks.
@@ -244,7 +240,6 @@ mod tests {
             super::ENGINE_TXN_PREPARE,
             super::ENGINE_TXN_TABLE,
             super::ENGINE_TXN_ABORTED,
-            super::ENGINE_IO_TXN_BEGUN,
             super::ENGINE_VERSION_CURRENT,
             super::ENGINE_BTREE,
             super::ENGINE_MEM_PAGES,
@@ -284,7 +279,6 @@ mod tests {
             super::COMMON_FAULT_SITES,
             super::COMMON_FAULT_HUB,
             super::COMMON_FAULT_LOG,
-            super::COMMON_OBS_SLOW,
             super::COMMON_OBS_HISTORY,
         ];
         let mut sorted = all.to_vec();

@@ -1,23 +1,20 @@
-//! The blackbox flight recorder: a crash-time snapshot of every ring.
+//! The blackbox flight recorder: a crash-time snapshot of the
+//! deployment's observability state.
 //!
 //! When something goes wrong — a panic, a chaos-invariant violation, an
 //! SLO burning — the question is always "what were the last few hundred
-//! operations doing". Each observability ring already retains exactly
-//! that; the blackbox recorder snapshots them *together*, atomically
-//! enough for postmortems (each ring's own seqlock/lock discipline
-//! applies; the bundle is a consistent-per-ring, near-in-time-across-
-//! rings capture), into one self-describing JSON bundle:
+//! operations doing". The span ring and the fault log already retain
+//! exactly that, and the hub holds every aggregate (the per-stage commit
+//! and read histograms included); the blackbox recorder snapshots them
+//! *together*, near in time, into one self-describing JSON bundle:
 //!
 //! ```text
 //! target/blackbox/<reason>-<seq>.json
 //! {
-//!   "version": 1, "reason": "...", "seq": 0,
-//!   "metrics":       [ ... full hub snapshot, json_snapshot shape ... ],
-//!   "commit_traces": [ {"txn","lsn","stages":{engine,...},"total_ns"} ],
-//!   "read_spans":    [ {"page","min_lsn","stages":{...},"hedge",...} ],
-//!   "slow_ops":      [ ... same shape as read_spans ... ],
-//!   "spans":         [ {"trace","span","parent","kind","node",...} ],
-//!   "fault_events":  [ {"site","call","action"} ]
+//!   "version": 2, "reason": "...", "seq": 0,
+//!   "metrics":      [ ... full hub snapshot, json_snapshot shape ... ],
+//!   "spans":        [ {"trace","span","parent","kind","node",...,"arg"} ],
+//!   "fault_events": [ {"site","call","action"} ]
 //! }
 //! ```
 //!
@@ -30,26 +27,20 @@
 use super::ctx::SpanRing;
 use super::export::{json_escape, json_f64};
 use super::hub::{MetricValue, MetricsHub};
-use super::span::{ReadTrace, ReadTraceRecorder};
-use super::trace::{Stage, TraceRecorder};
 use crate::fault::FaultRegistry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The bundle schema version (bump on shape changes).
-pub const BLACKBOX_VERSION: u64 = 1;
+pub const BLACKBOX_VERSION: u64 = 2;
 
-/// The rings and registries a bundle captures. Every source is optional
+/// The ring and registries a bundle captures. Every source is optional
 /// so partial deployments (unit tests, single tiers) can still record.
 #[derive(Clone, Default)]
 pub struct BlackboxSources {
     /// The deployment's metric hub.
     pub hub: MetricsHub,
-    /// Commit-stage traces.
-    pub commits: Option<Arc<TraceRecorder>>,
-    /// Read-path spans (and their slow-op ring).
-    pub reads: Option<Arc<ReadTraceRecorder>>,
     /// Cross-tier causal spans.
     pub spans: Option<Arc<SpanRing>>,
     /// The fault registry's fired-event log.
@@ -60,7 +51,7 @@ pub struct BlackboxSources {
 pub struct BlackboxRecorder {
     sources: BlackboxSources,
     dir: PathBuf,
-    /// Entries retained per ring section.
+    /// Entries retained per section.
     last_n: usize,
     /// Bundle sequence number (also the filename disambiguator).
     seq: AtomicU64,
@@ -69,7 +60,7 @@ pub struct BlackboxRecorder {
 
 impl BlackboxRecorder {
     /// A recorder writing `<dir>/<reason>-<seq>.json` bundles keeping the
-    /// last `last_n` entries of each ring.
+    /// last `last_n` spans and fault events.
     pub fn new(
         sources: BlackboxSources,
         dir: impl Into<PathBuf>,
@@ -141,28 +132,6 @@ impl BlackboxRecorder {
         }
         out.push(']');
 
-        out.push_str(",\"commit_traces\":[");
-        let commits = self.sources.commits.as_ref().map(|c| c.traces()).unwrap_or_default();
-        for (i, t) in tail(&commits, self.last_n).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"txn\":{},\"lsn\":{},\"stages\":{{", t.txn.raw(), t.lsn.0));
-            for (j, stage) in Stage::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", stage.name(), t.stage_ns(*stage)));
-            }
-            out.push_str(&format!("}},\"total_ns\":{}}}", t.total_ns()));
-        }
-        out.push(']');
-
-        let reads = self.sources.reads.as_ref().map(|r| r.traces()).unwrap_or_default();
-        push_read_section(&mut out, "read_spans", tail(&reads, self.last_n));
-        let slow = self.sources.reads.as_ref().map(|r| r.slow_ops()).unwrap_or_default();
-        push_read_section(&mut out, "slow_ops", tail(&slow, self.last_n));
-
         out.push_str(",\"spans\":[");
         let spans = self.sources.spans.as_ref().map(|s| s.spans()).unwrap_or_default();
         for (i, s) in tail(&spans, self.last_n).iter().enumerate() {
@@ -170,8 +139,8 @@ impl BlackboxRecorder {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"trace\":{},\"span\":{},\"parent\":{},\"kind\":\"{}\",\"node\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-                s.trace_id, s.span_id, s.parent_id, s.kind.name(), s.node, s.start_ns, s.dur_ns
+                "{{\"trace\":{},\"span\":{},\"parent\":{},\"kind\":\"{}\",\"node\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"arg\":{}}}",
+                s.trace_id, s.span_id, s.parent_id, s.kind.name(), s.node, s.start_ns, s.dur_ns, s.arg
             ));
         }
         out.push(']');
@@ -193,7 +162,7 @@ impl BlackboxRecorder {
         out
     }
 
-    /// Snapshot every ring into `<dir>/<reason>-<seq>.json`. Returns the
+    /// Snapshot every source into `<dir>/<reason>-<seq>.json`. Returns the
     /// bundle path, or `None` when disabled or the write failed (a
     /// flight recorder must never turn a crash into a worse crash).
     pub fn trigger(&self, reason: &str) -> Option<PathBuf> {
@@ -247,70 +216,34 @@ fn tail<T>(v: &[T], n: usize) -> &[T] {
     }
 }
 
-fn push_read_section(out: &mut String, key: &str, reads: &[ReadTrace]) {
-    out.push_str(&format!(",\"{key}\":["));
-    for (i, r) in reads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"page\":{},\"min_lsn\":{},\"stages\":{{",
-            r.page.raw(),
-            r.min_lsn.0
-        ));
-        for (j, stage) in super::span::ReadStage::ALL.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", stage.name(), r.stage_ns(*stage)));
-        }
-        out.push_str(&format!(
-            "}},\"hedge\":\"{}\",\"range_width\":{},\"range_fallback\":{}}}",
-            r.hedge.name(),
-            r.range_width,
-            r.range_fallback
-        ));
-    }
-    out.push(']');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use crate::obs::ctx::SpanKind;
+    use crate::obs::ctx::{SpanEvent, SpanKind};
     use crate::obs::testjson;
-    use crate::{Lsn, PageId, TxnId};
 
     fn populated_recorder() -> BlackboxRecorder {
         let hub = MetricsHub::new();
         hub.register_counter_fn(NodeId::PRIMARY, "commits", || 42);
-        let commits = Arc::new(TraceRecorder::new(16));
-        commits.record_commit(TxnId::new(1), Lsn::new(100), 1_000, 2_000);
-        let reads = Arc::new(ReadTraceRecorder::new(16));
-        reads.record(ReadTrace {
-            page: PageId::new(7),
-            min_lsn: Lsn::new(50),
-            stage_ns: [1, 2, 3, 4, 5, 6],
-            hedge: crate::obs::span::HedgeOutcome::Won,
-            range_width: 4,
-            range_fallback: false,
-        });
         let spans = Arc::new(SpanRing::new(16, 1));
         let ctx = spans.try_sample().unwrap();
         spans.record_child(ctx, SpanKind::CommitHarden, NodeId::PRIMARY, 10, 5);
-        spans.record_root(ctx, SpanKind::Commit, NodeId::PRIMARY, 0, 20);
+        spans.record(SpanEvent {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id: 0,
+            kind: SpanKind::Commit,
+            node: NodeId::PRIMARY,
+            start_ns: 0,
+            dur_ns: 20,
+            arg: 100,
+        });
         let faults = FaultRegistry::new(1);
         faults.install_spec("lz.write@nth:1=error:io").unwrap();
         let _ = faults.check(crate::fault::sites::LZ_WRITE);
         BlackboxRecorder::new(
-            BlackboxSources {
-                hub,
-                commits: Some(commits),
-                reads: Some(reads),
-                spans: Some(spans),
-                faults: Some(faults),
-            },
+            BlackboxSources { hub, spans: Some(spans), faults: Some(faults) },
             "target/blackbox-test",
             8,
         )
@@ -329,22 +262,13 @@ mod tests {
             .iter()
             .any(|m| m.get("name").unwrap().as_str() == Some("primary.0.commits")));
 
-        let commits = doc.get("commit_traces").unwrap().as_array().unwrap();
-        assert_eq!(commits.len(), 1);
-        assert_eq!(commits[0].get("txn").unwrap().as_i64(), Some(1));
-        assert_eq!(commits[0].get("stages").unwrap().get("engine").unwrap().as_i64(), Some(1_000));
-
-        let reads = doc.get("read_spans").unwrap().as_array().unwrap();
-        assert_eq!(reads[0].get("page").unwrap().as_i64(), Some(7));
-        assert_eq!(reads[0].get("hedge").unwrap().as_str(), Some("won"));
-        assert_eq!(doc.get("slow_ops").unwrap().as_array().unwrap().len(), 1);
-
         let spans = doc.get("spans").unwrap().as_array().unwrap();
         assert_eq!(spans.len(), 2);
         let root = spans.iter().find(|s| s.get("parent").unwrap().as_i64() == Some(0)).unwrap();
         let child = spans.iter().find(|s| s.get("parent").unwrap().as_i64() != Some(0)).unwrap();
         assert_eq!(child.get("parent"), root.get("span"));
         assert_eq!(root.get("kind").unwrap().as_str(), Some("commit"));
+        assert_eq!(root.get("arg").unwrap().as_i64(), Some(100), "the commit LSN rides in arg");
 
         let faults = doc.get("fault_events").unwrap().as_array().unwrap();
         assert_eq!(faults[0].get("site").unwrap().as_str(), Some("lz.write"));
@@ -355,7 +279,7 @@ mod tests {
     fn empty_sources_still_render_valid_bundles() {
         let bb = BlackboxRecorder::new(BlackboxSources::default(), "target/blackbox-test", 4);
         let doc = testjson::parse(&bb.render_bundle("empty", 0)).unwrap();
-        for key in ["metrics", "commit_traces", "read_spans", "slow_ops", "spans", "fault_events"] {
+        for key in ["metrics", "spans", "fault_events"] {
             assert_eq!(doc.get(key).unwrap().as_array().unwrap().len(), 0, "{key}");
         }
     }
@@ -370,20 +294,21 @@ mod tests {
 
     #[test]
     fn last_n_truncates_each_section() {
-        let commits = Arc::new(TraceRecorder::new(64));
-        for i in 0..10 {
-            commits.record_commit(TxnId::new(i), Lsn::new(i * 10), 1, 1);
+        let spans = Arc::new(SpanRing::new(64, 1));
+        for _ in 0..10 {
+            let ctx = spans.try_sample().unwrap();
+            spans.record_root(ctx, SpanKind::Commit, NodeId::PRIMARY, 0, 1);
         }
         let bb = BlackboxRecorder::new(
-            BlackboxSources { commits: Some(commits), ..BlackboxSources::default() },
+            BlackboxSources { spans: Some(spans), ..BlackboxSources::default() },
             "target/blackbox-test",
             3,
         );
         let doc = testjson::parse(&bb.render_bundle("trunc", 0)).unwrap();
-        let kept = doc.get("commit_traces").unwrap().as_array().unwrap();
+        let kept = doc.get("spans").unwrap().as_array().unwrap();
         assert_eq!(kept.len(), 3);
         // The newest entries survive.
-        assert_eq!(kept[2].get("txn").unwrap().as_i64(), Some(9));
+        assert_eq!(kept[2].get("trace").unwrap().as_i64(), Some(10));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Causal cross-tier trace-context propagation.
+//! Causal cross-tier tracing: the one exemplar ring.
 //!
-//! The per-tier rings ([`trace`](super::trace), [`span`](super::span))
-//! answer "how long does each stage take *in aggregate*" — but Socrates
-//! splits one commit across four processes-worth of machinery, and
-//! aggregate rings cannot reconstruct *one* request's causal path
-//! (primary → log pipeline → XLOG feed → page-server apply). This module
-//! adds exactly that:
+//! The stage histograms in [`stage`](super::stage) answer "how long does
+//! each stage take *in aggregate*" — but Socrates splits one commit
+//! across four processes-worth of machinery, and aggregates cannot
+//! reconstruct *one* request's causal path (primary → log pipeline →
+//! XLOG feed → page-server apply). This module records exactly that,
+//! for the 1-in-N requests the sampling knob selects:
 //!
 //! - [`TraceCtx`] is the compact context minted at commit/GetPage entry:
 //!   a trace id and the current span id, 16 bytes, `Copy`. The zero
@@ -15,13 +15,17 @@
 //!   the lossy feed) carry it as a plain field that is *not* serialized —
 //!   a block re-decoded from the landing zone has lost its context, by
 //!   design (gap-fill is a recovery path, not the traced path).
-//! - [`SpanRing`] is the workspace-wide seqlock ring the per-tier spans
-//!   land in. Sampling is 1-in-N (`sample_every`, 0 = off): the disarmed
-//!   fast path is a single immutable-field compare, no atomics, no
-//!   allocation. Span ids are minted eagerly — a parent allocates its id
-//!   before children record — so causal links hold even though spans
+//! - [`SpanRing`] is the workspace's only seqlock ring; every tier's
+//!   spans land in it. Sampling is 1-in-N (`sample_every`, 0 = off): the
+//!   disarmed fast path is a single immutable-field compare, no atomics,
+//!   no allocation. Span ids are minted eagerly — a parent allocates its
+//!   id before children record — so causal links hold even though spans
 //!   complete (and publish) children-first.
-//! - [`SpanEvent`] is the read-side snapshot; the Chrome trace-event
+//! - [`SpanEvent`] is both what a site records and the read-side
+//!   snapshot. Its `arg` cell carries the span's one payload: the commit
+//!   LSN on `commit`, the page id on `getpage`, the coalesce membership
+//!   on `getpage.gather_wait` ([`pack_coalesce`]) and the hedge outcome
+//!   on `rbio.net` ([`HEDGE_LOST`]/[`HEDGE_WON`]). The Chrome trace-event
 //!   exporter over a batch of events lives in
 //!   [`export::chrome_trace_json`](super::export::chrome_trace_json)
 //!   (`socmon --export-chrome`).
@@ -66,110 +70,98 @@ impl TraceCtx {
     }
 }
 
-/// What a recorded span measured. Discriminants are the ring's storage
-/// encoding; names are stable and used by the exporters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u64)]
-pub enum SpanKind {
-    /// Whole commit: append → durable (root span, primary).
-    Commit = 0,
-    /// Engine time from txn begin to the commit append (primary).
-    CommitEngine = 1,
-    /// `commit_wait` — the durability wait (primary).
-    CommitHarden = 2,
-    /// One block's landing-zone harden inside the flush loop (primary).
-    WalHarden = 3,
-    /// Lossy-feed pump delivering one block into XLOG (xlog).
-    XlogFeed = 4,
-    /// Page-server apply of one pulled block (pageserver).
-    PsApply = 5,
-    /// Server-side GetPage serve (pageserver).
-    PsServe = 6,
-    /// Whole GetPage miss: probe → install (root span, compute node).
-    GetPage = 7,
-    /// RBIO round trip as seen by the client (compute node).
-    RbioNet = 8,
-    /// Page-server read falling through to XStore (xstore).
-    XstoreRead = 9,
-    /// Checkpoint blob write into XStore (xstore).
-    XstorePut = 10,
-    /// Whole checkpoint: dirty scan → blob durable (root span, pageserver).
-    PsCheckpoint = 11,
-    /// One compaction pass: sealed L0s merged into an L1 image (root
-    /// span, pageserver).
-    PsCompact = 12,
+/// Generates [`SpanKind`] together with its `ALL` table and `name()` from
+/// one list, so the ring's storage encoding (a kind's position in `ALL`)
+/// and its decode cannot drift from the variants.
+macro_rules! span_kinds {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// What a recorded span measured. Names are stable and used by
+        /// the exporters.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum SpanKind { $($(#[$doc])* $variant,)* }
+
+        impl SpanKind {
+            /// Every kind; a kind's position is its ring encoding.
+            pub const ALL: &'static [SpanKind] = &[$(SpanKind::$variant,)*];
+
+            /// Stable lowercase name used in exports.
+            pub const fn name(self) -> &'static str {
+                match self { $(SpanKind::$variant => $name,)* }
+            }
+        }
+    };
 }
 
-impl SpanKind {
-    /// Stable lowercase name used in exports.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SpanKind::Commit => "commit",
-            SpanKind::CommitEngine => "commit.engine",
-            SpanKind::CommitHarden => "commit.harden",
-            SpanKind::WalHarden => "wal.harden",
-            SpanKind::XlogFeed => "xlog.feed",
-            SpanKind::PsApply => "ps.apply",
-            SpanKind::PsServe => "ps.serve",
-            SpanKind::GetPage => "getpage",
-            SpanKind::RbioNet => "rbio.net",
-            SpanKind::XstoreRead => "xstore.read",
-            SpanKind::XstorePut => "xstore.put",
-            SpanKind::PsCheckpoint => "ps.checkpoint",
-            SpanKind::PsCompact => "ps.compact",
-        }
-    }
+span_kinds! {
+    /// Whole commit: begin → durable (root span, primary; `arg` = LSN).
+    Commit => "commit",
+    /// Engine time from txn begin to the commit append (primary).
+    CommitEngine => "commit.engine",
+    /// `commit_wait` — the durability wait (primary).
+    CommitHarden => "commit.harden",
+    /// One block's landing-zone harden inside the flush loop (primary).
+    WalHarden => "wal.harden",
+    /// Lossy-feed pump delivering one block into XLOG (xlog).
+    XlogFeed => "xlog.feed",
+    /// Page-server apply of one pulled block (pageserver).
+    PsApply => "ps.apply",
+    /// Server-side GetPage serve (pageserver).
+    PsServe => "ps.serve",
+    /// Whole GetPage miss: probe → install (root span, compute node;
+    /// `arg` = page id).
+    GetPage => "getpage",
+    /// RBIO round trip as seen by the client (compute node; `arg` = hedge
+    /// outcome).
+    RbioNet => "rbio.net",
+    /// Page-server read falling through to XStore (xstore).
+    XstoreRead => "xstore.read",
+    /// Checkpoint blob write into XStore (xstore).
+    XstorePut => "xstore.put",
+    /// Whole checkpoint: dirty scan → blob durable (root span, pageserver).
+    PsCheckpoint => "ps.checkpoint",
+    /// One compaction pass: sealed L0s merged into an L1 image (root
+    /// span, pageserver).
+    PsCompact => "ps.compact",
+    /// Probing the local tiers before the miss is declared (compute node).
+    GetPageProbe => "getpage.cache_probe",
+    /// Scheduler queue wait beyond the gather window (compute node).
+    GetPageQueue => "getpage.sched_queue",
+    /// Deliberate gather delay (compute node; `arg` = coalesce membership).
+    GetPageGather => "getpage.gather_wait",
+    /// Installing the fetched page into the compute cache (compute node).
+    GetPageSink => "getpage.sink",
+}
 
-    fn from_raw(v: u64) -> SpanKind {
-        match v {
-            1 => SpanKind::CommitEngine,
-            2 => SpanKind::CommitHarden,
-            3 => SpanKind::WalHarden,
-            4 => SpanKind::XlogFeed,
-            5 => SpanKind::PsApply,
-            6 => SpanKind::PsServe,
-            7 => SpanKind::GetPage,
-            8 => SpanKind::RbioNet,
-            9 => SpanKind::XstoreRead,
-            10 => SpanKind::XstorePut,
-            11 => SpanKind::PsCheckpoint,
-            12 => SpanKind::PsCompact,
-            _ => SpanKind::Commit,
-        }
-    }
+/// `rbio.net` `arg`: a hedge fired but the first attempt still won.
+pub const HEDGE_LOST: u64 = 1;
+/// `rbio.net` `arg`: a hedge fired and the hedged attempt won.
+pub const HEDGE_WON: u64 = 2;
+
+/// `getpage.gather_wait` `arg`: pages in the dispatched batch (1 = a lone
+/// `GetPage`), and whether the range failed and this page was re-fetched
+/// alone.
+pub const fn pack_coalesce(range_width: u32, range_fallback: bool) -> u64 {
+    ((range_width as u64) << 1) | range_fallback as u64
+}
+
+/// Inverse of [`pack_coalesce`].
+pub const fn unpack_coalesce(arg: u64) -> (u32, bool) {
+    ((arg >> 1) as u32, arg & 1 == 1)
 }
 
 /// Pack a [`NodeId`] into one `u64` ring cell (kind in the high half,
 /// index in the low).
 const fn pack_node(node: NodeId) -> u64 {
-    let kind = match node.kind {
-        NodeKind::Primary => 0u64,
-        NodeKind::Secondary => 1,
-        NodeKind::XLog => 2,
-        NodeKind::PageServer => 3,
-        NodeKind::XStore => 4,
-        NodeKind::Client => 5,
-        NodeKind::Fault => 6,
-        NodeKind::Acceptor => 7,
-    };
-    (kind << 32) | node.index as u64
+    ((node.kind as u64) << 32) | node.index as u64
 }
 
-fn unpack_node(v: u64) -> NodeId {
-    let kind = match v >> 32 {
-        1 => NodeKind::Secondary,
-        2 => NodeKind::XLog,
-        3 => NodeKind::PageServer,
-        4 => NodeKind::XStore,
-        5 => NodeKind::Client,
-        6 => NodeKind::Fault,
-        7 => NodeKind::Acceptor,
-        _ => NodeKind::Primary,
-    };
-    NodeId { kind, index: v as u32 }
+fn unpack_node(v: u64) -> Option<NodeId> {
+    let kind = *NodeKind::ALL.get((v >> 32) as usize)?;
+    Some(NodeId { kind, index: v as u32 })
 }
 
-/// Snapshot of one recorded span, as returned by [`SpanRing::spans`].
+/// One span: what a recording site publishes with [`SpanRing::record`]
+/// and what [`SpanRing::spans`] returns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
     /// The trace this span belongs to (equals the root span's id).
@@ -186,9 +178,13 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration, nanoseconds (clamped to ≥ 1 when recorded).
     pub dur_ns: u64,
+    /// The kind's one payload (see [`SpanKind`]); 0 when it has none.
+    pub arg: u64,
 }
 
-/// One ring slot; same generation discipline as the commit recorder.
+/// One ring slot. A generation counter (`seq`) detects reuse: readers
+/// only trust a slot whose generation is unchanged across their read.
+#[derive(Default)]
 struct Slot {
     /// Generation: `claim_counter + 1` while occupied, 0 while empty.
     seq: AtomicU64,
@@ -199,22 +195,12 @@ struct Slot {
     node: AtomicU64,
     start_ns: AtomicU64,
     dur_ns: AtomicU64,
+    arg: AtomicU64,
 }
 
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            trace_id: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            parent_id: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            node: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-        }
-    }
-}
+/// Spans a deployment's ring retains (for `socmon --export-chrome`,
+/// `socmon --reads` and blackbox bundles).
+pub const SPAN_CAPACITY: usize = 4096;
 
 /// The workspace-wide cross-tier span ring.
 ///
@@ -246,7 +232,7 @@ impl SpanRing {
     // soclint-allow: hot-path one-time construction
     pub fn new(capacity: usize, sample_every: u64) -> SpanRing {
         SpanRing {
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
             next: AtomicU64::new(0),
             ids: AtomicU64::new(1),
             sample_tick: AtomicU64::new(0),
@@ -263,16 +249,6 @@ impl SpanRing {
     /// Whether any context can ever be minted.
     pub fn is_enabled(&self) -> bool {
         self.sample_every != 0
-    }
-
-    /// The 1-in-N sampling divisor (0 = disabled).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// Number of span slots retained.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Total spans recorded since creation.
@@ -317,18 +293,8 @@ impl SpanRing {
     /// Publish one finished span. Duration is clamped to ≥ 1 ns so a span
     /// always reads as present even on a coarse clock. Ignores the zero
     /// trace (unsampled contexts may reach shared recording sites).
-    #[allow(clippy::too_many_arguments)] // the seven span fields, each explicit
-    pub fn record(
-        &self,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-        kind: SpanKind,
-        node: NodeId,
-        start_ns: u64,
-        dur_ns: u64,
-    ) {
-        if trace_id == 0 || self.slots.is_empty() {
+    pub fn record(&self, ev: SpanEvent) {
+        if ev.trace_id == 0 || self.slots.is_empty() {
             return;
         }
         // ordering: relaxed — ring cursor; slot exclusivity comes from the seqlock
@@ -337,24 +303,26 @@ impl SpanRing {
         // ordering: release — seqlock write-begin: readers must see the slot invalid before any torn payload
         slot.seq.store(0, Ordering::Release);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.trace_id.store(trace_id, Ordering::Relaxed);
+        slot.trace_id.store(ev.trace_id, Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.span_id.store(span_id, Ordering::Relaxed);
+        slot.span_id.store(ev.span_id, Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.parent_id.store(parent_id, Ordering::Relaxed);
+        slot.parent_id.store(ev.parent_id, Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.kind.store(ev.kind as u64, Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.node.store(pack_node(node), Ordering::Relaxed);
+        slot.node.store(pack_node(ev.node), Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
+        slot.start_ns.store(ev.start_ns, Ordering::Relaxed);
         // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-        slot.dur_ns.store(dur_ns.max(1), Ordering::Relaxed);
+        slot.dur_ns.store(ev.dur_ns.max(1), Ordering::Relaxed);
+        // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
+        slot.arg.store(ev.arg, Ordering::Relaxed);
         // ordering: release — seqlock publish: payload stores must not sink below this
         slot.seq.store(n + 1, Ordering::Release);
     }
 
-    /// Record the trace's root span (parent 0, span id = the minted id).
+    /// Record a payload-less root span (parent 0, span id = the minted id).
     pub fn record_root(
         &self,
         ctx: TraceCtx,
@@ -363,11 +331,21 @@ impl SpanRing {
         start_ns: u64,
         dur_ns: u64,
     ) {
-        self.record(ctx.trace_id, ctx.span_id, 0, kind, node, start_ns, dur_ns);
+        self.record(SpanEvent {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id: 0,
+            kind,
+            node,
+            start_ns,
+            dur_ns,
+            arg: 0,
+        });
     }
 
-    /// Record a finished child of `ctx`, allocating its span id. Returns
-    /// the child's id so the caller can parent further work under it.
+    /// Record a finished payload-less child of `ctx`, allocating its span
+    /// id. Returns the child's id so the caller can parent further work
+    /// under it.
     pub fn record_child(
         &self,
         ctx: TraceCtx,
@@ -379,13 +357,23 @@ impl SpanRing {
         if !ctx.sampled() {
             return 0;
         }
-        let id = self.next_span_id();
-        self.record(ctx.trace_id, id, ctx.span_id, kind, node, start_ns, dur_ns);
-        id
+        let span_id = self.next_span_id();
+        self.record(SpanEvent {
+            trace_id: ctx.trace_id,
+            span_id,
+            parent_id: ctx.span_id,
+            kind,
+            node,
+            start_ns,
+            dur_ns,
+            arg: 0,
+        });
+        span_id
     }
 
     /// Snapshot every currently-readable span, oldest first. Slots being
-    /// rewritten concurrently are skipped (seqlock read protocol).
+    /// rewritten concurrently — or decoding to no known kind or node —
+    /// are skipped as torn (seqlock read protocol).
     // soclint-allow: hot-path cold read-side snapshot (exporters, blackbox), not a recording path
     pub fn spans(&self) -> Vec<SpanEvent> {
         let mut out = Vec::new();
@@ -395,6 +383,11 @@ impl SpanRing {
             if seq == 0 {
                 continue;
             }
+            // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
+            let kind = SpanKind::ALL.get(slot.kind.load(Ordering::Relaxed) as usize).copied();
+            // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
+            let node = unpack_node(slot.node.load(Ordering::Relaxed));
+            let (Some(kind), Some(node)) = (kind, node) else { continue };
             let ev = SpanEvent {
                 // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
                 trace_id: slot.trace_id.load(Ordering::Relaxed),
@@ -402,14 +395,14 @@ impl SpanRing {
                 span_id: slot.span_id.load(Ordering::Relaxed),
                 // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
                 parent_id: slot.parent_id.load(Ordering::Relaxed),
-                // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-                kind: SpanKind::from_raw(slot.kind.load(Ordering::Relaxed)),
-                // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
-                node: unpack_node(slot.node.load(Ordering::Relaxed)),
+                kind,
+                node,
                 // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
                 start_ns: slot.start_ns.load(Ordering::Relaxed),
                 // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
                 dur_ns: slot.dur_ns.load(Ordering::Relaxed),
+                // ordering: relaxed — payload cell; ordered by the seq release/acquire pair
+                arg: slot.arg.load(Ordering::Relaxed),
             };
             // ordering: acquire — seqlock read-end: a changed seq means the payload tore
             if slot.seq.load(Ordering::Acquire) != seq {
@@ -499,17 +492,70 @@ mod tests {
     }
 
     #[test]
-    fn node_packing_roundtrips_every_kind() {
-        for node in [
-            NodeId::PRIMARY,
-            NodeId::secondary(3),
+    fn ring_encoding_roundtrips_every_span_kind_and_node_kind() {
+        // A kind is stored as its position in `ALL`, so each table must
+        // list every variant at its own discriminant.
+        for (i, kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{} out of place in SpanKind::ALL", kind.name());
+        }
+        for (i, kind) in NodeKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{} out of place in NodeKind::ALL", kind.tier_name());
+        }
+        let names: std::collections::HashSet<&str> =
+            SpanKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), SpanKind::ALL.len(), "two kinds share an export name");
+
+        // Every (kind, node kind) pair survives the ring, `arg` included.
+        let ring = SpanRing::new(SpanKind::ALL.len() * NodeKind::ALL.len(), 1);
+        let mut want = Vec::new();
+        for kind in SpanKind::ALL {
+            for node_kind in NodeKind::ALL {
+                let n = want.len() as u64 + 1;
+                let ev = SpanEvent {
+                    trace_id: n,
+                    span_id: n,
+                    parent_id: 0,
+                    kind: *kind,
+                    node: NodeId { kind: node_kind, index: n as u32 },
+                    start_ns: n,
+                    dur_ns: n,
+                    arg: u64::MAX - n,
+                };
+                ring.record(ev);
+                want.push(ev);
+            }
+        }
+        assert_eq!(ring.spans(), want);
+    }
+
+    #[test]
+    fn undecodable_slots_are_skipped_as_torn() {
+        let ring = SpanRing::new(4, 1);
+        ring.record_root(
+            TraceCtx { trace_id: 1, span_id: 1 },
+            SpanKind::Commit,
             NodeId::XLOG,
-            NodeId::page_server(7),
-            NodeId::XSTORE,
-            NodeId::client(2),
-            NodeId::FAULT,
-        ] {
-            assert_eq!(unpack_node(pack_node(node)), node);
+            1,
+            1,
+        );
+        ring.record_root(
+            TraceCtx { trace_id: 2, span_id: 2 },
+            SpanKind::GetPage,
+            NodeId::XLOG,
+            1,
+            1,
+        );
+        // ordering: relaxed — single-threaded test poking a payload cell
+        ring.slots[0].kind.store(SpanKind::ALL.len() as u64, Ordering::Relaxed);
+        // ordering: relaxed — single-threaded test poking a payload cell
+        ring.slots[1].node.store((NodeKind::ALL.len() as u64) << 32, Ordering::Relaxed);
+        assert!(ring.spans().is_empty(), "an out-of-range kind or node must not decode");
+    }
+
+    #[test]
+    fn coalesce_payload_roundtrips() {
+        for (width, fallback) in [(1, false), (16, true), (u32::MAX, true)] {
+            assert_eq!(unpack_coalesce(pack_coalesce(width, fallback)), (width, fallback));
         }
     }
 

@@ -26,9 +26,8 @@
 //! causal ids in `args`, so a traced commit renders as a cross-tier
 //! flamegraph.
 
-use super::ctx::SpanEvent;
+use super::ctx::{SpanEvent, SpanKind};
 use super::hub::{MetricSnapshot, MetricValue};
-use super::trace::{Stage, TraceRecorder};
 use crate::ids::{NodeId, NodeKind};
 use std::collections::HashSet;
 use std::fmt::Write;
@@ -169,30 +168,17 @@ pub fn json_snapshot(snapshot: &MetricSnapshot) -> String {
     out
 }
 
-/// Render a trace recorder's per-stage latency summary as JSON:
-/// `{"commits": N, "stages": {"engine": {...µs summary...}, ...}}`.
-pub fn json_trace_summary(recorder: &TraceRecorder) -> String {
-    let mut out = format!("{{\"commits\":{},\"stages\":{{", recorder.commits_recorded());
-    for (i, stage) in Stage::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let s = recorder.stage_snapshot(*stage);
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p90_us\":{},\
-             \"p99_us\":{},\"max_us\":{}}}",
-            stage.name(),
-            s.count,
-            json_f64(s.mean_us),
-            s.p50_us,
-            s.p90_us,
-            s.p99_us,
-            s.max_us,
-        );
-    }
-    out.push_str("}}");
-    out
+/// The `n` slowest spans of `kind` in a ring snapshot, slowest first —
+/// the "slowest reads / slowest commits" query over the sampled roots. A
+/// coalesced range's shared root (recorded once per member) appears
+/// once, at its longest duration.
+pub fn slowest_spans(events: &[SpanEvent], kind: SpanKind, n: usize) -> Vec<SpanEvent> {
+    let mut of_kind: Vec<SpanEvent> = events.iter().filter(|s| s.kind == kind).copied().collect();
+    of_kind.sort_by_key(|s| std::cmp::Reverse(s.dur_ns));
+    let mut seen = HashSet::new();
+    of_kind.retain(|s| seen.insert(s.span_id));
+    of_kind.truncate(n);
+    of_kind
 }
 
 /// The Chrome trace-event "thread" lane a node renders into: fixed lanes
@@ -215,7 +201,7 @@ fn chrome_lane(node: NodeId) -> u32 {
 ///
 /// Each node gets a named lane; spans are complete events (`ph:"X"`,
 /// microsecond timestamps) whose `args` carry the causal ids
-/// (`trace`/`span`/`parent`). Duplicate `(trace, span)` pairs — a
+/// (`trace`/`span`/`parent`) and the span's payload (`arg`). Duplicate `(trace, span)` pairs — a
 /// coalesced GetPage range records its shared root once per member —
 /// are emitted once.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
@@ -254,7 +240,7 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
         let _ = write!(
             out,
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
-             \"ts\":{},\"dur\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
+             \"ts\":{},\"dur\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{},\"arg\":{}}}}}",
             chrome_lane(ev.node),
             ev.kind.name(),
             ev.node.kind.tier_name(),
@@ -263,6 +249,7 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
             ev.trace_id,
             ev.span_id,
             ev.parent_id,
+            ev.arg,
         );
     }
     out.push_str("]}");
@@ -274,7 +261,6 @@ mod tests {
     use super::*;
     use crate::ids::NodeId;
     use crate::metrics::{Counter, Gauge, Histogram};
-    use crate::obs::ctx::SpanKind;
     use crate::obs::hub::MetricsHub;
     use std::sync::Arc;
 
@@ -371,19 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn json_trace_summary_parses() {
-        let r = crate::obs::trace::TraceRecorder::new(4);
-        r.record_commit(crate::TxnId::new(1), crate::Lsn::new(10), 2_000, 3_000);
-        let json = json_trace_summary(&r);
-        let v = crate::obs::testjson::parse(&json).expect("valid JSON");
-        assert_eq!(v.get("commits").and_then(|c| c.as_i64()), Some(1));
-        let stages = v.get("stages").expect("stages");
-        for stage in Stage::ALL {
-            assert!(stages.get(stage.name()).is_some(), "missing {}", stage.name());
-        }
-    }
-
-    #[test]
     fn sanitizer_and_escapes() {
         assert_eq!(prom_sanitize("a.b-c d9"), "a_b_c_d9");
         assert_eq!(prom_sanitize("9lead"), "_lead");
@@ -403,6 +376,7 @@ mod tests {
                 node: NodeId::PRIMARY,
                 start_ns: 1_000,
                 dur_ns: 9_000,
+                arg: 77,
             },
             SpanEvent {
                 trace_id: 1,
@@ -412,6 +386,7 @@ mod tests {
                 node: NodeId::XLOG,
                 start_ns: 3_000,
                 dur_ns: 2_000,
+                arg: 0,
             },
             // Duplicate (trace, span): a shared root recorded twice.
             SpanEvent {
@@ -422,6 +397,7 @@ mod tests {
                 node: NodeId::PRIMARY,
                 start_ns: 1_000,
                 dur_ns: 9_000,
+                arg: 77,
             },
         ];
         let json = chrome_trace_json(&events);
@@ -441,9 +417,39 @@ mod tests {
         let child =
             spans.iter().find(|s| s.get("name").unwrap().as_str() == Some("xlog.feed")).unwrap();
         assert_eq!(child.get("args").unwrap().get("parent").unwrap().as_i64(), Some(1));
+        let root =
+            spans.iter().find(|s| s.get("name").unwrap().as_str() == Some("commit")).unwrap();
+        assert_eq!(root.get("args").unwrap().get("arg").unwrap().as_i64(), Some(77));
         assert_eq!(child.get("ts").unwrap().as_f64(), Some(3.0), "ns render as µs");
         // Lanes differ across tiers.
         assert_ne!(child.get("tid").unwrap().as_i64(), spans[0].get("tid").unwrap().as_i64());
+    }
+
+    #[test]
+    fn slowest_spans_ranks_one_kind_and_collapses_shared_roots() {
+        let ev = |span_id: u64, kind: SpanKind, dur_ns: u64| SpanEvent {
+            trace_id: span_id,
+            span_id,
+            parent_id: 0,
+            kind,
+            node: NodeId::PRIMARY,
+            start_ns: 0,
+            dur_ns,
+            arg: 0,
+        };
+        let events = [
+            ev(1, SpanKind::GetPage, 30),
+            ev(2, SpanKind::Commit, 900),
+            ev(3, SpanKind::GetPage, 70),
+            // A coalesced range's root, recorded by two of its members.
+            ev(4, SpanKind::GetPage, 50),
+            ev(4, SpanKind::GetPage, 60),
+        ];
+        let slow = slowest_spans(&events, SpanKind::GetPage, 2);
+        let got: Vec<(u64, u64)> = slow.iter().map(|s| (s.span_id, s.dur_ns)).collect();
+        assert_eq!(got, [(3, 70), (4, 60)]);
+        assert_eq!(slowest_spans(&events, SpanKind::GetPage, 10).len(), 3);
+        assert!(slowest_spans(&events, SpanKind::PsApply, 10).is_empty());
     }
 
     #[test]

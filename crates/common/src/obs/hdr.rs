@@ -6,7 +6,7 @@
 //!   `2^sub_bits` linear sub-buckets, bounding relative error at
 //!   `2^-sub_bits` across the whole `u64` range — no configured "max
 //!   trackable value", no tail saturation.
-//! - [`HdrSnapshot`]: an owned, mergeable copy of the bucket counts with
+//! - [`HdrSnapshot`]: an owned copy of the bucket counts with
 //!   exact side-stats, from which percentiles are read.
 //!
 //! All recording-path operations are single relaxed atomic RMWs; snapshots
@@ -95,19 +95,13 @@ impl HdrHistogram {
         }
     }
 
-    /// The configured sub-bucket resolution.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_n(v, 1);
     }
 
-    /// Record `n` identical samples in one pass (used by merges and by
-    /// callers that batch).
+    /// Record `n` identical samples in one pass.
     pub fn record_n(&self, v: u64, n: u64) {
         if n == 0 {
             return;
@@ -169,7 +163,7 @@ impl HdrHistogram {
         self.max.load(Ordering::Relaxed) // ordering: relaxed — monitoring read; staleness is acceptable
     }
 
-    /// An owned, mergeable copy of the current state.
+    /// An owned copy of the current state.
     pub fn snapshot(&self) -> HdrSnapshot {
         let buckets: Vec<u64> = self
             .buckets
@@ -222,8 +216,8 @@ impl HdrHistogram {
     }
 }
 
-/// An owned copy of an [`HdrHistogram`]'s state: mergeable, readable
-/// without touching the live atomics.
+/// An owned copy of an [`HdrHistogram`]'s state, readable without
+/// touching the live atomics.
 #[derive(Clone, Debug)]
 pub struct HdrSnapshot {
     sub_bits: u32,
@@ -236,19 +230,6 @@ pub struct HdrSnapshot {
 }
 
 impl HdrSnapshot {
-    /// An empty snapshot (identity element for [`HdrSnapshot::merge`]).
-    pub fn empty(sub_bits: u32) -> HdrSnapshot {
-        HdrSnapshot {
-            sub_bits,
-            buckets: vec![0; num_buckets(sub_bits)],
-            count: 0,
-            sum: 0,
-            sumsq: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -271,26 +252,6 @@ impl HdrSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Fold `other` into `self`. Bucket-wise addition plus exact side-stat
-    /// combination — associative and commutative, which is what lets the
-    /// shards be merged in any order.
-    ///
-    /// # Panics
-    /// Panics if the two snapshots have different resolutions.
-    pub fn merge(&mut self, other: &HdrSnapshot) {
-        assert_eq!(self.sub_bits, other.sub_bits, "merging snapshots of different resolution");
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        if other.count > 0 {
-            self.min = if self.count == 0 { other.min } else { self.min.min(other.min) };
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.sumsq = self.sumsq.saturating_add(other.sumsq);
     }
 
     /// Value at quantile `q` in `[0, 1]`. `q = 0` reports the exact
@@ -407,35 +368,5 @@ mod tests {
         let snap_s = h.snapshot().to_summary();
         assert_eq!(snap_s.count, s.count);
         assert_eq!(snap_s.p99_us, s.p99_us);
-    }
-
-    #[test]
-    fn merge_is_associative_on_samples() {
-        let mk = |vals: &[u64]| {
-            let h = HdrHistogram::new(5);
-            for &v in vals {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let (a, b, c) = (mk(&[1, 5, 9]), mk(&[1_000, 2_000]), mk(&[77; 10]));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c.count(), a_bc.count());
-        assert_eq!(ab_c.buckets, a_bc.buckets);
-        assert_eq!(ab_c.min(), a_bc.min());
-        assert_eq!(ab_c.max(), a_bc.max());
-    }
-
-    #[test]
-    #[should_panic(expected = "different resolution")]
-    fn merge_rejects_mismatched_resolution() {
-        let mut a = HdrSnapshot::empty(4);
-        a.merge(&HdrSnapshot::empty(5));
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the HDR log-linear histogram (`obs::hdr`): the
-//! bucket-layout invariants every percentile read depends on, merge
-//! algebra, and percentile monotonicity.
+//! bucket-layout invariants every percentile read depends on and
+//! percentile monotonicity.
 
 use proptest::prelude::*;
 use socrates_common::obs::hdr::{
@@ -51,49 +51,6 @@ proptest! {
     fn index_monotone(a in any::<u64>(), b in any::<u64>(), sub_bits in 1u32..=8) {
         let (lo, hi) = (a.min(b), a.max(b));
         prop_assert!(bucket_index(sub_bits, lo) <= bucket_index(sub_bits, hi));
-    }
-
-    /// Merge is associative and commutative: any grouping of the same
-    /// shard snapshots yields identical buckets and side-stats.
-    #[test]
-    fn merge_associative_commutative(
-        xs in proptest::collection::vec(any::<u64>(), 0..40),
-        ys in proptest::collection::vec(any::<u64>(), 0..40),
-        zs in proptest::collection::vec(any::<u64>(), 0..40),
-    ) {
-        let (a, b, c) = (snapshot_of(5, &xs), snapshot_of(5, &ys), snapshot_of(5, &zs));
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        // c ⊕ b ⊕ a (commuted)
-        let mut comm = c.clone();
-        comm.merge(&b);
-        comm.merge(&a);
-
-        for other in [&right, &comm] {
-            prop_assert_eq!(left.count(), other.count());
-            prop_assert_eq!(left.min(), other.min());
-            prop_assert_eq!(left.max(), other.max());
-            for q in [0.0, 0.5, 0.99, 1.0] {
-                prop_assert_eq!(left.percentile(q), other.percentile(q));
-            }
-        }
-        // And the merge equals recording the concatenation directly.
-        let mut all = xs.clone();
-        all.extend(&ys);
-        all.extend(&zs);
-        let direct = snapshot_of(5, &all);
-        prop_assert_eq!(left.count(), direct.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.999, 1.0] {
-            prop_assert_eq!(left.percentile(q), direct.percentile(q));
-        }
     }
 
     /// Percentiles are monotone in the quantile and bracketed by min/max.

@@ -1,22 +1,21 @@
-//! Concurrency invariants of the lock-free observability rings, written
-//! to run under Miri (`cargo +nightly miri test -p socrates-common
-//! --test ring_invariants`) as well as natively. Miri executes these
-//! with real threads and checks every atomic access against the memory
-//! model, so a missing fence or a torn seqlock read shows up as UB, not
-//! as a once-a-month flake.
+//! Concurrency invariants of the lock-free span ring, written to run
+//! under Miri (`cargo +nightly miri test -p socrates-common --test
+//! ring_invariants`) as well as natively. Miri executes these with real
+//! threads and checks every atomic access against the memory model, so
+//! a missing fence or a torn seqlock read shows up as UB, not as a
+//! once-a-month flake.
 //!
-//! The payloads are self-checking: every recorded span/commit stores the
-//! same value in all of its cells, so any torn read (mixing two
-//! generations of one slot) breaks an equality the assertions check.
+//! The payloads are self-checking: every recorded span stores the same
+//! value in all of its cells (`arg` included), so any torn read (mixing
+//! two generations of one slot) breaks an equality the assertions check.
 
 use socrates_common::metrics::{Counter, Histogram};
-use socrates_common::obs::span::{HedgeOutcome, ReadTrace, ReadTraceRecorder, SLOW_OP_CAPACITY};
-use socrates_common::obs::trace::{Stage, TraceRecorder};
-use socrates_common::obs::{SpanKind, SpanRing};
-use socrates_common::{Lsn, NodeId, PageId, TxnId};
+use socrates_common::obs::{MarkQueue, SpanEvent, SpanKind, SpanRing};
+use socrates_common::{Lsn, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Iteration scale: Miri is ~two orders of magnitude slower than native,
 /// so keep the schedules short there — the interleavings it explores are
@@ -31,170 +30,79 @@ const fn per_thread() -> u64 {
 
 const WRITERS: u64 = 4;
 
-/// A span whose cells all encode the same tag, so readers can detect
-/// generation mixing.
-fn tagged_span(tag: u64) -> ReadTrace {
-    ReadTrace {
-        page: PageId::new(tag),
-        min_lsn: Lsn::new(tag),
-        stage_ns: [tag; 6],
-        hedge: HedgeOutcome::None,
-        range_width: 1,
-        range_fallback: false,
-    }
-}
-
-/// Check one snapshot for generation mixing: every cell of every span
-/// must carry the span's own tag.
-fn assert_untorn(traces: &[ReadTrace]) {
-    for t in traces {
-        let tag = t.page.raw();
-        assert_eq!(t.min_lsn.offset(), tag, "page/lsn cells from different generations");
-        assert!(
-            t.stage_ns.iter().all(|&ns| ns == tag),
-            "stage cells from different generations: tag {tag}, stages {:?}",
-            t.stage_ns
-        );
-    }
-}
-
 #[test]
-fn span_ring_readers_never_observe_torn_slots() {
-    let rec = Arc::new(ReadTraceRecorder::new(8));
-    let done = Arc::new(AtomicBool::new(false));
+fn mark_queue_completes_each_mark_once_in_lsn_order() {
+    let t0 = Instant::now();
+    let at = |ms: u64| t0 + Duration::from_millis(ms);
+    let mut q = MarkQueue::default();
+    let mut done: Vec<(u64, Duration)> = Vec::new();
 
-    thread::scope(|s| {
-        for w in 0..WRITERS {
-            let rec = Arc::clone(&rec);
-            s.spawn(move || {
-                for i in 0..per_thread() {
-                    // Tags start at 1: a zero tag would be clamped to 1ns
-                    // by the recorder and break the equality check.
-                    rec.record(tagged_span(w * 1_000_000 + i + 1));
-                }
-            });
-        }
-        let reader_rec = Arc::clone(&rec);
-        let reader_done = Arc::clone(&done);
-        let reader = s.spawn(move || {
-            let mut snapshots = 0u64;
-            // Always snapshot at least once, even if the writers finish
-            // before this thread is first scheduled.
-            loop {
-                assert_untorn(&reader_rec.traces());
-                snapshots += 1;
-                if reader_done.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            snapshots
-        });
-        // Scope exit joins every thread, including the reader — so stop
-        // the reader once all writers have published their last span.
-        while rec.spans_recorded() < WRITERS * per_thread() {
-            thread::yield_now();
-        }
-        done.store(true, Ordering::Release);
-        assert!(reader.join().unwrap() > 0, "reader never snapshotted");
-    });
+    // A zero frontier, then a repeated and a regressing one, leave no mark.
+    q.push(Lsn::ZERO, at(0));
+    q.push(Lsn::new(100), at(1));
+    q.push(Lsn::new(100), at(2));
+    q.push(Lsn::new(40), at(3));
+    q.push(Lsn::new(200), at(4));
+    q.push(Lsn::new(300), at(5));
+    assert_eq!(q.len(), 3);
 
-    // Quiescent state: full ring, everything consistent and complete.
-    let traces = rec.traces();
-    assert_eq!(traces.len(), 8, "ring retains exactly its capacity once full");
-    assert_untorn(&traces);
-    assert!(traces.iter().all(ReadTrace::is_complete));
-    assert_eq!(rec.spans_recorded(), WRITERS * per_thread());
-    assert_eq!(rec.completed_traces().len(), traces.len());
-}
+    // The watermark passes the first two marks: they complete oldest
+    // first, each timed from its own push.
+    q.advance(Lsn::new(250), at(10), |lsn, waited| done.push((lsn.offset(), waited)));
+    assert_eq!(done, [(100, Duration::from_millis(9)), (200, Duration::from_millis(6))]);
 
-#[test]
-fn slow_ring_keeps_the_exact_global_top_k() {
-    // Totals are distinct across all writers (w*per_thread + i + 1 in
-    // nanoseconds per stage), so the top-K retained set is unique and
-    // the admission-floor heuristic must converge on exactly it: the
-    // floor only ever rises to the smallest retained total, so it can
-    // admit a doomed span early but can never reject a top-K span.
-    let rec = Arc::new(ReadTraceRecorder::new(64));
-    thread::scope(|s| {
-        for w in 0..WRITERS {
-            let rec = Arc::clone(&rec);
-            s.spawn(move || {
-                for i in 0..per_thread() {
-                    rec.record(tagged_span(w * per_thread() + i + 1));
-                }
-            });
-        }
-    });
-    let total = WRITERS * per_thread();
-    let slow = rec.slow_ops();
-    assert_eq!(slow.len(), SLOW_OP_CAPACITY.min(total as usize));
-    // Slowest first, and exactly the top-K tags: total_ns = 6 * tag.
-    let expected: Vec<u64> = (0..slow.len() as u64).map(|k| (total - k) * 6).collect();
-    let got: Vec<u64> = slow.iter().map(ReadTrace::total_ns).collect();
-    assert_eq!(got, expected, "slow ring must retain exactly the global top-K");
-}
-
-#[test]
-fn commit_ring_frontier_completion_is_consistent() {
-    let rec = Arc::new(TraceRecorder::new(8));
-    let done = Arc::new(AtomicBool::new(false));
-
-    thread::scope(|s| {
-        for w in 0..WRITERS {
-            let rec = Arc::clone(&rec);
-            s.spawn(move || {
-                for i in 0..per_thread() {
-                    let tag = w * 1_000_000 + i + 1;
-                    rec.record_commit(TxnId::new(tag), Lsn::new(tag), 10, 10);
-                }
-            });
-        }
-        // A frontier watcher racing the writers: completes async stages
-        // on whatever commits it catches; seqlock re-checks must keep it
-        // from stamping recycled slots.
-        let watcher_rec = Arc::clone(&rec);
-        let watcher_done = Arc::clone(&done);
-        let watcher = s.spawn(move || {
-            while !watcher_done.load(Ordering::Acquire) {
-                for stage in Stage::ASYNC {
-                    watcher_rec.note_frontier(stage, Lsn::new(u64::MAX / 2));
-                }
-                thread::yield_now();
-            }
-        });
-        while rec.commits_recorded() < WRITERS * per_thread() {
-            thread::yield_now();
-        }
-        done.store(true, Ordering::Release);
-        watcher.join().unwrap();
-    });
-
-    // Drain: one more frontier pass completes every retained trace.
-    for stage in Stage::ASYNC {
-        rec.note_frontier(stage, Lsn::new(u64::MAX / 2));
+    // The same frontier seen again, a regressing one and a zero one
+    // record nothing twice.
+    for frontier in [250, 150, 0] {
+        q.advance(Lsn::new(frontier), at(11), |lsn, _| panic!("mark {lsn} completed twice"));
     }
-    let traces = rec.traces();
-    assert_eq!(traces.len(), 8);
-    for t in &traces {
-        assert_eq!(t.txn.raw(), t.lsn.offset(), "txn/lsn cells from different generations");
-        assert!(t.is_complete(), "post-drain trace missing a stage: {t:?}");
+    q.advance(Lsn::new(300), at(12), |lsn, waited| done.push((lsn.offset(), waited)));
+    assert_eq!(done.len(), 3);
+    assert_eq!(done[2], (300, Duration::from_millis(7)));
+    assert!(q.is_empty());
+
+    // Bounded: a stalled watermark drops the oldest marks, not the newest.
+    let cap = socrates_common::obs::stage::MARK_CAPACITY as u64;
+    for i in 1..=cap + 5 {
+        q.push(Lsn::new(1_000 + i), at(20));
     }
-    assert_eq!(rec.commits_recorded(), WRITERS * per_thread());
+    assert_eq!(q.len() as u64, cap);
+    let mut first = None;
+    q.advance(Lsn::new(u64::MAX), at(21), |lsn, _| {
+        first.get_or_insert(lsn.offset());
+    });
+    assert_eq!(first, Some(1_000 + 6), "the five oldest marks were dropped");
+    q.push(Lsn::new(5_000), at(22));
+    q.clear();
+    assert!(q.is_empty());
 }
 
 /// Record a cross-tier span whose every cell carries `tag`, so readers
-/// can detect generation mixing the same way `tagged_span` does for the
-/// read-trace ring. Tags must be ≥ 1 (0 is the "unsampled" sentinel).
+/// can detect generation mixing. Tags must be ≥ 1 (0 is the "unsampled"
+/// sentinel).
 fn record_tagged(ring: &SpanRing, tag: u64) {
-    ring.record(tag, tag, tag, SpanKind::WalHarden, NodeId::XLOG, tag, tag);
+    ring.record(SpanEvent {
+        trace_id: tag,
+        span_id: tag,
+        parent_id: tag,
+        kind: SpanKind::WalHarden,
+        node: NodeId::XLOG,
+        start_ns: tag,
+        dur_ns: tag,
+        arg: tag,
+    });
 }
 
-fn assert_spans_untorn(spans: &[socrates_common::obs::SpanEvent]) {
+fn assert_spans_untorn(spans: &[SpanEvent]) {
     for s in spans {
         let tag = s.trace_id;
         assert!(tag != 0, "unsampled span leaked into the ring");
         assert!(
-            s.span_id == tag && s.parent_id == tag && s.start_ns == tag && s.dur_ns == tag,
+            s.span_id == tag
+                && s.parent_id == tag
+                && s.start_ns == tag
+                && s.dur_ns == tag
+                && s.arg == tag,
             "span cells from different generations: {s:?}"
         );
         assert_eq!(s.kind, SpanKind::WalHarden);

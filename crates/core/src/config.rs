@@ -71,20 +71,12 @@ pub struct SocratesConfig {
     pub compute_cores: u32,
     /// RBIO server worker threads per page server.
     pub rbio_workers: usize,
-    /// Commit traces retained for percentile/outlier queries
-    /// (0 disables commit tracing entirely).
-    pub trace_capacity: usize,
-    /// Read-path spans retained for per-stage GetPage latency attribution
-    /// and the slow-op ring (0 disables read tracing entirely; the miss
-    /// path then takes no clock reads and allocates nothing for tracing).
-    pub read_trace_capacity: usize,
     /// Cross-tier causal tracing: sample every Nth commit / GetPage miss
     /// into the span ring (0 disables tracing entirely; the disarmed path
-    /// is one relaxed load per sampling site and copies zeros on the wire).
+    /// is one immutable-field compare per sampling site and copies zeros
+    /// on the wire). The per-stage commit/read histograms are always on
+    /// and do not depend on this.
     pub trace_sample: u64,
-    /// Cross-tier span-ring capacity (events retained for `socmon
-    /// --export-chrome` and blackbox bundles).
-    pub span_capacity: usize,
     /// Metric-history ring capacity in snapshots (0 disables time-series
     /// telemetry, SLO evaluation, and `socmon --watch` rates).
     pub hub_history_capacity: usize,
@@ -101,10 +93,10 @@ pub struct SocratesConfig {
     pub blackbox_enabled: bool,
     /// Directory blackbox bundles are written into.
     pub blackbox_dir: std::path::PathBuf,
-    /// Ring entries retained per section in a blackbox bundle.
+    /// Spans / fault events retained per section in a blackbox bundle.
     pub blackbox_last_n: usize,
-    /// Sampling interval of the LSN-lag watcher thread, which completes
-    /// the async commit-trace stages and updates deployment lag gauges.
+    /// Sampling interval of the LSN-lag watcher thread, which times the
+    /// async commit stages and updates deployment lag gauges.
     pub watcher_interval: Duration,
     /// Seed for the fault-injection registry (independent of `seed` so a
     /// fault schedule can be varied without perturbing the workload).
@@ -142,10 +134,7 @@ impl SocratesConfig {
             hedge: HedgeConfig::disabled(),
             compute_cores: 8,
             rbio_workers: 4,
-            trace_capacity: 1024,
-            read_trace_capacity: 1024,
             trace_sample: 0,
-            span_capacity: 4096,
             hub_history_capacity: 0,
             hub_history_interval: Duration::from_millis(100),
             slo_spec: String::new(),
@@ -218,18 +207,10 @@ impl SocratesConfig {
         self
     }
 
-    /// Set the read-span ring capacity (0 disables read tracing — the
-    /// tracing-overhead A/B knob).
-    pub fn with_read_trace_capacity(mut self, capacity: usize) -> SocratesConfig {
-        self.read_trace_capacity = capacity;
-        self
-    }
-
     /// Arm cross-tier causal tracing: sample every `sample`-th commit /
-    /// GetPage miss into a `capacity`-event span ring (0 disables).
-    pub fn with_trace_sample(mut self, sample: u64, capacity: usize) -> SocratesConfig {
+    /// GetPage miss into the span ring (0 disables).
+    pub fn with_trace_sample(mut self, sample: u64) -> SocratesConfig {
         self.trace_sample = sample;
-        self.span_capacity = capacity;
         self
     }
 

@@ -14,7 +14,7 @@ use crate::primary::Primary;
 use crate::secondary::Secondary;
 use parking_lot::RwLock;
 use socrates_common::lock_rank;
-use socrates_common::obs::{MetricsHub, ReadTraceRecorder, TraceRecorder};
+use socrates_common::obs::MetricsHub;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
 use socrates_engine::recovery::{analyze, find_last_checkpoint};
 use socrates_engine::txn::TxnCheckpointMeta;
@@ -94,17 +94,6 @@ impl Socrates {
     /// The deployment-wide metrics hub (every tier registers here).
     pub fn hub(&self) -> &MetricsHub {
         &self.fabric.hub
-    }
-
-    /// The commit-trace recorder (per-stage commit-path timings).
-    pub fn trace(&self) -> &Arc<TraceRecorder> {
-        &self.fabric.trace
-    }
-
-    /// The read-span recorder (per-stage GetPage miss timings and the
-    /// slow-op ring).
-    pub fn read_trace(&self) -> &Arc<ReadTraceRecorder> {
-        &self.fabric.read_trace
     }
 
     /// The current primary.

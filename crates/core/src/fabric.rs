@@ -14,16 +14,17 @@ use socrates_common::latency::LatencyInjector;
 use socrates_common::lock_rank;
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant, CpuRegistry};
+use socrates_common::obs::ctx::{HEDGE_LOST, HEDGE_WON};
 use socrates_common::obs::{
-    BlackboxRecorder, BlackboxSources, HubHistory, MetricsHub, ReadStage, ReadTraceRecorder,
-    SloEngine, SloStatus, SpanKind, SpanRing, Stage, TraceCtx, TraceRecorder,
+    BlackboxRecorder, BlackboxSources, HubHistory, MetricsHub, SloEngine, SloStatus, SpanEvent,
+    SpanKind, SpanRing, Stage, StageHists, StageSet, TraceCtx, SPAN_CAPACITY,
 };
 use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
 use socrates_engine::PageAccess;
 use socrates_pageserver::{
     CompactionWorker, PageServer, PageServerHandler, PageServerWiring, PartitionSpec,
 };
-use socrates_rbio::replica::ReplicaSet;
+use socrates_rbio::replica::{CallMeta, ReplicaSet};
 use socrates_rbio::transport::{NetworkConfig, RbioServer};
 use socrates_storage::cache::{
     EvictionListener, FetchMeta, PageRef, PageSource, TieredCache, WalFlushHook,
@@ -123,15 +124,15 @@ pub struct Fabric {
     /// The deployment-wide metric registry: every tier registers its
     /// counters, gauges, and histograms here, keyed by node.
     pub hub: MetricsHub,
-    /// The commit trace recorder, shared by every primary the deployment
-    /// ever runs (failover replaces the primary, not its trace history).
-    pub trace: Arc<TraceRecorder>,
-    /// The read-path span recorder (GetPage miss attribution), shared by
-    /// every primary for the same reason.
-    pub read_trace: Arc<ReadTraceRecorder>,
+    /// The commit-stage histograms (`primary.commit_stage_*_us`), shared
+    /// by every primary the deployment ever runs (failover replaces the
+    /// primary, not its commit history) and by the lag watcher, which
+    /// feeds the asynchronous stages.
+    pub commit_stages: Arc<StageHists<Stage>>,
     /// The cross-tier causal span ring: every tier of the deployment
     /// records its leg of a sampled commit or GetPage here. Disabled
-    /// (`trace_sample = 0`) it is a single relaxed load per sampling site.
+    /// (`trace_sample = 0`) it is one immutable-field compare per
+    /// sampling site.
     pub spans: Arc<SpanRing>,
     /// Periodic hub snapshots (time-series telemetry; capacity 0 = off).
     pub history: Arc<HubHistory>,
@@ -315,31 +316,19 @@ impl Fabric {
                 (lz2.head().offset() as i64 - lz2.tail().offset() as i64).max(0)
             });
         }
-        let trace = Arc::new(TraceRecorder::new(config.trace_capacity));
         // Per-stage commit latency histograms, exported under the primary
         // (the node whose commits they describe).
-        for stage in Stage::ALL {
-            let t = Arc::clone(&trace);
-            hub.register_histogram_fn(
+        let commit_stages: Arc<StageHists<Stage>> = Arc::default();
+        for (stage, hist) in commit_stages.iter() {
+            hub.register_histogram(
                 NodeId::PRIMARY,
                 &format!("commit_stage_{}_us", stage.name()),
-                move || t.stage_snapshot(stage),
-            );
-        }
-        let read_trace = Arc::new(ReadTraceRecorder::new(config.read_trace_capacity));
-        // Per-stage read latency histograms, likewise under the primary
-        // (its cache misses are the spans).
-        for stage in ReadStage::ALL {
-            let t = Arc::clone(&read_trace);
-            hub.register_histogram_fn(
-                NodeId::PRIMARY,
-                &format!("read_stage_{}_us", stage.name()),
-                move || t.stage_snapshot(stage),
+                Arc::clone(hist),
             );
         }
         let degraded_reads = Arc::new(Counter::new());
         hub.register_counter(NodeId::PRIMARY, "degraded_reads_total", Arc::clone(&degraded_reads));
-        let spans = Arc::new(SpanRing::new(config.span_capacity, config.trace_sample));
+        let spans = Arc::new(SpanRing::new(SPAN_CAPACITY, config.trace_sample));
         let history =
             Arc::new(HubHistory::new(config.hub_history_capacity, config.hub_history_interval));
         let slo = SloEngine::parse(&config.slo_spec)
@@ -348,8 +337,6 @@ impl Fabric {
             Arc::new(BlackboxRecorder::new(
                 BlackboxSources {
                     hub: hub.clone(),
-                    commits: Some(Arc::clone(&trace)),
-                    reads: Some(Arc::clone(&read_trace)),
                     spans: Some(Arc::clone(&spans)),
                     faults: Some(faults.clone()),
                 },
@@ -367,8 +354,7 @@ impl Fabric {
             xlog,
             cpu,
             hub,
-            trace,
-            read_trace,
+            commit_stages,
             spans,
             history,
             slo,
@@ -638,14 +624,13 @@ impl Fabric {
     /// Free the primary *process*'s metric names after a crash or failover
     /// so the successor's registrations are not dropped by the hub's
     /// keep-first rule. Deployment-lifetime metrics exported under the
-    /// primary node id (commit/read stage histograms, the degraded-read
-    /// counter) are spared: their recorders live in the fabric and outlive
-    /// any one primary.
+    /// primary node id (the commit-stage histograms, the degraded-read
+    /// counter) are spared: they live in the fabric and outlive any one
+    /// primary. The read-stage histograms belong to the primary's cache
+    /// and are retired with it.
     pub fn unregister_primary_process_metrics(&self) {
         self.hub.unregister_where(NodeId::PRIMARY, |name| {
-            !(name.starts_with("commit_stage_")
-                || name.starts_with("read_stage_")
-                || name == "degraded_reads_total")
+            !(name.starts_with("commit_stage_") || name == "degraded_reads_total")
         });
     }
 
@@ -879,8 +864,8 @@ impl Fabric {
 
     /// Assemble compute node `node`'s tiered cache: memory over (optional)
     /// RBPEX over GetPage@LSN, misses through the I/O scheduler when it is
-    /// enabled, the deployment's read-trace recorder and span ring handed
-    /// in, scheduler metrics registered under `node`.
+    /// enabled, the deployment's span ring handed in, the cache's
+    /// read-stage histograms and scheduler metrics registered under `node`.
     pub(crate) fn compute_cache(
         self: &Arc<Self>,
         node: NodeId,
@@ -911,7 +896,6 @@ impl Fabric {
             None
         };
         let source = Arc::new(RemotePageSource::new(Arc::clone(self), cpu, node));
-        let read_trace = Arc::clone(&self.read_trace);
         let spans = (Arc::clone(&self.spans), node);
         let cache = if config.sched.enabled {
             TieredCache::with_scheduler(
@@ -920,7 +904,6 @@ impl Fabric {
                 source,
                 wal_flush,
                 on_evict,
-                read_trace,
                 spans,
                 config.sched.clone(),
             )
@@ -931,10 +914,16 @@ impl Fabric {
                 source,
                 wal_flush,
                 on_evict,
-                read_trace,
                 spans,
             ))
         };
+        for (stage, hist) in cache.read_stages().iter() {
+            self.hub.register_histogram(
+                node,
+                &format!("read_stage_{}_us", stage.name()),
+                Arc::clone(hist),
+            );
+        }
         if let Some(sched) = cache.scheduler() {
             sched.register_metrics(&self.hub, node);
         }
@@ -1056,11 +1045,24 @@ impl RemotePageSource {
 
 impl RemotePageSource {
     /// Record the client-side `rbio.net` wire child for a sampled fetch
-    /// that started at `start` (ring timebase).
-    fn record_net_span(&self, ctx: TraceCtx, start: u64) {
+    /// that started at `start` (ring timebase); its `arg` is the call's
+    /// hedge outcome.
+    fn record_net_span(&self, ctx: TraceCtx, start: u64, call: &CallMeta) {
         let ring = &self.fabric.spans;
-        let dur = ring.now_ns().saturating_sub(start);
-        ring.record_child(ctx, SpanKind::RbioNet, self.node, start, dur);
+        ring.record(SpanEvent {
+            trace_id: ctx.trace_id,
+            span_id: ring.next_span_id(),
+            parent_id: ctx.span_id,
+            kind: SpanKind::RbioNet,
+            node: self.node,
+            start_ns: start,
+            dur_ns: ring.now_ns().saturating_sub(start),
+            arg: match (call.hedge_fired, call.hedge_won) {
+                (_, true) => HEDGE_WON,
+                (true, false) => HEDGE_LOST,
+                (false, false) => 0,
+            },
+        });
     }
 
     /// The minting single-page fetch body: `ctx` is the GetPage root
@@ -1095,7 +1097,7 @@ impl RemotePageSource {
         };
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         if let Some(start) = net_start {
-            self.record_net_span(ctx, start);
+            self.record_net_span(ctx, start, &call);
         }
         match resp {
             socrates_rbio::proto::RbioResponse::Page { bytes, serve_us } => {
@@ -1104,10 +1106,7 @@ impl RemotePageSource {
                     net_ns: elapsed_ns.saturating_sub(serve_ns).max(1),
                     serve_ns,
                     range_width: 1,
-                    hedge_fired: call.hedge_fired,
-                    hedge_won: call.hedge_won,
-                    trace_id: ctx.trace_id,
-                    root_span: ctx.span_id,
+                    root: ctx,
                     ..FetchMeta::default()
                 };
                 Page::from_io_bytes(id, &bytes).map(|page| (page, meta))
@@ -1143,18 +1142,13 @@ impl RangedPageSource for RemotePageSource {
         min_lsn: Lsn,
     ) -> Result<(Vec<Page>, FetchMeta)> {
         let mut pages = Vec::with_capacity(count as usize);
-        // One meta covers the whole range: serve time sums over segments,
-        // hedge outcomes OR together, and the caller charges wall-clock
-        // minus serve as the network stage. One trace ctx likewise — the
-        // whole range is one GetPage root, with an `rbio.net` child per
-        // wire call.
+        // One meta covers the whole range: serve time sums over segments
+        // and the caller charges wall-clock minus serve as the network
+        // stage. One trace ctx likewise — the whole range is one GetPage
+        // root, with an `rbio.net` child (carrying that call's hedge
+        // outcome) per wire call.
         let ctx = self.fabric.spans.try_sample().unwrap_or(TraceCtx::NONE);
-        let mut meta = FetchMeta {
-            range_width: count,
-            trace_id: ctx.trace_id,
-            root_span: ctx.span_id,
-            ..FetchMeta::default()
-        };
+        let mut meta = FetchMeta { range_width: count, root: ctx, ..FetchMeta::default() };
         let t0 = std::time::Instant::now();
         let end = first.raw() + count as u64;
         let mut cursor = first.raw();
@@ -1167,8 +1161,6 @@ impl RangedPageSource for RemotePageSource {
                 // The single-page path degrades internally.
                 let (page, one) = self.fetch_page_traced_ctx(PageId::new(cursor), min_lsn, ctx)?;
                 meta.serve_ns += one.serve_ns;
-                meta.hedge_fired |= one.hedge_fired;
-                meta.hedge_won |= one.hedge_won;
                 pages.push(page);
             } else {
                 match self.route_for(PageId::new(cursor)) {
@@ -1191,10 +1183,8 @@ impl RangedPageSource for RemotePageSource {
                             Err(e) => return Err(e),
                             Ok((resp, call)) => {
                                 if let Some(start) = net_start {
-                                    self.record_net_span(ctx, start);
+                                    self.record_net_span(ctx, start, &call);
                                 }
-                                meta.hedge_fired |= call.hedge_fired;
-                                meta.hedge_won |= call.hedge_won;
                                 match resp {
                                     socrates_rbio::proto::RbioResponse::PageRange {
                                         pages: raw,

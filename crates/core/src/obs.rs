@@ -2,23 +2,23 @@
 //!
 //! The services register their own watermarks as closure-sampled gauges
 //! (see each tier's `register_metrics`); what they cannot do on their own
-//! is complete the *asynchronous* stages of a commit trace — a commit is
-//! "destaged" only once XLOG's archive frontier passes its LSN, "applied"
-//! only once every page server (and secondary) has consumed the log past
-//! it. Those frontiers belong to the deployment, so this watcher thread
-//! samples them periodically, feeds them to the shared
-//! [`TraceRecorder`](socrates_common::obs::TraceRecorder), and maintains
-//! the deployment-wide lag gauges that cut across tiers.
+//! is time the *asynchronous* stages of a commit — a commit is "destaged"
+//! only once XLOG's archive frontier passes its LSN, "applied" only once
+//! every page server (and secondary) has consumed the log past it. Those
+//! frontiers belong to the deployment, so this watcher thread samples
+//! them periodically, times them against marks of the hardened frontier
+//! ([`MarkQueue`]) into the deployment's commit-stage histograms, and
+//! maintains the deployment-wide lag gauges that cut across tiers.
 
 use crate::fabric::Fabric;
 use crate::secondary::Secondary;
 use parking_lot::{Mutex, RwLock};
 use socrates_common::metrics::Gauge;
-use socrates_common::obs::Stage;
-use socrates_common::NodeId;
+use socrates_common::obs::{MarkQueue, Stage};
+use socrates_common::{Lsn, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The secondaries list shared between the deployment and the watcher
 /// (scale-out/in mutates it while the watcher samples it).
@@ -33,8 +33,8 @@ pub struct LagWatcher {
 
 impl LagWatcher {
     /// Start the watcher. `interval` is the sampling period; every tick it
-    /// advances the trace recorder's async-stage frontiers and updates the
-    /// deployment lag gauges.
+    /// times the async commit stages and updates the deployment lag
+    /// gauges.
     pub fn start(
         fabric: Arc<Fabric>,
         secondaries: SecondaryList,
@@ -52,14 +52,16 @@ impl LagWatcher {
         let handle = std::thread::Builder::new()
             .name("lsn-lag-watcher".into())
             .spawn(move || {
+                // One mark queue per async stage, `Stage::ASYNC` order.
+                let mut marks: [MarkQueue; 3] = Default::default();
                 // ordering: relaxed — shutdown poll; one extra tick is harmless
                 while !stop2.load(Ordering::Relaxed) {
-                    Self::sample(&fabric, &secondaries, &ps_lag, &sec_lag);
+                    Self::sample(&fabric, &secondaries, &ps_lag, &sec_lag, &mut marks);
                     std::thread::sleep(interval);
                 }
-                // One final sample so a quiesced deployment's traces are
-                // complete at the instant the watcher is stopped.
-                Self::sample(&fabric, &secondaries, &ps_lag, &sec_lag);
+                // One final sample so a quiesced deployment's async stages
+                // are complete at the instant the watcher is stopped.
+                Self::sample(&fabric, &secondaries, &ps_lag, &sec_lag, &mut marks);
             })
             .expect("spawn lsn-lag watcher");
         LagWatcher {
@@ -72,28 +74,42 @@ impl LagWatcher {
         }
     }
 
-    fn sample(fabric: &Fabric, secondaries: &SecondaryList, ps_lag: &Gauge, sec_lag: &Gauge) {
+    /// One tick: read the hardened frontier and the three asynchronous
+    /// watermarks, mark the former, and complete every mark the latter
+    /// have reached — each async stage takes one sample per hardened
+    /// mark, measured from when the watcher saw the log hardened to when
+    /// it saw the watermark pass.
+    fn sample(
+        fabric: &Fabric,
+        secondaries: &SecondaryList,
+        ps_lag: &Gauge,
+        sec_lag: &Gauge,
+        marks: &mut [MarkQueue; 3],
+    ) {
+        let now = Instant::now();
+        let hardened = fabric.xlog.hardened_lsn();
         let released = fabric.xlog.released_lsn().offset() as i64;
-
-        // Destage stage: durable in the long-term archive.
-        fabric.trace.note_frontier(Stage::Destage, fabric.xlog.destaged_lsn());
-
-        // Page-server apply stage: the slowest server bounds the frontier.
-        if let Some(applied) = fabric.min_applied_lsn() {
-            fabric.trace.note_frontier(Stage::PageApply, applied);
-            ps_lag.set((released - applied.offset() as i64).max(0));
-        } else {
-            ps_lag.set(0);
-        }
-
-        // Secondary apply stage, ditto.
+        // The slowest page server / secondary bounds its stage's frontier;
+        // a stage with no consumer takes no samples.
         let min_sec = secondaries.read().iter().map(|s| s.applied_lsn()).min();
-        if let Some(applied) = min_sec {
-            fabric.trace.note_frontier(Stage::SecondaryApply, applied);
-            sec_lag.set((released - applied.offset() as i64).max(0));
-        } else {
-            sec_lag.set(0);
+        let frontiers: [Option<Lsn>; 3] =
+            [Some(fabric.xlog.destaged_lsn()), fabric.min_applied_lsn(), min_sec];
+        for ((stage, frontier), queue) in Stage::ASYNC.iter().zip(frontiers).zip(marks) {
+            match frontier {
+                Some(frontier) => {
+                    queue.push(hardened, now);
+                    queue.advance(frontier, now, |_, waited| {
+                        fabric.commit_stages.record(*stage, waited)
+                    });
+                }
+                None => queue.clear(),
+            }
         }
+        let lag = |applied: Option<Lsn>| {
+            applied.map_or(0, |applied| (released - applied.offset() as i64).max(0))
+        };
+        ps_lag.set(lag(frontiers[1]));
+        sec_lag.set(lag(frontiers[2]));
 
         // Time-series + SLO heartbeat: history snapshot, SLO evaluation,
         // and the breach-edge blackbox trigger all ride this thread.

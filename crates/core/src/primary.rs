@@ -170,14 +170,14 @@ impl Primary {
             Arc::clone(&pipeline),
             Arc::clone(&evicted),
             next_page,
-            Arc::clone(&fabric.trace),
+            Arc::clone(&fabric.commit_stages),
             spans,
             on_allocate,
         ));
         // This node's metrics in the hub. A failover primary re-registers
         // under the same node id, replacing the dead node's sources.
         pipeline.register_metrics(&fabric.hub, NodeId::PRIMARY);
-        io.register_metrics(&fabric.hub, NodeId::PRIMARY);
+        io.data_pages().register(&fabric.hub, NodeId::PRIMARY);
 
         let db = if fresh {
             let db = Database::create(io.clone() as Arc<dyn socrates_engine::PageMutator>)?;

@@ -24,8 +24,9 @@ use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant};
 use socrates_common::{Error, Lsn, NodeId, PageId, Result, TxnId};
 use socrates_engine::catalog::CATALOG_PAGE;
+use socrates_engine::io::DataPageStats;
 use socrates_engine::{Database, EvictedLsnMap, PageAccess, PageMutator, TxnManager};
-use socrates_storage::cache::{PageRef, TieredCache};
+use socrates_storage::cache::{CacheTier, MissTiming, PageRef, TieredCache};
 use socrates_storage::page::Page;
 use socrates_storage::pageops::{apply_page_op, PageOp};
 use socrates_wal::record::LogPayload;
@@ -66,17 +67,27 @@ pub struct SecondaryIo {
     applied: Arc<AtomicLsn>,
     pending: Arc<PendingFetches>,
     metrics: Arc<SecondaryMetrics>,
+    data_pages: Arc<DataPageStats>,
     future_wait: Duration,
 }
 
 impl PageAccess for SecondaryIo {
+    /// A miss feeds this node's read-stage histograms like a primary's
+    /// does. The sink stage here runs from the fetch returning to the
+    /// page being usable, so it includes the future-page coherence wait
+    /// and the queued-record drain — on a secondary that wait *is* part of
+    /// what the reader paid for the miss.
     fn page(&self, id: PageId) -> Result<PageRef> {
+        let probe_t0 = Instant::now();
         if let Some(p) = self.cache.get_if_resident(id)? {
+            self.data_pages.note(&p, CacheTier::Memory);
             return Ok(p);
         }
         // Register before fetching so concurrent log records are queued.
         self.pending.map.lock().entry(id).or_default();
-        let fetched = (|| -> Result<Page> {
+        let probe = probe_t0.elapsed();
+        let fetch_t0 = Instant::now();
+        let fetched = (|| {
             // Through the cache's remote path so concurrent fetches of the
             // same cold page share one GetPage@LSN (single-flight). The
             // freshness floor must include our own applied cursor: the
@@ -85,7 +96,8 @@ impl PageAccess for SecondaryIo {
             // on the page server — a lagging server must not hand us a
             // version older than log we have already consumed.
             let floor = self.evicted.lsn_for(id).max(self.applied.load());
-            let page = self.cache.fetch_remote(id, floor)?;
+            let (page, meta) = self.cache.fetch_remote(id, floor)?;
+            let (fetch, sink_t0) = (fetch_t0.elapsed(), Instant::now());
             // A page from the future: wait for local apply to catch up so
             // traversals stay time-coherent.
             if page.page_lsn() > self.applied.load() {
@@ -102,10 +114,10 @@ impl PageAccess for SecondaryIo {
                     std::thread::sleep(Duration::from_micros(100));
                 }
             }
-            Ok(page)
+            Ok((page, meta, fetch, sink_t0))
         })();
-        let page = match fetched {
-            Ok(p) => p,
+        let (page, meta, fetch, sink_t0) = match fetched {
+            Ok(f) => f,
             Err(e) => {
                 self.pending.map.lock().remove(&id);
                 return Err(e);
@@ -122,6 +134,8 @@ impl PageAccess for SecondaryIo {
                 }
             }
         }
+        self.cache.record_miss(id, MissTiming { probe, fetch, sink: sink_t0.elapsed() }, meta);
+        self.data_pages.note(&pref, CacheTier::Remote);
         Ok(pref)
     }
 }
@@ -185,6 +199,7 @@ impl Secondary {
             applied: Arc::clone(&applied),
             pending: Arc::clone(&pending),
             metrics: Arc::clone(&metrics),
+            data_pages: Arc::default(),
             future_wait: Duration::from_secs(10),
         });
         let tm = Arc::new(TxnManager::with_base(SECONDARY_TXN_BASE));
@@ -276,6 +291,7 @@ impl Secondary {
         counter!("records_ignored", records_ignored);
         counter!("records_queued", records_queued);
         counter!("future_page_waits", future_page_waits);
+        self.io.data_pages.register(hub, self.node);
         let applied = Arc::clone(&self.applied);
         hub.register_gauge_fn(self.node, "applied_lsn", move || applied.load().offset() as i64);
         let applied = Arc::clone(&self.applied);

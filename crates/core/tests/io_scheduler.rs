@@ -72,7 +72,7 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
         })
         .collect();
     for r in readers {
-        let page = r.join().unwrap();
+        let (page, _) = r.join().unwrap();
         assert_eq!(page.page_id(), target);
     }
     let served = ps.metrics().pages_served.get() - served_before;
@@ -123,7 +123,7 @@ fn get_page_range_arm_serves_coalesced_reads() {
         })
         .collect();
     for (i, r) in readers.into_iter().enumerate() {
-        assert_eq!(r.join().unwrap().page_id(), PageId::new(1 + i as u64));
+        assert_eq!(r.join().unwrap().0.page_id(), PageId::new(1 + i as u64));
     }
     assert!(
         ps.metrics().range_requests.get() > range_before,

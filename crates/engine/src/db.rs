@@ -20,6 +20,7 @@ use crate::version::{CurrentVersion, StoredVersion, VersionStore};
 use parking_lot::RwLock;
 use socrates_common::{Error, Lsn, Result, TxnId};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// An open transaction.
 #[derive(Clone, Copy, Debug)]
@@ -29,6 +30,10 @@ pub struct TxnHandle {
     /// Snapshot timestamp: this transaction sees commits with `cts <=
     /// read_ts`.
     pub read_ts: u64,
+    /// When the transaction began; its commit reports begin → commit
+    /// append as the commit pipeline's engine stage. Carried in the
+    /// handle so a handle that is simply dropped leaves no state behind.
+    begun: Instant,
 }
 
 enum WriteMode {
@@ -92,16 +97,17 @@ impl Database {
 
     /// Begin a transaction.
     pub fn begin(&self) -> TxnHandle {
+        let begun = Instant::now();
         let (id, read_ts) = self.txns.begin();
         self.io.log_txn_begin(id);
-        TxnHandle { id, read_ts }
+        TxnHandle { id, read_ts, begun }
     }
 
     /// Commit: allocate the commit timestamp, harden the commit record,
     /// publish visibility. On a durability failure the transaction aborts.
     pub fn commit(&self, h: TxnHandle) -> Result<()> {
         let cts = self.txns.start_commit(h.id)?;
-        match self.io.log_txn_commit(h.id, cts) {
+        match self.io.log_txn_commit(h.id, cts, h.begun.elapsed()) {
             Ok(()) => {
                 self.txns.finish_commit(h.id, cts);
                 Ok(())

@@ -11,10 +11,10 @@
 use crate::evicted::EvictedLsnMap;
 use parking_lot::Mutex;
 use socrates_common::metrics::Counter;
-use socrates_common::obs::{SpanKind, SpanRing, TraceRecorder};
+use socrates_common::obs::{MetricsHub, SpanEvent, SpanKind, SpanRing, Stage, StageHists};
 use socrates_common::TxnId;
 use socrates_common::{Error, Lsn, NodeId, PageId, Result};
-use socrates_storage::cache::{PageRef, TieredCache};
+use socrates_storage::cache::{CacheTier, PageRef, TieredCache};
 use socrates_storage::page::{Page, PageType};
 use socrates_storage::pageops::{apply_page_op, PageOp};
 use socrates_wal::pipeline::LogPipeline;
@@ -22,6 +22,7 @@ use socrates_wal::record::{LogPayload, LogRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Read access to pages.
 pub trait PageAccess: Send + Sync {
@@ -46,7 +47,9 @@ pub trait PageMutator: PageAccess {
     /// Log a transaction begin.
     fn log_txn_begin(&self, _txn: TxnId) {}
     /// Log a transaction commit and return only once it is durable.
-    fn log_txn_commit(&self, _txn: TxnId, _commit_ts: u64) -> Result<()> {
+    /// `engine` is the time the transaction spent in the engine, begin →
+    /// now (the commit pipeline's first stage).
+    fn log_txn_commit(&self, _txn: TxnId, _commit_ts: u64, _engine: Duration) -> Result<()> {
         Ok(())
     }
     /// Log a transaction abort (fire-and-forget; ADR needs no undo).
@@ -65,6 +68,56 @@ pub trait PageMutator: PageAccess {
 /// [`LoggedPageIo::new`]).
 pub type AllocateHook = Arc<dyn Fn(PageId) + Send + Sync>;
 
+/// Local-hit accounting over *data pages only* (B-tree leaves and
+/// version-store pages) — the quantity the paper's Tables 3/4 report:
+/// index upper levels are structurally hot in any engine and would drown
+/// the signal. Every compute node keeps one.
+#[derive(Default)]
+pub struct DataPageStats {
+    hits: Counter,
+    misses: Counter,
+}
+
+impl DataPageStats {
+    /// Account one page read served by `tier` (non-data pages are ignored).
+    pub fn note(&self, page: &PageRef, tier: CacheTier) {
+        let is_data =
+            matches!(page.read().page_type(), Ok(PageType::BTreeLeaf) | Ok(PageType::VersionStore));
+        if is_data {
+            match tier {
+                CacheTier::Remote => self.misses.incr(),
+                _ => self.hits.incr(),
+            }
+        }
+    }
+
+    /// Register `data_page_hits` / `data_page_misses` under `node`.
+    pub fn register(self: &Arc<Self>, hub: &MetricsHub, node: NodeId) {
+        let me = Arc::clone(self);
+        hub.register_counter_fn(node, "data_page_hits", move || me.hits.get());
+        let me = Arc::clone(self);
+        hub.register_counter_fn(node, "data_page_misses", move || me.misses.get());
+    }
+
+    /// Fraction of data-page reads served locally.
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.hits.get();
+        let total = hits + self.misses.get();
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
+    }
+
+    /// Forget all counts (benchmarks call this when the measurement
+    /// window starts).
+    pub fn reset(&self) {
+        self.hits.reset();
+        self.misses.reset();
+    }
+}
+
 /// The production implementation: mutations are logged through the
 /// [`LogPipeline`] and applied to pages in the [`TieredCache`].
 pub struct LoggedPageIo {
@@ -72,24 +125,17 @@ pub struct LoggedPageIo {
     pipeline: Arc<LogPipeline>,
     next_page: AtomicU64,
     evicted: Arc<EvictedLsnMap>,
-    /// Data-page (B-tree leaf / version store) reads served locally.
-    data_hits: Counter,
-    /// Data-page reads that went remote.
-    data_misses: Counter,
+    data_pages: Arc<DataPageStats>,
     /// Invoked with each freshly allocated page id *before* its allocation
     /// record is logged. Socrates deployments use this to spin up a page
     /// server when the database grows into a partition that has none —
     /// the O(1)-in-data upsize path.
     on_allocate: AllocateHook,
-    /// Commit tracing (a disabled recorder costs nothing). The sync
-    /// stages are stamped here: engine time (txn begin → commit append) and
-    /// harden time (the `commit_wait`); the async stages are completed by
-    /// the deployment's LSN-lag watcher.
-    trace: Arc<TraceRecorder>,
-    /// Begin timestamps of in-flight transactions, consulted only when
-    /// tracing is on (the map stays empty — and the commit path
-    /// lock-free — otherwise).
-    txn_begun: Mutex<HashMap<TxnId, std::time::Instant>>,
+    /// The deployment's commit-stage histograms. The sync stages are fed
+    /// here on every commit: engine time (txn begin → commit append) and
+    /// harden time (the `commit_wait`); the async stages are fed by the
+    /// deployment's LSN-lag watcher.
+    commit_stages: Arc<StageHists<Stage>>,
     /// Cross-tier span ring plus this node's identity. Commits mint their
     /// causal [`TraceCtx`](socrates_common::obs::TraceCtx) here — the ring
     /// owns the sampling decision, so an unsampled commit pays one
@@ -100,15 +146,15 @@ pub struct LoggedPageIo {
 impl LoggedPageIo {
     /// Wire up the node's cache, pipeline, and evicted-LSN map.
     /// `next_page` is the first unallocated page id (1 for a fresh
-    /// database — page 0 is the catalog). Commits record their sync
-    /// stages into `trace` and mint sampled contexts from `spans`;
+    /// database — page 0 is the catalog). Commits feed their sync stages
+    /// into `commit_stages` and mint sampled contexts from `spans`;
     /// `on_allocate` observes every allocation.
     pub fn new(
         cache: Arc<TieredCache>,
         pipeline: Arc<LogPipeline>,
         evicted: Arc<EvictedLsnMap>,
         next_page: u64,
-        trace: Arc<TraceRecorder>,
+        commit_stages: Arc<StageHists<Stage>>,
         spans: (Arc<SpanRing>, NodeId),
         on_allocate: AllocateHook,
     ) -> LoggedPageIo {
@@ -117,56 +163,17 @@ impl LoggedPageIo {
             pipeline,
             next_page: AtomicU64::new(next_page),
             evicted,
-            data_hits: Counter::new(),
-            data_misses: Counter::new(),
+            data_pages: Arc::default(),
             on_allocate,
-            trace,
-            txn_begun: Mutex::with_rank(
-                HashMap::new(),
-                socrates_common::lock_rank::ENGINE_IO_TXN_BEGUN,
-                "io.txn_begun",
-            ),
+            commit_stages,
             spans,
         }
     }
 
-    /// Whether commits stamp their engine stage (either sink is armed).
-    fn tracing(&self) -> bool {
-        self.trace.is_enabled() || self.spans.0.is_enabled()
-    }
-
-    /// Register this node's engine-side metrics (data-page cache hit
-    /// accounting) into the hub under `node`.
-    pub fn register_metrics(
-        self: &Arc<Self>,
-        hub: &socrates_common::obs::MetricsHub,
-        node: socrates_common::NodeId,
-    ) {
-        let me = Arc::clone(self);
-        hub.register_counter_fn(node, "data_page_hits", move || me.data_hits.get());
-        let me = Arc::clone(self);
-        hub.register_counter_fn(node, "data_page_misses", move || me.data_misses.get());
-    }
-
-    /// The local hit rate over *data pages only* (B-tree leaves and
-    /// version-store pages). This is the quantity the paper's Tables 3/4
-    /// report: index upper levels are structurally hot in any engine and
-    /// would drown the signal.
-    pub fn data_hit_rate(&self) -> f64 {
-        let hits = self.data_hits.get();
-        let total = hits + self.data_misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Reset the data-page hit accounting (benchmarks call this when the
-    /// measurement window starts).
-    pub fn reset_data_hit_stats(&self) {
-        self.data_hits.reset();
-        self.data_misses.reset();
+    /// This node's data-page hit accounting (register it in the hub, read
+    /// the hit rate, reset it when a measurement window starts).
+    pub fn data_pages(&self) -> &Arc<DataPageStats> {
+        &self.data_pages
     }
 
     /// The node's cache (hit-rate metrics and maintenance).
@@ -195,16 +202,8 @@ impl LoggedPageIo {
 impl PageAccess for LoggedPageIo {
     fn page(&self, id: PageId) -> Result<PageRef> {
         let evicted = Arc::clone(&self.evicted);
-        let (page, tier) = self.cache.get_traced(id, move || evicted.lsn_for(id))?;
-        // Per-class hit accounting (data pages only; see data_hit_rate).
-        let is_data =
-            matches!(page.read().page_type(), Ok(PageType::BTreeLeaf) | Ok(PageType::VersionStore));
-        if is_data {
-            match tier {
-                socrates_storage::cache::CacheTier::Remote => self.data_misses.incr(),
-                _ => self.data_hits.incr(),
-            }
-        }
+        let (page, tier) = self.cache.get(id, move || evicted.lsn_for(id))?;
+        self.data_pages.note(&page, tier);
         Ok(page)
     }
 
@@ -246,18 +245,10 @@ impl PageMutator for LoggedPageIo {
     }
 
     fn log_txn_begin(&self, txn: TxnId) {
-        if self.tracing() {
-            self.txn_begun.lock().insert(txn, std::time::Instant::now());
-        }
         self.pipeline.append(&LogRecord { txn, payload: LogPayload::TxnBegin });
     }
 
-    fn log_txn_commit(&self, txn: TxnId, commit_ts: u64) -> Result<()> {
-        let engine_ns = if self.tracing() {
-            self.txn_begun.lock().remove(&txn).map_or(0, |t0| t0.elapsed().as_nanos() as u64)
-        } else {
-            0
-        };
+    fn log_txn_commit(&self, txn: TxnId, commit_ts: u64, engine: Duration) -> Result<()> {
         // Mint the cross-tier trace ctx; the ring owns the sampling
         // decision, and the ctx rides the commit's log block across every
         // tier boundary downstream.
@@ -268,14 +259,26 @@ impl PageMutator for LoggedPageIo {
             Some(ctx) => self.pipeline.append_traced(&record, ctx),
             None => self.pipeline.append(&record),
         };
-        let harden_start = std::time::Instant::now();
+        let harden_start = Instant::now();
         self.pipeline.commit_wait(lsn)?;
+        let harden = harden_start.elapsed();
+        self.commit_stages.record(Stage::Engine, engine);
+        self.commit_stages.record(Stage::Harden, harden);
         if let Some(ctx) = ctx {
-            let harden_ns = harden_start.elapsed().as_nanos() as u64;
+            let (engine_ns, harden_ns) = (engine.as_nanos() as u64, harden.as_nanos() as u64);
             let end_ns = ring.now_ns();
             let root_ns = engine_ns + harden_ns;
             let root_start = end_ns.saturating_sub(root_ns);
-            ring.record_root(ctx, SpanKind::Commit, *node, root_start, root_ns);
+            ring.record(SpanEvent {
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
+                parent_id: 0,
+                kind: SpanKind::Commit,
+                node: *node,
+                start_ns: root_start,
+                dur_ns: root_ns,
+                arg: lsn.offset(),
+            });
             ring.record_child(ctx, SpanKind::CommitEngine, *node, root_start, engine_ns);
             ring.record_child(
                 ctx,
@@ -285,17 +288,10 @@ impl PageMutator for LoggedPageIo {
                 harden_ns,
             );
         }
-        if self.trace.is_enabled() {
-            let harden_ns = harden_start.elapsed().as_nanos() as u64;
-            self.trace.record_commit(txn, lsn, engine_ns, harden_ns);
-        }
         Ok(())
     }
 
     fn log_txn_abort(&self, txn: TxnId) {
-        if self.tracing() {
-            self.txn_begun.lock().remove(&txn);
-        }
         self.pipeline.append(&LogRecord { txn, payload: LogPayload::TxnAbort });
     }
 
@@ -386,8 +382,12 @@ mod tests {
     use super::*;
     use socrates_storage::slotted::Slotted;
 
-    #[test]
-    fn traced_commit_records_commit_and_harden_spans() {
+    /// A `LoggedPageIo` over a one-replica in-memory landing zone, minting
+    /// contexts from `spans`, with the commit-stage set it feeds.
+    fn logged_io(
+        spans: &Arc<SpanRing>,
+        next_page: u64,
+    ) -> (Arc<LoggedPageIo>, Arc<StageHists<Stage>>) {
         use socrates_common::fault::FaultRegistry;
         use socrates_storage::{Fcb, MemFcb};
         use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
@@ -403,39 +403,43 @@ mod tests {
 
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
-            LandingZoneConfig { capacity: 1 << 20, write_quorum: 1 },
+            LandingZoneConfig { capacity: 16 << 20, write_quorum: 1 },
             FaultRegistry::disabled(),
         ));
-        let ring = Arc::new(SpanRing::new(64, 1));
         let pipeline = Arc::new(LogPipeline::new(
-            Arc::clone(&lz) as Arc<dyn BlockSink>,
+            lz as Arc<dyn BlockSink>,
             vec![],
             Arc::new(|_p: PageId| socrates_common::PartitionId::new(0)),
             LogPipelineConfig::default(),
             Lsn::ZERO,
-            (Arc::clone(&ring), NodeId::PRIMARY),
+            (Arc::clone(spans), NodeId::PRIMARY),
         ));
-        let cache = Arc::new(TieredCache::with_defaults(8, None, Arc::new(NoRemote)));
-        let io_on = |spans: Arc<SpanRing>| {
-            LoggedPageIo::new(
-                Arc::clone(&cache),
-                Arc::clone(&pipeline),
-                Arc::new(EvictedLsnMap::new(16)),
-                1,
-                Arc::new(TraceRecorder::disabled()),
-                (spans, NodeId::PRIMARY),
-                Arc::new(|_| {}),
-            )
-        };
-        let io = io_on(Arc::clone(&ring));
+        let stages = Arc::new(StageHists::default());
+        let io = Arc::new(LoggedPageIo::new(
+            Arc::new(TieredCache::with_defaults(64, None, Arc::new(NoRemote))),
+            pipeline,
+            Arc::new(EvictedLsnMap::new(16)),
+            next_page,
+            Arc::clone(&stages),
+            (Arc::clone(spans), NodeId::PRIMARY),
+            Arc::new(|_| {}),
+        ));
+        (io, stages)
+    }
+
+    #[test]
+    fn traced_commit_records_commit_and_harden_spans() {
+        let ring = Arc::new(SpanRing::new(64, 1));
+        let (io, stages) = logged_io(&ring, 1);
 
         io.log_txn_begin(TxnId::new(1));
-        io.log_txn_commit(TxnId::new(1), 42).unwrap();
+        io.log_txn_commit(TxnId::new(1), 42, Duration::from_micros(7)).unwrap();
 
         let spans = ring.spans();
         let root = spans.iter().find(|s| s.kind == SpanKind::Commit).expect("commit root");
         assert_eq!(root.parent_id, 0);
         assert_eq!(root.trace_id, root.span_id);
+        assert!(root.arg > 0, "the commit root carries its LSN");
         for kind in [SpanKind::CommitEngine, SpanKind::CommitHarden, SpanKind::WalHarden] {
             let child = spans
                 .iter()
@@ -444,12 +448,51 @@ mod tests {
             assert_eq!(child.trace_id, root.trace_id);
             assert_eq!(child.parent_id, root.span_id);
         }
-        // Sampling off (ring disabled): nothing new is recorded.
-        let before = spans.len();
-        let quiet = io_on(Arc::new(SpanRing::disabled()));
+        // Sampling off (ring disabled): no span, but the always-on stage
+        // histograms still count the commit.
+        let disarmed = Arc::new(SpanRing::disabled());
+        let (quiet, quiet_stages) = logged_io(&disarmed, 1);
         quiet.log_txn_begin(TxnId::new(2));
-        quiet.log_txn_commit(TxnId::new(2), 43).unwrap();
-        assert_eq!(ring.spans().len(), before);
+        quiet.log_txn_commit(TxnId::new(2), 43, Duration::from_micros(7)).unwrap();
+        assert_eq!(disarmed.spans_recorded(), 0);
+        for s in [&stages, &quiet_stages] {
+            assert_eq!(s.hist(Stage::Engine).snapshot().max_us, 7);
+            assert_eq!(s.hist(Stage::Harden).count(), 1);
+            assert_eq!(s.hist(Stage::Destage).count(), 0, "async stages belong to the watcher");
+        }
+    }
+
+    #[test]
+    fn dropped_handles_leave_no_state_and_engine_stage_spans_begin_to_commit() {
+        // The begin instant rides in the (Copy) handle, so the I/O layer
+        // keeps nothing per transaction: 10 000 read-only handles that are
+        // simply dropped cost it nothing, and cannot perturb the engine
+        // stage of a later commit.
+        let ring = Arc::new(SpanRing::new(64, 1));
+        let (io, stages) = logged_io(&ring, 0);
+        let db = crate::Database::create(io as Arc<dyn PageMutator>).unwrap();
+        let bootstrap_commits = stages.hist(Stage::Engine).count();
+        for _ in 0..10_000 {
+            let _dropped = db.begin();
+        }
+        assert_eq!(stages.hist(Stage::Engine).count(), bootstrap_commits);
+
+        let before = Instant::now();
+        let h = db.begin();
+        let copy = h; // `TxnHandle` stays `Copy`
+        std::thread::sleep(Duration::from_millis(5));
+        db.commit(copy).unwrap();
+        let bound_us = before.elapsed().as_micros() as u64;
+
+        let engine = stages.hist(Stage::Engine).snapshot();
+        assert_eq!(engine.count, bootstrap_commits + 1);
+        assert!((5_000..=bound_us).contains(&engine.max_us), "engine stage {} µs", engine.max_us);
+        let span = ring
+            .spans()
+            .into_iter()
+            .rfind(|s| s.kind == SpanKind::CommitEngine)
+            .expect("commit.engine span");
+        assert!((5_000..=bound_us).contains(&(span.dur_ns / 1_000)), "span {} ns", span.dur_ns);
     }
 
     #[test]

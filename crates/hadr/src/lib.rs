@@ -27,7 +27,7 @@ use socrates_common::fault::FaultRegistry;
 use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant, CpuRegistry};
-use socrates_common::obs::{SpanRing, TraceRecorder};
+use socrates_common::obs::SpanRing;
 use socrates_common::rng::Rng;
 use socrates_common::{Error, Lsn, NodeId, PageId, Result, TxnId};
 use socrates_engine::recovery::find_last_checkpoint;
@@ -408,7 +408,7 @@ impl Hadr {
             ),
             latency_on,
         });
-        // The baseline runs untraced: every observability sink is disarmed.
+        // The baseline runs unsampled, its stage histograms unregistered.
         let spans = (Arc::new(SpanRing::disabled()), NodeId::PRIMARY);
         let pipeline = Arc::new(LogPipeline::new(
             Arc::clone(&sink) as Arc<dyn BlockSink>,
@@ -426,7 +426,7 @@ impl Hadr {
             Arc::clone(&pipeline),
             Arc::new(EvictedLsnMap::new(1)),
             0,
-            Arc::new(TraceRecorder::disabled()),
+            Arc::default(),
             spans,
             Arc::new(|_| {}),
         ));
@@ -470,7 +470,7 @@ impl Hadr {
     /// tiers — everything hangs off compute nodes, which is the point.
     pub fn register_metrics(&self, hub: &socrates_common::obs::MetricsHub) {
         self.pipeline.register_metrics(hub, NodeId::PRIMARY);
-        self.io.register_metrics(hub, NodeId::PRIMARY);
+        self.io.data_pages().register(hub, NodeId::PRIMARY);
         let m = Arc::clone(&self.metrics);
         hub.register_counter_fn(NodeId::PRIMARY, "hadr_bytes_shipped", move || {
             m.bytes_shipped.get()

@@ -69,7 +69,7 @@ impl HedgeConfig {
     }
 }
 
-/// Per-call hedging outcome, for read-span attribution.
+/// Per-call hedging outcome (stamped on the `rbio.net` span of a sampled read).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CallMeta {
     /// A hedge request fired (the primary attempt outlived the hedge

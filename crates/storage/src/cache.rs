@@ -25,17 +25,17 @@ use crate::rbpex::Rbpex;
 use crate::sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
 use parking_lot::{Mutex, RwLock};
 use socrates_common::metrics::Counter;
-use socrates_common::obs::span::{HedgeOutcome, ReadTrace, ReadTraceRecorder};
-use socrates_common::obs::{SpanKind, SpanRing};
+use socrates_common::obs::ctx::pack_coalesce;
+use socrates_common::obs::{ReadStage, SpanEvent, SpanKind, SpanRing, StageHists, TraceCtx};
 use socrates_common::{Error, Lsn, NodeId, PageId, Result};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-fetch latency attribution flowing back up the remote-read path,
-/// consumed by the read-span recorder. Durations are nanoseconds; zero
-/// means "the layer that knows did not fill it in" and the caller falls
-/// back to its own wall-clock measurement.
+/// consumed by [`TieredCache::record_miss`]. Durations are nanoseconds;
+/// zero means "the layer that knows did not fill it in" and the caller
+/// falls back to its own wall-clock measurement.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchMeta {
     /// Scheduler queue wait beyond the gather window (backpressure).
@@ -50,16 +50,11 @@ pub struct FetchMeta {
     pub range_width: u32,
     /// The coalesced range failed; this page was re-fetched alone.
     pub range_fallback: bool,
-    /// A hedged replica request fired for this fetch.
-    pub hedge_fired: bool,
-    /// The hedged attempt produced the winning response.
-    pub hedge_won: bool,
-    /// Causal trace id minted by a sampling remote source (0 = untraced;
-    /// the disarmed path only ever copies zeros).
-    pub trace_id: u64,
-    /// Pre-allocated span id for the `getpage` root span; the source's
-    /// own child spans (`rbio.net`, server-side legs) hang off it.
-    pub root_span: u64,
+    /// The `getpage` root a sampling remote source minted for this fetch
+    /// ([`TraceCtx::NONE`] = unsampled; the disarmed path only ever copies
+    /// zeros). The source's own child spans (`rbio.net`, server-side legs)
+    /// already hang off it.
+    pub root: TraceCtx,
 }
 
 /// Where cache misses are satisfied from (page servers, a local file, or a
@@ -163,19 +158,30 @@ pub struct TieredCache {
     wal_flush: WalFlushHook,
     on_evict: EvictionListener,
     stats: CacheStats,
-    /// The read-span recorder misses report into. A disabled recorder
-    /// (capacity 0) leaves the miss path untraced — no clock reads, no
-    /// allocation — which is the `read_trace_capacity = 0` contract.
-    read_trace: Arc<ReadTraceRecorder>,
-    /// Cross-tier span ring (`getpage` root spans) plus this node's
-    /// identity.
+    /// Per-stage latency of this node's remote misses, fed on every miss
+    /// (the deployment registers it in the hub under the node).
+    read_stages: StageHists<ReadStage>,
+    /// Cross-tier span ring (a sampled miss's `getpage` root and its
+    /// cache-side stage children) plus this node's identity.
     spans: (Arc<SpanRing>, NodeId),
+}
+
+/// The cache-side wall-clock legs of one remote miss, measured by whoever
+/// drove it ([`TieredCache::get`], or a secondary's coherent fetch).
+#[derive(Clone, Copy, Debug)]
+pub struct MissTiming {
+    /// Probing the local tiers before the miss was declared.
+    pub probe: Duration,
+    /// The whole remote fetch, as the caller waited for it.
+    pub fetch: Duration,
+    /// From the fetch returning to the page being installed and usable.
+    pub sink: Duration,
 }
 
 impl TieredCache {
     /// Build a cache holding at most `mem_capacity` pages in memory, spilling
-    /// to `rbpex` when present, missing to `source`. Miss-path spans go to
-    /// `read_trace`; sampled misses close their `getpage` root in `spans`.
+    /// to `rbpex` when present, missing to `source`. Sampled misses close
+    /// their `getpage` span tree in `spans`.
     // soclint-allow: hot-path one-time construction
     pub fn new(
         mem_capacity: usize,
@@ -183,7 +189,6 @@ impl TieredCache {
         source: Arc<dyn PageSource>,
         wal_flush: WalFlushHook,
         on_evict: EvictionListener,
-        read_trace: Arc<ReadTraceRecorder>,
         spans: (Arc<SpanRing>, NodeId),
     ) -> TieredCache {
         assert!(mem_capacity > 0, "cache needs at least one frame");
@@ -200,7 +205,7 @@ impl TieredCache {
             wal_flush,
             on_evict,
             stats: CacheStats::default(),
-            read_trace,
+            read_stages: StageHists::default(),
             spans,
         }
     }
@@ -208,7 +213,6 @@ impl TieredCache {
     /// Build a cache whose remote misses go through an [`IoScheduler`]
     /// over `source` (which must speak ranges). The scheduler's prefetch
     /// completions are installed back into the returned cache.
-    #[allow(clippy::too_many_arguments)]
     // soclint-allow: hot-path one-time construction wiring, not the serve path
     pub fn with_scheduler(
         mem_capacity: usize,
@@ -216,7 +220,6 @@ impl TieredCache {
         source: Arc<dyn RangedPageSource>,
         wal_flush: WalFlushHook,
         on_evict: EvictionListener,
-        read_trace: Arc<ReadTraceRecorder>,
         spans: (Arc<SpanRing>, NodeId),
         sched_config: IoSchedulerConfig,
     ) -> Arc<TieredCache> {
@@ -227,7 +230,6 @@ impl TieredCache {
                 Arc::clone(&source) as Arc<dyn PageSource>,
                 wal_flush,
                 on_evict,
-                read_trace,
                 spans,
             );
             cache.sched = Some(IoScheduler::start(source, sched_config, sink.clone()));
@@ -248,7 +250,6 @@ impl TieredCache {
             source,
             Arc::new(|_| {}),
             Arc::new(|_, _| {}),
-            Arc::new(ReadTraceRecorder::disabled()),
             (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
         )
     }
@@ -256,6 +257,11 @@ impl TieredCache {
     /// Statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Per-stage latency histograms of this node's remote misses.
+    pub fn read_stages(&self) -> &StageHists<ReadStage> {
+        &self.read_stages
     }
 
     /// The RBPEX tier, if any.
@@ -269,24 +275,16 @@ impl TieredCache {
     }
 
     /// Fetch a page from the remote source, through the scheduler when
-    /// present (single-flight with every other miss on this node). Does
-    /// not install the page — callers that want it cached use
-    /// [`TieredCache::get`] or install the result themselves.
-    pub fn fetch_remote(&self, id: PageId, min_lsn: Lsn) -> Result<Page> {
+    /// present (single-flight with every other miss on this node), with
+    /// the fetch's latency attribution. Does not install the page or
+    /// account the miss — callers use [`TieredCache::get`], or install the
+    /// result themselves and report it with [`TieredCache::record_miss`].
+    // soclint-allow: hot-path-transitive the miss path reads the clock by
+    // design — latency attribution of the remote fetch is part of its job,
+    // and the fetch itself is already microsecond-scale I/O
+    pub fn fetch_remote(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
         match &self.sched {
             Some(s) => s.fetch(id, min_lsn),
-            None => self.source.fetch_page(id, min_lsn),
-        }
-    }
-
-    /// [`TieredCache::fetch_remote`], plus the fetch's latency attribution
-    /// (the traced miss path).
-    // soclint-allow: hot-path-transitive the traced miss path reads the clock
-    // by design — latency attribution of the remote fetch is its entire job,
-    // and the fetch itself is already microsecond-scale I/O
-    pub fn fetch_remote_traced(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
-        match &self.sched {
-            Some(s) => s.fetch_traced(id, min_lsn),
             None => self.source.fetch_page_traced(id, min_lsn),
         }
     }
@@ -333,27 +331,14 @@ impl TieredCache {
         self.in_memory(id) || self.rbpex.as_ref().is_some_and(|r| r.contains(id))
     }
 
-    /// Get `id`, fetching from lower tiers as needed. `min_lsn` is evaluated
-    /// only when a remote fetch is required (the evicted-LSN lookup).
-    pub fn get(&self, id: PageId, min_lsn: impl FnOnce() -> Lsn) -> Result<PageRef> {
-        self.get_traced(id, min_lsn).map(|(p, _)| p)
-    }
-
-    /// Like [`TieredCache::get`], also reporting which tier served the
-    /// read (callers use this for per-page-class hit accounting).
-    ///
-    /// When read tracing is on, every remote miss records a complete span
-    /// (probe → queue → gather → network → serve → sink) into the node's
-    /// [`ReadTraceRecorder`].
-    // soclint-allow: hot-path clock reads sit behind the `traced` gate; untraced reads early-return without touching the clock
-    pub fn get_traced(
-        &self,
-        id: PageId,
-        min_lsn: impl FnOnce() -> Lsn,
-    ) -> Result<(PageRef, CacheTier)> {
-        let (ring, node) = &self.spans;
-        let traced = self.read_trace.is_enabled() || ring.is_enabled();
-        let probe_t0 = if traced { Some(Instant::now()) } else { None };
+    /// Get `id`, fetching from lower tiers as needed, and report which
+    /// tier served the read (callers use it for per-page-class hit
+    /// accounting). `min_lsn` is evaluated only when a remote fetch is
+    /// required (the evicted-LSN lookup). Every remote miss is timed stage
+    /// by stage (see [`TieredCache::record_miss`]).
+    // soclint-allow: hot-path one clock read per lookup starts the probe stage; the rest sit on the remote-miss path
+    pub fn get(&self, id: PageId, min_lsn: impl FnOnce() -> Lsn) -> Result<(PageRef, CacheTier)> {
+        let probe_t0 = Instant::now();
         if let Some(p) = self.mem_lookup(id) {
             self.stats.mem_hits.incr();
             return Ok((p, CacheTier::Memory));
@@ -365,61 +350,64 @@ impl TieredCache {
             }
         }
         let lsn = min_lsn();
-        let Some(probe_t0) = probe_t0 else {
-            let page = self.fetch_remote(id, lsn)?;
-            self.stats.fetches.incr();
-            return Ok((self.install(page)?, CacheTier::Remote));
-        };
-        let probe_ns = probe_t0.elapsed().as_nanos() as u64;
+        let probe = probe_t0.elapsed();
         let fetch_t0 = Instant::now();
-        let (page, mut meta) = self.fetch_remote_traced(id, lsn)?;
-        let fetch_ns = fetch_t0.elapsed().as_nanos() as u64;
+        let (page, meta) = self.fetch_remote(id, lsn)?;
+        let fetch = fetch_t0.elapsed();
+        let sink_t0 = Instant::now();
+        let page_ref = self.install(page)?;
+        self.record_miss(id, MissTiming { probe, fetch, sink: sink_t0.elapsed() }, meta);
+        Ok((page_ref, CacheTier::Remote))
+    }
+
+    /// Account one completed remote miss: count it, feed the six
+    /// read-stage histograms, and — when the source sampled it — close its
+    /// `getpage` root span (`arg` = page id) with the four cache-side stage
+    /// children (`rbio.net` and `ps.serve` were recorded by the source and
+    /// the server under the same root).
+    pub fn record_miss(&self, id: PageId, t: MissTiming, mut meta: FetchMeta) {
         self.stats.fetches.incr();
+        let fetch_ns = t.fetch.as_nanos() as u64;
         if meta.net_ns == 0 {
             // The source could not attribute the round trip; charge the
             // unaccounted remainder of the fetch to the network stage.
             meta.net_ns = fetch_ns.saturating_sub(meta.queue_ns + meta.gather_ns + meta.serve_ns);
         }
-        let sink_t0 = Instant::now();
-        let page_ref = self.install(page)?;
-        let sink_ns = sink_t0.elapsed().as_nanos() as u64;
-        if meta.trace_id != 0 {
-            // The source sampled this miss: close out the `getpage` root
-            // span (the source's own child spans hang off `root_span`).
-            let dur_ns = probe_ns + fetch_ns + sink_ns;
-            let end_ns = ring.now_ns();
-            ring.record(
-                meta.trace_id,
-                meta.root_span,
-                0,
-                SpanKind::GetPage,
-                *node,
-                end_ns.saturating_sub(dur_ns),
-                dur_ns,
-            );
+        let (stages, ns) = (&self.read_stages, Duration::from_nanos);
+        stages.record(ReadStage::CacheProbe, t.probe);
+        stages.record(ReadStage::SchedQueue, ns(meta.queue_ns));
+        stages.record(ReadStage::GatherWait, ns(meta.gather_ns));
+        stages.record(ReadStage::NetRbio, ns(meta.net_ns));
+        stages.record(ReadStage::ServerServe, ns(meta.serve_ns));
+        stages.record(ReadStage::Sink, t.sink);
+        if !meta.root.sampled() {
+            return;
         }
-        self.read_trace.record(ReadTrace {
-            page: id,
-            min_lsn: lsn,
-            stage_ns: [
-                probe_ns,
-                meta.queue_ns,
-                meta.gather_ns,
-                meta.net_ns,
-                meta.serve_ns,
-                sink_ns,
-            ],
-            hedge: if meta.hedge_won {
-                HedgeOutcome::Won
-            } else if meta.hedge_fired {
-                HedgeOutcome::Lost
-            } else {
-                HedgeOutcome::None
-            },
-            range_width: meta.range_width,
-            range_fallback: meta.range_fallback,
-        });
-        Ok((page_ref, CacheTier::Remote))
+        let (ring, node) = &self.spans;
+        let (probe_ns, sink_ns) = (t.probe.as_nanos() as u64, t.sink.as_nanos() as u64);
+        let dur_ns = probe_ns + fetch_ns + sink_ns;
+        let start_ns = ring.now_ns().saturating_sub(dur_ns);
+        let span = |span_id, parent_id, kind, start_ns, dur_ns, arg| SpanEvent {
+            trace_id: meta.root.trace_id,
+            span_id,
+            parent_id,
+            kind,
+            node: *node,
+            start_ns,
+            dur_ns,
+            arg,
+        };
+        let fetch_start = start_ns + probe_ns;
+        let coalesce = pack_coalesce(meta.range_width, meta.range_fallback);
+        for (kind, start_ns, dur_ns, arg) in [
+            (SpanKind::GetPageProbe, start_ns, probe_ns, 0),
+            (SpanKind::GetPageQueue, fetch_start, meta.queue_ns, 0),
+            (SpanKind::GetPageGather, fetch_start + meta.queue_ns, meta.gather_ns, coalesce),
+            (SpanKind::GetPageSink, fetch_start + fetch_ns, sink_ns, 0),
+        ] {
+            ring.record(span(ring.next_span_id(), meta.root.span_id, kind, start_ns, dur_ns, arg));
+        }
+        ring.record(span(meta.root.span_id, 0, SpanKind::GetPage, start_ns, dur_ns, id.raw()));
     }
 
     /// Get `id` only if it is already resident on this node (no remote
@@ -583,7 +571,7 @@ mod tests {
         let src = MapSource::new(0..100);
         let cache = TieredCache::with_defaults(2, Some(rbpex(4)), src.clone());
         // First read: remote fetch.
-        let p = cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        let (p, _) = cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
         assert_eq!(p.read().body()[0], 1);
         assert_eq!(cache.stats().fetches.get(), 1);
         drop(p);
@@ -615,7 +603,6 @@ mod tests {
             src,
             Arc::new(move |lsn| o1.lock().push(format!("flush:{lsn}"))),
             Arc::new(move |id, lsn| o2.lock().push(format!("evict:{id}@{lsn}"))),
-            Arc::new(ReadTraceRecorder::disabled()),
             (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
         );
         cache.get(PageId::new(5), || Lsn::ZERO).unwrap();
@@ -639,10 +626,10 @@ mod tests {
     fn pinned_pages_are_not_evicted() {
         let src = MapSource::new(0..10);
         let cache = TieredCache::with_defaults(1, None, src);
-        let pinned = cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        let (pinned, _) = cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
         // Admitting another page cannot evict the pinned one; cache admits
         // over capacity instead.
-        let other = cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
+        let (other, _) = cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
         assert_eq!(pinned.read().page_id(), PageId::new(1));
         assert_eq!(other.read().page_id(), PageId::new(2));
         assert!(cache.in_memory(PageId::new(1)));
@@ -653,12 +640,12 @@ mod tests {
         let src = MapSource::new(0..10);
         let cache = TieredCache::with_defaults(4, None, src);
         {
-            let p = cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
+            let (p, _) = cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
             let mut w = p.write();
             w.body_mut()[100] = 0xEE;
             w.set_page_lsn(Lsn::new(500));
         }
-        let p = cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
+        let (p, _) = cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
         assert_eq!(p.read().body()[100], 0xEE);
         assert_eq!(p.read().page_lsn(), Lsn::new(500));
     }
@@ -694,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_miss_records_a_getpage_root_span() {
+    fn every_miss_feeds_the_stage_histograms_and_a_sampled_one_its_span_tree() {
         /// A source that mints a trace ctx per fetch, the way the fabric's
         /// remote source does, and stamps it into the meta.
         struct TracingSource {
@@ -706,21 +693,14 @@ mod tests {
                 self.inner.fetch_page(id, min_lsn)
             }
             fn fetch_page_traced(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
-                let ctx = self.ring.try_sample().unwrap();
                 let page = self.inner.fetch_page(id, min_lsn)?;
-                Ok((
-                    page,
-                    FetchMeta {
-                        range_width: 1,
-                        trace_id: ctx.trace_id,
-                        root_span: ctx.span_id,
-                        ..FetchMeta::default()
-                    },
-                ))
+                let root = self.ring.try_sample().unwrap_or_default();
+                Ok((page, FetchMeta { range_width: 1, root, ..FetchMeta::default() }))
             }
         }
 
-        let ring = Arc::new(SpanRing::new(16, 1));
+        // Sample every other miss.
+        let ring = Arc::new(SpanRing::new(16, 2));
         let src = Arc::new(TracingSource { inner: MapSource::new(0..10), ring: Arc::clone(&ring) });
         let cache = TieredCache::new(
             4,
@@ -728,19 +708,42 @@ mod tests {
             src,
             Arc::new(|_| {}),
             Arc::new(|_, _| {}),
-            Arc::new(ReadTraceRecorder::disabled()),
-            (Arc::clone(&ring), NodeId::PRIMARY),
+            (Arc::clone(&ring), NodeId::secondary(1)),
         );
         cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
         let spans = ring.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].kind, SpanKind::GetPage);
-        assert_eq!(spans[0].parent_id, 0, "getpage is the trace root");
-        assert_eq!(spans[0].trace_id, spans[0].span_id);
-        assert_eq!(spans[0].node, NodeId::PRIMARY);
-        // A memory hit must not record anything.
+        assert_eq!(spans.len(), 5, "root + four cache-side stage children");
+        let root = spans.last().unwrap();
+        assert_eq!(root.kind, SpanKind::GetPage);
+        assert_eq!(root.parent_id, 0, "getpage is the trace root");
+        assert_eq!(root.trace_id, root.span_id);
+        assert_eq!(root.node, NodeId::secondary(1));
+        assert_eq!(root.arg, 3, "the root carries the page id");
+        let kinds: Vec<SpanKind> = spans[..4].iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                SpanKind::GetPageProbe,
+                SpanKind::GetPageQueue,
+                SpanKind::GetPageGather,
+                SpanKind::GetPageSink
+            ]
+        );
+        for child in &spans[..4] {
+            assert_eq!(child.parent_id, root.span_id);
+            assert!(child.start_ns >= root.start_ns);
+            assert!(child.start_ns + child.dur_ns <= root.start_ns + root.dur_ns + 4);
+        }
+        assert_eq!(spans[2].arg, pack_coalesce(1, false), "gather_wait carries the membership");
+
+        // A memory hit records nothing; an unsampled miss only the histograms.
         cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
-        assert_eq!(ring.spans().len(), 1);
+        cache.get(PageId::new(4), || Lsn::ZERO).unwrap();
+        assert_eq!(ring.spans().len(), 5);
+        assert_eq!(cache.stats().fetches.get(), 2);
+        for stage in [ReadStage::CacheProbe, ReadStage::NetRbio, ReadStage::Sink] {
+            assert_eq!(cache.read_stages().hist(stage).count(), 2, "{stage:?}");
+        }
     }
 
     #[test]

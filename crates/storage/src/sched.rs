@@ -319,15 +319,10 @@ impl IoScheduler {
 
     /// Fetch `id` at an LSN ≥ `min_lsn` through the scheduler: joins an
     /// existing in-flight request when possible, otherwise enqueues a
-    /// demand miss and parks until a worker completes it.
-    pub fn fetch(&self, id: PageId, min_lsn: Lsn) -> Result<Page> {
-        self.fetch_traced(id, min_lsn).map(|(page, _)| page)
-    }
-
-    /// [`IoScheduler::fetch`], plus the fetch's latency attribution
-    /// (queue/gather waits, coalesce membership, and whatever the backend
-    /// stamped on the batch).
-    pub fn fetch_traced(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
+    /// demand miss and parks until a worker completes it. Returns the page
+    /// with the fetch's latency attribution (queue/gather waits, coalesce
+    /// membership, and whatever the backend stamped on the batch).
+    pub fn fetch(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
         let s = &self.shared;
         s.stats.submitted.incr();
         // ordering: relaxed — stopped scheduler degrades to direct fetch; any
@@ -612,7 +607,7 @@ fn execute(s: &Shared, batch: Batch) {
 fn complete_one(s: &Shared, id: PageId, res: Result<(Page, FetchMeta)>) {
     let entry = s.inflight.lock().remove(&id);
     let Some(entry) = entry else { return };
-    // ordering: seqcst — pairs with the seqcst demand promotion in fetch_traced;
+    // ordering: seqcst — pairs with the seqcst demand promotion in fetch;
     // see the comment there
     if !entry.demand.load(Ordering::SeqCst) {
         // Pure prefetch: no waiter; land the page in the cache.
@@ -694,7 +689,7 @@ mod tests {
         let src = TestSource::new(16, Duration::ZERO);
         let s = sched(&src, IoSchedulerConfig::fast_test());
         for i in 0..16 {
-            let p = s.fetch(PageId::new(i), Lsn::ZERO).unwrap();
+            let (p, _) = s.fetch(PageId::new(i), Lsn::ZERO).unwrap();
             assert_eq!(p.body()[0], i as u8);
         }
         assert!(s.fetch(PageId::new(99), Lsn::ZERO).is_err());
@@ -713,7 +708,7 @@ mod tests {
                 handles.push(scope.spawn(move || s.fetch(PageId::new(1), Lsn::ZERO).unwrap()));
             }
             for h in handles {
-                assert_eq!(h.join().unwrap().body()[0], 1);
+                assert_eq!(h.join().unwrap().0.body()[0], 1);
             }
         });
         // ordering: relaxed — asserted after the fetches returned
@@ -759,7 +754,7 @@ mod tests {
         // ordering: relaxed — asserted after the fetches returned
         assert!(src.range_calls.load(Ordering::Relaxed) >= 1, "hints coalesce into range reads");
         // A later demand fetch for a hinted page joins/refetches cleanly.
-        assert_eq!(s.fetch(PageId::new(12), Lsn::ZERO).unwrap().body()[0], 12);
+        assert_eq!(s.fetch(PageId::new(12), Lsn::ZERO).unwrap().0.body()[0], 12);
     }
 
     #[test]
@@ -774,7 +769,7 @@ mod tests {
             ..IoSchedulerConfig::default()
         };
         let s = sched(&src, cfg);
-        let results: Vec<Result<Page>> = std::thread::scope(|scope| {
+        let results: Vec<Result<(Page, FetchMeta)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (20..23u64)
                 .map(|i| {
                     let s = &s;
@@ -807,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_traced_attributes_gather_and_coalesce_membership() {
+    fn fetch_attributes_gather_and_coalesce_membership() {
         let src = TestSource::new(64, Duration::ZERO);
         let cfg = IoSchedulerConfig {
             workers: 2,
@@ -819,7 +814,7 @@ mod tests {
             let handles: Vec<_> = (0..8u64)
                 .map(|i| {
                     let s = &s;
-                    scope.spawn(move || s.fetch_traced(PageId::new(8 + i), Lsn::ZERO).unwrap().1)
+                    scope.spawn(move || s.fetch(PageId::new(8 + i), Lsn::ZERO).unwrap().1)
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -848,7 +843,7 @@ mod tests {
             let handles: Vec<_> = (20..23u64)
                 .map(|i| {
                     let s = &s;
-                    scope.spawn(move || s.fetch_traced(PageId::new(i), Lsn::ZERO))
+                    scope.spawn(move || s.fetch(PageId::new(i), Lsn::ZERO))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

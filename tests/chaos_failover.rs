@@ -16,7 +16,7 @@
 
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
-use socrates_common::obs::MetricValue;
+use socrates_common::obs::{slowest_spans, MetricValue, SpanKind};
 use socrates_common::rng::Rng;
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
@@ -92,7 +92,7 @@ fn json_list(out: &mut String, key: &str, items: &[String], last: bool) {
 }
 
 /// Dump the schedule (and, once the run finishes, the fired log and the
-/// slow-op span ring) to `target/chaos/`. Written before the rounds start
+/// slowest sampled GetPage spans) to `target/chaos/`. Written before the rounds start
 /// so a failing CI run still uploads the schedule it was executing.
 fn write_artifact(seed: u64, actions: &[Action], sys: Option<&Socrates>) {
     let dir = std::path::Path::new("target/chaos");
@@ -106,23 +106,15 @@ fn write_artifact(seed: u64, actions: &[Action], sys: Option<&Socrates>) {
     let (fired, spans) = match sys {
         Some(sys) => (
             sys.fabric().faults.fired_log().iter().map(|e| e.render()).collect(),
-            sys.read_trace()
-                .slow_ops()
+            slowest_spans(&sys.fabric().spans.spans(), SpanKind::GetPage, 32)
                 .iter()
-                .map(|t| {
-                    format!(
-                        "page {} total_us {} width {}",
-                        t.page,
-                        t.total_ns() / 1_000,
-                        t.range_width
-                    )
-                })
+                .map(|s| format!("page {} node {} total_us {}", s.arg, s.node, s.dur_ns / 1_000))
                 .collect(),
         ),
         None => (Vec::new(), Vec::new()),
     };
     json_list(&mut out, "fired", &fired, false);
-    json_list(&mut out, "slow_ops", &spans, true);
+    json_list(&mut out, "slowest_getpage", &spans, true);
     let _ = writeln!(out, "}}");
     let _ = std::fs::write(dir.join(format!("schedule-seed-{seed}.json")), out);
 }
@@ -155,7 +147,8 @@ fn seeded_kill_restart_schedule_preserves_all_invariants() {
     assert_eq!(actions, derive_schedule(seed), "schedule derivation must be deterministic");
     write_artifact(seed, &actions, None);
 
-    let config = SocratesConfig::fast_test().with_fault_spec(seed, "");
+    // Sample every GetPage so a failing run's artifact names its slowest reads.
+    let config = SocratesConfig::fast_test().with_fault_spec(seed, "").with_trace_sample(1);
     let sys = Socrates::launch(config).unwrap();
     sys.primary().unwrap().db().create_table("t", schema()).unwrap();
     let mut committed: i64 = 0;

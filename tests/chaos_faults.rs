@@ -401,7 +401,7 @@ fn every_page_server_origin_is_fully_wired() {
         sites::PS_COMPACT_MERGE,
         sites::PAGESERVER_SERVE
     );
-    let config = SocratesConfig::fast_test().with_fault_spec(5, &spec).with_trace_sample(1, 4096);
+    let config = SocratesConfig::fast_test().with_fault_spec(5, &spec).with_trace_sample(1);
     let sys = Socrates::launch(config).unwrap();
     sys.primary().unwrap().db().create_table("t", schema()).unwrap();
     let pid = PartitionId::new(0);
@@ -547,7 +547,7 @@ fn blackbox_bundle_from_a_faulted_run_roundtrips() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = SocratesConfig::fast_test()
         .with_fault_spec(31, "lz.write@every:6=error:unavailable")
-        .with_trace_sample(1, 4096)
+        .with_trace_sample(1)
         .with_hub_history(256, Duration::from_millis(1))
         // An objective the workload is guaranteed to miss: appending any
         // log at all breaches it, so the ok→breach edge fires once the
@@ -575,8 +575,8 @@ fn blackbox_bundle_from_a_faulted_run_roundtrips() {
     assert!(sys.fabric().slo_breaching(), "breach edge fired but the gauge reads ok");
 
     // Quiesce the async commit stages (destage, applies) so the explicit
-    // bundle retains completed commit traces, then trigger what a chaos
-    // harness calls on invariant violation — it gets its own sequence.
+    // bundle's spans include the downstream legs, then trigger what a
+    // chaos harness calls on invariant violation — it gets its own sequence.
     sys.fabric().xlog.destage_all().unwrap();
     std::thread::sleep(sys.fabric().config.watcher_interval * 4 + Duration::from_millis(20));
     let explicit = sys.fabric().blackbox.trigger("chaos-invariant").unwrap();
@@ -591,25 +591,24 @@ fn blackbox_bundle_from_a_faulted_run_roundtrips() {
             doc.get("version").and_then(|v| v.as_i64()),
             Some(socrates_common::obs::BLACKBOX_VERSION as i64)
         );
-        // Every ring section is present in both bundles. The breach-edge
+        // Every section is present in both bundles. The breach-edge
         // bundle fires on the watcher's first tick — milliseconds into
-        // the run — so only the quiesced explicit bundle guarantees the
-        // rings it snapshots are populated: metrics, completed commit
-        // traces, cross-tier spans (sample_every=1), fired fault events
-        // (lz.write every 6th call).
+        // the run — so only the quiesced explicit bundle guarantees what
+        // it snapshots is populated: metrics, cross-tier spans
+        // (sample_every=1), fired fault events (lz.write every 6th call).
         let section = |key: &str| {
             doc.get(key)
                 .and_then(|v| v.as_array())
                 .unwrap_or_else(|| panic!("{}: missing section {key:?}", path.display()))
                 .len()
         };
-        for key in ["metrics", "commit_traces", "read_spans", "slow_ops", "spans", "fault_events"] {
+        for key in ["metrics", "spans", "fault_events"] {
             let n = section(key);
-            if quiesced && key != "read_spans" && key != "slow_ops" {
+            if quiesced {
                 assert!(n > 0, "{}: section {key:?} is empty after quiesce", path.display());
             }
         }
-        assert!(section("commit_traces") <= 32, "last_n must bound the section");
+        assert!(section("spans") <= 32, "last_n must bound the section");
         if quiesced {
             // The spans section carries causal links the deserializer
             // can walk: some span names a parent also in the bundle.

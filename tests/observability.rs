@@ -2,15 +2,16 @@
 //!
 //! Drives a full deployment (primary + secondary + page servers + XLOG)
 //! through a real commit workload and then interrogates everything the
-//! observability subsystem promises: complete per-stage commit traces,
-//! a hub snapshot covering every tier, lag gauges that return to zero
-//! once the system quiesces, and exporters whose output parses.
+//! observability subsystem promises: per-stage commit histograms that
+//! count every commit (and survive failover), a hub snapshot covering
+//! every tier, lag gauges that return to zero once the system quiesces,
+//! and exporters whose output parses.
 
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::ids::NodeKind;
 use socrates_common::obs::{
-    chrome_trace_json, json_snapshot, json_trace_summary, prometheus_text, testjson, MetricValue,
-    SpanKind, Stage,
+    chrome_trace_json, json_snapshot, prometheus_text, testjson, MetricValue, ReadStage, SpanKind,
+    Stage, StageSet,
 };
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
@@ -37,7 +38,7 @@ fn observed_deployment() -> Socrates {
         db.commit(h).unwrap();
     }
     // Quiesce: storage catches up, XLOG destages, and the watcher gets a
-    // few ticks to complete the async trace stages.
+    // few ticks to complete the async commit stages.
     let frontier = primary.pipeline().hardened_lsn();
     sys.fabric().wait_applied(frontier, Duration::from_secs(30)).unwrap();
     sys.secondary(0).unwrap().wait_applied(frontier, Duration::from_secs(30)).unwrap();
@@ -54,34 +55,80 @@ fn eventually(mut pred: impl FnMut() -> bool, what: &str) {
     }
 }
 
+/// Sample count of `primary.<name>` in the hub.
+fn primary_hist_count(sys: &Socrates, name: &str) -> u64 {
+    match sys.hub().snapshot().get(NodeId::PRIMARY, name) {
+        Some(MetricValue::Histogram(h)) => h.count,
+        other => panic!("primary {name} missing or wrong type: {other:?}"),
+    }
+}
+
+/// The 11 pinned `primary.{commit,read}_stage_*_us` names.
+fn primary_stage_names() -> Vec<String> {
+    let commit = Stage::ALL.iter().map(|s| format!("commit_stage_{}_us", s.name()));
+    let read = ReadStage::ALL.iter().map(|s| format!("read_stage_{}_us", s.name()));
+    commit.chain(read).collect()
+}
+
 #[test]
 fn commit_traces_cover_every_stage() {
     let sys = observed_deployment();
 
-    // The watcher needs to observe the final frontiers.
-    eventually(
-        || sys.trace().completed_traces().len() as u64 >= COMMITS,
-        "all commit traces to complete",
-    );
-
-    let traces = sys.trace().completed_traces();
-    assert!(traces.len() as u64 >= COMMITS, "only {} complete traces", traces.len());
-    for t in &traces {
-        for stage in Stage::ALL {
-            assert!(
-                t.stage_ns(stage) > 0,
-                "commit {} (lsn {}) has zero duration for stage {}",
-                t.txn,
-                t.lsn,
-                stage.name()
-            );
-        }
-        assert!(t.is_complete());
-        assert!(t.total_ns() >= t.stage_ns(Stage::Engine));
+    // The sync stages take exactly one sample per commit: the workload's
+    // COMMITS plus the create_table.
+    for stage in [Stage::Engine, Stage::Harden] {
+        let name = format!("commit_stage_{}_us", stage.name());
+        assert_eq!(primary_hist_count(&sys, &name), COMMITS + 1, "{name}");
     }
-    // Percentile queries answer over the retained window.
-    assert!(sys.trace().stage_percentile_us(Stage::Harden, 0.5) > 0);
-    assert!(sys.trace().commits_recorded() >= COMMITS);
+
+    // The async stages take one sample per hardened-frontier mark once the
+    // watcher sees their watermark pass it — at least one after quiesce,
+    // never more than one per commit.
+    for stage in Stage::ASYNC {
+        let name = format!("commit_stage_{}_us", stage.name());
+        eventually(|| primary_hist_count(&sys, &name) >= 1, &format!("{name} to take a sample"));
+        assert!(primary_hist_count(&sys, &name) <= COMMITS + 1, "{name} oversampled");
+    }
+    sys.shutdown();
+}
+
+#[test]
+fn stage_histograms_stay_registered_and_advance_across_failover() {
+    let sys = observed_deployment();
+    sys.kill_primary();
+    let p = sys.failover().unwrap();
+    // Commit stages are deployment-lifetime: they keep their pre-failover
+    // history. Read stages belong to the dead primary's cache and restart
+    // (the new primary has so far only fetched its catalog) under the same
+    // names.
+    let before: Vec<(String, u64)> = primary_stage_names()
+        .into_iter()
+        .map(|name| {
+            let count = primary_hist_count(&sys, &name);
+            (name, count)
+        })
+        .collect();
+    for (name, count) in &before {
+        if name.starts_with("commit_stage_") {
+            assert!(*count >= 1, "{name} lost its history in the failover");
+        }
+    }
+
+    // A cold scan (misses) and a commit on the new primary move all 11.
+    let db = p.db();
+    let r = db.begin();
+    assert_eq!(db.scan_table(&r, "t", usize::MAX).unwrap().len(), COMMITS as usize);
+    let h = db.begin();
+    db.insert(&h, "t", &[Value::Int(10_000), Value::Str("post-failover".into())]).unwrap();
+    db.commit(h).unwrap();
+    sys.fabric().xlog.destage_all().unwrap();
+    for (name, count) in &before {
+        eventually(
+            || primary_hist_count(&sys, name) > *count,
+            &format!("{name} to advance after failover"),
+        );
+    }
+    assert!(sys.hub().duplicate_registrations().is_empty(), "failover re-registered a live name");
     sys.shutdown();
 }
 
@@ -112,8 +159,7 @@ fn hub_snapshot_covers_every_tier() {
         snapshot.get(NodeId::secondary(0), "applied_lsn").is_some(),
         "secondary applied_lsn missing"
     );
-    // The commit-stage histograms are in the hub too (registered off the
-    // trace recorder).
+    // The commit-stage histograms are in the hub too.
     match snapshot.get(NodeId::PRIMARY, "commit_stage_harden_us") {
         Some(MetricValue::Histogram(h)) => assert!(h.count >= COMMITS),
         other => panic!("commit_stage_harden_us: {other:?}"),
@@ -182,13 +228,24 @@ fn exporters_emit_parseable_output() {
     let metrics = v.get("metrics").and_then(|m| m.as_array()).expect("metrics array");
     assert_eq!(metrics.len(), snapshot.samples.len());
 
-    // Trace summary: parses and reports every stage.
-    let summary = testjson::parse(&json_trace_summary(sys.trace())).expect("valid JSON");
-    assert!(summary.get("commits").and_then(|c| c.as_i64()).unwrap() >= COMMITS as i64);
-    let stages = summary.get("stages").expect("stages object");
+    // The JSON snapshot carries every commit stage, counted.
+    eventually(
+        || Stage::ASYNC.iter().all(|s| sys.fabric().commit_stages.hist(*s).count() > 0),
+        "the async commit stages to take a sample",
+    );
+    let v = testjson::parse(&json_snapshot(&sys.hub().snapshot())).expect("valid JSON snapshot");
+    let metrics = v.get("metrics").and_then(|m| m.as_array()).expect("metrics array");
     for stage in Stage::ALL {
-        let s = stages.get(stage.name()).expect("stage entry");
-        assert!(s.get("count").and_then(|c| c.as_i64()).unwrap() > 0);
+        let name = format!("primary.0.commit_stage_{}_us", stage.name());
+        let m = metrics
+            .iter()
+            .find(|m| m.get("name").and_then(|n| n.as_str()) == Some(&name))
+            .unwrap_or_else(|| panic!("{name} missing from the JSON snapshot"));
+        let count = m.get("value").and_then(|v| v.get("count")).and_then(|c| c.as_i64()).unwrap();
+        assert!(count > 0, "{name} count {count}");
+        if !Stage::ASYNC.contains(stage) {
+            assert!(count > COMMITS as i64, "{name} count {count}");
+        }
     }
     sys.shutdown();
 }
