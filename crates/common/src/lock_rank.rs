@@ -16,6 +16,7 @@
 //! ```text
 //! deployment → fabric → engine → cache.mem → wal flush → xlog → LZ/xstore
 //! pageserver.mem → rbpex / xlog                 (apply + checkpoint)
+//! any of the above → watermark                  (advance / wait, a leaf)
 //! ```
 //!
 //! | band | locks |
@@ -28,7 +29,7 @@
 //! | 700s | xlog (710s), then the landing zone (750s, written from xlog) |
 //! | 800s | rbio (replication transport)                 |
 //! | 900s | xstore (page store service)                  |
-//! | 1000s| common leaves (fault registry, obs)          |
+//! | 1000s| common leaves (fault registry, obs, watermark) |
 //!
 //! Fine-grained, dynamically created locks — per-page latches
 //! (`PageRef`), per-fetch pendings, per-rule RNGs, per-blob FCBs — stay
@@ -48,8 +49,6 @@
 pub const CORE_DEPLOYMENT_PRIMARY: u32 = 101;
 /// `core::deployment` secondary list (shared `SecondaryList`).
 pub const CORE_DEPLOYMENT_SECONDARIES: u32 = 102;
-/// `core::fabric::ApplySignal.lock` — the apply-watermark condvar mutex.
-pub const CORE_APPLY_SIGNAL: u32 = 110;
 /// `core::obs::LagWatcher.handle` — watcher join handle.
 pub const CORE_LAG_WATCHER_HANDLE: u32 = 150;
 /// `core::secondary` apply-loop join handle.
@@ -98,8 +97,6 @@ pub const PS_CHECKPOINT: u32 = 310;
 /// `pageserver::PageServer.compact_lock` — single-compactor gate (held
 /// while materializing pages through the layer map, hence below it).
 pub const PS_COMPACT: u32 = 312;
-/// `pageserver::PageServer.apply_mutex` — apply-loop serializer.
-pub const PS_APPLY: u32 = 315;
 /// `pageserver::PageServer.mem` — applied-page memory map.
 pub const PS_MEM: u32 = 320;
 /// `pageserver::PageServer.dirty` — dirty-page set.
@@ -153,8 +150,6 @@ pub const WAL_FLUSH_LOCK: u32 = 605;
 pub const WAL_BUF: u32 = 610;
 /// `wal::pipeline::LogPipeline.unflushed` — unflushed block queue.
 pub const WAL_UNFLUSHED: u32 = 620;
-/// `wal::pipeline::LogPipeline.wait_mutex` — durability-wait condvar mutex.
-pub const WAL_WAIT: u32 = 630;
 
 // --- hadr (660s) ------------------------------------------------------
 /// `hadr::Hadr.retained` — retained-page list for failback.
@@ -220,6 +215,11 @@ pub const COMMON_FAULT_LOG: u32 = 1030;
 /// The hub snapshot itself runs *before* this lock is taken, so the
 /// ring stays a leaf below every sampling closure's own locks.
 pub const COMMON_OBS_HISTORY: u32 = 1060;
+/// `common::lsn::Watermark.wakes` — the wake mutex of every LSN frontier
+/// a thread can sleep on. The outermost leaf: frontiers are advanced
+/// under their tier's own locks (`xlog.broker`, the pipeline flush lock)
+/// and waited on under engine latches, and nothing is taken beneath it.
+pub const COMMON_WATERMARK: u32 = 1090;
 
 #[cfg(test)]
 mod tests {
@@ -228,7 +228,6 @@ mod tests {
         let all: &[u32] = &[
             super::CORE_DEPLOYMENT_PRIMARY,
             super::CORE_DEPLOYMENT_SECONDARIES,
-            super::CORE_APPLY_SIGNAL,
             super::CORE_FABRIC_PARTITIONS,
             super::CORE_FABRIC_PARTITION_BLOBS,
             super::CORE_FABRIC_DEGRADED,
@@ -246,7 +245,6 @@ mod tests {
             super::ENGINE_EVICTED_BUCKETS,
             super::PS_CHECKPOINT,
             super::PS_COMPACT,
-            super::PS_APPLY,
             super::PS_MEM,
             super::PS_DIRTY,
             super::PS_OPEN_LAYER,
@@ -263,7 +261,6 @@ mod tests {
             super::WAL_FLUSH_LOCK,
             super::WAL_BUF,
             super::WAL_UNFLUSHED,
-            super::WAL_WAIT,
             super::HADR_RETAINED,
             super::HADR_HANDLE,
             super::HADR_RNG,
@@ -280,6 +277,7 @@ mod tests {
             super::COMMON_FAULT_HUB,
             super::COMMON_FAULT_LOG,
             super::COMMON_OBS_HISTORY,
+            super::COMMON_WATERMARK,
         ];
         let mut sorted = all.to_vec();
         sorted.sort_unstable();

@@ -7,8 +7,11 @@
 //! past its last byte. Byte-offset LSNs make landing-zone wraparound
 //! arithmetic and destaging bookkeeping straightforward.
 
+use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// A position in the database log, measured in bytes from the start of the
 /// log stream.
@@ -150,9 +153,99 @@ impl AtomicLsn {
     }
 }
 
+/// A monotone LSN frontier a thread can sleep on — the one way to wait for
+/// log progress (hardened, released, destaged, applied). Frontiers nobody
+/// waits on stay plain [`AtomicLsn`]s.
+pub struct Watermark {
+    lsn: AtomicLsn,
+    /// Wake epoch, bumped by [`wake_all`](Self::wake_all). A leaf lock:
+    /// held only around the notify and the check-then-park.
+    wakes: Mutex<u64>,
+    cv: Condvar,
+}
+
+/// How long a background loop sleeps on the frontier it follows before
+/// re-checking its stop flag. A backstop only: stop paths set the flag and
+/// call [`Watermark::wake_all`], so nothing depends on this period.
+pub const IDLE_WAIT: Duration = Duration::from_secs(1);
+
+/// Pause before a background loop retries after an error (XStore outage,
+/// unreadable log): paces the retry, it does not poll a frontier.
+pub const RETRY_PAUSE: Duration = Duration::from_millis(5);
+
+/// The stop flag of waiters that have none.
+static NEVER: AtomicBool = AtomicBool::new(false);
+
+impl Watermark {
+    /// Create a frontier initialised to `lsn`.
+    pub fn new(lsn: Lsn) -> Self {
+        Watermark {
+            lsn: AtomicLsn::new(lsn),
+            wakes: Mutex::with_rank(0, crate::lock_rank::COMMON_WATERMARK, "common.watermark"),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Read the frontier.
+    #[inline]
+    pub fn load(&self) -> Lsn {
+        self.lsn.load()
+    }
+
+    /// Advance the frontier to `lsn` if it is behind it and wake every
+    /// waiter; returns the previous value. Taking the mutex around the
+    /// notify closes the check-then-park race with `wait_for`.
+    pub fn advance_to(&self, lsn: Lsn) -> Lsn {
+        let prev = self.lsn.advance_to(lsn);
+        if prev < lsn {
+            let _g = self.wakes.lock();
+            self.cv.notify_all();
+        }
+        prev
+    }
+
+    /// Block until the frontier reaches `target`, [`wake_all`](Self::wake_all)
+    /// is called, or `timeout` passes; returns the frontier then seen.
+    pub fn wait_for(&self, target: Lsn, timeout: Duration) -> Lsn {
+        self.wait_for_unless(target, timeout, &NEVER)
+    }
+
+    /// [`wait_for`](Self::wait_for) for a loop with a stop flag: `stop` is
+    /// read under the mutex before every park, so a stopper that sets it
+    /// and then calls [`wake_all`](Self::wake_all) cannot be missed.
+    pub fn wait_for_unless(&self, target: Lsn, timeout: Duration, stop: &AtomicBool) -> Lsn {
+        let at = self.load();
+        if at >= target {
+            return at;
+        }
+        let deadline = Instant::now() + timeout;
+        let mut wakes = self.wakes.lock();
+        let epoch = *wakes;
+        loop {
+            let at = self.load();
+            let left = deadline.saturating_duration_since(Instant::now());
+            // ordering: relaxed — the flag publishes nothing; the stopper's
+            // wake_all hands this mutex over after its store
+            let woken = *wakes != epoch || stop.load(Ordering::Relaxed);
+            if at >= target || woken || left.is_zero() {
+                return at;
+            }
+            self.cv.wait_for(&mut wakes, left);
+        }
+    }
+
+    /// Return every current waiter without moving the frontier (stop and
+    /// error paths).
+    pub fn wake_all(&self) {
+        *self.wakes.lock() += 1;
+        self.cv.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn ordering_and_arithmetic() {
@@ -187,6 +280,91 @@ mod tests {
         assert_eq!(w.load(), Lsn::new(20));
         w.store(Lsn::new(3));
         assert_eq!(w.load(), Lsn::new(3));
+    }
+
+    #[test]
+    fn watermark_advance_is_monotone_and_returns_previous() {
+        let w = Watermark::new(Lsn::new(10));
+        assert_eq!(w.advance_to(Lsn::new(5)), Lsn::new(10));
+        assert_eq!(w.load(), Lsn::new(10));
+        assert_eq!(w.advance_to(Lsn::new(20)), Lsn::new(10));
+        assert_eq!(w.advance_to(Lsn::new(20)), Lsn::new(20));
+        assert_eq!(w.load(), Lsn::new(20));
+    }
+
+    /// Far longer than any test should take: a wait that ends by timeout
+    /// instead of by wake-up fails the assertion on its return value.
+    const GENEROUS: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn watermark_returns_waiters_arriving_before_and_after_the_advance() {
+        let w = Arc::new(Watermark::new(Lsn::ZERO));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let early = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                w.wait_for(Lsn::new(7), GENEROUS)
+            })
+        };
+        // The early waiter is at (or past) its wait; whichever side of the
+        // park the advance lands on, it must be seen.
+        ready_rx.recv().unwrap();
+        w.advance_to(Lsn::new(3)); // short of the target: the waiter stays
+        w.advance_to(Lsn::new(9));
+        assert_eq!(early.join().unwrap(), Lsn::new(9));
+        // A waiter arriving after the advance returns without parking.
+        assert_eq!(w.wait_for(Lsn::new(9), GENEROUS), Lsn::new(9));
+        assert_eq!(w.wait_for(Lsn::new(1), Duration::ZERO), Lsn::new(9));
+    }
+
+    #[test]
+    fn watermark_timeout_returns_the_stale_frontier() {
+        let w = Watermark::new(Lsn::new(4));
+        let t0 = Instant::now();
+        assert_eq!(w.wait_for(Lsn::new(5), Duration::from_millis(20)), Lsn::new(4));
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert_eq!(w.load(), Lsn::new(4), "a timed-out wait moves nothing");
+    }
+
+    #[test]
+    fn watermark_wake_all_returns_a_waiter_short_of_its_target() {
+        let w = Arc::new(Watermark::new(Lsn::new(1)));
+        let waiter = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.wait_for(Lsn::MAX, GENEROUS))
+        };
+        // A flagless waiter only sees wakes that follow its arrival, so
+        // keep waking until it has returned.
+        let t0 = Instant::now();
+        while !waiter.is_finished() {
+            w.wake_all();
+            std::thread::yield_now();
+        }
+        assert_eq!(waiter.join().unwrap(), Lsn::new(1));
+        assert!(t0.elapsed() < GENEROUS, "returned by the wake, not the deadline");
+    }
+
+    #[test]
+    fn watermark_stop_flag_set_before_the_wait_is_never_missed() {
+        let w = Arc::new(Watermark::new(Lsn::new(1)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let (w, stop) = (Arc::clone(&w), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                let t0 = Instant::now();
+                (w.wait_for_unless(Lsn::MAX, GENEROUS, &stop), t0.elapsed())
+            })
+        };
+        ready_rx.recv().unwrap();
+        // One store, one wake: correct on either side of the waiter's park.
+        stop.store(true, Ordering::Relaxed); // ordering: test flag, see wait_for_unless
+        w.wake_all();
+        let (at, waited) = waiter.join().unwrap();
+        assert_eq!(at, Lsn::new(1));
+        assert!(waited < GENEROUS, "returned by the stop, not the deadline");
     }
 
     #[test]

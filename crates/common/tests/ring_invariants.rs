@@ -255,3 +255,45 @@ fn counters_and_histograms_lose_no_updates_under_contention() {
     assert_eq!(hist.count(), WRITERS * per_thread());
     assert_eq!(hist.snapshot().count, WRITERS * per_thread());
 }
+
+/// N advancers race a shared step counter up to `steps` while M waiters
+/// each sleep on every target in turn. A lost wake-up strands a waiter
+/// until its (generous) deadline, which the return-value assertion turns
+/// into a failure rather than a slow pass.
+#[test]
+fn watermark_loses_no_wakeup_between_advancers_and_waiters() {
+    use socrates_common::lsn::Watermark;
+    use std::sync::atomic::AtomicU64;
+    let steps: u64 = if cfg!(miri) { 60 } else { 10_000 };
+    let deadline = Duration::from_secs(120);
+    let w = Watermark::new(Lsn::ZERO);
+    let next = AtomicU64::new(1);
+    thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| loop {
+                // ordering: relaxed — a ticket counter; the watermark's own
+                // advance publishes the step
+                let step = next.fetch_add(1, Ordering::Relaxed);
+                if step > steps {
+                    break;
+                }
+                w.advance_to(Lsn::new(step));
+                if step.is_multiple_of(64) {
+                    thread::yield_now(); // let waiters catch up and park
+                }
+            });
+        }
+        for _ in 0..4 {
+            s.spawn(|| {
+                let mut seen = Lsn::ZERO;
+                for target in 1..=steps {
+                    let at = w.wait_for(Lsn::new(target), deadline);
+                    assert!(at >= Lsn::new(target), "waiter for {target} timed out at {at}");
+                    assert!(at >= seen, "frontier regressed from {seen} to {at}");
+                    seen = at;
+                }
+            });
+        }
+    });
+    assert_eq!(w.load(), Lsn::new(steps));
+}

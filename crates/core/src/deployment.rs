@@ -24,7 +24,7 @@ use socrates_xlog::XLogService;
 use socrates_xstore::SnapshotId;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A point-in-time-restorable backup: one snapshot per partition plus the
 /// location of the log archive.
@@ -210,19 +210,9 @@ impl Socrates {
     /// Ensure the long-term archive covers the log up to `lsn` (PITR can
     /// only restore what has been destaged).
     pub fn wait_destaged(&self, lsn: Lsn, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        while self.fabric.xlog.destaged_lsn() < lsn {
-            self.fabric.xlog.destage_all()?;
-            if self.fabric.xlog.destaged_lsn() >= lsn {
-                break;
-            }
-            if Instant::now() > deadline {
-                return Err(Error::Timeout(format!(
-                    "LT archive stuck at {} < {lsn}",
-                    self.fabric.xlog.destaged_lsn()
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        let destaged = self.fabric.xlog.wait_destaged(lsn, timeout);
+        if destaged < lsn {
+            return Err(Error::Timeout(format!("LT archive stuck at {destaged} < {lsn}")));
         }
         Ok(())
     }

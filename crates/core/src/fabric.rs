@@ -7,7 +7,7 @@
 //! deployment whose lifetime is the database's.
 
 use crate::config::SocratesConfig;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use socrates_common::fault::FaultRegistry;
 use socrates_common::ids::NodeKind;
 use socrates_common::latency::LatencyInjector;
@@ -88,22 +88,6 @@ pub enum ServerOrigin<'a> {
     Blobs { data: BlobId, meta: BlobId, replay: Option<(&'a [LogBlock], Lsn)> },
 }
 
-/// Condvar rendezvous between page-server apply threads and fabric-side
-/// waiters (`Fabric::wait_applied`).
-struct ApplySignal {
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl ApplySignal {
-    fn notify(&self) {
-        // Holding the lock around the notify closes the race with a waiter
-        // that checked its predicate but has not yet gone to sleep.
-        let _g = self.lock.lock();
-        self.cv.notify_all();
-    }
-}
-
 /// The shared storage fabric.
 pub struct Fabric {
     /// Deployment configuration.
@@ -171,9 +155,6 @@ pub struct Fabric {
     /// of the owning partition was down or unreachable.
     degraded_reads: Arc<Counter>,
     next_ps_index: AtomicU32,
-    /// Apply-progress signal: every page server's apply listener notifies
-    /// here, so [`Fabric::wait_applied`] sleeps instead of busy-polling.
-    apply_signal: Arc<ApplySignal>,
     /// LSN of the most recent checkpoint record (what a recovering primary
     /// starts its analysis from; production keeps this in the boot page).
     pub last_checkpoint: AtomicLsn,
@@ -384,10 +365,6 @@ impl Fabric {
             ),
             degraded_reads,
             next_ps_index: AtomicU32::new(0),
-            apply_signal: Arc::new(ApplySignal {
-                lock: Mutex::with_rank((), lock_rank::CORE_APPLY_SIGNAL, "fabric.apply_signal"),
-                cv: Condvar::new(),
-            }),
             last_checkpoint: AtomicLsn::new(start),
         }))
     }
@@ -547,15 +524,12 @@ impl Fabric {
 
     /// What every page server of this deployment is handed at construction.
     fn wiring(&self, node: NodeId) -> PageServerWiring {
-        let signal = Arc::clone(&self.apply_signal);
         PageServerWiring {
             faults: self.faults.clone(),
             spans: Arc::clone(&self.spans),
             node,
             cpu: self.cpu.accountant(node),
             compactor: Some(Arc::clone(&self.compaction)),
-            // Every apply advance wakes the fabric's wait_applied sleepers.
-            on_applied: Arc::new(move |_lsn| signal.notify()),
         }
     }
 
@@ -774,31 +748,20 @@ impl Fabric {
             .unwrap_or(Lsn::ZERO)
     }
 
-    /// Wait until every page server has applied the log up to `lsn`.
-    /// Sleeps on the apply signal — every page-server apply advance
-    /// notifies it — instead of busy-polling; the capped wait is a
-    /// backstop against a stopped apply loop.
+    /// Wait until every page server has applied the log up to `lsn`:
+    /// sleeps on each server's apply watermark in turn, which is exact
+    /// because frontiers only move forward.
     pub fn wait_applied(&self, lsn: Lsn, timeout: std::time::Duration) -> Result<()> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.apply_signal.lock.lock();
-        loop {
-            let lagging = self
-                .partitions
-                .read()
-                .values()
-                .flat_map(|h| h.servers.iter())
-                .any(|s| s.applied_lsn() < lsn);
-            if !lagging {
-                return Ok(());
-            }
-            let now = std::time::Instant::now();
-            if now > deadline {
+        let servers: Vec<Arc<PageServer>> =
+            self.partitions.read().values().flat_map(|h| h.servers.iter().cloned()).collect();
+        for s in servers {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if s.wait_applied(lsn, left) < lsn {
                 return Err(Error::Timeout(format!("page servers did not reach {lsn}")));
             }
-            let cap =
-                deadline.saturating_duration_since(now).min(std::time::Duration::from_millis(2));
-            self.apply_signal.cv.wait_for(&mut guard, cap);
         }
+        Ok(())
     }
 
     /// Fork a copy-on-write branch of `partition` frozen at `at_lsn`

@@ -20,7 +20,7 @@
 
 use crate::fabric::Fabric;
 use parking_lot::Mutex;
-use socrates_common::lsn::AtomicLsn;
+use socrates_common::lsn::{Watermark, RETRY_PAUSE};
 use socrates_common::metrics::{Counter, CpuAccountant};
 use socrates_common::{Error, Lsn, NodeId, PageId, Result, TxnId};
 use socrates_engine::catalog::CATALOG_PAGE;
@@ -64,7 +64,7 @@ struct PendingFetches {
 pub struct SecondaryIo {
     cache: Arc<TieredCache>,
     evicted: Arc<EvictedLsnMap>,
-    applied: Arc<AtomicLsn>,
+    applied: Arc<Watermark>,
     pending: Arc<PendingFetches>,
     metrics: Arc<SecondaryMetrics>,
     data_pages: Arc<DataPageStats>,
@@ -102,16 +102,12 @@ impl PageAccess for SecondaryIo {
             // traversals stay time-coherent.
             if page.page_lsn() > self.applied.load() {
                 self.metrics.future_page_waits.incr();
-                let deadline = Instant::now() + self.future_wait;
-                while self.applied.load() < page.page_lsn() {
-                    if Instant::now() > deadline {
-                        return Err(Error::Unavailable(format!(
-                            "page {id} is from the future (lsn {} > applied {})",
-                            page.page_lsn(),
-                            self.applied.load()
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
+                let applied = self.applied.wait_for(page.page_lsn(), self.future_wait);
+                if applied < page.page_lsn() {
+                    return Err(Error::Unavailable(format!(
+                        "page {id} is from the future (lsn {} > applied {applied})",
+                        page.page_lsn(),
+                    )));
                 }
             }
             Ok((page, meta, fetch, sink_t0))
@@ -157,7 +153,7 @@ pub struct Secondary {
     io: Arc<SecondaryIo>,
     tm: Arc<TxnManager>,
     fabric: Arc<Fabric>,
-    applied: Arc<AtomicLsn>,
+    applied: Arc<Watermark>,
     metrics: Arc<SecondaryMetrics>,
     cpu: Arc<CpuAccountant>,
     stop: Arc<AtomicBool>,
@@ -174,7 +170,7 @@ impl Secondary {
         let evicted = Arc::new(EvictedLsnMap::new(1 << 16));
         // First reads must reflect at least the node's starting point.
         evicted.raise_floor(start_lsn);
-        let applied = Arc::new(AtomicLsn::new(start_lsn));
+        let applied = Arc::new(Watermark::new(start_lsn));
         let metrics = Arc::new(SecondaryMetrics::default());
         let pending = Arc::new(PendingFetches {
             map: Mutex::with_rank(
@@ -262,16 +258,9 @@ impl Secondary {
 
     /// Wait until this secondary has applied log up to `lsn`.
     pub fn wait_applied(&self, lsn: Lsn, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        while self.applied.load() < lsn {
-            if Instant::now() > deadline {
-                return Err(Error::Timeout(format!(
-                    "{} stuck at {} < {lsn}",
-                    self.node,
-                    self.applied.load()
-                )));
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        let applied = self.applied.wait_for(lsn, timeout);
+        if applied < lsn {
+            return Err(Error::Timeout(format!("{} stuck at {applied} < {lsn}", self.node)));
         }
         Ok(())
     }
@@ -304,8 +293,10 @@ impl Secondary {
     /// Stop the apply loop (failover promotion, scale-down) and retire
     /// this node's metrics from the hub.
     pub fn stop(&self) {
-        // ordering: relaxed — poll flag; the join below is the real sync point
+        // ordering: relaxed — stop flag; the wake and join below are the
+        // real sync points
         self.stop.store(true, Ordering::Relaxed);
+        self.fabric.xlog.wake_released();
         if let Some(h) = self.apply_handle.lock().take() {
             let _ = h.join();
         }
@@ -315,13 +306,13 @@ impl Secondary {
     fn apply_loop(self: Arc<Self>) {
         let name = format!("{}", self.node);
         self.fabric.xlog.register_consumer(&name, self.applied.load());
-        // ordering: relaxed — shutdown poll; a late observation costs one iteration
+        // ordering: relaxed — shutdown flag; a late observation costs one iteration
         while !self.stop.load(Ordering::Relaxed) {
-            match self.apply_once() {
-                Ok(0) => std::thread::sleep(Duration::from_millis(2)),
-                Ok(_) => {}
-                Err(_) => std::thread::sleep(Duration::from_millis(4)),
+            if self.apply_once().is_err() {
+                std::thread::sleep(RETRY_PAUSE);
             }
+            // Sleep until log past our cursor is released.
+            self.fabric.xlog.wait_released(self.applied.load(), &self.stop);
         }
     }
 
@@ -329,7 +320,7 @@ impl Secondary {
     /// can drive a secondary deterministically.
     pub fn apply_once(&self) -> Result<usize> {
         let cursor = self.applied.load();
-        let pull = self.fabric.xlog.pull_blocks(cursor, 1 << 20, None)?;
+        let pull = self.fabric.xlog.pull_blocks(cursor, socrates_xlog::PULL_BATCH_BYTES, None)?;
         let mut processed = 0usize;
         let mut catalog_floor: Option<Lsn> = None;
         for block in &pull.blocks {
@@ -406,11 +397,6 @@ impl Secondary {
 
 impl Drop for Secondary {
     fn drop(&mut self) {
-        // ordering: relaxed — poll flag; the join below is the real sync point
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.apply_handle.lock().take() {
-            let _ = h.join();
-        }
-        self.fabric.hub.unregister_node(self.node);
+        self.stop();
     }
 }

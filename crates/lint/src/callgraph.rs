@@ -23,7 +23,7 @@ const DEPTH_CAP: usize = 6;
 /// call whose `foo` happens to be defined once in the workspace must
 /// still not resolve if `foo` is a name std types use everywhere —
 /// the receiver is far more likely a Vec/Map/iterator than ours.
-const METHOD_BLOCKLIST: [&str; 48] = [
+const METHOD_BLOCKLIST: [&str; 49] = [
     "all",
     "any",
     "as_mut",
@@ -71,6 +71,7 @@ const METHOD_BLOCKLIST: [&str; 48] = [
     "split",
     "take",
     "wait",
+    "wait_for",
     "zip",
 ];
 

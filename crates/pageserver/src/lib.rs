@@ -33,9 +33,9 @@
 mod compactor;
 pub use compactor::CompactionWorker;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use socrates_common::fault::{sites as fault_sites, FaultOutcome, FaultRegistry};
-use socrates_common::lsn::AtomicLsn;
+use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
 use socrates_common::metrics::{Counter, CpuAccountant};
 use socrates_common::obs::{SpanKind, SpanRing, TraceCtx};
 use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
@@ -47,15 +47,21 @@ use socrates_storage::layermap::{LayerCounts, LayerMap};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
 use socrates_wal::record::LogPayload;
-use socrates_xlog::XLogService;
+use socrates_xlog::{XLogService, PULL_BATCH_BYTES};
 use socrates_xstore::{SnapshotId, XStore};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pages held in the apply buffer before spilling to RBPEX.
 const MEM_TIER_PAGES: usize = 256;
+
+/// The background checkpointer runs once this many pages are dirty.
+const CHECKPOINT_DIRTY_PAGES: usize = 256;
+
+/// How long `branch_from` waits for the parent to reach the branch point.
+const BRANCH_WAIT: Duration = Duration::from_secs(5);
 
 /// Static description of a partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,12 +84,6 @@ impl PartitionSpec {
 /// Tuning knobs.
 #[derive(Clone, Debug)]
 pub struct PageServerConfig {
-    /// Max bytes pulled from XLOG per apply batch.
-    pub pull_batch_bytes: usize,
-    /// Checkpoint when this many pages are dirty.
-    pub checkpoint_dirty_pages: usize,
-    /// Apply-loop idle sleep.
-    pub idle_sleep: Duration,
     /// GetPage@LSN wait deadline.
     pub get_page_timeout: Duration,
     /// Seal the open L0 delta layer once it retains this many bytes.
@@ -95,22 +95,15 @@ pub struct PageServerConfig {
     /// the applied frontier may be garbage-collected. `u64::MAX`
     /// disables GC (retain everything).
     pub retention_window_bytes: u64,
-    /// How long `branch_from` waits for the parent to apply up to the
-    /// requested branch point.
-    pub branch_wait: Duration,
 }
 
 impl Default for PageServerConfig {
     fn default() -> Self {
         PageServerConfig {
-            pull_batch_bytes: 1 << 20,
-            checkpoint_dirty_pages: 256,
-            idle_sleep: Duration::from_micros(500),
             get_page_timeout: Duration::from_secs(10),
             layer_seal_bytes: 64 << 10,
             layer_compact_threshold: 4,
             retention_window_bytes: u64::MAX,
-            branch_wait: Duration::from_secs(5),
         }
     }
 }
@@ -149,11 +142,6 @@ pub struct PageServerMetrics {
     pub apply_busy_us: Counter,
 }
 
-/// Apply-progress callback: invoked with the new applied LSN after every
-/// advance, so a fabric can wake compute-side freshness waiters without
-/// polling.
-pub type ApplyListener = Arc<dyn Fn(Lsn) + Send + Sync>;
-
 /// Everything a page server is handed by whoever runs it, as opposed to
 /// what it *is* (its partition, devices and blobs). A fabric fills this in
 /// once per server; [`PageServerWiring::unwired`] is the stand-alone form.
@@ -170,13 +158,10 @@ pub struct PageServerWiring {
     /// Runs scheduled compactions; without one, compaction only runs when
     /// driven explicitly via [`PageServer::compact_blocking`].
     pub compactor: Option<Arc<CompactionWorker>>,
-    /// Fired after every apply advance (a fabric wakes its own
-    /// `wait_applied` sleepers with it).
-    pub on_applied: ApplyListener,
 }
 
 impl PageServerWiring {
-    /// No faults, no tracing, no background compaction, nobody listening.
+    /// No faults, no tracing, no background compaction.
     pub fn unwired() -> PageServerWiring {
         PageServerWiring {
             faults: FaultRegistry::disabled(),
@@ -184,7 +169,6 @@ impl PageServerWiring {
             node: NodeId::page_server(0),
             cpu: Arc::new(CpuAccountant::new()),
             compactor: None,
-            on_applied: Arc::new(|_| {}),
         }
     }
 }
@@ -211,7 +195,9 @@ pub struct PageServer {
     data_blob: BlobId,
     meta_blob: BlobId,
     xlog: Arc<XLogService>,
-    applied: AtomicLsn,
+    /// The log-apply frontier: GetPage@LSN freshness waits, the fabric's
+    /// `wait_applied` and this server's checkpoint loop sleep on it.
+    applied: Watermark,
     /// LSN up to which everything is durably checkpointed in XStore.
     checkpointed: AtomicLsn,
     /// Reads strictly below this LSN are no longer materializable: GC
@@ -230,11 +216,6 @@ pub struct PageServer {
     self_weak: Weak<PageServer>,
     wiring: PageServerWiring,
     metrics: PageServerMetrics,
-    /// Condvar protocol for GetPage@LSN freshness waits: `wait_applied`
-    /// sleeps here and every apply advance notifies, replacing the old
-    /// 100 µs busy-poll.
-    apply_mutex: Mutex<()>,
-    apply_cv: Condvar,
     stop: AtomicBool,
     seeded: AtomicBool,
     apply_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -344,7 +325,7 @@ impl PageServer {
                 "branch point {at_lsn} is below the GC horizon {floor}"
             )));
         }
-        parent.wait_applied_for(at_lsn, parent.config.branch_wait)?;
+        parent.wait_fresh(at_lsn, BRANCH_WAIT)?;
         // Seal the parent's open layer so every pre-branch delta is in
         // the shareable immutable set. As on the apply path, the sealed
         // L0 is published into the map under the open-layer lock so no
@@ -420,7 +401,7 @@ impl PageServer {
             data_blob,
             meta_blob,
             xlog,
-            applied: AtomicLsn::new(start_lsn),
+            applied: Watermark::new(start_lsn),
             checkpointed: AtomicLsn::new(start_lsn),
             gc_floor: AtomicLsn::new(gc_floor),
             dirty: Mutex::with_rank(
@@ -443,12 +424,6 @@ impl PageServer {
             self_weak: self_weak.clone(),
             wiring,
             metrics: PageServerMetrics::default(),
-            apply_mutex: Mutex::with_rank(
-                (),
-                socrates_common::lock_rank::PS_APPLY,
-                "ps.apply_mutex",
-            ),
-            apply_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             seeded: AtomicBool::new(seeded),
             apply_handle: Mutex::with_rank(
@@ -550,15 +525,10 @@ impl PageServer {
         self.applied.load()
     }
 
-    /// Record that `applied` advanced to `lsn`: wake freshness waiters and
-    /// fire the listener. Taking `apply_mutex` around the notify closes the
-    /// check-then-sleep race with `wait_applied`.
-    fn note_applied(&self, lsn: Lsn) {
-        {
-            let _g = self.apply_mutex.lock();
-            self.apply_cv.notify_all();
-        }
-        (self.wiring.on_applied)(lsn);
+    /// Block until the apply watermark reaches `lsn` or `timeout` passes
+    /// (or the server stops); returns the watermark then seen.
+    pub fn wait_applied(&self, lsn: Lsn, timeout: Duration) -> Lsn {
+        self.applied.wait_for(lsn, timeout)
     }
 
     /// Everything at or below this LSN is durable in XStore.
@@ -623,8 +593,13 @@ impl PageServer {
 
     /// Stop background threads and join them.
     pub fn stop(&self) {
-        // ordering: relaxed — poll flag; the joins below are the real sync point
+        // ordering: relaxed — stop flag; the wakes and joins below are the
+        // real sync points
         self.stop.store(true, Ordering::Relaxed);
+        // The apply loop sleeps on XLOG's released frontier, the checkpoint
+        // loop (and GetPage@LSN waiters, who fail now) on `applied`.
+        self.xlog.wake_released();
+        self.applied.wake_all();
         for handle in [&self.apply_handle, &self.ckpt_handle, &self.seed_handle] {
             if let Some(h) = handle.lock().take() {
                 let _ = h.join();
@@ -635,29 +610,30 @@ impl PageServer {
     // ---- log apply ----
 
     fn apply_loop(self: Arc<Self>) {
-        // ordering: relaxed — shutdown poll; a late observation costs one iteration
+        // ordering: relaxed — shutdown flag; a late observation costs one iteration
         while !self.stop.load(Ordering::Relaxed) {
-            match self.apply_once() {
-                Ok(0) => std::thread::sleep(self.config.idle_sleep),
-                Ok(_) => {}
-                Err(_) => std::thread::sleep(self.config.idle_sleep.max(Duration::from_millis(2))),
+            if self.apply_once().is_err() {
+                std::thread::sleep(RETRY_PAUSE);
             }
+            // Sleep until log past our cursor is released (returns at once
+            // when a failed or size-capped pull left some behind).
+            self.xlog.wait_released(self.applied.load(), &self.stop);
         }
     }
 
     /// The background checkpointer: runs on its own thread so slow XStore
-    /// writes never stall log apply (which would stall GetPage@LSN).
-    // soclint-allow: lock-order-transitive the dirty guard below is a
-    // statement-scoped temporary (`.lock().len()`), already dropped when
-    // checkpoint() runs; no dirty->checkpoint_lock nesting actually occurs.
+    /// writes never stall log apply (which would stall GetPage@LSN). The
+    /// dirty set only grows when `applied` moves, so that is what it
+    /// sleeps on.
     fn checkpoint_loop(self: Arc<Self>) {
-        // ordering: relaxed — shutdown poll; a late observation costs one iteration
+        let mut seen = self.applied.load();
+        // ordering: relaxed — shutdown flag; a late observation costs one iteration
         while !self.stop.load(Ordering::Relaxed) {
-            let dirty_count = self.dirty.lock().len();
-            if dirty_count >= self.config.checkpoint_dirty_pages {
-                let _ = self.checkpoint(); // deferred on outage
-            } else {
-                std::thread::sleep(Duration::from_millis(2));
+            if self.dirty.lock().len() < CHECKPOINT_DIRTY_PAGES {
+                seen = self.applied.wait_for_unless(seen + 1, IDLE_WAIT, &self.stop);
+            } else if self.checkpoint().is_err() {
+                // Deferred (XStore outage): pace the retry.
+                std::thread::sleep(RETRY_PAUSE);
             }
         }
     }
@@ -667,8 +643,7 @@ impl PageServer {
     pub fn apply_once(&self) -> Result<usize> {
         let busy_t0 = std::time::Instant::now();
         let cursor = self.applied.load();
-        let pull =
-            self.xlog.pull_blocks(cursor, self.config.pull_batch_bytes, Some(self.spec.id))?;
+        let pull = self.xlog.pull_blocks(cursor, PULL_BATCH_BYTES, Some(self.spec.id))?;
         let mut applied = 0usize;
         for block in &pull.blocks {
             let span = self
@@ -693,7 +668,6 @@ impl PageServer {
         if pull.next_lsn > cursor {
             self.applied.advance_to(pull.next_lsn);
             self.xlog.report_progress(&self.name, pull.next_lsn);
-            self.note_applied(pull.next_lsn);
         }
         self.metrics.records_applied.add(applied as u64);
         if applied > 0 {
@@ -729,7 +703,6 @@ impl PageServer {
             }
             self.applied.advance_to(block.end_lsn().min(upto));
         }
-        self.note_applied(self.applied.load());
         self.metrics.records_applied.add(applied as u64);
         Ok(applied)
     }
@@ -757,7 +730,7 @@ impl PageServer {
                     // Publish into the map while still holding the open-layer
                     // lock (rank: PS_OPEN_LAYER 335 < STORAGE_LAYERMAP 545):
                     // sealing empties the open layer, and these deltas cover
-                    // already-applied records, so `wait_applied` does not
+                    // already-applied records, so `wait_fresh` does not
                     // gate a concurrent reader. Publishing after release
                     // would open a window where the deltas are visible in
                     // neither the open layer nor the map, letting a read or
@@ -829,7 +802,7 @@ impl PageServer {
     /// child span.
     pub fn get_page_ctx(&self, page_id: PageId, min_lsn: Lsn, ctx: TraceCtx) -> Result<Page> {
         self.check_partition(page_id)?;
-        self.wait_applied(min_lsn)?;
+        self.wait_fresh(min_lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
         if let Some(p) = self.mem.lock().get(&page_id) {
             self.metrics.pages_served.incr();
@@ -863,7 +836,7 @@ impl PageServer {
                 "{page_id}@{lsn}: below the GC horizon {floor}; that history was retired"
             )));
         }
-        self.wait_applied(lsn)?;
+        self.wait_fresh(lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
         self.metrics.historical_reads.incr();
         let page = self.materialize(page_id, lsn, ctx)?;
@@ -989,7 +962,7 @@ impl PageServer {
                 )));
             }
         }
-        self.wait_applied(min_lsn)?;
+        self.wait_fresh(min_lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5 + count as u64);
         self.metrics.range_requests.incr();
         let at = self.applied.load();
@@ -1042,30 +1015,17 @@ impl PageServer {
         Ok(out)
     }
 
-    fn wait_applied(&self, min_lsn: Lsn) -> Result<()> {
-        self.wait_applied_for(min_lsn, self.config.get_page_timeout)
-    }
-
-    fn wait_applied_for(&self, min_lsn: Lsn, timeout: Duration) -> Result<()> {
+    /// The GetPage@LSN freshness wait: `applied ≥ min_lsn` or a timeout.
+    fn wait_fresh(&self, min_lsn: Lsn, timeout: Duration) -> Result<()> {
         if self.applied.load() >= min_lsn {
             return Ok(());
         }
         self.metrics.get_page_waits.incr();
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.apply_mutex.lock();
-        // Re-check under the lock: `note_applied` notifies while holding
-        // it, so an advance between the check and the wait cannot be lost.
-        // The capped wait is a backstop against a stopped apply loop.
-        while self.applied.load() < min_lsn {
-            let now = Instant::now();
-            if now > deadline {
-                return Err(Error::Timeout(format!(
-                    "GetPage wait: applied {} < requested {min_lsn}",
-                    self.applied.load()
-                )));
-            }
-            let cap = deadline.saturating_duration_since(now).min(Duration::from_millis(5));
-            self.apply_cv.wait_for(&mut guard, cap);
+        let at = self.applied.wait_for(min_lsn, timeout);
+        if at < min_lsn {
+            return Err(Error::Timeout(format!(
+                "GetPage wait: applied {at} < requested {min_lsn}"
+            )));
         }
         Ok(())
     }
@@ -1229,7 +1189,7 @@ impl PageServer {
                 Ok(None) => {}
                 Err(_) => {
                     // Outage: retry this page after a pause.
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -1348,7 +1308,6 @@ impl PageServer {
         self.apply_page_write(page_id, &bytes, lsn)?;
         self.applied.advance_to(lsn);
         self.metrics.records_applied.incr();
-        self.note_applied(lsn);
         Ok(())
     }
 }
@@ -1668,6 +1627,33 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_loop_backs_off_while_deferred() {
+        let mut f = Fixture::new();
+        let wide = PartitionSpec { id: PartitionId::new(0), base_page: 0, span: 1000 };
+        let ps = f.server("ps0", wide);
+        let dirty = CHECKPOINT_DIRTY_PAGES as u64 + 10;
+        let ops: Vec<(u64, PageOp)> =
+            (0..dirty).map(|p| (p, PageOp::Format { ptype: PageType::BTreeLeaf })).collect();
+        let end = f.emit(&ops);
+        ps.apply_once().unwrap();
+        // Over the threshold with XStore down: every attempt defers, and
+        // the loop must pace its retries instead of spinning a core.
+        f.xstore.set_available(false);
+        ps.start();
+        std::thread::sleep(Duration::from_millis(100));
+        let deferred = ps.metrics().checkpoints_deferred.get();
+        assert!((1..=100).contains(&deferred), "{deferred} deferrals in a 100 ms outage");
+        f.xstore.set_available(true);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while ps.checkpointed_lsn() < end {
+            assert!(std::time::Instant::now() < deadline, "checkpoint never caught up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(ps.metrics().pages_checkpointed.get(), dirty);
+        ps.stop();
+    }
+
+    #[test]
     fn backup_is_a_snapshot_and_restores() {
         let mut f = Fixture::new();
         let ps = f.server("ps0", spec(0));
@@ -1950,11 +1936,8 @@ mod tests {
         ps.start();
         let end =
             f.emit(&[(8, PageOp::Format { ptype: PageType::BTreeLeaf }), (8, insert_op(b"bg"))]);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ps.applied_lsn() < end {
-            assert!(Instant::now() < deadline, "apply thread never caught up");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let applied = ps.wait_applied(end, Duration::from_secs(5));
+        assert_eq!(applied, end, "apply thread never caught up");
         let page = ps.get_page(PageId::new(8), end).unwrap();
         assert_eq!(Slotted::get(&page, 0).unwrap(), b"bg");
         ps.stop();

@@ -20,8 +20,8 @@
 use crate::block::{BlockBuilder, LogBlock};
 use crate::landing_zone::LandingZone;
 use crate::record::{LogPayload, LogRecord};
-use parking_lot::{Condvar, Mutex};
-use socrates_common::lsn::AtomicLsn;
+use parking_lot::Mutex;
+use socrates_common::lsn::Watermark;
 use socrates_common::metrics::{Counter, Histogram};
 use socrates_common::obs::{SpanKind, SpanRing, TraceCtx};
 use socrates_common::{Lsn, NodeId, PageId, PartitionId, Result};
@@ -97,13 +97,10 @@ pub struct LogPipeline {
     /// across transient sink failures so no block is ever lost or skipped).
     unflushed: Mutex<VecDeque<LogBlock>>,
     flush_lock: Mutex<()>,
-    /// Group-commit wakeups: followers park here while a leader flushes,
-    /// and are notified whenever the hardened watermark advances.
-    wait_mutex: Mutex<()>,
-    wait_cv: Condvar,
     sink: Arc<dyn BlockSink>,
     disseminators: Vec<Arc<dyn LogDisseminator>>,
-    hardened: AtomicLsn,
+    /// Group commit: followers sleep on this while a leader flushes.
+    hardened: Watermark,
     partition_of: PartitionMap,
     config: LogPipelineConfig,
     metrics: LogPipelineMetrics,
@@ -141,15 +138,9 @@ impl LogPipeline {
                 socrates_common::lock_rank::WAL_FLUSH_LOCK,
                 "wal.flush_lock",
             ),
-            wait_mutex: Mutex::with_rank(
-                (),
-                socrates_common::lock_rank::WAL_WAIT,
-                "wal.wait_mutex",
-            ),
-            wait_cv: Condvar::new(),
             sink,
             disseminators,
-            hardened: AtomicLsn::new(start),
+            hardened: Watermark::new(start),
             partition_of,
             config,
             metrics: LogPipelineMetrics::default(),
@@ -305,21 +296,18 @@ impl LogPipeline {
                     self.metrics.bytes_hardened.add(block.len() as u64);
                     self.metrics.blocks_hardened.incr();
                     let end = block.end_lsn();
+                    // Wakes the group: their commits may now be covered.
                     self.hardened.advance_to(end);
                     for d in &self.disseminators {
                         d.report_hardened(end);
                     }
-                    // Wake the group: their commits may now be covered.
-                    let _g = self.wait_mutex.lock();
-                    self.wait_cv.notify_all();
                 }
                 Err(e) => {
                     // Put it back for the next flush attempt; nothing after
                     // it was hardened either, so ordering is preserved.
                     self.unflushed.lock().push_front(block);
                     // Wake followers so one of them can retry leadership.
-                    let _g = self.wait_mutex.lock();
-                    self.wait_cv.notify_all();
+                    self.hardened.wake_all();
                     return Err(e);
                 }
             }
@@ -330,8 +318,8 @@ impl LogPipeline {
     /// Block until the record at `lsn` is durable (the commit path).
     ///
     /// Group commit: the first committer to arrive becomes the leader and
-    /// drives the sink write; the rest park on a condvar and are woken when
-    /// the hardened watermark covers them. One device write thus hardens
+    /// drives the sink write; the rest sleep on the hardened watermark
+    /// until it covers them. One device write thus hardens
     /// every commit that arrived during the previous write.
     pub fn commit_wait(&self, lsn: Lsn) -> Result<()> {
         let t0 = Instant::now();
@@ -354,13 +342,10 @@ impl LogPipeline {
                     }
                 }
                 None => {
-                    // A leader is flushing; park until the watermark moves.
-                    let mut g = self.wait_mutex.lock();
-                    if !self.is_hardened(lsn) {
-                        // Bounded wait guards against a leader that errored
-                        // out between our check and the park.
-                        self.wait_cv.wait_for(&mut g, std::time::Duration::from_millis(20));
-                    }
+                    // A leader is flushing; sleep until it covers us. The
+                    // bound guards against a leader that errored out
+                    // between our check and the park.
+                    self.hardened.wait_for(lsn + 1, std::time::Duration::from_millis(20));
                 }
             }
         }

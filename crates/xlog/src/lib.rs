@@ -23,4 +23,4 @@ pub mod feed;
 pub mod service;
 
 pub use feed::XLogFeed;
-pub use service::{PullResult, XLogConfig, XLogMetrics, XLogService};
+pub use service::{PullResult, XLogConfig, XLogMetrics, XLogService, PULL_BATCH_BYTES};

@@ -2,7 +2,7 @@
 
 use parking_lot::Mutex;
 use socrates_common::fault::FaultRegistry;
-use socrates_common::lsn::AtomicLsn;
+use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
 use socrates_common::metrics::Counter;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
 use socrates_storage::Fcb;
@@ -24,9 +24,10 @@ pub struct XLogConfig {
     pub ssd_cache_bytes: u64,
     /// Consumer lease time-to-live.
     pub lease_ttl: Duration,
-    /// How long the destager sleeps when idle.
-    pub destage_idle: Duration,
 }
+
+/// Max bytes a log consumer (page server, secondary) pulls per apply batch.
+pub const PULL_BATCH_BYTES: usize = 1 << 20;
 
 impl Default for XLogConfig {
     fn default() -> Self {
@@ -34,7 +35,6 @@ impl Default for XLogConfig {
             sequence_map_bytes: 8 << 20,
             ssd_cache_bytes: 32 << 20,
             lease_ttl: Duration::from_secs(30),
-            destage_idle: Duration::from_millis(4),
         }
     }
 }
@@ -83,8 +83,6 @@ struct Broker {
     seq_bytes: usize,
     /// Out-of-order arrivals waiting for hardening/contiguity.
     pending: BTreeMap<Lsn, LogBlock>,
-    /// Everything below this is released (contiguous + hardened).
-    released_upto: Lsn,
     /// Blocks released but not yet destaged.
     destage_queue: VecDeque<LogBlock>,
 }
@@ -103,7 +101,10 @@ pub struct XLogService {
     ssd_cache: LandingZone,
     broker: Mutex<Broker>,
     hardened: AtomicLsn,
-    destaged: AtomicLsn,
+    /// Everything below this is released (contiguous + hardened). Only
+    /// advanced under `broker`; consumers and the destager sleep on it.
+    released: Watermark,
+    destaged: Watermark,
     leases: Mutex<HashMap<String, Lease>>,
     config: XLogConfig,
     metrics: XLogMetrics,
@@ -143,14 +144,14 @@ impl XLogService {
                     seq: BTreeMap::new(),
                     seq_bytes: 0,
                     pending: BTreeMap::new(),
-                    released_upto: start,
                     destage_queue: VecDeque::new(),
                 },
                 socrates_common::lock_rank::XLOG_BROKER,
                 "xlog.broker",
             ),
             hardened: AtomicLsn::new(start),
-            destaged: AtomicLsn::new(start),
+            released: Watermark::new(start),
+            destaged: Watermark::new(start),
             leases: Mutex::with_rank(
                 HashMap::new(),
                 socrates_common::lock_rank::XLOG_LEASES,
@@ -175,18 +176,19 @@ impl XLogService {
         let handle = std::thread::Builder::new()
             .name("xlog-destager".into())
             .spawn(move || {
-                // ordering: relaxed — shutdown poll; one extra destage pass is fine
+                // ordering: relaxed — shutdown flag; one extra destage pass is fine
                 while !svc.stop.load(Ordering::Relaxed) {
+                    // Read before draining: a release that lands after the
+                    // queue is seen empty moves the frontier past this.
+                    let seen = svc.released.load();
                     match svc.destage_once() {
-                        Ok(0) => std::thread::sleep(svc.config.destage_idle),
-                        Ok(_) => {}
-                        Err(_) => {
-                            // XStore outage etc.: back off and retry; blocks
-                            // stay queued, the LZ keeps them durable.
-                            std::thread::sleep(
-                                svc.config.destage_idle.max(Duration::from_millis(5)),
-                            );
+                        Ok(0) => {
+                            svc.wait_released(seen, &svc.stop);
                         }
+                        Ok(_) => {}
+                        // XStore outage etc.: back off and retry; blocks
+                        // stay queued, the LZ keeps them durable.
+                        Err(_) => std::thread::sleep(RETRY_PAUSE),
                     }
                 }
             })
@@ -196,8 +198,10 @@ impl XLogService {
 
     /// Stop the destaging thread (idempotent).
     pub fn shutdown(&self) {
-        // ordering: relaxed — poll flag; the destager join is the real sync point
+        // ordering: relaxed — stop flag; the wake below and the destager
+        // join are the real sync points
         self.stop.store(true, Ordering::Relaxed);
+        self.released.wake_all();
         if let Some(h) = self.destager.lock().take() {
             let _ = h.join();
         }
@@ -268,7 +272,26 @@ impl XLogService {
 
     /// Everything below this has been released to consumers.
     pub fn released_lsn(&self) -> Lsn {
-        self.broker.lock().released_upto
+        self.released.load()
+    }
+
+    /// What a consumer's apply loop sleeps on once it has applied up to
+    /// `after`: returns the released frontier when it passes `after`, or
+    /// when `stop` is set by a stopper that then calls
+    /// [`wake_released`](Self::wake_released).
+    pub fn wait_released(&self, after: Lsn, stop: &AtomicBool) -> Lsn {
+        self.released.wait_for_unless(after + 1, IDLE_WAIT, stop)
+    }
+
+    /// Return every thread parked in [`wait_released`](Self::wait_released).
+    pub fn wake_released(&self) {
+        self.released.wake_all();
+    }
+
+    /// Block until the long-term archive covers `lsn` or `timeout` passes;
+    /// returns the destaged frontier.
+    pub fn wait_destaged(&self, lsn: Lsn, timeout: Duration) -> Lsn {
+        self.destaged.wait_for(lsn, timeout)
     }
 
     /// The LT archive location (for PITR workflows).
@@ -283,7 +306,7 @@ impl XLogService {
     pub fn offer_block(&self, block: LogBlock) {
         self.metrics.blocks_offered.incr();
         let mut b = self.broker.lock();
-        if block.start_lsn() < b.released_upto || b.pending.contains_key(&block.start_lsn()) {
+        if block.start_lsn() < self.released.load() || b.pending.contains_key(&block.start_lsn()) {
             self.metrics.duplicates_dropped.incr();
             return;
         }
@@ -303,8 +326,9 @@ impl XLogService {
     /// filling feed gaps from the landing zone.
     fn release_locked(&self, b: &mut Broker) {
         let hardened = self.hardened.load();
+        // Stable while we hold the broker lock: `released` only moves here.
+        let mut expect = self.released.load();
         loop {
-            let expect = b.released_upto;
             if expect >= hardened {
                 break;
             }
@@ -328,7 +352,7 @@ impl XLogService {
                 b.pending.insert(expect, block);
                 break;
             }
-            b.released_upto = block.end_lsn();
+            expect = block.end_lsn();
             b.seq_bytes += block.len();
             b.seq.insert(block.start_lsn(), block.clone());
             b.destage_queue.push_back(block);
@@ -340,6 +364,8 @@ impl XLogService {
                 b.seq_bytes -= blk.len();
             }
         }
+        // One wake per release pass, after the blocks are in the map.
+        self.released.advance_to(expect);
     }
 
     // ---- destaging ----
@@ -430,11 +456,9 @@ impl XLogService {
     /// Read the block starting at `lsn` through the tier hierarchy:
     /// sequence map → SSD cache → landing zone → long-term archive.
     pub fn get_block(&self, lsn: Lsn) -> Result<LogBlock> {
-        if lsn >= self.released_lsn() {
-            return Err(Error::NotFound(format!(
-                "{lsn} not yet released (frontier {})",
-                self.released_lsn()
-            )));
+        let frontier = self.released_lsn();
+        if lsn >= frontier {
+            return Err(Error::NotFound(format!("{lsn} not yet released (frontier {frontier})")));
         }
         if let Some(blk) = self.broker.lock().seq.get(&lsn) {
             self.metrics.served_from_memory.incr();
@@ -562,11 +586,7 @@ impl XLogService {
 
 impl Drop for XLogService {
     fn drop(&mut self) {
-        // ordering: relaxed — poll flag; the destager join is the real sync point
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.destager.lock().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 

@@ -346,9 +346,10 @@ fn kill_partition_unregisters_metrics_and_restart_reregisters() {
 /// resolvable before the crash resolves to byte-identical contents from
 /// the fresh server `restart_partition` attaches afterwards.
 /// What a routed page server must have been handed at construction,
-/// checked on server `idx` of `pid` in `sys`: the apply signal (a commit
-/// reaches it and `wait_applied` returns), the fault registry (compaction
-/// and serve sites fire) and the span ring under its own node id.
+/// checked on server `idx` of `pid` in `sys`: the log (a commit reaches
+/// it and `wait_applied`, sleeping on its apply watermark, returns), the
+/// fault registry (compaction and serve sites fire) and the span ring
+/// under its own node id.
 fn assert_routed_server_wired(label: &str, sys: &Socrates, pid: PartitionId, idx: usize, id: i64) {
     let fabric = sys.fabric();
     let handle = fabric.partition(pid).unwrap();
@@ -391,8 +392,8 @@ fn assert_routed_server_wired(label: &str, sys: &Socrates, pid: PartitionId, idx
 }
 
 /// Every way a page server comes to exist hands it the deployment's
-/// fault registry, span ring and apply signal — no origin is left to a
-/// later wiring pass.
+/// log, fault registry and span ring — no origin is left to a later
+/// wiring pass.
 #[test]
 fn every_page_server_origin_is_fully_wired() {
     // Latency actions fire (and count) without failing anything.

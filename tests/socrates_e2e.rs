@@ -133,3 +133,103 @@ fn secondary_catches_ddl() {
     assert_eq!(sec.db().get(&r, "late_table", &[Value::Int(5)]).unwrap(), Some(row(5, 2, "ddl")));
     sys.shutdown();
 }
+
+/// Launch a deployment with one secondary, commit a little, and let every
+/// tier catch up — after this the follower loops have nothing to do.
+#[cfg(target_os = "linux")]
+fn quiesced_deployment() -> Socrates {
+    let sys = Socrates::launch(SocratesConfig::fast_test().with_secondaries(1)).unwrap();
+    let primary = sys.primary().unwrap();
+    primary.db().create_table("t", schema(2)).unwrap();
+    let h = primary.db().begin();
+    for i in 0..5 {
+        primary.db().insert(&h, "t", &row(i, 2, "idle")).unwrap();
+    }
+    primary.db().commit(h).unwrap();
+    let lsn = primary.pipeline().hardened_lsn();
+    sys.fabric().wait_applied(lsn, Duration::from_secs(10)).unwrap();
+    sys.secondary(0).unwrap().wait_applied(lsn, Duration::from_secs(10)).unwrap();
+    sys.wait_destaged(lsn, Duration::from_secs(10)).unwrap();
+    // Let the loops finish the cycle that got them here and park.
+    std::thread::sleep(Duration::from_millis(100));
+    sys
+}
+
+/// `(thread name, voluntary context switches)` of every follower thread
+/// in this process: page-server and secondary apply loops, checkpoint
+/// loops and the XLOG destager. The kernel truncates names to 15 bytes,
+/// which clips the secondary's `secondary[0]-apply`.
+#[cfg(target_os = "linux")]
+fn follower_wakeups() -> std::collections::BTreeMap<String, u64> {
+    let mut out = std::collections::BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let dir = task.unwrap().path();
+        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else { continue };
+        let name = name.trim();
+        let follower = name.ends_with("-apply")
+            || name.ends_with("-ckpt")
+            || name.starts_with("secondary[")
+            || name == "xlog-destager";
+        if !follower {
+            continue;
+        }
+        let Ok(status) = std::fs::read_to_string(dir.join("status")) else { continue };
+        let switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("voluntary_ctxt_switches in /proc/self/task/<tid>/status");
+        out.insert(format!("{name}#{}", dir.file_name().unwrap().to_string_lossy()), switches);
+    }
+    out
+}
+
+/// Every follower loop sleeps on the frontier it follows, so an idle
+/// deployment's followers do not wake at all (a timed poll wakes each
+/// hundreds of times in this window). Threads are per-process and the
+/// other tests of this file run beside this one, so the measurement runs
+/// in a child process that executes only this test.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_deployment_followers_do_not_wake() {
+    const CHILD: &str = "SOCRATES_E2E_IDLE_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "idle_deployment_followers_do_not_wake", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "idle child failed:\n{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let sys = quiesced_deployment();
+    let before = follower_wakeups();
+    for expected in ["-apply#", "-ckpt#", "secondary[", "xlog-destager#"] {
+        assert!(before.keys().any(|k| k.contains(expected)), "no {expected} thread: {before:?}");
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    let after = follower_wakeups();
+    let moved: Vec<(&String, u64)> =
+        before.iter().map(|(name, n)| (name, after.get(name).map_or(0, |a| a - n))).collect();
+    println!("follower wake-ups over a 300 ms idle window: {moved:?}");
+    assert!(moved.iter().all(|(_, d)| *d <= 5), "idle followers woke: {moved:?}");
+    sys.shutdown();
+}
+
+/// With every follower loop parked on its frontier, `shutdown` returns
+/// promptly: the stop paths wake the frontiers. The loops' backstop wait
+/// is 1 s, so a shutdown that relied on it would take about that long.
+#[cfg(target_os = "linux")]
+#[test]
+fn shutdown_wakes_parked_followers() {
+    let sys = quiesced_deployment();
+    let t0 = std::time::Instant::now();
+    sys.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?} with all loops parked");
+}
