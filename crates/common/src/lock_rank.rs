@@ -148,7 +148,11 @@ pub const ENGINE_EVICTED_BUCKETS: u32 = 580;
 pub const WAL_FLUSH_LOCK: u32 = 605;
 /// `wal::pipeline::LogPipeline.buf` — append buffer.
 pub const WAL_BUF: u32 = 610;
-/// `wal::pipeline::LogPipeline.unflushed` — unflushed block queue.
+/// `wal::pipeline::LogPipeline.window` — the in-flight window: blocks
+/// submitted to the sink and not yet hardened, in LSN order. Held to
+/// record a write's outcome and drain the completed prefix (the LZ's
+/// in-order head advance and the `hardened` watermark happen under it),
+/// never across a device wait.
 pub const WAL_UNFLUSHED: u32 = 620;
 
 // --- hadr (660s) ------------------------------------------------------

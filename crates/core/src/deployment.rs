@@ -121,9 +121,12 @@ impl Socrates {
     // ---- workflows ----
 
     /// Kill the primary (crash injection). No data is lost: compute is
-    /// stateless.
+    /// stateless. The dead node submits no more log; writes it left on the
+    /// devices are fenced by the next [`failover`](Self::failover).
     pub fn kill_primary(&self) {
-        *self.primary.write() = None;
+        if let Some(dead) = self.primary.write().take() {
+            dead.pipeline().close();
+        }
         // A dead node must not keep reporting: free its metric names so
         // the replacement primary's registrations are not dropped by the
         // hub's keep-first duplicate rule.
@@ -136,6 +139,9 @@ impl Socrates {
         // Idempotent with kill_primary's unregister; covers a failover
         // issued while the old primary is still installed.
         self.fabric.unregister_primary_process_metrics();
+        if let Some(old) = self.primary.write().take() {
+            old.pipeline().close();
+        }
         let new_primary = Primary::recover(Arc::clone(&self.fabric))?;
         *self.primary.write() = Some(Arc::clone(&new_primary));
         Ok(new_primary)
@@ -175,7 +181,6 @@ impl Socrates {
             let sec = secs.remove(i);
             sec.stop();
         }
-        *self.primary.write() = None;
         self.failover()
     }
 

@@ -45,11 +45,13 @@ impl Primary {
     pub fn recover(fabric: Arc<Fabric>) -> Result<Arc<Primary>> {
         // Re-establish the right to append: in quorum mode this campaigns
         // at a higher term (fencing out the dead primary's proposer); on
-        // the classic landing zone it is a no-op returning the head.
+        // the classic landing zone it waits out the dead primary's writes
+        // still on the devices and drops what never became durable.
         let head = fabric.lz.recover()?;
         // Anything the dead primary hardened but never reported is released
-        // by telling XLOG about the log store's true head.
-        fabric.xlog.report_hardened(head);
+        // by telling XLOG about the log store's true head; anything it
+        // offered past the head is dropped.
+        fabric.xlog.take_over(head);
         let cursor = fabric.last_checkpoint.load();
         let pull = fabric.xlog.pull_blocks(cursor, usize::MAX, None)?;
         let mut records: Vec<SequencedRecord> = Vec::new();

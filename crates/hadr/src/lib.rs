@@ -37,7 +37,7 @@ use socrates_storage::cache::{PageRef, PageSource, TieredCache};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
 use socrates_wal::block::LogBlock;
-use socrates_wal::pipeline::{BlockSink, LogPipeline, LogPipelineConfig};
+use socrates_wal::pipeline::{BlockSink, LogPipeline, LogPipelineConfig, Submitted};
 use socrates_wal::record::{LogPayload, SequencedRecord};
 use socrates_xstore::{XStore, XStoreConfig};
 use std::collections::{HashMap, HashSet};
@@ -295,7 +295,9 @@ pub struct HadrSink {
 }
 
 impl BlockSink for HadrSink {
-    fn harden(&self, block: &LogBlock) -> Result<()> {
+    /// Flush, ship and back up synchronously: HADR's log write is one
+    /// serial quorum round trip, hardened before this returns.
+    fn submit(&self, block: &LogBlock) -> Result<Submitted> {
         // 1. Local log flush.
         self.local_log.write_delay();
         self.primary_cpu.charge_us(self.local_log.cpu_cost_us(block.len()));
@@ -333,7 +335,7 @@ impl BlockSink for HadrSink {
             socrates_common::latency::precise_sleep(Duration::from_micros(us));
         }
         self.retained.lock().push(block.clone());
-        Ok(())
+        Ok(Submitted::Hardened)
     }
 }
 

@@ -173,6 +173,16 @@ impl PageServerWiring {
     }
 }
 
+/// Where the versions a page server did not apply itself live.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum History {
+    /// Nowhere: every version is local (a created partition, or a branch
+    /// of a seeded parent).
+    Local,
+    /// In the partition blob, seeded asynchronously (an attached server).
+    Blob,
+}
+
 /// One page server.
 pub struct PageServer {
     name: String,
@@ -218,6 +228,11 @@ pub struct PageServer {
     metrics: PageServerMetrics,
     stop: AtomicBool,
     seeded: AtomicBool,
+    /// Whether a page no image covers may have its base in the partition
+    /// blob: true only for servers built by [`attach`](Self::attach). A
+    /// created server (or a branch) holds every version of its partition
+    /// locally, so it never reads the blob.
+    blob_base: bool,
     apply_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     ckpt_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
     seed_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -256,7 +271,7 @@ impl PageServer {
             meta_blob,
             xlog,
             start_lsn,
-            true,
+            History::Local,
             Lsn::ZERO,
             wiring,
         ))
@@ -295,7 +310,7 @@ impl PageServer {
             meta_blob,
             xlog,
             start_lsn,
-            false,
+            History::Blob,
             Lsn::ZERO,
             wiring,
         ))
@@ -363,7 +378,7 @@ impl PageServer {
             meta_blob,
             Arc::clone(&parent.xlog),
             at_lsn,
-            true,
+            History::Local,
             floor,
             wiring,
         ))
@@ -381,10 +396,11 @@ impl PageServer {
         meta_blob: BlobId,
         xlog: Arc<XLogService>,
         start_lsn: Lsn,
-        seeded: bool,
+        history: History,
         gc_floor: Lsn,
         wiring: PageServerWiring,
     ) -> Arc<PageServer> {
+        let blob_base = history == History::Blob;
         Arc::new_cyclic(|self_weak| PageServer {
             name: name.to_string(),
             spec,
@@ -425,7 +441,8 @@ impl PageServer {
             wiring,
             metrics: PageServerMetrics::default(),
             stop: AtomicBool::new(false),
-            seeded: AtomicBool::new(seeded),
+            seeded: AtomicBool::new(!blob_base),
+            blob_base,
             apply_handle: Mutex::with_rank(
                 None,
                 socrates_common::lock_rank::PS_APPLY_HANDLE,
@@ -778,10 +795,17 @@ impl PageServer {
             return;
         };
         let queued = worker.submit(move || {
-            let _ = me.compact_blocking();
+            let ran = me.compact_blocking();
             let _ = me.gc();
             // ordering: release — reopen the task slot after the pass
             me.compacting.store(false, Ordering::Release);
+            // L0s sealed while the pass ran would otherwise wait for the
+            // next seal — on a read-only workload, forever. Only a pass
+            // that did work re-checks: a refused or failed one must not
+            // spin.
+            if matches!(ran, Ok(true)) {
+                me.maybe_schedule_compaction();
+            }
         });
         if !queued {
             // ordering: release — reopen the task slot; the task never ran
@@ -874,8 +898,9 @@ impl PageServer {
     /// Reconstruct `page_id` as of `lsn` from the layer stack: open-layer
     /// deltas first, then the immutable plan (a seal between the two
     /// reads duplicates deltas — harmless, replay is LSN-guarded — and
-    /// never loses any), then the base (image layer, else the XStore
-    /// blob, else an empty page under the deltas). Returns `None` when
+    /// never loses any), then the base (image layer, else — for an
+    /// attached server — the XStore blob, else an empty page under the
+    /// deltas). Returns `None` when
     /// the page has no version at or below `lsn`.
     fn materialize(&self, page_id: PageId, lsn: Lsn, ctx: TraceCtx) -> Result<Option<Page>> {
         let mut deltas: Vec<Delta> = Vec::new();
@@ -885,7 +910,7 @@ impl PageServer {
             Some(img) => img.get(page_id)?,
             None => None,
         };
-        if base_page.is_none() {
+        if base_page.is_none() && self.blob_base {
             // The external base: this partition's blob. A page absent
             // from the chosen image has no *local* history at or below
             // the image's LSN (superset-image invariant), so the blob
@@ -1196,6 +1221,9 @@ impl PageServer {
         // ordering: release — publishes every base-image page stored above to
         // readers that observe is_seeded() == true
         self.seeded.store(true, Ordering::Release);
+        // Compaction refuses to run while seeding: pick up the L0s sealed
+        // meanwhile.
+        self.maybe_schedule_compaction();
     }
 
     /// Drive seeding synchronously (deterministic tests).
@@ -1941,5 +1969,90 @@ mod tests {
         let page = ps.get_page(PageId::new(8), end).unwrap();
         assert_eq!(Slotted::get(&page, 0).unwrap(), b"bg");
         ps.stop();
+    }
+
+    #[test]
+    fn created_server_never_reads_its_blob() {
+        let mut f = Fixture::new();
+        let ps = f.server("ps0", spec(0));
+        let end = f.emit(&[
+            (3, PageOp::Format { ptype: PageType::BTreeLeaf }),
+            (3, insert_op(b"local")),
+            (4, PageOp::Format { ptype: PageType::VersionStore }),
+        ]);
+        ps.apply_once().unwrap();
+        let before: Vec<Page> =
+            [3, 4].iter().map(|&p| ps.get_page(PageId::new(p), end).unwrap()).collect();
+        // Checkpoint before any compaction has imaged the pages, then drop
+        // the memory tier so reads rebuild through the layer stack.
+        ps.checkpoint().unwrap();
+        assert_eq!(ps.metrics().pages_checkpointed.get(), 2);
+        ps.mem.lock().clear();
+        for (p, want) in [3u64, 4].iter().zip(&before) {
+            let got = ps.get_page(PageId::new(*p), end).unwrap();
+            assert_eq!(got.to_io_bytes(), want.to_io_bytes());
+            let at = ps.get_page_at(PageId::new(*p), end).unwrap();
+            assert_eq!(at.to_io_bytes(), want.to_io_bytes());
+        }
+        assert_eq!(ps.metrics().xstore_fallback_reads.get(), 0, "a created server read its blob");
+    }
+
+    #[test]
+    fn l0s_sealed_during_a_compaction_pass_are_compacted_without_another_seal() {
+        use socrates_common::fault::sites;
+        let mut f = Fixture::new();
+        // GC runs after every pass (a finite, never-reached window) and is
+        // slowed down, holding the pass's task slot while more L0s seal.
+        let faults = FaultRegistry::new(11);
+        faults.install_spec(&format!("{}@always=latency:200ms", sites::PS_GC_DROP)).unwrap();
+        let worker = CompactionWorker::start();
+        let wiring = PageServerWiring {
+            faults,
+            compactor: Some(Arc::clone(&worker)),
+            ..PageServerWiring::unwired()
+        };
+        let config =
+            PageServerConfig { retention_window_bytes: u64::MAX - 1, ..tiny_layer_config() };
+        let threshold = config.layer_compact_threshold;
+        let ps = f.server_with("ps0", spec(0), config, wiring);
+        let stream = |f: &mut Fixture, from: u8| {
+            for i in from..from + 6 {
+                f.emit(&[(9, insert_op(&[i; 48]))]);
+            }
+        };
+        f.emit(&[(9, PageOp::Format { ptype: PageType::BTreeLeaf })]);
+        // Hold the worker so the first pass queues behind this gate.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        assert!(worker.submit(move || {
+            let _ = release_rx.recv();
+        }));
+        stream(&mut f, 0);
+        ps.apply_once().unwrap();
+        assert!(ps.layer_counts().l0 >= threshold, "the stream must seal enough L0s");
+        release_tx.send(()).unwrap();
+        // The pass has taken its input and sits in GC: seal more L0s now.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while ps.metrics().compactions_run.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "the first pass never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stream(&mut f, 100);
+        ps.apply_once().unwrap();
+        let sealed = ps.metrics().layers_sealed.get();
+        // Wait for the worker to go idle: a marker task runs after every
+        // task queued before it, and nothing is queued once the slot is
+        // open after the marker.
+        loop {
+            let (tx, rx) = std::sync::mpsc::channel();
+            assert!(worker.submit(move || tx.send(()).unwrap()));
+            rx.recv().unwrap();
+            if !ps.compacting.load(Ordering::Acquire) {
+                break;
+            }
+        }
+        assert_eq!(ps.metrics().layers_sealed.get(), sealed, "no further seal");
+        let l0 = ps.layer_counts().l0;
+        assert!(l0 < threshold, "{l0} L0s stranded after the worker went idle");
+        worker.stop();
     }
 }

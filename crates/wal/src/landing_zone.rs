@@ -1,11 +1,22 @@
 //! The landing zone (LZ) — the small, fast, durable tail of the log.
 //!
-//! The primary writes log blocks synchronously to the LZ for the lowest
-//! possible commit latency (paper §4.3). The LZ is a *circular buffer* over
-//! a replicated storage service: in production Azure Premium Storage (XIO,
-//! three replicas) or DirectDrive; here, a set of [`Fcb`] replicas wrapped
-//! in the matching latency profile. A block is *hardened* once a write
-//! quorum of replicas holds it.
+//! The primary writes log blocks to the LZ for the lowest possible commit
+//! latency (paper §4.3). The LZ is a *circular buffer* over a replicated
+//! storage service: in production Azure Premium Storage (XIO, three
+//! replicas) or DirectDrive; here, a set of [`Fcb`] replicas wrapped in the
+//! matching latency profile. A block is *hardened* once a write quorum of
+//! replicas holds it.
+//!
+//! Writes are pipelined. [`LandingZone::submit`] reserves the block's range
+//! and fans it out to every replica; each replica runs [`IN_FLIGHT`] device
+//! writes at once, so a block submitted while its predecessor is still on
+//! the devices does not queue behind it. The returned [`LzWrite`] collects
+//! the write quorum, and [`LzWrite::publish`] then advances the durable
+//! `head` — in LSN order, so blocks may complete out of order but the
+//! durable prefix never has a hole. Re-submitting at the durable head after
+//! a failed write, and [`LandingZone::recover`], first *fence*: they wait
+//! until every write already issued has returned, so a stale write can
+//! never land on top of a newer block at the same offset.
 //!
 //! The LZ is bounded: XLOG's destaging pipeline must continually move the
 //! tail to long-term storage and advance the truncation point, or the
@@ -15,7 +26,10 @@
 //! Readers tolerate a non-quorum replica holding torn or stale bytes: every
 //! block is checksummed, and reads fall through to the next replica on
 //! validation failure — concurrent readers need no synchronisation with the
-//! writer beyond wraparound protection, as in the paper.
+//! writer beyond wraparound protection, as in the paper. The one stale
+//! image a checksum cannot catch is an abandoned block at the very LSN a
+//! newer block now starts at; so in a range a rewind abandoned, a read
+//! takes only an image a write quorum of replicas agrees on.
 
 use crate::block::{LogBlock, BLOCK_HEADER};
 use parking_lot::Mutex;
@@ -24,6 +38,10 @@ use socrates_common::{Error, Lsn, Result};
 use socrates_storage::Fcb;
 use std::sync::mpsc;
 use std::sync::Arc;
+
+/// Device writes each replica runs at once, and so the number of blocks
+/// a writer can usefully keep on the devices.
+pub const IN_FLIGHT: usize = 2;
 
 /// Landing-zone configuration.
 #[derive(Clone, Debug)]
@@ -42,33 +60,45 @@ impl Default for LandingZoneConfig {
 }
 
 struct LzState {
-    /// LSN of the next byte to be written.
+    /// Durable frontier: every block below it is on a write quorum.
     head: Lsn,
+    /// Submit cursor: the next block must start here. `[head, reserved)`
+    /// is on the devices or waiting for its in-order publish.
+    reserved: Lsn,
     /// Oldest LSN still retained (everything older has been destaged).
     tail: Lsn,
+    /// Blocks submitted so far; block *k* goes to worker *k* mod
+    /// [`IN_FLIGHT`] of every replica.
+    submitted: u64,
+    /// Bumped by every rewind: a write submitted before it cannot publish.
+    epoch: u64,
+    /// LSN ranges rewinds abandoned while blocks were on the devices:
+    /// a replica may hold a valid image of an abandoned block there.
+    abandoned: Vec<(Lsn, Lsn)>,
 }
 
-/// A write job handed to one replica's worker: (byte offset, block,
-/// completion channel).
-type WriteJob = (u64, LogBlock, mpsc::Sender<bool>);
+/// A job for one replica worker, run against its device.
+type Job = Box<dyn FnOnce(&dyn Fcb) + Send>;
 
 /// A quorum-replicated circular log store.
 ///
-/// Writes go to all replicas **in parallel** (one persistent worker thread
-/// per replica, as the real storage service's replication does) and
-/// `write_block` returns as soon as a write quorum has acknowledged — the
+/// Writes go to all replicas **in parallel** (persistent worker threads
+/// per replica, as the real storage service's replication does) and a
+/// block is durable as soon as a write quorum has acknowledged — the
 /// commit latency is the quorum-th fastest replica, not the sum.
 pub struct LandingZone {
     replicas: Vec<Arc<dyn Fcb>>,
-    writers: Vec<mpsc::Sender<WriteJob>>,
+    /// Per replica, one job channel per worker ([`IN_FLIGHT`] of them).
+    writers: Vec<Vec<mpsc::Sender<Job>>>,
     worker_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: LandingZoneConfig,
-    state: Mutex<LzState>,
+    /// Shared with every [`LzWrite`], which publishes into it.
+    state: Arc<Mutex<LzState>>,
     faults: FaultRegistry,
 }
 
 impl LandingZone {
-    /// Create an LZ over `replicas` (all starting empty). `write_block`
+    /// Create an LZ over `replicas` (all starting empty). `submit`
     /// consults `faults` at the `lz.write` site.
     pub fn new(
         replicas: Vec<Arc<dyn Fcb>>,
@@ -82,25 +112,26 @@ impl LandingZone {
             config.write_quorum,
             replicas.len()
         );
-        let capacity = config.capacity;
         let mut writers = Vec::with_capacity(replicas.len());
-        let mut handles = Vec::with_capacity(replicas.len());
+        let mut handles = Vec::with_capacity(replicas.len() * IN_FLIGHT);
         for (i, replica) in replicas.iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<WriteJob>();
-            let fcb = Arc::clone(replica);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("lz-replica-{i}"))
-                    .spawn(move || {
-                        while let Ok((off, block, ack)) = rx.recv() {
-                            let ok =
-                                write_wrapped_to(&fcb, capacity, off, block.as_bytes()).is_ok();
-                            let _ = ack.send(ok);
-                        }
-                    })
-                    .expect("spawn lz replica worker"),
-            );
-            writers.push(tx);
+            let mut lanes = Vec::with_capacity(IN_FLIGHT);
+            for k in 0..IN_FLIGHT {
+                let (tx, rx) = mpsc::channel::<Job>();
+                let fcb = Arc::clone(replica);
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("lz-replica-{i}.{k}"))
+                        .spawn(move || {
+                            for job in rx {
+                                job(&*fcb);
+                            }
+                        })
+                        .expect("spawn lz replica worker"),
+                );
+                lanes.push(tx);
+            }
+            writers.push(lanes);
         }
         LandingZone {
             replicas,
@@ -111,11 +142,18 @@ impl LandingZone {
                 "lz.worker_handles",
             ),
             config,
-            state: Mutex::with_rank(
-                LzState { head: Lsn::ZERO, tail: Lsn::ZERO },
+            state: Arc::new(Mutex::with_rank(
+                LzState {
+                    head: Lsn::ZERO,
+                    reserved: Lsn::ZERO,
+                    tail: Lsn::ZERO,
+                    submitted: 0,
+                    epoch: 0,
+                    abandoned: Vec::new(),
+                },
                 socrates_common::lock_rank::WAL_LZ_STATE,
                 "lz.state",
-            ),
+            )),
             faults,
         }
     }
@@ -133,12 +171,13 @@ impl LandingZone {
         {
             let mut s = lz.state.lock();
             s.head = start;
+            s.reserved = start;
             s.tail = start;
         }
         lz
     }
 
-    /// The LSN the next block must start at.
+    /// The durable frontier: every block below it is on a write quorum.
     pub fn head(&self) -> Lsn {
         self.state.lock().head
     }
@@ -148,10 +187,10 @@ impl LandingZone {
         self.state.lock().tail
     }
 
-    /// Bytes currently free for appends.
+    /// Bytes currently free for submits.
     pub fn free_bytes(&self) -> u64 {
         let s = self.state.lock();
-        self.config.capacity - (s.head - s.tail)
+        self.config.capacity - (s.reserved - s.tail)
     }
 
     /// The replica devices (tests inject faults through these).
@@ -159,12 +198,22 @@ impl LandingZone {
         &self.replicas
     }
 
-    /// Durably append `block`, which must start exactly at the current head.
-    ///
-    /// Returns once a write quorum of replicas has the block. Fails with
-    /// [`Error::Unavailable`] when the LZ is full (destage backpressure) or
-    /// quorum cannot be reached.
+    /// Durably append `block`: [`submit`](Self::submit), wait for the
+    /// write quorum, publish. For callers with one block at a time.
     pub fn write_block(&self, block: &LogBlock) -> Result<()> {
+        let mut write = self.submit(block)?;
+        write.wait()?;
+        write.publish()
+    }
+
+    /// Start writing `block` to every replica and return at once.
+    ///
+    /// The block must start at the submit cursor: right after the last
+    /// submitted block. Re-submitting at the durable head instead (the
+    /// retry after a failed write) abandons every block past the head:
+    /// the LZ fences and rewinds its cursor first. Fails with
+    /// [`Error::Unavailable`] when the LZ is full (destage backpressure).
+    pub fn submit(&self, block: &LogBlock) -> Result<LzWrite> {
         match self.faults.check_at(sites::LZ_WRITE, Some(block.start_lsn())) {
             Some(FaultOutcome::Err(e)) => return Err(e),
             // The LZ has no single node to crash (it is a replicated
@@ -175,13 +224,20 @@ impl LandingZone {
             }
             None => {}
         }
-        let (start, len) = {
+        let retry = {
             let s = self.state.lock();
-            if block.start_lsn() != s.head {
+            block.start_lsn() == s.head && s.head < s.reserved
+        };
+        if retry {
+            self.recover();
+        }
+        let start = block.start_lsn();
+        let (lane, epoch) = {
+            let mut s = self.state.lock();
+            if start != s.reserved {
                 return Err(Error::InvalidArgument(format!(
-                    "block starts at {} but LZ head is {}",
-                    block.start_lsn(),
-                    s.head
+                    "block starts at {start} but the LZ submit cursor is {}",
+                    s.reserved
                 )));
             }
             let len = block.len() as u64;
@@ -191,44 +247,65 @@ impl LandingZone {
                     self.config.capacity
                 )));
             }
-            if (s.head - s.tail) + len > self.config.capacity {
+            if (s.reserved - s.tail) + len > self.config.capacity {
                 return Err(Error::Unavailable(
                     "landing zone full; destaging has not caught up".into(),
                 ));
             }
-            (s.head, len)
+            s.reserved = block.end_lsn();
+            let lane = (s.submitted % IN_FLIGHT as u64) as usize;
+            s.submitted += 1;
+            (lane, s.epoch)
         };
-        // Fan the write out to every replica worker; return at quorum.
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for w in &self.writers {
-            let _ = w.send((start.offset(), block.clone(), ack_tx.clone()));
+        let (ack_tx, acks) = mpsc::channel();
+        for lanes in &self.writers {
+            let (block, ack, cap) = (block.clone(), ack_tx.clone(), self.config.capacity);
+            let _ = lanes[lane].send(Box::new(move |fcb: &dyn Fcb| {
+                let ok = write_wrapped_to(fcb, cap, start.offset(), block.as_bytes()).is_ok();
+                let _ = ack.send(ok);
+            }));
         }
-        drop(ack_tx);
-        let mut acks = 0usize;
-        let mut failures = 0usize;
-        let n = self.writers.len();
-        while acks < self.config.write_quorum && failures <= n - self.config.write_quorum {
-            match ack_rx.recv() {
-                Ok(true) => acks += 1,
-                Ok(false) => failures += 1,
-                Err(_) => break, // all workers reported
-            }
+        Ok(LzWrite {
+            state: Arc::clone(&self.state),
+            start,
+            end: block.end_lsn(),
+            epoch,
+            acks,
+            quorum: self.config.write_quorum,
+            replicas: self.writers.len(),
+        })
+    }
+
+    /// Fence and rewind: wait until every write already issued has
+    /// returned from every replica, then drop whatever lies past the
+    /// durable head (a failed block and anything submitted after it) and
+    /// resume submits there. Writes submitted before the rewind can no
+    /// longer publish. Returns the durable head.
+    pub fn recover(&self) -> Lsn {
+        let (fence, done) = mpsc::channel::<()>();
+        for lane in self.writers.iter().flatten() {
+            let fence = fence.clone();
+            let _ = lane.send(Box::new(move |_: &dyn Fcb| drop(fence)));
         }
-        if acks < self.config.write_quorum {
-            return Err(Error::Unavailable(format!(
-                "LZ quorum failed: {acks}/{} acks ({failures} replicas failed)",
-                self.config.write_quorum
-            )));
-        }
+        drop(fence);
+        // Each worker drops its barrier's sender once every job queued
+        // before it has returned; the receive ends when the last one has.
+        let _ = done.recv();
         let mut s = self.state.lock();
-        s.head = start + len;
-        Ok(())
+        if s.reserved > s.head {
+            let range = (s.head, s.reserved);
+            s.abandoned.push(range);
+        }
+        s.reserved = s.head;
+        s.epoch += 1;
+        s.head
     }
 
     /// Read the block starting at `lsn`, trying replicas until one yields a
-    /// validating image.
+    /// validating image — or, where a rewind abandoned blocks, until a write
+    /// quorum of replicas agrees on one.
     pub fn read_block(&self, lsn: Lsn) -> Result<LogBlock> {
-        {
+        let contested = {
             let s = self.state.lock();
             if lsn < s.tail {
                 return Err(Error::NotFound(format!(
@@ -239,6 +316,24 @@ impl LandingZone {
             if lsn >= s.head {
                 return Err(Error::NotFound(format!("{lsn} beyond LZ head {}", s.head)));
             }
+            s.abandoned.iter().any(|&(from, to)| lsn >= from && lsn < to)
+        };
+        if contested {
+            let mut seen: Vec<(LogBlock, usize)> = Vec::new();
+            for replica in &self.replicas {
+                let Ok(b) = self.try_read_block(replica, lsn) else { continue };
+                match seen.iter_mut().find(|(img, _)| *img == b) {
+                    Some((_, copies)) => *copies += 1,
+                    None => seen.push((b, 1)),
+                }
+            }
+            return seen
+                .into_iter()
+                .find(|&(_, copies)| copies >= self.config.write_quorum)
+                .map(|(b, _)| b)
+                .ok_or_else(|| {
+                    Error::Unavailable(format!("no write quorum of replicas agrees on {lsn}"))
+                });
         }
         let mut last_err: Option<Error> = None;
         for replica in &self.replicas {
@@ -273,6 +368,8 @@ impl LandingZone {
         let mut s = self.state.lock();
         if lsn > s.tail {
             s.tail = lsn.min(s.head);
+            let tail = s.tail;
+            s.abandoned.retain(|&(_, to)| to > tail);
         }
     }
 
@@ -314,9 +411,58 @@ impl Drop for LandingZone {
     }
 }
 
+/// One block's write, submitted by [`LandingZone::submit`].
+pub struct LzWrite {
+    state: Arc<Mutex<LzState>>,
+    start: Lsn,
+    end: Lsn,
+    epoch: u64,
+    acks: mpsc::Receiver<bool>,
+    quorum: usize,
+    replicas: usize,
+}
+
+impl LzWrite {
+    /// Block until a write quorum of replicas holds the block. Fails with
+    /// [`Error::Unavailable`] once too many replicas have failed it.
+    pub fn wait(&mut self) -> Result<()> {
+        let mut acks = 0usize;
+        let mut failures = 0usize;
+        while acks < self.quorum && failures <= self.replicas - self.quorum {
+            match self.acks.recv() {
+                Ok(true) => acks += 1,
+                Ok(false) => failures += 1,
+                Err(_) => break, // all workers reported
+            }
+        }
+        if acks < self.quorum {
+            return Err(Error::Unavailable(format!(
+                "LZ quorum failed: {acks}/{} acks ({failures} replicas failed)",
+                self.quorum
+            )));
+        }
+        Ok(())
+    }
+
+    /// Advance the durable head over the block. Blocks publish in LSN
+    /// order, each after its [`wait`](Self::wait) succeeded; a block whose
+    /// range was rewound since it was submitted is refused.
+    pub fn publish(self) -> Result<()> {
+        let mut s = self.state.lock();
+        if s.epoch != self.epoch || s.head != self.start {
+            return Err(Error::InvalidState(format!(
+                "LZ block at {} cannot publish: the durable head is {} (rewound since submit)",
+                self.start, s.head
+            )));
+        }
+        s.head = self.end;
+        Ok(())
+    }
+}
+
 /// Write `data` at circular position `lsn_off % cap`, splitting at the
 /// wrap boundary.
-fn write_wrapped_to(fcb: &Arc<dyn Fcb>, cap: u64, lsn_off: u64, data: &[u8]) -> Result<()> {
+fn write_wrapped_to(fcb: &dyn Fcb, cap: u64, lsn_off: u64, data: &[u8]) -> Result<()> {
     let pos = lsn_off % cap;
     let first = ((cap - pos) as usize).min(data.len());
     fcb.write_at(pos, &data[..first])?;
@@ -333,6 +479,56 @@ mod tests {
     use crate::record::{LogPayload, LogRecord};
     use socrates_common::{PageId, PartitionId, TxnId};
     use socrates_storage::{FaultFcb, MemFcb};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// A replica whose writes at byte offset 0 take `delay_ms`.
+    struct SlowFcb {
+        inner: MemFcb,
+        delay_ms: AtomicU64,
+    }
+
+    impl Fcb for SlowFcb {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            if offset == 0 {
+                std::thread::sleep(Duration::from_millis(self.delay_ms.load(Ordering::SeqCst)));
+            }
+            self.inner.write_at(offset, data)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn flush(&self) -> Result<()> {
+            Ok(())
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    fn slow_lz(n: usize, quorum: usize) -> (LandingZone, Vec<Arc<SlowFcb>>) {
+        let slow: Vec<Arc<SlowFcb>> = (0..n)
+            .map(|i| {
+                Arc::new(SlowFcb {
+                    inner: MemFcb::new(format!("lz-{i}")),
+                    delay_ms: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        let replicas = slow.iter().map(|f| Arc::clone(f) as Arc<dyn Fcb>).collect();
+        let config = LandingZoneConfig { capacity: 1 << 20, write_quorum: quorum };
+        (LandingZone::new(replicas, config, FaultRegistry::disabled()), slow)
+    }
+
+    /// The bytes replica `fcb` holds where `block` belongs.
+    fn image_on(fcb: &SlowFcb, block: &LogBlock) -> Vec<u8> {
+        let mut buf = vec![0u8; block.len()];
+        fcb.read_at(block.start_lsn().offset(), &mut buf).unwrap();
+        buf
+    }
 
     fn block_at(start: Lsn, payload_len: usize) -> LogBlock {
         let mut b = BlockBuilder::new(start, 1 << 16);
@@ -486,5 +682,84 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn overlapping_writes_publish_in_lsn_order() {
+        let (lz, slow) = slow_lz(1, 1);
+        slow[0].delay_ms.store(300, Ordering::SeqCst);
+        let b1 = block_at(Lsn::ZERO, 100);
+        let mut w1 = lz.submit(&b1).unwrap();
+        let b2 = block_at(b1.end_lsn(), 100);
+        let t0 = Instant::now();
+        let mut w2 = lz.submit(&b2).unwrap();
+        // b2 runs on the replica's second worker: it does not queue
+        // behind b1's slow write.
+        w2.wait().unwrap();
+        assert!(t0.elapsed() < Duration::from_millis(150), "b2 queued behind b1");
+        assert_eq!(lz.head(), Lsn::ZERO, "b2 is durable but b1 is not");
+        assert_eq!(lz.read_block(b2.start_lsn()).unwrap_err().kind(), "not_found");
+        w1.wait().unwrap();
+        w1.publish().unwrap();
+        assert_eq!(lz.head(), b1.end_lsn());
+        w2.publish().unwrap();
+        assert_eq!(lz.head(), b2.end_lsn());
+        assert_eq!(lz.read_block(b2.start_lsn()).unwrap(), b2);
+        // Out of order, a publish is refused and moves nothing.
+        let b3 = block_at(b2.end_lsn(), 10);
+        let b4 = block_at(b3.end_lsn(), 10);
+        let w3 = lz.submit(&b3).unwrap();
+        let mut w4 = lz.submit(&b4).unwrap();
+        w4.wait().unwrap();
+        assert!(w4.publish().is_err());
+        assert_eq!(lz.head(), b2.end_lsn());
+        drop(w3);
+    }
+
+    #[test]
+    fn recover_fences_writes_still_on_a_replica() {
+        // Replica 2 is slow: the quorum (0 and 1) acks long before it lands.
+        let (lz, slow) = slow_lz(3, 2);
+        slow[2].delay_ms.store(60, Ordering::SeqCst);
+        let stale = block_at(Lsn::ZERO, 300);
+        let mut w = lz.submit(&stale).unwrap();
+        w.wait().unwrap();
+        // The writer dies before publishing. Recovery must not return while
+        // the stale write is still on its way to replica 2.
+        let head = lz.recover();
+        assert_eq!(head, Lsn::ZERO, "an unpublished block is not durable");
+        assert_eq!(image_on(&slow[2], &stale), stale.as_bytes(), "recover did not fence");
+        assert!(w.publish().is_err(), "a write from before the recovery published");
+        // The new writer's different block at the same offset is the one
+        // every replica keeps.
+        slow[2].delay_ms.store(0, Ordering::SeqCst);
+        let fresh = block_at(Lsn::ZERO, 20);
+        lz.write_block(&fresh).unwrap();
+        lz.recover();
+        for replica in &slow {
+            assert_eq!(image_on(replica, &fresh), fresh.as_bytes());
+        }
+        assert_eq!(lz.read_block(Lsn::ZERO).unwrap(), fresh);
+    }
+
+    #[test]
+    fn retry_at_the_head_abandons_the_writes_after_it() {
+        let (lz, faults) = lz(1 << 20, 2, 3);
+        faults[0].set_unavailable(true);
+        faults[1].set_unavailable(true);
+        let k = block_at(Lsn::ZERO, 64);
+        let mut wk = lz.submit(&k).unwrap();
+        assert!(wk.wait().is_err());
+        faults[0].set_unavailable(false);
+        faults[1].set_unavailable(false);
+        let k1 = block_at(k.end_lsn(), 64);
+        let mut wk1 = lz.submit(&k1).unwrap();
+        wk1.wait().unwrap();
+        // Re-sending k rewinds the cursor: k+1 must be sent again too.
+        lz.write_block(&k).unwrap();
+        assert!(wk1.publish().is_err());
+        assert_eq!(lz.free_bytes(), (1 << 20) - k.len() as u64);
+        lz.write_block(&k1).unwrap();
+        assert_eq!(lz.head(), k1.end_lsn());
     }
 }

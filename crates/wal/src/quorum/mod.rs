@@ -27,7 +27,7 @@ pub mod protocol;
 pub mod sim;
 
 use crate::block::LogBlock;
-use crate::pipeline::BlockSink;
+use crate::pipeline::{BlockSink, Submitted};
 use crate::store::LogStore;
 use parking_lot::Mutex;
 use protocol::{
@@ -817,8 +817,10 @@ impl QuorumLog {
 }
 
 impl BlockSink for QuorumLog {
-    fn harden(&self, block: &LogBlock) -> Result<()> {
-        self.write_block(block)
+    /// Appends are not pipelined: the block is on a quorum when this returns.
+    fn submit(&self, block: &LogBlock) -> Result<Submitted> {
+        self.write_block(block)?;
+        Ok(Submitted::Hardened)
     }
 }
 

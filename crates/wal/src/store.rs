@@ -14,16 +14,16 @@ use crate::block::LogBlock;
 use crate::pipeline::BlockSink;
 use socrates_common::{Lsn, Result};
 
-/// An LSN-addressed durable block window. `BlockSink::harden` appends at
+/// An LSN-addressed durable block window. `BlockSink::submit` appends at
 /// `head`; `truncate_to` advances `tail` once blocks are destaged.
 pub trait LogStore: BlockSink {
-    /// First LSN not yet hardened — the append cursor.
+    /// First LSN not yet hardened: everything below is durable.
     fn head(&self) -> Lsn;
 
     /// Oldest LSN still held; everything below has been destaged.
     fn tail(&self) -> Lsn;
 
-    /// Bytes of capacity left before `harden` starts returning
+    /// Bytes of capacity left before `submit` starts returning
     /// `Unavailable` backpressure.
     fn free_bytes(&self) -> u64;
 
@@ -39,10 +39,12 @@ pub trait LogStore: BlockSink {
     /// Re-establish the right to append after a (possible) writer
     /// restart, returning the LSN new appends must start at.
     ///
-    /// For the single-writer landing zone this is a no-op returning
-    /// `head()`. For the quorum tier it runs a leader campaign: bump the
-    /// term, collect a majority of votes, truncate divergent acceptor
-    /// tails, and catch stragglers up to the elected start position.
+    /// For the single-writer landing zone this fences the dead writer:
+    /// it waits until every write it left on the devices has returned,
+    /// drops whatever never became durable, and returns `head()`. For the
+    /// quorum tier it runs a leader campaign: bump the term, collect a
+    /// majority of votes, truncate divergent acceptor tails, and catch
+    /// stragglers up to the elected start position.
     fn recover(&self) -> Result<Lsn>;
 }
 
@@ -75,6 +77,6 @@ impl LogStore for LandingZone {
 
     fn recover(&self) -> Result<Lsn> {
         // Single designated writer: whatever is hardened is the truth.
-        Ok(LandingZone::head(self))
+        Ok(LandingZone::recover(self))
     }
 }

@@ -1,14 +1,17 @@
 //! Property tests for the log substrate: codec roundtrips and landing-zone
-//! behaviour under arbitrary block sequences.
+//! behaviour under arbitrary block sequences and write interleavings.
 
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use socrates_common::fault::FaultRegistry;
-use socrates_common::{Lsn, PageId, PartitionId, TxnId};
+use socrates_common::{Error, Lsn, PageId, PartitionId, Result, TxnId};
 use socrates_storage::{Fcb, MemFcb};
 use socrates_wal::block::{BlockBuilder, LogBlock};
-use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
+use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig, LzWrite, IN_FLIGHT};
 use socrates_wal::record::{LogPayload, LogRecord};
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn payload_strategy() -> impl Strategy<Value = LogPayload> {
     prop_oneof![
@@ -145,6 +148,192 @@ proptest! {
             }
             start = block.end_lsn();
             last = Some(block);
+        }
+    }
+}
+
+/// A replica that rejects or delays the writes of chosen blocks. Rules are
+/// keyed by the block's byte offset, so a rule follows its block to
+/// whichever worker runs it.
+struct ScriptedFcb {
+    inner: MemFcb,
+    /// offset → (reject, delay in ms)
+    rules: Mutex<HashMap<u64, (bool, u64)>>,
+}
+
+impl Fcb for ScriptedFcb {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        let (reject, delay_ms) = self.rules.lock().get(&offset).copied().unwrap_or((false, 0));
+        std::thread::sleep(Duration::from_millis(delay_ms));
+        if reject {
+            return Err(Error::Io(format!("scripted reject at {offset}")));
+        }
+        self.inner.write_at(offset, data)
+    }
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+    fn flush(&self) -> Result<()> {
+        Ok(())
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+#[derive(Clone, Debug)]
+enum WriterOp {
+    /// Submit the next block. `fail` makes replicas 0 and 1 reject it (no
+    /// quorum of 2 of 3); replica `slow` takes `slow_ms` to write it.
+    Submit { len: usize, fail: bool, slow: usize, slow_ms: u64 },
+    /// Wait for one unsettled write — any of them, not the oldest.
+    Complete(usize),
+    /// Publish the settled, successful prefix in LSN order.
+    Publish,
+    /// Once every write has settled and the oldest failed: re-send it and
+    /// everything after it, byte-identical.
+    Retry,
+    /// A new writer takes the log over.
+    Recover,
+}
+
+fn writer_op() -> impl Strategy<Value = WriterOp> {
+    prop_oneof![
+        4 => (1usize..400, 0u8..4, 0usize..3, 0u64..4).prop_map(|(len, fail, slow, slow_ms)| {
+            WriterOp::Submit { len, fail: fail == 0, slow, slow_ms }
+        }),
+        4 => (0usize..4).prop_map(WriterOp::Complete),
+        3 => Just(WriterOp::Publish),
+        2 => Just(WriterOp::Retry),
+        1 => Just(WriterOp::Recover),
+    ]
+}
+
+/// A submitted block, its write, and how the write ended (once waited).
+struct Flight {
+    block: LogBlock,
+    write: LzWrite,
+    ok: Option<bool>,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The durable head only ever covers a contiguous chain of published
+    /// blocks, every published block reads back exactly — through the LZ
+    /// and on every replica, so no abandoned write ever lands on top of
+    /// one — and no write from before a recovery publishes after it.
+    #[test]
+    fn pipelined_writes_keep_head_contiguous_and_acked_blocks_readable(
+        ops in proptest::collection::vec(writer_op(), 1..40),
+    ) {
+        let replicas: Vec<Arc<ScriptedFcb>> = (0..3)
+            .map(|i| Arc::new(ScriptedFcb {
+                inner: MemFcb::new(format!("lz-{i}")),
+                rules: Mutex::new(HashMap::new()),
+            }))
+            .collect();
+        let lz = LandingZone::new(
+            replicas.iter().map(|r| Arc::clone(r) as Arc<dyn Fcb>).collect(),
+            LandingZoneConfig { capacity: 1 << 20, write_quorum: 2 },
+            FaultRegistry::disabled(),
+        );
+        let mut flights: Vec<Flight> = Vec::new();
+        let mut acked: Vec<LogBlock> = Vec::new();
+        let mut cursor = Lsn::ZERO;
+        let mut fill = 0u8;
+        for op in ops {
+            match op {
+                WriterOp::Submit { len, fail, slow, slow_ms } => {
+                    let failed = flights.iter().any(|f| f.ok == Some(false));
+                    if flights.len() >= IN_FLIGHT || failed {
+                        continue;
+                    }
+                    fill = fill.wrapping_add(1);
+                    let mut b = BlockBuilder::new(cursor, 1 << 20);
+                    b.append(
+                        &LogRecord {
+                            txn: TxnId::new(fill as u64),
+                            payload: LogPayload::Noop { info: vec![fill; len] },
+                        },
+                        None,
+                    );
+                    let block = b.seal();
+                    let off = block.start_lsn().offset();
+                    for (i, r) in replicas.iter().enumerate() {
+                        let reject = fail && i < 2;
+                        let delay = if i == slow { slow_ms } else { 0 };
+                        r.rules.lock().insert(off, (reject, delay));
+                    }
+                    let write = lz.submit(&block).unwrap();
+                    cursor = block.end_lsn();
+                    flights.push(Flight { block, write, ok: None });
+                }
+                WriterOp::Complete(i) => {
+                    let open: Vec<usize> =
+                        (0..flights.len()).filter(|&j| flights[j].ok.is_none()).collect();
+                    if open.is_empty() {
+                        continue;
+                    }
+                    let f = &mut flights[open[i % open.len()]];
+                    f.ok = Some(f.write.wait().is_ok());
+                }
+                WriterOp::Publish => {
+                    while flights.first().is_some_and(|f| f.ok == Some(true)) {
+                        let f = flights.remove(0);
+                        f.write.publish().unwrap();
+                        acked.push(f.block);
+                    }
+                }
+                WriterOp::Retry => {
+                    let settled = flights.iter().all(|f| f.ok.is_some());
+                    if !settled || flights.first().is_none_or(|f| f.ok != Some(false)) {
+                        continue;
+                    }
+                    for f in flights.iter_mut() {
+                        for r in &replicas {
+                            r.rules.lock().remove(&f.block.start_lsn().offset());
+                        }
+                        f.write = lz.submit(&f.block).unwrap();
+                        f.ok = None;
+                    }
+                }
+                WriterOp::Recover => {
+                    let head = lz.recover();
+                    prop_assert_eq!(head, acked.last().map_or(Lsn::ZERO, |b| b.end_lsn()));
+                    for mut f in flights.drain(..) {
+                        let durable = f.ok.unwrap_or_else(|| f.write.wait().is_ok());
+                        if durable {
+                            prop_assert!(f.write.publish().is_err(), "a pre-recovery write published");
+                        }
+                    }
+                    cursor = head;
+                }
+            }
+            // The head is the end of the contiguous published chain, and
+            // everything published reads back.
+            let mut at = Lsn::ZERO;
+            for b in &acked {
+                prop_assert_eq!(b.start_lsn(), at);
+                prop_assert_eq!(&lz.read_block(at).unwrap(), b);
+                at = b.end_lsn();
+            }
+            prop_assert_eq!(lz.head(), at);
+        }
+        // Fence everything still in flight, then look at every replica.
+        lz.recover();
+        let mut scanned = Vec::new();
+        lz.scan_from(Lsn::ZERO, |b| { scanned.push(b); true }).unwrap();
+        prop_assert_eq!(&scanned, &acked);
+        for r in &replicas {
+            for b in &acked {
+                let mut image = vec![0u8; b.len()];
+                r.read_at(b.start_lsn().offset(), &mut image).unwrap();
+                prop_assert_eq!(&image[..], b.as_bytes(), "a stale write overwrote an acked block");
+            }
         }
     }
 }

@@ -47,6 +47,9 @@ impl XLogFeed {
         let pump = {
             let svc = Arc::clone(&svc);
             let stop = Arc::clone(&stop);
+            // Offers are tagged with the primary that started this feed; a
+            // successor's take-over makes XLOG drop the stragglers.
+            let writer = svc.writer();
             std::thread::Builder::new()
                 .name("xlog-feed-pump".into())
                 .spawn(move || {
@@ -62,7 +65,7 @@ impl XLogFeed {
                             }
                             let ctx = block.ctx();
                             let span_start = ctx.sampled().then(|| spans.now_ns());
-                            svc.offer_block(block);
+                            svc.offer_block_from(writer, block);
                             if let Some(start) = span_start {
                                 let dur = spans.now_ns().saturating_sub(start);
                                 spans.record_child(

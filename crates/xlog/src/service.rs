@@ -83,6 +83,9 @@ struct Broker {
     seq_bytes: usize,
     /// Out-of-order arrivals waiting for hardening/contiguity.
     pending: BTreeMap<Lsn, LogBlock>,
+    /// The primary whose feed is trusted: bumped by every take-over, so a
+    /// dead primary's late offers are dropped.
+    writer: u64,
     /// Blocks released but not yet destaged.
     destage_queue: VecDeque<LogBlock>,
 }
@@ -144,6 +147,7 @@ impl XLogService {
                     seq: BTreeMap::new(),
                     seq_bytes: 0,
                     pending: BTreeMap::new(),
+                    writer: 0,
                     destage_queue: VecDeque::new(),
                 },
                 socrates_common::lock_rank::XLOG_BROKER,
@@ -301,12 +305,31 @@ impl XLogService {
 
     // ---- ingestion (called by the primary's feed) ----
 
-    /// Offer a block from the primary's lossy feed. Tolerates duplicates,
-    /// reordering, and loss.
+    /// Offer a block on behalf of the current primary. Tolerates
+    /// duplicates, reordering, and loss.
     pub fn offer_block(&self, block: LogBlock) {
+        self.offer(None, block);
+    }
+
+    /// Offer a block from the feed of primary `writer` (see
+    /// [`writer`](Self::writer)); dropped if another primary has taken the
+    /// log over since.
+    pub fn offer_block_from(&self, writer: u64, block: LogBlock) {
+        self.offer(Some(writer), block);
+    }
+
+    /// The primary whose offers are currently trusted.
+    pub fn writer(&self) -> u64 {
+        self.broker.lock().writer
+    }
+
+    fn offer(&self, writer: Option<u64>, block: LogBlock) {
         self.metrics.blocks_offered.incr();
         let mut b = self.broker.lock();
-        if block.start_lsn() < self.released.load() || b.pending.contains_key(&block.start_lsn()) {
+        if writer.is_some_and(|w| w != b.writer)
+            || block.start_lsn() < self.released.load()
+            || b.pending.contains_key(&block.start_lsn())
+        {
             self.metrics.duplicates_dropped.incr();
             return;
         }
@@ -319,6 +342,19 @@ impl XLogService {
     pub fn report_hardened(&self, lsn: Lsn) {
         self.hardened.advance_to(lsn);
         let mut b = self.broker.lock();
+        self.release_locked(&mut b);
+    }
+
+    /// A new primary takes the log over at `head`, the log store's
+    /// recovered durable frontier: everything below it is released, every
+    /// speculative block the old primary offered at or past it is dropped
+    /// (the new primary writes different blocks there), and so is every
+    /// offer its feed still delivers.
+    pub fn take_over(&self, head: Lsn) {
+        self.hardened.advance_to(head);
+        let mut b = self.broker.lock();
+        b.writer += 1;
+        b.pending.retain(|&lsn, _| lsn < head);
         self.release_locked(&mut b);
     }
 
@@ -693,6 +729,28 @@ mod tests {
         }
         assert_eq!(f.svc.metrics().duplicates_dropped.get(), 3);
         assert_eq!(f.svc.released_lsn(), blocks.last().unwrap().end_lsn());
+    }
+
+    #[test]
+    fn take_over_drops_the_dead_primarys_speculative_blocks() {
+        let f = fixture(XLogConfig::default());
+        let durable = feed_chain(&f, 2, |_| false);
+        let head = durable.last().unwrap().end_lsn();
+        // The dead primary offered a block at the head that never became
+        // durable; the new primary writes a different one there.
+        let old = f.svc.writer();
+        f.svc.offer_block_from(old, block_at(head, 0, 300));
+        f.lz.recover();
+        f.svc.take_over(head);
+        let new = block_at(head, 1, 20);
+        f.lz.write_block(&new).unwrap();
+        // A straggler from the dead primary's feed arrives late.
+        f.svc.offer_block_from(old, block_at(head, 0, 300));
+        f.svc.offer_block_from(f.svc.writer(), new.clone());
+        f.svc.report_hardened(new.end_lsn());
+        assert_eq!(f.svc.released_lsn(), new.end_lsn());
+        assert_eq!(f.svc.get_block(head).unwrap(), new);
+        assert_eq!(f.svc.metrics().gaps_filled_from_lz.get(), 0);
     }
 
     #[test]

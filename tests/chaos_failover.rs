@@ -16,11 +16,13 @@
 
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
+use socrates_common::latency::{DeviceProfile, LatencyMode};
 use socrates_common::obs::{slowest_spans, MetricValue, SpanKind};
 use socrates_common::rng::Rng;
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ROUNDS: usize = 8;
@@ -278,6 +280,76 @@ fn seeded_kill_restart_schedule_preserves_all_invariants() {
     assert!(total > 0, "the schedule should have injected at least one fault");
 
     write_artifact(seed, &actions, Some(&sys));
+    sys.shutdown();
+}
+
+#[test]
+fn failover_with_blocks_in_flight_keeps_exactly_the_acked_rows() {
+    // Only the landing zone is slow (calibrated XIO writes), so with three
+    // writers committing row by row the in-flight window is full most of
+    // the time.
+    let config = SocratesConfig {
+        latency_mode: LatencyMode::real(),
+        lz_profile: DeviceProfile::xio(),
+        ..SocratesConfig::fast_test()
+    };
+    let sys = Socrates::launch(config).unwrap();
+    let p = sys.primary().unwrap();
+    p.db().create_table("t", schema()).unwrap();
+    const WRITERS: i64 = 3;
+    const STRIDE: i64 = 1_000_000;
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || {
+                // Until a commit fails (the kill): acknowledged ids, and
+                // the one id whose commit was refused.
+                let mut acked = Vec::new();
+                for id in w * STRIDE.. {
+                    let h = p.db().begin();
+                    p.db().insert(&h, "t", &row(id)).unwrap();
+                    if p.db().commit(h).is_err() {
+                        return (acked, id);
+                    }
+                    acked.push(id);
+                }
+                unreachable!("the id space outlasts the test")
+            })
+        })
+        .collect();
+    eventually(|| p.pipeline().metrics().commit_latency.count() >= 30, "commits under way");
+    eventually(|| p.pipeline().blocks_in_flight() == 2, "two blocks in flight");
+    // Kill with both on the devices; recovery fences them.
+    sys.kill_primary();
+    let p2 = sys.failover().unwrap();
+    let outcomes: Vec<(Vec<i64>, i64)> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+    drop(p);
+    // Exactly the acknowledged rows survive: nothing acked is lost, and no
+    // block that was not acknowledged is resurrected.
+    let r = p2.db().begin();
+    let mut acked_total = 0;
+    for (w, (acked, refused)) in (0..WRITERS).zip(&outcomes) {
+        for id in acked {
+            assert_eq!(p2.db().get(&r, "t", &[Value::Int(*id)]).unwrap(), Some(row(*id)));
+        }
+        assert_eq!(
+            p2.db().get(&r, "t", &[Value::Int(*refused)]).unwrap(),
+            None,
+            "writer {w}: refused commit of row {refused} resurrected"
+        );
+        acked_total += acked.len();
+    }
+    assert!(acked_total >= 30);
+    assert_eq!(p2.db().scan_table(&r, "t", usize::MAX).unwrap().len(), acked_total);
+    // The log continues past the fenced range: the new primary commits and
+    // a fresh reader sees it.
+    let h = p2.db().begin();
+    p2.db().insert(&h, "t", &row(-1)).unwrap();
+    p2.db().commit(h).unwrap();
+    sys.kill_primary();
+    let p3 = sys.failover().unwrap();
+    let r = p3.db().begin();
+    assert_eq!(p3.db().scan_table(&r, "t", usize::MAX).unwrap().len(), acked_total + 1);
     sys.shutdown();
 }
 
