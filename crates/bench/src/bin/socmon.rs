@@ -376,7 +376,7 @@ fn commit_stage(snapshot: &MetricSnapshot, stage: Stage) -> HistogramSnapshot {
 /// its `getpage` span tree (every compute node's always-on per-stage
 /// histograms are already in its hub section).
 fn render_reads(sys: &Socrates, plain: bool) {
-    const STAGES: [&str; 7] = ["total", "probe", "queue", "gather", "net", "serve", "sink"];
+    const STAGES: [&str; 6] = ["total", "probe", "queue", "net", "serve", "sink"];
     let spans = sys.fabric().spans.spans();
     let slow = slowest_spans(&spans, SpanKind::GetPage, 10);
     if plain {
@@ -401,13 +401,11 @@ fn render_reads(sys: &Socrates, plain: bool) {
             root.dur_ns / 1_000,
             us(SpanKind::GetPageProbe),
             us(SpanKind::GetPageQueue),
-            us(SpanKind::GetPageGather),
             us(SpanKind::RbioNet).saturating_sub(us(SpanKind::PsServe)),
             us(SpanKind::PsServe),
             us(SpanKind::GetPageSink),
         ];
-        let (width, fallback) =
-            unpack_coalesce(child(SpanKind::GetPageGather).map_or(0, |s| s.arg));
+        let (width, fallback) = unpack_coalesce(child(SpanKind::GetPageQueue).map_or(0, |s| s.arg));
         let hedge = match child(SpanKind::RbioNet).map_or(0, |s| s.arg) {
             HEDGE_WON => "won",
             HEDGE_LOST => "lost",

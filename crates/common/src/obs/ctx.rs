@@ -24,7 +24,7 @@
 //! - [`SpanEvent`] is both what a site records and the read-side
 //!   snapshot. Its `arg` cell carries the span's one payload: the commit
 //!   LSN on `commit`, the page id on `getpage`, the coalesce membership
-//!   on `getpage.gather_wait` ([`pack_coalesce`]) and the hedge outcome
+//!   on `getpage.sched_queue` ([`pack_coalesce`]) and the hedge outcome
 //!   on `rbio.net` ([`HEDGE_LOST`]/[`HEDGE_WON`]). The Chrome trace-event
 //!   exporter over a batch of events lives in
 //!   [`export::chrome_trace_json`](super::export::chrome_trace_json)
@@ -124,10 +124,9 @@ span_kinds! {
     PsCompact => "ps.compact",
     /// Probing the local tiers before the miss is declared (compute node).
     GetPageProbe => "getpage.cache_probe",
-    /// Scheduler queue wait beyond the gather window (compute node).
+    /// Scheduler queue wait, enqueue → dispatch (compute node; `arg` =
+    /// coalesce membership).
     GetPageQueue => "getpage.sched_queue",
-    /// Deliberate gather delay (compute node; `arg` = coalesce membership).
-    GetPageGather => "getpage.gather_wait",
     /// Installing the fetched page into the compute cache (compute node).
     GetPageSink => "getpage.sink",
 }
@@ -137,7 +136,7 @@ pub const HEDGE_LOST: u64 = 1;
 /// `rbio.net` `arg`: a hedge fired and the hedged attempt won.
 pub const HEDGE_WON: u64 = 2;
 
-/// `getpage.gather_wait` `arg`: pages in the dispatched batch (1 = a lone
+/// `getpage.sched_queue` `arg`: pages in the dispatched batch (1 = a lone
 /// `GetPage`), and whether the range failed and this page was re-fetched
 /// alone.
 pub const fn pack_coalesce(range_width: u32, range_fallback: bool) -> u64 {

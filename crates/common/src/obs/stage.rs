@@ -76,10 +76,8 @@ stages! {
     ReadStage {
         /// Probing the local tiers (memory, RBPEX) before going remote.
         CacheProbe => "cache_probe",
-        /// Scheduler queue wait beyond the gather window (backpressure).
+        /// Scheduler queue wait, enqueue → dispatch to a worker.
         SchedQueue => "sched_queue",
-        /// Deliberate gather delay waiting for coalescible neighbours.
-        GatherWait => "gather_wait",
         /// RBIO round trip minus the server's serve time.
         NetRbio => "net_rbio",
         /// Server-side serve time (stamped on the response by the server).
@@ -183,15 +181,12 @@ mod tests {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names, ["engine", "harden", "destage", "page_apply", "secondary_apply"]);
         let names: Vec<&str> = ReadStage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            ["cache_probe", "sched_queue", "gather_wait", "net_rbio", "server_serve", "sink"]
-        );
+        assert_eq!(names, ["cache_probe", "sched_queue", "net_rbio", "server_serve", "sink"]);
 
         let reads = StageHists::<ReadStage>::default();
         reads.record(ReadStage::Sink, Duration::from_micros(40));
         let counts: Vec<u64> = reads.iter().map(|(_, h)| h.count()).collect();
-        assert_eq!(counts, [0, 0, 0, 0, 0, 1]);
+        assert_eq!(counts, [0, 0, 0, 0, 1]);
         assert_eq!(reads.hist(ReadStage::Sink).snapshot().max_us, 40);
         for (i, (stage, _)) in reads.iter().enumerate() {
             assert_eq!(stage.index(), i);

@@ -130,7 +130,7 @@ impl SocratesConfig {
             pipeline: LogPipelineConfig::default(),
             xlog: XLogConfig::default(),
             page_server: PageServerConfig::default(),
-            sched: IoSchedulerConfig::fast_test(),
+            sched: IoSchedulerConfig::default(),
             hedge: HedgeConfig::disabled(),
             compute_cores: 8,
             rbio_workers: 4,
@@ -160,7 +160,6 @@ impl SocratesConfig {
             net_profile: DeviceProfile::lan(),
             latency_mode: LatencyMode::real(),
             lossy_feed: LossyConfig::unreliable(0.01, 0.005, seed ^ 0xFEED),
-            sched: IoSchedulerConfig::default(),
             hedge: HedgeConfig::default(),
             seed,
             ..SocratesConfig::fast_test()

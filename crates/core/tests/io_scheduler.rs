@@ -1,16 +1,33 @@
 //! End-to-end tests for the remote-read I/O scheduler: single-flight
 //! GetPage@LSN dedupe, the GetPageRange protocol arm, and scan prefetch —
-//! all asserted against the page server's own request counters.
+//! all asserted against the page server's own request counters. Where a
+//! test needs requests to pile up behind one in flight, it holds that one
+//! at the page server with an injected `pageserver.serve` latency and
+//! polls for the pile-up it needs before the hold ends.
 
 use socrates::config::SocratesConfig;
 use socrates::deployment::Socrates;
 use socrates::fabric::RemotePageSource;
+use socrates_common::fault::sites::PAGESERVER_SERVE;
 use socrates_common::{Lsn, NodeId, PageId, PartitionId};
 use socrates_engine::value::{ColumnType, Schema};
 use socrates_engine::Value as V;
 use socrates_storage::sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Holds the page server's first request for 500 ms: ample time for the
+/// pile-up each test waits for by polling state.
+const HOLD: &str = "pageserver.serve@first:1=latency:500ms";
+
+/// Poll until `cond` holds (5 s cap, so a regression fails, not hangs).
+fn until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 fn schema() -> Schema {
     Schema::new(vec![("id".into(), ColumnType::Int), ("v".into(), ColumnType::Str)], 1)
@@ -52,25 +69,24 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
     ));
     let sched = IoScheduler::start(
         source as Arc<dyn RangedPageSource>,
-        IoSchedulerConfig {
-            // A generous window so all eight readers join before the
-            // worker dispatches (they target ONE page, so the batch
-            // still resolves to a single GetPage).
-            gather_window: Duration::from_millis(30),
-            workers: 2,
-            ..IoSchedulerConfig::default()
-        },
+        IoSchedulerConfig::default(),
         std::sync::Weak::new(),
     );
 
     let served_before = ps.metrics().pages_served.get();
     let target = PageId::new(0); // the catalog page, applied at bootstrap
-    let readers: Vec<_> = (0..8)
-        .map(|_| {
-            let sched = Arc::clone(&sched);
-            std::thread::spawn(move || sched.fetch(target, Lsn::ZERO).unwrap())
-        })
-        .collect();
+    let faults = &sys.fabric().faults;
+    faults.install_spec(HOLD).unwrap();
+    let read = || {
+        let sched = Arc::clone(&sched);
+        std::thread::spawn(move || sched.fetch(target, Lsn::ZERO).unwrap())
+    };
+    // The first reader's GetPage is held at the server; the other seven
+    // find it in flight and join it.
+    let mut readers = vec![read()];
+    until("the first GetPage to be held", || faults.fired_count(PAGESERVER_SERVE) == 1);
+    readers.extend((0..7).map(|_| read()));
+    until("seven readers to join", || sched.stats().joined.get() == 7);
     for r in readers {
         let (page, _) = r.join().unwrap();
         assert_eq!(page.page_id(), target);
@@ -104,32 +120,33 @@ fn get_page_range_arm_serves_coalesced_reads() {
     assert_eq!(ps.metrics().range_requests.get() - range_before, 1);
     assert!(ps.metrics().range_pages_served.get() >= 8);
 
-    // And through the scheduler: adjacent concurrent misses coalesce into
-    // range calls instead of eight GetPage round trips.
+    // And through the scheduler: while its only worker waits on a held
+    // GetPage, eight adjacent misses queue, then leave as one GetPageRange
+    // instead of eight GetPage round trips.
     let sched = IoScheduler::start(
         source as Arc<dyn RangedPageSource>,
-        IoSchedulerConfig {
-            gather_window: Duration::from_millis(30),
-            workers: 2,
-            ..IoSchedulerConfig::default()
-        },
+        IoSchedulerConfig { workers: 1, ..IoSchedulerConfig::default() },
         std::sync::Weak::new(),
     );
+    let faults = &sys.fabric().faults;
+    faults.install_spec(HOLD).unwrap();
     let range_before = ps.metrics().range_requests.get();
-    let readers: Vec<_> = (1..=8u64)
-        .map(|raw| {
-            let sched = Arc::clone(&sched);
-            std::thread::spawn(move || sched.fetch(PageId::new(raw), Lsn::ZERO).unwrap())
-        })
-        .collect();
+    let read = |raw: u64| {
+        let sched = Arc::clone(&sched);
+        std::thread::spawn(move || sched.fetch(PageId::new(raw), Lsn::ZERO).unwrap())
+    };
+    let busy = read(0);
+    until("the worker's GetPage to be held", || faults.fired_count(PAGESERVER_SERVE) == 1);
+    let readers: Vec<_> = (1..=8u64).map(read).collect();
+    until("eight misses to queue behind it", || sched.depth() == 9);
+    assert_eq!(busy.join().unwrap().0.page_id(), PageId::new(0));
     for (i, r) in readers.into_iter().enumerate() {
-        assert_eq!(r.join().unwrap().0.page_id(), PageId::new(1 + i as u64));
+        let (page, meta) = r.join().unwrap();
+        assert_eq!(page.page_id(), PageId::new(1 + i as u64));
+        assert_eq!(meta.range_width, 8);
     }
-    assert!(
-        ps.metrics().range_requests.get() > range_before,
-        "coalesced misses should arrive as GetPageRange"
-    );
-    assert!(sched.stats().range_pages.get() >= 2);
+    assert_eq!(ps.metrics().range_requests.get() - range_before, 1, "one GetPageRange");
+    assert_eq!((sched.stats().range_calls.get(), sched.stats().range_pages.get()), (1, 8));
 }
 
 #[test]

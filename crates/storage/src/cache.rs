@@ -38,10 +38,8 @@ use std::time::{Duration, Instant};
 /// falls back to its own wall-clock measurement.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchMeta {
-    /// Scheduler queue wait beyond the gather window (backpressure).
+    /// Scheduler queue wait: enqueued → dispatched to a worker.
     pub queue_ns: u64,
-    /// Deliberate gather delay waiting for coalescible neighbours.
-    pub gather_ns: u64,
     /// Network round trip minus the server's serve time.
     pub net_ns: u64,
     /// Server-side serve time, stamped on the RBIO response.
@@ -360,23 +358,22 @@ impl TieredCache {
         Ok((page_ref, CacheTier::Remote))
     }
 
-    /// Account one completed remote miss: count it, feed the six
+    /// Account one completed remote miss: count it, feed the five
     /// read-stage histograms, and — when the source sampled it — close its
-    /// `getpage` root span (`arg` = page id) with the four cache-side stage
-    /// children (`rbio.net` and `ps.serve` were recorded by the source and
-    /// the server under the same root).
+    /// `getpage` root span (`arg` = page id) with the three cache-side
+    /// stage children (`rbio.net` and `ps.serve` were recorded by the
+    /// source and the server under the same root).
     pub fn record_miss(&self, id: PageId, t: MissTiming, mut meta: FetchMeta) {
         self.stats.fetches.incr();
         let fetch_ns = t.fetch.as_nanos() as u64;
         if meta.net_ns == 0 {
             // The source could not attribute the round trip; charge the
             // unaccounted remainder of the fetch to the network stage.
-            meta.net_ns = fetch_ns.saturating_sub(meta.queue_ns + meta.gather_ns + meta.serve_ns);
+            meta.net_ns = fetch_ns.saturating_sub(meta.queue_ns + meta.serve_ns);
         }
         let (stages, ns) = (&self.read_stages, Duration::from_nanos);
         stages.record(ReadStage::CacheProbe, t.probe);
         stages.record(ReadStage::SchedQueue, ns(meta.queue_ns));
-        stages.record(ReadStage::GatherWait, ns(meta.gather_ns));
         stages.record(ReadStage::NetRbio, ns(meta.net_ns));
         stages.record(ReadStage::ServerServe, ns(meta.serve_ns));
         stages.record(ReadStage::Sink, t.sink);
@@ -401,8 +398,7 @@ impl TieredCache {
         let coalesce = pack_coalesce(meta.range_width, meta.range_fallback);
         for (kind, start_ns, dur_ns, arg) in [
             (SpanKind::GetPageProbe, start_ns, probe_ns, 0),
-            (SpanKind::GetPageQueue, fetch_start, meta.queue_ns, 0),
-            (SpanKind::GetPageGather, fetch_start + meta.queue_ns, meta.gather_ns, coalesce),
+            (SpanKind::GetPageQueue, fetch_start, meta.queue_ns, coalesce),
             (SpanKind::GetPageSink, fetch_start + fetch_ns, sink_ns, 0),
         ] {
             ring.record(span(ring.next_span_id(), meta.root.span_id, kind, start_ns, dur_ns, arg));
@@ -712,34 +708,26 @@ mod tests {
         );
         cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
         let spans = ring.spans();
-        assert_eq!(spans.len(), 5, "root + four cache-side stage children");
+        assert_eq!(spans.len(), 4, "root + three cache-side stage children");
         let root = spans.last().unwrap();
         assert_eq!(root.kind, SpanKind::GetPage);
         assert_eq!(root.parent_id, 0, "getpage is the trace root");
         assert_eq!(root.trace_id, root.span_id);
         assert_eq!(root.node, NodeId::secondary(1));
         assert_eq!(root.arg, 3, "the root carries the page id");
-        let kinds: Vec<SpanKind> = spans[..4].iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                SpanKind::GetPageProbe,
-                SpanKind::GetPageQueue,
-                SpanKind::GetPageGather,
-                SpanKind::GetPageSink
-            ]
-        );
-        for child in &spans[..4] {
+        let kinds: Vec<SpanKind> = spans[..3].iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::GetPageProbe, SpanKind::GetPageQueue, SpanKind::GetPageSink]);
+        for child in &spans[..3] {
             assert_eq!(child.parent_id, root.span_id);
             assert!(child.start_ns >= root.start_ns);
             assert!(child.start_ns + child.dur_ns <= root.start_ns + root.dur_ns + 4);
         }
-        assert_eq!(spans[2].arg, pack_coalesce(1, false), "gather_wait carries the membership");
+        assert_eq!(spans[1].arg, pack_coalesce(1, false), "sched_queue carries the membership");
 
         // A memory hit records nothing; an unsampled miss only the histograms.
         cache.get(PageId::new(3), || Lsn::ZERO).unwrap();
         cache.get(PageId::new(4), || Lsn::ZERO).unwrap();
-        assert_eq!(ring.spans().len(), 5);
+        assert_eq!(ring.spans().len(), 4);
         assert_eq!(cache.stats().fetches.get(), 2);
         for stage in [ReadStage::CacheProbe, ReadStage::NetRbio, ReadStage::Sink] {
             assert_eq!(cache.read_stages().hist(stage).count(), 2, "{stage:?}");

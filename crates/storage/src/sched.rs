@@ -7,10 +7,12 @@
 //! * **Single-flight.** Concurrent misses for the same page (hot B-tree
 //!   upper levels right after a restart, N readers chasing one cold leaf)
 //!   must share one in-flight request, not issue N identical RBIO calls.
-//! * **Range coalescing.** Misses adjacent in page-id space that arrive
-//!   within a short *gather window* are merged into one `GetPageRange`
-//!   call, which a page server answers from its stride-preserving covering
-//!   cache in a single device I/O.
+//! * **Range coalescing.** Dispatch is work-conserving: a miss leaves as
+//!   soon as a worker is free, so a lone miss never waits for company.
+//!   Misses that queue while every worker is busy and are adjacent in
+//!   page-id space leave together as one `GetPageRange` call, which a page
+//!   server answers from its stride-preserving covering cache in a single
+//!   device I/O.
 //! * **Prefetch.** The scan layer knows which pages it will touch next
 //!   (the children of the internal node it just read); posting them as
 //!   read-ahead hints lets worker threads overlap many network round
@@ -64,10 +66,6 @@ pub struct IoSchedulerConfig {
     /// Worker threads draining the submission queue. This bounds how many
     /// GetPage/GetPageRange calls the node keeps in flight.
     pub workers: usize,
-    /// How long a demand miss may wait for adjacent misses to arrive
-    /// before it is dispatched. Zero dispatches immediately (misses still
-    /// coalesce with whatever is already queued).
-    pub gather_window: Duration,
     /// Largest run of contiguous pages dispatched as one `GetPageRange`.
     pub max_batch: u32,
     /// Cap on queued prefetch hints; hints beyond it are dropped (they are
@@ -82,19 +80,10 @@ impl Default for IoSchedulerConfig {
         IoSchedulerConfig {
             enabled: true,
             workers: 4,
-            gather_window: Duration::from_micros(120),
             max_batch: 64,
             max_pending: 512,
             completion_timeout: Duration::from_secs(30),
         }
-    }
-}
-
-impl IoSchedulerConfig {
-    /// Instant-network test configuration: no gather delay (there is no
-    /// round trip worth batching against), everything else default.
-    pub fn fast_test() -> IoSchedulerConfig {
-        IoSchedulerConfig { gather_window: Duration::ZERO, ..IoSchedulerConfig::default() }
     }
 }
 
@@ -320,7 +309,7 @@ impl IoScheduler {
     /// Fetch `id` at an LSN ≥ `min_lsn` through the scheduler: joins an
     /// existing in-flight request when possible, otherwise enqueues a
     /// demand miss and parks until a worker completes it. Returns the page
-    /// with the fetch's latency attribution (queue/gather waits, coalesce
+    /// with the fetch's latency attribution (queue wait, coalesce
     /// membership, and whatever the backend stamped on the batch).
     pub fn fetch(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
         let s = &self.shared;
@@ -342,13 +331,11 @@ impl IoScheduler {
                 // complete_one's demand check on the worker: if the pair reordered,
                 // a promoted waiter could be treated as a prefetch and never woken
                 if !e.demand.swap(true, Ordering::SeqCst) {
-                    // Promote a queued prefetch to demand priority.
-                    let mut q = s.q.lock();
-                    if let Some(p) = q.pending.get_mut(&id.raw()) {
+                    // Promote a queued prefetch to demand priority. No
+                    // wake-up: a worker parks only on an empty queue.
+                    if let Some(p) = s.q.lock().pending.get_mut(&id.raw()) {
                         p.demand = true;
                     }
-                    drop(q);
-                    s.q_cv.notify_all();
                 }
                 e
             }
@@ -370,6 +357,10 @@ impl IoScheduler {
                 );
                 drop(q);
                 drop(fl);
+                // Wake every idle worker, not one: whichever gets a core
+                // first takes the request. A `notify_one` target can sit
+                // behind busy cores (queue-wait p99 ≈ 190 vs ≈ 32 µs on
+                // `read_remote`, 2 vCPUs).
                 s.q_cv.notify_all();
                 e
             }
@@ -418,9 +409,14 @@ impl IoScheduler {
     /// Stop the workers (joined on drop). Outstanding demand waiters are
     /// failed with `Unavailable`.
     pub fn stop(&self) {
-        // ordering: relaxed — workers re-check stop under the queue mutex after
-        // the wakeup below, which provides the happens-before
-        self.shared.stop.store(true, Ordering::Relaxed);
+        {
+            // Stored under the queue mutex: a worker that has checked the
+            // flag holds the mutex until it parks, so it cannot miss the
+            // wake-up below.
+            let _q = self.shared.q.lock();
+            // ordering: relaxed — the queue mutex orders it with next_batch's check
+            self.shared.stop.store(true, Ordering::Relaxed);
+        }
         self.shared.q_cv.notify_all();
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
@@ -447,7 +443,7 @@ impl Drop for IoScheduler {
 struct Batch {
     ids: Vec<PageId>,
     min_lsn: Lsn,
-    /// Per-member enqueue time, for queue/gather attribution on spans.
+    /// Per-member enqueue time, for queue attribution on spans.
     enqueued: Vec<Instant>,
 }
 
@@ -459,9 +455,8 @@ fn worker_loop(s: Arc<Shared>) {
 
 /// Block until a batch is dispatchable (or the scheduler stops).
 ///
-/// Priority: expired demand runs, then prefetch runs (keeping workers busy
-/// while young demands gather), then waiting out the youngest demand's
-/// remaining window.
+/// Work-conserving: the oldest demand run goes first, then the oldest
+/// prefetch run, and a worker parks (untimed) only on an empty queue.
 fn next_batch(s: &Shared) -> Option<Batch> {
     let mut q = s.q.lock();
     loop {
@@ -469,36 +464,20 @@ fn next_batch(s: &Shared) -> Option<Batch> {
         if s.stop.load(Ordering::Relaxed) {
             return None;
         }
-        let now = Instant::now();
-        let oldest_demand = q
-            .pending
-            .iter()
-            .filter(|(_, r)| r.demand)
-            .min_by_key(|(_, r)| r.seq)
-            .map(|(&id, r)| (id, r.enqueued));
-        if let Some((seed, enqueued)) = oldest_demand {
-            let age = now.saturating_duration_since(enqueued);
-            if age >= s.cfg.gather_window {
-                return Some(take_run(&mut q, seed, s.cfg.max_batch));
-            }
-            // The demand is still gathering: service a prefetch meanwhile,
-            // or sleep out the remaining window.
-            if let Some(seed) = first_prefetch(&q) {
-                return Some(take_run(&mut q, seed, s.cfg.max_batch));
-            }
-            let remaining = s.cfg.gather_window - age;
-            s.q_cv.wait_for(&mut q, remaining);
-            continue;
-        }
-        if let Some(seed) = first_prefetch(&q) {
+        if let Some(seed) = oldest(&q, true).or_else(|| oldest(&q, false)) {
             return Some(take_run(&mut q, seed, s.cfg.max_batch));
         }
-        s.q_cv.wait_for(&mut q, Duration::from_millis(20));
+        s.q_cv.wait(&mut q);
     }
 }
 
-fn first_prefetch(q: &Queue) -> Option<u64> {
-    q.pending.iter().filter(|(_, r)| !r.demand).min_by_key(|(_, r)| r.seq).map(|(&id, _)| id)
+/// The longest-queued demand (or prefetch) request.
+fn oldest(q: &Queue, demand: bool) -> Option<u64> {
+    q.pending
+        .iter()
+        .filter(|(_, r)| r.demand == demand)
+        .min_by_key(|(_, r)| r.seq)
+        .map(|(&id, _)| id)
 }
 
 /// Remove the longest contiguous run around `seed` from the queue (capped
@@ -528,20 +507,18 @@ fn take_run(q: &mut Queue, seed: u64, max_batch: u32) -> Batch {
 }
 
 /// Stamp the scheduler's share of a fetch's attribution onto the backend's
-/// meta: the member's queue/gather waits, its coalesce membership, and —
-/// when the backend could not split the round trip itself — the call's
-/// wall-clock minus the server serve time as the network stage.
+/// meta: the member's queue wait, its coalesce membership, and — when the
+/// backend could not split the round trip itself — the call's wall-clock
+/// minus the server serve time as the network stage.
 fn stamp(
     res: Result<(Page, FetchMeta)>,
     queue_ns: u64,
-    gather_ns: u64,
     width: u32,
     fallback: bool,
     call_ns: u64,
 ) -> Result<(Page, FetchMeta)> {
     res.map(|(page, mut m)| {
         m.queue_ns = queue_ns;
-        m.gather_ns = gather_ns;
         m.range_width = width;
         m.range_fallback = fallback;
         if m.net_ns == 0 {
@@ -555,20 +532,14 @@ fn execute(s: &Shared, batch: Batch) {
     let first = batch.ids[0];
     let count = batch.ids.len() as u32;
     let dispatched = Instant::now();
-    // A member's wait splits into the intentional gather delay (up to the
-    // configured window) and queue backpressure (everything beyond it).
-    let waits = |i: usize| -> (u64, u64) {
-        let wait = dispatched.saturating_duration_since(batch.enqueued[i]);
-        let gather = wait.min(s.cfg.gather_window);
-        ((wait - gather).as_nanos() as u64, gather.as_nanos() as u64)
-    };
+    let queued =
+        |i: usize| dispatched.saturating_duration_since(batch.enqueued[i]).as_nanos() as u64;
     if count == 1 {
         s.stats.single_calls.incr();
         let t0 = Instant::now();
         let res = s.backend.fetch_page_traced(first, batch.min_lsn);
         let call_ns = t0.elapsed().as_nanos() as u64;
-        let (queue_ns, gather_ns) = waits(0);
-        complete_one(s, first, stamp(res, queue_ns, gather_ns, 1, false, call_ns));
+        complete_one(s, first, stamp(res, queued(0), 1, false, call_ns));
         return;
     }
     s.stats.range_calls.incr();
@@ -578,13 +549,8 @@ fn execute(s: &Shared, batch: Batch) {
         Ok((pages, meta)) if pages.len() == count as usize => {
             let call_ns = t0.elapsed().as_nanos() as u64;
             for (i, (id, page)) in batch.ids.iter().zip(pages).enumerate() {
-                let (queue_ns, gather_ns) = waits(i);
                 // Every member shares the range's wire/serve cost.
-                complete_one(
-                    s,
-                    *id,
-                    stamp(Ok((page, meta)), queue_ns, gather_ns, count, false, call_ns),
-                );
+                complete_one(s, *id, stamp(Ok((page, meta)), queued(i), count, false, call_ns));
             }
         }
         _ => {
@@ -595,8 +561,7 @@ fn execute(s: &Shared, batch: Batch) {
                 let t0 = Instant::now();
                 let res = s.backend.fetch_page_traced(*id, batch.min_lsn);
                 let call_ns = t0.elapsed().as_nanos() as u64;
-                let (queue_ns, gather_ns) = waits(i);
-                complete_one(s, *id, stamp(res, queue_ns, gather_ns, count, true, call_ns));
+                complete_one(s, *id, stamp(res, queued(i), count, true, call_ns));
             }
         }
     }
@@ -627,18 +592,21 @@ mod tests {
     use parking_lot::Mutex as PlMutex;
     use std::sync::atomic::AtomicU64;
 
-    /// Test backend: serves pages from a map, counts calls, optionally
-    /// sleeps to widen race windows.
+    /// Test backend: serves pages from a map and counts calls. While the
+    /// test holds its gate, every call blocks on entry (already counted)
+    /// until the test releases it — batching is then asserted by what
+    /// queued behind a held call, never by timing.
     struct TestSource {
         pages: PlMutex<HashMap<PageId, Page>>,
         single_calls: AtomicU64,
         range_calls: AtomicU64,
         range_pages: AtomicU64,
-        delay: Duration,
+        held: PlMutex<bool>,
+        gate: Condvar,
     }
 
     impl TestSource {
-        fn new(n: u64, delay: Duration) -> Arc<TestSource> {
+        fn new(n: u64) -> Arc<TestSource> {
             let mut pages = HashMap::new();
             for i in 0..n {
                 let mut p = Page::new(PageId::new(i), PageType::BTreeLeaf);
@@ -650,15 +618,38 @@ mod tests {
                 single_calls: AtomicU64::new(0),
                 range_calls: AtomicU64::new(0),
                 range_pages: AtomicU64::new(0),
-                delay,
+                held: PlMutex::new(false),
+                gate: Condvar::new(),
             })
+        }
+
+        fn hold(&self) {
+            *self.held.lock() = true;
+        }
+
+        fn release(&self) {
+            *self.held.lock() = false;
+            self.gate.notify_all();
+        }
+
+        fn pass_gate(&self) {
+            let mut held = self.held.lock();
+            while *held {
+                self.gate.wait(&mut held);
+            }
+        }
+
+        /// Backend calls made so far, held ones included.
+        fn calls(&self) -> u64 {
+            // ordering: relaxed — test statistic, polled
+            self.single_calls.load(Ordering::Relaxed) + self.range_calls.load(Ordering::Relaxed)
         }
     }
 
     impl PageSource for TestSource {
         fn fetch_page(&self, id: PageId, _min_lsn: Lsn) -> Result<Page> {
             self.single_calls.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — test statistic
-            std::thread::sleep(self.delay);
+            self.pass_gate();
             self.pages.lock().get(&id).cloned().ok_or_else(|| Error::NotFound(format!("{id}")))
         }
     }
@@ -667,7 +658,7 @@ mod tests {
         fn fetch_page_range(&self, first: PageId, count: u32, _min_lsn: Lsn) -> Result<Vec<Page>> {
             self.range_calls.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — test statistic
             self.range_pages.fetch_add(count as u64, Ordering::Relaxed); // ordering: relaxed — test statistic
-            std::thread::sleep(self.delay);
+            self.pass_gate();
             let pages = self.pages.lock();
             (first.raw()..first.raw() + count as u64)
                 .map(|i| {
@@ -684,10 +675,24 @@ mod tests {
         IoScheduler::start(Arc::clone(src) as Arc<dyn RangedPageSource>, cfg, Weak::new())
     }
 
+    fn one_worker() -> IoSchedulerConfig {
+        IoSchedulerConfig { workers: 1, ..IoSchedulerConfig::default() }
+    }
+
+    /// Poll until `cond` holds: the tests order their steps by observed
+    /// scheduler state (5 s cap, so a regression fails instead of hanging).
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn fetch_returns_pages() {
-        let src = TestSource::new(16, Duration::ZERO);
-        let s = sched(&src, IoSchedulerConfig::fast_test());
+        let src = TestSource::new(16);
+        let s = sched(&src, IoSchedulerConfig::default());
         for i in 0..16 {
             let (p, _) = s.fetch(PageId::new(i), Lsn::ZERO).unwrap();
             assert_eq!(p.body()[0], i as u8);
@@ -696,62 +701,84 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_dedupes_concurrent_misses() {
-        // A slow backend widens the window; 8 readers of one page must
-        // produce exactly one backend call.
-        let src = TestSource::new(4, Duration::from_millis(20));
-        let s = sched(&src, IoSchedulerConfig::fast_test());
+    fn lone_miss_on_an_idle_scheduler_is_dispatched_at_once() {
+        // No neighbour is awaited: the backend sees the call while the
+        // reader still parks on its completion slot.
+        let src = TestSource::new(4);
+        let s = sched(&src, IoSchedulerConfig::default());
+        src.hold();
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let s = &s;
-                handles.push(scope.spawn(move || s.fetch(PageId::new(1), Lsn::ZERO).unwrap()));
-            }
-            for h in handles {
-                assert_eq!(h.join().unwrap().0.body()[0], 1);
+            let reader = scope.spawn(|| s.fetch(PageId::new(2), Lsn::ZERO).unwrap().1);
+            until("the lone miss to reach the backend", || src.calls() == 1);
+            assert!(!reader.is_finished());
+            src.release();
+            let meta = reader.join().unwrap();
+            assert_eq!((meta.range_width, meta.range_fallback), (1, false));
+        });
+    }
+
+    #[test]
+    fn single_flight_dedupes_concurrent_misses() {
+        // 8 readers of one held page must produce exactly one backend call.
+        let src = TestSource::new(4);
+        let s = sched(&src, IoSchedulerConfig::default());
+        src.hold();
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| s.fetch(PageId::new(1), Lsn::ZERO).unwrap()))
+                .collect();
+            until("seven readers to join the held fetch", || s.stats().joined.get() == 7);
+            src.release();
+            for r in readers {
+                assert_eq!(r.join().unwrap().0.body()[0], 1);
             }
         });
-        // ordering: relaxed — asserted after the fetches returned
-        assert_eq!(src.single_calls.load(Ordering::Relaxed), 1, "exactly one backend call");
+        assert_eq!(src.calls(), 1, "exactly one backend call");
         assert_eq!(s.stats().joined.get(), 7);
     }
 
     #[test]
-    fn adjacent_misses_coalesce_into_one_range_call() {
-        let src = TestSource::new(64, Duration::ZERO);
-        let cfg = IoSchedulerConfig {
-            workers: 2,
-            gather_window: Duration::from_millis(30),
-            ..IoSchedulerConfig::default()
-        };
-        let s = sched(&src, cfg);
-        // 8 threads miss on adjacent pages within the gather window.
+    fn misses_queued_behind_a_busy_worker_leave_as_one_range_call() {
+        // One fetch occupies the only worker; eight adjacent misses queue
+        // behind it and, once it returns, leave together.
+        let src = TestSource::new(64);
+        let s = sched(&src, one_worker());
+        src.hold();
         std::thread::scope(|scope| {
-            for i in 0..8u64 {
-                let s = &s;
-                scope.spawn(move || s.fetch(PageId::new(8 + i), Lsn::ZERO).unwrap());
+            let busy = scope.spawn(|| s.fetch(PageId::new(0), Lsn::ZERO).unwrap().1);
+            until("the worker to enter the backend", || src.calls() == 1);
+            let readers: Vec<_> = (8..16u64)
+                .map(|i| {
+                    let s = &s;
+                    scope.spawn(move || s.fetch(PageId::new(i), Lsn::ZERO).unwrap())
+                })
+                .collect();
+            until("eight misses to queue", || s.depth() == 9);
+            src.release();
+            assert_eq!(busy.join().unwrap().range_width, 1);
+            for (i, r) in readers.into_iter().enumerate() {
+                let (page, meta) = r.join().unwrap();
+                assert_eq!(page.body()[0], 8 + i as u8);
+                assert_eq!((meta.range_width, meta.range_fallback), (8, false));
+                assert!(meta.queue_ns > 0, "members waited behind the busy worker");
             }
         });
-        assert!(
-            src.range_calls.load(Ordering::Relaxed) >= 1, // ordering: relaxed — after completion
-            "adjacent misses should produce a range call"
-        );
-        assert!(s.stats().coalesce_ratio() > 0.0);
+        // ordering: relaxed — asserted after the fetches returned
+        let range =
+            (src.range_calls.load(Ordering::Relaxed), src.range_pages.load(Ordering::Relaxed));
+        assert_eq!(range, (1, 8), "one GetPageRange of 8");
+        assert_eq!(s.stats().single_calls.get(), 1);
+        assert_eq!(s.stats().coalesce_ratio_pct(), 89);
     }
 
     #[test]
     fn prefetch_hints_are_serviced_in_background() {
-        let src = TestSource::new(64, Duration::ZERO);
-        let s = sched(&src, IoSchedulerConfig::fast_test());
+        let src = TestSource::new(64);
+        let s = sched(&src, IoSchedulerConfig::default());
         s.prefetch(PageId::new(10), 8, Lsn::ZERO);
-        // Wait for the background workers to drain the hints.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while s.depth() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(s.depth(), 0, "hints serviced");
+        until("the hints to be serviced", || s.depth() == 0);
         assert_eq!(s.stats().prefetch_hints.get(), 8);
-        // ordering: relaxed — asserted after the fetches returned
+        // ordering: relaxed — asserted after the hints were serviced
         assert!(src.range_calls.load(Ordering::Relaxed) >= 1, "hints coalesce into range reads");
         // A later demand fetch for a hinted page joins/refetches cleanly.
         assert_eq!(s.fetch(PageId::new(12), Lsn::ZERO).unwrap().0.body()[0], 12);
@@ -760,28 +787,32 @@ mod tests {
     #[test]
     fn range_failure_degrades_to_per_page_fetches() {
         // Page 21 does not exist: the 3-page range fails as a unit, then
-        // per-page fallback gives 20 and 22 their pages and 21 its error.
-        let src = TestSource::new(64, Duration::ZERO);
+        // per-page fallback gives 20 and 22 their pages and 21 its error,
+        // and the survivors' spans say they were re-fetched alone.
+        let src = TestSource::new(64);
         src.pages.lock().remove(&PageId::new(21));
-        let cfg = IoSchedulerConfig {
-            workers: 1,
-            gather_window: Duration::from_millis(30),
-            ..IoSchedulerConfig::default()
-        };
-        let s = sched(&src, cfg);
+        let s = sched(&src, one_worker());
+        src.hold();
         let results: Vec<Result<(Page, FetchMeta)>> = std::thread::scope(|scope| {
+            scope.spawn(|| s.fetch(PageId::new(0), Lsn::ZERO).unwrap());
+            until("the worker to enter the backend", || src.calls() == 1);
             let handles: Vec<_> = (20..23u64)
                 .map(|i| {
                     let s = &s;
                     scope.spawn(move || s.fetch(PageId::new(i), Lsn::ZERO))
                 })
                 .collect();
+            until("three misses to queue", || s.depth() == 4);
+            src.release();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(results[0].is_ok());
+        assert_eq!(s.stats().range_fallbacks.get(), 1);
         assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-        assert!(s.stats().range_fallbacks.get() <= 1);
+        for r in [&results[0], &results[2]] {
+            let (_, m) = r.as_ref().expect("pages 20 and 22 still arrive");
+            assert!(m.range_fallback, "survivors of a failed range carry the flag");
+            assert_eq!(m.range_width, 3, "width records the original batch size");
+        }
     }
 
     #[test]
@@ -802,75 +833,18 @@ mod tests {
     }
 
     #[test]
-    fn fetch_attributes_gather_and_coalesce_membership() {
-        let src = TestSource::new(64, Duration::ZERO);
-        let cfg = IoSchedulerConfig {
-            workers: 2,
-            gather_window: Duration::from_millis(30),
-            ..IoSchedulerConfig::default()
-        };
-        let s = sched(&src, cfg);
-        let metas: Vec<FetchMeta> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8u64)
-                .map(|i| {
-                    let s = &s;
-                    scope.spawn(move || s.fetch(PageId::new(8 + i), Lsn::ZERO).unwrap().1)
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(metas.iter().any(|m| m.range_width > 1), "adjacent misses should coalesce");
-        assert!(
-            metas.iter().any(|m| m.gather_ns > 0),
-            "members that waited out the window carry gather time"
-        );
-        assert!(metas.iter().all(|m| !m.range_fallback), "a successful range is not a fallback");
-    }
-
-    #[test]
-    fn range_fallback_is_stamped_on_member_meta() {
-        // Page 21 is missing: the range fails as a unit and members are
-        // re-fetched alone — their spans must say so.
-        let src = TestSource::new(64, Duration::ZERO);
-        src.pages.lock().remove(&PageId::new(21));
-        let cfg = IoSchedulerConfig {
-            workers: 1,
-            gather_window: Duration::from_millis(30),
-            ..IoSchedulerConfig::default()
-        };
-        let s = sched(&src, cfg);
-        let results: Vec<Result<(Page, FetchMeta)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (20..23u64)
-                .map(|i| {
-                    let s = &s;
-                    scope.spawn(move || s.fetch(PageId::new(i), Lsn::ZERO))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let metas: Vec<&FetchMeta> =
-            results.iter().filter_map(|r| r.as_ref().ok()).map(|(_, m)| m).collect();
-        assert_eq!(metas.len(), 2, "pages 20 and 22 still arrive");
-        if s.stats().range_fallbacks.get() >= 1 {
-            for m in metas {
-                assert!(m.range_fallback, "survivors of a failed range carry the flag");
-                assert!(m.range_width > 1, "width records the original batch size");
-            }
-        }
-    }
-
-    #[test]
     fn stale_inflight_is_not_joined_by_fresher_request() {
-        let src = TestSource::new(8, Duration::from_millis(10));
-        let s = sched(&src, IoSchedulerConfig::fast_test());
+        let src = TestSource::new(8);
+        let s = sched(&src, IoSchedulerConfig::default());
+        src.hold();
         std::thread::scope(|scope| {
-            let s1 = &s;
-            scope.spawn(move || s1.fetch(PageId::new(3), Lsn::new(5)).unwrap());
-            std::thread::sleep(Duration::from_millis(2));
+            scope.spawn(|| s.fetch(PageId::new(3), Lsn::new(5)).unwrap());
+            until("the low-floor fetch to reach the backend", || src.calls() == 1);
             // A request with a *higher* floor must not reuse the in-flight
-            // lower-floor call.
-            let s2 = &s;
-            scope.spawn(move || s2.fetch(PageId::new(3), Lsn::new(50)).unwrap());
+            // lower-floor call: it goes to the backend itself.
+            scope.spawn(|| s.fetch(PageId::new(3), Lsn::new(50)).unwrap());
+            until("the fresher fetch to reach the backend", || src.calls() == 2);
+            src.release();
         });
         assert_eq!(s.stats().joined.get(), 0);
         // ordering: relaxed — asserted after the fetches returned
@@ -879,14 +853,39 @@ mod tests {
 
     #[test]
     fn stop_fails_queued_waiters() {
-        let src = TestSource::new(8, Duration::from_millis(50));
-        let s = sched(&src, IoSchedulerConfig::fast_test());
-        let s2 = Arc::clone(&s);
-        let h = std::thread::spawn(move || s2.fetch(PageId::new(1), Lsn::ZERO));
-        std::thread::sleep(Duration::from_millis(5));
-        s.stop();
-        // The waiter either completed (worker already had it) or got the
-        // shutdown error — it must not hang.
-        let _ = h.join().unwrap();
+        let src = TestSource::new(8);
+        let s = sched(&src, one_worker());
+        src.hold();
+        std::thread::scope(|scope| {
+            let busy = scope.spawn(|| s.fetch(PageId::new(1), Lsn::ZERO));
+            until("the worker to enter the backend", || src.calls() == 1);
+            let queued = scope.spawn(|| s.fetch(PageId::new(2), Lsn::ZERO));
+            until("page 2 to queue", || s.depth() == 2);
+            let stopper = scope.spawn(|| s.stop());
+            // ordering: relaxed — test poll; stop() stores it under the queue mutex
+            until("stop to be requested", || s.shared.stop.load(Ordering::Relaxed));
+            src.release();
+            stopper.join().unwrap();
+            assert!(busy.join().unwrap().is_ok(), "the in-flight fetch completes");
+            assert!(
+                matches!(queued.join().unwrap(), Err(Error::Unavailable(_))),
+                "the queued fetch is failed, not left parked"
+            );
+        });
+    }
+
+    #[test]
+    fn stopping_an_idle_scheduler_never_loses_its_wakeup() {
+        // Idle workers park untimed, so a stop wake-up lost between a
+        // worker's flag check and its park would hang this loop. The spin
+        // before each stop sweeps it across the workers' start-up, so
+        // some stops land inside that window.
+        let src = TestSource::new(1);
+        for i in 0..5_000u64 {
+            let s = sched(&src, IoSchedulerConfig::default());
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(i % 97) {}
+            s.stop();
+        }
     }
 }

@@ -63,7 +63,7 @@ fn primary_hist_count(sys: &Socrates, name: &str) -> u64 {
     }
 }
 
-/// The 11 pinned `primary.{commit,read}_stage_*_us` names.
+/// The 10 pinned `primary.{commit,read}_stage_*_us` names.
 fn primary_stage_names() -> Vec<String> {
     let commit = Stage::ALL.iter().map(|s| format!("commit_stage_{}_us", s.name()));
     let read = ReadStage::ALL.iter().map(|s| format!("read_stage_{}_us", s.name()));

@@ -4,9 +4,9 @@
 //! replacement primary's reads are all cache misses, and interrogates
 //! both halves of the tracing layer end to end. Aggregates: every compute
 //! node — primary *and* secondary — counts each of its remote fetches in
-//! all six `read_stage_*` hub histograms, sampled or not, and both
+//! all five `read_stage_*` hub histograms, sampled or not, and both
 //! exporters carry them. Exemplars: under `trace_sample = 1` every miss
-//! is a `getpage` span tree with all six stage children, a hedged read's
+//! is a `getpage` span tree with all five stage children, a hedged read's
 //! outcome is readable from its spans, and under `trace_sample = 0` the
 //! ring stays empty.
 
@@ -64,7 +64,7 @@ fn cold_read_deployment(config: SocratesConfig) -> Socrates {
     sys
 }
 
-/// Assert that each of `node`'s six read-stage histograms holds exactly
+/// Assert that each of `node`'s five read-stage histograms holds exactly
 /// one sample per remote fetch the node made (every fetch in these runs
 /// goes through its scheduler and succeeds, so that is `sched_submitted`).
 fn assert_stage_counts_match_fetches(snapshot: &MetricSnapshot, node: NodeId) {
@@ -140,31 +140,31 @@ fn miss_path_spans_are_complete_and_exported() {
         };
         let (net, serve) = (child(SpanKind::RbioNet), child(SpanKind::PsServe));
         assert!(serve.dur_ns <= net.dur_ns, "the serve runs inside the round trip");
-        let gather = child(SpanKind::GetPageGather);
-        assert_eq!(unpack_coalesce(gather.arg), (1, false), "a lone, un-coalesced fetch");
-        // The five sequential legs (the server's serve is nested in the
-        // round trip) fit inside the root — nothing is counted twice; 5 ns
+        let queue = child(SpanKind::GetPageQueue);
+        assert_eq!(unpack_coalesce(queue.arg), (1, false), "a lone, un-coalesced fetch");
+        // The four sequential legs (the server's serve is nested in the
+        // round trip) fit inside the root — nothing is counted twice; 4 ns
         // covers each child's clamp to ≥ 1 ns. What they leave over is
         // hand-off time no stage owns (scheduler dispatch, waking the
         // reader).
-        let legs: u64 = [SpanKind::GetPageProbe, SpanKind::GetPageQueue, SpanKind::GetPageSink]
+        let legs: u64 = [SpanKind::GetPageProbe, SpanKind::GetPageSink]
             .map(|k| child(k).dur_ns)
             .iter()
             .sum::<u64>()
-            + gather.dur_ns
+            + queue.dur_ns
             + net.dur_ns;
         assert!(
-            legs <= root.dur_ns + 5,
+            legs <= root.dur_ns + 4,
             "page {}: stages {legs} ns > root {}",
             root.arg,
             root.dur_ns
         );
-        unattributed_pct.push((root.dur_ns + 5 - legs) * 100 / root.dur_ns);
+        unattributed_pct.push((root.dur_ns + 4 - legs) * 100 / root.dur_ns);
     }
     // Stated residual: on these instant devices the hand-off is about a
     // third of a miss, and a descheduled reader can stretch it without
     // bound, so only the best-attributed miss is held to a figure — its
-    // five legs cover at least 60 % of the root.
+    // four legs cover at least 60 % of the root.
     unattributed_pct.sort_unstable();
     assert!(unattributed_pct[0] <= 40, "unattributed share of each root: {unattributed_pct:?} %");
 

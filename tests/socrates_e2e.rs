@@ -157,8 +157,9 @@ fn quiesced_deployment() -> Socrates {
 
 /// `(thread name, voluntary context switches)` of every follower thread
 /// in this process: page-server and secondary apply loops, checkpoint
-/// loops and the XLOG destager. The kernel truncates names to 15 bytes,
-/// which clips the secondary's `secondary[0]-apply`.
+/// loops, the XLOG destager and the compute nodes' I/O scheduler workers.
+/// The kernel truncates names to 15 bytes, which clips the secondary's
+/// `secondary[0]-apply`.
 #[cfg(target_os = "linux")]
 fn follower_wakeups() -> std::collections::BTreeMap<String, u64> {
     let mut out = std::collections::BTreeMap::new();
@@ -169,6 +170,7 @@ fn follower_wakeups() -> std::collections::BTreeMap<String, u64> {
         let follower = name.ends_with("-apply")
             || name.ends_with("-ckpt")
             || name.starts_with("secondary[")
+            || name.starts_with("io-sched-")
             || name == "xlog-destager";
         if !follower {
             continue;
@@ -209,7 +211,7 @@ fn idle_deployment_followers_do_not_wake() {
     }
     let sys = quiesced_deployment();
     let before = follower_wakeups();
-    for expected in ["-apply#", "-ckpt#", "secondary[", "xlog-destager#"] {
+    for expected in ["-apply#", "-ckpt#", "secondary[", "xlog-destager#", "io-sched-"] {
         assert!(before.keys().any(|k| k.contains(expected)), "no {expected} thread: {before:?}");
     }
     std::thread::sleep(Duration::from_millis(300));
