@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! deployment → fabric → engine → cache.mem → wal flush → xlog → LZ/xstore
-//! pageserver.mem → rbpex / xlog                 (apply + checkpoint)
+//! pageserver.open → layermap; checkpoint → rbpex / xstore (seal, ship)
 //! any of the above → watermark                  (advance / wait, a leaf)
 //! ```
 //!
@@ -90,16 +90,15 @@ pub const CORE_FABRIC_DEGRADED: u32 = 308;
 pub const CORE_FABRIC_BRANCHES: u32 = 306;
 
 // --- pageserver (300s) ------------------------------------------------
-// Below storage and xlog: the apply and checkpoint paths hold `mem` /
-// `checkpoint_lock` while writing to the rbpex cache and reading xlog.
+// Below storage and xstore: apply holds `open` while publishing a sealed
+// layer into the layer map, and the checkpoint / compaction gates are held
+// while materializing pages through the layer map and writing to XStore.
 /// `pageserver::PageServer.checkpoint_lock` — single-checkpointer gate.
 pub const PS_CHECKPOINT: u32 = 310;
 /// `pageserver::PageServer.compact_lock` — single-compactor gate (held
 /// while materializing pages through the layer map, hence below it).
 pub const PS_COMPACT: u32 = 312;
-/// `pageserver::PageServer.mem` — applied-page memory map.
-pub const PS_MEM: u32 = 320;
-/// `pageserver::PageServer.dirty` — dirty-page set.
+/// `pageserver::PageServer.dirty` — dirty page → newest applied LSN.
 pub const PS_DIRTY: u32 = 330;
 /// `pageserver::PageServer.open` — the open (unsealed) L0 delta layer.
 pub const PS_OPEN_LAYER: u32 = 335;
@@ -249,7 +248,6 @@ mod tests {
             super::ENGINE_EVICTED_BUCKETS,
             super::PS_CHECKPOINT,
             super::PS_COMPACT,
-            super::PS_MEM,
             super::PS_DIRTY,
             super::PS_OPEN_LAYER,
             super::PS_APPLY_HANDLE,

@@ -46,16 +46,14 @@ use socrates_storage::layer::{mem_layer_devices, Delta, DeltaLayer, ImageLayer, 
 use socrates_storage::layermap::{LayerCounts, LayerMap};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
+use socrates_wal::block::LogBlock;
 use socrates_wal::record::LogPayload;
 use socrates_xlog::{XLogService, PULL_BATCH_BYTES};
 use socrates_xstore::{SnapshotId, XStore};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-
-/// Pages held in the apply buffer before spilling to RBPEX.
-const MEM_TIER_PAGES: usize = 256;
 
 /// The background checkpointer runs once this many pages are dirty.
 const CHECKPOINT_DIRTY_PAGES: usize = 256;
@@ -188,12 +186,9 @@ pub struct PageServer {
     name: String,
     spec: PartitionSpec,
     config: PageServerConfig,
-    /// Latest-page cache: the most recently applied or served versions.
-    /// Purely an accelerator now — every entry is reconstructible from
-    /// the layer stack, so eviction is a plain drop, not a spill.
-    mem: Mutex<HashMap<PageId, Page>>,
     /// The mutable head of the delta stack: WAL slices land here until
     /// the layer crosses `layer_seal_bytes` and is sealed into the map.
+    /// With the map it is the server's only page state.
     open: Mutex<OpenLayer>,
     /// The immutable layer set: L1 images, sealed L0s, merged deltas.
     layers: LayerMap,
@@ -213,7 +208,10 @@ pub struct PageServer {
     /// Reads strictly below this LSN are no longer materializable: GC
     /// dropped the layers that held their history.
     gc_floor: AtomicLsn,
-    dirty: Mutex<HashSet<PageId>>,
+    /// Pages written since they were last shipped, each with the LSN of
+    /// its newest applied write: a checkpoint at `at` clears only the
+    /// entries at or below `at`.
+    dirty: Mutex<HashMap<PageId, Lsn>>,
     checkpoint_lock: Mutex<()>,
     /// Serializes compaction passes; held while materializing pages
     /// through the layer map, hence ranked below it.
@@ -405,7 +403,6 @@ impl PageServer {
             name: name.to_string(),
             spec,
             config,
-            mem: Mutex::with_rank(HashMap::new(), socrates_common::lock_rank::PS_MEM, "ps.mem"),
             open: Mutex::with_rank(
                 OpenLayer::new(),
                 socrates_common::lock_rank::PS_OPEN_LAYER,
@@ -421,7 +418,7 @@ impl PageServer {
             checkpointed: AtomicLsn::new(start_lsn),
             gc_floor: AtomicLsn::new(gc_floor),
             dirty: Mutex::with_rank(
-                HashSet::new(),
+                HashMap::new(),
                 socrates_common::lock_rank::PS_DIRTY,
                 "ps.dirty",
             ),
@@ -640,7 +637,7 @@ impl PageServer {
 
     /// The background checkpointer: runs on its own thread so slow XStore
     /// writes never stall log apply (which would stall GetPage@LSN). The
-    /// dirty set only grows when `applied` moves, so that is what it
+    /// dirty map only grows when `applied` moves, so that is what it
     /// sleeps on.
     fn checkpoint_loop(self: Arc<Self>) {
         let mut seen = self.applied.load();
@@ -669,14 +666,7 @@ impl PageServer {
                 // the whole pull; the per-block span is deliberately dropped
                 // with it and the retried pull re-samples.
                 .map(|(ring, node)| (ring, node, ring.now_ns()));
-            for rec in block.records()? {
-                if let LogPayload::PageWrite { page_id, op } = &rec.record.payload {
-                    if self.spec.contains(*page_id) {
-                        self.apply_page_write(*page_id, op, rec.lsn)?;
-                        applied += 1;
-                    }
-                }
-            }
+            applied += self.apply_block(block, Lsn::MAX)?;
             if let Some((ring, node, start)) = span {
                 let dur = ring.now_ns().saturating_sub(start);
                 ring.record_child(block.ctx(), SpanKind::PsApply, node, start, dur);
@@ -697,72 +687,64 @@ impl PageServer {
     /// records with `lsn >= upto`. This is the PITR bootstrap path: "the
     /// log applied to bring the database all the way to the requested
     /// time" (paper §4.7), where the blocks come from the copied LT blobs.
-    pub fn apply_blocks(
-        &self,
-        blocks: &[socrates_wal::block::LogBlock],
-        upto: Lsn,
-    ) -> Result<usize> {
+    pub fn apply_blocks(&self, blocks: &[LogBlock], upto: Lsn) -> Result<usize> {
         let mut applied = 0usize;
         for block in blocks {
             if block.start_lsn() >= upto {
                 break;
             }
-            for rec in block.records()? {
-                if rec.lsn >= upto {
-                    break;
-                }
-                if let LogPayload::PageWrite { page_id, op } = &rec.record.payload {
-                    if self.spec.contains(*page_id) {
-                        self.apply_page_write(*page_id, op, rec.lsn)?;
-                        applied += 1;
-                    }
-                }
-            }
+            applied += self.apply_block(block, upto)?;
             self.applied.advance_to(block.end_lsn().min(upto));
         }
         self.metrics.records_applied.add(applied as u64);
         Ok(applied)
     }
 
-    fn apply_page_write(&self, page_id: PageId, op_bytes: &[u8], lsn: Lsn) -> Result<()> {
-        // Model the apply CPU cost (decode + page edit).
-        self.wiring.cpu.charge_us(2 + (op_bytes.len() as u64) / 512);
-        let mut sealed = false;
-        {
-            let mut mem = self.mem.lock();
-            let mut page = match mem.remove(&page_id) {
-                Some(p) => p,
-                None => match self.materialize(page_id, Lsn::MAX, TraceCtx::NONE)? {
-                    Some(p) => p,
-                    None => Page::new(page_id, socrates_storage::page::PageType::Free),
-                },
-            };
-            if page.page_lsn() < lsn {
-                let (op, _) = PageOp::decode(op_bytes)?;
-                apply_page_op(&mut page, &op, lsn)?;
-                self.dirty.lock().insert(page_id);
-                let mut open = self.open.lock();
-                open.push(page_id, lsn, op_bytes);
-                if open.bytes() >= self.config.layer_seal_bytes {
-                    // Publish into the map while still holding the open-layer
-                    // lock (rank: PS_OPEN_LAYER 335 < STORAGE_LAYERMAP 545):
-                    // sealing empties the open layer, and these deltas cover
-                    // already-applied records, so `wait_fresh` does not
-                    // gate a concurrent reader. Publishing after release
-                    // would open a window where the deltas are visible in
-                    // neither the open layer nor the map, letting a read or
-                    // a checkpoint materialize a stale older version.
-                    if let Some(l) = open.seal() {
-                        self.layers.add_sealed(l);
-                        sealed = true;
-                    }
+    /// Apply `block`'s page writes to this partition with LSN below
+    /// `upto`; returns how many were applied.
+    fn apply_block(&self, block: &LogBlock, upto: Lsn) -> Result<usize> {
+        let mut applied = 0usize;
+        for rec in block.records()? {
+            if rec.lsn >= upto {
+                break;
+            }
+            if let LogPayload::PageWrite { page_id, op } = &rec.record.payload {
+                if self.spec.contains(*page_id) {
+                    self.apply_page_write(*page_id, op, rec.lsn)?;
+                    applied += 1;
                 }
             }
-            mem.insert(page_id, page);
-            if mem.len() >= MEM_TIER_PAGES {
-                // Evict by dropping: every version is reconstructible
-                // from the layer stack (no spill tier anymore).
-                mem.clear();
+        }
+        Ok(applied)
+    }
+
+    /// Slice one page write into the open layer. No page is read or
+    /// built here: every read replays the delta through
+    /// [`materialize`](Self::materialize), whose replay is LSN-guarded, so
+    /// applying a record twice is harmless.
+    fn apply_page_write(&self, page_id: PageId, op_bytes: &[u8], lsn: Lsn) -> Result<()> {
+        // Model the apply CPU cost (decode + slice into the open layer).
+        self.wiring.cpu.charge_us(2 + (op_bytes.len() as u64) / 512);
+        PageOp::decode(op_bytes)?;
+        // Records arrive in LSN order, so this is the page's newest write.
+        self.dirty.lock().insert(page_id, lsn);
+        let mut sealed = false;
+        {
+            let mut open = self.open.lock();
+            open.push(page_id, lsn, op_bytes);
+            if open.bytes() >= self.config.layer_seal_bytes {
+                // Publish into the map while still holding the open-layer
+                // lock (rank: PS_OPEN_LAYER 335 < STORAGE_LAYERMAP 545):
+                // sealing empties the open layer, and these deltas cover
+                // already-applied records, so `wait_fresh` does not gate a
+                // concurrent reader. Publishing after release would open a
+                // window where the deltas are visible in neither the open
+                // layer nor the map, letting a read or a checkpoint
+                // materialize a stale older version.
+                if let Some(l) = open.seal() {
+                    self.layers.add_sealed(l);
+                    sealed = true;
+                }
             }
         }
         if sealed {
@@ -828,19 +810,11 @@ impl PageServer {
         self.check_partition(page_id)?;
         self.wait_fresh(min_lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
-        if let Some(p) = self.mem.lock().get(&page_id) {
-            self.metrics.pages_served.incr();
-            return Ok(p.clone());
-        }
         let at = self.applied.load();
-        match self.materialize(page_id, at, ctx)? {
-            Some(p) => {
-                self.cache_latest(&p);
-                self.metrics.pages_served.incr();
-                Ok(p)
-            }
-            None => Err(Error::NotFound(format!("{page_id} has never been written"))),
-        }
+        let page =
+            self.materialize(page_id, at, None, ctx)?.ok_or_else(|| never_written(page_id))?;
+        self.metrics.pages_served.incr();
+        Ok(page)
     }
 
     /// GetPage at an **arbitrary historical LSN** between the GC horizon
@@ -863,7 +837,7 @@ impl PageServer {
         self.wait_fresh(lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
         self.metrics.historical_reads.incr();
-        let page = self.materialize(page_id, lsn, ctx)?;
+        let page = self.materialize(page_id, lsn, None, ctx)?;
         // The floor check above is only a snapshot: a GC pass racing the
         // materialization can retire the image/delta layers it was reading,
         // making the result a replay over a partial history. Re-check and
@@ -895,20 +869,30 @@ impl PageServer {
         Ok(())
     }
 
-    /// Reconstruct `page_id` as of `lsn` from the layer stack: open-layer
-    /// deltas first, then the immutable plan (a seal between the two
-    /// reads duplicates deltas — harmless, replay is LSN-guarded — and
-    /// never loses any), then the base (image layer, else — for an
+    /// Reconstruct `page_id` as of `lsn` from the layer stack — the one
+    /// delta-replay loop behind every read, checkpoint and compaction:
+    /// open-layer deltas first, then the immutable plan (a seal between
+    /// the two reads duplicates deltas — harmless, replay is LSN-guarded —
+    /// and never loses any), then the base (image layer, else — for an
     /// attached server — the XStore blob, else an empty page under the
-    /// deltas). Returns `None` when
-    /// the page has no version at or below `lsn`.
-    fn materialize(&self, page_id: PageId, lsn: Lsn, ctx: TraceCtx) -> Result<Option<Page>> {
+    /// deltas). `preread` is an image and its copy of the page, already
+    /// read by a range read: it is the base when the plan picks that same
+    /// image, so the page is not read twice. Returns `None` when the page
+    /// has no version at or below `lsn`.
+    fn materialize(
+        &self,
+        page_id: PageId,
+        lsn: Lsn,
+        preread: Option<(&Arc<ImageLayer>, Page)>,
+        ctx: TraceCtx,
+    ) -> Result<Option<Page>> {
         let mut deltas: Vec<Delta> = Vec::new();
         self.open.lock().deltas_for(page_id, Lsn::ZERO, lsn, &mut deltas);
         let (image, _base_lsn) = self.layers.plan_into(page_id, lsn, &mut deltas);
-        let mut base_page = match &image {
-            Some(img) => img.get(page_id)?,
-            None => None,
+        let mut base_page = match (&image, preread) {
+            (Some(img), Some((read, page))) if Arc::ptr_eq(img, read) => Some(page),
+            (Some(img), _) => img.get(page_id)?,
+            (None, _) => None,
         };
         if base_page.is_none() && self.blob_base {
             // The external base: this partition's blob. A page absent
@@ -955,28 +939,12 @@ impl PageServer {
         Ok(Some(page))
     }
 
-    /// Insert a freshly materialized latest page into the memory cache —
-    /// but never overwrite a newer version raced in by the apply loop,
-    /// and never trigger eviction from the read path.
-    fn cache_latest(&self, page: &Page) {
-        let mut mem = self.mem.lock();
-        if mem.len() >= MEM_TIER_PAGES {
-            return;
-        }
-        match mem.get(&page.page_id()) {
-            Some(cur) if cur.page_lsn() >= page.page_lsn() => {}
-            _ => {
-                mem.insert(page.page_id(), page.clone());
-            }
-        }
-    }
-
     /// Stride-preserving multi-page read: one image-layer device I/O for
-    /// the whole range, the memory tier overlaid on top, and any deltas
-    /// newer than the image replayed per page. A page missing from the
-    /// newest image falls back to the single-page path (which reaches
-    /// the external base); so does a page whose resolution plan races a
-    /// concurrent compaction publishing a newer image mid-read.
+    /// the whole range, then each page through
+    /// [`materialize`](Self::materialize) with its image copy as the
+    /// preread base. A page missing from that image reaches the external
+    /// base the single-page way; a page whose plan picks a newer image (a
+    /// compaction published one mid-read) reads that image instead.
     pub fn get_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>> {
         let ids: Vec<PageId> = (first.raw()..first.raw() + count as u64).map(PageId::new).collect();
         for id in &ids {
@@ -991,51 +959,18 @@ impl PageServer {
         self.wiring.cpu.charge_us(5 + count as u64);
         self.metrics.range_requests.incr();
         let at = self.applied.load();
-        let overlay: Vec<Option<Page>> = {
-            let mem = self.mem.lock();
-            ids.iter().map(|id| mem.get(id).cloned()).collect()
-        };
         let image = self.layers.newest_image(at);
         let imaged: Vec<Option<Page>> = match &image {
             Some(img) => img.get_range_partial(&ids)?,
             None => vec![None; ids.len()],
         };
         let mut out = Vec::with_capacity(ids.len());
-        let mut fallbacks = 0u64;
-        for ((id, mem_page), img_page) in ids.iter().zip(overlay).zip(imaged) {
-            if let Some(p) = mem_page {
-                out.push(p);
-                continue;
-            }
-            let mut served = None;
-            if let Some(mut p) = img_page {
-                let mut deltas: Vec<Delta> = Vec::new();
-                self.open.lock().deltas_for(*id, Lsn::ZERO, at, &mut deltas);
-                let (plan_img, _) = self.layers.plan_into(*id, at, &mut deltas);
-                let stable = match (&image, &plan_img) {
-                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                    _ => false,
-                };
-                if stable {
-                    for (l, op_bytes) in &deltas {
-                        if *l > p.page_lsn() {
-                            let (op, _) = PageOp::decode(op_bytes)?;
-                            apply_page_op(&mut p, &op, *l)?;
-                        }
-                    }
-                    served = Some(p);
-                }
-            }
-            match served {
-                Some(p) => out.push(p),
-                None => {
-                    // The single-page path counts itself in `pages_served`.
-                    fallbacks += 1;
-                    out.push(self.get_page(*id, Lsn::ZERO)?);
-                }
-            }
+        for (id, img_page) in ids.iter().zip(imaged) {
+            let preread = image.as_ref().zip(img_page);
+            let page = self.materialize(*id, at, preread, TraceCtx::NONE)?;
+            out.push(page.ok_or_else(|| never_written(*id))?);
         }
-        self.metrics.pages_served.add(ids.len() as u64 - fallbacks);
+        self.metrics.pages_served.add(ids.len() as u64);
         self.metrics.range_pages_served.add(ids.len() as u64);
         Ok(out)
     }
@@ -1057,15 +992,17 @@ impl PageServer {
 
     // ---- checkpointing, backup, seeding ----
 
-    /// Ship all dirty pages to XStore and advance the checkpointed LSN.
-    /// During an XStore outage this returns `Unavailable` and keeps the
-    /// dirty set intact (the insulation mode of §4.6).
+    /// Ship all dirty pages to XStore, each as of exactly the applied LSN
+    /// `at` sampled on entry, and record `at` as the checkpointed LSN: the
+    /// data blob is then the partition as of that LSN. During an XStore
+    /// outage this returns `Unavailable` and keeps the dirty map intact
+    /// (the insulation mode of §4.6).
     pub fn checkpoint(&self) -> Result<Lsn> {
         let _g = self.checkpoint_lock.lock();
         let at = self.applied.load();
         let batch: Vec<PageId> = {
             let dirty = self.dirty.lock();
-            dirty.iter().copied().collect()
+            dirty.keys().copied().collect()
         };
         if batch.is_empty() {
             // Still advance the recorded LSN: everything applied is clean.
@@ -1083,25 +1020,14 @@ impl PageServer {
         // abandons the checkpoint; its root span is deliberately dropped.
         let ckpt_span = ring.try_sample().map(|ctx| (ctx, ring.now_ns()));
         // Aggregate the dirty pages into large batched writes (§4.6).
-        let mut shipped: Vec<(PageId, Lsn)> = Vec::with_capacity(batch.len());
         for chunk in batch.chunks(128) {
             let mut images = Vec::with_capacity(chunk.len());
             for page_id in chunk {
-                // Freshest-at-`at` wins: serve the memory tier if it still
-                // holds the page, else rebuild the version at `at` through
-                // the layer stack. Shipping a stale image and clearing the
-                // dirty bit would lose the update in XStore — a replacement
-                // server attaching at the recorded LSN would never replay
-                // it — hence the LSN-checked clear below.
-                let page = match self.mem.lock().get(page_id).cloned() {
-                    Some(p) => p,
-                    None => match self.materialize(*page_id, at, TraceCtx::NONE)? {
-                        Some(p) => p,
-                        None => continue,
-                    },
+                // A page first written after `at` has no version to ship.
+                let Some(page) = self.materialize(*page_id, at, None, TraceCtx::NONE)? else {
+                    continue;
                 };
                 let off = (page_id.raw() - self.spec.base_page) * PAGE_SIZE as u64;
-                shipped.push((*page_id, page.page_lsn()));
                 images.push((off, page.to_io_bytes()));
                 self.wiring.cpu.charge_us(10);
             }
@@ -1117,28 +1043,11 @@ impl PageServer {
             }
             self.metrics.pages_checkpointed.add(writes.len() as u64);
         }
-        {
-            // Clear dirty bits only for pages whose shipped image is still
-            // current; a page re-applied mid-checkpoint stays dirty so the
-            // next checkpoint ships the newer version. "Current" is the
-            // newest LSN any tier knows: memory, the open layer, or any
-            // delta layer in the map.
-            let mem = self.mem.lock();
-            let mut dirty = self.dirty.lock();
-            let open = self.open.lock();
-            for (p, lsn) in &shipped {
-                let current = mem
-                    .get(p)
-                    .map(|pg| pg.page_lsn())
-                    .into_iter()
-                    .chain(open.latest_lsn_of(*p))
-                    .chain(self.layers.latest_delta_lsn_of(*p))
-                    .max();
-                if current.is_none_or(|c| c <= *lsn) {
-                    dirty.remove(p);
-                }
-            }
-        }
+        // Every write at or below `at` is now in the blob. A page written
+        // past `at` — before or during the shipping — stays dirty, so the
+        // next checkpoint ships its newer version: clearing it would lose
+        // that update for a server attaching at the recorded LSN.
+        self.dirty.lock().retain(|_, newest| *newest > at);
         self.write_checkpoint_meta(at)?;
         if let Some((ctx, start)) = ckpt_span {
             let dur = ring.now_ns().saturating_sub(start);
@@ -1191,30 +1100,36 @@ impl PageServer {
 
     fn seed_loop(self: Arc<Self>) {
         for off in 0..self.spec.span {
-            // ordering: relaxed — shutdown poll; a late observation costs one page
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
             let page_id = PageId::new(self.spec.base_page + off);
-            if self.base_image.contains(page_id) {
-                continue; // already adopted by a fallback read
-            }
-            match self.read_page_from_xstore(page_id) {
-                Ok(Some(page)) => {
-                    // A checkpoint racing the seeder may have overwritten
-                    // the blob with a version newer than the base LSN;
-                    // that version is reachable through the delta stack,
-                    // so never fold it into the attach-time image.
-                    if page.page_lsn() <= self.base_image.at_lsn()
-                        && !self.base_image.contains(page_id)
-                    {
-                        let _ = self.base_image.put(&page);
-                    }
+            // Retry this page until it is read: `seeded` promises a base
+            // image with no hole, and a sibling replica checkpointing a
+            // newer version into the shared blob would make a skipped
+            // page look born after attach.
+            loop {
+                // ordering: relaxed — shutdown poll; a late observation costs one read
+                if self.stop.load(Ordering::Relaxed) {
+                    return;
                 }
-                Ok(None) => {}
-                Err(_) => {
-                    // Outage: retry this page after a pause.
-                    std::thread::sleep(RETRY_PAUSE);
+                if self.base_image.contains(page_id) {
+                    break; // already adopted by a fallback read
+                }
+                match self.read_page_from_xstore(page_id) {
+                    Ok(Some(page)) => {
+                        // A checkpoint racing the seeder may have
+                        // overwritten the blob with a version newer than
+                        // the base LSN; that version is reachable through
+                        // the delta stack, so never fold it into the
+                        // attach-time image.
+                        if page.page_lsn() <= self.base_image.at_lsn()
+                            && !self.base_image.contains(page_id)
+                        {
+                            let _ = self.base_image.put(&page);
+                        }
+                        break;
+                    }
+                    Ok(None) => break,
+                    // Outage: pause, then read the same page again.
+                    Err(_) => std::thread::sleep(RETRY_PAUSE),
                 }
             }
         }
@@ -1276,7 +1191,7 @@ impl PageServer {
         let (data, meta) = mem_layer_devices(&format!("{}-l1-{seq}", self.name));
         let image = ImageLayer::create(cutoff, data, meta, self.spec.base_page, self.spec.span)?;
         for page_id in &pages {
-            if let Some(p) = self.materialize(*page_id, cutoff, TraceCtx::NONE)? {
+            if let Some(p) = self.materialize(*page_id, cutoff, None, TraceCtx::NONE)? {
                 image.put(&p)?;
             }
             self.wiring.cpu.charge_us(4);
@@ -1344,6 +1259,10 @@ impl Drop for PageServer {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+fn never_written(page_id: PageId) -> Error {
+    Error::NotFound(format!("{page_id} has never been written"))
 }
 
 /// RBIO adapter: lets compute nodes reach the page server over the typed
@@ -1451,12 +1370,18 @@ mod tests {
 
     impl Fixture {
         fn new() -> Fixture {
+            Fixture::with_xstore_faults(FaultRegistry::disabled())
+        }
+
+        /// A fixture whose XStore consults `faults` at `xstore.put` /
+        /// `xstore.get`.
+        fn with_xstore_faults(faults: FaultRegistry) -> Fixture {
             let lz = Arc::new(LandingZone::new(
                 vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
                 LandingZoneConfig { capacity: 8 << 20, write_quorum: 1 },
                 FaultRegistry::disabled(),
             ));
-            let xstore = Arc::new(XStore::new(XStoreConfig::instant(), FaultRegistry::disabled()));
+            let xstore = Arc::new(XStore::new(XStoreConfig::instant(), faults));
             let xlog = XLogService::new(
                 Arc::clone(&lz) as Arc<dyn socrates_wal::LogStore>,
                 Arc::new(MemFcb::new("xlog-ssd")) as Arc<dyn Fcb>,
@@ -1983,11 +1908,10 @@ mod tests {
         ps.apply_once().unwrap();
         let before: Vec<Page> =
             [3, 4].iter().map(|&p| ps.get_page(PageId::new(p), end).unwrap()).collect();
-        // Checkpoint before any compaction has imaged the pages, then drop
-        // the memory tier so reads rebuild through the layer stack.
+        // Checkpoint before any compaction has imaged the pages: reads
+        // rebuild through the layer stack, never from the blob.
         ps.checkpoint().unwrap();
         assert_eq!(ps.metrics().pages_checkpointed.get(), 2);
-        ps.mem.lock().clear();
         for (p, want) in [3u64, 4].iter().zip(&before) {
             let got = ps.get_page(PageId::new(*p), end).unwrap();
             assert_eq!(got.to_io_bytes(), want.to_io_bytes());
@@ -1995,6 +1919,79 @@ mod tests {
             assert_eq!(at.to_io_bytes(), want.to_io_bytes());
         }
         assert_eq!(ps.metrics().xstore_fallback_reads.get(), 0, "a created server read its blob");
+    }
+
+    #[test]
+    fn replica_seeding_through_a_blob_read_error_keeps_every_page() {
+        use socrates_common::fault::sites;
+        let faults = FaultRegistry::new(5);
+        let mut f = Fixture::with_xstore_faults(faults.clone());
+        let a = f.server("ps0", spec(0));
+        let v1 =
+            f.emit(&[(3, PageOp::Format { ptype: PageType::BTreeLeaf }), (3, insert_op(b"v1"))]);
+        a.apply_once().unwrap();
+        a.checkpoint().unwrap();
+        let (data_blob, meta_blob) = a.blobs();
+        let b = f.attach("ps0b", data_blob, meta_blob);
+        // Seeding reads blob pages 0, 1, 2, 3 in order: the read of page 3
+        // fails once.
+        faults.install_spec(&format!("{}@nth:4=error:unavailable", sites::XSTORE_GET)).unwrap();
+        b.seed_blocking();
+        assert_eq!(faults.fired_count(sites::XSTORE_GET), 1);
+        assert!(b.is_seeded());
+        // The sibling moves page 3 on and checkpoints it into the shared
+        // blob: the blob copy is now newer than b's attach point.
+        let v2 = f.emit(&[(3, insert_op(b"v2"))]);
+        a.apply_once().unwrap();
+        a.checkpoint().unwrap();
+        b.apply_once().unwrap();
+        let at_attach = b.get_page_at(PageId::new(3), v1).unwrap();
+        assert_eq!(Slotted::slot_count(&at_attach), 1);
+        assert_eq!(Slotted::get(&at_attach, 0).unwrap(), b"v1");
+        let latest = b.get_page(PageId::new(3), v2).unwrap();
+        assert_eq!(Slotted::slot_count(&latest), 2);
+    }
+
+    #[test]
+    fn checkpoint_racing_apply_loses_no_update() {
+        use socrates_common::fault::sites;
+        let faults = FaultRegistry::new(9);
+        let mut f = Fixture::with_xstore_faults(faults.clone());
+        let ps = f.server("ps0", spec(0));
+        f.emit(&[
+            (5, PageOp::Format { ptype: PageType::BTreeLeaf }),
+            (6, PageOp::Format { ptype: PageType::BTreeLeaf }),
+        ]);
+        ps.apply_once().unwrap();
+        // Hold the checkpoint inside its batched page write.
+        faults.install_spec(&format!("{}@nth:1=latency:200ms", sites::XSTORE_PUT)).unwrap();
+        let ckpt = {
+            let ps = Arc::clone(&ps);
+            std::thread::spawn(move || ps.checkpoint().unwrap())
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while faults.fired_count(sites::XSTORE_PUT) == 0 {
+            assert!(std::time::Instant::now() < deadline, "the checkpoint never wrote");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Meanwhile a newer record lands on a page of its batch.
+        let newer = f.emit(&[(5, insert_op(b"newer"))]);
+        ps.apply_once().unwrap();
+        let first = ckpt.join().unwrap();
+        assert!(first < newer, "the racing checkpoint sampled its LSN before the write");
+        assert_eq!(ps.metrics().pages_checkpointed.get(), 2);
+        {
+            let dirty = ps.dirty.lock();
+            assert!(dirty.contains_key(&PageId::new(5)), "the racing checkpoint lost the update");
+            assert!(!dirty.contains_key(&PageId::new(6)));
+        }
+        assert_eq!(ps.checkpoint().unwrap(), newer);
+        assert_eq!(ps.metrics().pages_checkpointed.get(), 3, "the next checkpoint ships it");
+        let (data_blob, meta_blob) = ps.blobs();
+        let replacement = f.attach("ps0b", data_blob, meta_blob);
+        assert_eq!(replacement.applied_lsn(), newer);
+        let page = replacement.get_page(PageId::new(5), newer).unwrap();
+        assert_eq!(Slotted::get(&page, 0).unwrap(), b"newer");
     }
 
     #[test]

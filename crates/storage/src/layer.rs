@@ -88,11 +88,6 @@ impl OpenLayer {
         }
     }
 
-    /// The newest delta LSN recorded for `page`, if any.
-    pub fn latest_lsn_of(&self, page: PageId) -> Option<Lsn> {
-        self.by_page.get(&page).and_then(|ds| ds.last()).map(|&(lsn, _)| lsn)
-    }
-
     /// Freeze the current contents into an immutable L0 [`DeltaLayer`]
     /// and reset the open layer. Returns `None` when nothing was pushed.
     pub fn seal(&mut self) -> Option<Arc<DeltaLayer>> {
@@ -169,14 +164,6 @@ impl DeltaLayer {
                 }
             }
         }
-    }
-
-    /// The newest delta LSN recorded for `page` at or below `cap`.
-    pub fn latest_lsn_of(&self, page: PageId, cap: Lsn) -> Option<Lsn> {
-        self.by_page
-            .get(&page)
-            .and_then(|ds| ds.iter().rev().find(|&&(lsn, _)| lsn <= cap))
-            .map(|&(lsn, _)| lsn)
     }
 
     /// Merge several layers (each clipped to its `cap`) into one sorted
@@ -314,7 +301,6 @@ mod tests {
         open.push(PageId::new(3), Lsn::new(10), &fmt);
         open.push(PageId::new(3), Lsn::new(20), &fmt);
         open.push(PageId::new(4), Lsn::new(15), &fmt);
-        assert_eq!(open.latest_lsn_of(PageId::new(3)), Some(Lsn::new(20)));
         assert!(open.bytes() > 0);
         let mut out = Vec::new();
         open.deltas_for(PageId::new(3), Lsn::new(10), Lsn::new(25), &mut out);
@@ -328,8 +314,6 @@ mod tests {
         assert_eq!(sealed.end(), Lsn::new(20));
         assert!(!sealed.is_compacted());
         assert_eq!(sealed.page_count(), 2);
-        assert_eq!(sealed.latest_lsn_of(PageId::new(3), Lsn::MAX), Some(Lsn::new(20)));
-        assert_eq!(sealed.latest_lsn_of(PageId::new(3), Lsn::new(15)), Some(Lsn::new(10)));
     }
 
     #[test]

@@ -150,19 +150,6 @@ impl LayerMap {
         }
     }
 
-    /// The newest delta LSN any visible layer holds for `page` (the
-    /// checkpointer's "is the shipped image still current?" probe).
-    pub fn latest_delta_lsn_of(&self, page: PageId) -> Option<Lsn> {
-        let inner = self.inner.lock();
-        let mut newest: Option<Lsn> = None;
-        for e in inner.l0.iter().chain(inner.merged.iter()) {
-            if let Some(lsn) = e.layer.latest_lsn_of(page, e.cap) {
-                newest = Some(newest.map_or(lsn, |n| n.max(lsn)));
-            }
-        }
-        newest
-    }
-
     /// Layer-set sizes.
     pub fn counts(&self) -> LayerCounts {
         let inner = self.inner.lock();
@@ -346,7 +333,6 @@ mod tests {
         assert!(img.is_none(), "no image at or below lsn 6");
         assert_eq!(base, Lsn::ZERO);
         assert_eq!(out.iter().map(|d| d.0).collect::<Vec<_>>(), [Lsn::new(5)]);
-        assert_eq!(map.latest_delta_lsn_of(PageId::new(1)), Some(Lsn::new(12)));
     }
 
     #[test]
@@ -380,7 +366,6 @@ mod tests {
         let mut out = Vec::new();
         child.plan_into(PageId::new(1), Lsn::MAX, &mut out);
         assert_eq!(out.iter().map(|d| d.0).collect::<Vec<_>>(), [Lsn::new(15)]);
-        assert_eq!(child.latest_delta_lsn_of(PageId::new(1)), Some(Lsn::new(15)));
         // ...while the parent still sees it.
         out.clear();
         map.plan_into(PageId::new(1), Lsn::MAX, &mut out);

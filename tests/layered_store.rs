@@ -7,7 +7,8 @@
 //!    for any LSN between the GC horizon and the applied frontier exactly
 //!    as a replacement server re-deriving the partition from XStore + log
 //!    would answer — images and merged deltas are an optimization, never
-//!    a semantic.
+//!    a semantic. Every checkpoint along the way leaves the data blob
+//!    exactly the partition as of the checkpointed LSN.
 //! 2. Branches are zero-copy and isolated: a branch created at `lsn_b`
 //!    serves all pre-branch history from the parent's own layer `Arc`s,
 //!    keeps serving it after the parent is crashed mid-compaction, and
@@ -17,7 +18,10 @@ use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
 use socrates_common::{Error, Lsn, PageId};
 use socrates_engine::value::{ColumnType, Schema, Value};
+use socrates_pageserver::PageServer;
 use socrates_storage::pageops::PageOp;
+use socrates_storage::{Page, PAGE_SIZE};
+use socrates_xstore::XStore;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,11 +49,41 @@ enum Probe {
     NoVersion,
 }
 
-fn probe(ps: &socrates_pageserver::PageServer, page: PageId, lsn: Lsn) -> Probe {
+fn probe(ps: &PageServer, page: PageId, lsn: Lsn) -> Probe {
     match ps.get_page_at(page, lsn) {
         Ok(p) => Probe::Version(p.page_lsn(), canon(&p)),
         Err(Error::NotFound(_)) => Probe::NoVersion,
         Err(e) => panic!("probe ({page}, {lsn}) failed unexpectedly: {e}"),
+    }
+}
+
+/// The data blob is exactly the partition as of the checkpointed LSN:
+/// each page's blob copy is its version at that LSN, and a page with no
+/// version there is an all-zero hole.
+fn assert_blob_is_exact(xstore: &XStore, ps: &PageServer, seed: u64) {
+    let at = ps.checkpointed_lsn();
+    let spec = ps.spec();
+    let (data_blob, _) = ps.blobs();
+    let len = xstore.blob_len(data_blob).unwrap();
+    for off in 0..spec.span {
+        let page = PageId::new(spec.base_page + off);
+        let pos = off * PAGE_SIZE as u64;
+        let bytes = if pos + PAGE_SIZE as u64 <= len {
+            xstore.read_at(data_blob, pos, PAGE_SIZE).unwrap()
+        } else {
+            vec![0; PAGE_SIZE]
+        };
+        let shipped = if bytes.iter().all(|&b| b == 0) {
+            Probe::NoVersion
+        } else {
+            let p = Page::from_io_bytes(page, &bytes).unwrap();
+            Probe::Version(p.page_lsn(), canon(&p))
+        };
+        assert_eq!(
+            shipped,
+            probe(ps, page, at),
+            "seed {seed}: the blob copy of {page} is not its version at the checkpointed {at}"
+        );
     }
 }
 
@@ -95,6 +129,7 @@ fn interleaving_resolves_like_replay(seed: u64) {
             }
             6 | 7 => {
                 sys.checkpoint().unwrap();
+                assert_blob_is_exact(&fabric.xstore, &ps, seed);
             }
             8 => compactions += usize::from(ps.compact_blocking().unwrap()),
             _ => assert_eq!(ps.gc().unwrap(), None, "GC must be a no-op without retention"),
