@@ -422,9 +422,6 @@ impl FaultRegistry {
                         let mut rng = rule_state.rng.lock();
                         model.sample(&mut rng)
                     };
-                    // soclint-allow: hot-path-transitive the latency action
-                    // exists to stall the caller; the sleep and its clock
-                    // reads are the injected fault itself.
                     precise_sleep(d);
                     None // the operation proceeds, just late
                 }

@@ -14,7 +14,7 @@
 use crate::rng::Rng;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A sampled latency distribution for one operation class (read or write).
 #[derive(Clone, Debug, PartialEq)]
@@ -352,28 +352,59 @@ impl LatencyInjector {
     }
 }
 
-/// Sleep for `d` with sub-millisecond accuracy.
+/// Sleep for `d` with microsecond accuracy, without spinning.
 ///
-/// `thread::sleep` on Linux is accurate to tens of microseconds via
-/// hrtimers; below ~120 µs we spin instead to avoid the scheduler quantising
-/// short waits upward, which would distort the calibrated medians.
+/// Linux pads every sleep by the thread's timer slack, 50 µs by default:
+/// a 60 µs sleep would overshoot by ≈ 55 µs and distort the calibrated
+/// medians. So the first call on each thread sets the slack to 1 ns, after
+/// which a sleep overshoots by a few microseconds. Where the slack cannot
+/// be set, waits stay correct, only ≈ 55 µs longer.
 pub fn precise_sleep(d: Duration) {
     if d.is_zero() {
         return;
     }
-    if d >= Duration::from_micros(120) {
-        std::thread::sleep(d);
-    } else {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
+    tighten_timer_slack();
+    std::thread::sleep(d);
+}
+
+/// Set the calling thread's timer slack to 1 ns, once per thread.
+#[cfg(all(target_os = "linux", not(miri)))]
+fn tighten_timer_slack() {
+    thread_local!(static TIGHT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+    if TIGHT.with(|tight| tight.replace(true)) {
+        return;
+    }
+    // `/proc/thread-self` links to `<pid>/task/<tid>`; `/proc/<tid>` is this
+    // thread's own entry, which it may write without privileges.
+    if let Ok(link) = std::fs::read_link("/proc/thread-self") {
+        if let Some(tid) = link.file_name() {
+            let path = std::path::Path::new("/proc").join(tid).join("timerslack_ns");
+            let _ = std::fs::write(path, "1");
         }
     }
 }
 
+#[cfg(not(all(target_os = "linux", not(miri))))]
+fn tighten_timer_slack() {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn precise_sleep_sets_the_threads_timer_slack() {
+        let slack = std::thread::spawn(|| {
+            precise_sleep(Duration::from_micros(1));
+            let link = std::fs::read_link("/proc/thread-self").unwrap();
+            let path = std::path::Path::new("/proc").join(link.file_name().unwrap());
+            std::fs::read_to_string(path.join("timerslack_ns")).unwrap()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(slack.trim(), "1");
+    }
 
     #[test]
     fn samples_respect_bounds() {

@@ -14,7 +14,8 @@
 //! checker on. The load-bearing chains:
 //!
 //! ```text
-//! deployment → fabric → engine → cache.mem → wal flush → xlog → LZ/xstore
+//! deployment → fabric → engine → wal flush → xlog → LZ/xstore
+//! engine → rbpex.dir → evicted buckets   (an eviction's spill, no cache lock)
 //! pageserver.open → layermap; checkpoint → rbpex / xstore (seal, ship)
 //! any of the above → watermark                  (advance / wait, a leaf)
 //! ```
@@ -131,15 +132,17 @@ pub const STORAGE_SCHED_WORKERS: u32 = 540;
 /// against a layer's backing store happens after release, so it sits
 /// above the pageserver band and below the rbpex directory.
 pub const STORAGE_LAYERMAP: u32 = 545;
-/// `storage::cache::TieredCache.mem` — memory-tier map + clock. Held
-/// across dirty-page eviction, which forces a WAL flush (hence below
-/// the pipeline locks).
+/// `storage::cache::TieredCache.mem` — memory-tier map, clock and frame
+/// reservations. Held only to choose, re-check and remove a victim; the
+/// spill between (RBPEX write, WAL flush, eviction listener) runs with it
+/// released.
 pub const STORAGE_CACHE_MEM: u32 = 550;
 /// `storage::rbpex::Rbpex.dir` — resilient-cache directory.
 pub const STORAGE_RBPEX_DIR: u32 = 570;
 /// `engine::evicted::EvictedLsnMap.buckets` — eviction LSN buckets.
 /// Lives in `engine` but is updated from the cache's eviction listener
-/// *while `cache.mem` is held*, so it ranks just above the cache.
+/// *while `rbpex.dir` is held* (an RBPEX victim is noted before it leaves
+/// the directory), so it ranks just above it.
 pub const ENGINE_EVICTED_BUCKETS: u32 = 580;
 
 // --- wal pipeline (600s) ----------------------------------------------

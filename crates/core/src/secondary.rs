@@ -96,7 +96,7 @@ impl PageAccess for SecondaryIo {
             // on the page server — a lagging server must not hand us a
             // version older than log we have already consumed.
             let floor = self.evicted.lsn_for(id).max(self.applied.load());
-            let (page, meta) = self.cache.fetch_remote(id, floor)?;
+            let (page, meta, frame) = self.cache.fetch_remote(id, floor)?;
             let (fetch, sink_t0) = (fetch_t0.elapsed(), Instant::now());
             // A page from the future: wait for local apply to catch up so
             // traversals stay time-coherent.
@@ -110,16 +110,16 @@ impl PageAccess for SecondaryIo {
                     )));
                 }
             }
-            Ok((page, meta, fetch, sink_t0))
+            Ok((page, meta, frame, fetch, sink_t0))
         })();
-        let (page, meta, fetch, sink_t0) = match fetched {
+        let (page, meta, frame, fetch, sink_t0) = match fetched {
             Ok(f) => f,
             Err(e) => {
                 self.pending.map.lock().remove(&id);
                 return Err(e);
             }
         };
-        let pref = self.cache.install(page)?;
+        let pref = frame.install(page);
         // Drain anything the apply loop queued while we fetched.
         if let Some(queued) = self.pending.map.lock().remove(&id) {
             let mut pg = pref.write();

@@ -17,13 +17,19 @@
 //!   hash map that supplies the LSN for future GetPage@LSN calls.
 //! * **Hit-rate accounting** — Tables 3 and 4 of the paper report the
 //!   "local cache hit %", i.e. (memory + SSD hits) / all page reads.
+//!
+//! A remote miss pays no eviction of its own: it submits its GetPage@LSN,
+//! frees and reserves a memory frame while the request is on the wire, and
+//! installs into that frame. Evictions spill their victim with no cache
+//! lock held; the victim stays resident and readable until it is in the
+//! next tier.
 
 #![doc = "soclint:hot"]
 
 use crate::page::Page;
 use crate::rbpex::Rbpex;
-use crate::sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
-use parking_lot::{Mutex, RwLock};
+use crate::sched::{IoScheduler, IoSchedulerConfig, Pending, RangedPageSource};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use socrates_common::metrics::Counter;
 use socrates_common::obs::ctx::pack_coalesce;
 use socrates_common::obs::{ReadStage, SpanEvent, SpanKind, SpanRing, StageHists, TraceCtx};
@@ -124,6 +130,54 @@ struct MemEntry {
 struct MemTier {
     map: HashMap<PageId, MemEntry>,
     clock: VecDeque<PageId>,
+    /// Frames freed for misses still on the wire, each held by a [`Frame`].
+    reserved: usize,
+}
+
+/// Victims one eviction spills before it gives up: a try is lost when a
+/// reader touches its victim during the spill.
+const SPILL_TRIES: usize = 4;
+
+/// A memory frame a remote miss freed while its fetch was on the wire,
+/// held for that miss's page: other installs count it as taken, so no
+/// concurrent miss or prefetch fills it. [`Frame::install`] consumes it;
+/// dropped unused (the fetch failed), it is released.
+#[must_use = "a reserved frame stays held until it is installed into or dropped"]
+pub struct Frame<'a> {
+    cache: &'a TieredCache,
+}
+
+impl Frame<'_> {
+    /// Install the fetched `page` into this frame, without evicting. If the
+    /// page is already resident (a concurrent miss of it installed first),
+    /// the existing entry wins and is returned.
+    pub fn install(self, page: Page) -> PageRef {
+        let cache = self.cache;
+        std::mem::forget(self);
+        let mut mem = cache.mem.lock();
+        mem.reserved -= 1;
+        admit(&mut mem, page)
+    }
+}
+
+impl Drop for Frame<'_> {
+    fn drop(&mut self) {
+        self.cache.mem.lock().reserved -= 1;
+    }
+}
+
+/// Insert `page` unless it is already resident, in which case the existing
+/// entry wins.
+fn admit(mem: &mut MemTier, page: Page) -> PageRef {
+    let id = page.page_id();
+    if let Some(e) = mem.map.get_mut(&id) {
+        e.referenced = true;
+        return Arc::clone(&e.page);
+    }
+    let page_ref: PageRef = Arc::new(RwLock::new(page));
+    mem.map.insert(id, MemEntry { page: Arc::clone(&page_ref), referenced: true });
+    mem.clock.push_back(id);
+    page_ref
 }
 
 /// Which tier served a page read.
@@ -140,7 +194,8 @@ pub enum CacheTier {
 /// Hook invoked with a page's LSN before the page leaves the node; must not
 /// return until the log is durable past that LSN.
 pub type WalFlushHook = Arc<dyn Fn(Lsn) + Send + Sync>;
-/// Listener invoked after a page has left the node, with its last PageLSN.
+/// Listener invoked with a page's last PageLSN as the page leaves the node,
+/// before a reader can miss on it.
 pub type EvictionListener = Arc<dyn Fn(PageId, Lsn) + Send + Sync>;
 
 /// Two-tier (memory + optional RBPEX) page cache over a [`PageSource`].
@@ -170,7 +225,8 @@ pub struct TieredCache {
 pub struct MissTiming {
     /// Probing the local tiers before the miss was declared.
     pub probe: Duration,
-    /// The whole remote fetch, as the caller waited for it.
+    /// The whole remote fetch, as the caller waited for it (an eviction
+    /// spill that outlasts the request on the wire shows here).
     pub fetch: Duration,
     /// From the fetch returning to the page being installed and usable.
     pub sink: Duration,
@@ -193,7 +249,7 @@ impl TieredCache {
         TieredCache {
             mem_capacity,
             mem: Mutex::with_rank(
-                MemTier { map: HashMap::new(), clock: VecDeque::new() },
+                MemTier { map: HashMap::new(), clock: VecDeque::new(), reserved: 0 },
                 socrates_common::lock_rank::STORAGE_CACHE_MEM,
                 "cache.mem",
             ),
@@ -274,17 +330,22 @@ impl TieredCache {
 
     /// Fetch a page from the remote source, through the scheduler when
     /// present (single-flight with every other miss on this node), with
-    /// the fetch's latency attribution. Does not install the page or
-    /// account the miss — callers use [`TieredCache::get`], or install the
-    /// result themselves and report it with [`TieredCache::record_miss`].
+    /// the fetch's latency attribution and a memory [`Frame`] freed for it
+    /// while the request was on the wire (without a scheduler, after the
+    /// fetch). Does not install the page or account the miss — callers use
+    /// [`TieredCache::get`], or install the result with [`Frame::install`]
+    /// and report it with [`TieredCache::record_miss`].
     // soclint-allow: hot-path-transitive the miss path reads the clock by
     // design — latency attribution of the remote fetch is part of its job,
     // and the fetch itself is already microsecond-scale I/O
-    pub fn fetch_remote(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
-        match &self.sched {
-            Some(s) => s.fetch(id, min_lsn),
-            None => self.source.fetch_page_traced(id, min_lsn),
-        }
+    pub fn fetch_remote(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta, Frame<'_>)> {
+        let pending = match &self.sched {
+            Some(s) => s.submit(id, min_lsn),
+            None => Pending::Ready(self.source.fetch_page_traced(id, min_lsn)),
+        };
+        let frame = self.make_room()?;
+        let (page, meta) = pending.wait()?;
+        Ok((page, meta, frame))
     }
 
     /// Post a read-ahead hint for `count` pages starting at `first`.
@@ -350,10 +411,10 @@ impl TieredCache {
         let lsn = min_lsn();
         let probe = probe_t0.elapsed();
         let fetch_t0 = Instant::now();
-        let (page, meta) = self.fetch_remote(id, lsn)?;
+        let (page, meta, frame) = self.fetch_remote(id, lsn)?;
         let fetch = fetch_t0.elapsed();
         let sink_t0 = Instant::now();
-        let page_ref = self.install(page)?;
+        let page_ref = frame.install(page);
         self.record_miss(id, MissTiming { probe, fetch, sink: sink_t0.elapsed() }, meta);
         Ok((page_ref, CacheTier::Remote))
     }
@@ -428,21 +489,8 @@ impl TieredCache {
     /// wins and is returned.
     pub fn install(&self, page: Page) -> Result<PageRef> {
         let id = page.page_id();
-        let mut mem = self.mem.lock();
-        if let Some(e) = mem.map.get_mut(&id) {
-            e.referenced = true;
-            return Ok(Arc::clone(&e.page));
-        }
-        while mem.map.len() >= self.mem_capacity {
-            if !self.evict_one(&mut mem)? {
-                // Everything is pinned; admit over capacity rather than fail.
-                break;
-            }
-        }
-        let page_ref: PageRef = Arc::new(RwLock::new(page));
-        mem.map.insert(id, MemEntry { page: Arc::clone(&page_ref), referenced: true });
-        mem.clock.push_back(id);
-        Ok(page_ref)
+        let mut mem = self.room(|mem| mem.map.contains_key(&id))?;
+        Ok(admit(&mut mem, page))
     }
 
     /// Drop `id` from all local tiers without spilling (used when a page is
@@ -460,13 +508,14 @@ impl TieredCache {
     /// Push every memory-resident page down to RBPEX (or out of the node).
     /// Simulates memory pressure / clean shutdown of the buffer pool.
     pub fn flush_mem(&self) -> Result<()> {
-        let mut mem = self.mem.lock();
-        while !mem.map.is_empty() {
-            if !self.evict_one(&mut mem)? {
+        loop {
+            if self.mem.lock().map.is_empty() {
+                return Ok(());
+            }
+            if !self.evict_one()? {
                 return Err(Error::InvalidState("pinned pages prevent flush_mem".into()));
             }
         }
-        Ok(())
     }
 
     fn mem_lookup(&self, id: PageId) -> Option<PageRef> {
@@ -477,43 +526,109 @@ impl TieredCache {
         })
     }
 
+    /// Evict until a frame is free beyond every held reservation and hold
+    /// it for one miss's page.
+    fn make_room(&self) -> Result<Frame<'_>> {
+        self.room(|_| false)?.reserved += 1;
+        Ok(Frame { cache: self })
+    }
+
+    /// Evict until the memory tier has a frame free beyond every held
+    /// reservation, or `done` says none is needed, and return it locked.
+    /// With everything pinned it is returned full: the caller admits over
+    /// capacity rather than fail.
+    fn room(&self, done: impl Fn(&MemTier) -> bool) -> Result<MutexGuard<'_, MemTier>> {
+        loop {
+            let mem = self.mem.lock();
+            if done(&mem) || mem.map.len() + mem.reserved < self.mem_capacity {
+                return Ok(mem);
+            }
+            drop(mem);
+            if !self.evict_one()? {
+                return Ok(self.mem.lock());
+            }
+        }
+    }
+
     /// Evict one unpinned page from memory; returns false if none exists.
-    fn evict_one(&self, mem: &mut MemTier) -> Result<bool> {
-        let mut scanned = 0;
-        let budget = 2 * mem.clock.len() + 2;
-        while scanned < budget {
-            scanned += 1;
-            let Some(id) = mem.clock.pop_front() else { return Ok(false) };
+    ///
+    /// The victim is chosen under `mem` and spilled with no cache lock
+    /// held, so it stays resident and readable until it is in the next
+    /// tier. It is removed only if nobody referenced or took it meanwhile;
+    /// otherwise it stays and the next victim is tried.
+    fn evict_one(&self) -> Result<bool> {
+        for _ in 0..SPILL_TRIES {
+            let Some((id, page, snapshot)) = self.pick_victim() else { return Ok(false) };
+            if let Err(e) = self.spill(&snapshot) {
+                self.mem.lock().clock.push_back(id);
+                return Err(e);
+            }
+            let mut mem = self.mem.lock();
+            match mem.map.get(&id) {
+                Some(e) if Arc::ptr_eq(&e.page, &page) => {
+                    // Two references: the map's and this eviction's pin.
+                    if !e.referenced && Arc::strong_count(&page) == 2 {
+                        mem.map.remove(&id);
+                        if self.rbpex.is_none() {
+                            self.stats.node_evictions.incr();
+                        }
+                        return Ok(true);
+                    }
+                    mem.clock.push_back(id);
+                }
+                _ => {
+                    // Discarded during the spill: drop the copy just written.
+                    drop(mem);
+                    if let Some(rbpex) = &self.rbpex {
+                        rbpex.remove(id)?;
+                    }
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// Pop the clock's next unreferenced page nobody holds, pin it (the
+    /// cloned `Arc`) and snapshot it. The snapshot is taken here because
+    /// nobody can hold the page's latch yet, so it never waits on one.
+    fn pick_victim(&self) -> Option<(PageId, PageRef, Page)> {
+        let mut guard = self.mem.lock();
+        let mem = &mut *guard;
+        for _ in 0..2 * mem.clock.len() + 2 {
+            let id = mem.clock.pop_front()?;
             let Some(entry) = mem.map.get_mut(&id) else { continue }; // stale
             if entry.referenced {
                 entry.referenced = false;
-                mem.clock.push_back(id);
-                continue;
+            } else if Arc::strong_count(&entry.page) == 1 {
+                let snapshot = entry.page.read().clone();
+                return Some((id, Arc::clone(&entry.page), snapshot));
             }
-            if Arc::strong_count(&entry.page) > 1 {
-                mem.clock.push_back(id); // pinned
-                continue;
-            }
-            let Some(entry) = mem.map.remove(&id) else { continue };
-            let page = entry.page.read().clone();
-            let lsn = page.page_lsn();
-            match &self.rbpex {
-                Some(rbpex) => {
-                    if let Some((vid, vlsn)) = rbpex.put(&page)? {
-                        (self.wal_flush)(vlsn);
-                        self.stats.node_evictions.incr();
-                        (self.on_evict)(vid, vlsn);
-                    }
-                }
-                None => {
-                    (self.wal_flush)(lsn);
-                    self.stats.node_evictions.incr();
-                    (self.on_evict)(id, lsn);
-                }
-            }
-            return Ok(true);
+            mem.clock.push_back(id);
         }
-        Ok(false)
+        None
+    }
+
+    /// Write an evicted page to the next tier and report what left the
+    /// node: with RBPEX its own victim, noted before it leaves RBPEX's
+    /// directory and flushed after; without RBPEX the page itself.
+    // soclint-allow: hot-path-transitive a spill is a device write; the
+    // allocation it reaches formats RBPEX's covering-range argument errors,
+    // which a compute node's sparse cache never returns
+    fn spill(&self, page: &Page) -> Result<()> {
+        match &self.rbpex {
+            Some(rbpex) => {
+                if let Some((_, vlsn)) = rbpex.put_noting(page, &*self.on_evict)? {
+                    (self.wal_flush)(vlsn);
+                    self.stats.node_evictions.incr();
+                }
+            }
+            None => {
+                (self.wal_flush)(page.page_lsn());
+                (self.on_evict)(page.page_id(), page.page_lsn());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -523,7 +638,9 @@ mod tests {
     use crate::fcb::{Fcb, MemFcb};
     use crate::page::PageType;
     use crate::rbpex::RbpexPolicy;
-    use parking_lot::Mutex as PlMutex;
+    use parking_lot::{Condvar, Mutex as PlMutex};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
 
     /// A test source serving pages from a map and counting fetches.
     struct MapSource {
@@ -552,13 +669,150 @@ mod tests {
     }
 
     fn rbpex(cap: usize) -> Arc<Rbpex> {
+        rbpex_on(cap, Arc::new(MemFcb::new("ssd")))
+    }
+
+    fn rbpex_on(cap: usize, device: Arc<dyn Fcb>) -> Arc<Rbpex> {
         Arc::new(
             Rbpex::create(
-                Arc::new(MemFcb::new("ssd")) as Arc<dyn Fcb>,
+                device,
                 Arc::new(MemFcb::new("meta")) as Arc<dyn Fcb>,
                 RbpexPolicy::Sparse { capacity_pages: cap },
             )
             .unwrap(),
+        )
+    }
+
+    /// A test gate: while held, every `pass` blocks (already counted) until
+    /// the test releases it. Tests order their steps by what has entered it,
+    /// never by timing.
+    #[derive(Default)]
+    struct Gate {
+        /// (held, passes entered)
+        state: PlMutex<(bool, u64)>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn hold(&self) {
+            self.state.lock().0 = true;
+        }
+
+        fn release(&self) {
+            self.state.lock().0 = false;
+            self.cv.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut s = self.state.lock();
+            s.1 += 1;
+            self.cv.notify_all();
+            while s.0 {
+                self.cv.wait(&mut s);
+            }
+        }
+
+        fn entered(&self) -> u64 {
+            self.state.lock().1
+        }
+
+        /// Whether `n` passes have entered within 5 s (a regression fails
+        /// instead of hanging).
+        fn reached(&self, n: u64) -> bool {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut s = self.state.lock();
+            while s.1 < n {
+                let now = Instant::now();
+                if now >= deadline {
+                    return false;
+                }
+                self.cv.wait_for(&mut s, deadline - now);
+            }
+            true
+        }
+    }
+
+    /// An RBPEX device whose every write (a spilled page) passes a gate.
+    struct GatedDevice {
+        inner: MemFcb,
+        gate: Arc<Gate>,
+    }
+
+    fn gated_device(gate: &Arc<Gate>) -> Arc<dyn Fcb> {
+        Arc::new(GatedDevice { inner: MemFcb::new("ssd"), gate: Arc::clone(gate) })
+    }
+
+    impl Fcb for GatedDevice {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.gate.pass();
+            self.inner.write_at(offset, data)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn flush(&self) -> Result<()> {
+            Ok(())
+        }
+        fn name(&self) -> &str {
+            "gated-ssd"
+        }
+    }
+
+    /// A ranged source over a [`MapSource`] that runs `before` on entry to
+    /// every page fetch, for a scheduler-driven cache.
+    struct HookedSource {
+        inner: Arc<MapSource>,
+        before: Box<dyn Fn(PageId) + Send + Sync>,
+    }
+
+    impl HookedSource {
+        fn new(before: impl Fn(PageId) + Send + Sync + 'static) -> Arc<HookedSource> {
+            Arc::new(HookedSource { inner: MapSource::new(0..100), before: Box::new(before) })
+        }
+    }
+
+    impl PageSource for HookedSource {
+        fn fetch_page(&self, id: PageId, min_lsn: Lsn) -> Result<Page> {
+            (self.before)(id);
+            self.inner.fetch_page(id, min_lsn)
+        }
+    }
+
+    impl RangedPageSource for HookedSource {
+        fn fetch_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>> {
+            (first.raw()..first.raw() + count as u64)
+                .map(|raw| self.fetch_page(PageId::new(raw), min_lsn))
+                .collect()
+        }
+    }
+
+    /// Run `f` on its own scoped thread and wait up to 5 s for its result;
+    /// `None` means it is still blocked (a regression fails, not hangs).
+    fn within_5s<'scope, T: Send + 'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        f: impl FnOnce() -> T + Send + 'scope,
+    ) -> Option<T> {
+        let (tx, rx) = mpsc::channel();
+        scope.spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(5)).ok()
+    }
+
+    fn scheduled(
+        mem_capacity: usize,
+        rbpex: Arc<Rbpex>,
+        src: Arc<HookedSource>,
+    ) -> Arc<TieredCache> {
+        TieredCache::with_scheduler(
+            mem_capacity,
+            Some(rbpex),
+            src,
+            Arc::new(|_| {}),
+            Arc::new(|_, _| {}),
+            (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
+            IoSchedulerConfig::default(),
         )
     }
 
@@ -744,5 +998,161 @@ mod tests {
         assert!(r.contains(PageId::new(1)));
         cache.discard(PageId::new(1)).unwrap();
         assert!(!cache.resident(PageId::new(1)));
+    }
+
+    #[test]
+    fn a_miss_spills_its_victim_while_its_fetch_is_in_flight() {
+        // Page 2's fetch does not return until the device has seen page 1's
+        // spill: the eviction must run while the request is on the wire.
+        let device = Arc::new(Gate::default());
+        let saw_spill = Arc::new(AtomicBool::new(false));
+        let (d, saw) = (Arc::clone(&device), Arc::clone(&saw_spill));
+        let src = HookedSource::new(move |id| {
+            if id == PageId::new(2) {
+                // ordering: relaxed — read after the fetch returned
+                saw.store(d.reached(1), Ordering::Relaxed);
+            }
+        });
+        let r = rbpex_on(4, gated_device(&device));
+        let cache = scheduled(1, Arc::clone(&r), src);
+        cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        assert_eq!(device.entered(), 0, "the first page fits");
+        cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
+        // ordering: relaxed — the fetch that stored it has returned
+        assert!(saw_spill.load(Ordering::Relaxed), "page 1 was spilled after page 2 arrived");
+        assert!(r.contains(PageId::new(1)) && !cache.in_memory(PageId::new(1)));
+    }
+
+    #[test]
+    fn a_spill_holds_no_cache_lock() {
+        // While one miss's spill is parked in the device, another thread's
+        // memory hit still returns.
+        let device = Arc::new(Gate::default());
+        let cache = TieredCache::with_defaults(
+            2,
+            Some(rbpex_on(4, gated_device(&device))),
+            MapSource::new(0..10),
+        );
+        cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
+        device.hold();
+        std::thread::scope(|scope| {
+            let evictor = scope.spawn(|| cache.get(PageId::new(3), || Lsn::ZERO).map(|_| ()));
+            let parked = device.reached(1);
+            let hit =
+                within_5s(scope, || cache.get(PageId::new(2), || panic!("resident")).unwrap().1);
+            device.release();
+            assert!(parked, "page 1's spill parks in the device");
+            assert_eq!(hit, Some(CacheTier::Memory), "a hit waited out another thread's spill");
+            evictor.join().unwrap().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_victim_touched_during_its_spill_stays_resident() {
+        let device = Arc::new(Gate::default());
+        let r = rbpex_on(4, gated_device(&device));
+        let cache = TieredCache::with_defaults(2, Some(Arc::clone(&r)), MapSource::new(0..10));
+        cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
+        device.hold();
+        std::thread::scope(|scope| {
+            let evictor = scope.spawn(|| cache.get(PageId::new(3), || Lsn::ZERO).map(|_| ()));
+            let parked = device.reached(1);
+            let hit =
+                within_5s(scope, || cache.get(PageId::new(1), || panic!("resident")).unwrap().1);
+            device.release();
+            assert!(parked, "the clock's victim, page 1, is being spilled");
+            assert_eq!(hit, Some(CacheTier::Memory), "the victim is served from memory mid-spill");
+            evictor.join().unwrap().unwrap();
+        });
+        // The touched victim stayed; the next one (page 2) left instead.
+        assert!(cache.in_memory(PageId::new(1)) && cache.in_memory(PageId::new(3)));
+        assert!(!cache.in_memory(PageId::new(2)) && r.contains(PageId::new(2)));
+        let (_, tier) = cache.get(PageId::new(1), || panic!("no refetch")).unwrap();
+        assert_eq!(tier, CacheTier::Memory);
+        assert_eq!(cache.stats().fetches.get(), 3, "pages 1, 2 and 3, each fetched once");
+    }
+
+    #[test]
+    fn each_in_flight_miss_installs_into_its_reserved_frame() {
+        // Two misses on the wire at a full cache each free and hold a frame,
+        // so neither install spills: the device sees exactly two writes.
+        let source = Arc::new(Gate::default());
+        let device = Arc::new(Gate::default());
+        let s = Arc::clone(&source);
+        let src = HookedSource::new(move |id| {
+            if id.raw() >= 4 {
+                s.pass();
+            }
+        });
+        let cache = scheduled(3, rbpex_on(8, gated_device(&device)), src);
+        for i in 1..=3 {
+            cache.get(PageId::new(i), || Lsn::ZERO).unwrap();
+        }
+        source.hold();
+        std::thread::scope(|scope| {
+            let misses: Vec<_> = (4..=5)
+                .map(|i| {
+                    let cache = &cache;
+                    scope.spawn(move || cache.get(PageId::new(i), || Lsn::ZERO).map(|_| ()))
+                })
+                .collect();
+            // The source is held, so both fetches are still on the wire
+            // (possibly as one range call) while their frames are freed.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while cache.mem.lock().reserved < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let spills = device.entered();
+            let reserved = cache.mem.lock().reserved;
+            source.release();
+            assert_eq!((reserved, spills), (2, 2), "one spill per reserved frame");
+            for m in misses {
+                m.join().unwrap().unwrap();
+            }
+        });
+        assert_eq!(device.entered(), 2, "no install spilled");
+        assert!(cache.in_memory(PageId::new(4)) && cache.in_memory(PageId::new(5)));
+        let mem = cache.mem.lock();
+        assert_eq!((mem.map.len(), mem.reserved), (3, 0));
+    }
+
+    #[test]
+    fn an_rbpex_victim_is_noted_before_it_leaves_the_directory() {
+        // One memory frame over one RBPEX frame. Evicting page 2 pushes page
+        // 1 out of RBPEX; while that eviction waits in the WAL flush, a
+        // reader of page 1 misses both tiers and must already find its
+        // eviction LSN, or GetPage@LSN may serve an older version.
+        let src = MapSource::new(0..10);
+        let flush = Arc::new(Gate::default());
+        let evicted: Arc<PlMutex<HashMap<PageId, Lsn>>> = Arc::default();
+        let (f, e) = (Arc::clone(&flush), Arc::clone(&evicted));
+        let cache = TieredCache::new(
+            1,
+            Some(rbpex(1)),
+            src.clone(),
+            Arc::new(move |_| f.pass()),
+            Arc::new(move |id, lsn| {
+                e.lock().insert(id, lsn);
+            }),
+            (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
+        );
+        cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
+        cache.get(PageId::new(2), || Lsn::ZERO).unwrap(); // page 1 → RBPEX
+        flush.hold();
+        let (cache, evicted) = (&cache, &evicted);
+        std::thread::scope(|scope| {
+            let evictor = scope.spawn(|| cache.get(PageId::new(3), || Lsn::ZERO).map(|_| ()));
+            let parked = flush.reached(1);
+            let floor = || evicted.lock().get(&PageId::new(1)).copied().unwrap_or(Lsn::ZERO);
+            let read = within_5s(scope, move || cache.get(PageId::new(1), floor).unwrap().1);
+            flush.release();
+            assert!(parked, "page 1's eviction waits in the WAL flush");
+            assert_eq!(read, Some(CacheTier::Remote));
+            evictor.join().unwrap().unwrap();
+        });
+        let seen = src.min_lsns_seen.lock().clone();
+        assert_eq!(seen.last(), Some(&(PageId::new(1), Lsn::new(1))), "fetched at {seen:?}");
     }
 }

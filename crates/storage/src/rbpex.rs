@@ -389,6 +389,18 @@ impl Rbpex {
     /// Insert or update `page`. Returns the `(page, PageLSN)` of a page that
     /// had to be evicted to make room, if any.
     pub fn put(&self, page: &Page) -> Result<Option<(PageId, Lsn)>> {
+        self.put_noting(page, &|_, _| {})
+    }
+
+    /// [`Rbpex::put`], handing the evicted page to `note` under the
+    /// directory lock *before* its mapping is removed: a reader that then
+    /// misses both tiers for it must already find its eviction LSN
+    /// wherever `note` records it.
+    pub fn put_noting(
+        &self,
+        page: &Page,
+        note: &dyn Fn(PageId, Lsn),
+    ) -> Result<Option<(PageId, Lsn)>> {
         let id = page.page_id();
         let lsn = page.page_lsn();
         let mut dir = self.dir.lock();
@@ -439,7 +451,9 @@ impl Rbpex {
                         Error::InvalidState("rbpex has no evictable frame".into())
                     })?;
                     let vid = dir.frames[v as usize].expect("victim occupied");
-                    let (_, vlsn) = dir.map.remove(&vid).expect("victim mapped");
+                    let (_, vlsn) = *dir.map.get(&vid).expect("victim mapped");
+                    note(vid, vlsn);
+                    dir.map.remove(&vid);
                     self.stats.evictions.incr();
                     self.journal_append(&mut dir, J_EVICT, vid, v)?;
                     (v, Some((vid, vlsn)))

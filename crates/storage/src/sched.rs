@@ -20,9 +20,10 @@
 //!
 //! The scheduler is deliberately thread-based (submission queue + worker
 //! pool + condvar completions) rather than future-based: the rest of the
-//! node is synchronous, and a blocking `fetch` that parks on a completion
-//! slot gives the same pipelining without infecting every caller with an
-//! executor.
+//! node is synchronous, and a [`Pending`] that parks on a completion slot
+//! gives the same pipelining without infecting every caller with an
+//! executor. Splitting `submit` from `wait` lets a miss do its own work —
+//! freeing a cache frame — while its request is on the wire.
 
 use crate::cache::{FetchMeta, PageSource, TieredCache};
 use crate::page::Page;
@@ -137,7 +138,7 @@ impl SchedStats {
 
 /// One in-flight page request: every waiter parks on the slot, the worker
 /// that completes the fetch fulfils it once.
-struct InFlight {
+pub struct InFlight {
     /// The freshness floor the in-flight request was issued with. A later
     /// miss may only join if its own floor is ≤ this (the fetched page is
     /// then guaranteed fresh enough for it too).
@@ -177,6 +178,26 @@ impl InFlight {
                 return Err(Error::Timeout("page fetch completion overdue".into()));
             }
             self.cv.wait_for(&mut slot, deadline - now);
+        }
+    }
+}
+
+/// A demand fetch [`IoScheduler::submit`] has answered or put on the wire.
+pub enum Pending {
+    /// Answered at submission: the scheduler is stopped, or the request
+    /// bypassed a staler in-flight one.
+    Ready(Result<(Page, FetchMeta)>),
+    /// Queued or joined: [`Pending::wait`] parks on the in-flight slot for
+    /// at most the given completion timeout.
+    Queued(Arc<InFlight>, Duration),
+}
+
+impl Pending {
+    /// Park until the fetch completes and return its page and attribution.
+    pub fn wait(self) -> Result<(Page, FetchMeta)> {
+        match self {
+            Pending::Ready(res) => res,
+            Pending::Queued(entry, timeout) => entry.wait(timeout),
         }
     }
 }
@@ -306,18 +327,24 @@ impl IoScheduler {
         });
     }
 
-    /// Fetch `id` at an LSN ≥ `min_lsn` through the scheduler: joins an
-    /// existing in-flight request when possible, otherwise enqueues a
-    /// demand miss and parks until a worker completes it. Returns the page
-    /// with the fetch's latency attribution (queue wait, coalesce
-    /// membership, and whatever the backend stamped on the batch).
+    /// Fetch `id` at an LSN ≥ `min_lsn` through the scheduler and park
+    /// until it completes: [`IoScheduler::submit`] then [`Pending::wait`].
     pub fn fetch(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
+        self.submit(id, min_lsn).wait()
+    }
+
+    /// Put a demand fetch of `id` at an LSN ≥ `min_lsn` on the wire without
+    /// waiting for it: joins an existing in-flight request when possible,
+    /// otherwise enqueues a demand miss for the workers. The [`Pending`]
+    /// yields the page with the fetch's latency attribution (queue wait,
+    /// coalesce membership, and whatever the backend stamped on the batch).
+    pub fn submit(&self, id: PageId, min_lsn: Lsn) -> Pending {
         let s = &self.shared;
         s.stats.submitted.incr();
         // ordering: relaxed — stopped scheduler degrades to direct fetch; any
         // interleaving with stop() is benign
         if s.stop.load(Ordering::Relaxed) {
-            return s.backend.fetch_page_traced(id, min_lsn);
+            return Pending::Ready(s.backend.fetch_page_traced(id, min_lsn));
         }
         let mut fl = s.inflight.lock();
         let existing = fl.get(&id).map(Arc::clone);
@@ -343,7 +370,7 @@ impl IoScheduler {
                 // The in-flight request has a lower freshness floor than
                 // ours; its result may be too stale. Bypass.
                 drop(fl);
-                return s.backend.fetch_page_traced(id, min_lsn);
+                return Pending::Ready(s.backend.fetch_page_traced(id, min_lsn));
             }
             None => {
                 let e = Arc::new(InFlight::new(min_lsn, true));
@@ -365,7 +392,7 @@ impl IoScheduler {
                 e
             }
         };
-        entry.wait(s.cfg.completion_timeout)
+        Pending::Queued(entry, s.cfg.completion_timeout)
     }
 
     /// Post a read-ahead hint for `count` pages starting at `first`.
@@ -735,6 +762,25 @@ mod tests {
         });
         assert_eq!(src.calls(), 1, "exactly one backend call");
         assert_eq!(s.stats().joined.get(), 7);
+    }
+
+    #[test]
+    fn a_submitted_fetch_is_joined_before_its_submitter_waits() {
+        // Single-flight holds across the split: a reader arriving between
+        // `submit` and `wait` joins the request already on the wire.
+        let src = TestSource::new(4);
+        let s = sched(&src, IoSchedulerConfig::default());
+        src.hold();
+        let pending = s.submit(PageId::new(2), Lsn::ZERO);
+        until("the submitted fetch to reach the backend", || src.calls() == 1);
+        std::thread::scope(|scope| {
+            let joiner = scope.spawn(|| s.fetch(PageId::new(2), Lsn::ZERO).unwrap());
+            until("the second reader to join", || s.stats().joined.get() == 1);
+            src.release();
+            assert_eq!(pending.wait().unwrap().0.body()[0], 2);
+            assert_eq!(joiner.join().unwrap().0.body()[0], 2);
+        });
+        assert_eq!(src.calls(), 1, "exactly one backend call");
     }
 
     #[test]

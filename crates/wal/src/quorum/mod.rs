@@ -34,7 +34,7 @@ use protocol::{
     choose_donor, AcceptorCore, AppendVerdict, ElectedResp, Entry, Term, TermHistory, VoteResp,
 };
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
-use socrates_common::latency::{precise_sleep, LatencyInjector};
+use socrates_common::latency::LatencyInjector;
 use socrates_common::lock_rank;
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::Counter;
@@ -205,7 +205,7 @@ impl Acceptor {
         if let Some(inj) = &self.latency {
             // Model the device flush before taking the lock, so one slow
             // acceptor delays its own ack, not the whole quorum.
-            precise_sleep(inj.write_delay());
+            inj.write_delay();
         }
         let entry = Entry {
             start: block.start_lsn(),
@@ -235,7 +235,7 @@ impl Acceptor {
             return None;
         }
         if let Some(inj) = &self.latency {
-            precise_sleep(inj.read_delay());
+            inj.read_delay();
         }
         let st = self.state.lock();
         let block = st.blocks.get(&lsn)?.clone();
@@ -977,6 +977,25 @@ mod tests {
             start = b.end_lsn();
         }
         start
+    }
+
+    #[test]
+    fn an_append_waits_its_device_latency_once() {
+        use socrates_common::latency::{DeviceProfile, IoCpuCost, LatencyMode};
+        let device = DeviceProfile {
+            name: "fixed",
+            read: LatencyModel::fixed(20_000),
+            write: LatencyModel::fixed(20_000),
+            cpu: IoCpuCost { per_op_us: 0, per_4kib_us: 0 },
+        };
+        let inj = LatencyInjector::new(device, LatencyMode::real(), 1);
+        let acc = Acceptor::new(0, Lsn::ZERO, Some(inj));
+        acc.vote(1).unwrap();
+        let t0 = std::time::Instant::now();
+        acc.append(1, 1, &block_at(Lsn::ZERO, 100)).unwrap();
+        let wall = t0.elapsed();
+        assert!(wall >= std::time::Duration::from_millis(20), "the write was not modelled");
+        assert!(wall < std::time::Duration::from_millis(30), "waited {wall:?} for a 20 ms write");
     }
 
     #[test]
