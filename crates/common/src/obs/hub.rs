@@ -233,6 +233,13 @@ impl MetricsHub {
         inner.duplicates.retain(|(n, name)| *n != node || !pred(name));
     }
 
+    /// Drop every registration, releasing what the closures captured — a
+    /// dropped deployment's components hold the fabric that owns this hub,
+    /// a cycle only clearing breaks.
+    pub fn clear(&self) {
+        *self.inner.write() = HubInner::default();
+    }
+
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.inner.read().sources.len()

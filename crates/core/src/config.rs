@@ -69,8 +69,6 @@ pub struct SocratesConfig {
     pub hedge: HedgeConfig,
     /// Cores modelled per compute node (for CPU% reporting).
     pub compute_cores: u32,
-    /// RBIO server worker threads per page server.
-    pub rbio_workers: usize,
     /// Cross-tier causal tracing: sample every Nth commit / GetPage miss
     /// into the span ring (0 disables tracing entirely; the disarmed path
     /// is one immutable-field compare per sampling site and copies zeros
@@ -133,7 +131,6 @@ impl SocratesConfig {
             sched: IoSchedulerConfig::default(),
             hedge: HedgeConfig::disabled(),
             compute_cores: 8,
-            rbio_workers: 4,
             trace_sample: 0,
             hub_history_capacity: 0,
             hub_history_interval: Duration::from_millis(100),

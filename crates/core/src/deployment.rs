@@ -334,5 +334,8 @@ impl Socrates {
 impl Drop for Socrates {
     fn drop(&mut self) {
         self.shutdown();
+        // Hub closures hold components that hold the fabric; releasing
+        // them lets the deployment's threads and memory go with it.
+        self.fabric.hub.clear();
     }
 }

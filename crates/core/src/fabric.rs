@@ -913,10 +913,10 @@ impl Fabric {
         let mut clients = Vec::with_capacity(servers.len());
         for (i, (node, ps)) in servers.iter().enumerate() {
             ps.register_metrics(&self.hub, *node);
-            let server = Arc::new(RbioServer::start(
-                Arc::new(PageServerHandler::new(Arc::clone(ps), self.faults.clone())),
-                self.config.rbio_workers,
-            ));
+            let server = Arc::new(RbioServer::new(Arc::new(PageServerHandler::new(
+                Arc::clone(ps),
+                self.faults.clone(),
+            ))));
             let net = NetworkConfig {
                 profile: self.config.net_profile.clone(),
                 mode: self.config.latency_mode,

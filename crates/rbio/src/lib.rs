@@ -5,10 +5,12 @@
 //! page servers with it (GetPage@LSN), and it provides versioning,
 //! resilience to transient failures, and QoS-based best-replica selection.
 //!
-//! This crate reproduces the protocol over an in-process transport:
-//! crossbeam channels standing in for TCP, with injectable per-message
-//! latency and loss so the distributed behaviours (retries, timeouts,
-//! replica failover) are real even though everything runs in one process.
+//! This crate reproduces the protocol over an in-process transport: a call
+//! runs the server's handler on the caller's thread between two modelled
+//! wire legs, with injectable per-message latency, loss and faults, so the
+//! distributed behaviours (retries, timeouts, replica failover) are real
+//! even though everything runs in one process. The lossy log feed is the
+//! one channel.
 //!
 //! * [`proto`] — the typed request/response messages and version envelope.
 //! * [`transport`] — server endpoints, client stubs, retry policy.

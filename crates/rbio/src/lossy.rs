@@ -11,7 +11,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use socrates_common::metrics::Counter;
 use socrates_common::rng::Rng;
-use std::time::Duration;
 
 /// Loss/reorder behaviour of a [`LossyChannel`].
 #[derive(Clone, Debug)]
@@ -109,9 +108,10 @@ impl<T: Send + 'static> LossyChannel<T> {
 }
 
 impl<T> LossyReceiver<T> {
-    /// Receive, blocking up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        self.rx.recv_timeout(timeout).ok()
+    /// Receive, blocking until a message arrives. `None` once the sending
+    /// half is gone and everything it sent has been received.
+    pub fn recv(&self) -> Option<T> {
+        self.rx.recv().ok()
     }
 
     /// Non-blocking receive.
@@ -120,11 +120,6 @@ impl<T> LossyReceiver<T> {
             Ok(v) => Some(v),
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
-    }
-
-    /// Whether the sender side is gone and the queue is drained.
-    pub fn is_closed_and_empty(&self) -> bool {
-        matches!(self.rx.try_recv(), Err(TryRecvError::Disconnected))
     }
 }
 
@@ -180,6 +175,17 @@ mod tests {
         assert_eq!(sorted, expect);
         // And the order actually differs somewhere.
         assert_ne!(got, sorted);
+    }
+
+    #[test]
+    fn recv_drains_then_ends_when_the_sender_is_gone() {
+        let (tx, rx) = LossyChannel::new(LossyConfig::reliable());
+        tx.send(1);
+        tx.send(2);
+        drop(tx);
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(rx.recv(), Some(2));
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]

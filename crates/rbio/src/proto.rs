@@ -72,8 +72,6 @@ pub enum RbioResponse {
 pub struct Envelope<T> {
     /// Protocol version of the sender.
     pub version: u16,
-    /// Correlates responses to requests.
-    pub request_id: u64,
     /// Causal trace context (two u64 words on the wire;
     /// [`TraceCtx::NONE`] — all zeros — when the caller is unsampled, so
     /// the disarmed path costs nothing but copying zeros).
@@ -83,14 +81,10 @@ pub struct Envelope<T> {
 }
 
 impl<T> Envelope<T> {
-    /// Wrap `body` for the current protocol version.
-    pub fn new(request_id: u64, body: T) -> Envelope<T> {
-        Envelope { version: RBIO_VERSION, request_id, ctx: TraceCtx::NONE, body }
-    }
-
-    /// Wrap `body` carrying a causal trace context.
-    pub fn with_ctx(request_id: u64, body: T, ctx: TraceCtx) -> Envelope<T> {
-        Envelope { version: RBIO_VERSION, request_id, ctx, body }
+    /// Wrap `body` for the current protocol version, carrying a causal
+    /// trace context.
+    pub fn with_ctx(body: T, ctx: TraceCtx) -> Envelope<T> {
+        Envelope { version: RBIO_VERSION, ctx, body }
     }
 
     /// Reject envelopes from a different protocol version.
@@ -111,15 +105,10 @@ mod tests {
 
     #[test]
     fn version_check() {
-        let env = Envelope::new(7, RbioRequest::Ping);
+        let env = Envelope::with_ctx(RbioRequest::Ping, TraceCtx::NONE);
         assert_eq!(env.version, RBIO_VERSION);
         env.check_version().unwrap();
-        let bad = Envelope {
-            version: RBIO_VERSION + 1,
-            request_id: 7,
-            ctx: TraceCtx::NONE,
-            body: RbioRequest::Ping,
-        };
+        let bad = Envelope { version: RBIO_VERSION + 1, ..env };
         assert_eq!(bad.check_version().unwrap_err().kind(), "protocol");
     }
 }

@@ -380,7 +380,7 @@ mod tests {
     fn server() -> (RbioServer, Arc<CountingHandler>) {
         let h =
             Arc::new(CountingHandler { calls: AtomicU64::new(0), down: AtomicBool::new(false) });
-        (RbioServer::start(Arc::clone(&h) as Arc<dyn RbioHandler>, 2), h)
+        (RbioServer::new(Arc::clone(&h) as Arc<dyn RbioHandler>), h)
     }
 
     #[test]

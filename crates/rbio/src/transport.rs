@@ -1,8 +1,7 @@
-//! The in-process RBIO transport: channel-backed endpoints with injectable
-//! latency, loss, and timeouts.
+//! The in-process RBIO transport: a call runs the server's handler between
+//! two modelled wire legs, with injectable latency, loss, and faults.
 
 use crate::proto::{Envelope, RbioRequest, RbioResponse};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
 use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
@@ -10,8 +9,7 @@ use socrates_common::metrics::{Counter, Histogram};
 use socrates_common::obs::TraceCtx;
 use socrates_common::rng::Rng;
 use socrates_common::{Error, Lsn, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Exponential-backoff policy applied between retry attempts of one call.
@@ -68,7 +66,10 @@ pub struct NetworkConfig {
     /// Probability that a request message is silently dropped (the client
     /// then times out and retries).
     pub request_loss_p: f64,
-    /// Per-call timeout before a retry.
+    /// How long a lost request takes to be noticed before a retry. A
+    /// delivered call is bounded by the handler's own deadlines instead
+    /// (GetPage@LSN's `get_page_timeout`, 10 s by default, sits below the
+    /// fabric's 15 s link timeout).
     pub timeout: Duration,
     /// Retries after the first attempt (transient failures only).
     pub retries: u32,
@@ -127,7 +128,7 @@ fn lsn_context(req: &RbioRequest) -> Option<Lsn> {
 }
 
 /// Server-side request handler. Implementations may block (GetPage@LSN
-/// waits for log apply), so servers run a pool of worker threads.
+/// waits for log apply); a call runs the handler on the calling thread.
 pub trait RbioHandler: Send + Sync + 'static {
     /// Handle one request.
     fn handle(&self, req: RbioRequest) -> Result<RbioResponse>;
@@ -142,69 +143,35 @@ pub trait RbioHandler: Send + Sync + 'static {
     }
 }
 
-type WireResult = std::result::Result<RbioResponse, Error>;
-type WireMsg = (Envelope<RbioRequest>, Sender<Envelope<WireResult>>);
+/// What a server shares with its clients: the handler and its served count.
+struct Endpoint {
+    handler: Arc<dyn RbioHandler>,
+    requests_served: Counter,
+}
 
-/// A running RBIO server endpoint. Dropping it stops the workers.
+/// An RBIO server endpoint. It spawns no thread: a call runs the handler
+/// between the two modelled wire legs on the caller's thread. Dropping the
+/// server closes the endpoint; a call already inside the handler finishes.
 pub struct RbioServer {
-    tx: Sender<WireMsg>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    stopping: Arc<std::sync::atomic::AtomicBool>,
-    /// Requests served (all workers).
-    pub requests_served: Arc<Counter>,
+    endpoint: Arc<Endpoint>,
 }
 
 impl RbioServer {
-    /// Start a server over `handler` with `workers` threads.
-    pub fn start(handler: Arc<dyn RbioHandler>, workers: usize) -> RbioServer {
-        let (tx, rx): (Sender<WireMsg>, Receiver<WireMsg>) = unbounded();
-        let served = Arc::new(Counter::new());
-        let stopping = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let rx = rx.clone();
-                let handler = Arc::clone(&handler);
-                let served = Arc::clone(&served);
-                let stopping = Arc::clone(&stopping);
-                std::thread::Builder::new()
-                    .name(format!("rbio-worker-{i}"))
-                    .spawn(move || loop {
-                        // A timeout poll rather than a blocking recv:
-                        // clients hold sender clones, so channel closure
-                        // alone cannot signal shutdown.
-                        match rx.recv_timeout(Duration::from_millis(50)) {
-                            Ok((env, reply)) => {
-                                let result = match env.check_version() {
-                                    Ok(()) => handler.handle_ctx(env.body, env.ctx),
-                                    Err(e) => Err(e),
-                                };
-                                served.incr();
-                                // The client may have timed out and gone; a
-                                // failed send is fine.
-                                let _ = reply.send(Envelope::new(env.request_id, result));
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                // ordering: relaxed — shutdown poll on the
-                                // delivery thread; a late observation only
-                                // delays teardown one message
-                                if stopping.load(Ordering::Relaxed) {
-                                    return;
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
-                    })
-                    .expect("spawn rbio worker")
-            })
-            .collect();
-        RbioServer { tx, workers: handles, stopping, requests_served: served }
+    /// Open an endpoint over `handler`.
+    pub fn new(handler: Arc<dyn RbioHandler>) -> RbioServer {
+        RbioServer { endpoint: Arc::new(Endpoint { handler, requests_served: Counter::new() }) }
+    }
+
+    /// Requests that reached the handler.
+    pub fn requests_served(&self) -> u64 {
+        self.endpoint.requests_served.get()
     }
 
     /// Create a client connected to this server with the given link
     /// behaviour.
     pub fn connect(&self, config: NetworkConfig) -> RbioClient {
         RbioClient {
-            tx: self.tx.clone(),
+            endpoint: Arc::downgrade(&self.endpoint),
             latency: LatencyInjector::new(config.profile.clone(), config.mode, config.seed),
             rng: Mutex::with_rank(
                 Rng::new(config.seed ^ 0x5EED),
@@ -212,22 +179,7 @@ impl RbioServer {
                 "rbio.client_rng",
             ),
             config,
-            next_id: AtomicU64::new(1),
             metrics: RbioClientMetrics::default(),
-        }
-    }
-}
-
-impl Drop for RbioServer {
-    fn drop(&mut self) {
-        // ordering: relaxed — poll flag; the thread joins below synchronize
-        self.stopping.store(true, Ordering::Relaxed);
-        // Also drop our sender so workers exit immediately once the last
-        // client is gone.
-        let (dead_tx, _) = unbounded();
-        self.tx = dead_tx;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -251,11 +203,10 @@ pub struct RbioClientMetrics {
 
 /// A client stub bound to one server.
 pub struct RbioClient {
-    tx: Sender<WireMsg>,
+    endpoint: Weak<Endpoint>,
     config: NetworkConfig,
     latency: LatencyInjector,
     rng: Mutex<Rng>,
-    next_id: AtomicU64,
     metrics: RbioClientMetrics,
 }
 
@@ -332,8 +283,6 @@ impl RbioClient {
     }
 
     fn try_once(&self, req: RbioRequest, ctx: TraceCtx) -> Result<RbioResponse> {
-        // ordering: relaxed — request-id uniqueness needs only RMW atomicity
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let lsn = lsn_context(&req);
         if let Some(outcome) = self.config.faults.check_at(sites::RBIO_SEND, lsn) {
             return Err(self.leg_fault(outcome, "request"));
@@ -352,34 +301,20 @@ impl RbioClient {
             std::thread::sleep(self.config.timeout);
             return Err(Error::Timeout("rbio request lost".into()));
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send((Envelope::with_ctx(id, req, ctx), reply_tx))
-            .map_err(|_| Error::Unavailable("rbio server is gone".into()))?;
-        match reply_rx.recv_timeout(self.config.timeout) {
-            Ok(env) => {
-                env.check_version()?;
-                if env.request_id != id {
-                    return Err(Error::Protocol(format!(
-                        "response for request {} on call {id}",
-                        env.request_id
-                    )));
-                }
-                if let Some(outcome) = self.config.faults.check_at(sites::RBIO_RECV, lsn) {
-                    return Err(self.leg_fault(outcome, "response"));
-                }
-                // Response leg latency.
-                self.latency.read_delay();
-                env.body
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                self.metrics.timeouts.incr();
-                Err(Error::Timeout("rbio call timed out".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(Error::Unavailable("rbio server closed the connection".into()))
-            }
+        let endpoint = self
+            .endpoint
+            .upgrade()
+            .ok_or_else(|| Error::Unavailable("rbio server is gone".into()))?;
+        let env = Envelope::with_ctx(req, ctx);
+        env.check_version()?;
+        let result = endpoint.handler.handle_ctx(env.body, env.ctx);
+        endpoint.requests_served.incr();
+        if let Some(outcome) = self.config.faults.check_at(sites::RBIO_RECV, lsn) {
+            return Err(self.leg_fault(outcome, "response"));
         }
+        // Response leg latency.
+        self.latency.read_delay();
+        result
     }
 }
 
@@ -387,6 +322,7 @@ impl RbioClient {
 mod tests {
     use super::*;
     use socrates_common::{Lsn, PageId};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct EchoHandler;
 
@@ -427,7 +363,7 @@ mod tests {
 
     #[test]
     fn request_response_roundtrip() {
-        let server = RbioServer::start(Arc::new(EchoHandler), 2);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let client = server.connect(NetworkConfig::instant());
         assert_eq!(client.call(RbioRequest::Ping).unwrap(), RbioResponse::Pong);
         assert_eq!(
@@ -442,7 +378,44 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(client.metrics().calls_ok.get(), 3);
-        assert_eq!(server.requests_served.get(), 3);
+        assert_eq!(server.requests_served(), 3);
+    }
+
+    /// Names of this process's threads that serve RBIO: every `rbio-`
+    /// thread except the hedge attempts other tests in this binary fire.
+    fn rbio_server_threads() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .map(|tasks| {
+                tasks
+                    .flatten()
+                    .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+                    .map(|comm| comm.trim().to_string())
+                    .filter(|comm| comm.starts_with("rbio-") && comm != "rbio-hedge")
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_call_runs_the_handler_on_the_calling_thread() {
+        struct ThreadCapture(Mutex<Option<std::thread::ThreadId>>);
+        impl RbioHandler for ThreadCapture {
+            fn handle(&self, _req: RbioRequest) -> Result<RbioResponse> {
+                *self.0.lock() = Some(std::thread::current().id());
+                Ok(RbioResponse::Pong)
+            }
+        }
+        let handler = Arc::new(ThreadCapture(Mutex::new(None)));
+        let server = RbioServer::new(Arc::clone(&handler) as Arc<dyn RbioHandler>);
+        assert_eq!(
+            rbio_server_threads(),
+            Vec::<String>::new(),
+            "building a server starts no thread"
+        );
+        let client = server.connect(NetworkConfig::instant());
+        assert_eq!(client.call(RbioRequest::Ping).unwrap(), RbioResponse::Pong);
+        assert_eq!(*handler.0.lock(), Some(std::thread::current().id()));
+        assert_eq!(server.requests_served(), 1);
     }
 
     #[test]
@@ -463,7 +436,7 @@ mod tests {
             }
         }
         let handler = Arc::new(CtxCapture { trace: AtomicU64::new(0), span: AtomicU64::new(0) });
-        let server = RbioServer::start(Arc::clone(&handler) as Arc<dyn RbioHandler>, 1);
+        let server = RbioServer::new(Arc::clone(&handler) as Arc<dyn RbioHandler>);
         let client = server.connect(NetworkConfig::instant());
         let ctx = TraceCtx { trace_id: 7, span_id: 9 };
         client.call_with_ctx(RbioRequest::Ping, ctx).unwrap();
@@ -476,7 +449,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_share_server() {
-        let server = Arc::new(RbioServer::start(Arc::new(EchoHandler), 4));
+        let server = Arc::new(RbioServer::new(Arc::new(EchoHandler)));
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let client = server.connect(NetworkConfig::instant());
@@ -490,21 +463,19 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(server.requests_served.get(), 800);
+        assert_eq!(server.requests_served(), 800);
     }
 
     #[test]
     fn transient_server_errors_are_retried() {
-        let server =
-            RbioServer::start(Arc::new(FlakyHandler { failures_left: AtomicU64::new(2) }), 1);
+        let server = RbioServer::new(Arc::new(FlakyHandler { failures_left: AtomicU64::new(2) }));
         let client = server.connect(NetworkConfig::instant()); // retries: 2
         assert_eq!(client.call(RbioRequest::Ping).unwrap(), RbioResponse::Pong);
     }
 
     #[test]
     fn retries_exhausted_reports_transient_error() {
-        let server =
-            RbioServer::start(Arc::new(FlakyHandler { failures_left: AtomicU64::new(100) }), 1);
+        let server = RbioServer::new(Arc::new(FlakyHandler { failures_left: AtomicU64::new(100) }));
         let client = server.connect(NetworkConfig::instant());
         let err = client.call(RbioRequest::Ping).unwrap_err();
         assert!(err.is_transient());
@@ -513,7 +484,7 @@ mod tests {
 
     #[test]
     fn lost_requests_time_out_and_eventually_succeed() {
-        let server = RbioServer::start(Arc::new(EchoHandler), 1);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let mut cfg = NetworkConfig::instant();
         cfg.request_loss_p = 0.5;
         cfg.retries = 20;
@@ -527,7 +498,7 @@ mod tests {
 
     #[test]
     fn server_shutdown_yields_unavailable() {
-        let server = RbioServer::start(Arc::new(EchoHandler), 1);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let client = server.connect(NetworkConfig::instant());
         drop(server);
         let err = client.call(RbioRequest::Ping).unwrap_err();
@@ -536,8 +507,7 @@ mod tests {
 
     #[test]
     fn retries_are_counted_and_backed_off() {
-        let server =
-            RbioServer::start(Arc::new(FlakyHandler { failures_left: AtomicU64::new(2) }), 1);
+        let server = RbioServer::new(Arc::new(FlakyHandler { failures_left: AtomicU64::new(2) }));
         let client = server.connect(NetworkConfig::instant());
         assert_eq!(client.call(RbioRequest::Ping).unwrap(), RbioResponse::Pong);
         assert_eq!(client.metrics().retries.get(), 2);
@@ -546,10 +516,8 @@ mod tests {
 
     #[test]
     fn call_budget_bounds_retry_time() {
-        let server = RbioServer::start(
-            Arc::new(FlakyHandler { failures_left: AtomicU64::new(u64::MAX) }),
-            1,
-        );
+        let server =
+            RbioServer::new(Arc::new(FlakyHandler { failures_left: AtomicU64::new(u64::MAX) }));
         let mut cfg = NetworkConfig::instant();
         cfg.retries = 1_000;
         cfg.backoff.base = Duration::from_millis(20);
@@ -569,7 +537,7 @@ mod tests {
     #[test]
     fn send_fault_error_is_retried_through() {
         use socrates_common::fault::{FaultAction, FaultErrorKind, FaultRule, FaultSchedule};
-        let server = RbioServer::start(Arc::new(EchoHandler), 1);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let mut cfg = NetworkConfig::instant();
         cfg.faults = FaultRegistry::new(1);
         cfg.faults.install(FaultRule {
@@ -587,7 +555,7 @@ mod tests {
     #[test]
     fn recv_fault_drop_times_out() {
         use socrates_common::fault::{FaultAction, FaultRule, FaultSchedule};
-        let server = RbioServer::start(Arc::new(EchoHandler), 1);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let mut cfg = NetworkConfig::instant();
         cfg.retries = 0;
         cfg.faults = FaultRegistry::new(2);
@@ -601,13 +569,13 @@ mod tests {
         assert_eq!(err.kind(), "timeout");
         assert_eq!(client.metrics().timeouts.get(), 1);
         // The request did reach the server; only the response was lost.
-        assert_eq!(server.requests_served.get(), 1);
+        assert_eq!(server.requests_served(), 1);
     }
 
     #[test]
     fn lsn_window_fault_only_hits_matching_reads() {
         use socrates_common::fault::{FaultAction, FaultErrorKind, FaultRule, FaultSchedule};
-        let server = RbioServer::start(Arc::new(EchoHandler), 1);
+        let server = RbioServer::new(Arc::new(EchoHandler));
         let mut cfg = NetworkConfig::instant();
         cfg.retries = 0;
         cfg.faults = FaultRegistry::new(3);

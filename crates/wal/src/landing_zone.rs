@@ -31,7 +31,8 @@
 //! newer block now starts at; so in a range a rewind abandoned, a read
 //! takes only an image a write quorum of replicas agrees on.
 
-use crate::block::{LogBlock, BLOCK_HEADER};
+use crate::block::LogBlock;
+use crate::ring;
 use parking_lot::Mutex;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
 use socrates_common::{Error, Lsn, Result};
@@ -160,7 +161,7 @@ impl LandingZone {
 
     /// Create an LZ whose first block will start at `start` instead of
     /// [`Lsn::ZERO`] — used when a log store is (re)created mid-stream,
-    /// e.g. XLOG's local SSD block cache or a restored deployment.
+    /// e.g. a restored deployment.
     pub fn with_start(
         replicas: Vec<Arc<dyn Fcb>>,
         config: LandingZoneConfig,
@@ -261,7 +262,7 @@ impl LandingZone {
         for lanes in &self.writers {
             let (block, ack, cap) = (block.clone(), ack_tx.clone(), self.config.capacity);
             let _ = lanes[lane].send(Box::new(move |fcb: &dyn Fcb| {
-                let ok = write_wrapped_to(fcb, cap, start.offset(), block.as_bytes()).is_ok();
+                let ok = ring::write_block(fcb, cap, &block).is_ok();
                 let _ = ack.send(ok);
             }));
         }
@@ -321,7 +322,9 @@ impl LandingZone {
         if contested {
             let mut seen: Vec<(LogBlock, usize)> = Vec::new();
             for replica in &self.replicas {
-                let Ok(b) = self.try_read_block(replica, lsn) else { continue };
+                let Ok(b) = ring::read_block(&**replica, self.config.capacity, lsn) else {
+                    continue;
+                };
                 match seen.iter_mut().find(|(img, _)| *img == b) {
                     Some((_, copies)) => *copies += 1,
                     None => seen.push((b, 1)),
@@ -337,7 +340,7 @@ impl LandingZone {
         }
         let mut last_err: Option<Error> = None;
         for replica in &self.replicas {
-            match self.try_read_block(replica, lsn) {
+            match ring::read_block(&**replica, self.config.capacity, lsn) {
                 Ok(b) => return Ok(b),
                 Err(e) => last_err = Some(e),
             }
@@ -371,33 +374,6 @@ impl LandingZone {
             let tail = s.tail;
             s.abandoned.retain(|&(_, to)| to > tail);
         }
-    }
-
-    fn try_read_block(&self, replica: &Arc<dyn Fcb>, lsn: Lsn) -> Result<LogBlock> {
-        let mut header = vec![0u8; BLOCK_HEADER];
-        self.read_wrapped(replica, lsn.offset(), &mut header)?;
-        let info = LogBlock::peek(&header)?;
-        if info.start_lsn != lsn {
-            return Err(Error::Corruption(format!(
-                "block at {lsn} claims start {}",
-                info.start_lsn
-            )));
-        }
-        let mut image = vec![0u8; info.total_len];
-        self.read_wrapped(replica, lsn.offset(), &mut image)?;
-        LogBlock::decode(image)
-    }
-
-    fn read_wrapped(&self, fcb: &Arc<dyn Fcb>, lsn_off: u64, buf: &mut [u8]) -> Result<()> {
-        let cap = self.config.capacity;
-        let pos = lsn_off % cap;
-        let first = ((cap - pos) as usize).min(buf.len());
-        fcb.read_at(pos, &mut buf[..first])?;
-        if first < buf.len() {
-            let rest = buf.len() - first;
-            fcb.read_at(0, &mut buf[first..first + rest])?;
-        }
-        Ok(())
     }
 }
 
@@ -458,18 +434,6 @@ impl LzWrite {
         s.head = self.end;
         Ok(())
     }
-}
-
-/// Write `data` at circular position `lsn_off % cap`, splitting at the
-/// wrap boundary.
-fn write_wrapped_to(fcb: &dyn Fcb, cap: u64, lsn_off: u64, data: &[u8]) -> Result<()> {
-    let pos = lsn_off % cap;
-    let first = ((cap - pos) as usize).min(data.len());
-    fcb.write_at(pos, &data[..first])?;
-    if first < data.len() {
-        fcb.write_at(0, &data[first..])?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ pub mod landing_zone;
 pub mod pipeline;
 pub mod quorum;
 pub mod record;
+pub mod ring;
 pub mod store;
 
 pub use block::{BlockBuilder, BlockInfo, LogBlock, BLOCK_HEADER};

@@ -15,16 +15,13 @@ use socrates_common::NodeId;
 use socrates_rbio::lossy::{LossyChannel, LossyConfig};
 use socrates_wal::block::LogBlock;
 use socrates_wal::pipeline::LogDisseminator;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The feed adapter. Create with [`XLogFeed::start`]; dropping it stops the
 /// pump thread.
 pub struct XLogFeed {
     channel: LossyChannel<LogBlock>,
     svc: Arc<XLogService>,
-    stop: Arc<AtomicBool>,
     pump: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -43,45 +40,32 @@ impl XLogFeed {
         spans: Arc<SpanRing>,
     ) -> XLogFeed {
         let (channel, rx) = LossyChannel::<LogBlock>::new(lossy);
-        let stop = Arc::new(AtomicBool::new(false));
         let pump = {
             let svc = Arc::clone(&svc);
-            let stop = Arc::clone(&stop);
             // Offers are tagged with the primary that started this feed; a
             // successor's take-over makes XLOG drop the stragglers.
             let writer = svc.writer();
             std::thread::Builder::new()
                 .name("xlog-feed-pump".into())
                 .spawn(move || {
-                    // ordering: relaxed — shutdown poll; the channel drain below
-                    // the loop delivers anything in flight
-                    while !stop.load(Ordering::Relaxed) {
-                        if let Some(block) = rx.recv_timeout(Duration::from_millis(10)) {
-                            if faults
-                                .check_at(sites::XLOG_FEED_POLL, Some(block.start_lsn()))
-                                .is_some()
-                            {
-                                continue; // injected loss; LZ gap fill recovers
-                            }
-                            let ctx = block.ctx();
-                            let span_start = ctx.sampled().then(|| spans.now_ns());
-                            svc.offer_block_from(writer, block);
-                            if let Some(start) = span_start {
-                                let dur = spans.now_ns().saturating_sub(start);
-                                spans.record_child(
-                                    ctx,
-                                    SpanKind::XlogFeed,
-                                    NodeId::XLOG,
-                                    start,
-                                    dur,
-                                );
-                            }
+                    // Ends once the feed drops its sending half.
+                    while let Some(block) = rx.recv() {
+                        if faults.check_at(sites::XLOG_FEED_POLL, Some(block.start_lsn())).is_some()
+                        {
+                            continue; // injected loss; LZ gap fill recovers
+                        }
+                        let ctx = block.ctx();
+                        let span_start = ctx.sampled().then(|| spans.now_ns());
+                        svc.offer_block_from(writer, block);
+                        if let Some(start) = span_start {
+                            let dur = spans.now_ns().saturating_sub(start);
+                            spans.record_child(ctx, SpanKind::XlogFeed, NodeId::XLOG, start, dur);
                         }
                     }
                 })
                 .expect("spawn xlog feed pump")
         };
-        XLogFeed { channel, svc, stop, pump: Some(pump) }
+        XLogFeed { channel, svc, pump: Some(pump) }
     }
 
     /// Number of blocks the lossy link dropped (diagnostics/tests).
@@ -122,8 +106,10 @@ impl LogDisseminator for XLogFeed {
 
 impl Drop for XLogFeed {
     fn drop(&mut self) {
-        // ordering: relaxed — poll flag; the pump join is the real sync point
-        self.stop.store(true, Ordering::Relaxed);
+        // Closing the channel ends the pump once it has delivered what is
+        // already queued.
+        let (closed, _) = LossyChannel::new(LossyConfig::reliable());
+        drop(std::mem::replace(&mut self.channel, closed));
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
@@ -141,7 +127,7 @@ mod tests {
     use socrates_wal::pipeline::{LogPipeline, LogPipelineConfig};
     use socrates_wal::record::{LogPayload, LogRecord};
     use socrates_xstore::{XStore, XStoreConfig};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn end_to_end_pipeline_to_xlog_with_loss() {

@@ -1,13 +1,12 @@
 //! The XLOG service implementation.
 
 use parking_lot::Mutex;
-use socrates_common::fault::FaultRegistry;
 use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
 use socrates_common::metrics::Counter;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
 use socrates_storage::Fcb;
 use socrates_wal::block::{LogBlock, BLOCK_HEADER};
-use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
+use socrates_wal::ring;
 use socrates_wal::store::LogStore;
 use socrates_xstore::XStore;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -95,13 +94,48 @@ struct Lease {
     renewed_at: Instant,
 }
 
+/// The local SSD block cache: the most recently destaged blocks in a
+/// [`ring`] on one device. Only the destager writes it and advances its
+/// window; a reader racing a wraparound reads a torn image, which fails
+/// validation and falls through to the next tier.
+struct SsdCache {
+    fcb: Arc<dyn Fcb>,
+    capacity: u64,
+    /// The ring holds the blocks starting in `[tail, head)`.
+    tail: AtomicLsn,
+    head: AtomicLsn,
+}
+
+impl SsdCache {
+    fn put(&self, block: &LogBlock) {
+        let (start, end) = (block.start_lsn(), block.end_lsn());
+        // A block that does not extend the window (the one before it was
+        // not written) restarts it.
+        let tail = if start == self.head.load() { self.tail.load() } else { start };
+        // Retire what this write overwrites before writing it.
+        self.tail.store(tail.max(Lsn::new(end.offset().saturating_sub(self.capacity))));
+        if block.len() as u64 <= self.capacity
+            && ring::write_block(&*self.fcb, self.capacity, block).is_ok()
+        {
+            self.head.store(end);
+        }
+    }
+
+    fn get(&self, lsn: Lsn) -> Option<LogBlock> {
+        if lsn < self.tail.load() || lsn >= self.head.load() {
+            return None;
+        }
+        ring::read_block(&*self.fcb, self.capacity, lsn).ok()
+    }
+}
+
 /// The XLOG service. One per deployment.
 pub struct XLogService {
     lz: Arc<dyn LogStore>,
     xstore: Arc<XStore>,
     lt_blob: BlobId,
     lt_base: Lsn,
-    ssd_cache: LandingZone,
+    ssd_cache: SsdCache,
     broker: Mutex<Broker>,
     hardened: AtomicLsn,
     /// Everything below this is released (contiguous + hardened). Only
@@ -130,12 +164,12 @@ impl XLogService {
         lt_name: &str,
     ) -> Result<Arc<XLogService>> {
         let lt_blob = xstore.create_blob(lt_name)?;
-        let ssd_cache = LandingZone::with_start(
-            vec![ssd],
-            LandingZoneConfig { capacity: config.ssd_cache_bytes, write_quorum: 1 },
-            FaultRegistry::disabled(), // the block cache is not a fault site
-            start,
-        );
+        let ssd_cache = SsdCache {
+            fcb: ssd,
+            capacity: config.ssd_cache_bytes,
+            tail: AtomicLsn::new(start),
+            head: AtomicLsn::new(start),
+        };
         Ok(Arc::new(XLogService {
             lz,
             xstore,
@@ -455,7 +489,7 @@ impl XLogService {
         debug_assert_eq!(off, batch[0].start_lsn() - self.lt_base);
         let end = batch.last().expect("nonempty").end_lsn();
         for block in batch {
-            self.ssd_write_best_effort(block);
+            self.ssd_cache.put(block);
             self.metrics.blocks_destaged.incr();
             self.metrics.bytes_destaged.add(block.len() as u64);
         }
@@ -476,17 +510,6 @@ impl XLogService {
         }
     }
 
-    fn ssd_write_best_effort(&self, block: &LogBlock) {
-        // Make room by truncating the circular cache window.
-        let need = block.len() as u64;
-        if self.ssd_cache.free_bytes() < need {
-            let tail = self.ssd_cache.tail();
-            let deficit = need - self.ssd_cache.free_bytes();
-            self.ssd_cache.truncate_to(tail + deficit);
-        }
-        let _ = self.ssd_cache.write_block(block);
-    }
-
     // ---- serving consumers ----
 
     /// Read the block starting at `lsn` through the tier hierarchy:
@@ -500,7 +523,7 @@ impl XLogService {
             self.metrics.served_from_memory.incr();
             return Ok(blk.clone());
         }
-        if let Ok(blk) = self.ssd_cache.read_block(lsn) {
+        if let Some(blk) = self.ssd_cache.get(lsn) {
             self.metrics.served_from_ssd.incr();
             return Ok(blk);
         }
@@ -629,9 +652,11 @@ impl Drop for XLogService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socrates_common::fault::FaultRegistry;
     use socrates_common::{PageId, TxnId};
     use socrates_storage::MemFcb;
     use socrates_wal::block::BlockBuilder;
+    use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
     use socrates_wal::record::{LogPayload, LogRecord};
     use socrates_xstore::XStoreConfig;
 
@@ -802,6 +827,48 @@ mod tests {
         let first = &blocks[0];
         assert_eq!(&f.svc.get_block(first.start_lsn()).unwrap(), first);
         assert!(f.svc.metrics().served_from_lt.get() >= 1, "LT tier must serve");
+    }
+
+    #[test]
+    fn ssd_cache_ring_serves_exactly_its_window() {
+        let capacity = 1_000;
+        let cache = SsdCache {
+            fcb: Arc::new(MemFcb::new("xlog-ssd")),
+            capacity,
+            tail: AtomicLsn::new(Lsn::ZERO),
+            head: AtomicLsn::new(Lsn::ZERO),
+        };
+        let mut blocks = Vec::new();
+        let mut start = Lsn::ZERO;
+        for i in 0..60 {
+            let blk = block_at(start, 0, 20 + (i % 7) * 10);
+            cache.put(&blk);
+            start = blk.end_lsn();
+            blocks.push(blk);
+        }
+        assert!(start.offset() > 4 * capacity, "the ring must wrap several times");
+        let (tail, head) = (cache.tail.load(), cache.head.load());
+        assert_eq!(head, start);
+        let mut hits = 0;
+        for blk in &blocks {
+            let in_window = blk.start_lsn() >= tail;
+            match cache.get(blk.start_lsn()) {
+                Some(got) => {
+                    assert!(in_window, "{} served from outside the window", blk.start_lsn());
+                    assert_eq!(&got, blk);
+                    hits += 1;
+                }
+                None => {
+                    assert!(!in_window, "{} missed inside the window", blk.start_lsn());
+                    // A reader that passed a window check just before the
+                    // wraparound reads an overwritten image: an error,
+                    // never another block.
+                    assert!(ring::read_block(&*cache.fcb, capacity, blk.start_lsn()).is_err());
+                }
+            }
+        }
+        assert!(hits > 1 && hits < blocks.len(), "{hits} of {} blocks served", blocks.len());
+        assert!(cache.get(head).is_none(), "nothing past the head");
     }
 
     #[test]

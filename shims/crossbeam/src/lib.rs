@@ -3,10 +3,11 @@
 //! The build environment has no access to crates.io, so this crate
 //! provides the one piece of crossbeam the workspace uses: the
 //! multi-producer **multi-consumer** channel (`crossbeam::channel`).
-//! `std::sync::mpsc` is not enough — the rbio transport clones the
-//! `Receiver` across worker threads — so this is a small MPMC channel
+//! Like crossbeam's, and unlike `std::sync::mpsc`, its `Receiver` clones
+//! (every clone drains the same queue), so this is a small MPMC channel
 //! built on a `Mutex<VecDeque>` + `Condvar` pair with sender/receiver
-//! reference counting for disconnection semantics.
+//! reference counting for disconnection semantics. Blocking calls sleep
+//! until a message, a disconnection or their deadline: nothing polls.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -143,6 +144,24 @@ pub mod channel {
                 Err(p) => p.into_inner(),
             }
         }
+
+        fn wait<'a>(
+            &self,
+            queue: std::sync::MutexGuard<'a, VecDeque<T>>,
+        ) -> std::sync::MutexGuard<'a, VecDeque<T>> {
+            match self.cond.wait(queue) {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
+            }
+        }
+
+        /// Wake every waiter after the last sender or receiver left. Taking
+        /// the lock first orders the wake after any waiter's check of the
+        /// count, so none can park past it.
+        fn wake_all(&self) {
+            drop(self.lock());
+            self.cond.notify_all();
+        }
     }
 
     impl<T> Sender<T> {
@@ -163,10 +182,7 @@ pub mod channel {
                     inner.cond.notify_all();
                     return Ok(());
                 }
-                queue = match inner.cond.wait_timeout(queue, Duration::from_millis(10)) {
-                    Ok((g, _)) => g,
-                    Err(p) => p.into_inner().0,
-                };
+                queue = inner.wait(queue);
             }
         }
 
@@ -197,7 +213,7 @@ pub mod channel {
             if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they observe
                 // disconnection.
-                self.inner.cond.notify_all();
+                self.inner.wake_all();
             }
         }
     }
@@ -225,10 +241,7 @@ pub mod channel {
                 if inner.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                queue = match inner.cond.wait_timeout(queue, Duration::from_millis(10)) {
-                    Ok((g, _)) => g,
-                    Err(p) => p.into_inner().0,
-                };
+                queue = inner.wait(queue);
             }
         }
 
@@ -270,8 +283,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let wait = (deadline - now).min(Duration::from_millis(10));
-                queue = match inner.cond.wait_timeout(queue, wait) {
+                queue = match inner.cond.wait_timeout(queue, deadline - now) {
                     Ok((g, _)) => g,
                     Err(p) => p.into_inner().0,
                 };
@@ -304,7 +316,7 @@ pub mod channel {
             if self.inner.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last receiver gone: wake blocked senders so they observe
                 // disconnection.
-                self.inner.cond.notify_all();
+                self.inner.wake_all();
             }
         }
     }

@@ -155,72 +155,122 @@ fn quiesced_deployment() -> Socrates {
     sys
 }
 
-/// `(thread name, voluntary context switches)` of every follower thread
-/// in this process: page-server and secondary apply loops, checkpoint
-/// loops, the XLOG destager and the compute nodes' I/O scheduler workers.
-/// The kernel truncates names to 15 bytes, which clips the secondary's
-/// `secondary[0]-apply`.
+/// This process's thread ids.
 #[cfg(target_os = "linux")]
-fn follower_wakeups() -> std::collections::BTreeMap<String, u64> {
+fn thread_ids() -> std::collections::BTreeSet<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .map(|task| task.unwrap().file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// `(name#tid, voluntary context switches)` of every thread not in
+/// `before`: the threads a deployment launched after `before` started.
+/// The kernel truncates names to 15 bytes.
+#[cfg(target_os = "linux")]
+fn started_threads(
+    before: &std::collections::BTreeSet<String>,
+) -> std::collections::BTreeMap<String, u64> {
     let mut out = std::collections::BTreeMap::new();
-    for task in std::fs::read_dir("/proc/self/task").unwrap() {
-        let dir = task.unwrap().path();
+    for tid in thread_ids().difference(before) {
+        let dir = std::path::Path::new("/proc/self/task").join(tid);
         let Ok(name) = std::fs::read_to_string(dir.join("comm")) else { continue };
-        let name = name.trim();
-        let follower = name.ends_with("-apply")
-            || name.ends_with("-ckpt")
-            || name.starts_with("secondary[")
-            || name.starts_with("io-sched-")
-            || name == "xlog-destager";
-        if !follower {
-            continue;
-        }
         let Ok(status) = std::fs::read_to_string(dir.join("status")) else { continue };
         let switches = status
             .lines()
             .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
             .and_then(|v| v.trim().parse().ok())
             .expect("voluntary_ctxt_switches in /proc/self/task/<tid>/status");
-        out.insert(format!("{name}#{}", dir.file_name().unwrap().to_string_lossy()), switches);
+        out.insert(format!("{}#{tid}", name.trim()), switches);
     }
     out
 }
 
-/// Every follower loop sleeps on the frontier it follows, so an idle
-/// deployment's followers do not wake at all (a timed poll wakes each
-/// hundreds of times in this window). Threads are per-process and the
-/// other tests of this file run beside this one, so the measurement runs
-/// in a child process that executes only this test.
+/// Run the calling test alone in a child process: threads are
+/// per-process and the other tests of this file run beside it. Returns
+/// `true` in the child, which then does the measuring.
+#[cfg(target_os = "linux")]
+fn in_child(test: &str) -> bool {
+    const CHILD: &str = "SOCRATES_E2E_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", test, "--nocapture"])
+        .env(CHILD, "1")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{test} child failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
+/// The one thread an idle deployment may wake: the LSN-lag watcher
+/// samples on a timer.
+#[cfg(target_os = "linux")]
+const TIMED_SAMPLER: &str = "lsn-lag-watcher";
+
+/// No thread a deployment starts polls, so an idle deployment does not
+/// wake at all (a 10 ms poll wakes 30 times in this window) — apart from
+/// [`TIMED_SAMPLER`]. The census of those threads, names with
+/// digits normalized, is pinned in `tests/golden/thread_names.txt`.
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_deployment_followers_do_not_wake() {
-    const CHILD: &str = "SOCRATES_E2E_IDLE_CHILD";
-    if std::env::var_os(CHILD).is_none() {
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "idle_deployment_followers_do_not_wake", "--nocapture"])
-            .env(CHILD, "1")
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "idle child failed:\n{}\n{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
+    if !in_child("idle_deployment_followers_do_not_wake") {
         return;
     }
+    let launch = thread_ids();
     let sys = quiesced_deployment();
-    let before = follower_wakeups();
-    for expected in ["-apply#", "-ckpt#", "secondary[", "xlog-destager#", "io-sched-"] {
-        assert!(before.keys().any(|k| k.contains(expected)), "no {expected} thread: {before:?}");
-    }
+    let before = started_threads(&launch);
     std::thread::sleep(Duration::from_millis(300));
-    let after = follower_wakeups();
-    let moved: Vec<(&String, u64)> =
-        before.iter().map(|(name, n)| (name, after.get(name).map_or(0, |a| a - n))).collect();
-    println!("follower wake-ups over a 300 ms idle window: {moved:?}");
-    assert!(moved.iter().all(|(_, d)| *d <= 5), "idle followers woke: {moved:?}");
+    let after = started_threads(&launch);
+    let moved: Vec<(&String, u64)> = before
+        .iter()
+        .filter(|(name, _)| !name.starts_with(&format!("{TIMED_SAMPLER}#")))
+        .map(|(name, n)| (name, after.get(name).map_or(0, |a| a - n)))
+        .collect();
+    println!("thread wake-ups over a 300 ms idle window: {moved:?}");
+    assert!(moved.iter().all(|(_, d)| *d <= 5), "idle threads woke: {moved:?}");
+
+    let mut census: Vec<String> = before
+        .keys()
+        .map(|key| {
+            let name = key.rsplit_once('#').unwrap().0;
+            name.chars().map(|c| if c.is_ascii_digit() { 'N' } else { c }).collect()
+        })
+        .collect();
+    census.sort();
+    let golden: Vec<&str> = include_str!("golden/thread_names.txt").lines().collect();
+    assert_eq!(
+        census, golden,
+        "the deployment's threads drifted from tests/golden/thread_names.txt"
+    );
     sys.shutdown();
+}
+
+/// A dropped deployment takes every thread it started with it: no hub
+/// registration keeps its components (and so the fabric) alive.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_dropped_deployment_leaves_no_thread_behind() {
+    if !in_child("a_dropped_deployment_leaves_no_thread_behind") {
+        return;
+    }
+    let launch = thread_ids();
+    drop(quiesced_deployment());
+    // A joined thread's tid can linger in /proc until the kernel reaps it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let mut left = started_threads(&launch);
+    while !left.is_empty() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        left = started_threads(&launch);
+    }
+    assert!(left.is_empty(), "threads outlived their deployment: {left:?}");
 }
 
 /// With every follower loop parked on its frontier, `shutdown` returns

@@ -49,6 +49,10 @@ fn slow_consumer_reads_from_cold_tiers() {
         xlog.metrics().served_from_lt.get() > 0,
         "cold reads must have come from the long-term archive"
     );
+    assert!(
+        xlog.metrics().served_from_ssd.get() > 0,
+        "the destaged tail must have been served from the SSD block cache"
+    );
     // And the blocks chain correctly.
     let mut at = Lsn::ZERO;
     for b in &pull.blocks {
