@@ -251,8 +251,9 @@ fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
     if opts.layers {
         // Drive the layer machinery end to end so the view has something
         // to show: a checkpoint, an explicit compaction merging the
-        // sealed L0s into an L1 image, a GC pass against the retention
-        // horizon, and a handful of time-travel reads.
+        // sealed L0s (imaging the pages whose delta chain grew deep), a GC
+        // pass against the retention horizon, and a handful of
+        // time-travel reads.
         sys.checkpoint()?;
         let fabric = sys.fabric();
         for pid in fabric.partition_ids() {
@@ -454,8 +455,9 @@ fn render_plain(sys: &Socrates) {
     }
 }
 
-/// The ten layered-store metrics every page server registers, render order.
-const LAYER_METRICS: [&str; 10] = [
+/// The eleven layered-store counters and gauges every page server
+/// registers, render order (the `replay_depth` histogram follows them).
+const LAYER_METRICS: [&str; 11] = [
     "layer_l0_count",
     "layers_sealed",
     "layer_l1_images",
@@ -463,14 +465,16 @@ const LAYER_METRICS: [&str; 10] = [
     "layer_open_bytes",
     "compaction_backlog",
     "compactions_run",
+    "image_pages_written",
     "gc_layers_dropped",
     "historical_reads",
     "gc_horizon_lsn",
 ];
 
 /// The `--layers` view: the layered page-version store per page server —
-/// layer counts and open-layer fill, compaction backlog and runs, GC
-/// horizon and drops, and how many reads took the time-travel path. All
+/// layer counts and open-layer fill, compaction backlog, runs and the
+/// pages they imaged, GC horizon and drops, how many reads took the
+/// time-travel path, and how many deltas a served page replayed. All
 /// numbers come from the metrics hub, so `--format prom|json` consumers
 /// see the same series.
 fn render_layers(sys: &Socrates, plain: bool) {
@@ -478,7 +482,7 @@ fn render_layers(sys: &Socrates, plain: bool) {
     if !plain {
         println!("\n== layered store (per page server) ==");
         println!(
-            "{:<16} {:>4} {:>7} {:>7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>8} {:>12}",
+            "{:<16} {:>4} {:>7} {:>7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>12} {:>9}",
             "node",
             "l0",
             "sealed",
@@ -487,18 +491,26 @@ fn render_layers(sys: &Socrates, plain: bool) {
             "open_b",
             "backlog",
             "compacts",
+            "img_pgs",
             "gc_drop",
             "hist_rd",
-            "gc_horizon"
+            "gc_horizon",
+            "depth50/99"
         );
     }
     for node in snapshot.nodes() {
         let mut values = std::collections::HashMap::new();
+        let mut depth = (0, 0);
         for sample in snapshot.for_node(node) {
             let v = match &sample.value {
                 MetricValue::Counter(c) => (*c).min(i64::MAX as u64) as i64,
                 MetricValue::Gauge(g) => *g,
-                MetricValue::Histogram(_) => continue,
+                MetricValue::Histogram(h) => {
+                    if sample.name == "replay_depth" {
+                        depth = (h.p50_us, h.p99_us);
+                    }
+                    continue;
+                }
             };
             values.insert(sample.name.as_str(), v);
         }
@@ -511,9 +523,11 @@ fn render_layers(sys: &Socrates, plain: bool) {
             for name in LAYER_METRICS {
                 println!("layers.{node}.{name} {}", get(name));
             }
+            println!("layers.{node}.replay_depth_p50 {}", depth.0);
+            println!("layers.{node}.replay_depth_p99 {}", depth.1);
         } else {
             println!(
-                "{:<16} {:>4} {:>7} {:>7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>8} {:>12}",
+                "{:<16} {:>4} {:>7} {:>7} {:>7} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>12} {:>9}",
                 node.to_string(),
                 get("layer_l0_count"),
                 get("layers_sealed"),
@@ -522,9 +536,11 @@ fn render_layers(sys: &Socrates, plain: bool) {
                 get("layer_open_bytes"),
                 get("compaction_backlog"),
                 get("compactions_run"),
+                get("image_pages_written"),
                 get("gc_layers_dropped"),
                 get("historical_reads"),
                 get("gc_horizon_lsn"),
+                format!("{}/{}", depth.0, depth.1),
             );
         }
     }

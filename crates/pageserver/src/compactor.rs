@@ -2,9 +2,9 @@
 //!
 //! One thread named `ps-compact` runs the compaction passes every page
 //! server of a deployment schedules, in submission order. A single
-//! worker is deliberate: a merge rewrites whole page images, and one
-//! partition's merge at a time keeps that work from crowding the apply
-//! and serve threads.
+//! worker is deliberate: a pass merges the sealed L0s and replays every
+//! deep-chained page it images, and one partition's pass at a time keeps
+//! that work from crowding the apply and serve threads.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -8,15 +8,16 @@
 //!    annotations) and slices each record into the partition's **layered
 //!    page-version store**: deltas accumulate in an open L0 layer, seal
 //!    into immutable L0 delta layers, and background compaction merges
-//!    them into sorted L1 image layers (RBPEX demoted to the L1 on-disk
-//!    representation). Retention GC retires layers wholly below the PITR
-//!    horizon.
+//!    them into one L1 delta layer and images only the pages whose delta
+//!    chain has grown deep (packed L1 image layers). Retention GC images
+//!    the pages whose history it is about to retire, then drops the
+//!    layers wholly below the PITR horizon.
 //! 2. **Serve GetPage@LSN.** A request `getPage(X, X-LSN)` waits until the
 //!    server's applied LSN reaches `X-LSN`, then returns the page — the
 //!    freshness contract the compute tier's evicted-LSN map relies on.
-//!    `get_page_at` serves **arbitrary historical LSNs** (newest image ≤
-//!    LSN + ordered delta replay); multi-page range reads are served from
-//!    the stride-preserving image layer in one device I/O. Copy-on-write
+//!    `get_page_at` serves **arbitrary historical LSNs** (the page's
+//!    newest image ≤ LSN + ordered delta replay); a multi-page range read
+//!    costs one device I/O per image its pages resolve to. Copy-on-write
 //!    branches share parent layers zero-copy and diverge via `ingest`.
 //! 3. **Checkpoint & back up.** It regularly ships modified pages to its
 //!    XStore data blob, records the checkpointed LSN, and takes backups as
@@ -36,13 +37,13 @@ pub use compactor::CompactionWorker;
 use parking_lot::Mutex;
 use socrates_common::fault::{sites as fault_sites, FaultOutcome, FaultRegistry};
 use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
-use socrates_common::metrics::{Counter, CpuAccountant};
+use socrates_common::metrics::{Counter, CpuAccountant, Histogram};
 use socrates_common::obs::{SpanKind, SpanRing, TraceCtx};
 use socrates_common::{BlobId, Error, Lsn, NodeId, PageId, PartitionId, Result};
 use socrates_rbio::proto::{RbioRequest, RbioResponse};
 use socrates_rbio::transport::RbioHandler;
 use socrates_storage::fcb::Fcb;
-use socrates_storage::layer::{mem_layer_devices, Delta, DeltaLayer, ImageLayer, OpenLayer};
+use socrates_storage::layer::{Delta, DeltaLayer, ImageLayer, OpenLayer};
 use socrates_storage::layermap::{LayerCounts, LayerMap};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::pageops::{apply_page_op, PageOp};
@@ -51,7 +52,7 @@ use socrates_wal::record::LogPayload;
 use socrates_xlog::{XLogService, PULL_BATCH_BYTES};
 use socrates_xstore::{SnapshotId, XStore};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -60,6 +61,12 @@ const CHECKPOINT_DIRTY_PAGES: usize = 256;
 
 /// How long `branch_from` waits for the parent to reach the branch point.
 const BRANCH_WAIT: Duration = Duration::from_secs(5);
+
+/// Compaction images a page once this many deltas sit above its newest
+/// image: the read amplification a served page may accumulate. Measured
+/// against 2 and 4, 8 kept the serve stage flat while imaging the fewest
+/// pages.
+pub const IMAGE_CHAIN_DEPTH: usize = 8;
 
 /// Static description of a partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +97,8 @@ pub struct PageServerConfig {
     /// accumulate.
     pub layer_compact_threshold: usize,
     /// PITR retention: history further than this many log bytes behind
-    /// the applied frontier may be garbage-collected. `u64::MAX`
-    /// disables GC (retain everything).
+    /// the applied frontier may be garbage-collected (`u64::MAX` retains
+    /// everything).
     pub retention_window_bytes: u64,
 }
 
@@ -101,7 +108,7 @@ impl Default for PageServerConfig {
             get_page_timeout: Duration::from_secs(10),
             layer_seal_bytes: 64 << 10,
             layer_compact_threshold: 4,
-            retention_window_bytes: u64::MAX,
+            retention_window_bytes: 64 << 20,
         }
     }
 }
@@ -127,8 +134,11 @@ pub struct PageServerMetrics {
     pub range_pages_served: Counter,
     /// Open L0 layers sealed into immutable delta layers.
     pub layers_sealed: Counter,
-    /// Compaction passes that published an L1 image.
+    /// Compaction passes run (each merges the sealed L0s; it publishes an
+    /// image only when some page's chain reached [`IMAGE_CHAIN_DEPTH`]).
     pub compactions_run: Counter,
+    /// Pages materialized into packed images by compaction and GC.
+    pub image_pages_written: Counter,
     /// Layer files dropped by retention GC.
     pub gc_layers_dropped: Counter,
     /// GetPage@LSN requests at an explicitly historical LSN.
@@ -138,6 +148,9 @@ pub struct PageServerMetrics {
     /// window length = apply-loop utilization, the saturation signal
     /// socbench reports as `pageserver.apply_busy_ratio`.
     pub apply_busy_us: Counter,
+    /// Deltas replayed per served page: the read amplification compaction
+    /// bounds with [`IMAGE_CHAIN_DEPTH`].
+    pub replay_depth: Histogram,
 }
 
 /// Everything a page server is handed by whoever runs it, as opposed to
@@ -190,11 +203,12 @@ pub struct PageServer {
     /// the layer crosses `layer_seal_bytes` and is sealed into the map.
     /// With the map it is the server's only page state.
     open: Mutex<OpenLayer>,
-    /// The immutable layer set: L1 images, sealed L0s, merged deltas.
+    /// The immutable layer set: the base image, packed L1 images, sealed
+    /// L0s, merged deltas, and the per-page index over them.
     layers: LayerMap,
-    /// The image layer backing the external base (RBPEX demoted to the
-    /// L1 on-disk representation): attach-time blob content is seeded
-    /// into it; blob fallback reads are adopted into it.
+    /// The covering image backing the external base (RBPEX demoted to
+    /// the base layer's on-disk representation): attach-time blob content
+    /// is seeded into it; blob fallback reads are adopted into it.
     base_image: Arc<ImageLayer>,
     xstore: Arc<XStore>,
     data_blob: BlobId,
@@ -213,13 +227,11 @@ pub struct PageServer {
     /// entries at or below `at`.
     dirty: Mutex<HashMap<PageId, Lsn>>,
     checkpoint_lock: Mutex<()>,
-    /// Serializes compaction passes; held while materializing pages
-    /// through the layer map, hence ranked below it.
+    /// Serializes compaction and GC passes; held while materializing
+    /// pages through the layer map, hence ranked below it.
     compact_lock: Mutex<()>,
     /// At most one queued/running background compaction task.
     compacting: AtomicBool,
-    /// Name sequence for L1 image devices.
-    l1_seq: AtomicU64,
     /// Self-reference handed to scheduled compaction closures.
     self_weak: Weak<PageServer>,
     wiring: PageServerWiring,
@@ -252,12 +264,11 @@ impl PageServer {
         start_lsn: Lsn,
         wiring: PageServerWiring,
     ) -> Result<Arc<PageServer>> {
-        let base_image = ImageLayer::create(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
+        let base_image = ImageLayer::covering(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
         let data_blob = xstore.create_blob(&format!("data/{name}"))?;
         let meta_blob = xstore.create_blob(&format!("data/{name}.meta"))?;
         xstore.write_at(meta_blob, 0, &start_lsn.offset().to_le_bytes())?;
-        let layers = LayerMap::new();
-        layers.add_image(Arc::clone(&base_image));
+        let layers = LayerMap::with_base(Arc::clone(&base_image));
         Ok(PageServer::build(
             name,
             spec,
@@ -294,9 +305,8 @@ impl PageServer {
     ) -> Result<Arc<PageServer>> {
         let meta = xstore.read_at(meta_blob, 0, 8)?;
         let start_lsn = Lsn::new(u64::from_le_bytes(meta[0..8].try_into().unwrap()));
-        let base_image = ImageLayer::create(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
-        let layers = LayerMap::new();
-        layers.add_image(Arc::clone(&base_image));
+        let base_image = ImageLayer::covering(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
+        let layers = LayerMap::with_base(Arc::clone(&base_image));
         Ok(PageServer::build(
             name,
             spec,
@@ -433,7 +443,6 @@ impl PageServer {
                 "ps.compact_lock",
             ),
             compacting: AtomicBool::new(false),
-            l1_seq: AtomicU64::new(0),
             self_weak: self_weak.clone(),
             wiring,
             metrics: PageServerMetrics::default(),
@@ -497,9 +506,12 @@ impl PageServer {
         counter!("range_pages_served", range_pages_served);
         counter!("layers_sealed", layers_sealed);
         counter!("compactions_run", compactions_run);
+        counter!("image_pages_written", image_pages_written);
         counter!("gc_layers_dropped", gc_layers_dropped);
         counter!("historical_reads", historical_reads);
         counter!("apply_busy_us", apply_busy_us);
+        let ps = Arc::clone(self);
+        hub.register_histogram_fn(node, "replay_depth", move || ps.metrics.replay_depth.snapshot());
         let ps = Arc::clone(self);
         hub.register_gauge_fn(node, "layer_l0_count", move || ps.layers.counts().l0 as i64);
         let ps = Arc::clone(self);
@@ -811,15 +823,15 @@ impl PageServer {
         self.wait_fresh(min_lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
         let at = self.applied.load();
-        let page =
-            self.materialize(page_id, at, None, ctx)?.ok_or_else(|| never_written(page_id))?;
-        self.metrics.pages_served.incr();
+        let (page, depth) =
+            self.materialize(page_id, at, ctx)?.ok_or_else(|| never_written(page_id))?;
+        self.note_served(depth);
         Ok(page)
     }
 
     /// GetPage at an **arbitrary historical LSN** between the GC horizon
-    /// and the applied frontier: resolved as the newest image at or
-    /// below `lsn` plus ordered replay of the deltas in
+    /// and the applied frontier: resolved as the page's newest image at
+    /// or below `lsn` plus ordered replay of its deltas in
     /// `(image, lsn]`. Errors cleanly below the GC horizon.
     pub fn get_page_at(&self, page_id: PageId, lsn: Lsn) -> Result<Page> {
         self.get_page_at_ctx(page_id, lsn, TraceCtx::NONE)
@@ -837,7 +849,7 @@ impl PageServer {
         self.wait_fresh(lsn, self.config.get_page_timeout)?;
         self.wiring.cpu.charge_us(5);
         self.metrics.historical_reads.incr();
-        let page = self.materialize(page_id, lsn, None, ctx)?;
+        let page = self.materialize(page_id, lsn, ctx)?;
         // The floor check above is only a snapshot: a GC pass racing the
         // materialization can retire the image/delta layers it was reading,
         // making the result a replay over a partial history. Re-check and
@@ -849,12 +861,18 @@ impl PageServer {
             )));
         }
         match page {
-            Some(p) => {
-                self.metrics.pages_served.incr();
+            Some((p, depth)) => {
+                self.note_served(depth);
                 Ok(p)
             }
             None => Err(Error::NotFound(format!("{page_id} has no version at or below {lsn}"))),
         }
+    }
+
+    /// Count one served page and the deltas its replay applied.
+    fn note_served(&self, depth: usize) {
+        self.metrics.pages_served.incr();
+        self.metrics.replay_depth.record(depth as u64);
     }
 
     fn check_partition(&self, page_id: PageId) -> Result<()> {
@@ -869,37 +887,56 @@ impl PageServer {
         Ok(())
     }
 
-    /// Reconstruct `page_id` as of `lsn` from the layer stack — the one
-    /// delta-replay loop behind every read, checkpoint and compaction:
-    /// open-layer deltas first, then the immutable plan (a seal between
-    /// the two reads duplicates deltas — harmless, replay is LSN-guarded —
-    /// and never loses any), then the base (image layer, else — for an
-    /// attached server — the XStore blob, else an empty page under the
-    /// deltas). `preread` is an image and its copy of the page, already
-    /// read by a range read: it is the base when the plan picks that same
-    /// image, so the page is not read twice. Returns `None` when the page
-    /// has no version at or below `lsn`.
+    /// How `(page_id, lsn)` resolves: open-layer deltas first, then the
+    /// immutable plan — the image holding the page's newest version at or
+    /// below `lsn` (if any) and the deltas above it. A seal between the
+    /// two reads duplicates deltas, which the plan drops, and never loses
+    /// any.
+    fn plan(&self, page_id: PageId, lsn: Lsn) -> Plan {
+        let mut deltas: Vec<Delta> = Vec::new();
+        self.open.lock().deltas_for(page_id, Lsn::ZERO, lsn, &mut deltas);
+        let image = self.layers.plan_into(page_id, lsn, &mut deltas);
+        Plan { image, deltas }
+    }
+
+    /// Reconstruct `page_id` as of `lsn` from the layer stack — the
+    /// resolution behind every read, checkpoint, compaction and GC.
+    /// Returns the page and how many deltas were replayed onto it, or
+    /// `None` when the page has no version at or below `lsn`.
     fn materialize(
         &self,
         page_id: PageId,
         lsn: Lsn,
-        preread: Option<(&Arc<ImageLayer>, Page)>,
         ctx: TraceCtx,
-    ) -> Result<Option<Page>> {
-        let mut deltas: Vec<Delta> = Vec::new();
-        self.open.lock().deltas_for(page_id, Lsn::ZERO, lsn, &mut deltas);
-        let (image, _base_lsn) = self.layers.plan_into(page_id, lsn, &mut deltas);
-        let mut base_page = match (&image, preread) {
-            (Some(img), Some((read, page))) if Arc::ptr_eq(img, read) => Some(page),
-            (Some(img), _) => img.get(page_id)?,
-            (None, _) => None,
+    ) -> Result<Option<(Page, usize)>> {
+        let plan = self.plan(page_id, lsn);
+        let base = match &plan.image {
+            Some(image) => image.get(page_id)?,
+            None => None,
         };
-        if base_page.is_none() && self.blob_base {
-            // The external base: this partition's blob. A page absent
-            // from the chosen image has no *local* history at or below
-            // the image's LSN (superset-image invariant), so the blob
-            // copy — if it is not from the future — is the right base.
-            base_page = match self.read_page_from_xstore_ctx(page_id, ctx)? {
+        self.replay(page_id, lsn, &plan.deltas, base, ctx)
+    }
+
+    /// Replay `deltas` (ascending) over `base`, the page's copy in the
+    /// image its plan picked. Without one, the base is — for an attached
+    /// server — the XStore blob, else an empty page under the deltas. The
+    /// replay is LSN-guarded, so applying a delta twice is harmless.
+    fn replay(
+        &self,
+        page_id: PageId,
+        lsn: Lsn,
+        deltas: &[Delta],
+        mut base: Option<Page>,
+        ctx: TraceCtx,
+    ) -> Result<Option<(Page, usize)>> {
+        if base.is_none() && self.blob_base {
+            // The external base: this partition's blob. A packed image
+            // always holds the pages planned to it, so the plan fell back
+            // to the base image, which does not hold the page yet: every
+            // local delta is above the attach point and in `deltas`, and
+            // the blob copy — if it is not from the future — is the page
+            // at attach.
+            base = match self.read_page_from_xstore_ctx(page_id, ctx)? {
                 Some(p) if p.page_lsn() <= lsn => Some(p),
                 Some(p) => {
                     if self.is_seeded() {
@@ -917,34 +954,34 @@ impl PageServer {
                 }
                 None => None,
             };
-            if let (Some(img), Some(p)) = (&image, &base_page) {
-                // Adopt the blob read into the image so the next miss is
-                // a local device read (the async-seeding fast path).
-                if p.page_lsn() <= img.at_lsn() && !img.contains(page_id) {
-                    let _ = img.put(p);
+            if let Some(p) = &base {
+                // Adopt the blob read into the base image so the next miss
+                // is a local device read (the async-seeding fast path).
+                if p.page_lsn() <= self.base_image.at_lsn() && !self.base_image.contains(page_id) {
+                    let _ = self.base_image.put(p);
                 }
             }
         }
-        let mut page = match base_page {
+        let mut page = match base {
             Some(p) => p,
             None if deltas.is_empty() => return Ok(None),
             None => Page::new(page_id, socrates_storage::page::PageType::Free),
         };
-        for (l, op_bytes) in &deltas {
+        let mut replayed = 0;
+        for (l, op_bytes) in deltas {
             if *l > page.page_lsn() {
                 let (op, _) = PageOp::decode(op_bytes)?;
                 apply_page_op(&mut page, &op, *l)?;
+                replayed += 1;
             }
         }
-        Ok(Some(page))
+        Ok(Some((page, replayed)))
     }
 
-    /// Stride-preserving multi-page read: one image-layer device I/O for
-    /// the whole range, then each page through
-    /// [`materialize`](Self::materialize) with its image copy as the
-    /// preread base. A page missing from that image reaches the external
-    /// base the single-page way; a page whose plan picks a newer image (a
-    /// compaction published one mid-read) reads that image instead.
+    /// Multi-page read: plan every page, read each image the plans picked
+    /// once — one device I/O over the run of pages resolved to it — then
+    /// replay each page over its copy. A page its image does not hold
+    /// reaches the external base the single-page way.
     pub fn get_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>> {
         let ids: Vec<PageId> = (first.raw()..first.raw() + count as u64).map(PageId::new).collect();
         for id in &ids {
@@ -959,18 +996,32 @@ impl PageServer {
         self.wiring.cpu.charge_us(5 + count as u64);
         self.metrics.range_requests.incr();
         let at = self.applied.load();
-        let image = self.layers.newest_image(at);
-        let imaged: Vec<Option<Page>> = match &image {
-            Some(img) => img.get_range_partial(&ids)?,
-            None => vec![None; ids.len()],
-        };
-        let mut out = Vec::with_capacity(ids.len());
-        for (id, img_page) in ids.iter().zip(imaged) {
-            let preread = image.as_ref().zip(img_page);
-            let page = self.materialize(*id, at, preread, TraceCtx::NONE)?;
-            out.push(page.ok_or_else(|| never_written(*id))?);
+        let plans: Vec<Plan> = ids.iter().map(|id| self.plan(*id, at)).collect();
+        let mut bases: Vec<Option<Page>> = vec![None; ids.len()];
+        let mut read: Vec<&Arc<ImageLayer>> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            let Some(image) = &plan.image else { continue };
+            if read.iter().any(|r| Arc::ptr_eq(r, image)) {
+                continue;
+            }
+            read.push(image);
+            let mine = |p: &Plan| p.image.as_ref().is_some_and(|m| Arc::ptr_eq(m, image));
+            let last = plans.iter().rposition(mine).unwrap_or(i);
+            let pages = image.get_range_partial(&ids[i..=last])?;
+            for (j, page) in (i..=last).zip(pages) {
+                if mine(&plans[j]) {
+                    bases[j] = page;
+                }
+            }
         }
-        self.metrics.pages_served.add(ids.len() as u64);
+        let mut out = Vec::with_capacity(ids.len());
+        for ((id, plan), base) in ids.iter().zip(&plans).zip(bases) {
+            let (page, depth) = self
+                .replay(*id, at, &plan.deltas, base, TraceCtx::NONE)?
+                .ok_or_else(|| never_written(*id))?;
+            self.note_served(depth);
+            out.push(page);
+        }
         self.metrics.range_pages_served.add(ids.len() as u64);
         Ok(out)
     }
@@ -1024,7 +1075,7 @@ impl PageServer {
             let mut images = Vec::with_capacity(chunk.len());
             for page_id in chunk {
                 // A page first written after `at` has no version to ship.
-                let Some(page) = self.materialize(*page_id, at, None, TraceCtx::NONE)? else {
+                let Some((page, _)) = self.materialize(*page_id, at, TraceCtx::NONE)? else {
                     continue;
                 };
                 let off = (page_id.raw() - self.spec.base_page) * PAGE_SIZE as u64;
@@ -1150,14 +1201,14 @@ impl PageServer {
 
     /// Run one compaction pass synchronously: merge every currently
     /// sealed L0 (clipped to its cap) into one sorted delta layer, and
-    /// publish a new L1 image at the cutoff LSN materializing the prior
-    /// image's pages ∪ every delta-touched page (the superset-image
-    /// invariant the resolution planner relies on). Returns whether a
-    /// pass ran. Consults the `ps.compact.merge` fault site.
+    /// image at the cutoff LSN only the touched pages whose chain of
+    /// deltas above their newest image has reached [`IMAGE_CHAIN_DEPTH`]
+    /// — a pass costs O(pages it changed), never O(partition). Returns
+    /// whether a pass ran. Consults the `ps.compact.merge` fault site.
     pub fn compact_blocking(&self) -> Result<bool> {
         if !self.is_seeded() {
-            // Never fold an incompletely seeded base image into an L1:
-            // the superset invariant would be silently violated.
+            // A page's base may still be only in the blob, where a
+            // sibling's newer checkpoint can already have replaced it.
             return Ok(false);
         }
         let _g = self.compact_lock.lock();
@@ -1170,32 +1221,22 @@ impl PageServer {
             }
             None => {}
         }
-        let (input, prior) = self.layers.compaction_input();
+        let input = self.layers.compaction_input();
         if input.is_empty() {
             return Ok(false);
         }
         // Compactions are trace roots of their own (like checkpoints):
         // not caused by any one commit, so they self-sample.
         let ring = &self.wiring.spans;
-        // soclint-allow: span-pairing a create/materialize/put error
-        // abandons the compaction pass; its root span is deliberately
-        // dropped with it.
+        // soclint-allow: span-pairing a materialize/image error abandons
+        // the compaction pass; its root span is deliberately dropped with
+        // it.
         let span = ring.try_sample().map(|ctx| (ctx, ring.now_ns()));
         let cutoff = input.iter().map(|(l, cap)| l.end().min(*cap)).max().unwrap_or(Lsn::ZERO);
-        let mut pages: BTreeSet<PageId> = input.iter().flat_map(|(l, _)| l.pages()).collect();
-        if let Some(img) = &prior {
-            pages.extend(img.page_ids());
-        }
-        // ordering: relaxed — a device-name sequence, not a sync point
-        let seq = self.l1_seq.fetch_add(1, Ordering::Relaxed);
-        let (data, meta) = mem_layer_devices(&format!("{}-l1-{seq}", self.name));
-        let image = ImageLayer::create(cutoff, data, meta, self.spec.base_page, self.spec.span)?;
-        for page_id in &pages {
-            if let Some(p) = self.materialize(*page_id, cutoff, None, TraceCtx::NONE)? {
-                image.put(&p)?;
-            }
-            self.wiring.cpu.charge_us(4);
-        }
+        let touched: BTreeSet<PageId> = input.iter().flat_map(|(l, _)| l.pages()).collect();
+        let touched: Vec<PageId> = touched.into_iter().collect();
+        let deep = self.layers.deep_pages(&touched, cutoff, IMAGE_CHAIN_DEPTH);
+        let image = self.build_image(cutoff, &deep)?;
         let merged = DeltaLayer::merge(&input);
         self.layers.apply_compaction(&input, merged, image);
         self.metrics.compactions_run.incr();
@@ -1206,14 +1247,31 @@ impl PageServer {
         Ok(true)
     }
 
-    /// Retention GC: compute the horizon (`applied - retention window`),
-    /// pick the newest image at or below it as the floor, and drop every
-    /// layer wholly below the floor. Returns the new floor when anything
-    /// was retired. Consults the `ps.gc.drop` fault site.
-    pub fn gc(&self) -> Result<Option<Lsn>> {
-        if self.config.retention_window_bytes == u64::MAX {
-            return Ok(None); // retention disabled: keep all history
+    /// Materialize `pages` (ascending) at `at` into one packed image, or
+    /// `None` when none of them has a version there.
+    fn build_image(&self, at: Lsn, pages: &[PageId]) -> Result<Option<Arc<ImageLayer>>> {
+        let mut built = Vec::with_capacity(pages.len());
+        for page_id in pages {
+            if let Some((page, _)) = self.materialize(*page_id, at, TraceCtx::NONE)? {
+                built.push(page);
+            }
+            self.wiring.cpu.charge_us(4);
         }
+        if built.is_empty() {
+            return Ok(None);
+        }
+        self.metrics.image_pages_written.add(built.len() as u64);
+        ImageLayer::packed(at, &built).map(Some)
+    }
+
+    /// Retention GC at `horizon = applied − retention window`, once the
+    /// horizon is half a window past the floor: image at the horizon
+    /// every page whose history below it would otherwise go, then drop
+    /// every delta layer wholly at or below the horizon and every packed
+    /// image older than it that newer images shadow. The floor becomes
+    /// the horizon: reads below it fail closed. Returns the new floor
+    /// when anything was retired. Consults the `ps.gc.drop` fault site.
+    pub fn gc(&self) -> Result<Option<Lsn>> {
         match self.wiring.faults.check(fault_sites::PS_GC_DROP) {
             Some(FaultOutcome::Err(e)) => return Err(e),
             Some(FaultOutcome::Drop) => return Ok(None),
@@ -1223,17 +1281,25 @@ impl PageServer {
             }
             None => {}
         }
-        let horizon = Lsn::new(
-            self.applied.load().offset().saturating_sub(self.config.retention_window_bytes),
-        );
-        match self.layers.gc(horizon) {
-            Some((dropped, floor)) => {
-                self.metrics.gc_layers_dropped.add(dropped as u64);
-                self.gc_floor.advance_to(floor);
-                Ok(Some(floor))
-            }
-            None => Ok(None),
+        if !self.is_seeded() {
+            return Ok(None); // as for compaction: no image over a seeding base
         }
+        let window = self.config.retention_window_bytes;
+        let horizon = Lsn::new(self.applied.load().offset().saturating_sub(window));
+        // Retire history in steps of half a window: a page whose deltas
+        // straddle many passes is imaged once per step, not once per pass.
+        if horizon.offset() < self.gc_floor.load().offset().saturating_add(window / 2) {
+            return Ok(None);
+        }
+        let _g = self.compact_lock.lock();
+        let plan = self.layers.gc_plan(horizon);
+        let image = self.build_image(horizon, &plan.stragglers)?;
+        // Raise the floor before anything goes: a read that plans after
+        // the drop re-checks it and fails closed.
+        self.gc_floor.advance_to(horizon);
+        let dropped = self.layers.apply_gc(horizon, &plan.doomed, image);
+        self.metrics.gc_layers_dropped.add(dropped as u64);
+        Ok((dropped > 0).then_some(horizon))
     }
 
     /// Apply one divergent write to a branch (the branch's analogue of
@@ -1259,6 +1325,14 @@ impl Drop for PageServer {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// How one `(page, lsn)` resolves ([`PageServer::plan`]).
+struct Plan {
+    /// The image holding the page's newest version at or below the LSN.
+    image: Option<Arc<ImageLayer>>,
+    /// The deltas to replay over it, ascending.
+    deltas: Vec<Delta>,
 }
 
 fn never_written(page_id: PageId) -> Error {
@@ -1798,6 +1872,95 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_images_only_the_page_whose_chain_is_deep() {
+        let mut f = Fixture::new();
+        let ps = layered_server(&f, "ps0", spec(0));
+        let hub = socrates_common::obs::MetricsHub::new();
+        ps.register_metrics(&hub, NodeId::page_server(0));
+        // Page 20 is written IMAGE_CHAIN_DEPTH times; pages 21..26 once or
+        // a few times, short of the depth.
+        let mut ops = vec![(20u64, PageOp::Format { ptype: PageType::BTreeLeaf })];
+        for i in 1..IMAGE_CHAIN_DEPTH as u8 {
+            ops.push((20, insert_op(&[i; 16])));
+        }
+        for p in 21..26u64 {
+            ops.push((p, PageOp::Format { ptype: PageType::BTreeLeaf }));
+            for i in 0..(p - 21) as u8 {
+                ops.push((p, insert_op(&[i; 16])));
+            }
+        }
+        let end = f.emit(&ops);
+        ps.apply_once().unwrap();
+        assert!(ps.compact_blocking().unwrap());
+        let images = ps.layers().image_layers();
+        assert_eq!(images.len(), 2, "the base image and one packed image");
+        let image = &images[1];
+        assert_eq!(image.page_count(), 1);
+        assert_eq!(image.packed_ids(), [PageId::new(20)]);
+        assert_eq!(ps.metrics().image_pages_written.get(), 1);
+        // Every page still resolves exactly, imaged or not.
+        for p in 20..26u64 {
+            let page = ps.get_page(PageId::new(p), end).unwrap();
+            let want = if p == 20 { IMAGE_CHAIN_DEPTH - 1 } else { (p - 21) as usize };
+            assert_eq!(Slotted::slot_count(&page), want, "page {p}");
+        }
+        // Both new metrics reach the hub: the imaged page replayed nothing
+        // (the open layer is sealed past it), page 25 replayed all 5 of
+        // its deltas.
+        let snap = hub.snapshot();
+        let node = NodeId::page_server(0);
+        assert_eq!(
+            snap.get(node, "image_pages_written"),
+            Some(&socrates_common::obs::MetricValue::Counter(1))
+        );
+        match snap.get(node, "replay_depth") {
+            Some(socrates_common::obs::MetricValue::Histogram(h)) => {
+                assert_eq!(h.count, 6, "one sample per served page");
+                assert_eq!(h.max_us, 5);
+            }
+            other => panic!("replay_depth not registered: {other:?}"),
+        }
+        // A second pass with nothing deep publishes no image.
+        f.emit(&[(21, insert_op(b"shallow")), (22, insert_op(b"shallow"))]);
+        ps.apply_once().unwrap();
+        if ps.compact_blocking().unwrap() {
+            assert_eq!(ps.layers().image_layers().len(), 2, "no page reached the depth");
+        }
+    }
+
+    #[test]
+    fn gc_frees_the_bytes_of_an_image_a_newer_one_shadows() {
+        let mut f = Fixture::new();
+        let config = PageServerConfig { retention_window_bytes: 1, ..tiny_layer_config() };
+        let ps = f.server_with("ps0", spec(0), config, PageServerWiring::unwired());
+        let deep = |f: &mut Fixture, tag: u8| {
+            let ops: Vec<(u64, PageOp)> =
+                // 48-byte ops: each seals the open layer behind it.
+                (0..IMAGE_CHAIN_DEPTH as u8).map(|i| (9, insert_op(&[tag + i; 48]))).collect();
+            f.emit(&ops)
+        };
+        f.emit(&[(9, PageOp::Format { ptype: PageType::BTreeLeaf })]);
+        deep(&mut f, 0);
+        ps.apply_once().unwrap();
+        assert!(ps.compact_blocking().unwrap());
+        let old = Arc::downgrade(&ps.layers().image_layers()[1]);
+        let v = deep(&mut f, 100);
+        ps.apply_once().unwrap();
+        assert!(ps.compact_blocking().unwrap());
+        assert_eq!(ps.layers().image_layers().len(), 3);
+        assert!(old.upgrade().is_some());
+        // Push the horizon past the newer image: the older one is shadowed.
+        let end = f.emit(&[(10, PageOp::Format { ptype: PageType::BTreeLeaf })]);
+        ps.apply_once().unwrap();
+        let floor = ps.gc().unwrap().expect("layers below the horizon");
+        assert_eq!(floor, Lsn::new(end.offset() - 1));
+        assert!(old.upgrade().is_none(), "GC dropped the image but its bytes live on");
+        let page = ps.get_page_at(PageId::new(9), end).unwrap();
+        assert_eq!(Slotted::slot_count(&page), 2 * IMAGE_CHAIN_DEPTH);
+        assert!(ps.get_page_at(PageId::new(9), v).is_err(), "below the floor");
+    }
+
+    #[test]
     fn branch_shares_layers_zero_copy_and_diverges() {
         let mut f = Fixture::new();
         let parent = layered_server(&f, "ps0", spec(0));
@@ -1998,8 +2161,9 @@ mod tests {
     fn l0s_sealed_during_a_compaction_pass_are_compacted_without_another_seal() {
         use socrates_common::fault::sites;
         let mut f = Fixture::new();
-        // GC runs after every pass (a finite, never-reached window) and is
-        // slowed down, holding the pass's task slot while more L0s seal.
+        // GC runs after every pass (the default window is never reached
+        // here) and is slowed down, holding the pass's task slot while
+        // more L0s seal.
         let faults = FaultRegistry::new(11);
         faults.install_spec(&format!("{}@always=latency:200ms", sites::PS_GC_DROP)).unwrap();
         let worker = CompactionWorker::start();
@@ -2008,8 +2172,7 @@ mod tests {
             compactor: Some(Arc::clone(&worker)),
             ..PageServerWiring::unwired()
         };
-        let config =
-            PageServerConfig { retention_window_bytes: u64::MAX - 1, ..tiny_layer_config() };
+        let config = tiny_layer_config();
         let threshold = config.layer_compact_threshold;
         let ps = f.server_with("ps0", spec(0), config, wiring);
         let stream = |f: &mut Fixture, from: u8| {

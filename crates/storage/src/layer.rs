@@ -11,34 +11,27 @@
 //!   deltas covering a contiguous LSN range. Sealed L0s hold raw apply
 //!   order; compaction merges a run of L0s into one sorted, deduplicated
 //!   delta layer that retains the same history for PITR.
-//! * [`ImageLayer`] — materialized page images as of one LSN, backed by
-//!   a covering [`Rbpex`] on a local device (RBPEX demoted from "the
-//!   cache" to the L1 on-disk representation).
+//! * [`ImageLayer`] — page images as of one LSN. A *packed* image holds
+//!   only the pages compaction or GC chose to materialize, in
+//!   consecutive frames of a device sized for exactly those pages; the
+//!   attach-time *base* image is a covering [`Rbpex`] that seeding and
+//!   blob-read adoption fill in.
 //!
-//! Any page version in the retained window is reconstructed as
-//! `newest image ≤ lsn` + ordered replay of the deltas in
-//! `(image.at_lsn, lsn]` — the resolution the
+//! Any page version in the retained window is reconstructed as the
+//! newest image at or below `lsn` holding the page + ordered replay of
+//! the page's deltas in `(image.at_lsn, lsn]` — the resolution the
 //! [`LayerMap`](crate::layermap::LayerMap) index performs.
 
-use crate::fcb::Fcb;
-use crate::page::Page;
+use crate::fcb::{Fcb, MemFcb, PageFile};
+use crate::page::{Page, PAGE_SIZE};
 use crate::rbpex::{Rbpex, RbpexPolicy};
-use socrates_common::{Lsn, PageId, Result};
+use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One per-page delta: the LSN that produced it and the encoded
 /// [`PageOp`](crate::pageops::PageOp) bytes straight off the log.
 pub type Delta = (Lsn, Vec<u8>);
-
-/// The `(data, meta)` device pair backing a new L1 image layer: plain
-/// in-memory devices, keyed by a diagnostic name.
-pub fn mem_layer_devices(name: &str) -> (Arc<dyn Fcb>, Arc<dyn Fcb>) {
-    (
-        Arc::new(crate::fcb::MemFcb::new(format!("{name}-data"))) as Arc<dyn Fcb>,
-        Arc::new(crate::fcb::MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
-    )
-}
 
 /// The mutable head of the delta stack: WAL records land here in apply
 /// order until the layer is sealed. Not shared — lives under the page
@@ -166,6 +159,14 @@ impl DeltaLayer {
         }
     }
 
+    /// How many of this layer's deltas for `page` lie in `(lo, hi]` —
+    /// [`deltas_for`](Self::deltas_for) without copying any op bytes.
+    pub fn count_in(&self, page: PageId, lo: Lsn, hi: Lsn) -> usize {
+        self.by_page
+            .get(&page)
+            .map_or(0, |ds| ds.iter().filter(|(l, _)| *l > lo && *l <= hi).count())
+    }
+
     /// Merge several layers (each clipped to its `cap`) into one sorted
     /// delta layer. The merged layer retains the complete clipped history
     /// — compaction keeps it so PITR below the new image keeps working
@@ -199,29 +200,37 @@ impl DeltaLayer {
     }
 }
 
-/// An L1 image layer: every materialized page as of `at_lsn`, stored in a
-/// covering [`Rbpex`] on a local device. Immutable in LSN terms — pages
-/// are only *added* (compaction fills it before publication; the
-/// attach-time base image is seeded asynchronously), never replaced by a
-/// newer version.
+/// An L1 image layer: page images as of `at_lsn`. Every page it holds
+/// is that page's version at `at_lsn`, never a newer one.
 pub struct ImageLayer {
     at_lsn: Lsn,
-    store: Rbpex,
+    store: ImageStore,
+}
+
+enum ImageStore {
+    /// The attach-time base image: a covering [`Rbpex`] over the whole
+    /// partition, which seeding and blob-read adoption add pages to.
+    Covering(Box<Rbpex>),
+    /// A compaction or GC output, immutable once built: `ids` ascending,
+    /// page `ids[i]` in frame `i`. No directory, no journal, no meta
+    /// device.
+    Packed { ids: Vec<PageId>, file: PageFile },
 }
 
 impl std::fmt::Debug for ImageLayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ImageLayer")
             .field("at_lsn", &self.at_lsn)
-            .field("pages", &self.store.len())
+            .field("packed", &matches!(self.store, ImageStore::Packed { .. }))
+            .field("pages", &self.page_count())
             .finish()
     }
 }
 
 impl ImageLayer {
-    /// Create an empty image layer at `at_lsn` covering the page range
-    /// `[base, base + span)` on the given devices.
-    pub fn create(
+    /// An empty covering image at `at_lsn` over the page range
+    /// `[base, base + span)` on the given devices — the attach-time base.
+    pub fn covering(
         at_lsn: Lsn,
         data: Arc<dyn Fcb>,
         meta: Arc<dyn Fcb>,
@@ -229,7 +238,26 @@ impl ImageLayer {
         span: u64,
     ) -> Result<Arc<ImageLayer>> {
         let store = Rbpex::create(data, meta, RbpexPolicy::Covering { base, span })?;
-        Ok(Arc::new(ImageLayer { at_lsn, store }))
+        Ok(Arc::new(ImageLayer { at_lsn, store: ImageStore::Covering(Box::new(store)) }))
+    }
+
+    /// A packed image at `at` holding exactly `pages` (ascending ids, no
+    /// PageLSN above `at`), written to consecutive frames of an in-memory
+    /// device sized up front to `pages.len()` frames — a sparse image
+    /// never pays for the partition around it.
+    pub fn packed(at: Lsn, pages: &[Page]) -> Result<Arc<ImageLayer>> {
+        debug_assert!(pages.windows(2).all(|w| w[0].page_id() < w[1].page_id()), "unsorted image");
+        debug_assert!(
+            pages.iter().all(|p| p.page_lsn() <= at),
+            "image@{at} fed a page from the future"
+        );
+        let len = (pages.len() * PAGE_SIZE) as u64;
+        let file = PageFile::new(Arc::new(MemFcb::with_len(format!("image@{at}"), len)));
+        for (frame, page) in pages.iter().enumerate() {
+            file.write_page(frame as u64, page)?;
+        }
+        let ids = pages.iter().map(Page::page_id).collect();
+        Ok(Arc::new(ImageLayer { at_lsn: at, store: ImageStore::Packed { ids, file } }))
     }
 
     /// The LSN this image is consistent with.
@@ -237,25 +265,54 @@ impl ImageLayer {
         self.at_lsn
     }
 
-    /// Read one page image, if materialized here.
+    /// Read one page image, if held here.
     pub fn get(&self, page: PageId) -> Result<Option<Page>> {
-        self.store.get(page)
+        match &self.store {
+            ImageStore::Covering(store) => store.get(page),
+            ImageStore::Packed { ids, file } => match ids.binary_search(&page) {
+                Ok(frame) => file.read_page(frame as u64, page).map(Some),
+                Err(_) => Ok(None),
+            },
+        }
     }
 
-    /// One-device-I/O partial range read (see
-    /// [`Rbpex::get_range_partial`]).
+    /// Read whichever pages of the contiguous run `ids` this image holds
+    /// in one device I/O; absent pages come back `None`. The pages a
+    /// packed image holds inside a contiguous run sit in consecutive
+    /// frames, so a packed read is one device read too.
     pub fn get_range_partial(&self, ids: &[PageId]) -> Result<Vec<Option<Page>>> {
-        self.store.get_range_partial(ids)
+        let (ImageStore::Packed { ids: held, file }, Some(first), Some(last)) =
+            (&self.store, ids.first(), ids.last())
+        else {
+            return match &self.store {
+                ImageStore::Covering(store) => store.get_range_partial(ids),
+                ImageStore::Packed { .. } => Ok(Vec::new()),
+            };
+        };
+        let lo = held.partition_point(|p| p < first);
+        let hi = held.partition_point(|p| p <= last);
+        let mut out = vec![None; ids.len()];
+        if lo < hi {
+            for page in file.read_page_range(lo as u64, &held[lo..hi])? {
+                let slot = (page.page_id().raw() - first.raw()) as usize;
+                out[slot] = Some(page);
+            }
+        }
+        Ok(out)
     }
 
-    /// Whether `page` is materialized here (directory lookup, no I/O).
+    /// Whether `page` is held here (no I/O).
     pub fn contains(&self, page: PageId) -> bool {
-        self.store.contains(page)
+        match &self.store {
+            ImageStore::Covering(store) => store.contains(page),
+            ImageStore::Packed { ids, .. } => ids.binary_search(&page).is_ok(),
+        }
     }
 
-    /// Materialize `page` into the image. The page's PageLSN must be at
-    /// or below `at_lsn` — an image never holds a version newer than the
-    /// LSN it claims.
+    /// Add `page` to the covering base image (seeding and blob-read
+    /// adoption). The page's PageLSN must be at or below `at_lsn` — an
+    /// image never holds a version newer than the LSN it claims. A packed
+    /// image is immutable and refuses.
     pub fn put(&self, page: &Page) -> Result<()> {
         debug_assert!(
             page.page_lsn() <= self.at_lsn,
@@ -264,18 +321,29 @@ impl ImageLayer {
             page.page_id(),
             page.page_lsn()
         );
-        self.store.put(page)?;
-        Ok(())
+        match &self.store {
+            ImageStore::Covering(store) => store.put(page).map(drop),
+            ImageStore::Packed { .. } => {
+                Err(Error::InvalidState(format!("image@{} is packed and immutable", self.at_lsn)))
+            }
+        }
     }
 
-    /// Every page id materialized in this image.
-    pub fn page_ids(&self) -> Vec<PageId> {
-        self.store.cached_ids()
+    /// The pages a packed image holds, ascending. Empty for the covering
+    /// base image, whose page set grows while it seeds.
+    pub fn packed_ids(&self) -> &[PageId] {
+        match &self.store {
+            ImageStore::Covering(_) => &[],
+            ImageStore::Packed { ids, .. } => ids,
+        }
     }
 
-    /// Number of pages materialized.
+    /// Number of pages held.
     pub fn page_count(&self) -> usize {
-        self.store.len()
+        match &self.store {
+            ImageStore::Covering(store) => store.len(),
+            ImageStore::Packed { ids, .. } => ids.len(),
+        }
     }
 }
 
@@ -339,9 +407,16 @@ mod tests {
         assert!(DeltaLayer::merge(&[]).is_none());
     }
 
+    fn formatted(page: u64, lsn: u64) -> Page {
+        let mut p = Page::new(PageId::new(page), PageType::Free);
+        apply_page_op(&mut p, &PageOp::Format { ptype: PageType::BTreeLeaf }, Lsn::new(lsn))
+            .unwrap();
+        p
+    }
+
     #[test]
-    fn image_layer_materializes_pages() {
-        let img = ImageLayer::create(
+    fn covering_image_materializes_pages() {
+        let img = ImageLayer::covering(
             Lsn::new(100),
             Arc::new(MemFcb::new("img-data")),
             Arc::new(MemFcb::new("img-meta")),
@@ -351,14 +426,34 @@ mod tests {
         .unwrap();
         assert_eq!(img.at_lsn(), Lsn::new(100));
         assert!(img.get(PageId::new(7)).unwrap().is_none());
-        let mut page = Page::new(PageId::new(7), PageType::Free);
-        apply_page_op(&mut page, &PageOp::Format { ptype: PageType::BTreeLeaf }, Lsn::new(90))
-            .unwrap();
-        img.put(&page).unwrap();
+        img.put(&formatted(7, 90)).unwrap();
         assert!(img.contains(PageId::new(7)));
         let got = img.get(PageId::new(7)).unwrap().unwrap();
         assert_eq!(got.page_lsn(), Lsn::new(90));
         assert_eq!(img.page_count(), 1);
-        assert_eq!(img.page_ids(), [PageId::new(7)]);
+        assert!(img.packed_ids().is_empty(), "the base image's page set is not fixed");
+    }
+
+    #[test]
+    fn packed_image_holds_exactly_its_pages() {
+        let pages: Vec<Page> = [3, 4, 9, 40].iter().map(|&p| formatted(p, 10 + p)).collect();
+        let img = ImageLayer::packed(Lsn::new(100), &pages).unwrap();
+        assert_eq!(img.page_count(), 4);
+        assert_eq!(img.packed_ids(), [3, 4, 9, 40].map(PageId::new));
+        assert!(img.contains(PageId::new(9)) && !img.contains(PageId::new(5)));
+        assert_eq!(img.get(PageId::new(40)).unwrap().unwrap().page_lsn(), Lsn::new(50));
+        assert!(img.get(PageId::new(41)).unwrap().is_none());
+        // A contiguous run reads the held pages in one device read and
+        // reports the rest absent.
+        let run: Vec<PageId> = (2..11).map(PageId::new).collect();
+        let got = img.get_range_partial(&run).unwrap();
+        let held: Vec<u64> = got.iter().flatten().map(|p| p.page_id().raw()).collect();
+        assert_eq!(held, [3, 4, 9]);
+        assert!(got[0].is_none() && got[1].is_some() && got[7].is_some());
+        assert!(img.get_range_partial(&[PageId::new(41)]).unwrap()[0].is_none());
+        // Packed images are immutable.
+        assert!(img.put(&formatted(5, 20)).is_err());
+        // An image with no pages is well-formed (and empty).
+        assert_eq!(ImageLayer::packed(Lsn::new(1), &[]).unwrap().page_count(), 0);
     }
 }

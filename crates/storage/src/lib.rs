@@ -13,10 +13,11 @@
 //! * [`rbpex`] — the Resilient Buffer Pool Extension (paper §3.3): a
 //!   recoverable SSD page cache with sparse and covering policies.
 //! * [`layer`] — immutable layer files for the page server's versioned
-//!   store: open/sealed L0 delta layers and RBPEX-backed L1 image layers.
-//! * [`layermap`] — the page-range × LSN-range index resolving
-//!   `GetPage(X, lsn)` for arbitrary historical LSNs (image lookup +
-//!   ordered delta replay) with zero-copy branch forks.
+//!   store: open/sealed L0 delta layers, packed L1 image layers and the
+//!   RBPEX-backed base image.
+//! * [`layermap`] — the per-page layer index resolving `GetPage(X, lsn)`
+//!   for arbitrary historical LSNs (image lookup + ordered delta replay)
+//!   with zero-copy branch forks.
 //! * [`cache`] — the compute node's tiered cache (memory → RBPEX → remote
 //!   page source) with WAL discipline and evicted-LSN tracking.
 //! * [`sched`] — the I/O scheduler between the cache and the remote
@@ -35,7 +36,7 @@ pub mod slotted;
 
 pub use cache::{FetchMeta, PageRef, PageSource, TieredCache};
 pub use fcb::{FaultFcb, Fcb, FileFcb, LatencyFcb, MemFcb, PageFile};
-pub use layer::{mem_layer_devices, DeltaLayer, ImageLayer, OpenLayer};
+pub use layer::{DeltaLayer, ImageLayer, OpenLayer};
 pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pageops::{apply_page_op, PageOp};

@@ -8,7 +8,9 @@
 //!    as a replacement server re-deriving the partition from XStore + log
 //!    would answer — images and merged deltas are an optimization, never
 //!    a semantic. Every checkpoint along the way leaves the data blob
-//!    exactly the partition as of the checkpointed LSN.
+//!    exactly the partition as of the checkpointed LSN. The property runs
+//!    once with the default retention (GC finds nothing to retire) and
+//!    once with a window small enough that GC retires layers mid-run.
 //! 2. Branches are zero-copy and isolated: a branch created at `lsn_b`
 //!    serves all pre-branch history from the parent's own layer `Arc`s,
 //!    keeps serving it after the parent is crashed mid-compaction, and
@@ -87,9 +89,13 @@ fn assert_blob_is_exact(xstore: &XStore, ps: &PageServer, seed: u64) {
     }
 }
 
-/// One seeded run of the interleaving property.
-fn interleaving_resolves_like_replay(seed: u64) {
-    let config = SocratesConfig::fast_test().with_layer_knobs(256, usize::MAX >> 1);
+/// One seeded run of the interleaving property; `retention` overrides
+/// the default retention window.
+fn interleaving_resolves_like_replay(seed: u64, retention: Option<u64>) {
+    let mut config = SocratesConfig::fast_test().with_layer_knobs(256, usize::MAX >> 1);
+    if let Some(window) = retention {
+        config = config.with_retention_window(window);
+    }
     let sys = Socrates::launch(config).unwrap();
     let p = sys.primary().unwrap();
     let db = p.db();
@@ -106,8 +112,10 @@ fn interleaving_resolves_like_replay(seed: u64) {
     let mut rng = socrates_common::rng::Rng::new(seed);
 
     // Random interleaving: mostly writes, with checkpoints, explicit
-    // compaction passes, and GC passes (retention is at its default
-    // keep-everything setting, so GC exercises the no-op edge) mixed in.
+    // compaction passes, and GC passes mixed in. At the default retention
+    // GC exercises the no-op edge; with a small window it retires layers,
+    // and every witnessed version at or above the new floor must still
+    // resolve to the same bytes.
     let mut compactions = 0;
     let mut recorded: Vec<(PageId, Lsn, Probe)> = Vec::new();
     for _ in 0..40 {
@@ -132,8 +140,27 @@ fn interleaving_resolves_like_replay(seed: u64) {
                 assert_blob_is_exact(&fabric.xstore, &ps, seed);
             }
             8 => compactions += usize::from(ps.compact_blocking().unwrap()),
-            _ => assert_eq!(ps.gc().unwrap(), None, "GC must be a no-op without retention"),
+            _ => {
+                let retired = ps.gc().unwrap();
+                if retention.is_none() {
+                    assert_eq!(retired, None, "seed {seed}: the default window retired history");
+                }
+                let floor = ps.gc_floor_lsn();
+                for (page, lsn, want) in recorded.iter().filter(|r| r.1 >= floor) {
+                    assert_eq!(
+                        probe(&ps, *page, *lsn),
+                        *want,
+                        "seed {seed}: ({page}, {lsn}) changed across a GC to floor {floor}"
+                    );
+                }
+            }
         }
+    }
+    if retention.is_some() {
+        assert!(
+            ps.metrics().gc_layers_dropped.get() > 0,
+            "seed {seed}: GC never retired a layer; the retention run is vacuous"
+        );
     }
     if compactions == 0 {
         // The draw can miss the compaction op; run one so every seed
@@ -144,9 +171,10 @@ fn interleaving_resolves_like_replay(seed: u64) {
     let frontier = ps.applied_lsn();
 
     // Random historical probes across the whole retained range.
+    let floor = ps.gc_floor_lsn().offset().max(1);
     for _ in 0..200 {
         let page = PageId::new(spec.base_page + rng.gen_range(48));
-        let lsn = Lsn::new(1 + rng.gen_range(frontier.offset()));
+        let lsn = Lsn::new(floor + rng.gen_range(frontier.offset() + 1 - floor));
         recorded.push((page, lsn, probe(&ps, page, lsn)));
     }
 
@@ -180,7 +208,14 @@ fn interleaving_resolves_like_replay(seed: u64) {
 #[test]
 fn random_interleavings_resolve_like_replay() {
     for seed in [11, 29, 47] {
-        interleaving_resolves_like_replay(seed);
+        interleaving_resolves_like_replay(seed, None);
+    }
+}
+
+#[test]
+fn random_interleavings_resolve_like_replay_while_gc_retires_layers() {
+    for seed in [11, 29, 47] {
+        interleaving_resolves_like_replay(seed, Some(2048));
     }
 }
 
