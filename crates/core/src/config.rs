@@ -116,7 +116,8 @@ impl SocratesConfig {
             rbpex_pages: 8192,
             lz_replicas: 3,
             lz_quorum: 2,
-            lz_capacity: 64 << 20,
+            // Sized by destage lag (see `LandingZoneConfig::default`).
+            lz_capacity: 16 << 20,
             lz_profile: DeviceProfile::instant(),
             quorum_acceptors: 1,
             quorum_ack_required: 0,

@@ -16,10 +16,8 @@ use parking_lot::RwLock;
 use socrates_common::lock_rank;
 use socrates_common::obs::MetricsHub;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
-use socrates_engine::recovery::{analyze, find_last_checkpoint};
-use socrates_engine::txn::TxnCheckpointMeta;
+use socrates_engine::recovery::Analyzer;
 use socrates_engine::TxnManager;
-use socrates_wal::record::SequencedRecord;
 use socrates_xlog::XLogService;
 use socrates_xstore::SnapshotId;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -276,21 +274,17 @@ impl Socrates {
         }
 
         // Analysis over the restored range for the new primary's
-        // transaction table.
-        let mut records: Vec<SequencedRecord> = Vec::new();
+        // transaction table, folded block by block.
+        let tm = Arc::new(TxnManager::new());
+        let mut analyzer = Analyzer::new(&tm);
         for b in &blocks {
             for rec in b.records()? {
                 if rec.lsn < target_lsn {
-                    records.push(rec);
+                    analyzer.feed(&rec)?;
                 }
             }
         }
-        let (redo, meta) = match find_last_checkpoint(&records)? {
-            Some((_, redo, meta)) => (redo, meta),
-            None => (Lsn::ZERO, TxnCheckpointMeta::default()),
-        };
-        let tm = Arc::new(TxnManager::new());
-        let analysis = analyze(&tm, &meta, redo, &records)?;
+        let analysis = analyzer.into_analysis();
         let primary =
             Primary::with_state(Arc::clone(&new_fabric), tm, analysis.next_page_id, target_lsn)?;
         new_fabric.last_checkpoint.store(target_lsn);

@@ -37,7 +37,7 @@ use socrates_wal::block::LogBlock;
 use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
 use socrates_wal::quorum::{Acceptor, QuorumConfig, QuorumLog};
 use socrates_wal::store::LogStore;
-use socrates_xlog::XLogService;
+use socrates_xlog::{XLogService, PULL_BATCH_BYTES};
 use socrates_xstore::{XStore, XStoreConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -701,18 +701,22 @@ impl Fabric {
         let valid = matches!(&*cache, Some(ix) if ix.from == from && ix.released == released);
         if !valid {
             let mut first_write_after: HashMap<PageId, Lsn> = HashMap::new();
-            let pull = self.xlog.pull_blocks(from, usize::MAX, None)?;
-            for block in &pull.blocks {
-                for rec in block.records()? {
-                    if rec.lsn <= from {
-                        continue;
-                    }
-                    if let socrates_wal::record::LogPayload::PageWrite { page_id, .. } =
-                        &rec.record.payload
-                    {
-                        first_write_after.entry(*page_id).or_insert(rec.lsn);
+            let mut cursor = from;
+            while cursor < released {
+                let pull = self.xlog.pull_blocks(cursor, PULL_BATCH_BYTES, None)?;
+                for block in &pull.blocks {
+                    for rec in block.records()? {
+                        if rec.lsn <= from {
+                            continue;
+                        }
+                        if let socrates_wal::record::LogPayload::PageWrite { page_id, .. } =
+                            &rec.record.payload
+                        {
+                            first_write_after.entry(*page_id).or_insert(rec.lsn);
+                        }
                     }
                 }
+                cursor = pull.next_lsn;
             }
             *cache = Some(DegradedIndex { from, released, first_write_after });
         }

@@ -15,12 +15,11 @@
 use crate::fabric::Fabric;
 use socrates_common::metrics::{Counter, CpuAccountant};
 use socrates_common::{Lsn, NodeId, PageId, Result};
-use socrates_engine::recovery::{analyze, find_last_checkpoint};
-use socrates_engine::txn::TxnCheckpointMeta;
+use socrates_engine::recovery::Analyzer;
 use socrates_engine::{Database, EvictedLsnMap, LoggedPageIo, TxnManager};
 use socrates_wal::pipeline::{LogDisseminator, LogPipeline};
-use socrates_wal::record::SequencedRecord;
 use socrates_xlog::feed::XLogFeed;
+use socrates_xlog::PULL_BATCH_BYTES;
 use std::sync::Arc;
 
 /// The primary compute node.
@@ -52,18 +51,24 @@ impl Primary {
         // by telling XLOG about the log store's true head; anything it
         // offered past the head is dropped.
         fabric.xlog.take_over(head);
-        let cursor = fabric.last_checkpoint.load();
-        let pull = fabric.xlog.pull_blocks(cursor, usize::MAX, None)?;
-        let mut records: Vec<SequencedRecord> = Vec::new();
-        for block in &pull.blocks {
-            records.extend(block.records()?);
-        }
-        let (redo, meta) = match find_last_checkpoint(&records)? {
-            Some((_, redo, meta)) => (redo, meta),
-            None => (Lsn::ZERO, TxnCheckpointMeta::default()),
-        };
+        // Analysis streams: one batch of blocks in memory at a time, each
+        // decoded and folded as it comes.
         let tm = Arc::new(TxnManager::new());
-        let analysis = analyze(&tm, &meta, redo, &records)?;
+        let mut analyzer = Analyzer::new(&tm);
+        let mut cursor = fabric.last_checkpoint.load();
+        loop {
+            let pull = fabric.xlog.pull_blocks(cursor, PULL_BATCH_BYTES, None)?;
+            for block in &pull.blocks {
+                for rec in block.records()? {
+                    analyzer.feed(&rec)?;
+                }
+            }
+            if pull.next_lsn == cursor {
+                break;
+            }
+            cursor = pull.next_lsn;
+        }
+        let analysis = analyzer.into_analysis();
         Self::build(fabric.clone(), tm, analysis.next_page_id, head, false)
     }
 

@@ -26,7 +26,7 @@ use socrates_wal::record::{LogPayload, SequencedRecord};
 /// The outcome of the analysis pass.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Where the checkpoint said redo must start.
+    /// Where the last checkpoint seen said redo must start.
     pub redo_start: Lsn,
     /// Page allocator watermark after replaying allocations.
     pub next_page_id: u64,
@@ -50,34 +50,58 @@ pub fn find_last_checkpoint(
     Ok(found)
 }
 
-/// Run the analysis pass: restore `tm` from `checkpoint_meta` and replay
-/// the transaction-lifecycle records in `tail` (which must start at or
-/// after the checkpoint). Returns what a recovering node needs to resume.
-pub fn analyze(
-    tm: &TxnManager,
-    checkpoint_meta: &TxnCheckpointMeta,
+/// The analysis pass as a fold over the log from the recovery cursor, fed
+/// one record at a time in LSN order, so a recovering node never holds
+/// more than the block it is decoding. Each checkpoint record's metadata
+/// is folded into `tm` as it passes ([`TxnManager::absorb_meta`]); the
+/// lifecycle records around it decide the fate of the transactions it
+/// lists; [`into_analysis`](Self::into_analysis) aborts the survivors.
+pub struct Analyzer<'a> {
+    tm: &'a TxnManager,
     redo_start: Lsn,
-    tail: &[SequencedRecord],
-) -> Result<Analysis> {
-    tm.restore_from_meta(checkpoint_meta);
-    let mut next_page_id = checkpoint_meta.next_page_id;
-    let mut scanned = 0usize;
-    for rec in tail {
-        scanned += 1;
+    next_page_id: u64,
+    records_scanned: usize,
+}
+
+impl<'a> Analyzer<'a> {
+    /// Start analysis into `tm`, a transaction manager fresh from
+    /// [`TxnManager::new`].
+    pub fn new(tm: &'a TxnManager) -> Analyzer<'a> {
+        Analyzer { tm, redo_start: Lsn::ZERO, next_page_id: 0, records_scanned: 0 }
+    }
+
+    /// Fold in the next record.
+    pub fn feed(&mut self, rec: &SequencedRecord) -> Result<()> {
+        self.records_scanned += 1;
         match &rec.record.payload {
-            LogPayload::TxnBegin => tm.apply_begin(rec.record.txn),
-            LogPayload::TxnCommit { commit_ts } => tm.apply_commit(rec.record.txn, *commit_ts),
-            LogPayload::TxnAbort => tm.apply_abort(rec.record.txn),
+            LogPayload::TxnBegin => self.tm.apply_begin(rec.record.txn),
+            LogPayload::TxnCommit { commit_ts } => self.tm.apply_commit(rec.record.txn, *commit_ts),
+            LogPayload::TxnAbort => self.tm.apply_abort(rec.record.txn),
             LogPayload::AllocPages { first, count } => {
-                next_page_id = next_page_id.max(first.raw() + count);
+                self.next_page_id = self.next_page_id.max(first.raw() + count);
             }
-            LogPayload::Checkpoint { .. }
-            | LogPayload::PageWrite { .. }
-            | LogPayload::Noop { .. } => {}
+            LogPayload::Checkpoint { redo_start_lsn, meta } => {
+                let meta = TxnCheckpointMeta::decode(meta)?;
+                self.tm.absorb_meta(&meta);
+                self.redo_start = *redo_start_lsn;
+                self.next_page_id = self.next_page_id.max(meta.next_page_id);
+            }
+            LogPayload::PageWrite { .. } | LogPayload::Noop { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// End of the log: every transaction still in progress died with the
+    /// crash.
+    pub fn into_analysis(self) -> Analysis {
+        let died = self.tm.finish_analysis();
+        Analysis {
+            redo_start: self.redo_start,
+            next_page_id: self.next_page_id,
+            died,
+            records_scanned: self.records_scanned,
         }
     }
-    let died = tm.finish_analysis();
-    Ok(Analysis { redo_start, next_page_id, died, records_scanned: scanned })
 }
 
 /// A target for the redo pass (HADR replicas, page-server seeding).
@@ -117,6 +141,14 @@ mod tests {
         SequencedRecord { lsn: Lsn::new(lsn), record: LogRecord { txn: TxnId::new(txn), payload } }
     }
 
+    fn analyze(tm: &TxnManager, recs: &[SequencedRecord]) -> Analysis {
+        let mut a = Analyzer::new(tm);
+        for r in recs {
+            a.feed(r).unwrap();
+        }
+        a.into_analysis()
+    }
+
     #[test]
     fn analysis_rebuilds_txn_table_and_allocator() {
         let tm = TxnManager::new();
@@ -127,23 +159,43 @@ mod tests {
             commit_clock: 100,
             next_page_id: 50,
         };
-        let tail = vec![
+        let log = vec![
+            rec(
+                990,
+                0,
+                LogPayload::Checkpoint { redo_start_lsn: Lsn::new(900), meta: meta.encode() },
+            ),
             rec(1000, 10, LogPayload::TxnCommit { commit_ts: 101 }),
             rec(1030, 11, LogPayload::TxnBegin),
             rec(1060, 11, LogPayload::AllocPages { first: PageId::new(60), count: 4 }),
             rec(1090, 12, LogPayload::TxnBegin),
             rec(1120, 12, LogPayload::TxnAbort),
         ];
-        let a = analyze(&tm, &meta, Lsn::new(900), &tail).unwrap();
+        let a = analyze(&tm, &log);
         assert_eq!(a.redo_start, Lsn::new(900));
         assert_eq!(a.next_page_id, 64);
         assert_eq!(a.died, vec![TxnId::new(11)]); // began, never finished
-        assert_eq!(a.records_scanned, 5);
+        assert_eq!(a.records_scanned, 6);
         assert_eq!(tm.resolve(TxnId::new(10)), Resolved::Committed(101));
         assert_eq!(tm.resolve(TxnId::new(11)), Resolved::Aborted);
         assert_eq!(tm.resolve(TxnId::new(12)), Resolved::Aborted);
         assert_eq!(tm.resolve(TxnId::new(4)), Resolved::Aborted); // from the ATM
         assert_eq!(tm.resolve(TxnId::new(3)), Resolved::Committed(0)); // ancient
+    }
+
+    #[test]
+    fn a_commit_logged_before_the_checkpoint_record_survives_it() {
+        // Txn 7's commit record hardened while the checkpoint captured its
+        // meta: the meta still lists it active. The log's verdict stands.
+        let tm = TxnManager::new();
+        let meta = TxnCheckpointMeta { active: vec![7, 8], next_txn_id: 9, ..Default::default() };
+        let log = vec![
+            rec(100, 7, LogPayload::TxnCommit { commit_ts: 40 }),
+            rec(130, 0, LogPayload::Checkpoint { redo_start_lsn: Lsn::ZERO, meta: meta.encode() }),
+        ];
+        let a = analyze(&tm, &log);
+        assert_eq!(a.died, vec![TxnId::new(8)]);
+        assert_eq!(tm.resolve(TxnId::new(7)), Resolved::Committed(40));
     }
 
     #[test]

@@ -288,20 +288,21 @@ impl TxnManager {
         }
     }
 
-    /// Rebuild state from checkpoint metadata (the start of analysis).
-    /// Checkpoint-active transactions are provisionally in progress; the
-    /// log tail then decides their fate, and [`TxnManager::finish_analysis`]
-    /// aborts the survivors.
-    pub fn restore_from_meta(&self, meta: &TxnCheckpointMeta) {
-        self.next_txn.store(meta.next_txn_id, Ordering::Relaxed); // ordering: relaxed — recovery is single-threaded
-        self.clock.store(meta.commit_clock, Ordering::Relaxed); // ordering: relaxed — recovery is single-threaded
+    /// Fold checkpoint metadata into the table (analysis meets a
+    /// checkpoint record). Checkpoint-active transactions are
+    /// provisionally in progress unless the log already decided them: a
+    /// commit can harden before the checkpoint record while the meta
+    /// still saw it `Preparing`. The log after the checkpoint then decides
+    /// the rest, and [`TxnManager::finish_analysis`] aborts the survivors.
+    /// Watermarks only rise.
+    pub fn absorb_meta(&self, meta: &TxnCheckpointMeta) {
+        self.next_txn.fetch_max(meta.next_txn_id, Ordering::Relaxed); // ordering: relaxed — recovery is single-threaded
+        self.clock.fetch_max(meta.commit_clock, Ordering::Relaxed); // ordering: relaxed — recovery is single-threaded
         let mut t = self.table.write();
-        t.clear();
         for id in &meta.active {
-            t.insert(TxnId::new(*id), TxnStatus::InProgress);
+            t.entry(TxnId::new(*id)).or_insert(TxnStatus::InProgress);
         }
         let mut a = self.aborted_map.write();
-        a.clear();
         for id in &meta.aborted {
             a.insert(TxnId::new(*id));
             t.insert(TxnId::new(*id), TxnStatus::Aborted);
@@ -371,7 +372,7 @@ mod tests {
             commit_clock: 50,
             next_page_id: 10,
         };
-        tm.restore_from_meta(&meta);
+        tm.absorb_meta(&meta);
         assert_eq!(tm.resolve(TxnId::new(999)), Resolved::Aborted);
         assert_eq!(tm.clock_now(), 50);
     }
@@ -413,7 +414,7 @@ mod tests {
             commit_clock: 9,
             next_page_id: 1,
         };
-        tm.restore_from_meta(&meta);
+        tm.absorb_meta(&meta);
         // Log tail: txn 3 committed, txn 4 never finished; txn 5 began then
         // crashed.
         tm.apply_commit(TxnId::new(3), 10);

@@ -557,7 +557,7 @@ impl Hadr {
             None => (0, TxnCheckpointMeta::default()),
         };
         let tm = TxnManager::new();
-        tm.restore_from_meta(&meta);
+        tm.absorb_meta(&meta);
         let mut unfinished: HashSet<TxnId> = meta.active.iter().map(|t| TxnId::new(*t)).collect();
         let mut redo_count = 0usize;
         for rec in &records[ckpt_idx..] {

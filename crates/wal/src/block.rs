@@ -64,6 +64,13 @@ impl LogBlock {
         self.bytes.len()
     }
 
+    /// Bytes the encoded image's allocation holds: what keeping this block
+    /// in memory costs. Equals [`len`](Self::len) for a sealed or decoded
+    /// block.
+    pub fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
     /// A block always contains its header; never "empty" as a byte string.
     pub fn is_empty(&self) -> bool {
         false
@@ -258,6 +265,10 @@ impl BlockBuilder {
     }
 
     /// Seal into an immutable block. Must not be called on an empty builder.
+    /// The image is copied out of the builder's reservation into an
+    /// allocation of exactly its length: a sealed block may be held for a
+    /// long time (XLOG's sequence map, the landing zone's in-flight
+    /// window), and a one-commit block is a few hundred bytes.
     pub fn seal(mut self) -> LogBlock {
         assert!(!self.is_empty(), "sealing an empty block");
         let partitions: Vec<PartitionId> = self.partitions.iter().copied().collect();
@@ -274,7 +285,7 @@ impl BlockBuilder {
         self.buf[4..8].copy_from_slice(&crc.to_le_bytes());
         LogBlock {
             start_lsn: self.start_lsn,
-            bytes: Arc::new(self.buf),
+            bytes: Arc::new(self.buf.as_slice().to_vec()),
             partitions: Arc::new(partitions),
             record_count: self.record_count,
             ctx: self.ctx,
@@ -317,6 +328,20 @@ mod tests {
         assert_eq!(recs[0].record, r1);
         assert_eq!(recs[1].lsn, lsn2);
         assert_eq!(recs[1].record, r2);
+    }
+
+    #[test]
+    fn sealed_block_holds_exactly_its_image() {
+        let mut b = BlockBuilder::new(Lsn::ZERO, 1 << 16);
+        b.append(
+            &LogRecord { txn: TxnId::new(1), payload: LogPayload::TxnCommit { commit_ts: 5 } },
+            None,
+        );
+        let block = b.seal();
+        assert!(block.len() < 64, "a one-commit block is tiny: {}", block.len());
+        assert_eq!(block.capacity(), block.len());
+        let decoded = LogBlock::decode(block.as_bytes().to_vec()).unwrap();
+        assert_eq!(decoded.capacity(), decoded.len());
     }
 
     #[test]

@@ -55,8 +55,11 @@ pub struct LandingZoneConfig {
 
 impl Default for LandingZoneConfig {
     fn default() -> Self {
-        // 64 MiB, quorum 2-of-3 — scaled-down defaults for a simulated LZ.
-        LandingZoneConfig { capacity: 64 << 20, write_quorum: 2 }
+        // 16 MiB, quorum 2-of-3. The LZ holds only the log not yet
+        // destaged, so it is sized by destage lag, not by history: the
+        // worst lag measured is ≈ 7.9 MB, during a bulk load while XStore
+        // write spikes stall destaging; 16 MiB is twice that.
+        LandingZoneConfig { capacity: 16 << 20, write_quorum: 2 }
     }
 }
 

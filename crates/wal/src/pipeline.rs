@@ -123,6 +123,10 @@ pub struct LogPipelineMetrics {
     /// Wall time from entering `commit_wait` to durability, µs — the
     /// paper's commit latency (Table 6).
     pub commit_latency: Histogram,
+    /// Retry pauses a committer or flusher took because the sink refused
+    /// or failed a write: a landing zone full of log not yet destaged, or
+    /// a transient device fault.
+    pub store_full_waits: Counter,
 }
 
 struct BufState {
@@ -261,6 +265,10 @@ impl LogPipeline {
             m.metrics.commit_latency.snapshot()
         });
         let m = Arc::clone(self);
+        hub.register_counter_fn(node, "log_store_full_waits", move || {
+            m.metrics.store_full_waits.get()
+        });
+        let m = Arc::clone(self);
         hub.register_gauge_fn(node, "hardened_lsn", move || m.hardened.load().offset() as i64);
         // Saturation signal (socbench samples its maximum): bytes accepted by
         // append() but not yet hardened. A pipeline keeping up hovers near
@@ -361,6 +369,7 @@ impl LogPipeline {
             match self.step(lsn + 1) {
                 Ok(()) => {}
                 Err(e) if e.is_transient() && Instant::now() < deadline => {
+                    self.metrics.store_full_waits.incr();
                     std::thread::sleep(RETRY_PAUSE);
                 }
                 Err(e) => return Err(e),
@@ -388,6 +397,7 @@ impl LogPipeline {
         let mut batch = match self.plan(target)? {
             Plan::Backoff => {
                 drop(gate);
+                self.metrics.store_full_waits.incr();
                 std::thread::sleep(RETRY_PAUSE);
                 return Ok(());
             }

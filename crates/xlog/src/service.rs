@@ -423,7 +423,7 @@ impl XLogService {
                 break;
             }
             expect = block.end_lsn();
-            b.seq_bytes += block.len();
+            b.seq_bytes += block.capacity();
             b.seq.insert(block.start_lsn(), block.clone());
             b.destage_queue.push_back(block);
             self.metrics.blocks_released.incr();
@@ -431,7 +431,7 @@ impl XLogService {
             while b.seq_bytes > self.config.sequence_map_bytes {
                 let Some((&first, _)) = b.seq.iter().next() else { break };
                 let blk = b.seq.remove(&first).expect("key just seen");
-                b.seq_bytes -= blk.len();
+                b.seq_bytes -= blk.capacity();
             }
         }
         // One wake per release pass, after the blocks are in the map.
@@ -810,6 +810,34 @@ mod tests {
         for blk in &blocks {
             assert_eq!(&f.svc.get_block(blk.start_lsn()).unwrap(), blk);
         }
+    }
+
+    #[test]
+    fn sequence_map_budget_counts_what_blocks_hold() {
+        let budget = 64 << 10;
+        let f = fixture(XLogConfig { sequence_map_bytes: budget, ..XLogConfig::default() });
+        let mut start = Lsn::ZERO;
+        for i in 0..10_000u64 {
+            // A one-commit block from a builder that reserved 64 KiB.
+            let mut b = BlockBuilder::new(start, 1 << 16);
+            b.append(
+                &LogRecord { txn: TxnId::new(i), payload: LogPayload::TxnCommit { commit_ts: i } },
+                None,
+            );
+            let blk = b.seal();
+            f.lz.write_block(&blk).unwrap();
+            f.svc.offer_block(blk.clone());
+            f.svc.report_hardened(blk.end_lsn());
+            start = blk.end_lsn();
+            if i % 1000 == 999 {
+                f.svc.destage_all().unwrap();
+            }
+        }
+        assert_eq!(f.svc.released_lsn(), start);
+        let b = f.svc.broker.lock();
+        let held: usize = b.seq.values().map(LogBlock::capacity).sum();
+        assert!(b.seq.len() > 100, "the map holds the hot tail: {} blocks", b.seq.len());
+        assert!(held <= budget, "{} blocks hold {held} bytes > {budget}", b.seq.len());
     }
 
     #[test]

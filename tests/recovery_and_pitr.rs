@@ -1,8 +1,14 @@
 //! Crash recovery (ADR) and point-in-time restore across the whole stack.
 
 use socrates::{Socrates, SocratesConfig};
-use socrates_common::{Error, Lsn, PageId};
+use socrates_common::{Error, Lsn, PageId, TxnId};
+use socrates_engine::recovery::{find_last_checkpoint, Analyzer};
+use socrates_engine::txn::TxnCheckpointMeta;
 use socrates_engine::value::{ColumnType, Schema, Value};
+use socrates_engine::TxnManager;
+use socrates_wal::record::{LogPayload, SequencedRecord};
+use socrates_xlog::PULL_BATCH_BYTES;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -404,5 +410,168 @@ fn get_page_at_time_travels_across_checkpoints_and_gc() {
         ps.get_page_at(*page, now).unwrap().page_lsn(),
         ps.get_page(*page, now).unwrap().page_lsn()
     );
+    sys.shutdown();
+}
+
+/// Failover after the log has wrapped the landing zone many times, with
+/// hot tiers too small to hold the tail: analysis streams two pull
+/// batches and more back from the long-term archive, and every
+/// acknowledged commit reads back.
+#[test]
+fn failover_streams_analysis_from_the_archive_after_the_lz_wraps() {
+    let lz_capacity: u64 = 128 << 10;
+    let mut config = SocratesConfig::fast_test();
+    config.lz_capacity = lz_capacity;
+    config.xlog.sequence_map_bytes = 4 << 10;
+    config.xlog.ssd_cache_bytes = 64 << 10;
+    let sys = Socrates::launch(config).unwrap();
+    let p = sys.primary().unwrap();
+    let db = p.db();
+    let bytes_schema =
+        Schema::new(vec![("id".into(), ColumnType::Int), ("v".into(), ColumnType::Bytes)], 1);
+    db.create_table("t", bytes_schema).unwrap();
+    sys.checkpoint().unwrap();
+    let mut acked = BTreeSet::new();
+    let mut id = 0i64;
+    while p.pipeline().hardened_lsn().offset() < 2 * PULL_BATCH_BYTES as u64 {
+        let h = db.begin();
+        let batch: Vec<i64> = (id..id + 8).collect();
+        for &k in &batch {
+            db.upsert(&h, "t", &[Value::Int(k), Value::Bytes(vec![k as u8; 1600])]).unwrap();
+        }
+        db.commit(h).unwrap();
+        acked.extend(batch);
+        id += 8;
+    }
+    // One writer dies with the primary.
+    let open = db.begin();
+    db.upsert(&open, "t", &[Value::Int(0), Value::Bytes(vec![0xEE; 16])]).unwrap();
+    p.pipeline().flush().unwrap();
+    let xlog = &sys.fabric().xlog;
+    assert!(sys.fabric().lz.tail().offset() >= 3 * lz_capacity, "the LZ wrapped 3 times");
+
+    sys.kill_primary();
+    let lt_before = xlog.metrics().served_from_lt.get();
+    let p2 = sys.failover().unwrap();
+    assert!(xlog.metrics().served_from_lt.get() > lt_before, "analysis read the LT");
+    let db2 = p2.db();
+    let r = db2.begin();
+    let rows = db2.scan_table(&r, "t", usize::MAX).unwrap();
+    let found: BTreeSet<i64> = rows
+        .iter()
+        .map(|row| match row[0] {
+            Value::Int(k) => k,
+            ref other => panic!("bad key {other:?}"),
+        })
+        .collect();
+    assert_eq!(found, acked);
+    assert_eq!(
+        db2.get(&r, "t", &[Value::Int(0)]).unwrap().unwrap()[1],
+        Value::Bytes(vec![0; 1600]),
+        "the dead writer's update stays invisible"
+    );
+    // The recovered allocator and clock keep working.
+    let h = db2.begin();
+    db2.upsert(&h, "t", &[Value::Int(-1), Value::Bytes(vec![1; 1600])]).unwrap();
+    db2.commit(h).unwrap();
+    sys.shutdown();
+}
+
+/// The analysis recovery ran before it streamed, kept as an oracle: find
+/// the last checkpoint in the materialized log, start from its meta,
+/// replay every record, abort the survivors.
+fn slice_analysis(records: &[SequencedRecord]) -> (TxnManager, u64, Vec<TxnId>) {
+    let meta = match find_last_checkpoint(records).unwrap() {
+        Some((_, _, meta)) => meta,
+        None => TxnCheckpointMeta::default(),
+    };
+    let tm = TxnManager::new();
+    tm.absorb_meta(&meta);
+    let mut next_page_id = meta.next_page_id;
+    for rec in records {
+        match &rec.record.payload {
+            LogPayload::TxnBegin => tm.apply_begin(rec.record.txn),
+            LogPayload::TxnCommit { commit_ts } => tm.apply_commit(rec.record.txn, *commit_ts),
+            LogPayload::TxnAbort => tm.apply_abort(rec.record.txn),
+            LogPayload::AllocPages { first, count } => {
+                next_page_id = next_page_id.max(first.raw() + count);
+            }
+            _ => {}
+        }
+    }
+    let died = tm.finish_analysis();
+    (tm, next_page_id, died)
+}
+
+#[test]
+fn streaming_analysis_matches_the_slice_oracle() {
+    let sys = Socrates::launch(SocratesConfig::fast_test()).unwrap();
+    let p = sys.primary().unwrap();
+    let db = p.db();
+    // Before the checkpoint: DDL (page allocation), commits, an abort and
+    // a transaction left open across it.
+    db.create_table("t", schema()).unwrap();
+    for i in 0..30 {
+        let h = db.begin();
+        db.insert(&h, "t", &row(i, i)).unwrap();
+        if i % 7 == 3 {
+            db.abort(h);
+        } else {
+            db.commit(h).unwrap();
+        }
+    }
+    let straddler = db.begin();
+    let straddler_id = straddler.id;
+    db.update(&straddler, "t", &row(1, -1)).unwrap();
+    sys.checkpoint().unwrap();
+    // After it: more of the same, a second table, and writers that die.
+    db.create_table("u", schema()).unwrap();
+    for i in 0..400 {
+        let h = db.begin();
+        db.insert(&h, "u", &row(i, i)).unwrap();
+        if i % 5 == 0 {
+            db.abort(h);
+        } else {
+            db.commit(h).unwrap();
+        }
+    }
+    db.commit(straddler).unwrap();
+    let open = db.begin();
+    db.insert(&open, "u", &row(1000, 0)).unwrap();
+    p.pipeline().flush().unwrap();
+
+    let pull = sys.fabric().xlog.pull_blocks(Lsn::ZERO, usize::MAX, None).unwrap();
+    let log: Vec<SequencedRecord> = pull.blocks.iter().flat_map(|b| b.records().unwrap()).collect();
+    let ckpt = log
+        .iter()
+        .position(|r| matches!(r.record.payload, LogPayload::Checkpoint { .. }))
+        .expect("the log holds the checkpoint");
+    let (before, from_ckpt) = log.split_at(ckpt);
+    assert!(find_last_checkpoint(before).unwrap().is_none());
+    // Every transaction the log names, and a few it never saw.
+    let mut txns: BTreeSet<u64> = log.iter().map(|r| r.record.txn.raw()).collect();
+    let last = *txns.last().unwrap();
+    txns.extend(last + 1..last + 4);
+
+    for (name, records, dies) in
+        [("no checkpoint", before, straddler_id), ("begins at its checkpoint", from_ckpt, open.id)]
+    {
+        let (oracle, oracle_next_page, oracle_died) = slice_analysis(records);
+        let tm = TxnManager::new();
+        let mut analyzer = Analyzer::new(&tm);
+        for rec in records {
+            analyzer.feed(rec).unwrap();
+        }
+        let a = analyzer.into_analysis();
+        assert_eq!(a.next_page_id, oracle_next_page, "{name}: next_page_id");
+        assert_eq!(a.died, oracle_died, "{name}: died");
+        assert_eq!(tm.table_len(), oracle.table_len(), "{name}: table size");
+        for &t in &txns {
+            let (got, want) = (tm.resolve(TxnId::new(t)), oracle.resolve(TxnId::new(t)));
+            assert_eq!(got, want, "{name}: txn {t}");
+        }
+        assert!(a.died.contains(&dies), "{name}: the writer left open dies");
+        assert!(a.next_page_id > 0, "{name}: the log allocates pages");
+    }
     sys.shutdown();
 }

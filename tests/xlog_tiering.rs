@@ -67,8 +67,11 @@ fn slow_consumer_reads_from_cold_tiers() {
 
 #[test]
 fn lz_backpressure_stalls_but_never_fails_commits() {
-    let mut config = SocratesConfig::fast_test();
-    config.lz_capacity = 128 << 10; // minuscule LZ
+    // A minuscule LZ, and a destager slowed by 2 ms per XStore write so
+    // the writes below outrun it.
+    let mut config =
+        SocratesConfig::fast_test().with_fault_spec(1, "xstore.put@always=latency:2ms");
+    config.lz_capacity = 128 << 10;
     let sys = Socrates::launch(config).unwrap();
     let primary = sys.primary().unwrap();
     let db = primary.db();
@@ -85,5 +88,7 @@ fn lz_backpressure_stalls_but_never_fails_commits() {
     }
     let r = db.begin();
     assert_eq!(db.scan_table(&r, "t", usize::MAX).unwrap().len(), 128);
+    // The stall is visible: committers waited on the full landing zone.
+    assert!(primary.pipeline().metrics().store_full_waits.get() > 0);
     sys.shutdown();
 }
