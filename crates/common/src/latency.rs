@@ -211,28 +211,6 @@ impl DeviceProfile {
         }
     }
 
-    /// A cross-region hop, for geo-replicated secondaries.
-    pub fn wan() -> DeviceProfile {
-        DeviceProfile {
-            name: "WAN",
-            read: LatencyModel {
-                min_us: 28_000,
-                median_us: 35_000,
-                sigma: 0.15,
-                max_us: 400_000,
-                spike_p: 0.01,
-            },
-            write: LatencyModel {
-                min_us: 28_000,
-                median_us: 35_000,
-                sigma: 0.15,
-                max_us: 400_000,
-                spike_p: 0.01,
-            },
-            cpu: IoCpuCost { per_op_us: 6, per_4kib_us: 1 },
-        }
-    }
-
     /// HADR log shipping: the commit-critical path of the replicated state
     /// machine — network to a secondary plus its log flush on a loaded
     /// disk. Calibrated so quorum commit lands near the paper's ~3 ms

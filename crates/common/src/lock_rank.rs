@@ -16,7 +16,7 @@
 //! ```text
 //! deployment → fabric → engine → wal flush → xlog → LZ/xstore
 //! engine → rbpex.dir → evicted buckets   (an eviction's spill, no cache lock)
-//! pageserver.open → layermap; checkpoint → rbpex / xstore (seal, ship)
+//! pageserver.open → layermap; checkpoint → xstore (seal, ship)
 //! any of the above → watermark                  (advance / wait, a leaf)
 //! ```
 //!
@@ -137,7 +137,8 @@ pub const STORAGE_LAYERMAP: u32 = 545;
 /// spill between (RBPEX write, WAL flush, eviction listener) runs with it
 /// released.
 pub const STORAGE_CACHE_MEM: u32 = 550;
-/// `storage::rbpex::Rbpex.dir` — resilient-cache directory.
+/// `storage::rbpex::Rbpex.dir` — the compute node's resilient-cache
+/// directory.
 pub const STORAGE_RBPEX_DIR: u32 = 570;
 /// `engine::evicted::EvictedLsnMap.buckets` — eviction LSN buckets.
 /// Lives in `engine` but is updated from the cache's eviction listener
@@ -171,8 +172,6 @@ pub const HADR_REPLICA_PAGES: u32 = 690;
 /// `xlog::service::XLogService.broker` — block broker state (held while
 /// writing to the landing zone, hence below the LZ band).
 pub const XLOG_BROKER: u32 = 710;
-/// `xlog::service::XLogService.leases` — destage lease table.
-pub const XLOG_LEASES: u32 = 720;
 /// `xlog::service::XLogService.destager` — destager worker slot.
 pub const XLOG_DESTAGER: u32 = 730;
 
@@ -271,7 +270,6 @@ mod tests {
             super::HADR_RNG,
             super::HADR_REPLICA_PAGES,
             super::XLOG_BROKER,
-            super::XLOG_LEASES,
             super::XLOG_DESTAGER,
             super::WAL_LZ_WORKERS,
             super::WAL_LZ_STATE,

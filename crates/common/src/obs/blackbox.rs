@@ -1,8 +1,8 @@
 //! The blackbox flight recorder: a crash-time snapshot of the
 //! deployment's observability state.
 //!
-//! When something goes wrong — a panic, a chaos-invariant violation, an
-//! SLO burning — the question is always "what were the last few hundred
+//! When something goes wrong — a chaos-invariant violation, an SLO
+//! burning — the question is always "what were the last few hundred
 //! operations doing". The span ring and the fault log already retain
 //! exactly that, and the hub holds every aggregate (the per-stage commit
 //! and read histograms included); the blackbox recorder snapshots them
@@ -19,10 +19,8 @@
 //! ```
 //!
 //! Triggers are rare by construction (a breach *edge*, not a breach
-//! level; a panic; an explicit chaos-suite call), so the recorder
-//! allocates freely — it is never on a hot path. The panic hook chains
-//! the previously installed hook, so the default backtrace printer still
-//! runs.
+//! level; an explicit chaos-suite call), so the recorder allocates
+//! freely — it is never on a hot path.
 
 use super::ctx::SpanRing;
 use super::export::{json_escape, json_f64};
@@ -191,18 +189,6 @@ impl BlackboxRecorder {
                 None
             }
         }
-    }
-
-    /// Install a process-wide panic hook that writes a `panic` bundle
-    /// before delegating to the previously installed hook (so the
-    /// default backtrace printer still runs). Process-global: call once
-    /// per process, from the deployment that owns the blackbox.
-    pub fn install_panic_hook(recorder: Arc<BlackboxRecorder>) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            recorder.trigger("panic");
-            prev(info);
-        }));
     }
 }
 

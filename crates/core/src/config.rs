@@ -86,8 +86,8 @@ pub struct SocratesConfig {
     /// Empty = none. Breaches flip the deployment's SLO gauge and trigger
     /// the blackbox flight recorder on the ok→breach edge.
     pub slo_spec: String,
-    /// Whether the blackbox flight recorder writes bundles on panic,
-    /// chaos-invariant violation, or SLO breach.
+    /// Whether the blackbox flight recorder writes bundles on a
+    /// chaos-invariant violation or SLO breach.
     pub blackbox_enabled: bool,
     /// Directory blackbox bundles are written into.
     pub blackbox_dir: std::path::PathBuf,
@@ -195,12 +195,6 @@ impl SocratesConfig {
     /// the cold-scan experiment).
     pub fn with_scheduler(mut self, enabled: bool) -> SocratesConfig {
         self.sched.enabled = enabled;
-        self
-    }
-
-    /// Set the hedged-read policy.
-    pub fn with_hedge(mut self, hedge: HedgeConfig) -> SocratesConfig {
-        self.hedge = hedge;
         self
     }
 

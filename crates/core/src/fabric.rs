@@ -31,7 +31,7 @@ use socrates_storage::cache::{
 };
 use socrates_storage::fcb::{Fcb, LatencyFcb, MemFcb};
 use socrates_storage::page::{Page, PAGE_SIZE};
-use socrates_storage::rbpex::{Rbpex, RbpexPolicy};
+use socrates_storage::rbpex::Rbpex;
 use socrates_storage::sched::RangedPageSource;
 use socrates_wal::block::LogBlock;
 use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
@@ -482,10 +482,9 @@ impl Fabric {
     }
 
     /// Start a page server for `partition` from `origin`: fresh node id and
-    /// devices, the deployment's fault registry, span ring, compaction
+    /// SSD device, the deployment's fault registry, span ring, compaction
     /// worker and apply signal handed to it at construction, apply loop
-    /// running, registered as an XLOG consumer. The one place a page
-    /// server comes to exist; route it with
+    /// running. The one place a page server comes to exist; route it with
     /// [`install_partition`](Self::install_partition).
     pub fn spawn_server(
         &self,
@@ -498,18 +497,16 @@ impl Fabric {
         let name = format!("ps-{}-{idx}", partition.raw());
         let spec = self.partition_spec(partition);
         let config = self.config.page_server.clone();
-        let (ssd, ssd_meta) =
-            (self.ps_device(&name, "ssd", idx), self.ps_device(&name, "meta", idx));
+        let ssd = self.ps_ssd(&name, idx);
         let (xstore, xlog) = (Arc::clone(&self.xstore), Arc::clone(&self.xlog));
         let wiring = self.wiring(node);
         let ps = match origin {
-            ServerOrigin::Fresh(cursor) => PageServer::create(
-                &name, spec, config, ssd, ssd_meta, xstore, xlog, cursor, wiring,
-            )?,
+            ServerOrigin::Fresh(cursor) => {
+                PageServer::create(&name, spec, config, ssd, xstore, xlog, cursor, wiring)?
+            }
             ServerOrigin::Blobs { data, meta, replay } => {
-                let ps = PageServer::attach(
-                    &name, spec, config, ssd, ssd_meta, xstore, data, meta, xlog, wiring,
-                )?;
+                let ps =
+                    PageServer::attach(&name, spec, config, ssd, xstore, data, meta, xlog, wiring)?;
                 if let Some((blocks, upto)) = replay {
                     ps.apply_blocks(blocks, upto)?;
                     ps.checkpoint()?;
@@ -518,7 +515,6 @@ impl Fabric {
             }
         };
         ps.start();
-        self.xlog.register_consumer(&name, ps.applied_lsn());
         Ok((node, ps))
     }
 
@@ -857,8 +853,7 @@ impl Fabric {
                 Some(Arc::clone(&cpu)),
             ));
             let meta: Arc<dyn Fcb> = Arc::new(MemFcb::new(format!("{node}-rbpex-meta")));
-            let policy = RbpexPolicy::Sparse { capacity_pages: config.rbpex_pages };
-            Some(Arc::new(Rbpex::create(dev, meta, policy)?))
+            Some(Arc::new(Rbpex::create(dev, meta, config.rbpex_pages)?))
         } else {
             None
         };
@@ -897,13 +892,13 @@ impl Fabric {
         Ok(cache)
     }
 
-    fn ps_device(&self, name: &str, kind: &str, idx: u32) -> Arc<dyn Fcb> {
+    fn ps_ssd(&self, name: &str, idx: u32) -> Arc<dyn Fcb> {
         Arc::new(LatencyFcb::new(
-            MemFcb::new(format!("{name}-{kind}")),
+            MemFcb::new(format!("{name}-ssd")),
             LatencyInjector::new(
                 self.config.ssd_profile.clone(),
                 self.config.latency_mode,
-                self.config.seed ^ ((idx as u64) << 8) ^ kind.len() as u64,
+                self.config.seed ^ ((idx as u64) << 8),
             ),
             Some(self.cpu.accountant(NodeId::page_server(idx))),
         ))

@@ -223,7 +223,9 @@ impl Primary {
     /// tier's durability frontier. Updates the fabric's recovery cursor.
     pub fn checkpoint(&self) -> Result<Lsn> {
         // The recovery cursor must be a block boundary at or before the
-        // checkpoint record: the hardened frontier sampled now is one.
+        // checkpoint record: the hardened frontier sampled now is one. It is
+        // sampled before `Database::checkpoint` waits out the commits still
+        // preparing, whose records may lie below it.
         let cursor = self.pipeline.hardened_lsn();
         let redo_start = self.fabric.min_checkpointed_lsn();
         let lsn = self.db.checkpoint(redo_start)?;

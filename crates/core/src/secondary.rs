@@ -304,8 +304,6 @@ impl Secondary {
     }
 
     fn apply_loop(self: Arc<Self>) {
-        let name = format!("{}", self.node);
-        self.fabric.xlog.register_consumer(&name, self.applied.load());
         // ordering: relaxed — shutdown flag; a late observation costs one iteration
         while !self.stop.load(Ordering::Relaxed) {
             if self.apply_once().is_err() {
@@ -359,7 +357,6 @@ impl Secondary {
         }
         if pull.next_lsn > cursor {
             self.applied.advance_to(pull.next_lsn);
-            self.fabric.xlog.report_progress(&format!("{}", self.node), pull.next_lsn);
         }
         Ok(processed)
     }

@@ -247,8 +247,13 @@ impl Database {
 
     /// Write a checkpoint record carrying the transaction table metadata.
     /// `redo_start` is the storage tier's durability frontier (in Socrates:
-    /// the minimum checkpointed LSN across page servers).
+    /// the minimum checkpointed LSN across page servers). A caller that
+    /// records a recovery cursor samples it *before* this call: the
+    /// commits preparing at entry are waited out
+    /// ([`TxnManager::await_prepared`]), so none whose record lies below
+    /// the cursor is listed active.
     pub fn checkpoint(&self, redo_start: Lsn) -> Result<Lsn> {
+        self.txns.await_prepared();
         let meta = self.txns.checkpoint_meta(self.io.allocator_watermark());
         self.io.log_checkpoint(redo_start, meta.encode())
     }
@@ -453,6 +458,7 @@ mod tests {
     use super::*;
     use crate::io::MemIo;
     use crate::value::ColumnType;
+    use socrates_wal::record::{LogPayload, LogRecord, SequencedRecord};
 
     fn db() -> Database {
         Database::create(Arc::new(MemIo::new(0))).unwrap()
@@ -708,5 +714,121 @@ mod tests {
                 "snapshot {k}"
             );
         }
+    }
+
+    /// A `MemIo` that keeps the lifecycle records in an in-memory log and,
+    /// once armed, parks the next commit between its record hardening and
+    /// its return — the window in which the transaction is still
+    /// `Preparing` although its commit record is durable.
+    struct GatedLog {
+        mem: MemIo,
+        log: parking_lot::Mutex<Vec<SequencedRecord>>,
+        /// (armed, parked, released)
+        gate: parking_lot::Mutex<(bool, bool, bool)>,
+        cv: parking_lot::Condvar,
+    }
+
+    impl GatedLog {
+        fn append(&self, txn: TxnId, payload: LogPayload) -> Lsn {
+            let mut log = self.log.lock();
+            let lsn = Lsn::new(log.len() as u64);
+            log.push(SequencedRecord { lsn, record: LogRecord { txn, payload } });
+            lsn
+        }
+
+        /// The hardened frontier: every record appended so far is durable.
+        fn end(&self) -> Lsn {
+            Lsn::new(self.log.lock().len() as u64)
+        }
+
+        fn wait_gate(&self, until: impl Fn(&(bool, bool, bool)) -> bool) {
+            let mut g = self.gate.lock();
+            while !until(&g) {
+                self.cv.wait(&mut g);
+            }
+        }
+
+        fn set_gate(&self, f: impl FnOnce(&mut (bool, bool, bool))) {
+            f(&mut self.gate.lock());
+            self.cv.notify_all();
+        }
+    }
+
+    impl crate::io::PageAccess for GatedLog {
+        fn page(&self, id: socrates_common::PageId) -> Result<socrates_storage::PageRef> {
+            self.mem.page(id)
+        }
+    }
+
+    impl PageMutator for GatedLog {
+        fn allocate(&self, txn: TxnId) -> Result<socrates_common::PageId> {
+            self.mem.allocate(txn)
+        }
+        fn mutate(
+            &self,
+            txn: TxnId,
+            page: &mut socrates_storage::Page,
+            op: &socrates_storage::PageOp,
+        ) -> Result<Lsn> {
+            self.mem.mutate(txn, page, op)
+        }
+        fn log_txn_begin(&self, txn: TxnId) {
+            self.append(txn, LogPayload::TxnBegin);
+        }
+        fn log_txn_commit(&self, txn: TxnId, commit_ts: u64, _: std::time::Duration) -> Result<()> {
+            self.append(txn, LogPayload::TxnCommit { commit_ts });
+            if self.gate.lock().0 {
+                self.set_gate(|g| g.1 = true);
+                self.wait_gate(|g| g.2);
+            }
+            Ok(())
+        }
+        fn log_checkpoint(&self, redo_start_lsn: Lsn, meta: Vec<u8>) -> Result<Lsn> {
+            Ok(self.append(TxnId::new(0), LogPayload::Checkpoint { redo_start_lsn, meta }))
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_waits_out_a_commit_hardened_below_its_recovery_cursor() {
+        let io = Arc::new(GatedLog {
+            mem: MemIo::new(0),
+            log: parking_lot::Mutex::new(Vec::new()),
+            gate: parking_lot::Mutex::new((false, false, false)),
+            cv: parking_lot::Condvar::new(),
+        });
+        let db = Arc::new(Database::create(Arc::clone(&io) as Arc<dyn PageMutator>).unwrap());
+        db.create_table("accounts", accounts_schema()).unwrap();
+        let h = db.begin();
+        db.insert(&h, "accounts", &row(1, 10)).unwrap();
+        let txn = h.id;
+        io.set_gate(|g| g.0 = true);
+        let committer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || db.commit(h))
+        };
+        // The commit record is durable; the transaction is still preparing.
+        io.wait_gate(|g| g.1);
+        // A primary samples its recovery cursor here, then checkpoints.
+        let cursor = io.end();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let checkpointer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || tx.send(db.checkpoint(Lsn::ZERO).unwrap()).unwrap())
+        };
+        let returned_early = rx.recv_timeout(std::time::Duration::from_millis(200)).is_ok();
+        io.set_gate(|g| g.2 = true);
+        committer.join().unwrap().unwrap();
+        checkpointer.join().unwrap();
+        assert!(!returned_early, "the checkpoint read the table while a hardened commit prepared");
+        // Recovery runs analysis from the cursor: the commit record lies
+        // below it, so only the checkpoint's meta speaks for the txn.
+        let tm = TxnManager::new();
+        let mut analysis = crate::recovery::Analyzer::new(&tm);
+        for rec in io.log.lock().iter().filter(|r| r.lsn >= cursor) {
+            analysis.feed(rec).unwrap();
+        }
+        let died = analysis.into_analysis().died;
+        assert!(!died.contains(&txn), "recovery aborted an acknowledged commit");
+        assert_ne!(tm.resolve(txn), Resolved::Aborted);
     }
 }

@@ -186,11 +186,6 @@ impl LoggedPageIo {
         &self.pipeline
     }
 
-    /// Install a brand-new page into the cache (allocation path).
-    pub fn install_new(&self, page: Page) -> Result<PageRef> {
-        self.cache.install(page)
-    }
-
     /// Highest allocated page id + 1 (diagnostics, recovery).
     pub fn next_page_id(&self) -> u64 {
         // ordering: relaxed — allocator watermark read for checkpoint metadata;

@@ -269,6 +269,26 @@ impl TxnManager {
 
     // ---- checkpoint / recovery ----
 
+    /// Wait until every transaction `Preparing` now has resolved. A
+    /// checkpoint calls this after its caller sampled the recovery cursor:
+    /// a commit whose record hardened below the cursor may not have run
+    /// [`finish_commit`](Self::finish_commit) yet, and listed active it
+    /// would be aborted by an analysis that starts at the cursor and never
+    /// sees its record. A commit that prepares later appends its record
+    /// above the cursor.
+    pub fn await_prepared(&self) {
+        let preparing: Vec<TxnId> = {
+            let t = self.table.read();
+            t.iter()
+                .filter(|(_, s)| matches!(s, TxnStatus::Preparing(_)))
+                .map(|(id, _)| *id)
+                .collect()
+        };
+        for txn in preparing {
+            self.resolve(txn);
+        }
+    }
+
     /// Capture the durable metadata for a checkpoint record.
     /// `next_page_id` comes from the caller's allocator.
     pub fn checkpoint_meta(&self, next_page_id: u64) -> TxnCheckpointMeta {

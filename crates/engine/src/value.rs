@@ -259,13 +259,6 @@ fn escape_bytes(data: &[u8], out: &mut Vec<u8>) {
     out.push(0);
 }
 
-/// Convenience: the encoded key of the leading `key_columns` of a row.
-pub fn row_key(schema: &Schema, row: &[Value]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_key(schema.key_of(row), &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,8 +22,9 @@
 //! 3. **Checkpoint & back up.** It regularly ships modified pages to its
 //!    XStore data blob, records the checkpointed LSN, and takes backups as
 //!    constant-time XStore snapshots. During an XStore outage it keeps
-//!    serving and applying from RBPEX, remembers what could not be
-//!    checkpointed, and catches up when the service returns (insulation).
+//!    serving and applying from its local layers, remembers what could
+//!    not be checkpointed, and catches up when the service returns
+//!    (insulation).
 //!
 //! Page servers are *stateless* in the durability sense: the truth is
 //! XStore + the log, so a lost page server is recreated by attaching the
@@ -206,9 +207,9 @@ pub struct PageServer {
     /// The immutable layer set: the base image, packed L1 images, sealed
     /// L0s, merged deltas, and the per-page index over them.
     layers: LayerMap,
-    /// The covering image backing the external base (RBPEX demoted to
-    /// the base layer's on-disk representation): attach-time blob content
-    /// is seeded into it; blob fallback reads are adopted into it.
+    /// The base image, a dense page file on the server's SSD: attach-time
+    /// blob content is seeded into it; blob fallback reads are adopted
+    /// into it.
     base_image: Arc<ImageLayer>,
     xstore: Arc<XStore>,
     data_blob: BlobId,
@@ -249,8 +250,8 @@ pub struct PageServer {
 }
 
 impl PageServer {
-    /// Create a page server for a brand-new partition: fresh covering
-    /// cache, fresh XStore blobs, apply cursor at `start_lsn`, collaborators
+    /// Create a page server for a brand-new partition: empty base image
+    /// on `ssd`, fresh XStore blobs, apply cursor at `start_lsn`, collaborators
     /// from `wiring`.
     #[allow(clippy::too_many_arguments)] // a constructor: every dependency is explicit
     pub fn create(
@@ -258,13 +259,12 @@ impl PageServer {
         spec: PartitionSpec,
         config: PageServerConfig,
         ssd: Arc<dyn Fcb>,
-        ssd_meta: Arc<dyn Fcb>,
         xstore: Arc<XStore>,
         xlog: Arc<XLogService>,
         start_lsn: Lsn,
         wiring: PageServerWiring,
     ) -> Result<Arc<PageServer>> {
-        let base_image = ImageLayer::covering(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
+        let base_image = ImageLayer::base(start_lsn, ssd, spec.base_page, spec.span);
         let data_blob = xstore.create_blob(&format!("data/{name}"))?;
         let meta_blob = xstore.create_blob(&format!("data/{name}.meta"))?;
         xstore.write_at(meta_blob, 0, &start_lsn.offset().to_le_bytes())?;
@@ -287,7 +287,7 @@ impl PageServer {
     }
 
     /// Attach to an *existing* partition blob (replacement after a page
-    /// server loss, a replica, or a PITR restore target). The local cache
+    /// server loss, a replica, or a PITR restore target). The base image
     /// starts empty and is seeded asynchronously; the apply cursor resumes
     /// from the blob's recorded checkpoint LSN.
     #[allow(clippy::too_many_arguments)] // a constructor: every dependency is explicit
@@ -296,7 +296,6 @@ impl PageServer {
         spec: PartitionSpec,
         config: PageServerConfig,
         ssd: Arc<dyn Fcb>,
-        ssd_meta: Arc<dyn Fcb>,
         xstore: Arc<XStore>,
         data_blob: BlobId,
         meta_blob: BlobId,
@@ -305,7 +304,7 @@ impl PageServer {
     ) -> Result<Arc<PageServer>> {
         let meta = xstore.read_at(meta_blob, 0, 8)?;
         let start_lsn = Lsn::new(u64::from_le_bytes(meta[0..8].try_into().unwrap()));
-        let base_image = ImageLayer::covering(start_lsn, ssd, ssd_meta, spec.base_page, spec.span)?;
+        let base_image = ImageLayer::base(start_lsn, ssd, spec.base_page, spec.span);
         let layers = LayerMap::with_base(Arc::clone(&base_image));
         Ok(PageServer::build(
             name,
@@ -686,7 +685,6 @@ impl PageServer {
         }
         if pull.next_lsn > cursor {
             self.applied.advance_to(pull.next_lsn);
-            self.xlog.report_progress(&self.name, pull.next_lsn);
         }
         self.metrics.records_applied.add(applied as u64);
         if applied > 0 {
@@ -957,9 +955,7 @@ impl PageServer {
             if let Some(p) = &base {
                 // Adopt the blob read into the base image so the next miss
                 // is a local device read (the async-seeding fast path).
-                if p.page_lsn() <= self.base_image.at_lsn() && !self.base_image.contains(page_id) {
-                    let _ = self.base_image.put(p);
-                }
+                self.adopt(p);
             }
         }
         let mut page = match base {
@@ -1149,6 +1145,19 @@ impl PageServer {
         Ok(Some(Page::from_io_bytes(page_id, &bytes)?))
     }
 
+    /// Fold a blob copy of a page into the base image unless it is
+    /// already there. A checkpoint racing the seeder may have overwritten
+    /// the blob with a version newer than the base LSN; that version is
+    /// reachable through the delta stack, so it never enters the
+    /// attach-time image. A failed device write leaves the page to the
+    /// blob.
+    fn adopt(&self, page: &Page) {
+        if page.page_lsn() <= self.base_image.at_lsn() && !self.base_image.contains(page.page_id())
+        {
+            let _ = self.base_image.put(page);
+        }
+    }
+
     fn seed_loop(self: Arc<Self>) {
         for off in 0..self.spec.span {
             let page_id = PageId::new(self.spec.base_page + off);
@@ -1166,16 +1175,7 @@ impl PageServer {
                 }
                 match self.read_page_from_xstore(page_id) {
                     Ok(Some(page)) => {
-                        // A checkpoint racing the seeder may have
-                        // overwritten the blob with a version newer than
-                        // the base LSN; that version is reachable through
-                        // the delta stack, so never fold it into the
-                        // attach-time image.
-                        if page.page_lsn() <= self.base_image.at_lsn()
-                            && !self.base_image.contains(page_id)
-                        {
-                            let _ = self.base_image.put(&page);
-                        }
+                        self.adopt(&page);
                         break;
                     }
                     Ok(None) => break,
@@ -1484,7 +1484,6 @@ mod tests {
                 spec,
                 config,
                 Arc::new(MemFcb::new(format!("{name}-ssd"))) as Arc<dyn Fcb>,
-                Arc::new(MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
                 Arc::clone(&self.xstore),
                 Arc::clone(&self.xlog),
                 Lsn::ZERO,
@@ -1500,7 +1499,6 @@ mod tests {
                 spec(0),
                 PageServerConfig::default(),
                 Arc::new(MemFcb::new(format!("{name}-ssd"))) as Arc<dyn Fcb>,
-                Arc::new(MemFcb::new(format!("{name}-meta"))) as Arc<dyn Fcb>,
                 Arc::clone(&self.xstore),
                 data_blob,
                 meta_blob,
@@ -1621,7 +1619,7 @@ mod tests {
         let page = ps2.get_page(PageId::new(3), Lsn::ZERO).unwrap();
         assert_eq!(Slotted::get(&page, 0).unwrap(), b"durable");
         assert!(ps2.metrics().xstore_fallback_reads.get() >= 1);
-        // Blocking seed completes and future reads come from RBPEX.
+        // Blocking seed completes and future reads come from the base image.
         ps2.seed_blocking();
         assert!(ps2.is_seeded());
         let before = ps2.metrics().xstore_fallback_reads.get();
@@ -1640,7 +1638,7 @@ mod tests {
         let end = f.emit(&[(1, insert_op(b"during-outage"))]);
         ps.apply_once().unwrap();
         assert_eq!(ps.applied_lsn(), end);
-        // Serving continues from RBPEX.
+        // Serving continues from the local layers.
         let page = ps.get_page(PageId::new(1), end).unwrap();
         assert_eq!(Slotted::get(&page, 0).unwrap(), b"during-outage");
         // Checkpoint defers.

@@ -129,11 +129,6 @@ impl ReplicaSet {
         false
     }
 
-    /// The current EWMA latency estimates (µs), for diagnostics.
-    pub fn latency_estimates_us(&self) -> Vec<f64> {
-        self.states.lock().0.iter().map(|s| s.ewma_us).collect()
-    }
-
     /// Number of hedge requests fired.
     pub fn hedges_fired(&self) -> Arc<Counter> {
         Arc::clone(&self.hedges_fired)

@@ -612,9 +612,9 @@ impl TieredCache {
     /// Write an evicted page to the next tier and report what left the
     /// node: with RBPEX its own victim, noted before it leaves RBPEX's
     /// directory and flushed after; without RBPEX the page itself.
-    // soclint-allow: hot-path-transitive a spill is a device write; the
-    // allocation it reaches formats RBPEX's covering-range argument errors,
-    // which a compute node's sparse cache never returns
+    // soclint-allow: hot-path-transitive a spill is a device write; what it
+    // reaches allocates only to compact RBPEX's journal, and its expects
+    // check that the clock's victim frame is mapped
     fn spill(&self, page: &Page) -> Result<()> {
         match &self.rbpex {
             Some(rbpex) => {
@@ -637,7 +637,6 @@ mod tests {
     use super::*;
     use crate::fcb::{Fcb, MemFcb};
     use crate::page::PageType;
-    use crate::rbpex::RbpexPolicy;
     use parking_lot::{Condvar, Mutex as PlMutex};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
@@ -673,14 +672,7 @@ mod tests {
     }
 
     fn rbpex_on(cap: usize, device: Arc<dyn Fcb>) -> Arc<Rbpex> {
-        Arc::new(
-            Rbpex::create(
-                device,
-                Arc::new(MemFcb::new("meta")) as Arc<dyn Fcb>,
-                RbpexPolicy::Sparse { capacity_pages: cap },
-            )
-            .unwrap(),
-        )
+        Arc::new(Rbpex::create(device, Arc::new(MemFcb::new("meta")), cap).unwrap())
     }
 
     /// A test gate: while held, every `pass` blocks (already counted) until

@@ -14,8 +14,8 @@
 //! * [`ImageLayer`] — page images as of one LSN. A *packed* image holds
 //!   only the pages compaction or GC chose to materialize, in
 //!   consecutive frames of a device sized for exactly those pages; the
-//!   attach-time *base* image is a covering [`Rbpex`] that seeding and
-//!   blob-read adoption fill in.
+//!   attach-time *base* image is a dense page file over the partition
+//!   (frame = page − base) that seeding and blob-read adoption fill in.
 //!
 //! Any page version in the retained window is reconstructed as the
 //! newest image at or below `lsn` holding the page + ordered replay of
@@ -24,9 +24,9 @@
 
 use crate::fcb::{Fcb, MemFcb, PageFile};
 use crate::page::{Page, PAGE_SIZE};
-use crate::rbpex::{Rbpex, RbpexPolicy};
 use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One per-page delta: the LSN that produced it and the encoded
@@ -208,13 +208,102 @@ pub struct ImageLayer {
 }
 
 enum ImageStore {
-    /// The attach-time base image: a covering [`Rbpex`] over the whole
-    /// partition, which seeding and blob-read adoption add pages to.
-    Covering(Box<Rbpex>),
+    /// The attach-time base image, which seeding and blob-read adoption
+    /// add pages to.
+    Base(BaseStore),
     /// A compaction or GC output, immutable once built: `ids` ascending,
-    /// page `ids[i]` in frame `i`. No directory, no journal, no meta
-    /// device.
+    /// page `ids[i]` in frame `i`.
     Packed { ids: Vec<PageId>, file: PageFile },
+}
+
+/// A dense page file over the page range `[base, base + span)`: page `p`
+/// lives in frame `p − base`, so a run of pages is one device read. Its
+/// only state beside the device is one presence bit per frame — no
+/// directory, journal or lock. Nothing recovers it: a restarted page
+/// server re-seeds from its blob.
+struct BaseStore {
+    file: PageFile,
+    base: u64,
+    span: u64,
+    /// Bit `f % 64` of word `f / 64` is set once frame `f` holds its page.
+    present: Box<[AtomicU64]>,
+}
+
+impl BaseStore {
+    /// The frame of `page`, if it lies in the covered range.
+    fn frame(&self, page: PageId) -> Option<u64> {
+        page.raw().checked_sub(self.base).filter(|&f| f < self.span)
+    }
+
+    fn bit(frame: u64) -> (usize, u64) {
+        ((frame / 64) as usize, 1 << (frame % 64))
+    }
+
+    /// The frame of `page` if it is held here.
+    fn held(&self, page: PageId) -> Option<u64> {
+        let frame = self.frame(page)?;
+        let (word, mask) = BaseStore::bit(frame);
+        // ordering: acquire — pairs with put's release: a set bit means the
+        // frame's write is visible to the device read that follows
+        (self.present[word].load(Ordering::Acquire) & mask != 0).then_some(frame)
+    }
+
+    fn get(&self, page: PageId) -> Result<Option<Page>> {
+        let Some(frame) = self.held(page) else { return Ok(None) };
+        match self.file.read_page(frame, page) {
+            Ok(p) => Ok(Some(p)),
+            Err(Error::Corruption(_)) => {
+                // A torn frame reads as absent, and adoption may refill it.
+                let (word, mask) = BaseStore::bit(frame);
+                // ordering: relaxed — clearing publishes no frame contents
+                self.present[word].fetch_and(!mask, Ordering::Relaxed);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn get_range_partial(&self, ids: &[PageId]) -> Result<Vec<Option<Page>>> {
+        let flagged: Vec<(PageId, bool)> =
+            ids.iter().map(|&id| (id, self.held(id).is_some())).collect();
+        let mut pages = vec![None; ids.len()];
+        // Read only [first held, last held]: frames past the last may lie
+        // beyond the device's high-water mark, and frames before the first
+        // are known absent. Presence is still reported over the whole run.
+        let (Some(first), Some(last)) =
+            (flagged.iter().position(|f| f.1), flagged.iter().rposition(|f| f.1))
+        else {
+            return Ok(pages);
+        };
+        let first_frame = ids[first].raw() - self.base;
+        let window = self.file.read_page_range_partial(first_frame, &flagged[first..=last])?;
+        for (slot, page) in pages[first..=last].iter_mut().zip(window) {
+            *slot = page;
+        }
+        Ok(pages)
+    }
+
+    fn put(&self, page: &Page) -> Result<()> {
+        let id = page.page_id();
+        let frame = self.frame(id).ok_or_else(|| {
+            Error::InvalidArgument(format!(
+                "{id} outside the base image [{}, {})",
+                self.base,
+                self.base + self.span
+            ))
+        })?;
+        self.file.write_page(frame, page)?;
+        let (word, mask) = BaseStore::bit(frame);
+        // ordering: release — publishes the frame write to readers that
+        // acquire the bit
+        self.present[word].fetch_or(mask, Ordering::Release);
+        Ok(())
+    }
+
+    fn len(&self) -> usize {
+        // ordering: relaxed — a count, publishing nothing
+        self.present.iter().map(|w| w.load(Ordering::Relaxed).count_ones() as usize).sum()
+    }
 }
 
 impl std::fmt::Debug for ImageLayer {
@@ -228,17 +317,12 @@ impl std::fmt::Debug for ImageLayer {
 }
 
 impl ImageLayer {
-    /// An empty covering image at `at_lsn` over the page range
-    /// `[base, base + span)` on the given devices — the attach-time base.
-    pub fn covering(
-        at_lsn: Lsn,
-        data: Arc<dyn Fcb>,
-        meta: Arc<dyn Fcb>,
-        base: u64,
-        span: u64,
-    ) -> Result<Arc<ImageLayer>> {
-        let store = Rbpex::create(data, meta, RbpexPolicy::Covering { base, span })?;
-        Ok(Arc::new(ImageLayer { at_lsn, store: ImageStore::Covering(Box::new(store)) }))
+    /// An empty base image at `at_lsn` over the page range
+    /// `[base, base + span)`, stored on `device` — the attach-time base.
+    pub fn base(at_lsn: Lsn, device: Arc<dyn Fcb>, base: u64, span: u64) -> Arc<ImageLayer> {
+        let present = (0..span.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let store = BaseStore { file: PageFile::new(device), base, span, present };
+        Arc::new(ImageLayer { at_lsn, store: ImageStore::Base(store) })
     }
 
     /// A packed image at `at` holding exactly `pages` (ascending ids, no
@@ -268,7 +352,7 @@ impl ImageLayer {
     /// Read one page image, if held here.
     pub fn get(&self, page: PageId) -> Result<Option<Page>> {
         match &self.store {
-            ImageStore::Covering(store) => store.get(page),
+            ImageStore::Base(store) => store.get(page),
             ImageStore::Packed { ids, file } => match ids.binary_search(&page) {
                 Ok(frame) => file.read_page(frame as u64, page).map(Some),
                 Err(_) => Ok(None),
@@ -285,7 +369,7 @@ impl ImageLayer {
             (&self.store, ids.first(), ids.last())
         else {
             return match &self.store {
-                ImageStore::Covering(store) => store.get_range_partial(ids),
+                ImageStore::Base(store) => store.get_range_partial(ids),
                 ImageStore::Packed { .. } => Ok(Vec::new()),
             };
         };
@@ -304,13 +388,12 @@ impl ImageLayer {
     /// Whether `page` is held here (no I/O).
     pub fn contains(&self, page: PageId) -> bool {
         match &self.store {
-            ImageStore::Covering(store) => store.contains(page),
+            ImageStore::Base(store) => store.held(page).is_some(),
             ImageStore::Packed { ids, .. } => ids.binary_search(&page).is_ok(),
         }
     }
 
-    /// Add `page` to the covering base image (seeding and blob-read
-    /// adoption). The page's PageLSN must be at or below `at_lsn` — an
+    /// Add `page` to the base image (seeding and blob-read adoption). The page's PageLSN must be at or below `at_lsn` — an
     /// image never holds a version newer than the LSN it claims. A packed
     /// image is immutable and refuses.
     pub fn put(&self, page: &Page) -> Result<()> {
@@ -322,18 +405,18 @@ impl ImageLayer {
             page.page_lsn()
         );
         match &self.store {
-            ImageStore::Covering(store) => store.put(page).map(drop),
+            ImageStore::Base(store) => store.put(page),
             ImageStore::Packed { .. } => {
                 Err(Error::InvalidState(format!("image@{} is packed and immutable", self.at_lsn)))
             }
         }
     }
 
-    /// The pages a packed image holds, ascending. Empty for the covering
-    /// base image, whose page set grows while it seeds.
+    /// The pages a packed image holds, ascending. Empty for the base
+    /// image, whose page set grows while it seeds.
     pub fn packed_ids(&self) -> &[PageId] {
         match &self.store {
-            ImageStore::Covering(_) => &[],
+            ImageStore::Base(_) => &[],
             ImageStore::Packed { ids, .. } => ids,
         }
     }
@@ -341,7 +424,7 @@ impl ImageLayer {
     /// Number of pages held.
     pub fn page_count(&self) -> usize {
         match &self.store {
-            ImageStore::Covering(store) => store.len(),
+            ImageStore::Base(store) => store.len(),
             ImageStore::Packed { ids, .. } => ids.len(),
         }
     }
@@ -350,7 +433,6 @@ impl ImageLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fcb::MemFcb;
     use crate::page::PageType;
     use crate::pageops::{apply_page_op, PageOp};
 
@@ -414,16 +496,49 @@ mod tests {
         p
     }
 
+    /// A device that counts the I/Os issued to it.
+    struct Counting {
+        inner: MemFcb,
+        writes: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    impl Counting {
+        fn new() -> Arc<Counting> {
+            let (writes, reads) = (AtomicU64::new(0), AtomicU64::new(0));
+            Arc::new(Counting { inner: MemFcb::new("counting"), writes, reads })
+        }
+    }
+
+    impl Fcb for Counting {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.reads.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a test tally
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.writes.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a test tally
+            self.inner.write_at(offset, data)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn flush(&self) -> Result<()> {
+            Ok(())
+        }
+        fn name(&self) -> &str {
+            "counting"
+        }
+    }
+
+    fn filled(page: u64, lsn: u64, fill: u8) -> Page {
+        let mut p = formatted(page, lsn);
+        p.body_mut()[0] = fill;
+        p
+    }
+
     #[test]
-    fn covering_image_materializes_pages() {
-        let img = ImageLayer::covering(
-            Lsn::new(100),
-            Arc::new(MemFcb::new("img-data")),
-            Arc::new(MemFcb::new("img-meta")),
-            0,
-            64,
-        )
-        .unwrap();
+    fn base_image_materializes_pages() {
+        let img = ImageLayer::base(Lsn::new(100), Arc::new(MemFcb::new("img")), 0, 64);
         assert_eq!(img.at_lsn(), Lsn::new(100));
         assert!(img.get(PageId::new(7)).unwrap().is_none());
         img.put(&formatted(7, 90)).unwrap();
@@ -432,6 +547,84 @@ mod tests {
         assert_eq!(got.page_lsn(), Lsn::new(90));
         assert_eq!(img.page_count(), 1);
         assert!(img.packed_ids().is_empty(), "the base image's page set is not fixed");
+    }
+
+    #[test]
+    fn adopting_a_page_into_the_base_image_is_one_device_write() {
+        let dev = Counting::new();
+        let img = ImageLayer::base(Lsn::new(100), Arc::clone(&dev) as Arc<dyn Fcb>, 1000, 256);
+        let n = 40u64;
+        for p in 0..n {
+            img.put(&formatted(1000 + p * 3, 50)).unwrap();
+        }
+        // ordering: relaxed — read after the puts on this thread
+        assert_eq!(dev.writes.load(Ordering::Relaxed), n, "one write per page, no journal");
+        assert_eq!(img.page_count(), n as usize);
+        // `contains` is a bit test, not an I/O.
+        assert!(img.contains(PageId::new(1003)) && !img.contains(PageId::new(1004)));
+        assert_eq!(dev.reads.load(Ordering::Relaxed), 0); // ordering: relaxed — as above
+    }
+
+    #[test]
+    fn base_image_stride_layout_and_range_read() {
+        let dev = Counting::new();
+        let img = ImageLayer::base(Lsn::new(100), Arc::clone(&dev) as Arc<dyn Fcb>, 100, 16);
+        for i in 0..8u64 {
+            img.put(&filled(100 + i, i, i as u8)).unwrap();
+        }
+        // Stride layout: page 103 lives at frame 3.
+        let direct = PageFile::new(Arc::clone(&dev) as Arc<dyn Fcb>);
+        assert_eq!(direct.read_page(3, PageId::new(103)).unwrap().body()[0], 3);
+        // A range of 4 held pages is one device read.
+        let reads = dev.reads.load(Ordering::Relaxed); // ordering: relaxed — test tally
+        let ids: Vec<PageId> = (102..106).map(PageId::new).collect();
+        let pages = img.get_range_partial(&ids).unwrap();
+        assert_eq!(dev.reads.load(Ordering::Relaxed), reads + 1); // ordering: relaxed — as above
+        let fills: Vec<u8> = pages.iter().map(|p| p.as_ref().unwrap().body()[0]).collect();
+        assert_eq!(fills, [2, 3, 4, 5]);
+        // A run past the seeded pages comes back absent.
+        let ids2: Vec<PageId> = (108..112).map(PageId::new).collect();
+        assert!(img.get_range_partial(&ids2).unwrap().iter().all(Option::is_none));
+        // Pages outside the covered range are refused.
+        assert!(img.put(&filled(99, 0, 0)).is_err());
+        assert!(img.put(&filled(116, 0, 0)).is_err());
+    }
+
+    #[test]
+    fn partial_range_straddling_the_held_pages_reports_presence() {
+        let img = ImageLayer::base(Lsn::new(100), Arc::new(MemFcb::new("img")), 100, 16);
+        // Hold only the middle of the span: pages 104..108.
+        for i in 4..8u64 {
+            img.put(&filled(100 + i, i, i as u8)).unwrap();
+        }
+        // A range straddling both ends: absent prefix (102, 103), held
+        // middle (104..108), absent suffix (108, 109).
+        let ids: Vec<PageId> = (102..110).map(PageId::new).collect();
+        let pages = img.get_range_partial(&ids).unwrap();
+        assert_eq!(pages.len(), 8);
+        assert!(pages[0].is_none() && pages[1].is_none());
+        for i in 2..6 {
+            let p = pages[i].as_ref().expect("held page must be present");
+            assert_eq!(p.body()[0], (i + 2) as u8);
+            assert_eq!(p.page_id(), ids[i]);
+        }
+        assert!(pages[6].is_none() && pages[7].is_none());
+        // A fully absent range past the device's high-water mark reads
+        // nothing and reports every page absent.
+        let ids2: Vec<PageId> = (110..114).map(PageId::new).collect();
+        assert!(img.get_range_partial(&ids2).unwrap().iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_torn_base_frame_reads_as_absent_and_can_be_adopted_again() {
+        let dev = Arc::new(MemFcb::new("img"));
+        let img = ImageLayer::base(Lsn::new(100), Arc::clone(&dev) as Arc<dyn Fcb>, 0, 8);
+        img.put(&filled(1, 10, 1)).unwrap();
+        dev.write_at(PAGE_SIZE as u64 + 50, &[0xFF; 8]).unwrap();
+        assert!(img.get(PageId::new(1)).unwrap().is_none());
+        assert!(!img.contains(PageId::new(1)));
+        img.put(&filled(1, 10, 9)).unwrap();
+        assert_eq!(img.get(PageId::new(1)).unwrap().unwrap().body()[0], 9);
     }
 
     #[test]

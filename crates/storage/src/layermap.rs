@@ -111,7 +111,7 @@ struct Shadows {
 }
 
 struct Inner {
-    /// The attach-time covering image: the resolution of last resort.
+    /// The attach-time base image: the resolution of last resort.
     base: Option<Arc<ImageLayer>>,
     /// Packed images, ascending `at_lsn`.
     images: Vec<Arc<ImageLayer>>,
@@ -237,14 +237,7 @@ mod tests {
     }
 
     fn base(at: u64) -> Arc<ImageLayer> {
-        ImageLayer::covering(
-            Lsn::new(at),
-            Arc::new(MemFcb::new("base-data")),
-            Arc::new(MemFcb::new("base-meta")),
-            0,
-            256,
-        )
-        .unwrap()
+        ImageLayer::base(Lsn::new(at), Arc::new(MemFcb::new("base")), 0, 256)
     }
 
     fn publish(map: &LayerMap, image: Arc<ImageLayer>) {

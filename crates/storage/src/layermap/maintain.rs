@@ -131,7 +131,7 @@ impl LayerMap {
         LayerMap::empty(None)
     }
 
-    /// An empty layer set over the attach-time covering `base` image.
+    /// An empty layer set over the attach-time `base` image.
     pub fn with_base(base: Arc<ImageLayer>) -> LayerMap {
         LayerMap::empty(Some(base))
     }

@@ -10,11 +10,11 @@
 //!   log's redo payload.
 //! * [`fcb`] — the FCB I/O virtualization layer (paper §3.6): one trait,
 //!   many devices (memory, file, latency-injecting, fault-injecting).
-//! * [`rbpex`] — the Resilient Buffer Pool Extension (paper §3.3): a
-//!   recoverable SSD page cache with sparse and covering policies.
+//! * [`rbpex`] — the Resilient Buffer Pool Extension (paper §3.3): the
+//!   compute node's recoverable SSD page cache.
 //! * [`layer`] — immutable layer files for the page server's versioned
 //!   store: open/sealed L0 delta layers, packed L1 image layers and the
-//!   RBPEX-backed base image.
+//!   base image, a dense page file over the partition.
 //! * [`layermap`] — the per-page layer index resolving `GetPage(X, lsn)`
 //!   for arbitrary historical LSNs (image lookup + ordered delta replay)
 //!   with zero-copy branch forks.
@@ -40,6 +40,6 @@ pub use layer::{DeltaLayer, ImageLayer, OpenLayer};
 pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pageops::{apply_page_op, PageOp};
-pub use rbpex::{Rbpex, RbpexPolicy};
+pub use rbpex::Rbpex;
 pub use sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
 pub use slotted::Slotted;

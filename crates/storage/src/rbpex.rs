@@ -7,14 +7,11 @@
 //! directly shortens mean-time-to-peak-performance and, per the paper,
 //! availability.
 //!
-//! Both cache policies from the paper are implemented:
-//!
-//! * **Sparse** — compute nodes cache their hottest pages; a clock policy
-//!   evicts, and evictions report `(page, PageLSN)` so the primary can
-//!   maintain its evicted-LSN map for GetPage@LSN.
-//! * **Covering** — page servers store *every* page of their partition, in
-//!   a stride-preserving layout (`frame = page_id - partition_base`) so a
-//!   multi-page range read from a compute node is a single device I/O.
+//! It is the compute node's cache: it holds the node's hottest pages, a
+//! clock policy evicts, and evictions report `(page, PageLSN)` so the
+//! primary can maintain its evicted-LSN map for GetPage@LSN. (A page
+//! server's partition copy is not an RBPEX: nothing ever recovers it, so
+//! it is a plain page file — see [`ImageLayer`](crate::layer::ImageLayer).)
 //!
 //! Resilience comes from a small metadata journal on the same device class:
 //! mapping changes (inserts/evictions) are journaled, and recovery replays
@@ -26,41 +23,9 @@ use crate::fcb::{Fcb, PageFile};
 use crate::page::Page;
 use parking_lot::Mutex;
 use socrates_common::checksum::crc32;
-use socrates_common::metrics::Counter;
 use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Cache placement/eviction policy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RbpexPolicy {
-    /// Hot-page cache with clock eviction, bounded to `capacity_pages`.
-    Sparse {
-        /// Maximum number of cached pages.
-        capacity_pages: usize,
-    },
-    /// Covering cache over the page range `[base, base + span)`: every page
-    /// has a reserved frame at `page_id - base` and nothing is ever evicted.
-    Covering {
-        /// First page id of the covered range.
-        base: u64,
-        /// Number of pages in the covered range.
-        span: u64,
-    },
-}
-
-/// Cache statistics.
-#[derive(Debug, Default)]
-pub struct RbpexStats {
-    /// Lookups that found the page (and passed verification).
-    pub hits: Counter,
-    /// Lookups that missed (or found a torn frame).
-    pub misses: Counter,
-    /// Pages written into the cache.
-    pub inserts: Counter,
-    /// Pages evicted to make room (sparse only).
-    pub evictions: Counter,
-}
 
 const JOURNAL_MAGIC: u8 = 0xA5;
 const J_PUT: u8 = 1;
@@ -72,7 +37,7 @@ const JREC_LEN: usize = 1 + 1 + 8 + 8 + 4;
 struct Dir {
     /// page id -> (frame, last known PageLSN)
     map: HashMap<PageId, (u64, Lsn)>,
-    /// frame -> occupying page (sparse mode bookkeeping)
+    /// frame -> occupying page
     frames: Vec<Option<PageId>>,
     /// clock ref bits, parallel to `frames`
     ref_bits: Vec<bool>,
@@ -81,40 +46,46 @@ struct Dir {
     journal_len: u64,
 }
 
-/// The resilient SSD page cache.
-pub struct Rbpex {
-    device: PageFile,
-    meta: Arc<dyn Fcb>,
-    policy: RbpexPolicy,
-    dir: Mutex<Dir>,
-    stats: RbpexStats,
-}
-
-impl Rbpex {
-    /// Create a fresh (empty) cache on `device` with its metadata journal on
-    /// `meta`.
-    pub fn create(device: Arc<dyn Fcb>, meta: Arc<dyn Fcb>, policy: RbpexPolicy) -> Result<Rbpex> {
-        let nframes = match &policy {
-            RbpexPolicy::Sparse { capacity_pages } => *capacity_pages,
-            RbpexPolicy::Covering { span, .. } => *span as usize,
-        };
-        let dir = Dir {
+impl Dir {
+    /// An empty directory over `nframes` frames, all free.
+    fn new(nframes: usize) -> Dir {
+        Dir {
             map: HashMap::new(),
             frames: vec![None; nframes],
             ref_bits: vec![false; nframes],
             clock_hand: 0,
             free: (0..nframes as u64).rev().collect(),
             journal_len: 0,
-        };
-        let r = Rbpex {
+        }
+    }
+}
+
+/// The resilient SSD page cache.
+pub struct Rbpex {
+    device: PageFile,
+    meta: Arc<dyn Fcb>,
+    dir: Mutex<Dir>,
+}
+
+impl Rbpex {
+    fn with_dir(device: Arc<dyn Fcb>, meta: Arc<dyn Fcb>, dir: Dir) -> Rbpex {
+        Rbpex {
             device: PageFile::new(device),
             meta,
-            policy,
             dir: Mutex::with_rank(dir, socrates_common::lock_rank::STORAGE_RBPEX_DIR, "rbpex.dir"),
-            stats: RbpexStats::default(),
-        };
+        }
+    }
+
+    /// Create a fresh (empty) cache of `capacity_pages` frames on `device`
+    /// with its metadata journal on `meta`.
+    pub fn create(
+        device: Arc<dyn Fcb>,
+        meta: Arc<dyn Fcb>,
+        capacity_pages: usize,
+    ) -> Result<Rbpex> {
+        let r = Rbpex::with_dir(device, meta, Dir::new(capacity_pages));
         // Terminate any stale journal from a previous life of the device.
-        r.journal_write_raw(0, &[0u8; JREC_LEN])?;
+        r.meta.write_at(0, &[0u8; JREC_LEN])?;
         Ok(r)
     }
 
@@ -123,44 +94,29 @@ impl Rbpex {
     /// Replays the metadata journal to rebuild the directory, then verifies
     /// every referenced frame's checksum and silently drops torn or corrupt
     /// entries — a recovered cache may be smaller than it was, never wrong.
-    pub fn recover(device: Arc<dyn Fcb>, meta: Arc<dyn Fcb>, policy: RbpexPolicy) -> Result<Rbpex> {
+    pub fn recover(
+        device: Arc<dyn Fcb>,
+        meta: Arc<dyn Fcb>,
+        capacity_pages: usize,
+    ) -> Result<Rbpex> {
         let mapping = Self::scan_journal(&*meta)?;
-        let nframes = match &policy {
-            RbpexPolicy::Sparse { capacity_pages } => *capacity_pages,
-            RbpexPolicy::Covering { span, .. } => *span as usize,
-        };
-        let dir = Dir {
-            map: HashMap::new(),
-            frames: vec![None; nframes],
-            ref_bits: vec![false; nframes],
-            clock_hand: 0,
-            free: Vec::new(),
-            journal_len: 0,
-        };
-        let r = Rbpex {
-            device: PageFile::new(device),
-            meta,
-            policy,
-            dir: Mutex::with_rank(dir, socrates_common::lock_rank::STORAGE_RBPEX_DIR, "rbpex.dir"),
-            stats: RbpexStats::default(),
-        };
+        let r = Rbpex::with_dir(device, meta, Dir::new(capacity_pages));
         {
             let mut dir = r.dir.lock();
             for (page, frame) in mapping {
-                if frame >= nframes as u64 {
-                    continue; // policy shrank across the restart; drop
+                if frame >= capacity_pages as u64 {
+                    continue; // capacity shrank across the restart; drop
                 }
                 // Verify the frame really holds this page; drop torn frames.
-                match r.device.read_page(frame, page) {
-                    Ok(p) => {
-                        dir.map.insert(page, (frame, p.page_lsn()));
-                        dir.frames[frame as usize] = Some(page);
-                    }
-                    Err(_) => continue,
+                if let Ok(p) = r.device.read_page(frame, page) {
+                    dir.map.insert(page, (frame, p.page_lsn()));
+                    dir.frames[frame as usize] = Some(page);
                 }
             }
-            dir.free =
-                (0..nframes as u64).rev().filter(|f| dir.frames[*f as usize].is_none()).collect();
+            dir.free = (0..capacity_pages as u64)
+                .rev()
+                .filter(|f| dir.frames[*f as usize].is_none())
+                .collect();
             // Rewrite the journal to reflect exactly the adopted set.
             r.compact_journal(&mut dir)?;
         }
@@ -198,10 +154,6 @@ impl Rbpex {
             off += JREC_LEN as u64;
         }
         Ok(mapping)
-    }
-
-    fn journal_write_raw(&self, off: u64, bytes: &[u8]) -> Result<()> {
-        self.meta.write_at(off, bytes)
     }
 
     fn journal_append(&self, dir: &mut Dir, tag: u8, page: PageId, frame: u64) -> Result<()> {
@@ -247,16 +199,6 @@ impl Rbpex {
         Ok(())
     }
 
-    /// The policy this cache was created with.
-    pub fn policy(&self) -> &RbpexPolicy {
-        &self.policy
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> &RbpexStats {
-        &self.stats
-    }
-
     /// Number of cached pages.
     pub fn len(&self) -> usize {
         self.dir.lock().map.len()
@@ -272,118 +214,26 @@ impl Rbpex {
         self.dir.lock().map.contains_key(&id)
     }
 
-    /// The cached PageLSN of `id`, if cached.
-    pub fn cached_lsn(&self, id: PageId) -> Option<Lsn> {
-        self.dir.lock().map.get(&id).map(|(_, l)| *l)
-    }
-
     /// Fetch `id` from the cache. Returns `None` on miss. A frame that
     /// fails verification is treated as a miss and dropped (self-healing).
     pub fn get(&self, id: PageId) -> Result<Option<Page>> {
         let frame = {
             let mut dir = self.dir.lock();
-            match dir.map.get(&id) {
-                Some(&(f, _)) => {
-                    if let RbpexPolicy::Sparse { .. } = self.policy {
-                        dir.ref_bits[f as usize] = true;
-                    }
-                    f
-                }
-                None => {
-                    self.stats.misses.incr();
-                    return Ok(None);
-                }
-            }
+            let Some(&(f, _)) = dir.map.get(&id) else {
+                return Ok(None);
+            };
+            dir.ref_bits[f as usize] = true;
+            f
         };
         match self.device.read_page(frame, id) {
-            Ok(p) => {
-                self.stats.hits.incr();
-                Ok(Some(p))
-            }
+            Ok(p) => Ok(Some(p)),
             Err(Error::Corruption(_)) => {
                 // Torn frame (e.g. crash mid-write): drop the entry.
-                let mut dir = self.dir.lock();
-                if let Some((f, _)) = dir.map.remove(&id) {
-                    if let RbpexPolicy::Sparse { .. } = self.policy {
-                        dir.frames[f as usize] = None;
-                        dir.free.push(f);
-                    }
-                    self.journal_append(&mut dir, J_EVICT, id, f)?;
-                }
-                self.stats.misses.incr();
+                self.remove(id)?;
                 Ok(None)
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Read `ids.len()` consecutive pages starting at `ids[0]` in a single
-    /// device I/O. Covering mode only; returns `None` if any page in the
-    /// range is absent.
-    pub fn get_range(&self, ids: &[PageId]) -> Result<Option<Vec<Page>>> {
-        let RbpexPolicy::Covering { base, .. } = self.policy else {
-            return Err(Error::InvalidState("get_range requires a covering cache".into()));
-        };
-        if ids.is_empty() {
-            return Ok(Some(Vec::new()));
-        }
-        {
-            let dir = self.dir.lock();
-            if !ids.iter().all(|id| dir.map.contains_key(id)) {
-                self.stats.misses.incr();
-                return Ok(None);
-            }
-        }
-        let first_frame = ids[0].raw() - base;
-        let pages = self.device.read_page_range(first_frame, ids)?;
-        self.stats.hits.add(ids.len() as u64);
-        Ok(Some(pages))
-    }
-
-    /// Read whichever pages of the contiguous run `ids` are resident, in a
-    /// single device I/O. Covering mode only. Frames the directory does not
-    /// know (or that fail verification) come back as `None`; the caller
-    /// overlays fresher tiers and fills true gaps page-at-a-time.
-    pub fn get_range_partial(&self, ids: &[PageId]) -> Result<Vec<Option<Page>>> {
-        let RbpexPolicy::Covering { base, .. } = self.policy else {
-            return Err(Error::InvalidState("get_range_partial requires a covering cache".into()));
-        };
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let flagged: Vec<(PageId, bool)> = {
-            let dir = self.dir.lock();
-            ids.iter().map(|&id| (id, dir.map.contains_key(&id))).collect()
-        };
-        // Trim the device window to [first present, last present]: frames
-        // past the last may lie beyond the device's high-water mark, and
-        // frames before the first are known absent — reading them would be
-        // redundant I/O for a range that merely straddles the covered
-        // region. Presence is still reported per page over the full range.
-        let Some(first) = flagged.iter().position(|&(_, p)| p) else {
-            self.stats.misses.add(ids.len() as u64);
-            return Ok(vec![None; ids.len()]);
-        };
-        let last = flagged.iter().rposition(|&(_, p)| p).expect("a first present implies a last");
-        let first_frame = ids[first].raw() - base;
-        let window = self.device.read_page_range_partial(first_frame, &flagged[first..=last])?;
-        let mut pages = vec![None; ids.len()];
-        for (i, p) in window.into_iter().enumerate() {
-            pages[first + i] = p;
-        }
-        for p in &pages {
-            if p.is_some() {
-                self.stats.hits.incr();
-            } else {
-                self.stats.misses.incr();
-            }
-        }
-        Ok(pages)
-    }
-
-    /// The last known PageLSN of a cached page (directory lookup, no I/O).
-    pub fn lsn_of(&self, id: PageId) -> Option<Lsn> {
-        self.dir.lock().map.get(&id).map(|&(_, lsn)| lsn)
     }
 
     /// Insert or update `page`. Returns the `(page, PageLSN)` of a page that
@@ -408,64 +258,42 @@ impl Rbpex {
             // Content update; mapping unchanged, no journaling needed.
             self.device.write_page(frame, page)?;
             dir.map.insert(id, (frame, lsn));
-            if let RbpexPolicy::Sparse { .. } = self.policy {
-                dir.ref_bits[frame as usize] = true;
-            }
+            dir.ref_bits[frame as usize] = true;
             return Ok(None);
         }
-        self.stats.inserts.incr();
-        let (frame, evicted) = match &self.policy {
-            RbpexPolicy::Covering { base, span } => {
-                let off = id.raw().checked_sub(*base).ok_or_else(|| {
-                    Error::InvalidArgument(format!("{id} below covering base {base}"))
-                })?;
-                if off >= *span {
-                    return Err(Error::InvalidArgument(format!(
-                        "{id} outside covering range [{base}, {})",
-                        base + span
-                    )));
-                }
-                (off, None)
-            }
-            RbpexPolicy::Sparse { .. } => {
-                if let Some(f) = dir.free.pop() {
-                    (f, None)
-                } else {
-                    // Clock eviction.
-                    let n = dir.frames.len();
-                    let mut victim = None;
-                    for _ in 0..2 * n {
-                        let h = dir.clock_hand;
-                        dir.clock_hand = (h + 1) % n;
-                        if dir.frames[h].is_none() {
-                            continue;
-                        }
-                        if dir.ref_bits[h] {
-                            dir.ref_bits[h] = false;
-                        } else {
-                            victim = Some(h as u64);
-                            break;
-                        }
+        let (frame, evicted) = match dir.free.pop() {
+            Some(f) => (f, None),
+            None => {
+                // Clock eviction.
+                let n = dir.frames.len();
+                let mut victim = None;
+                for _ in 0..2 * n {
+                    let h = dir.clock_hand;
+                    dir.clock_hand = (h + 1) % n;
+                    if dir.frames[h].is_none() {
+                        continue;
                     }
-                    let v = victim.ok_or_else(|| {
-                        Error::InvalidState("rbpex has no evictable frame".into())
-                    })?;
-                    let vid = dir.frames[v as usize].expect("victim occupied");
-                    let (_, vlsn) = *dir.map.get(&vid).expect("victim mapped");
-                    note(vid, vlsn);
-                    dir.map.remove(&vid);
-                    self.stats.evictions.incr();
-                    self.journal_append(&mut dir, J_EVICT, vid, v)?;
-                    (v, Some((vid, vlsn)))
+                    if dir.ref_bits[h] {
+                        dir.ref_bits[h] = false;
+                    } else {
+                        victim = Some(h as u64);
+                        break;
+                    }
                 }
+                let v = victim
+                    .ok_or_else(|| Error::InvalidState("rbpex has no evictable frame".into()))?;
+                let vid = dir.frames[v as usize].expect("victim occupied");
+                let (_, vlsn) = *dir.map.get(&vid).expect("victim mapped");
+                note(vid, vlsn);
+                dir.map.remove(&vid);
+                self.journal_append(&mut dir, J_EVICT, vid, v)?;
+                (v, Some((vid, vlsn)))
             }
         };
         self.device.write_page(frame, page)?;
         dir.map.insert(id, (frame, lsn));
-        if let RbpexPolicy::Sparse { .. } = self.policy {
-            dir.frames[frame as usize] = Some(id);
-            dir.ref_bits[frame as usize] = true;
-        }
+        dir.frames[frame as usize] = Some(id);
+        dir.ref_bits[frame as usize] = true;
         self.journal_append(&mut dir, J_PUT, id, frame)?;
         Ok(evicted)
     }
@@ -474,19 +302,12 @@ impl Rbpex {
     pub fn remove(&self, id: PageId) -> Result<()> {
         let mut dir = self.dir.lock();
         if let Some((f, _)) = dir.map.remove(&id) {
-            if let RbpexPolicy::Sparse { .. } = self.policy {
-                dir.frames[f as usize] = None;
-                dir.ref_bits[f as usize] = false;
-                dir.free.push(f);
-            }
+            dir.frames[f as usize] = None;
+            dir.ref_bits[f as usize] = false;
+            dir.free.push(f);
             self.journal_append(&mut dir, J_EVICT, id, f)?;
         }
         Ok(())
-    }
-
-    /// All cached page ids (diagnostics, checkpointing).
-    pub fn cached_ids(&self) -> Vec<PageId> {
-        self.dir.lock().map.keys().copied().collect()
     }
 }
 
@@ -504,44 +325,40 @@ mod tests {
         p
     }
 
-    fn sparse(cap: usize) -> (Rbpex, Arc<MemFcb>, Arc<MemFcb>) {
+    fn cache(cap: usize) -> (Rbpex, Arc<MemFcb>, Arc<MemFcb>) {
         let dev = Arc::new(MemFcb::new("ssd"));
         let meta = Arc::new(MemFcb::new("meta"));
-        let r = Rbpex::create(
-            Arc::clone(&dev) as Arc<dyn Fcb>,
-            Arc::clone(&meta) as Arc<dyn Fcb>,
-            RbpexPolicy::Sparse { capacity_pages: cap },
-        )
-        .unwrap();
+        let r =
+            Rbpex::create(Arc::clone(&dev) as Arc<dyn Fcb>, Arc::clone(&meta) as Arc<dyn Fcb>, cap)
+                .unwrap();
         (r, dev, meta)
     }
 
     #[test]
     fn put_get_roundtrip() {
-        let (r, _, _) = sparse(4);
+        let (r, _, _) = cache(4);
         r.put(&page(1, 10, 0xAA)).unwrap();
         let p = r.get(PageId::new(1)).unwrap().unwrap();
         assert_eq!(p.body()[0], 0xAA);
         assert_eq!(p.page_lsn(), Lsn::new(10));
         assert!(r.get(PageId::new(2)).unwrap().is_none());
-        assert_eq!(r.stats().hits.get(), 1);
-        assert_eq!(r.stats().misses.get(), 1);
+        assert!(r.contains(PageId::new(1)) && !r.contains(PageId::new(2)));
     }
 
     #[test]
     fn update_in_place_keeps_len() {
-        let (r, _, _) = sparse(2);
+        let (r, _, _) = cache(2);
         r.put(&page(1, 10, 1)).unwrap();
         r.put(&page(1, 20, 2)).unwrap();
         assert_eq!(r.len(), 1);
         let p = r.get(PageId::new(1)).unwrap().unwrap();
         assert_eq!(p.body()[0], 2);
-        assert_eq!(r.cached_lsn(PageId::new(1)), Some(Lsn::new(20)));
+        assert_eq!(p.page_lsn(), Lsn::new(20));
     }
 
     #[test]
     fn eviction_reports_victim_lsn() {
-        let (r, _, _) = sparse(2);
+        let (r, _, _) = cache(2);
         assert!(r.put(&page(1, 10, 1)).unwrap().is_none());
         assert!(r.put(&page(2, 20, 2)).unwrap().is_none());
         let evicted = r.put(&page(3, 30, 3)).unwrap();
@@ -550,12 +367,12 @@ mod tests {
         assert_eq!(vlsn, if vid == PageId::new(1) { Lsn::new(10) } else { Lsn::new(20) });
         assert_eq!(r.len(), 2);
         assert!(!r.contains(vid));
-        assert_eq!(r.stats().evictions.get(), 1);
+        assert!(r.contains(PageId::new(3)));
     }
 
     #[test]
     fn clock_prefers_unreferenced() {
-        let (r, _, _) = sparse(3);
+        let (r, _, _) = cache(3);
         r.put(&page(1, 1, 1)).unwrap();
         r.put(&page(2, 2, 2)).unwrap();
         r.put(&page(3, 3, 3)).unwrap();
@@ -571,73 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn covering_mode_stride_layout_and_range_read() {
-        let dev = Arc::new(MemFcb::new("ssd"));
-        let meta = Arc::new(MemFcb::new("meta"));
-        let r = Rbpex::create(
-            Arc::clone(&dev) as Arc<dyn Fcb>,
-            meta as Arc<dyn Fcb>,
-            RbpexPolicy::Covering { base: 100, span: 16 },
-        )
-        .unwrap();
-        for i in 0..8u64 {
-            r.put(&page(100 + i, i, i as u8)).unwrap();
-        }
-        // Stride layout: page 103 lives at frame 3.
-        let direct = PageFile::new(dev as Arc<dyn Fcb>);
-        let p = direct.read_page(3, PageId::new(103)).unwrap();
-        assert_eq!(p.body()[0], 3);
-        // Range read of 4 pages in one I/O.
-        let ids: Vec<PageId> = (102..106).map(PageId::new).collect();
-        let pages = r.get_range(&ids).unwrap().unwrap();
-        assert_eq!(pages.len(), 4);
-        assert_eq!(pages[0].body()[0], 2);
-        assert_eq!(pages[3].body()[0], 5);
-        // Absent member -> None.
-        let ids2: Vec<PageId> = (106..110).map(PageId::new).collect();
-        assert!(r.get_range(&ids2).unwrap().is_none());
-        // Out-of-range put rejected.
-        assert!(r.put(&page(99, 0, 0)).is_err());
-        assert!(r.put(&page(116, 0, 0)).is_err());
-    }
-
-    #[test]
-    fn partial_range_straddling_covered_boundary_reports_presence() {
-        let dev = Arc::new(MemFcb::new("ssd"));
-        let meta = Arc::new(MemFcb::new("meta"));
-        let r = Rbpex::create(
-            dev as Arc<dyn Fcb>,
-            meta as Arc<dyn Fcb>,
-            RbpexPolicy::Covering { base: 100, span: 16 },
-        )
-        .unwrap();
-        // Cover only the middle of the span: pages 104..108.
-        for i in 4..8u64 {
-            r.put(&page(100 + i, i, i as u8)).unwrap();
-        }
-        // A range straddling both boundaries: absent prefix (102, 103),
-        // present middle (104..108), absent suffix (108, 109).
-        let ids: Vec<PageId> = (102..110).map(PageId::new).collect();
-        let pages = r.get_range_partial(&ids).unwrap();
-        assert_eq!(pages.len(), 8);
-        assert!(pages[0].is_none() && pages[1].is_none());
-        for i in 2..6 {
-            let p = pages[i].as_ref().expect("covered page must be present");
-            assert_eq!(p.body()[0], (i + 2) as u8);
-            assert_eq!(p.page_id(), ids[i]);
-        }
-        assert!(pages[6].is_none() && pages[7].is_none());
-        assert_eq!(r.stats().hits.get(), 4);
-        assert_eq!(r.stats().misses.get(), 4);
-        // Fully absent range -> all None, no device I/O panic even past
-        // the high-water mark.
-        let ids2: Vec<PageId> = (110..114).map(PageId::new).collect();
-        assert!(r.get_range_partial(&ids2).unwrap().iter().all(Option::is_none));
-    }
-
-    #[test]
     fn torn_frame_treated_as_miss_and_dropped() {
-        let (r, dev, _) = sparse(4);
+        let (r, dev, _) = cache(4);
         r.put(&page(1, 10, 1)).unwrap();
         // Corrupt the frame on the device behind the cache's back.
         dev.write_at(50, &[0xFF; 8]).unwrap();
@@ -656,7 +408,7 @@ mod tests {
             let r = Rbpex::create(
                 Arc::clone(&dev) as Arc<dyn Fcb>,
                 Arc::clone(&meta) as Arc<dyn Fcb>,
-                RbpexPolicy::Sparse { capacity_pages: 8 },
+                8,
             )
             .unwrap();
             for i in 0..6u64 {
@@ -664,12 +416,9 @@ mod tests {
             }
             r.remove(PageId::new(3)).unwrap();
         } // "restart"
-        let r = Rbpex::recover(
-            Arc::clone(&dev) as Arc<dyn Fcb>,
-            Arc::clone(&meta) as Arc<dyn Fcb>,
-            RbpexPolicy::Sparse { capacity_pages: 8 },
-        )
-        .unwrap();
+        let r =
+            Rbpex::recover(Arc::clone(&dev) as Arc<dyn Fcb>, Arc::clone(&meta) as Arc<dyn Fcb>, 8)
+                .unwrap();
         assert_eq!(r.len(), 5);
         assert!(!r.contains(PageId::new(3)));
         for i in [0u64, 1, 2, 4, 5] {
@@ -692,7 +441,7 @@ mod tests {
             let r = Rbpex::create(
                 Arc::clone(&dev) as Arc<dyn Fcb>,
                 Arc::clone(&meta) as Arc<dyn Fcb>,
-                RbpexPolicy::Sparse { capacity_pages: 4 },
+                4,
             )
             .unwrap();
             r.put(&page(1, 10, 1)).unwrap();
@@ -700,12 +449,9 @@ mod tests {
         }
         // Tear page 2's frame (frame 1) mid-write.
         dev.write_at(PAGE_SIZE as u64 + 100, &[0xEE; 64]).unwrap();
-        let r = Rbpex::recover(
-            Arc::clone(&dev) as Arc<dyn Fcb>,
-            Arc::clone(&meta) as Arc<dyn Fcb>,
-            RbpexPolicy::Sparse { capacity_pages: 4 },
-        )
-        .unwrap();
+        let r =
+            Rbpex::recover(Arc::clone(&dev) as Arc<dyn Fcb>, Arc::clone(&meta) as Arc<dyn Fcb>, 4)
+                .unwrap();
         assert!(r.contains(PageId::new(1)));
         assert!(!r.contains(PageId::new(2)), "torn frame must be dropped");
         // The freed frame is reusable.
@@ -717,47 +463,15 @@ mod tests {
     fn recovery_of_empty_cache() {
         let dev = Arc::new(MemFcb::new("ssd"));
         let meta = Arc::new(MemFcb::new("meta"));
-        let r = Rbpex::recover(
-            dev as Arc<dyn Fcb>,
-            meta as Arc<dyn Fcb>,
-            RbpexPolicy::Sparse { capacity_pages: 4 },
-        )
-        .unwrap();
+        let r = Rbpex::recover(dev as Arc<dyn Fcb>, meta as Arc<dyn Fcb>, 4).unwrap();
         assert!(r.is_empty());
         r.put(&page(1, 1, 1)).unwrap();
         assert_eq!(r.len(), 1);
     }
 
     #[test]
-    fn covering_recovery() {
-        let dev = Arc::new(MemFcb::new("ssd"));
-        let meta = Arc::new(MemFcb::new("meta"));
-        {
-            let r = Rbpex::create(
-                Arc::clone(&dev) as Arc<dyn Fcb>,
-                Arc::clone(&meta) as Arc<dyn Fcb>,
-                RbpexPolicy::Covering { base: 0, span: 8 },
-            )
-            .unwrap();
-            for i in 0..8u64 {
-                r.put(&page(i, i, i as u8)).unwrap();
-            }
-        }
-        let r = Rbpex::recover(
-            dev as Arc<dyn Fcb>,
-            meta as Arc<dyn Fcb>,
-            RbpexPolicy::Covering { base: 0, span: 8 },
-        )
-        .unwrap();
-        assert_eq!(r.len(), 8);
-        let ids: Vec<PageId> = (0..8).map(PageId::new).collect();
-        let pages = r.get_range(&ids).unwrap().unwrap();
-        assert_eq!(pages[7].body()[0], 7);
-    }
-
-    #[test]
     fn journal_compaction_bounds_meta_size() {
-        let (r, _, meta) = sparse(2);
+        let (r, _, meta) = cache(2);
         for i in 0..2000u64 {
             r.put(&page(i % 8, i, i as u8)).unwrap();
         }

@@ -16,7 +16,7 @@
 //! * **destages** released blocks to the SSD cache and LT, and truncates
 //!   the landing zone behind the destage point — the backpressure loop that
 //!   bounds the expensive LZ;
-//! * tracks consumer **leases and progress**, serving pull-based consumers
+//! * serves pull-based consumers, each of which tracks its own progress,
 //!   so it never needs to know how many page servers exist.
 
 pub mod feed;

@@ -9,10 +9,10 @@ use socrates_wal::block::{LogBlock, BLOCK_HEADER};
 use socrates_wal::ring;
 use socrates_wal::store::LogStore;
 use socrates_xstore::XStore;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// XLOG tuning knobs.
 #[derive(Clone, Debug)]
@@ -21,8 +21,6 @@ pub struct XLogConfig {
     pub sequence_map_bytes: usize,
     /// Capacity of the local SSD block cache (second tier).
     pub ssd_cache_bytes: u64,
-    /// Consumer lease time-to-live.
-    pub lease_ttl: Duration,
 }
 
 /// Max bytes a log consumer (page server, secondary) pulls per apply batch.
@@ -30,11 +28,7 @@ pub const PULL_BATCH_BYTES: usize = 1 << 20;
 
 impl Default for XLogConfig {
     fn default() -> Self {
-        XLogConfig {
-            sequence_map_bytes: 8 << 20,
-            ssd_cache_bytes: 32 << 20,
-            lease_ttl: Duration::from_secs(30),
-        }
+        XLogConfig { sequence_map_bytes: 8 << 20, ssd_cache_bytes: 32 << 20 }
     }
 }
 
@@ -89,11 +83,6 @@ struct Broker {
     destage_queue: VecDeque<LogBlock>,
 }
 
-struct Lease {
-    progress: Lsn,
-    renewed_at: Instant,
-}
-
 /// The local SSD block cache: the most recently destaged blocks in a
 /// [`ring`] on one device. Only the destager writes it and advances its
 /// window; a reader racing a wraparound reads a torn image, which fails
@@ -142,7 +131,6 @@ pub struct XLogService {
     /// advanced under `broker`; consumers and the destager sleep on it.
     released: Watermark,
     destaged: Watermark,
-    leases: Mutex<HashMap<String, Lease>>,
     config: XLogConfig,
     metrics: XLogMetrics,
     stop: AtomicBool,
@@ -190,11 +178,6 @@ impl XLogService {
             hardened: AtomicLsn::new(start),
             released: Watermark::new(start),
             destaged: Watermark::new(start),
-            leases: Mutex::with_rank(
-                HashMap::new(),
-                socrates_common::lock_rank::XLOG_LEASES,
-                "xlog.leases",
-            ),
             config,
             metrics: XLogMetrics::default(),
             stop: AtomicBool::new(false),
@@ -286,16 +269,6 @@ impl XLogService {
         hub.register_gauge_fn(node, "destage_lag_bytes", move || {
             (svc.hardened.load().offset() as i64 - svc.destaged.load().offset() as i64).max(0)
         });
-    }
-
-    /// Every live consumer's applied progress, by lease name (lag
-    /// watchers derive per-consumer gauges from this).
-    pub fn consumer_progress(&self) -> Vec<(String, Lsn)> {
-        let leases = self.leases.lock();
-        let mut v: Vec<(String, Lsn)> =
-            leases.iter().map(|(n, l)| (n.clone(), l.progress)).collect();
-        v.sort();
-        v
     }
 
     /// The hardened frontier reported by the primary.
@@ -597,50 +570,6 @@ impl XLogService {
         }
         Ok(PullResult { blocks, next_lsn: at })
     }
-
-    // ---- leases & progress ----
-
-    /// Register (or renew) a consumer lease.
-    pub fn register_consumer(&self, name: &str, progress: Lsn) {
-        let mut leases = self.leases.lock();
-        let lease = leases
-            .entry(name.to_string())
-            .or_insert(Lease { progress, renewed_at: Instant::now() });
-        lease.renewed_at = Instant::now();
-    }
-
-    /// Report a consumer's applied progress (renews its lease).
-    pub fn report_progress(&self, name: &str, progress: Lsn) {
-        let mut leases = self.leases.lock();
-        let lease = leases
-            .entry(name.to_string())
-            .or_insert(Lease { progress, renewed_at: Instant::now() });
-        lease.progress = lease.progress.max(progress);
-        lease.renewed_at = Instant::now();
-    }
-
-    /// The slowest live consumer's progress (diagnostics; a production
-    /// system would gate LT garbage collection on this).
-    pub fn min_consumer_progress(&self) -> Option<Lsn> {
-        self.leases.lock().values().map(|l| l.progress).min()
-    }
-
-    /// Drop leases that have not been renewed within the TTL; returns the
-    /// expired consumer names.
-    pub fn expire_leases(&self) -> Vec<String> {
-        let ttl = self.config.lease_ttl;
-        let mut leases = self.leases.lock();
-        let now = Instant::now();
-        let expired: Vec<String> = leases
-            .iter()
-            .filter(|(_, l)| now.duration_since(l.renewed_at) > ttl)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for n in &expired {
-            leases.remove(n);
-        }
-        expired
-    }
 }
 
 impl Drop for XLogService {
@@ -659,6 +588,7 @@ mod tests {
     use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
     use socrates_wal::record::{LogPayload, LogRecord};
     use socrates_xstore::XStoreConfig;
+    use std::time::Instant;
 
     fn block_at(start: Lsn, partition: u32, payload_len: usize) -> LogBlock {
         let mut b = BlockBuilder::new(start, 1 << 16);
@@ -846,7 +776,6 @@ mod tests {
         let config = XLogConfig {
             sequence_map_bytes: 1, // effectively nothing stays in memory
             ssd_cache_bytes: 256,  // too small for more than ~1 block
-            ..XLogConfig::default()
         };
         let f = fixture(config);
         let blocks = feed_chain(&f, 8, |_| false);
@@ -945,23 +874,5 @@ mod tests {
         assert_eq!(got.len(), 4);
         assert_eq!(got[0], blocks[2]);
         assert_eq!(&got[3], blocks.last().unwrap());
-    }
-
-    #[test]
-    fn leases_and_progress() {
-        let config = XLogConfig { lease_ttl: Duration::from_millis(20), ..XLogConfig::default() };
-        let f = fixture(config);
-        f.svc.register_consumer("pageserver-0", Lsn::ZERO);
-        f.svc.report_progress("pageserver-0", Lsn::new(100));
-        f.svc.report_progress("secondary-0", Lsn::new(50));
-        assert_eq!(f.svc.min_consumer_progress(), Some(Lsn::new(50)));
-        // Progress never regresses.
-        f.svc.report_progress("pageserver-0", Lsn::new(90));
-        assert_eq!(f.svc.min_consumer_progress(), Some(Lsn::new(50)));
-        std::thread::sleep(Duration::from_millis(40));
-        f.svc.report_progress("secondary-0", Lsn::new(60)); // renews
-        let expired = f.svc.expire_leases();
-        assert_eq!(expired, vec!["pageserver-0".to_string()]);
-        assert_eq!(f.svc.min_consumer_progress(), Some(Lsn::new(60)));
     }
 }

@@ -267,11 +267,6 @@ impl XStore {
         inner.snapshots.remove(&sid).map(|_| ()).ok_or_else(|| Error::NotFound(format!("{sid}")))
     }
 
-    /// Number of live blobs (diagnostics).
-    pub fn blob_count(&self) -> usize {
-        self.inner.read().blobs.len()
-    }
-
     /// Number of retained snapshots (diagnostics).
     pub fn snapshot_count(&self) -> usize {
         self.inner.read().snapshots.len()

@@ -7,7 +7,7 @@ use socrates_common::{Lsn, PageId, TxnId};
 use socrates_storage::fcb::{Fcb, MemFcb};
 use socrates_storage::page::{Page, PageType};
 use socrates_storage::pageops::{apply_page_op, PageOp};
-use socrates_storage::rbpex::{Rbpex, RbpexPolicy};
+use socrates_storage::rbpex::Rbpex;
 use socrates_wal::block::BlockBuilder;
 use socrates_wal::record::{LogPayload, LogRecord};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn restart_replays_only_the_delta() {
         let cache = Rbpex::create(
             Arc::clone(&ssd) as Arc<dyn Fcb>,
             Arc::clone(&meta) as Arc<dyn Fcb>,
-            RbpexPolicy::Sparse { capacity_pages: n_pages as usize },
+            n_pages as usize,
         )
         .unwrap();
         for pid in 0..n_pages {
@@ -66,7 +66,7 @@ fn restart_replays_only_the_delta() {
     let cache = Rbpex::recover(
         Arc::clone(&ssd) as Arc<dyn Fcb>,
         Arc::clone(&meta) as Arc<dyn Fcb>,
-        RbpexPolicy::Sparse { capacity_pages: n_pages as usize },
+        n_pages as usize,
     )
     .unwrap();
     assert_eq!(cache.len(), n_pages as usize, "the whole cache survived the restart");
