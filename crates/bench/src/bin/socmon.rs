@@ -29,6 +29,7 @@
 //!                             # auto-selected when stdout is not a TTY
 //! ```
 
+use socrates::config::{HUB_HISTORY_INTERVAL, WATCHER_INTERVAL};
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::metrics::HistogramSnapshot;
 use socrates_common::obs::ctx::{unpack_coalesce, HEDGE_LOST, HEDGE_WON};
@@ -216,8 +217,7 @@ fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
         config.trace_sample = 1;
     }
     if !opts.slo.is_empty() || opts.watch > 0 {
-        config.hub_history_capacity = 1024;
-        config.hub_history_interval = Duration::from_millis(10);
+        config = config.with_hub_history(1024);
     }
     if !opts.slo.is_empty() {
         config.slo_spec = opts.slo.clone();
@@ -246,7 +246,7 @@ fn run_workload(opts: &Options) -> socrates_common::Result<Socrates> {
         let frontier = primary.pipeline().hardened_lsn();
         sys.fabric().wait_applied(frontier, Duration::from_secs(30))?;
         sys.fabric().xlog.destage_all()?;
-        std::thread::sleep(sys.fabric().config.watcher_interval * 4);
+        std::thread::sleep(WATCHER_INTERVAL * 4);
     }
     if opts.layers {
         // Drive the layer machinery end to end so the view has something
@@ -361,7 +361,7 @@ fn watch(sys: &Socrates, opts: &Options) {
         for status in fabric.slo_statuses() {
             println!("{}", status.render());
         }
-        std::thread::sleep(fabric.config.watcher_interval.max(Duration::from_millis(10)));
+        std::thread::sleep(HUB_HISTORY_INTERVAL);
     }
 }
 

@@ -96,11 +96,25 @@ impl RunReport {
     }
 }
 
-/// Run `workload` against `system` with the given driver settings.
+/// Cores modelled per node: the CPU% denominator of [`run`].
+const MODELLED_CORES: u32 = 8;
+
+/// Run `workload` against `system` with the given driver settings,
+/// reporting CPU% against 8 modelled cores.
 pub fn run(
     system: &dyn TestSystem,
     workload: Arc<dyn Workload>,
     config: &DriverConfig,
+) -> RunReport {
+    run_on_cores(system, workload, config, MODELLED_CORES)
+}
+
+/// [`run`], reporting CPU% against a node of `cores` modelled cores.
+pub fn run_on_cores(
+    system: &dyn TestSystem,
+    workload: Arc<dyn Workload>,
+    config: &DriverConfig,
+    cores: u32,
 ) -> RunReport {
     let stop = Arc::new(AtomicBool::new(false));
     let measuring = Arc::new(AtomicBool::new(false));
@@ -186,7 +200,7 @@ pub fn run(
             log_mb_s: log_bytes as f64 / 1e6 / secs,
             cpu_pct: {
                 let busy = cpu.busy_us() - cpu_before;
-                let capacity = wall.as_micros() as f64 * system.cores() as f64;
+                let capacity = wall.as_micros() as f64 * cores as f64;
                 (busy as f64 / capacity * 100.0).min(100.0)
             },
             cache_hit_rate: system.local_hit_rate(),

@@ -14,8 +14,6 @@ pub trait TestSystem: Send + Sync {
     fn primary_cpu(&self) -> Arc<CpuAccountant>;
     /// Log pipeline metrics (commit latency, bytes hardened).
     fn log_metrics(&self) -> &LogPipelineMetrics;
-    /// Modelled cores on the primary (for CPU%).
-    fn cores(&self) -> u32;
     /// Local (memory + SSD) cache hit rate of the primary, if the
     /// architecture has a partial cache (Tables 3/4). HADR reads always
     /// hit its full copy.
@@ -30,13 +28,12 @@ pub trait TestSystem: Send + Sync {
 /// Socrates adapter.
 pub struct SocratesSut {
     primary: Arc<socrates::Primary>,
-    cores: u32,
 }
 
 impl SocratesSut {
     /// Wrap a Socrates deployment's current primary.
     pub fn new(sys: &socrates::Socrates) -> socrates_common::Result<SocratesSut> {
-        Ok(SocratesSut { primary: sys.primary()?, cores: sys.fabric().config.compute_cores })
+        Ok(SocratesSut { primary: sys.primary()? })
     }
 }
 
@@ -53,10 +50,6 @@ impl TestSystem for SocratesSut {
         self.primary.pipeline().metrics()
     }
 
-    fn cores(&self) -> u32 {
-        self.cores
-    }
-
     fn local_hit_rate(&self) -> f64 {
         self.primary.io().data_pages().hit_rate()
     }
@@ -70,13 +63,12 @@ impl TestSystem for SocratesSut {
 /// HADR adapter.
 pub struct HadrSut {
     hadr: Arc<Hadr>,
-    cores: u32,
 }
 
 impl HadrSut {
     /// Wrap an HADR deployment.
-    pub fn new(hadr: Arc<Hadr>, cores: u32) -> HadrSut {
-        HadrSut { hadr, cores }
+    pub fn new(hadr: Arc<Hadr>) -> HadrSut {
+        HadrSut { hadr }
     }
 }
 
@@ -91,9 +83,5 @@ impl TestSystem for HadrSut {
 
     fn log_metrics(&self) -> &LogPipelineMetrics {
         self.hadr.pipeline().metrics()
-    }
-
-    fn cores(&self) -> u32 {
-        self.cores
     }
 }

@@ -131,7 +131,7 @@ fn driver_reports_are_consistent() {
 fn hadr_sut_adapter_works() {
     let hadr = Arc::new(Hadr::launch(HadrConfig::fast_test()).unwrap());
     load_cdb(hadr.db(), CdbScale::tiny(), 9).unwrap();
-    let sut = HadrSut::new(Arc::clone(&hadr), 8);
+    let sut = HadrSut::new(Arc::clone(&hadr));
     assert_eq!(sut.local_hit_rate(), 1.0, "HADR always hits its full copy");
     let workload = Arc::new(CdbWorkload::new(CdbMix::UpdateLite, CdbScale::tiny().scale_factor));
     let report = run(

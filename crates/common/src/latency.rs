@@ -247,24 +247,6 @@ impl DeviceProfile {
     }
 }
 
-/// Whether sampled latencies are actually waited out.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LatencyMode {
-    /// Never wait; `delay` returns immediately reporting zero. Unit tests.
-    Disabled,
-    /// Wait for `sample * scale` of real time. `scale = 1.0` reproduces the
-    /// calibrated distributions; smaller scales speed up long experiments
-    /// while preserving relative shapes.
-    Enabled { scale: f64 },
-}
-
-impl LatencyMode {
-    /// Full-fidelity real-time waiting.
-    pub const fn real() -> LatencyMode {
-        LatencyMode::Enabled { scale: 1.0 }
-    }
-}
-
 /// Shareable latency injector bound to one device profile.
 ///
 /// One injector per device instance; cheap to clone (internally `Arc`).
@@ -275,21 +257,15 @@ pub struct LatencyInjector {
 
 struct Inner {
     profile: DeviceProfile,
-    mode: LatencyMode,
     rng: Mutex<Rng>,
 }
 
 impl LatencyInjector {
-    /// Create an injector for `profile` in `mode`, seeded deterministically.
-    pub fn new(profile: DeviceProfile, mode: LatencyMode, seed: u64) -> LatencyInjector {
-        LatencyInjector {
-            inner: Arc::new(Inner { profile, mode, rng: Mutex::new(Rng::new(seed)) }),
-        }
-    }
-
-    /// An injector that never waits (unit tests).
-    pub fn disabled() -> LatencyInjector {
-        LatencyInjector::new(DeviceProfile::instant(), LatencyMode::Disabled, 0)
+    /// Create an injector for `profile`, seeded deterministically. It
+    /// waits out whatever the profile samples, so an instant profile
+    /// never waits.
+    pub fn new(profile: DeviceProfile, seed: u64) -> LatencyInjector {
+        LatencyInjector { inner: Arc::new(Inner { profile, rng: Mutex::new(Rng::new(seed)) }) }
     }
 
     /// The underlying profile.
@@ -297,14 +273,12 @@ impl LatencyInjector {
         &self.inner.profile
     }
 
-    /// Sample and (per mode) wait out one read service time.
-    /// Returns the *modelled* (unscaled) duration.
+    /// Sample and wait out one read service time; returns it.
     pub fn read_delay(&self) -> Duration {
         self.delay(true)
     }
 
-    /// Sample and (per mode) wait out one write service time.
-    /// Returns the *modelled* (unscaled) duration.
+    /// Sample and wait out one write service time; returns it.
     pub fn write_delay(&self) -> Duration {
         self.delay(false)
     }
@@ -316,17 +290,13 @@ impl LatencyInjector {
 
     fn delay(&self, is_read: bool) -> Duration {
         let model = if is_read { &self.inner.profile.read } else { &self.inner.profile.write };
-        match self.inner.mode {
-            LatencyMode::Disabled => Duration::ZERO,
-            LatencyMode::Enabled { scale } => {
-                let d = {
-                    let mut rng = self.inner.rng.lock();
-                    model.sample(&mut rng)
-                };
-                precise_sleep(d.mul_f64(scale.max(0.0)));
-                d
-            }
+        // An instant device costs one compare: no RNG lock, no sleep.
+        if model.max_us == 0 {
+            return Duration::ZERO;
         }
+        let d = model.sample(&mut self.inner.rng.lock());
+        precise_sleep(d);
+        d
     }
 }
 
@@ -368,7 +338,6 @@ fn tighten_timer_slack() {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
@@ -424,7 +393,7 @@ mod tests {
     fn zero_model_and_disabled_injector() {
         let mut rng = Rng::new(4);
         assert_eq!(LatencyModel::zero().sample(&mut rng), Duration::ZERO);
-        let inj = LatencyInjector::disabled();
+        let inj = LatencyInjector::new(DeviceProfile::instant(), 4);
         assert_eq!(inj.read_delay(), Duration::ZERO);
         assert_eq!(inj.write_delay(), Duration::ZERO);
         assert_eq!(inj.cpu_cost_us(8192), 0);
@@ -452,21 +421,5 @@ mod tests {
             DeviceProfile::xio().cpu.cost_us(4096)
                 > 3 * DeviceProfile::direct_drive().cpu.cost_us(4096)
         );
-    }
-
-    #[test]
-    fn injector_scale_shrinks_wall_time() {
-        let prof = DeviceProfile {
-            name: "t",
-            read: LatencyModel::fixed(20_000),
-            write: LatencyModel::fixed(20_000),
-            cpu: IoCpuCost { per_op_us: 0, per_4kib_us: 0 },
-        };
-        let inj = LatencyInjector::new(prof, LatencyMode::Enabled { scale: 0.05 }, 1);
-        let t0 = Instant::now();
-        let modelled = inj.write_delay();
-        let wall = t0.elapsed();
-        assert_eq!(modelled, Duration::from_micros(20_000));
-        assert!(wall < Duration::from_millis(10), "scale not applied: {wall:?}");
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! The pusher is the deployment's LSN-lag watcher (`Fabric::obs_tick`):
 //! the history piggybacks on the thread that already wakes up to sample
-//! lag, and rate-limits itself to `hub_history_interval` so a fast
+//! lag, and rate-limits itself to its snapshot interval so a fast
 //! watcher does not flood the ring. Capacity 0 disables retention
 //! entirely — `tick` returns after one field compare.
 

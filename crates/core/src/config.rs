@@ -7,14 +7,23 @@
 //! the single line you change to move between XIO and DirectDrive
 //! (Appendix A).
 
-use socrates_common::latency::{DeviceProfile, LatencyMode};
+use socrates_common::latency::DeviceProfile;
+use socrates_common::{Error, Result};
 use socrates_pageserver::PageServerConfig;
 use socrates_rbio::lossy::LossyConfig;
-use socrates_rbio::replica::HedgeConfig;
-use socrates_storage::sched::IoSchedulerConfig;
 use socrates_wal::pipeline::LogPipelineConfig;
 use socrates_xlog::service::XLogConfig;
+use std::path::PathBuf;
 use std::time::Duration;
+
+/// Minimum spacing between metric-history snapshots (the time-series
+/// resolution; retention ≈ `hub_history_capacity × HUB_HISTORY_INTERVAL`).
+pub const HUB_HISTORY_INTERVAL: Duration = Duration::from_millis(10);
+/// Spans and fault events retained per section in a blackbox bundle.
+pub const BLACKBOX_LAST_N: usize = 64;
+/// Sampling interval of the LSN-lag watcher thread, which times the async
+/// commit stages and updates the deployment lag gauges.
+pub const WATCHER_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Full deployment configuration.
 #[derive(Clone)]
@@ -37,22 +46,17 @@ pub struct SocratesConfig {
     /// The storage service implementing the landing zone (XIO vs
     /// DirectDrive in the paper's Appendix A).
     pub lz_profile: DeviceProfile,
-    /// Quorum WAL acceptor count. `1` (the default) keeps the classic
-    /// single-writer landing zone; `>= 2` mounts the safekeeper-style
-    /// quorum tier ([`socrates_wal::QuorumLog`]) in its place, with this
-    /// many acceptor nodes.
+    /// Quorum WAL acceptor count. Below 2 (the default is 1) the fabric
+    /// mounts the landing zone; `>= 2` mounts the safekeeper-style quorum
+    /// tier ([`socrates_wal::QuorumLog`]) in its place, with this many
+    /// acceptor nodes committing at a majority.
     pub quorum_acceptors: usize,
-    /// Acceptor acks required to commit a block. `0` = majority
-    /// (`n/2 + 1`). Ignored when `quorum_acceptors` is 1.
-    pub quorum_ack_required: usize,
     /// Local SSD profile (RBPEX, XLOG block cache).
     pub ssd_profile: DeviceProfile,
     /// XStore profile.
     pub xstore_profile: DeviceProfile,
     /// Network profile for GetPage@LSN traffic.
     pub net_profile: DeviceProfile,
-    /// Whether modelled latencies are waited out in real time.
-    pub latency_mode: LatencyMode,
     /// Behaviour of the primary → XLOG lossy feed.
     pub lossy_feed: LossyConfig,
     /// Log pipeline tuning.
@@ -61,41 +65,28 @@ pub struct SocratesConfig {
     pub xlog: XLogConfig,
     /// Page server tuning.
     pub page_server: PageServerConfig,
-    /// Compute-side remote-read I/O scheduler (single-flight, range
-    /// coalescing, prefetch). `sched.enabled = false` falls back to the
+    /// Whether compute-side remote misses go through the I/O scheduler
+    /// (single-flight, range coalescing, prefetch). Off falls back to the
     /// blocking one-page miss path.
-    pub sched: IoSchedulerConfig,
-    /// Hedged-read policy for partition replica routes.
-    pub hedge: HedgeConfig,
-    /// Cores modelled per compute node (for CPU% reporting).
-    pub compute_cores: u32,
+    pub io_scheduler: bool,
     /// Cross-tier causal tracing: sample every Nth commit / GetPage miss
     /// into the span ring (0 disables tracing entirely; the disarmed path
     /// is one immutable-field compare per sampling site and copies zeros
     /// on the wire). The per-stage commit/read histograms are always on
     /// and do not depend on this.
     pub trace_sample: u64,
-    /// Metric-history ring capacity in snapshots (0 disables time-series
-    /// telemetry, SLO evaluation, and `socmon --watch` rates).
+    /// Metric-history ring capacity in snapshots, taken at most every
+    /// [`HUB_HISTORY_INTERVAL`] (0 disables time-series telemetry, SLO
+    /// evaluation, and `socmon --watch` rates).
     pub hub_history_capacity: usize,
-    /// Minimum spacing between history snapshots (the time-series
-    /// resolution; retention ≈ `hub_history_capacity × hub_history_interval`).
-    pub hub_history_interval: Duration,
     /// Declarative SLOs in the `common::obs::slo` grammar
     /// (`tier.index.metric[.agg] <op> <threshold> over <window>; ...`).
     /// Empty = none. Breaches flip the deployment's SLO gauge and trigger
     /// the blackbox flight recorder on the ok→breach edge.
     pub slo_spec: String,
-    /// Whether the blackbox flight recorder writes bundles on a
-    /// chaos-invariant violation or SLO breach.
-    pub blackbox_enabled: bool,
-    /// Directory blackbox bundles are written into.
-    pub blackbox_dir: std::path::PathBuf,
-    /// Spans / fault events retained per section in a blackbox bundle.
-    pub blackbox_last_n: usize,
-    /// Sampling interval of the LSN-lag watcher thread, which times the
-    /// async commit stages and updates deployment lag gauges.
-    pub watcher_interval: Duration,
+    /// Where the blackbox flight recorder writes bundles on a
+    /// chaos-invariant violation or SLO breach; `None` disarms it.
+    pub blackbox_dir: Option<PathBuf>,
     /// Seed for the fault-injection registry (independent of `seed` so a
     /// fault schedule can be varied without perturbing the workload).
     pub fault_seed: u64,
@@ -120,35 +111,27 @@ impl SocratesConfig {
             lz_capacity: 16 << 20,
             lz_profile: DeviceProfile::instant(),
             quorum_acceptors: 1,
-            quorum_ack_required: 0,
             ssd_profile: DeviceProfile::instant(),
             xstore_profile: DeviceProfile::instant(),
             net_profile: DeviceProfile::instant(),
-            latency_mode: LatencyMode::Disabled,
             lossy_feed: LossyConfig::reliable(),
             pipeline: LogPipelineConfig::default(),
             xlog: XLogConfig::default(),
             page_server: PageServerConfig::default(),
-            sched: IoSchedulerConfig::default(),
-            hedge: HedgeConfig::disabled(),
-            compute_cores: 8,
+            io_scheduler: true,
             trace_sample: 0,
             hub_history_capacity: 0,
-            hub_history_interval: Duration::from_millis(100),
             slo_spec: String::new(),
-            blackbox_enabled: false,
-            blackbox_dir: std::path::PathBuf::from("target/blackbox"),
-            blackbox_last_n: 64,
-            watcher_interval: Duration::from_millis(1),
+            blackbox_dir: None,
             fault_seed: 0,
             fault_spec: String::new(),
             seed: 42,
         }
     }
 
-    /// Calibrated device latencies waited out in real time — the
-    /// benchmark configuration. The landing zone defaults to XIO, as in
-    /// the paper's production deployment.
+    /// Calibrated device latencies — the benchmark configuration. The
+    /// landing zone defaults to XIO, as in the paper's production
+    /// deployment.
     pub fn realistic(seed: u64) -> SocratesConfig {
         SocratesConfig {
             secondaries: 1,
@@ -156,9 +139,7 @@ impl SocratesConfig {
             ssd_profile: DeviceProfile::local_ssd(),
             xstore_profile: DeviceProfile::xstore(),
             net_profile: DeviceProfile::lan(),
-            latency_mode: LatencyMode::real(),
             lossy_feed: LossyConfig::unreliable(0.01, 0.005, seed ^ 0xFEED),
-            hedge: HedgeConfig::default(),
             seed,
             ..SocratesConfig::fast_test()
         }
@@ -170,11 +151,10 @@ impl SocratesConfig {
         self
     }
 
-    /// Mount the quorum WAL tier: `acceptors` nodes, committing at `ack`
-    /// acks (`0` = majority).
-    pub fn with_quorum(mut self, acceptors: usize, ack: usize) -> SocratesConfig {
+    /// Mount the quorum WAL tier: `acceptors` nodes (at least 2),
+    /// committing at a majority.
+    pub fn with_quorum(mut self, acceptors: usize) -> SocratesConfig {
         self.quorum_acceptors = acceptors;
-        self.quorum_ack_required = ack;
         self
     }
 
@@ -194,7 +174,7 @@ impl SocratesConfig {
     /// Enable or disable the remote-read I/O scheduler (the A/B knob for
     /// the cold-scan experiment).
     pub fn with_scheduler(mut self, enabled: bool) -> SocratesConfig {
-        self.sched.enabled = enabled;
+        self.io_scheduler = enabled;
         self
     }
 
@@ -206,10 +186,9 @@ impl SocratesConfig {
     }
 
     /// Enable time-series telemetry: keep `capacity` hub snapshots taken
-    /// at most every `interval`.
-    pub fn with_hub_history(mut self, capacity: usize, interval: Duration) -> SocratesConfig {
+    /// at most every [`HUB_HISTORY_INTERVAL`].
+    pub fn with_hub_history(mut self, capacity: usize) -> SocratesConfig {
         self.hub_history_capacity = capacity;
-        self.hub_history_interval = interval;
         self
     }
 
@@ -221,9 +200,8 @@ impl SocratesConfig {
     }
 
     /// Arm the blackbox flight recorder, writing bundles into `dir`.
-    pub fn with_blackbox(mut self, dir: impl Into<std::path::PathBuf>) -> SocratesConfig {
-        self.blackbox_enabled = true;
-        self.blackbox_dir = dir.into();
+    pub fn with_blackbox(mut self, dir: impl Into<PathBuf>) -> SocratesConfig {
+        self.blackbox_dir = Some(dir.into());
         self
     }
 
@@ -250,5 +228,25 @@ impl SocratesConfig {
     pub fn with_retention_window(mut self, bytes: u64) -> SocratesConfig {
         self.page_server.retention_window_bytes = bytes;
         self
+    }
+
+    /// Reject a configuration the fabric cannot build, before anything is
+    /// started: every failure is `Error::InvalidArgument`.
+    pub fn validate(&self) -> Result<()> {
+        let bad = |m: String| Err(Error::InvalidArgument(m));
+        if self.pages_per_partition == 0 {
+            return bad("pages_per_partition must be at least 1".into());
+        }
+        if self.mem_cache_pages == 0 {
+            return bad("mem_cache_pages must be at least 1".into());
+        }
+        // The landing zone is mounted only below two quorum acceptors.
+        if self.quorum_acceptors < 2 && !(1..=self.lz_replicas).contains(&self.lz_quorum) {
+            return bad(format!(
+                "lz_quorum {} is outside 1..={} (lz_replicas)",
+                self.lz_quorum, self.lz_replicas
+            ));
+        }
+        Ok(())
     }
 }

@@ -61,11 +61,7 @@ impl Socrates {
             lock_rank::CORE_DEPLOYMENT_SECONDARIES,
             "deployment.secondaries",
         ));
-        let watcher = LagWatcher::start(
-            Arc::clone(&fabric),
-            Arc::clone(&secondaries),
-            fabric.config.watcher_interval,
-        );
+        let watcher = LagWatcher::start(Arc::clone(&fabric), Arc::clone(&secondaries));
         let deployment = Socrates {
             fabric,
             primary: RwLock::with_rank(
@@ -294,11 +290,7 @@ impl Socrates {
             lock_rank::CORE_DEPLOYMENT_SECONDARIES,
             "deployment.secondaries",
         ));
-        let watcher = LagWatcher::start(
-            Arc::clone(&new_fabric),
-            Arc::clone(&secondaries),
-            new_fabric.config.watcher_interval,
-        );
+        let watcher = LagWatcher::start(Arc::clone(&new_fabric), Arc::clone(&secondaries));
         Ok(Socrates {
             fabric: new_fabric,
             primary: RwLock::with_rank(

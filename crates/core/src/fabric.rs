@@ -6,7 +6,7 @@
 //! nodes come and go (they are stateless); the fabric is the part of a
 //! deployment whose lifetime is the database's.
 
-use crate::config::SocratesConfig;
+use crate::config::{SocratesConfig, BLACKBOX_LAST_N, HUB_HISTORY_INTERVAL};
 use parking_lot::{Mutex, RwLock};
 use socrates_common::fault::FaultRegistry;
 use socrates_common::ids::NodeKind;
@@ -187,6 +187,7 @@ impl Fabric {
         shared_xstore: Option<Arc<XStore>>,
         lt_name: &str,
     ) -> Result<Arc<Fabric>> {
+        config.validate()?;
         let hub = MetricsHub::new();
         // One fault registry for the whole deployment: shared by the LZ,
         // XStore, every RBIO client, every page server and its handler,
@@ -201,7 +202,6 @@ impl Fabric {
             Arc::new(XStore::new(
                 XStoreConfig {
                     profile: config.xstore_profile.clone(),
-                    mode: config.latency_mode,
                     seed: config.seed ^ 0x5704E,
                 },
                 faults.clone(),
@@ -225,7 +225,6 @@ impl Fabric {
                         start,
                         Some(LatencyInjector::new(
                             config.lz_profile.clone(),
-                            config.latency_mode,
                             config.seed ^ (i as u64 + 1),
                         )),
                     ))
@@ -233,11 +232,7 @@ impl Fabric {
                 .collect();
             let q = Arc::new(QuorumLog::with_acceptors(
                 acceptors,
-                QuorumConfig {
-                    acceptors: config.quorum_acceptors,
-                    ack_required: config.quorum_ack_required,
-                    capacity: config.lz_capacity,
-                },
+                QuorumConfig { acceptors: config.quorum_acceptors, capacity: config.lz_capacity },
                 faults.clone(),
             ));
             // Initial election (term 1) so the bootstrap primary may
@@ -251,7 +246,6 @@ impl Fabric {
                         MemFcb::new(format!("lz-{i}")),
                         LatencyInjector::new(
                             config.lz_profile.clone(),
-                            config.latency_mode,
                             config.seed ^ (i as u64 + 1),
                         ),
                         Some(Arc::clone(&primary_cpu)),
@@ -268,11 +262,7 @@ impl Fabric {
         };
         let xlog_ssd: Arc<dyn Fcb> = Arc::new(LatencyFcb::new(
             MemFcb::new("xlog-ssd"),
-            LatencyInjector::new(
-                config.ssd_profile.clone(),
-                config.latency_mode,
-                config.seed ^ 0x55D,
-            ),
+            LatencyInjector::new(config.ssd_profile.clone(), config.seed ^ 0x55D),
             Some(cpu.accountant(NodeId::XLOG)),
         ));
         let xlog = XLogService::new(
@@ -310,19 +300,18 @@ impl Fabric {
         let degraded_reads = Arc::new(Counter::new());
         hub.register_counter(NodeId::PRIMARY, "degraded_reads_total", Arc::clone(&degraded_reads));
         let spans = Arc::new(SpanRing::new(SPAN_CAPACITY, config.trace_sample));
-        let history =
-            Arc::new(HubHistory::new(config.hub_history_capacity, config.hub_history_interval));
+        let history = Arc::new(HubHistory::new(config.hub_history_capacity, HUB_HISTORY_INTERVAL));
         let slo = SloEngine::parse(&config.slo_spec)
             .map_err(|e| Error::InvalidArgument(format!("bad slo_spec: {e}")))?;
-        let blackbox = if config.blackbox_enabled {
+        let blackbox = if let Some(dir) = &config.blackbox_dir {
             Arc::new(BlackboxRecorder::new(
                 BlackboxSources {
                     hub: hub.clone(),
                     spans: Some(Arc::clone(&spans)),
                     faults: Some(faults.clone()),
                 },
-                config.blackbox_dir.clone(),
-                config.blackbox_last_n,
+                dir.clone(),
+                BLACKBOX_LAST_N,
             ))
         } else {
             Arc::new(BlackboxRecorder::disabled())
@@ -845,11 +834,7 @@ impl Fabric {
             };
             let dev: Arc<dyn Fcb> = Arc::new(LatencyFcb::new(
                 MemFcb::new(format!("{node}-rbpex")),
-                LatencyInjector::new(
-                    config.ssd_profile.clone(),
-                    config.latency_mode,
-                    config.seed ^ salt,
-                ),
+                LatencyInjector::new(config.ssd_profile.clone(), config.seed ^ salt),
                 Some(Arc::clone(&cpu)),
             ));
             let meta: Arc<dyn Fcb> = Arc::new(MemFcb::new(format!("{node}-rbpex-meta")));
@@ -859,7 +844,7 @@ impl Fabric {
         };
         let source = Arc::new(RemotePageSource::new(Arc::clone(self), cpu, node));
         let spans = (Arc::clone(&self.spans), node);
-        let cache = if config.sched.enabled {
+        let cache = if config.io_scheduler {
             TieredCache::with_scheduler(
                 config.mem_cache_pages,
                 rbpex,
@@ -867,7 +852,6 @@ impl Fabric {
                 wal_flush,
                 on_evict,
                 spans,
-                config.sched.clone(),
             )
         } else {
             Arc::new(TieredCache::new(
@@ -897,7 +881,6 @@ impl Fabric {
             MemFcb::new(format!("{name}-ssd")),
             LatencyInjector::new(
                 self.config.ssd_profile.clone(),
-                self.config.latency_mode,
                 self.config.seed ^ ((idx as u64) << 8),
             ),
             Some(self.cpu.accountant(NodeId::page_server(idx))),
@@ -918,7 +901,6 @@ impl Fabric {
             ))));
             let net = NetworkConfig {
                 profile: self.config.net_profile.clone(),
-                mode: self.config.latency_mode,
                 timeout: std::time::Duration::from_secs(15),
                 retries: 2,
                 seed: self.config.seed ^ (i as u64) ^ 0xBEEF,
@@ -929,11 +911,7 @@ impl Fabric {
             endpoints.push(server);
         }
         let (nodes, servers): (Vec<NodeId>, Vec<Arc<PageServer>>) = servers.into_iter().unzip();
-        let route = Arc::new(ReplicaSet::with_hedging(
-            clients,
-            self.config.seed ^ 0x40Fu64,
-            self.config.hedge.clone(),
-        ));
+        let route = Arc::new(ReplicaSet::new(clients, self.config.seed ^ 0x40Fu64));
         // Hedging telemetry lives under the partition's first server node.
         route.register_metrics(&self.hub, nodes[0]);
         Ok(Arc::new(PartitionHandle { route, endpoints, servers, nodes }))

@@ -10,6 +10,7 @@
 //! ([`MarkQueue`]) into the deployment's commit-stage histograms, and
 //! maintains the deployment-wide lag gauges that cut across tiers.
 
+use crate::config::WATCHER_INTERVAL;
 use crate::fabric::Fabric;
 use crate::secondary::Secondary;
 use parking_lot::{Mutex, RwLock};
@@ -18,7 +19,7 @@ use socrates_common::obs::{MarkQueue, Stage};
 use socrates_common::{Lsn, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The secondaries list shared between the deployment and the watcher
 /// (scale-out/in mutates it while the watcher samples it).
@@ -32,14 +33,9 @@ pub struct LagWatcher {
 }
 
 impl LagWatcher {
-    /// Start the watcher. `interval` is the sampling period; every tick it
-    /// times the async commit stages and updates the deployment lag
-    /// gauges.
-    pub fn start(
-        fabric: Arc<Fabric>,
-        secondaries: SecondaryList,
-        interval: Duration,
-    ) -> LagWatcher {
+    /// Start the watcher. Every [`WATCHER_INTERVAL`] it times the async
+    /// commit stages and updates the deployment lag gauges.
+    pub fn start(fabric: Arc<Fabric>, secondaries: SecondaryList) -> LagWatcher {
         // Watcher-owned gauges: the slowest consumer's distance behind the
         // released log, per consuming tier.
         let ps_lag = Arc::new(Gauge::new());
@@ -57,7 +53,7 @@ impl LagWatcher {
                 // ordering: relaxed — shutdown poll; one extra tick is harmless
                 while !stop2.load(Ordering::Relaxed) {
                     Self::sample(&fabric, &secondaries, &ps_lag, &sec_lag, &mut marks);
-                    std::thread::sleep(interval);
+                    std::thread::sleep(WATCHER_INTERVAL);
                 }
                 // One final sample so a quiesced deployment's async stages
                 // are complete at the instant the watcher is stopped.

@@ -12,7 +12,7 @@ use socrates_common::fault::sites::PAGESERVER_SERVE;
 use socrates_common::{Lsn, NodeId, PageId, PartitionId};
 use socrates_engine::value::{ColumnType, Schema};
 use socrates_engine::Value as V;
-use socrates_storage::sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
+use socrates_storage::sched::{IoScheduler, RangedPageSource, WORKERS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,11 +67,8 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
         sys.fabric().cpu.accountant(NodeId::client(7)),
         NodeId::client(7),
     ));
-    let sched = IoScheduler::start(
-        source as Arc<dyn RangedPageSource>,
-        IoSchedulerConfig::default(),
-        std::sync::Weak::new(),
-    );
+    let sched =
+        IoScheduler::start(source as Arc<dyn RangedPageSource>, WORKERS, std::sync::Weak::new());
 
     let served_before = ps.metrics().pages_served.get();
     let target = PageId::new(0); // the catalog page, applied at bootstrap
@@ -123,11 +120,7 @@ fn get_page_range_arm_serves_coalesced_reads() {
     // And through the scheduler: while its only worker waits on a held
     // GetPage, eight adjacent misses queue, then leave as one GetPageRange
     // instead of eight GetPage round trips.
-    let sched = IoScheduler::start(
-        source as Arc<dyn RangedPageSource>,
-        IoSchedulerConfig { workers: 1, ..IoSchedulerConfig::default() },
-        std::sync::Weak::new(),
-    );
+    let sched = IoScheduler::start(source as Arc<dyn RangedPageSource>, 1, std::sync::Weak::new());
     let faults = &sys.fabric().faults;
     faults.install_spec(HOLD).unwrap();
     let range_before = ps.metrics().range_requests.get();

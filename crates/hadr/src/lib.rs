@@ -24,7 +24,7 @@
 
 use parking_lot::Mutex;
 use socrates_common::fault::FaultRegistry;
-use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
+use socrates_common::latency::{DeviceProfile, LatencyInjector};
 use socrates_common::lsn::AtomicLsn;
 use socrates_common::metrics::{Counter, CpuAccountant, CpuRegistry};
 use socrates_common::obs::SpanRing;
@@ -58,16 +58,12 @@ pub struct HadrConfig {
     pub ship_profile: DeviceProfile,
     /// XStore (backup target) profile.
     pub xstore_profile: DeviceProfile,
-    /// Whether latencies are waited out.
-    pub latency_mode: LatencyMode,
     /// Log-backup egress budget from the compute node, MB/s. HADR must
     /// continuously back the log up to XStore; production cannot outrun
     /// this. `0.0` disables the throttle (unit tests).
     pub backup_bandwidth_mb_s: f64,
     /// Log pipeline tuning.
     pub pipeline: LogPipelineConfig,
-    /// Cores modelled per node.
-    pub compute_cores: u32,
     /// Deterministic seed.
     pub seed: u64,
 }
@@ -81,10 +77,8 @@ impl HadrConfig {
             local_log_profile: DeviceProfile::instant(),
             ship_profile: DeviceProfile::instant(),
             xstore_profile: DeviceProfile::instant(),
-            latency_mode: LatencyMode::Disabled,
             backup_bandwidth_mb_s: 0.0,
             pipeline: LogPipelineConfig::default(),
-            compute_cores: 8,
             seed: 7,
         }
     }
@@ -100,7 +94,6 @@ impl HadrConfig {
             local_log_profile: DeviceProfile::local_ssd(),
             ship_profile: DeviceProfile::hadr_ship(),
             xstore_profile: DeviceProfile::xstore(),
-            latency_mode: LatencyMode::real(),
             backup_bandwidth_mb_s: 2.5,
             seed,
             ..HadrConfig::fast_test()
@@ -291,7 +284,6 @@ pub struct HadrSink {
     metrics: Arc<HadrMetrics>,
     primary_cpu: Arc<CpuAccountant>,
     rng: Mutex<Rng>,
-    latency_on: bool,
 }
 
 impl BlockSink for HadrSink {
@@ -303,7 +295,7 @@ impl BlockSink for HadrSink {
         self.primary_cpu.charge_us(self.local_log.cpu_cost_us(block.len()));
         // 2. Ship to all replicas in parallel; commit at quorum. The
         //    modelled wait is the quorum-th smallest shipping sample.
-        if self.latency_on && !self.replicas.is_empty() {
+        if !self.replicas.is_empty() {
             let mut samples: Vec<Duration> = {
                 let mut rng = self.rng.lock();
                 (0..self.replicas.len())
@@ -329,7 +321,7 @@ impl BlockSink for HadrSink {
         // 3. Continuous log backup from the compute node: egress-limited.
         self.metrics.backup_bytes.add(block.len() as u64);
         self.primary_cpu.charge_us(18 + block.len() as u64 / 1024);
-        if self.latency_on && self.throttle_bytes_per_us > 0.0 {
+        if self.throttle_bytes_per_us > 0.0 {
             let us = (block.len() as f64 / self.throttle_bytes_per_us) as u64;
             self.metrics.throttle_us.add(us);
             socrates_common::latency::precise_sleep(Duration::from_micros(us));
@@ -341,7 +333,6 @@ impl BlockSink for HadrSink {
 
 /// A full HADR deployment.
 pub struct Hadr {
-    config: HadrConfig,
     db: Database,
     io: Arc<LoggedPageIo>,
     pipeline: Arc<LogPipeline>,
@@ -374,27 +365,14 @@ impl Hadr {
         let replicas: Vec<Arc<HadrReplica>> =
             (0..config.replicas).map(|i| HadrReplica::launch(i as u32)).collect();
         let xstore = Arc::new(XStore::new(
-            XStoreConfig {
-                profile: config.xstore_profile.clone(),
-                mode: config.latency_mode,
-                seed: config.seed ^ 0xBAC,
-            },
+            XStoreConfig { profile: config.xstore_profile.clone(), seed: config.seed ^ 0xBAC },
             FaultRegistry::disabled(),
         ));
-        let latency_on = !matches!(config.latency_mode, LatencyMode::Disabled);
         let sink = Arc::new(HadrSink {
             replicas: replicas.clone(),
             quorum_acks: config.quorum_acks,
-            local_log: LatencyInjector::new(
-                config.local_log_profile.clone(),
-                config.latency_mode,
-                config.seed ^ 1,
-            ),
-            ship: LatencyInjector::new(
-                config.ship_profile.clone(),
-                config.latency_mode,
-                config.seed ^ 2,
-            ),
+            local_log: LatencyInjector::new(config.local_log_profile.clone(), config.seed ^ 1),
+            ship: LatencyInjector::new(config.ship_profile.clone(), config.seed ^ 2),
             throttle_bytes_per_us: config.backup_bandwidth_mb_s * 1e6 / 1e6, // MB/s == bytes/µs
             retained: Mutex::with_rank(
                 Vec::new(),
@@ -408,7 +386,6 @@ impl Hadr {
                 socrates_common::lock_rank::HADR_RNG,
                 "hadr.rng",
             ),
-            latency_on,
         });
         // The baseline runs unsampled, its stage histograms unregistered.
         let spans = (Arc::new(SpanRing::disabled()), NodeId::PRIMARY);
@@ -416,7 +393,7 @@ impl Hadr {
             Arc::clone(&sink) as Arc<dyn BlockSink>,
             vec![], // replicas are shipped to by the sink itself
             Arc::new(|_p: PageId| socrates_common::PartitionId::new(0)),
-            config.pipeline.clone(),
+            config.pipeline,
             Lsn::ZERO,
             spans.clone(),
         ));
@@ -433,7 +410,7 @@ impl Hadr {
             Arc::new(|_| {}),
         ));
         let db = Database::create(io.clone() as Arc<dyn PageMutator>)?;
-        Ok(Hadr { config, db, io, pipeline, replicas, sink, xstore, cpu, metrics })
+        Ok(Hadr { db, io, pipeline, replicas, sink, xstore, cpu, metrics })
     }
 
     /// The primary's database.
@@ -521,9 +498,7 @@ impl Hadr {
             let page_ref = self.io.page(PageId::new(pid))?;
             let img = page_ref.read().to_io_bytes();
             // Model the per-page transfer cost.
-            if !matches!(self.config.latency_mode, LatencyMode::Disabled) {
-                self.sink.ship.read_delay();
-            }
+            self.sink.ship.read_delay();
             let mut page = Page::from_io_bytes(PageId::new(pid), &img)?;
             let lsn = page.page_lsn();
             page.set_page_lsn(lsn);

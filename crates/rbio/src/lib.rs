@@ -26,5 +26,5 @@ pub mod transport;
 
 pub use lossy::LossyChannel;
 pub use proto::{RbioRequest, RbioResponse, RBIO_VERSION};
-pub use replica::{CallMeta, HedgeConfig, ReplicaSet};
+pub use replica::{CallMeta, ReplicaSet};
 pub use transport::{NetworkConfig, RbioClient, RbioHandler, RbioServer};

@@ -6,7 +6,7 @@
 //! errors. Selection uses an EWMA of per-replica call latency with a small
 //! exploration probability so a recovered replica gets re-measured.
 //!
-//! On top of routing, the set can *hedge*: if the chosen replica has not
+//! On top of routing, a set of two or more *hedges*: if the chosen replica has not
 //! answered within a quantile of the set's observed latency distribution,
 //! the same request is issued to the next-best replica and the first
 //! response wins. Hedging turns the QoS router into a tail-latency tool —
@@ -34,40 +34,15 @@ const EXPLORE_P: f64 = 0.05;
 
 /// Minimum latency samples before the hedge delay trusts the histogram.
 const HEDGE_MIN_SAMPLES: u64 = 20;
-
-/// Hedged-read policy for a [`ReplicaSet`].
-#[derive(Clone, Debug)]
-pub struct HedgeConfig {
-    /// Whether hedging is active (needs ≥ 2 replicas to matter).
-    pub enabled: bool,
-    /// Quantile of the set's observed latency at which the hedge fires
-    /// (e.g. 0.95: hedge when a call is slower than 95% of history).
-    pub quantile: f64,
-    /// Lower bound on the hedge delay, so near-instant histories do not
-    /// double every request.
-    pub min_delay: Duration,
-    /// Upper bound on the hedge delay; also the delay used before enough
-    /// latency samples exist.
-    pub max_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            enabled: true,
-            quantile: 0.95,
-            min_delay: Duration::from_micros(200),
-            max_delay: Duration::from_millis(10),
-        }
-    }
-}
-
-impl HedgeConfig {
-    /// Hedging off: serial QoS routing with failover only.
-    pub fn disabled() -> HedgeConfig {
-        HedgeConfig { enabled: false, ..HedgeConfig::default() }
-    }
-}
+/// Quantile of the set's observed latency at which a hedge fires: hedge
+/// when a call is slower than 95% of history.
+const HEDGE_QUANTILE: f64 = 0.95;
+/// Lower bound on the hedge delay, so near-instant histories do not double
+/// every request.
+const HEDGE_MIN_DELAY: Duration = Duration::from_micros(200);
+/// Upper bound on the hedge delay; also the delay used before
+/// [`HEDGE_MIN_SAMPLES`] samples exist.
+const HEDGE_MAX_DELAY: Duration = Duration::from_millis(10);
 
 /// Per-call hedging outcome (stamped on the `rbio.net` span of a sampled read).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,7 +62,6 @@ struct ReplicaState {
 pub struct ReplicaSet {
     clients: Vec<Arc<RbioClient>>,
     states: Mutex<(Vec<ReplicaState>, Rng)>,
-    hedge: HedgeConfig,
     /// Observed call latency across the set, feeding the hedge delay.
     latency: Arc<Histogram>,
     hedges_fired: Arc<Counter>,
@@ -95,14 +69,10 @@ pub struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// Build a set over `clients` (at least one) with hedging disabled.
+    /// Build a set over `clients` (at least one). With two or more, a call
+    /// slower than [`ReplicaSet::hedge_delay`] is reissued to a second
+    /// replica.
     pub fn new(clients: Vec<RbioClient>, seed: u64) -> ReplicaSet {
-        ReplicaSet::with_hedging(clients, seed, HedgeConfig::disabled())
-    }
-
-    /// Build a set over `clients` (at least one) with the given hedging
-    /// policy.
-    pub fn with_hedging(clients: Vec<RbioClient>, seed: u64, hedge: HedgeConfig) -> ReplicaSet {
         assert!(!clients.is_empty(), "replica set needs at least one endpoint");
         let states = clients.iter().map(|_| ReplicaState { ewma_us: 0.0 }).collect();
         ReplicaSet {
@@ -112,7 +82,6 @@ impl ReplicaSet {
                 socrates_common::lock_rank::RBIO_REPLICA_STATES,
                 "rbio.replica_states",
             ),
-            hedge,
             latency: Arc::new(Histogram::new()),
             hedges_fired: Arc::new(Counter::new()),
             hedge_wins: Arc::new(Counter::new()),
@@ -155,15 +124,15 @@ impl ReplicaSet {
         hub.register_histogram(node, "route_latency_us", self.latency_histogram());
     }
 
-    /// The delay after which a hedge fires: the configured quantile of
-    /// observed latency, clamped to `[min_delay, max_delay]`. Until enough
-    /// samples exist the conservative `max_delay` is used.
+    /// The delay after which a hedge fires: [`HEDGE_QUANTILE`] of observed
+    /// latency, clamped to `[HEDGE_MIN_DELAY, HEDGE_MAX_DELAY]`. Until
+    /// enough samples exist the conservative maximum is used.
     pub fn hedge_delay(&self) -> Duration {
         if self.latency.count() < HEDGE_MIN_SAMPLES {
-            return self.hedge.max_delay;
+            return HEDGE_MAX_DELAY;
         }
-        let us = self.latency.percentile(self.hedge.quantile);
-        Duration::from_micros(us).clamp(self.hedge.min_delay, self.hedge.max_delay)
+        let us = self.latency.percentile(HEDGE_QUANTILE);
+        Duration::from_micros(us).clamp(HEDGE_MIN_DELAY, HEDGE_MAX_DELAY)
     }
 
     fn pick(&self) -> usize {
@@ -200,10 +169,10 @@ impl ReplicaSet {
             .unwrap_or((skip + 1) % self.clients.len())
     }
 
-    /// Issue `req` against the best replica. With hedging enabled and ≥ 2
-    /// replicas, a second attempt fires after [`ReplicaSet::hedge_delay`]
-    /// and the first response wins; otherwise the set fails over serially
-    /// through the remaining replicas on transient errors.
+    /// Issue `req` against the best replica. With ≥ 2 replicas, a second
+    /// attempt fires after [`ReplicaSet::hedge_delay`] (or at once on a
+    /// transient error) and the first response wins; a lone replica is
+    /// called once.
     pub fn call(&self, req: RbioRequest) -> Result<RbioResponse> {
         self.call_traced(req).map(|(resp, _)| resp)
     }
@@ -220,35 +189,25 @@ impl ReplicaSet {
         req: RbioRequest,
         ctx: TraceCtx,
     ) -> Result<(RbioResponse, CallMeta)> {
-        if self.hedge.enabled && self.clients.len() > 1 {
+        if self.clients.len() > 1 {
             self.call_hedged(req, ctx)
         } else {
-            self.call_serial(req, ctx).map(|resp| (resp, CallMeta::default()))
+            self.call_one(req, ctx).map(|resp| (resp, CallMeta::default()))
         }
     }
 
-    fn call_serial(&self, req: RbioRequest, ctx: TraceCtx) -> Result<RbioResponse> {
-        let first = self.pick();
-        let n = self.clients.len();
-        for k in 0..n {
-            let idx = (first + k) % n;
-            let t0 = Instant::now();
-            match self.clients[idx].call_with_ctx(req.clone(), ctx) {
-                Ok(resp) => {
-                    let us = t0.elapsed().as_micros() as u64;
-                    self.observe(idx, us as f64);
-                    self.latency.record(us);
-                    return Ok(resp);
-                }
-                Err(e) if e.is_transient() => {
-                    self.observe(idx, FAILURE_PENALTY_US);
-                }
-                Err(e) => return Err(e),
+    fn call_one(&self, req: RbioRequest, ctx: TraceCtx) -> Result<RbioResponse> {
+        let t0 = Instant::now();
+        match self.clients[0].call_with_ctx(req, ctx) {
+            Ok(resp) => {
+                self.latency.record(t0.elapsed().as_micros() as u64);
+                Ok(resp)
             }
+            // Report the exhaustion as a typed error so degradation paths
+            // can match on it.
+            Err(e) if e.is_transient() => Err(Error::AllReplicasFailed { attempts: 1 }),
+            Err(e) => Err(e),
         }
-        // Every replica failed transiently: report the exhaustion as a
-        // typed error so degradation paths can match on it.
-        Err(Error::AllReplicasFailed { attempts: n as u32 })
     }
 
     fn spawn_attempt(
@@ -391,7 +350,6 @@ mod tests {
         };
         let slow_cfg = NetworkConfig {
             profile: slow_profile,
-            mode: socrates_common::latency::LatencyMode::real(),
             timeout: std::time::Duration::from_secs(1),
             retries: 0,
             seed: 1,
@@ -471,11 +429,7 @@ mod tests {
         h2.down.store(true, Ordering::SeqCst);
         let mut cfg = NetworkConfig::instant();
         cfg.retries = 0;
-        let set = ReplicaSet::with_hedging(
-            vec![s1.connect(cfg.clone()), s2.connect(cfg)],
-            7,
-            HedgeConfig::default(),
-        );
+        let set = ReplicaSet::new(vec![s1.connect(cfg.clone()), s2.connect(cfg)], 7);
         match set.call(RbioRequest::Ping).unwrap_err() {
             Error::AllReplicasFailed { attempts } => assert!(attempts >= 2),
             other => panic!("expected AllReplicasFailed, got {other:?}"),
@@ -486,35 +440,28 @@ mod tests {
     fn hedged_reads_bound_tail_latency_under_one_slow_replica() {
         let (slow_server, _h1) = server();
         let (fast_server, _h2) = server();
-        // The slow replica adds 10 ms per message leg → ≥ 20 ms round trip.
+        // The slow replica adds 40 ms per message leg → ≥ 80 ms round trip,
+        // far beyond the 10 ms `HEDGE_MAX_DELAY`.
         let slow_profile = DeviceProfile {
             name: "slow-lan",
-            read: LatencyModel::fixed(10_000),
-            write: LatencyModel::fixed(10_000),
+            read: LatencyModel::fixed(40_000),
+            write: LatencyModel::fixed(40_000),
             cpu: IoCpuCost { per_op_us: 0, per_4kib_us: 0 },
         };
         let slow_cfg = NetworkConfig {
             profile: slow_profile,
-            mode: socrates_common::latency::LatencyMode::real(),
             timeout: std::time::Duration::from_secs(1),
             retries: 0,
             seed: 3,
             ..NetworkConfig::instant()
         };
-        let hedge = HedgeConfig {
-            enabled: true,
-            quantile: 0.95,
-            min_delay: std::time::Duration::from_micros(500),
-            max_delay: std::time::Duration::from_millis(2),
-        };
-        let set = ReplicaSet::with_hedging(
+        let set = ReplicaSet::new(
             vec![slow_server.connect(slow_cfg), fast_server.connect(NetworkConfig::instant())],
             5,
-            hedge,
         );
         // The slow replica is index 0 with a zero EWMA, so early calls (and
         // later exploration probes) route to it; each must be rescued by
-        // the hedge within max_delay + the fast round trip.
+        // the hedge within HEDGE_MAX_DELAY + the fast round trip.
         let mut worst = std::time::Duration::ZERO;
         for _ in 0..60 {
             let t0 = Instant::now();
@@ -522,8 +469,8 @@ mod tests {
             worst = worst.max(t0.elapsed());
         }
         assert!(
-            worst < std::time::Duration::from_millis(12),
-            "hedging should bound the tail well below the 20 ms slow round trip (worst {worst:?})"
+            worst < std::time::Duration::from_millis(20),
+            "hedging should bound the tail well below the 80 ms slow round trip (worst {worst:?})"
         );
         assert!(set.hedges_fired().get() >= 1, "at least the first call must hedge");
         assert!(set.hedge_wins().get() >= 1, "the fast replica should win hedged calls");

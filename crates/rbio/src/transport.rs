@@ -4,7 +4,7 @@
 use crate::proto::{Envelope, RbioRequest, RbioResponse};
 use parking_lot::Mutex;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
-use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
+use socrates_common::latency::{DeviceProfile, LatencyInjector};
 use socrates_common::metrics::{Counter, Histogram};
 use socrates_common::obs::TraceCtx;
 use socrates_common::rng::Rng;
@@ -59,10 +59,8 @@ impl BackoffPolicy {
 #[derive(Clone)]
 pub struct NetworkConfig {
     /// Latency profile for each message leg (request and response each pay
-    /// one `read` sample).
+    /// one `read` sample, waited out in real time).
     pub profile: DeviceProfile,
-    /// Whether latency is actually waited out.
-    pub mode: LatencyMode,
     /// Probability that a request message is silently dropped (the client
     /// then times out and retries).
     pub request_loss_p: f64,
@@ -90,7 +88,6 @@ impl NetworkConfig {
     pub fn instant() -> NetworkConfig {
         NetworkConfig {
             profile: DeviceProfile::instant(),
-            mode: LatencyMode::Disabled,
             request_loss_p: 0.0,
             timeout: Duration::from_secs(5),
             retries: 2,
@@ -105,7 +102,6 @@ impl NetworkConfig {
     pub fn lan(seed: u64) -> NetworkConfig {
         NetworkConfig {
             profile: DeviceProfile::lan(),
-            mode: LatencyMode::real(),
             request_loss_p: 0.0,
             timeout: Duration::from_secs(2),
             retries: 3,
@@ -172,7 +168,7 @@ impl RbioServer {
     pub fn connect(&self, config: NetworkConfig) -> RbioClient {
         RbioClient {
             endpoint: Arc::downgrade(&self.endpoint),
-            latency: LatencyInjector::new(config.profile.clone(), config.mode, config.seed),
+            latency: LatencyInjector::new(config.profile.clone(), config.seed),
             rng: Mutex::with_rank(
                 Rng::new(config.seed ^ 0x5EED),
                 socrates_common::lock_rank::RBIO_TRANSPORT_RNG,
@@ -293,9 +289,8 @@ impl RbioClient {
         if self.config.request_loss_p > 0.0 && self.rng.lock().gen_bool(self.config.request_loss_p)
         {
             self.metrics.timeouts.incr();
-            // Model the timeout without necessarily sleeping through it in
-            // disabled-latency mode.
-            if matches!(self.latency.profile().read.max_us, 0) {
+            // An instant link reports the timeout without sleeping it out.
+            if self.latency.profile().read.max_us == 0 {
                 return Err(Error::Timeout("rbio request lost".into()));
             }
             std::thread::sleep(self.config.timeout);

@@ -28,7 +28,7 @@
 
 use crate::page::Page;
 use crate::rbpex::Rbpex;
-use crate::sched::{IoScheduler, IoSchedulerConfig, Pending, RangedPageSource};
+use crate::sched::{IoScheduler, Pending, RangedPageSource, WORKERS};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use socrates_common::metrics::Counter;
 use socrates_common::obs::ctx::pack_coalesce;
@@ -265,8 +265,9 @@ impl TieredCache {
     }
 
     /// Build a cache whose remote misses go through an [`IoScheduler`]
-    /// over `source` (which must speak ranges). The scheduler's prefetch
-    /// completions are installed back into the returned cache.
+    /// of [`WORKERS`] threads over `source` (which must speak ranges). The
+    /// scheduler's prefetch completions are installed back into the
+    /// returned cache.
     // soclint-allow: hot-path one-time construction wiring, not the serve path
     pub fn with_scheduler(
         mem_capacity: usize,
@@ -275,7 +276,6 @@ impl TieredCache {
         wal_flush: WalFlushHook,
         on_evict: EvictionListener,
         spans: (Arc<SpanRing>, NodeId),
-        sched_config: IoSchedulerConfig,
     ) -> Arc<TieredCache> {
         Arc::new_cyclic(|sink| {
             let mut cache = TieredCache::new(
@@ -286,7 +286,7 @@ impl TieredCache {
                 on_evict,
                 spans,
             );
-            cache.sched = Some(IoScheduler::start(source, sched_config, sink.clone()));
+            cache.sched = Some(IoScheduler::start(source, WORKERS, sink.clone()));
             cache
         })
     }
@@ -804,7 +804,6 @@ mod tests {
             Arc::new(|_| {}),
             Arc::new(|_, _| {}),
             (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
-            IoSchedulerConfig::default(),
         )
     }
 

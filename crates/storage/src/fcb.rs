@@ -448,9 +448,15 @@ mod tests {
 
     #[test]
     fn latency_fcb_charges_cpu() {
-        use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
+        use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyModel};
         let cpu = Arc::new(CpuAccountant::new());
-        let inj = LatencyInjector::new(DeviceProfile::xio(), LatencyMode::Disabled, 7);
+        // XIO's CPU cost on a device that never waits.
+        let profile = DeviceProfile {
+            read: LatencyModel::zero(),
+            write: LatencyModel::zero(),
+            ..DeviceProfile::xio()
+        };
+        let inj = LatencyInjector::new(profile, 7);
         let f = LatencyFcb::new(MemFcb::new("x"), inj, Some(Arc::clone(&cpu)));
         f.write_at(0, &[0u8; 4096]).unwrap();
         let expected = DeviceProfile::xio().cpu.cost_us(4096);

@@ -41,5 +41,5 @@ pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pageops::{apply_page_op, PageOp};
 pub use rbpex::Rbpex;
-pub use sched::{IoScheduler, IoSchedulerConfig, RangedPageSource};
+pub use sched::{IoScheduler, RangedPageSource};
 pub use slotted::Slotted;

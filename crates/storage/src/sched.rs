@@ -58,35 +58,16 @@ pub trait RangedPageSource: PageSource {
     }
 }
 
-/// Scheduler tuning knobs (`SocratesConfig::sched`).
-#[derive(Clone, Debug)]
-pub struct IoSchedulerConfig {
-    /// Master switch: disabled means the cache falls back to the one-page
-    /// blocking fetch path (the pre-scheduler behaviour).
-    pub enabled: bool,
-    /// Worker threads draining the submission queue. This bounds how many
-    /// GetPage/GetPageRange calls the node keeps in flight.
-    pub workers: usize,
-    /// Largest run of contiguous pages dispatched as one `GetPageRange`.
-    pub max_batch: u32,
-    /// Cap on queued prefetch hints; hints beyond it are dropped (they are
-    /// an optimisation, never a correctness requirement).
-    pub max_pending: usize,
-    /// Hard deadline for a demand fetch waiting on its completion slot.
-    pub completion_timeout: Duration,
-}
-
-impl Default for IoSchedulerConfig {
-    fn default() -> IoSchedulerConfig {
-        IoSchedulerConfig {
-            enabled: true,
-            workers: 4,
-            max_batch: 64,
-            max_pending: 512,
-            completion_timeout: Duration::from_secs(30),
-        }
-    }
-}
+/// Worker threads a node's scheduler runs. This bounds how many
+/// GetPage/GetPageRange calls the node keeps in flight.
+pub const WORKERS: usize = 4;
+/// Largest run of contiguous pages dispatched as one `GetPageRange`.
+const MAX_BATCH: u32 = 64;
+/// Cap on queued prefetch hints; hints beyond it are dropped (they are an
+/// optimisation, never a correctness requirement).
+const MAX_PENDING: usize = 512;
+/// Hard deadline for a demand fetch waiting on its completion slot.
+const COMPLETION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Scheduler counters (registered into the hub by the owning node).
 #[derive(Debug, Default)]
@@ -221,7 +202,6 @@ struct Queue {
 
 struct Shared {
     backend: Arc<dyn RangedPageSource>,
-    cfg: IoSchedulerConfig,
     q: Mutex<Queue>,
     q_cv: Condvar,
     inflight: Mutex<HashMap<PageId, Arc<InFlight>>>,
@@ -240,16 +220,16 @@ pub struct IoScheduler {
 }
 
 impl IoScheduler {
-    /// Start the scheduler and its worker pool over `backend`; completed
-    /// prefetches are installed into `sink` (dropped while it is dangling).
+    /// Start the scheduler and its pool of `workers` threads (at least one)
+    /// over `backend`; completed prefetches are installed into `sink`
+    /// (dropped while it is dangling). Nodes run [`WORKERS`].
     pub fn start(
         backend: Arc<dyn RangedPageSource>,
-        cfg: IoSchedulerConfig,
+        workers: usize,
         sink: Weak<TieredCache>,
     ) -> Arc<IoScheduler> {
         let shared = Arc::new(Shared {
             backend,
-            cfg,
             q: Mutex::with_rank(
                 Queue::default(),
                 socrates_common::lock_rank::STORAGE_SCHED_QUEUE,
@@ -265,16 +245,15 @@ impl IoScheduler {
             stats: SchedStats::default(),
             stop: AtomicBool::new(false),
         });
-        let mut workers = Vec::new();
-        for i in 0..shared.cfg.workers.max(1) {
-            let s = Arc::clone(&shared);
-            workers.push(
+        let workers: Vec<_> = (0..workers.max(1))
+            .map(|i| {
+                let s = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("io-sched-{i}"))
                     .spawn(move || worker_loop(s))
-                    .expect("spawn io scheduler worker"),
-            );
-        }
+                    .expect("spawn io scheduler worker")
+            })
+            .collect();
         Arc::new(IoScheduler {
             shared,
             workers: Mutex::with_rank(
@@ -392,7 +371,7 @@ impl IoScheduler {
                 e
             }
         };
-        Pending::Queued(entry, s.cfg.completion_timeout)
+        Pending::Queued(entry, COMPLETION_TIMEOUT)
     }
 
     /// Post a read-ahead hint for `count` pages starting at `first`.
@@ -409,7 +388,7 @@ impl IoScheduler {
             let mut fl = s.inflight.lock();
             let mut q = s.q.lock();
             for i in 0..count as u64 {
-                if q.pending.len() >= s.cfg.max_pending {
+                if q.pending.len() >= MAX_PENDING {
                     s.stats.prefetch_dropped.add(count as u64 - i);
                     break;
                 }
@@ -492,7 +471,7 @@ fn next_batch(s: &Shared) -> Option<Batch> {
             return None;
         }
         if let Some(seed) = oldest(&q, true).or_else(|| oldest(&q, false)) {
-            return Some(take_run(&mut q, seed, s.cfg.max_batch));
+            return Some(take_run(&mut q, seed));
         }
         s.q_cv.wait(&mut q);
     }
@@ -508,13 +487,13 @@ fn oldest(q: &Queue, demand: bool) -> Option<u64> {
 }
 
 /// Remove the longest contiguous run around `seed` from the queue (capped
-/// at `max_batch`) and describe it as a batch. The batch's freshness floor
+/// at [`MAX_BATCH`]) and describe it as a batch. The batch's freshness floor
 /// is the max over its members' in-flight floors, which satisfies every
 /// member (GetPage@LSN may always return a newer version).
-fn take_run(q: &mut Queue, seed: u64, max_batch: u32) -> Batch {
+fn take_run(q: &mut Queue, seed: u64) -> Batch {
     let mut lo = seed;
     let mut hi = seed;
-    let max = max_batch.max(1) as u64;
+    let max = MAX_BATCH as u64;
     while hi - lo + 1 < max && lo > 0 && q.pending.contains_key(&(lo - 1)) {
         lo -= 1;
     }
@@ -698,12 +677,8 @@ mod tests {
         }
     }
 
-    fn sched(src: &Arc<TestSource>, cfg: IoSchedulerConfig) -> Arc<IoScheduler> {
-        IoScheduler::start(Arc::clone(src) as Arc<dyn RangedPageSource>, cfg, Weak::new())
-    }
-
-    fn one_worker() -> IoSchedulerConfig {
-        IoSchedulerConfig { workers: 1, ..IoSchedulerConfig::default() }
+    fn sched(src: &Arc<TestSource>, workers: usize) -> Arc<IoScheduler> {
+        IoScheduler::start(Arc::clone(src) as Arc<dyn RangedPageSource>, workers, Weak::new())
     }
 
     /// Poll until `cond` holds: the tests order their steps by observed
@@ -719,7 +694,7 @@ mod tests {
     #[test]
     fn fetch_returns_pages() {
         let src = TestSource::new(16);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         for i in 0..16 {
             let (p, _) = s.fetch(PageId::new(i), Lsn::ZERO).unwrap();
             assert_eq!(p.body()[0], i as u8);
@@ -732,7 +707,7 @@ mod tests {
         // No neighbour is awaited: the backend sees the call while the
         // reader still parks on its completion slot.
         let src = TestSource::new(4);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         src.hold();
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| s.fetch(PageId::new(2), Lsn::ZERO).unwrap().1);
@@ -748,7 +723,7 @@ mod tests {
     fn single_flight_dedupes_concurrent_misses() {
         // 8 readers of one held page must produce exactly one backend call.
         let src = TestSource::new(4);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         src.hold();
         std::thread::scope(|scope| {
             let readers: Vec<_> = (0..8)
@@ -769,7 +744,7 @@ mod tests {
         // Single-flight holds across the split: a reader arriving between
         // `submit` and `wait` joins the request already on the wire.
         let src = TestSource::new(4);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         src.hold();
         let pending = s.submit(PageId::new(2), Lsn::ZERO);
         until("the submitted fetch to reach the backend", || src.calls() == 1);
@@ -788,7 +763,7 @@ mod tests {
         // One fetch occupies the only worker; eight adjacent misses queue
         // behind it and, once it returns, leave together.
         let src = TestSource::new(64);
-        let s = sched(&src, one_worker());
+        let s = sched(&src, 1);
         src.hold();
         std::thread::scope(|scope| {
             let busy = scope.spawn(|| s.fetch(PageId::new(0), Lsn::ZERO).unwrap().1);
@@ -820,7 +795,7 @@ mod tests {
     #[test]
     fn prefetch_hints_are_serviced_in_background() {
         let src = TestSource::new(64);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         s.prefetch(PageId::new(10), 8, Lsn::ZERO);
         until("the hints to be serviced", || s.depth() == 0);
         assert_eq!(s.stats().prefetch_hints.get(), 8);
@@ -837,7 +812,7 @@ mod tests {
         // and the survivors' spans say they were re-fetched alone.
         let src = TestSource::new(64);
         src.pages.lock().remove(&PageId::new(21));
-        let s = sched(&src, one_worker());
+        let s = sched(&src, 1);
         src.hold();
         let results: Vec<Result<(Page, FetchMeta)>> = std::thread::scope(|scope| {
             scope.spawn(|| s.fetch(PageId::new(0), Lsn::ZERO).unwrap());
@@ -881,7 +856,7 @@ mod tests {
     #[test]
     fn stale_inflight_is_not_joined_by_fresher_request() {
         let src = TestSource::new(8);
-        let s = sched(&src, IoSchedulerConfig::default());
+        let s = sched(&src, WORKERS);
         src.hold();
         std::thread::scope(|scope| {
             scope.spawn(|| s.fetch(PageId::new(3), Lsn::new(5)).unwrap());
@@ -900,7 +875,7 @@ mod tests {
     #[test]
     fn stop_fails_queued_waiters() {
         let src = TestSource::new(8);
-        let s = sched(&src, one_worker());
+        let s = sched(&src, 1);
         src.hold();
         std::thread::scope(|scope| {
             let busy = scope.spawn(|| s.fetch(PageId::new(1), Lsn::ZERO));
@@ -928,7 +903,7 @@ mod tests {
         // some stops land inside that window.
         let src = TestSource::new(1);
         for i in 0..5_000u64 {
-            let s = sched(&src, IoSchedulerConfig::default());
+            let s = sched(&src, WORKERS);
             let t0 = Instant::now();
             while t0.elapsed() < Duration::from_micros(i % 97) {}
             s.stop();

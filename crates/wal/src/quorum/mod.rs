@@ -20,8 +20,8 @@
 //!   proposer: fan-out workers, commit watermark, campaigns, catch-up).
 //!
 //! [`QuorumLog`] implements [`LogStore`], so the fabric can mount it
-//! where the landing zone normally sits; `quorum_acceptors = 1` degrades
-//! to the classic single-writer behaviour (one acceptor, quorum of one).
+//! where the landing zone normally sits. It does so only for
+//! `quorum_acceptors >= 2`; with fewer it mounts the landing zone.
 
 pub mod protocol;
 pub mod sim;
@@ -44,26 +44,22 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
-/// Shape of the quorum tier.
+/// Shape of the quorum tier. A block commits once a majority
+/// (`acceptors / 2 + 1`) has flushed it.
 #[derive(Clone, Debug)]
 pub struct QuorumConfig {
-    /// Number of acceptors (1 = single-writer back-compat mode).
+    /// Number of acceptors. The fabric mounts the tier only for two or
+    /// more; a single acceptor (a quorum of one) is a unit-test shape.
     pub acceptors: usize,
-    /// Acks required to commit; 0 means majority (`n/2 + 1`).
-    pub ack_required: usize,
     /// Logical capacity of each acceptor's retained window, bytes.
     /// Appends beyond it get destage backpressure like the landing zone.
     pub capacity: u64,
 }
 
 impl QuorumConfig {
-    /// The effective ack count (resolving `0` to majority).
+    /// Acks required to commit: a majority.
     pub fn required(&self) -> usize {
-        if self.ack_required == 0 {
-            self.acceptors / 2 + 1
-        } else {
-            self.ack_required
-        }
+        self.acceptors / 2 + 1
     }
 }
 
@@ -471,12 +467,6 @@ impl QuorumLog {
     ) -> QuorumLog {
         assert_eq!(acceptors.len(), config.acceptors, "acceptor count mismatch");
         assert!(config.acceptors >= 1, "quorum log needs at least one acceptor");
-        assert!(
-            config.required() <= config.acceptors,
-            "ack_required {} out of range for {} acceptors",
-            config.required(),
-            config.acceptors
-        );
         let shared = Arc::new(Shared { acceptors, faults, catchup_blocks: Counter::new() });
         let mut workers = Vec::with_capacity(config.acceptors);
         let mut handles = Vec::with_capacity(config.acceptors);
@@ -537,7 +527,7 @@ impl QuorumLog {
     }
 
     /// The durable commit watermark: every LSN below it is flushed on at
-    /// least `ack_required` acceptors. Monotone.
+    /// least a majority of acceptors. Monotone.
     pub fn commit_lsn(&self) -> Lsn {
         self.commit.load()
     }
@@ -664,7 +654,7 @@ impl QuorumLog {
     }
 
     /// Durably append `block`, which must start exactly at the head.
-    /// Returns once `ack_required` acceptors have flushed it.
+    /// Returns once a majority of acceptors have flushed it.
     pub fn write_block(&self, block: &LogBlock) -> Result<()> {
         if self.is_deposed() {
             return Err(Error::InvalidState(
@@ -958,16 +948,12 @@ mod tests {
         b.seal()
     }
 
-    fn quorum(n: usize, ack: usize) -> Arc<QuorumLog> {
-        quorum_with_faults(n, ack, FaultRegistry::disabled())
+    fn quorum(n: usize) -> Arc<QuorumLog> {
+        quorum_with_faults(n, FaultRegistry::disabled())
     }
 
-    fn quorum_with_faults(n: usize, ack: usize, faults: FaultRegistry) -> Arc<QuorumLog> {
-        Arc::new(QuorumLog::new(
-            QuorumConfig { acceptors: n, ack_required: ack, capacity: 1 << 20 },
-            |_| None,
-            faults,
-        ))
+    fn quorum_with_faults(n: usize, faults: FaultRegistry) -> Arc<QuorumLog> {
+        Arc::new(QuorumLog::new(QuorumConfig { acceptors: n, capacity: 1 << 20 }, |_| None, faults))
     }
 
     fn fill(q: &QuorumLog, mut start: Lsn, blocks: usize) -> Lsn {
@@ -981,14 +967,14 @@ mod tests {
 
     #[test]
     fn an_append_waits_its_device_latency_once() {
-        use socrates_common::latency::{DeviceProfile, IoCpuCost, LatencyMode};
+        use socrates_common::latency::{DeviceProfile, IoCpuCost};
         let device = DeviceProfile {
             name: "fixed",
             read: LatencyModel::fixed(20_000),
             write: LatencyModel::fixed(20_000),
             cpu: IoCpuCost { per_op_us: 0, per_4kib_us: 0 },
         };
-        let inj = LatencyInjector::new(device, LatencyMode::real(), 1);
+        let inj = LatencyInjector::new(device, 1);
         let acc = Acceptor::new(0, Lsn::ZERO, Some(inj));
         acc.vote(1).unwrap();
         let t0 = std::time::Instant::now();
@@ -1000,7 +986,7 @@ mod tests {
 
     #[test]
     fn three_acceptor_write_read_chain() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         let start = q.recover().unwrap();
         assert_eq!(start, Lsn::ZERO);
         assert_eq!(q.term(), 1);
@@ -1026,14 +1012,14 @@ mod tests {
 
     #[test]
     fn writes_require_election() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         let err = q.write_block(&block_at(Lsn::ZERO, 10)).unwrap_err();
         assert!(matches!(err, Error::InvalidState(_)), "unexpected: {err}");
     }
 
     #[test]
     fn single_acceptor_mode_is_classic_lz() {
-        let q = quorum(1, 0);
+        let q = quorum(1);
         q.recover().unwrap();
         let end = fill(&q, Lsn::ZERO, 3);
         assert_eq!(q.commit_lsn(), end);
@@ -1043,7 +1029,7 @@ mod tests {
 
     #[test]
     fn kill_one_acceptor_keeps_committing_then_rejoin_catches_up() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         q.recover().unwrap();
         let mid = fill(&q, Lsn::ZERO, 2);
         q.kill_acceptor(2);
@@ -1068,7 +1054,7 @@ mod tests {
         // lz.quorum.append latency fault, and must then serve reads for
         // its recovered range.
         let faults = FaultRegistry::new(7);
-        let q = quorum_with_faults(3, 0, faults.clone());
+        let q = quorum_with_faults(3, faults.clone());
         q.recover().unwrap();
         q.kill_acceptor(1);
         let end = fill(&q, Lsn::ZERO, 5);
@@ -1087,7 +1073,7 @@ mod tests {
 
     #[test]
     fn rejoin_fast_forwards_past_destaged_range() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         q.recover().unwrap();
         q.kill_acceptor(0);
         let mid = fill(&q, Lsn::ZERO, 3);
@@ -1103,7 +1089,7 @@ mod tests {
 
     #[test]
     fn losing_quorum_stalls_then_rejoin_restores_service() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         q.recover().unwrap();
         let end = fill(&q, Lsn::ZERO, 1);
         q.kill_acceptor(0);
@@ -1122,7 +1108,7 @@ mod tests {
 
     #[test]
     fn restarted_proposer_campaigns_at_higher_term_and_deposes_old() {
-        let q1 = quorum(3, 0);
+        let q1 = quorum(3);
         q1.recover().unwrap();
         assert_eq!(q1.term(), 1);
         let end = fill(&q1, Lsn::ZERO, 3);
@@ -1130,7 +1116,7 @@ mod tests {
         let acceptors = q1.acceptors().to_vec();
         let q2 = Arc::new(QuorumLog::with_acceptors(
             acceptors,
-            QuorumConfig { acceptors: 3, ack_required: 0, capacity: 1 << 20 },
+            QuorumConfig { acceptors: 3, capacity: 1 << 20 },
             FaultRegistry::disabled(),
         ));
         let start = q2.recover().unwrap();
@@ -1147,7 +1133,7 @@ mod tests {
     #[test]
     fn dropped_votes_fail_campaign_until_cleared() {
         let faults = FaultRegistry::new(3);
-        let q = quorum_with_faults(3, 0, faults.clone());
+        let q = quorum_with_faults(3, faults.clone());
         faults.install(FaultRule {
             site: sites::LZ_QUORUM_VOTE.into(),
             schedule: FaultSchedule::Always,
@@ -1163,7 +1149,7 @@ mod tests {
     #[test]
     fn lost_acks_stall_commit_but_acceptors_flushed() {
         let faults = FaultRegistry::new(5);
-        let q = quorum_with_faults(3, 0, faults.clone());
+        let q = quorum_with_faults(3, faults.clone());
         q.recover().unwrap();
         faults.install(FaultRule {
             site: sites::LZ_QUORUM_ACK.into(),
@@ -1183,7 +1169,7 @@ mod tests {
 
     #[test]
     fn scan_from_walks_the_window() {
-        let q = quorum(3, 0);
+        let q = quorum(3);
         q.recover().unwrap();
         let end = fill(&q, Lsn::ZERO, 4);
         let mut seen = 0;
@@ -1202,7 +1188,7 @@ mod tests {
     #[test]
     fn backpressure_when_capacity_exhausted() {
         let q = Arc::new(QuorumLog::new(
-            QuorumConfig { acceptors: 3, ack_required: 0, capacity: 600 },
+            QuorumConfig { acceptors: 3, capacity: 600 },
             |_| None,
             FaultRegistry::disabled(),
         ));

@@ -23,9 +23,9 @@
 //!    is strictly greater than its own (so two proposers can never both
 //!    win the same term), and adopts the term when granting.
 //! 2. **Commit rule.** The proposer appends each block to every acceptor
-//!    and declares it committed once `ack_required` acceptors (majority
-//!    by default) report it flushed. The committed watermark never
-//!    regresses.
+//!    and declares it committed once a write quorum of acceptors (a
+//!    majority in the live tier) report it flushed. The committed
+//!    watermark never regresses.
 //! 3. **Election start.** A new proposer collects votes from a majority
 //!    and picks the *donor*: the voter with the greatest
 //!    `(last_log_term, flush)`. The donor's flush LSN becomes the new

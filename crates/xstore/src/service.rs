@@ -3,7 +3,7 @@
 use crate::blob::{Blob, SnapshotId};
 use parking_lot::RwLock;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
-use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyMode};
+use socrates_common::latency::{DeviceProfile, LatencyInjector};
 use socrates_common::metrics::Counter;
 use socrates_common::{BlobId, Error, Result};
 use std::collections::HashMap;
@@ -12,10 +12,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Service configuration.
 #[derive(Clone)]
 pub struct XStoreConfig {
-    /// Device latency profile (HDD-class by default).
+    /// Device latency profile (HDD-class by default), waited out in real
+    /// time.
     pub profile: DeviceProfile,
-    /// Whether sampled latencies are waited out.
-    pub mode: LatencyMode,
     /// RNG seed for the latency model.
     pub seed: u64,
 }
@@ -23,12 +22,12 @@ pub struct XStoreConfig {
 impl XStoreConfig {
     /// Zero-latency configuration for unit tests.
     pub fn instant() -> XStoreConfig {
-        XStoreConfig { profile: DeviceProfile::instant(), mode: LatencyMode::Disabled, seed: 0 }
+        XStoreConfig { profile: DeviceProfile::instant(), seed: 0 }
     }
 
     /// The calibrated HDD-class profile, waited out in real time.
     pub fn realistic(seed: u64) -> XStoreConfig {
-        XStoreConfig { profile: DeviceProfile::xstore(), mode: LatencyMode::real(), seed }
+        XStoreConfig { profile: DeviceProfile::xstore(), seed }
     }
 }
 
@@ -79,7 +78,7 @@ impl XStore {
             next_blob: AtomicU64::new(1),
             next_snapshot: AtomicU64::new(1),
             available: AtomicBool::new(true),
-            latency: LatencyInjector::new(config.profile, config.mode, config.seed),
+            latency: LatencyInjector::new(config.profile, config.seed),
             metrics: XStoreMetrics::default(),
             faults,
         }

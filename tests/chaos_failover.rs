@@ -16,7 +16,7 @@
 
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
-use socrates_common::latency::{DeviceProfile, LatencyMode};
+use socrates_common::latency::DeviceProfile;
 use socrates_common::obs::{slowest_spans, MetricValue, SpanKind};
 use socrates_common::rng::Rng;
 use socrates_common::NodeId;
@@ -288,11 +288,7 @@ fn failover_with_blocks_in_flight_keeps_exactly_the_acked_rows() {
     // Only the landing zone is slow (calibrated XIO writes), so with three
     // writers committing row by row the in-flight window is full most of
     // the time.
-    let config = SocratesConfig {
-        latency_mode: LatencyMode::real(),
-        lz_profile: DeviceProfile::xio(),
-        ..SocratesConfig::fast_test()
-    };
+    let config = SocratesConfig { lz_profile: DeviceProfile::xio(), ..SocratesConfig::fast_test() };
     let sys = Socrates::launch(config).unwrap();
     let p = sys.primary().unwrap();
     p.db().create_table("t", schema()).unwrap();

@@ -8,6 +8,7 @@
 //! fresh, convergence resumes once the fault window closes, and every
 //! injected fault is visible in the metrics hub.
 
+use socrates::config::{BLACKBOX_LAST_N, WATCHER_INTERVAL};
 use socrates::{Socrates, SocratesConfig};
 use socrates_common::fault::sites;
 use socrates_common::obs::{MetricValue, SpanKind};
@@ -546,16 +547,15 @@ fn crash_mid_compaction_loses_no_resolvable_version() {
 fn blackbox_bundle_from_a_faulted_run_roundtrips() {
     let dir = std::env::temp_dir().join(format!("bb-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut config = SocratesConfig::fast_test()
+    let config = SocratesConfig::fast_test()
         .with_fault_spec(31, "lz.write@every:6=error:unavailable")
         .with_trace_sample(1)
-        .with_hub_history(256, Duration::from_millis(1))
+        .with_hub_history(256)
         // An objective the workload is guaranteed to miss: appending any
         // log at all breaches it, so the ok→breach edge fires once the
         // watcher ticks — exercising the automatic trigger path.
         .with_slo_spec("primary.0.log_bytes_appended < 1 over 1m")
         .with_blackbox(&dir);
-    config.blackbox_last_n = 32;
     let sys = Socrates::launch(config).unwrap();
     let p = sys.primary().unwrap();
     let db = p.db();
@@ -579,7 +579,11 @@ fn blackbox_bundle_from_a_faulted_run_roundtrips() {
     // bundle's spans include the downstream legs, then trigger what a
     // chaos harness calls on invariant violation — it gets its own sequence.
     sys.fabric().xlog.destage_all().unwrap();
-    std::thread::sleep(sys.fabric().config.watcher_interval * 4 + Duration::from_millis(20));
+    std::thread::sleep(WATCHER_INTERVAL * 4 + Duration::from_millis(20));
+    // The ring holds more spans than a bundle keeps, so the bound below
+    // is a truncation, not a count of what was recorded.
+    let recorded = sys.fabric().spans.spans().len();
+    assert!(recorded > BLACKBOX_LAST_N, "only {recorded} spans recorded");
     let explicit = sys.fabric().blackbox.trigger("chaos-invariant").unwrap();
     sys.shutdown();
 
@@ -609,7 +613,7 @@ fn blackbox_bundle_from_a_faulted_run_roundtrips() {
                 assert!(n > 0, "{}: section {key:?} is empty after quiesce", path.display());
             }
         }
-        assert!(section("spans") <= 32, "last_n must bound the section");
+        assert!(section("spans") <= BLACKBOX_LAST_N, "BLACKBOX_LAST_N must bound the section");
         if quiesced {
             // The spans section carries causal links the deserializer
             // can walk: some span names a parent also in the bundle.

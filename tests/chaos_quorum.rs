@@ -125,7 +125,7 @@ fn seeded_acceptor_loss_schedule_commits_cleanly() {
     assert_eq!(actions, derive_schedule(seed), "schedule derivation must be deterministic");
     write_artifact(seed, &actions, None);
 
-    let config = SocratesConfig::fast_test().with_quorum(3, 0).with_fault_spec(seed, "");
+    let config = SocratesConfig::fast_test().with_quorum(3).with_fault_spec(seed, "");
     let sys = Socrates::launch(config).unwrap();
     sys.primary().unwrap().db().create_table("t", schema()).unwrap();
     let quorum = sys.fabric().quorum.as_ref().expect("quorum tier mounted").clone();
@@ -252,7 +252,7 @@ fn seeded_acceptor_loss_schedule_commits_cleanly() {
 /// leg go dark (the new term still wins on the surviving votes).
 #[test]
 fn ack_loss_and_vote_faults_never_surface_to_commits() {
-    let config = SocratesConfig::fast_test().with_quorum(3, 0).with_fault_spec(9, "");
+    let config = SocratesConfig::fast_test().with_quorum(3).with_fault_spec(9, "");
     let sys = Socrates::launch(config).unwrap();
     sys.primary().unwrap().db().create_table("t", schema()).unwrap();
     let quorum = sys.fabric().quorum.as_ref().expect("quorum tier mounted").clone();

@@ -129,3 +129,25 @@ fn secondary_snapshot_reads_are_stable_under_writes() {
     assert!(rows.iter().all(|r| r[1] == Value::Int(999)));
     sys.shutdown();
 }
+
+/// One way to spoil an otherwise valid configuration.
+type Spoil = fn(&mut SocratesConfig);
+
+#[test]
+fn an_invalid_config_is_rejected_at_launch() {
+    let cases: [(&str, Spoil); 5] = [
+        ("lz_replicas = 0", |c| c.lz_replicas = 0),
+        ("lz_quorum = 0", |c| c.lz_quorum = 0),
+        ("lz_quorum above lz_replicas", |c| c.lz_quorum = c.lz_replicas + 1),
+        ("mem_cache_pages = 0", |c| c.mem_cache_pages = 0),
+        ("pages_per_partition = 0", |c| c.pages_per_partition = 0),
+    ];
+    for (name, spoil) in cases {
+        let mut config = SocratesConfig::fast_test();
+        spoil(&mut config);
+        match Socrates::launch(config) {
+            Err(e) => assert_eq!(e.kind(), "invalid_argument", "{name}: {e}"),
+            Ok(_) => panic!("{name}: launched"),
+        }
+    }
+}

@@ -18,7 +18,6 @@ use socrates_common::obs::{
 };
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
-use socrates_rbio::HedgeConfig;
 use std::time::Duration;
 
 const ROWS: u64 = 150;
@@ -179,15 +178,13 @@ fn miss_path_spans_are_complete_and_exported() {
 
 #[test]
 fn hedged_reads_stamp_span_outcome() {
-    // A zero hedge delay fires a hedge on effectively every remote call;
-    // the second partition replica gives the hedge somewhere to go.
-    let mut config = SocratesConfig::fast_test().with_trace_sample(1);
-    config.hedge = HedgeConfig {
-        enabled: true,
-        min_delay: Duration::ZERO,
-        max_delay: Duration::ZERO,
-        ..HedgeConfig::default()
-    };
+    // Every second GetPage a page server serves takes 15 ms, longer than
+    // the 10 ms hedge delay used before the route has 20 latency samples,
+    // so slow calls hedge; the second partition replica gives the hedge
+    // somewhere to go.
+    let config = SocratesConfig::fast_test()
+        .with_trace_sample(1)
+        .with_fault_spec(7, "pageserver.serve@every:2=latency:15ms");
     let sys = Socrates::launch(config).unwrap();
     {
         let primary = sys.primary().unwrap();
@@ -209,7 +206,7 @@ fn hedged_reads_stamp_span_outcome() {
     assert_eq!(p.db().scan_table(&r, "t", usize::MAX).unwrap().len(), ROWS as usize);
 
     let route = &sys.fabric().partition(pid).unwrap().route;
-    assert!(route.hedges_fired().get() > 0, "zero-delay hedge never fired");
+    assert!(route.hedges_fired().get() > 0, "a 15 ms serve never fired a hedge");
 
     // Hedge outcomes are readable from the spans: the `rbio.net` child of
     // a fetch that hedged carries Won or Lost, and at least one does.
