@@ -287,8 +287,8 @@ pub struct ColdScanArm {
     pub prefetch_installs: u64,
 }
 
-/// The cold-scan experiment: scheduler-off (blocking one-page misses) vs
-/// scheduler-on (single-flight + range coalescing + scan prefetch).
+/// The cold-scan experiment: scheduler thread off (one-page demand misses
+/// only) vs on (scan prefetch as range reads, and a free-frame reserve).
 #[derive(Debug)]
 pub struct ColdScan {
     /// Rows scanned.
@@ -362,20 +362,17 @@ fn cold_scan_arm(enabled: bool, rows: usize, seed: u64) -> Result<ColdScanArm> {
             cs.fetches.get(),
             prefetch_installs
         );
-        if let Some(sch) = p.io().cache().scheduler() {
-            let st = sch.stats();
-            eprintln!(
-                "  sched submitted={} joined={} single={} range_calls={} range_pages={} hints={} dropped={} fallbacks={}",
-                st.submitted.get(),
-                st.joined.get(),
-                st.single_calls.get(),
-                st.range_calls.get(),
-                st.range_pages.get(),
-                st.prefetch_hints.get(),
-                st.prefetch_dropped.get(),
-                st.range_fallbacks.get()
-            );
-        }
+        let st = p.io().cache().scheduler().stats();
+        eprintln!(
+            "  sched submitted={} joined={} single={} range_calls={} range_pages={} hints={} dropped={}",
+            st.submitted.get(),
+            st.joined.get(),
+            st.single_calls.get(),
+            st.range_calls.get(),
+            st.range_pages.get(),
+            st.prefetch_hints.get(),
+            st.prefetch_dropped.get(),
+        );
         for pid in sys.fabric().partition_ids() {
             if let Some(h) = sys.fabric().partition(pid) {
                 for (si, s) in h.servers.iter().enumerate() {

@@ -121,12 +121,13 @@ pub const PS_COMPACTOR: u32 = 380;
 pub const CORE_SECONDARY_PENDING: u32 = 450;
 
 // --- storage (500s) ---------------------------------------------------
-/// `storage::sched::IoScheduler.inflight` — in-flight request map.
+/// `storage::sched::IoScheduler.inflight` — pages on the wire. The
+/// background thread holds it while it checks `cache.mem` for the pages of
+/// a prefetch run.
 pub const STORAGE_SCHED_INFLIGHT: u32 = 510;
-/// `storage::sched::IoScheduler.q` — request queue.
+/// `storage::sched::IoScheduler.q` — the background thread's hints and
+/// wake-up flags.
 pub const STORAGE_SCHED_QUEUE: u32 = 520;
-/// `storage::sched::IoScheduler.workers` — worker join handles.
-pub const STORAGE_SCHED_WORKERS: u32 = 540;
 /// `storage::layermap::LayerMap.inner` — the layer index (images + delta
 /// layers). Held only to snapshot/swap `Arc`'d layers; all page I/O
 /// against a layer's backing store happens after release, so it sits
@@ -258,7 +259,6 @@ mod tests {
             super::PS_COMPACTOR,
             super::STORAGE_SCHED_INFLIGHT,
             super::STORAGE_SCHED_QUEUE,
-            super::STORAGE_SCHED_WORKERS,
             super::STORAGE_LAYERMAP,
             super::STORAGE_CACHE_MEM,
             super::STORAGE_RBPEX_DIR,

@@ -124,8 +124,8 @@ span_kinds! {
     PsCompact => "ps.compact",
     /// Probing the local tiers before the miss is declared (compute node).
     GetPageProbe => "getpage.cache_probe",
-    /// Scheduler queue wait, enqueue → dispatch (compute node; `arg` =
-    /// coalesce membership).
+    /// Single-flight wait on another fetch of the page (compute node;
+    /// `arg` = coalesce membership).
     GetPageQueue => "getpage.sched_queue",
     /// Installing the fetched page into the compute cache (compute node).
     GetPageSink => "getpage.sink",
@@ -136,9 +136,9 @@ pub const HEDGE_LOST: u64 = 1;
 /// `rbio.net` `arg`: a hedge fired and the hedged attempt won.
 pub const HEDGE_WON: u64 = 2;
 
-/// `getpage.sched_queue` `arg`: pages in the dispatched batch (1 = a lone
-/// `GetPage`), and whether the range failed and this page was re-fetched
-/// alone.
+/// `getpage.sched_queue` `arg`: pages in the call that fetched the page
+/// (1 = a lone `GetPage`), and whether the prefetch range it joined failed
+/// and it was re-fetched alone.
 pub const fn pack_coalesce(range_width: u32, range_fallback: bool) -> u64 {
     ((range_width as u64) << 1) | range_fallback as u64
 }

@@ -8,8 +8,8 @@
 //!
 //! - [`stage`] names the stages of the commit pipeline (engine → harden
 //!   → destage → page-server apply → secondary apply) and of the
-//!   remote-read pipeline (cache probe → scheduler queue → gather →
-//!   RBIO → server serve → sink) and keeps one always-on hub histogram
+//!   remote-read pipeline (cache probe → single-flight wait → RBIO →
+//!   server serve → sink) and keeps one always-on hub histogram
 //!   per stage — the *aggregate* answer;
 //! - [`ctx`] is the *exemplar* answer: a compact [`TraceCtx`] minted at
 //!   commit/GetPage entry for 1-in-N requests and threaded across every

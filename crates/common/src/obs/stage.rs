@@ -76,7 +76,8 @@ stages! {
     ReadStage {
         /// Probing the local tiers (memory, RBPEX) before going remote.
         CacheProbe => "cache_probe",
-        /// Scheduler queue wait, enqueue → dispatch to a worker.
+        /// Single-flight wait: parked on another fetch of the same page
+        /// already on the wire (0 for the miss that fetched it).
         SchedQueue => "sched_queue",
         /// RBIO round trip minus the server's serve time.
         NetRbio => "net_rbio",

@@ -65,9 +65,11 @@ pub struct SocratesConfig {
     pub xlog: XLogConfig,
     /// Page server tuning.
     pub page_server: PageServerConfig,
-    /// Whether compute-side remote misses go through the I/O scheduler
-    /// (single-flight, range coalescing, prefetch). Off falls back to the
-    /// blocking one-page miss path.
+    /// Whether each compute node runs the I/O scheduler's background
+    /// thread, which turns scan read-ahead hints into `GetPageRange` calls
+    /// and keeps a small reserve of memory frames free. Off means no
+    /// prefetch and every eviction on the missing reader; demand misses
+    /// are single-flight calls on the reader's thread either way.
     pub io_scheduler: bool,
     /// Cross-tier causal tracing: sample every Nth commit / GetPage miss
     /// into the span ring (0 disables tracing entirely; the disarmed path
@@ -171,8 +173,8 @@ impl SocratesConfig {
         self
     }
 
-    /// Enable or disable the remote-read I/O scheduler (the A/B knob for
-    /// the cold-scan experiment).
+    /// Enable or disable the I/O scheduler's background thread (the A/B
+    /// knob for the cold-scan experiment).
     pub fn with_scheduler(mut self, enabled: bool) -> SocratesConfig {
         self.io_scheduler = enabled;
         self

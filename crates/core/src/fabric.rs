@@ -27,12 +27,11 @@ use socrates_pageserver::{
 use socrates_rbio::replica::{CallMeta, ReplicaSet};
 use socrates_rbio::transport::{NetworkConfig, RbioServer};
 use socrates_storage::cache::{
-    EvictionListener, FetchMeta, PageRef, PageSource, TieredCache, WalFlushHook,
+    EvictionListener, FetchMeta, PageRef, PageSource, RangedPageSource, TieredCache, WalFlushHook,
 };
 use socrates_storage::fcb::{Fcb, LatencyFcb, MemFcb};
 use socrates_storage::page::{Page, PAGE_SIZE};
 use socrates_storage::rbpex::Rbpex;
-use socrates_storage::sched::RangedPageSource;
 use socrates_wal::block::LogBlock;
 use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
 use socrates_wal::quorum::{Acceptor, QuorumConfig, QuorumLog};
@@ -815,9 +814,10 @@ impl Fabric {
     }
 
     /// Assemble compute node `node`'s tiered cache: memory over (optional)
-    /// RBPEX over GetPage@LSN, misses through the I/O scheduler when it is
-    /// enabled, the deployment's span ring handed in, the cache's
-    /// read-stage histograms and scheduler metrics registered under `node`.
+    /// RBPEX over GetPage@LSN, the I/O scheduler's background thread
+    /// started when it is enabled, the deployment's span ring handed in,
+    /// the cache's read-stage histograms and scheduler metrics registered
+    /// under `node`.
     pub(crate) fn compute_cache(
         self: &Arc<Self>,
         node: NodeId,
@@ -870,9 +870,7 @@ impl Fabric {
                 Arc::clone(hist),
             );
         }
-        if let Some(sched) = cache.scheduler() {
-            sched.register_metrics(&self.hub, node);
-        }
+        cache.scheduler().register_metrics(&self.hub, node);
         Ok(cache)
     }
 
@@ -1069,7 +1067,7 @@ impl PageSource for RemotePageSource {
 
 impl RangedPageSource for RemotePageSource {
     /// Batched GetPageRange, split at partition boundaries so each segment
-    /// goes to the page server that owns it (the scheduler's coalescer does
+    /// goes to the page server that owns it (the scheduler's prefetch does
     /// not know the partition map).
     fn fetch_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>> {
         self.fetch_page_range_traced(first, count, min_lsn).map(|(pages, _)| pages)

@@ -1,9 +1,9 @@
 //! End-to-end tests for the remote-read I/O scheduler: single-flight
 //! GetPage@LSN dedupe, the GetPageRange protocol arm, and scan prefetch —
 //! all asserted against the page server's own request counters. Where a
-//! test needs requests to pile up behind one in flight, it holds that one
-//! at the page server with an injected `pageserver.serve` latency and
-//! polls for the pile-up it needs before the hold ends.
+//! test needs readers to pile up behind one request in flight, it holds
+//! that one at the page server with an injected `pageserver.serve` latency
+//! and polls for the pile-up it needs before the hold ends.
 
 use socrates::config::SocratesConfig;
 use socrates::deployment::Socrates;
@@ -12,7 +12,7 @@ use socrates_common::fault::sites::PAGESERVER_SERVE;
 use socrates_common::{Lsn, NodeId, PageId, PartitionId};
 use socrates_engine::value::{ColumnType, Schema};
 use socrates_engine::Value as V;
-use socrates_storage::sched::{IoScheduler, RangedPageSource, WORKERS};
+use socrates_storage::{IoScheduler, RangedPageSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,22 +61,21 @@ fn single_flight_issues_exactly_one_rbio_get_page() {
     let ps = Arc::clone(&handle.servers[0]);
 
     // A scheduler over a fresh remote source: nothing cached, so every
-    // fetch it forwards becomes a real RBIO request we can count.
+    // fetch a reader makes becomes a real RBIO request we can count.
     let source = Arc::new(RemotePageSource::new(
         Arc::clone(sys.fabric()),
         sys.fabric().cpu.accountant(NodeId::client(7)),
         NodeId::client(7),
     ));
-    let sched =
-        IoScheduler::start(source as Arc<dyn RangedPageSource>, WORKERS, std::sync::Weak::new());
+    let sched = Arc::new(IoScheduler::default());
 
     let served_before = ps.metrics().pages_served.get();
     let target = PageId::new(0); // the catalog page, applied at bootstrap
     let faults = &sys.fabric().faults;
     faults.install_spec(HOLD).unwrap();
     let read = || {
-        let sched = Arc::clone(&sched);
-        std::thread::spawn(move || sched.fetch(target, Lsn::ZERO).unwrap())
+        let (sched, source) = (Arc::clone(&sched), Arc::clone(&source));
+        std::thread::spawn(move || sched.fetch(&*source, target, Lsn::ZERO).unwrap())
     };
     // The first reader's GetPage is held at the server; the other seven
     // find it in flight and join it.
@@ -117,27 +116,13 @@ fn get_page_range_arm_serves_coalesced_reads() {
     assert_eq!(ps.metrics().range_requests.get() - range_before, 1);
     assert!(ps.metrics().range_pages_served.get() >= 8);
 
-    // And through the scheduler: while its only worker waits on a held
-    // GetPage, eight adjacent misses queue, then leave as one GetPageRange
-    // instead of eight GetPage round trips.
-    let sched = IoScheduler::start(source as Arc<dyn RangedPageSource>, 1, std::sync::Weak::new());
-    let faults = &sys.fabric().faults;
-    faults.install_spec(HOLD).unwrap();
+    // And through the scheduler's background thread: a read-ahead hint of
+    // eight pages leaves as one GetPageRange instead of eight GetPage
+    // round trips.
+    let sched = IoScheduler::start(source as Arc<dyn RangedPageSource>, std::sync::Weak::new());
     let range_before = ps.metrics().range_requests.get();
-    let read = |raw: u64| {
-        let sched = Arc::clone(&sched);
-        std::thread::spawn(move || sched.fetch(PageId::new(raw), Lsn::ZERO).unwrap())
-    };
-    let busy = read(0);
-    until("the worker's GetPage to be held", || faults.fired_count(PAGESERVER_SERVE) == 1);
-    let readers: Vec<_> = (1..=8u64).map(read).collect();
-    until("eight misses to queue behind it", || sched.depth() == 9);
-    assert_eq!(busy.join().unwrap().0.page_id(), PageId::new(0));
-    for (i, r) in readers.into_iter().enumerate() {
-        let (page, meta) = r.join().unwrap();
-        assert_eq!(page.page_id(), PageId::new(1 + i as u64));
-        assert_eq!(meta.range_width, 8);
-    }
+    sched.prefetch(PageId::new(1), 8, Lsn::ZERO);
+    until("the hint's GetPageRange", || ps.metrics().range_requests.get() > range_before);
     assert_eq!(ps.metrics().range_requests.get() - range_before, 1, "one GetPageRange");
     assert_eq!((sched.stats().range_calls.get(), sched.stats().range_pages.get()), (1, 8));
 }

@@ -18,17 +18,19 @@
 //! * **Hit-rate accounting** — Tables 3 and 4 of the paper report the
 //!   "local cache hit %", i.e. (memory + SSD hits) / all page reads.
 //!
-//! A remote miss pays no eviction of its own: it submits its GetPage@LSN,
-//! frees and reserves a memory frame while the request is on the wire, and
-//! installs into that frame. Evictions spill their victim with no cache
-//! lock held; the victim stays resident and readable until it is in the
-//! next tier.
+//! A remote miss reserves a memory frame, fetches its page on its own
+//! thread, and installs into that frame. With the I/O scheduler's
+//! background thread the frame is normally free already: the thread is the
+//! node's lazy writer and keeps a small reserve of frames free by evicting
+//! ahead of demand, so the spill runs beside the miss's fetch rather than
+//! before it. Evictions spill their victim with no cache lock held; the
+//! victim stays resident and readable until it is in the next tier.
 
 #![doc = "soclint:hot"]
 
 use crate::page::Page;
 use crate::rbpex::Rbpex;
-use crate::sched::{IoScheduler, Pending, RangedPageSource, WORKERS};
+use crate::sched::IoScheduler;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use socrates_common::metrics::Counter;
 use socrates_common::obs::ctx::pack_coalesce;
@@ -44,15 +46,17 @@ use std::time::{Duration, Instant};
 /// falls back to its own wall-clock measurement.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchMeta {
-    /// Scheduler queue wait: enqueued → dispatched to a worker.
+    /// Single-flight wait: parked on another fetch of the page (0 for the
+    /// miss that fetched it).
     pub queue_ns: u64,
     /// Network round trip minus the server's serve time.
     pub net_ns: u64,
     /// Server-side serve time, stamped on the RBIO response.
     pub serve_ns: u64,
-    /// Pages in the dispatched batch (1 = a lone GetPage).
+    /// Pages in the call that fetched the page (1 = a lone GetPage).
     pub range_width: u32,
-    /// The coalesced range failed; this page was re-fetched alone.
+    /// The prefetch range this miss joined failed; it re-fetched the page
+    /// alone.
     pub range_fallback: bool,
     /// The `getpage` root a sampling remote source minted for this fetch
     /// ([`TraceCtx::NONE`] = unsampled; the disarmed path only ever copies
@@ -75,6 +79,28 @@ pub trait PageSource: Send + Sync {
     fn fetch_page_traced(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta)> {
         self.fetch_page(id, min_lsn)
             .map(|p| (p, FetchMeta { range_width: 1, ..FetchMeta::default() }))
+    }
+}
+
+/// A [`PageSource`] that can also serve contiguous ranges (the compute
+/// side of the `GetPageRange` protocol arm), which prefetch calls.
+pub trait RangedPageSource: PageSource {
+    /// Fetch `count` pages starting at `first`, all at an LSN ≥ `min_lsn`.
+    /// Implementations may split the range internally (e.g. at partition
+    /// boundaries) but must return exactly `count` pages, in order.
+    fn fetch_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>>;
+
+    /// [`RangedPageSource::fetch_page_range`], plus whatever latency
+    /// attribution the source can provide (one [`FetchMeta`] for the whole
+    /// range; every member shares the wire cost).
+    fn fetch_page_range_traced(
+        &self,
+        first: PageId,
+        count: u32,
+        min_lsn: Lsn,
+    ) -> Result<(Vec<Page>, FetchMeta)> {
+        self.fetch_page_range(first, count, min_lsn)
+            .map(|p| (p, FetchMeta { range_width: count, ..FetchMeta::default() }))
     }
 }
 
@@ -138,10 +164,15 @@ struct MemTier {
 /// reader touches its victim during the spill.
 const SPILL_TRIES: usize = 4;
 
-/// A memory frame a remote miss freed while its fetch was on the wire,
-/// held for that miss's page: other installs count it as taken, so no
-/// concurrent miss or prefetch fills it. [`Frame::install`] consumes it;
-/// dropped unused (the fetch failed), it is released.
+/// Most frames the background thread keeps free: one per miss a node
+/// typically has on the wire, and never more than an eighth of the memory
+/// tier, so caches under 8 frames keep none and evict on the reader.
+const FREE_RESERVE: usize = 2;
+
+/// A memory frame a remote miss holds for its page while the fetch is on
+/// the wire: other installs count it as taken, so no concurrent miss or
+/// prefetch fills it. [`Frame::install`] consumes it; dropped unused (the
+/// fetch failed), it is released.
 #[must_use = "a reserved frame stays held until it is installed into or dropped"]
 pub struct Frame<'a> {
     cache: &'a TieredCache,
@@ -201,13 +232,14 @@ pub type EvictionListener = Arc<dyn Fn(PageId, Lsn) + Send + Sync>;
 /// Two-tier (memory + optional RBPEX) page cache over a [`PageSource`].
 pub struct TieredCache {
     mem_capacity: usize,
+    /// Frames the background thread keeps free (0 without it).
+    reserve: usize,
     mem: Mutex<MemTier>,
     rbpex: Option<Arc<Rbpex>>,
     source: Arc<dyn PageSource>,
-    /// When present, remote misses are routed through the I/O scheduler
-    /// (single-flight, range coalescing, background prefetch) instead of
-    /// the one-page blocking `source` path.
-    sched: Option<Arc<IoScheduler>>,
+    /// Single-flight for remote misses and, when started, the background
+    /// thread that prefetches and keeps the free reserve.
+    sched: IoScheduler,
     wal_flush: WalFlushHook,
     on_evict: EvictionListener,
     stats: CacheStats,
@@ -248,6 +280,7 @@ impl TieredCache {
         assert!(mem_capacity > 0, "cache needs at least one frame");
         TieredCache {
             mem_capacity,
+            reserve: 0,
             mem: Mutex::with_rank(
                 MemTier { map: HashMap::new(), clock: VecDeque::new(), reserved: 0 },
                 socrates_common::lock_rank::STORAGE_CACHE_MEM,
@@ -255,7 +288,7 @@ impl TieredCache {
             ),
             rbpex,
             source,
-            sched: None,
+            sched: IoScheduler::default(),
             wal_flush,
             on_evict,
             stats: CacheStats::default(),
@@ -264,10 +297,10 @@ impl TieredCache {
         }
     }
 
-    /// Build a cache whose remote misses go through an [`IoScheduler`]
-    /// of [`WORKERS`] threads over `source` (which must speak ranges). The
-    /// scheduler's prefetch completions are installed back into the
-    /// returned cache.
+    /// Build a cache whose [`IoScheduler`] runs its background thread over
+    /// `source` (which must speak ranges): prefetched pages are installed
+    /// back into the returned cache, and up to `FREE_RESERVE` frames are
+    /// kept free.
     // soclint-allow: hot-path one-time construction wiring, not the serve path
     pub fn with_scheduler(
         mem_capacity: usize,
@@ -286,7 +319,8 @@ impl TieredCache {
                 on_evict,
                 spans,
             );
-            cache.sched = Some(IoScheduler::start(source, WORKERS, sink.clone()));
+            cache.reserve = (mem_capacity / 8).min(FREE_RESERVE);
+            cache.sched = IoScheduler::start(source, sink.clone());
             cache
         })
     }
@@ -323,37 +357,32 @@ impl TieredCache {
         self.rbpex.as_ref()
     }
 
-    /// The I/O scheduler, if this cache was built with one.
-    pub fn scheduler(&self) -> Option<&Arc<IoScheduler>> {
-        self.sched.as_ref()
+    /// The I/O scheduler.
+    pub fn scheduler(&self) -> &IoScheduler {
+        &self.sched
     }
 
-    /// Fetch a page from the remote source, through the scheduler when
-    /// present (single-flight with every other miss on this node), with
-    /// the fetch's latency attribution and a memory [`Frame`] freed for it
-    /// while the request was on the wire (without a scheduler, after the
-    /// fetch). Does not install the page or account the miss — callers use
+    /// Fetch a page from the remote source on the calling thread
+    /// (single-flight with every other miss on this node), with the fetch's
+    /// latency attribution and the memory [`Frame`] held for it. Does not
+    /// install the page or account the miss — callers use
     /// [`TieredCache::get`], or install the result with [`Frame::install`]
     /// and report it with [`TieredCache::record_miss`].
     // soclint-allow: hot-path-transitive the miss path reads the clock by
     // design — latency attribution of the remote fetch is part of its job,
     // and the fetch itself is already microsecond-scale I/O
     pub fn fetch_remote(&self, id: PageId, min_lsn: Lsn) -> Result<(Page, FetchMeta, Frame<'_>)> {
-        let pending = match &self.sched {
-            Some(s) => s.submit(id, min_lsn),
-            None => Pending::Ready(self.source.fetch_page_traced(id, min_lsn)),
-        };
         let frame = self.make_room()?;
-        let (page, meta) = pending.wait()?;
+        let (page, meta) = self.sched.fetch(&*self.source, id, min_lsn)?;
         Ok((page, meta, frame))
     }
 
-    /// Post a read-ahead hint for `count` pages starting at `first`.
-    /// No-op without a scheduler; already-resident pages are filtered out
-    /// (contiguous non-resident sub-runs are hinted separately so they
-    /// still coalesce into range reads).
+    /// Post a read-ahead hint for `count` pages starting at `first`
+    /// (dropped without the background thread). Already-resident pages are
+    /// filtered out (contiguous non-resident sub-runs are hinted separately
+    /// so they still travel as range reads).
     pub fn prefetch(&self, first: PageId, count: u32, min_lsn: Lsn) {
-        let Some(sched) = &self.sched else { return };
+        let sched = &self.sched;
         let mut run_start: Option<u64> = None;
         for raw in first.raw()..first.raw() + count as u64 {
             if self.resident(PageId::new(raw)) {
@@ -490,7 +519,9 @@ impl TieredCache {
     pub fn install(&self, page: Page) -> Result<PageRef> {
         let id = page.page_id();
         let mut mem = self.room(|mem| mem.map.contains_key(&id))?;
-        Ok(admit(&mut mem, page))
+        let page_ref = admit(&mut mem, page);
+        self.unlock_taken(mem);
+        Ok(page_ref)
     }
 
     /// Drop `id` from all local tiers without spilling (used when a page is
@@ -529,8 +560,34 @@ impl TieredCache {
     /// Evict until a frame is free beyond every held reservation and hold
     /// it for one miss's page.
     fn make_room(&self) -> Result<Frame<'_>> {
-        self.room(|_| false)?.reserved += 1;
+        let mut mem = self.room(|_| false)?;
+        mem.reserved += 1;
+        self.unlock_taken(mem);
         Ok(Frame { cache: self })
+    }
+
+    /// Unlock the memory tier after taking a frame from it, and wake the
+    /// background thread if that left fewer than the reserve free.
+    fn unlock_taken(&self, mem: MutexGuard<'_, MemTier>) {
+        let short = self.short(&mem);
+        drop(mem);
+        if short {
+            self.sched.clean();
+        }
+    }
+
+    /// Whether fewer than the reserve of frames are free.
+    fn short(&self, mem: &MemTier) -> bool {
+        self.reserve > 0 && mem.map.len() + mem.reserved + self.reserve > self.mem_capacity
+    }
+
+    /// One step of the background thread's lazy writer: evict a page if
+    /// fewer than the reserve of frames are free. Returns whether it did.
+    pub(crate) fn clean(&self) -> bool {
+        if !self.short(&self.mem.lock()) {
+            return false;
+        }
+        matches!(self.evict_one(), Ok(true))
     }
 
     /// Evict until the memory tier has a frame free beyond every held
@@ -633,12 +690,12 @@ impl TieredCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fcb::{Fcb, MemFcb};
     use crate::page::PageType;
     use parking_lot::{Condvar, Mutex as PlMutex};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     /// A test source serving pages from a map and counting fetches.
@@ -679,23 +736,23 @@ mod tests {
     /// the test releases it. Tests order their steps by what has entered it,
     /// never by timing.
     #[derive(Default)]
-    struct Gate {
+    pub(crate) struct Gate {
         /// (held, passes entered)
         state: PlMutex<(bool, u64)>,
         cv: Condvar,
     }
 
     impl Gate {
-        fn hold(&self) {
+        pub(crate) fn hold(&self) {
             self.state.lock().0 = true;
         }
 
-        fn release(&self) {
+        pub(crate) fn release(&self) {
             self.state.lock().0 = false;
             self.cv.notify_all();
         }
 
-        fn pass(&self) {
+        pub(crate) fn pass(&self) {
             let mut s = self.state.lock();
             s.1 += 1;
             self.cv.notify_all();
@@ -704,13 +761,13 @@ mod tests {
             }
         }
 
-        fn entered(&self) -> u64 {
+        pub(crate) fn entered(&self) -> u64 {
             self.state.lock().1
         }
 
         /// Whether `n` passes have entered within 5 s (a regression fails
         /// instead of hanging).
-        fn reached(&self, n: u64) -> bool {
+        pub(crate) fn reached(&self, n: u64) -> bool {
             let deadline = Instant::now() + Duration::from_secs(5);
             let mut s = self.state.lock();
             while s.1 < n {
@@ -753,15 +810,15 @@ mod tests {
         }
     }
 
-    /// A ranged source over a [`MapSource`] that runs `before` on entry to
-    /// every page fetch, for a scheduler-driven cache.
-    struct HookedSource {
+    /// A ranged source over pages 0..100 (a [`MapSource`]) that runs
+    /// `before` on entry to every page fetch, a range's once per page.
+    pub(crate) struct HookedSource {
         inner: Arc<MapSource>,
         before: Box<dyn Fn(PageId) + Send + Sync>,
     }
 
     impl HookedSource {
-        fn new(before: impl Fn(PageId) + Send + Sync + 'static) -> Arc<HookedSource> {
+        pub(crate) fn new(before: impl Fn(PageId) + Send + Sync + 'static) -> Arc<HookedSource> {
             Arc::new(HookedSource { inner: MapSource::new(0..100), before: Box::new(before) })
         }
     }
@@ -778,6 +835,16 @@ mod tests {
             (first.raw()..first.raw() + count as u64)
                 .map(|raw| self.fetch_page(PageId::new(raw), min_lsn))
                 .collect()
+        }
+    }
+
+    /// Poll until `cond` holds: tests order their steps by observed state
+    /// (5 s cap, so a regression fails instead of hanging).
+    pub(crate) fn until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -991,27 +1058,78 @@ mod tests {
         assert!(!cache.resident(PageId::new(1)));
     }
 
+    /// Fill a 16-frame cache whose background thread keeps 2 frames free,
+    /// and give it up to 5 s to settle there (the tests then fail on what
+    /// a cache without that reserve does).
+    fn full_16_frame_cache(rbpex: Arc<Rbpex>, src: Arc<HookedSource>) -> Arc<TieredCache> {
+        let cache = scheduled(16, rbpex, src);
+        for i in 0..16 {
+            cache.get(PageId::new(i), || Lsn::ZERO).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cache.mem.lock().map.len() > 14 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        cache
+    }
+
     #[test]
-    fn a_miss_spills_its_victim_while_its_fetch_is_in_flight() {
-        // Page 2's fetch does not return until the device has seen page 1's
-        // spill: the eviction must run while the request is on the wire.
-        let device = Arc::new(Gate::default());
-        let saw_spill = Arc::new(AtomicBool::new(false));
-        let (d, saw) = (Arc::clone(&device), Arc::clone(&saw_spill));
-        let src = HookedSource::new(move |id| {
-            if id == PageId::new(2) {
-                // ordering: relaxed — read after the fetch returned
-                saw.store(d.reached(1), Ordering::Relaxed);
-            }
-        });
-        let r = rbpex_on(4, gated_device(&device));
-        let cache = scheduled(1, Arc::clone(&r), src);
-        cache.get(PageId::new(1), || Lsn::ZERO).unwrap();
-        assert_eq!(device.entered(), 0, "the first page fits");
+    fn a_demand_miss_is_fetched_on_the_readers_thread() {
+        let fetched_on = Arc::new(PlMutex::new(Vec::new()));
+        let on = Arc::clone(&fetched_on);
+        let src = HookedSource::new(move |_| on.lock().push(std::thread::current().id()));
+        let cache = scheduled(4, rbpex(8), src);
         cache.get(PageId::new(2), || Lsn::ZERO).unwrap();
-        // ordering: relaxed — the fetch that stored it has returned
-        assert!(saw_spill.load(Ordering::Relaxed), "page 1 was spilled after page 2 arrived");
-        assert!(r.contains(PageId::new(1)) && !cache.in_memory(PageId::new(1)));
+        assert_eq!(*fetched_on.lock(), [std::thread::current().id()]);
+    }
+
+    #[test]
+    fn a_miss_does_not_wait_for_a_spill_when_a_frame_is_free() {
+        // The miss takes a frame the background thread freed ahead of it
+        // and returns; the spill that tops the reserve up again parks in the
+        // held device on the background thread, not on the reader.
+        let device = Arc::new(Gate::default());
+        let src = HookedSource::new(|_| {});
+        let cache = full_16_frame_cache(rbpex_on(64, gated_device(&device)), src);
+        let spills = device.entered();
+        device.hold();
+        std::thread::scope(|scope| {
+            let miss = within_5s(scope, || cache.get(PageId::new(16), || Lsn::ZERO).is_ok());
+            let parked = device.reached(spills + 1);
+            device.release();
+            assert_eq!(miss, Some(true), "the miss waited for a spill");
+            assert!(parked, "taking a reserved frame set the background thread spilling");
+        });
+    }
+
+    #[test]
+    fn the_background_thread_may_drop_the_last_cache_reference() {
+        // The thread holds the cache while it spills. Dropping every other
+        // reference meanwhile leaves the cache's drop, and so the thread's
+        // own stop, to the thread: it must exit, not try to join itself.
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if std::thread::current().name() == Some("io-sched-0") {
+                // ordering: relaxed — read after the thread exits
+                PANICS.fetch_add(1, Ordering::Relaxed);
+            }
+            hook(info);
+        }));
+        let device = Arc::new(Gate::default());
+        let src = HookedSource::new(|_| {});
+        let thread_alive = Arc::downgrade(&src);
+        let cache = full_16_frame_cache(rbpex_on(64, gated_device(&device)), src);
+        let spills = device.entered();
+        device.hold();
+        cache.get(PageId::new(16), || Lsn::ZERO).unwrap();
+        assert!(device.reached(spills + 1), "the background thread parks mid-spill");
+        drop(cache);
+        device.release();
+        // The thread's closure owns the last reference to the source.
+        until("the background thread to exit", || thread_alive.upgrade().is_none());
+        // ordering: relaxed — the thread has exited
+        assert_eq!(PANICS.load(Ordering::Relaxed), 0, "the background thread panicked");
     }
 
     #[test]
@@ -1144,6 +1262,7 @@ mod tests {
             evictor.join().unwrap().unwrap();
         });
         let seen = src.min_lsns_seen.lock().clone();
-        assert_eq!(seen.last(), Some(&(PageId::new(1), Lsn::new(1))), "fetched at {seen:?}");
+        let page_1 = seen.iter().rfind(|(id, _)| *id == PageId::new(1));
+        assert_eq!(page_1, Some(&(PageId::new(1), Lsn::new(1))), "fetched at {seen:?}");
     }
 }

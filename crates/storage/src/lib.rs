@@ -21,8 +21,8 @@
 //! * [`cache`] — the compute node's tiered cache (memory → RBPEX → remote
 //!   page source) with WAL discipline and evicted-LSN tracking.
 //! * [`sched`] — the I/O scheduler between the cache and the remote
-//!   source: single-flight GetPage@LSN, range coalescing and background
-//!   prefetch.
+//!   source: single-flight GetPage@LSN on the reader's thread, plus one
+//!   background thread for prefetch ranges and a free-frame reserve.
 
 pub mod cache;
 pub mod fcb;
@@ -34,12 +34,12 @@ pub mod rbpex;
 pub mod sched;
 pub mod slotted;
 
-pub use cache::{FetchMeta, PageRef, PageSource, TieredCache};
+pub use cache::{FetchMeta, PageRef, PageSource, RangedPageSource, TieredCache};
 pub use fcb::{FaultFcb, Fcb, FileFcb, LatencyFcb, MemFcb, PageFile};
 pub use layer::{DeltaLayer, ImageLayer, OpenLayer};
 pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use pageops::{apply_page_op, PageOp};
 pub use rbpex::Rbpex;
-pub use sched::{IoScheduler, RangedPageSource};
+pub use sched::IoScheduler;
 pub use slotted::Slotted;

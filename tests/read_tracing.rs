@@ -144,8 +144,8 @@ fn miss_path_spans_are_complete_and_exported() {
         // The four sequential legs (the server's serve is nested in the
         // round trip) fit inside the root — nothing is counted twice; 4 ns
         // covers each child's clamp to ≥ 1 ns. What they leave over is
-        // hand-off time no stage owns (scheduler dispatch, waking the
-        // reader).
+        // time no stage owns: reserving the memory frame, the RBIO client
+        // around its wire legs, and a descheduled reader.
         let legs: u64 = [SpanKind::GetPageProbe, SpanKind::GetPageSink]
             .map(|k| child(k).dur_ns)
             .iter()
@@ -160,8 +160,8 @@ fn miss_path_spans_are_complete_and_exported() {
         );
         unattributed_pct.push((root.dur_ns + 4 - legs) * 100 / root.dur_ns);
     }
-    // Stated residual: on these instant devices the hand-off is about a
-    // third of a miss, and a descheduled reader can stretch it without
+    // Stated residual: on these instant devices the unowned time is about
+    // a quarter of a miss, and a descheduled reader can stretch it without
     // bound, so only the best-attributed miss is held to a figure — its
     // four legs cover at least 60 % of the root.
     unattributed_pct.sort_unstable();
