@@ -283,6 +283,12 @@ impl LatencyInjector {
         self.delay(false)
     }
 
+    /// Sample one write service time without waiting it out: for a
+    /// caller that issues the write now and waits for its deadline later.
+    pub fn write_sample(&self) -> Duration {
+        self.sample(&self.inner.profile.write)
+    }
+
     /// Modelled CPU microseconds for an I/O of `bytes` on this device.
     pub fn cpu_cost_us(&self, bytes: usize) -> u64 {
         self.inner.profile.cpu.cost_us(bytes)
@@ -290,13 +296,17 @@ impl LatencyInjector {
 
     fn delay(&self, is_read: bool) -> Duration {
         let model = if is_read { &self.inner.profile.read } else { &self.inner.profile.write };
-        // An instant device costs one compare: no RNG lock, no sleep.
+        let d = self.sample(model);
+        precise_sleep(d);
+        d
+    }
+
+    fn sample(&self, model: &LatencyModel) -> Duration {
+        // An instant device costs one compare: no RNG lock.
         if model.max_us == 0 {
             return Duration::ZERO;
         }
-        let d = model.sample(&mut self.inner.rng.lock());
-        precise_sleep(d);
-        d
+        model.sample(&mut self.inner.rng.lock())
     }
 }
 

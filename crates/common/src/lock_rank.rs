@@ -194,8 +194,6 @@ pub const WAL_QUORUM_WORKERS: u32 = 744;
 pub const WAL_ACCEPTOR_STATE: u32 = 746;
 
 // --- wal landing zone (750s) ------------------------------------------
-/// `wal::landing_zone::LandingZone.worker_handles` — LZ worker handles.
-pub const WAL_LZ_WORKERS: u32 = 750;
 /// `wal::landing_zone::LandingZone.state` — LZ head/tail watermarks.
 pub const WAL_LZ_STATE: u32 = 760;
 
@@ -271,7 +269,6 @@ mod tests {
             super::HADR_REPLICA_PAGES,
             super::XLOG_BROKER,
             super::XLOG_DESTAGER,
-            super::WAL_LZ_WORKERS,
             super::WAL_LZ_STATE,
             super::RBIO_REPLICA_STATES,
             super::RBIO_TRANSPORT_RNG,

@@ -15,6 +15,7 @@ use socrates_common::metrics::CpuAccountant;
 use socrates_common::{Error, PageId, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A byte-addressed, thread-safe block device.
 ///
@@ -26,6 +27,14 @@ pub trait Fcb: Send + Sync {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
     /// Write `data` at `offset`, extending the device if needed.
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()>;
+    /// Issue a write of `data` at `offset` without waiting for it: the
+    /// bytes are on the device when this returns, and durable at the
+    /// returned instant. A caller with several writes issues them all and
+    /// waits once, for the deadline it needs.
+    fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
+        self.write_at(offset, data)?;
+        Ok(Instant::now())
+    }
     /// Current device length in bytes.
     fn len(&self) -> Result<u64>;
     /// Whether the device is empty.
@@ -176,6 +185,13 @@ impl<F: Fcb> Fcb for LatencyFcb<F> {
         self.inner.write_at(offset, data)
     }
 
+    fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
+        let issued = Instant::now();
+        let service = self.injector.write_sample();
+        self.charge(data.len());
+        Ok(self.inner.write_deadline(offset, data)?.max(issued + service))
+    }
+
     fn len(&self) -> Result<u64> {
         self.inner.len()
     }
@@ -261,6 +277,11 @@ impl<F: Fcb> Fcb for FaultFcb<F> {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.check(&self.fail_next_writes, "write")?;
         self.inner.write_at(offset, data)
+    }
+
+    fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
+        self.check(&self.fail_next_writes, "write")?;
+        self.inner.write_deadline(offset, data)
     }
 
     fn len(&self) -> Result<u64> {

@@ -7,16 +7,17 @@
 //! matching latency profile. A block is *hardened* once a write quorum of
 //! replicas holds it.
 //!
-//! Writes are pipelined. [`LandingZone::submit`] reserves the block's range
-//! and fans it out to every replica; each replica runs [`IN_FLIGHT`] device
-//! writes at once, so a block submitted while its predecessor is still on
-//! the devices does not queue behind it. The returned [`LzWrite`] collects
-//! the write quorum, and [`LzWrite::publish`] then advances the durable
-//! `head` — in LSN order, so blocks may complete out of order but the
-//! durable prefix never has a hole. Re-submitting at the durable head after
-//! a failed write, and [`LandingZone::recover`], first *fence*: they wait
-//! until every write already issued has returned, so a stale write can
-//! never land on top of a newer block at the same offset.
+//! A device wait is a deadline, not a thread. [`LandingZone::submit`]
+//! reserves the block's range and issues it to every replica on the
+//! caller's thread with [`Fcb::write_deadline`], which returns at once with
+//! the instant the write is durable; the service takes any number of
+//! writes at once, as XIO does. The returned [`LzWrite`] sleeps until the
+//! quorum-th earliest deadline, and [`LzWrite::publish`] then advances the
+//! durable `head` — in LSN order, so blocks may complete out of order but
+//! the durable prefix never has a hole. Every issued write is on its
+//! replicas by the time `submit` returns, so a rewind
+//! ([`LandingZone::recover`], or re-submitting at the durable head after a
+//! failed write) never has a stale write still to land.
 //!
 //! The LZ is bounded: XLOG's destaging pipeline must continually move the
 //! tail to long-term storage and advance the truncation point, or the
@@ -35,14 +36,18 @@ use crate::block::LogBlock;
 use crate::ring;
 use parking_lot::Mutex;
 use socrates_common::fault::{sites, FaultOutcome, FaultRegistry};
+use socrates_common::latency::precise_sleep;
 use socrates_common::{Error, Lsn, Result};
 use socrates_storage::Fcb;
-use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Device writes each replica runs at once, and so the number of blocks
-/// a writer can usefully keep on the devices.
-pub const IN_FLIGHT: usize = 2;
+/// How long a new writer leaves the old one, once every write it issued
+/// is durable, to publish the writes that reached their quorum. The old
+/// writer only has to wake from its sleep and take two locks; without
+/// this lease the two wake-ups race, and a commit whose block made its
+/// quorum is refused instead of acknowledged.
+const TAKEOVER_GRACE: Duration = Duration::from_millis(5);
 
 /// Landing-zone configuration.
 #[derive(Clone, Debug)]
@@ -71,30 +76,24 @@ struct LzState {
     reserved: Lsn,
     /// Oldest LSN still retained (everything older has been destaged).
     tail: Lsn,
-    /// Blocks submitted so far; block *k* goes to worker *k* mod
-    /// [`IN_FLIGHT`] of every replica.
-    submitted: u64,
     /// Bumped by every rewind: a write submitted before it cannot publish.
     epoch: u64,
+    /// When every write issued so far is durable on each replica that
+    /// took it.
+    settled: Instant,
     /// LSN ranges rewinds abandoned while blocks were on the devices:
     /// a replica may hold a valid image of an abandoned block there.
     abandoned: Vec<(Lsn, Lsn)>,
 }
 
-/// A job for one replica worker, run against its device.
-type Job = Box<dyn FnOnce(&dyn Fcb) + Send>;
-
 /// A quorum-replicated circular log store.
 ///
-/// Writes go to all replicas **in parallel** (persistent worker threads
-/// per replica, as the real storage service's replication does) and a
-/// block is durable as soon as a write quorum has acknowledged — the
+/// Writes go to all replicas **in parallel** — issued together, each with
+/// its own deadline, as the real storage service's replication runs them —
+/// and a block is durable as soon as a write quorum has acknowledged: the
 /// commit latency is the quorum-th fastest replica, not the sum.
 pub struct LandingZone {
     replicas: Vec<Arc<dyn Fcb>>,
-    /// Per replica, one job channel per worker ([`IN_FLIGHT`] of them).
-    writers: Vec<Vec<mpsc::Sender<Job>>>,
-    worker_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: LandingZoneConfig,
     /// Shared with every [`LzWrite`], which publishes into it.
     state: Arc<Mutex<LzState>>,
@@ -116,43 +115,16 @@ impl LandingZone {
             config.write_quorum,
             replicas.len()
         );
-        let mut writers = Vec::with_capacity(replicas.len());
-        let mut handles = Vec::with_capacity(replicas.len() * IN_FLIGHT);
-        for (i, replica) in replicas.iter().enumerate() {
-            let mut lanes = Vec::with_capacity(IN_FLIGHT);
-            for k in 0..IN_FLIGHT {
-                let (tx, rx) = mpsc::channel::<Job>();
-                let fcb = Arc::clone(replica);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("lz-replica-{i}.{k}"))
-                        .spawn(move || {
-                            for job in rx {
-                                job(&*fcb);
-                            }
-                        })
-                        .expect("spawn lz replica worker"),
-                );
-                lanes.push(tx);
-            }
-            writers.push(lanes);
-        }
         LandingZone {
             replicas,
-            writers,
-            worker_handles: Mutex::with_rank(
-                handles,
-                socrates_common::lock_rank::WAL_LZ_WORKERS,
-                "lz.worker_handles",
-            ),
             config,
             state: Arc::new(Mutex::with_rank(
                 LzState {
                     head: Lsn::ZERO,
                     reserved: Lsn::ZERO,
                     tail: Lsn::ZERO,
-                    submitted: 0,
                     epoch: 0,
+                    settled: Instant::now(),
                     abandoned: Vec::new(),
                 },
                 socrates_common::lock_rank::WAL_LZ_STATE,
@@ -161,7 +133,6 @@ impl LandingZone {
             faults,
         }
     }
-
     /// Create an LZ whose first block will start at `start` instead of
     /// [`Lsn::ZERO`] — used when a log store is (re)created mid-stream,
     /// e.g. a restored deployment.
@@ -210,12 +181,13 @@ impl LandingZone {
         write.publish()
     }
 
-    /// Start writing `block` to every replica and return at once.
+    /// Issue `block` to every replica and return without waiting for the
+    /// devices.
     ///
     /// The block must start at the submit cursor: right after the last
     /// submitted block. Re-submitting at the durable head instead (the
     /// retry after a failed write) abandons every block past the head:
-    /// the LZ fences and rewinds its cursor first. Fails with
+    /// the LZ rewinds its cursor first. Fails with
     /// [`Error::Unavailable`] when the LZ is full (destage backpressure).
     pub fn submit(&self, block: &LogBlock) -> Result<LzWrite> {
         match self.faults.check_at(sites::LZ_WRITE, Some(block.start_lsn())) {
@@ -228,16 +200,14 @@ impl LandingZone {
             }
             None => {}
         }
-        let retry = {
-            let s = self.state.lock();
-            block.start_lsn() == s.head && s.head < s.reserved
-        };
-        if retry {
-            self.recover();
-        }
         let start = block.start_lsn();
-        let (lane, epoch) = {
+        let epoch = {
             let mut s = self.state.lock();
+            if start == s.head && s.head < s.reserved {
+                // The retry after a failed write: abandon everything past
+                // the durable head and resume there.
+                Self::rewind(&mut s);
+            }
             if start != s.reserved {
                 return Err(Error::InvalidArgument(format!(
                     "block starts at {start} but the LZ submit cursor is {}",
@@ -257,52 +227,56 @@ impl LandingZone {
                 ));
             }
             s.reserved = block.end_lsn();
-            let lane = (s.submitted % IN_FLIGHT as u64) as usize;
-            s.submitted += 1;
-            (lane, s.epoch)
+            s.epoch
         };
-        let (ack_tx, acks) = mpsc::channel();
-        for lanes in &self.writers {
-            let (block, ack, cap) = (block.clone(), ack_tx.clone(), self.config.capacity);
-            let _ = lanes[lane].send(Box::new(move |fcb: &dyn Fcb| {
-                let ok = ring::write_block(fcb, cap, &block).is_ok();
-                let _ = ack.send(ok);
-            }));
+        let mut durable = Vec::with_capacity(self.replicas.len());
+        let mut refused = 0;
+        for replica in &self.replicas {
+            match ring::write_block(&**replica, self.config.capacity, block) {
+                Ok(at) => durable.push(at),
+                Err(_) => refused += 1,
+            }
+        }
+        durable.sort_unstable();
+        if let Some(&last) = durable.last() {
+            let mut s = self.state.lock();
+            s.settled = s.settled.max(last);
         }
         Ok(LzWrite {
             state: Arc::clone(&self.state),
             start,
             end: block.end_lsn(),
             epoch,
-            acks,
+            durable,
+            refused,
             quorum: self.config.write_quorum,
-            replicas: self.writers.len(),
         })
     }
 
-    /// Fence and rewind: wait until every write already issued has
-    /// returned from every replica, then drop whatever lies past the
-    /// durable head (a failed block and anything submitted after it) and
-    /// resume submits there. Writes submitted before the rewind can no
-    /// longer publish. Returns the durable head.
+    /// Take the log over from a writer that may have died: let the writes
+    /// it left on the devices settle, as the storage service finishes
+    /// them, and give it [`TAKEOVER_GRACE`] to publish those that reached
+    /// their quorum; then rewind — drop whatever lies past the durable
+    /// head and resume submits there. Writes submitted before the rewind
+    /// can no longer publish; each is already on its replicas, so none
+    /// lands later. Returns the durable head.
     pub fn recover(&self) -> Lsn {
-        let (fence, done) = mpsc::channel::<()>();
-        for lane in self.writers.iter().flatten() {
-            let fence = fence.clone();
-            let _ = lane.send(Box::new(move |_: &dyn Fcb| drop(fence)));
-        }
-        drop(fence);
-        // Each worker drops its barrier's sender once every job queued
-        // before it has returned; the receive ends when the last one has.
-        let _ = done.recv();
+        let s = self.state.lock();
+        let lease_ends = s.settled + TAKEOVER_GRACE;
+        drop(s);
+        precise_sleep(lease_ends.saturating_duration_since(Instant::now()));
         let mut s = self.state.lock();
+        Self::rewind(&mut s);
+        s.head
+    }
+
+    fn rewind(s: &mut LzState) {
         if s.reserved > s.head {
             let range = (s.head, s.reserved);
             s.abandoned.push(range);
         }
         s.reserved = s.head;
         s.epoch += 1;
-        s.head
     }
 
     /// Read the block starting at `lsn`, trying replicas until one yields a
@@ -380,46 +354,33 @@ impl LandingZone {
     }
 }
 
-impl Drop for LandingZone {
-    fn drop(&mut self) {
-        // Closing the job channels lets the workers drain and exit.
-        self.writers.clear();
-        for h in self.worker_handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One block's write, submitted by [`LandingZone::submit`].
+/// One block's write, issued by [`LandingZone::submit`].
 pub struct LzWrite {
     state: Arc<Mutex<LzState>>,
     start: Lsn,
     end: Lsn,
     epoch: u64,
-    acks: mpsc::Receiver<bool>,
+    /// When each replica that took the write holds it durably, earliest
+    /// first.
+    durable: Vec<Instant>,
+    /// Replicas that refused the write.
+    refused: usize,
     quorum: usize,
-    replicas: usize,
 }
 
 impl LzWrite {
-    /// Block until a write quorum of replicas holds the block. Fails with
-    /// [`Error::Unavailable`] once too many replicas have failed it.
+    /// Sleep until a write quorum of replicas holds the block. Fails with
+    /// [`Error::Unavailable`] when too many replicas refused it.
     pub fn wait(&mut self) -> Result<()> {
-        let mut acks = 0usize;
-        let mut failures = 0usize;
-        while acks < self.quorum && failures <= self.replicas - self.quorum {
-            match self.acks.recv() {
-                Ok(true) => acks += 1,
-                Ok(false) => failures += 1,
-                Err(_) => break, // all workers reported
-            }
-        }
-        if acks < self.quorum {
+        let Some(&at) = self.durable.get(self.quorum - 1) else {
             return Err(Error::Unavailable(format!(
-                "LZ quorum failed: {acks}/{} acks ({failures} replicas failed)",
-                self.quorum
+                "LZ quorum failed: {}/{} acks ({} replicas failed)",
+                self.durable.len(),
+                self.quorum,
+                self.refused
             )));
-        }
+        };
+        precise_sleep(at.saturating_duration_since(Instant::now()));
         Ok(())
     }
 
@@ -447,9 +408,10 @@ mod tests {
     use socrates_common::{PageId, PartitionId, TxnId};
     use socrates_storage::{FaultFcb, MemFcb};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    /// A replica whose writes at byte offset 0 take `delay_ms`.
+    /// A replica whose writes at byte offset 0 are durable `delay_ms`
+    /// after they are issued.
     struct SlowFcb {
         inner: MemFcb,
         delay_ms: AtomicU64,
@@ -460,10 +422,11 @@ mod tests {
             self.inner.read_at(offset, buf)
         }
         fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            if offset == 0 {
-                std::thread::sleep(Duration::from_millis(self.delay_ms.load(Ordering::SeqCst)));
-            }
             self.inner.write_at(offset, data)
+        }
+        fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
+            let delay = if offset == 0 { self.delay_ms.load(Ordering::SeqCst) } else { 0 };
+            Ok(self.inner.write_deadline(offset, data)? + Duration::from_millis(delay))
         }
         fn len(&self) -> Result<u64> {
             self.inner.len()
@@ -660,8 +623,8 @@ mod tests {
         let b2 = block_at(b1.end_lsn(), 100);
         let t0 = Instant::now();
         let mut w2 = lz.submit(&b2).unwrap();
-        // b2 runs on the replica's second worker: it does not queue
-        // behind b1's slow write.
+        // b2 has its own deadline: it does not queue behind b1's slow
+        // write.
         w2.wait().unwrap();
         assert!(t0.elapsed() < Duration::from_millis(150), "b2 queued behind b1");
         assert_eq!(lz.head(), Lsn::ZERO, "b2 is durable but b1 is not");
@@ -684,29 +647,70 @@ mod tests {
     }
 
     #[test]
-    fn recover_fences_writes_still_on_a_replica() {
-        // Replica 2 is slow: the quorum (0 and 1) acks long before it lands.
+    fn a_write_is_on_every_replica_when_submit_returns() {
+        // Replica 2 is slow: the quorum (0 and 1) acks long before it is
+        // durable there.
         let (lz, slow) = slow_lz(3, 2);
         slow[2].delay_ms.store(60, Ordering::SeqCst);
         let stale = block_at(Lsn::ZERO, 300);
+        let t0 = Instant::now();
         let mut w = lz.submit(&stale).unwrap();
+        // Nothing waits in submit, and nothing is left to land later: a
+        // rewind never has a stale write still on its way to a replica.
+        assert!(t0.elapsed() < Duration::from_millis(30), "submit waited for the device");
+        for replica in &slow {
+            assert_eq!(image_on(replica, &stale), stale.as_bytes(), "a write had not landed");
+        }
         w.wait().unwrap();
-        // The writer dies before publishing. Recovery must not return while
-        // the stale write is still on its way to replica 2.
+        assert!(t0.elapsed() < Duration::from_millis(30), "the quorum waited for replica 2");
+        // The writer dies before publishing. Recovery lets the write still
+        // on replica 2's device settle before it rewinds.
         let head = lz.recover();
+        assert!(t0.elapsed() >= Duration::from_millis(60), "recover did not wait out replica 2");
         assert_eq!(head, Lsn::ZERO, "an unpublished block is not durable");
-        assert_eq!(image_on(&slow[2], &stale), stale.as_bytes(), "recover did not fence");
         assert!(w.publish().is_err(), "a write from before the recovery published");
         // The new writer's different block at the same offset is the one
         // every replica keeps.
-        slow[2].delay_ms.store(0, Ordering::SeqCst);
         let fresh = block_at(Lsn::ZERO, 20);
         lz.write_block(&fresh).unwrap();
-        lz.recover();
         for replica in &slow {
             assert_eq!(image_on(replica, &fresh), fresh.as_bytes());
         }
         assert_eq!(lz.read_block(Lsn::ZERO).unwrap(), fresh);
+    }
+
+    #[test]
+    fn a_wrapping_block_hardens_in_one_device_latency() {
+        use socrates_common::latency::{DeviceProfile, LatencyInjector, LatencyModel};
+        use socrates_storage::LatencyFcb;
+        const WRITE: Duration = Duration::from_millis(20);
+        let profile = DeviceProfile {
+            write: LatencyModel::fixed(WRITE.as_micros() as u64),
+            ..DeviceProfile::instant()
+        };
+        let replicas: Vec<Arc<dyn Fcb>> = (0..3)
+            .map(|i| {
+                let inj = LatencyInjector::new(profile.clone(), i);
+                Arc::new(LatencyFcb::new(MemFcb::new(format!("lz-{i}")), inj, None)) as _
+            })
+            .collect();
+        let config = LandingZoneConfig { capacity: 700, write_quorum: 2 };
+        let lz = LandingZone::new(replicas, config, FaultRegistry::disabled());
+        let first = block_at(Lsn::ZERO, 400);
+        lz.write_block(&first).unwrap();
+        lz.truncate_to(first.end_lsn());
+        // The next block runs past the ring's end: two device writes.
+        let wrapping = block_at(first.end_lsn(), 400);
+        assert!(first.end_lsn().offset() + wrapping.len() as u64 > 700, "block does not wrap");
+        let t0 = Instant::now();
+        lz.write_block(&wrapping).unwrap();
+        let took = t0.elapsed();
+        assert!(took >= WRITE, "hardened in {took:?}, before the device latency");
+        assert!(
+            took < WRITE.mul_f64(1.5),
+            "a wrapping block took {took:?} for one {WRITE:?} write"
+        );
+        assert_eq!(lz.read_block(wrapping.start_lsn()).unwrap(), wrapping);
     }
 
     #[test]

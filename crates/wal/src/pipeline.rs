@@ -6,14 +6,17 @@
 //!   the current block.
 //! * A committing transaction needs its commit record *hardened* — durable
 //!   at write quorum in the landing zone. Sealed blocks harden through a
-//!   bounded **in-flight window**: up to [`IN_FLIGHT`] blocks are on the
-//!   device at once, they may complete in any order, and the hardened
-//!   watermark moves over them strictly in LSN order.
+//!   bounded **in-flight window** of *runs*: a run is every block one
+//!   committer found sealed, submitted together, so a transaction whose
+//!   log fills many blocks waits for one device round trip, not one per
+//!   block. Up to [`IN_FLIGHT`] runs are on the device at once, their
+//!   blocks may complete in any order, and the hardened watermark moves
+//!   over them one block at a time, strictly in LSN order.
 //! * Group commit is size-adaptive. A committer whose record is already
 //!   submitted waits for it. Otherwise, if the window has room, it seals
 //!   everything appended so far and submits it at once — a lone committer
 //!   never waits for a batch. If the window is full it waits for the
-//!   oldest write, then seals everything appended meanwhile into one block
+//!   oldest run, then seals everything appended meanwhile into one block
 //!   — a burst is never split into one-record blocks.
 //! * Every block is also *disseminated* — offered to XLOG for the page
 //!   servers and secondaries. The offer is made before the block is
@@ -25,7 +28,7 @@
 //! XLOG, the HADR baseline plugs in its replicated-state-machine quorum.
 
 use crate::block::{BlockBuilder, LogBlock};
-use crate::landing_zone::{LandingZone, LzWrite, IN_FLIGHT};
+use crate::landing_zone::{LandingZone, LzWrite};
 use crate::record::{LogPayload, LogRecord};
 use parking_lot::Mutex;
 use socrates_common::lsn::{Watermark, IDLE_WAIT, RETRY_PAUSE};
@@ -36,6 +39,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Runs the in-flight window holds: a committer arriving while this many
+/// are on the device waits for the oldest and seals what piled up behind
+/// it into one block, which is what makes group commit adaptive.
+pub const IN_FLIGHT: usize = 2;
 
 /// A durability device for log blocks.
 pub trait BlockSink: Send + Sync {
@@ -153,13 +161,15 @@ enum Plan {
     Backoff,
     /// Sleep until `hardened` reaches this LSN (at once if it has).
     Wait(Lsn),
-    /// Submit these blocks, oldest first.
-    Submit(VecDeque<LogBlock>),
+    /// Submit these blocks, oldest first, as the window's run `run`.
+    Submit { blocks: VecDeque<LogBlock>, run: u64 },
 }
 
 /// A block in the in-flight window.
 struct Slot {
     block: LogBlock,
+    /// The run the block was submitted in; runs are numbered in order.
+    run: u64,
     submitted: Instant,
     /// Start of the `WalHarden` span, for a block carrying a sampled ctx.
     span_start: Option<u64>,
@@ -170,9 +180,9 @@ struct Slot {
 pub struct LogPipeline {
     buf: Mutex<BufState>,
     /// The in-flight window: blocks submitted to the sink and not yet
-    /// hardened, oldest first, at most [`IN_FLIGHT`] of them.
+    /// hardened, oldest first, in at most [`IN_FLIGHT`] runs.
     window: Mutex<VecDeque<Slot>>,
-    /// Seal-and-submit gate. A pipelined sink's `submit` only queues the
+    /// Seal-and-submit gate. A pipelined sink's `submit` only issues the
     /// write, so this is never held across a device wait; a sink that
     /// hardens inside `submit` holds it for the write, serially, as a
     /// non-overlapping device must.
@@ -293,8 +303,7 @@ impl LogPipeline {
         self.hardened.load() > lsn
     }
 
-    /// Blocks submitted to the sink and not yet hardened (at most
-    /// [`IN_FLIGHT`]).
+    /// Blocks submitted to the sink and not yet hardened.
     pub fn blocks_in_flight(&self) -> usize {
         self.window.lock().len()
     }
@@ -388,13 +397,13 @@ impl LogPipeline {
         self.closed.store(true, Ordering::Relaxed);
     }
 
-    /// One move towards `hardened ≥ target`: submit what the window has
-    /// room for and wait for those writes, or wait for the window to move.
+    /// One move towards `hardened ≥ target`: submit every sealed block as
+    /// one run and wait for those writes, or wait for the window to move.
     /// Callers loop until the target is durable. Errors are this call's
     /// own sink errors; another committer's failure only delays it.
     fn step(&self, target: Lsn) -> Result<()> {
         let gate = self.flush_lock.lock();
-        let mut batch = match self.plan(target)? {
+        let (mut batch, run) = match self.plan(target)? {
             Plan::Backoff => {
                 drop(gate);
                 self.metrics.store_full_waits.incr();
@@ -406,7 +415,7 @@ impl LogPipeline {
                 self.hardened.wait_for_unless(at, IDLE_WAIT, &self.stalled);
                 return Ok(());
             }
-            Plan::Submit(batch) => batch,
+            Plan::Submit { blocks, run } => (blocks, run),
         };
         let mut own: Vec<(Lsn, Box<dyn PendingWrite>)> = Vec::with_capacity(batch.len());
         let mut result = Ok(());
@@ -423,7 +432,7 @@ impl LogPipeline {
             let span_start = block.ctx().sampled().then(|| self.spans.0.now_ns());
             match self.sink.submit(&block) {
                 Ok(outcome) => {
-                    let slot = Slot { block, submitted, span_start, write: Write::Running };
+                    let slot = Slot { block, run, submitted, span_start, write: Write::Running };
                     self.window.lock().push_back(slot);
                     match outcome {
                         Submitted::Hardened => self.settle(start, Write::Durable(None)),
@@ -480,10 +489,14 @@ impl LogPipeline {
         if target <= submitted {
             return Ok(Plan::Wait(target));
         }
-        if let Some(oldest) = window.front().filter(|_| window.len() >= IN_FLIGHT) {
-            // Full: wait for the oldest write, then seal everything appended
-            // meanwhile into one block.
-            return Ok(Plan::Wait(oldest.block.end_lsn()));
+        if let (Some(oldest), Some(newest)) = (window.front(), window.back()) {
+            if newest.run - oldest.run + 1 >= IN_FLIGHT as u64 {
+                // Full: wait for the oldest run's last block, then seal
+                // everything appended meanwhile into one block.
+                let run = window.iter().take_while(|s| s.run == oldest.run);
+                let end = run.last().map_or(target, |s| s.block.end_lsn());
+                return Ok(Plan::Wait(end));
+            }
         }
         // ordering: relaxed — see `close`
         if self.closed.load(Ordering::Relaxed) {
@@ -494,11 +507,11 @@ impl LogPipeline {
             buf.next_block_start = block.end_lsn();
             buf.sealed.push_back(block);
         }
-        let room = (IN_FLIGHT - window.len()).min(buf.sealed.len());
-        if room == 0 {
+        if buf.sealed.is_empty() {
             return Err(Error::InvalidArgument(format!("nothing appended at {target}")));
         }
-        Ok(Plan::Submit(buf.sealed.drain(..room).collect()))
+        let run = window.back().map_or(0, |s| s.run + 1);
+        Ok(Plan::Submit { blocks: std::mem::take(&mut buf.sealed), run })
     }
 
     /// Record how the write of the block at `start` ended, then harden the
@@ -886,6 +899,31 @@ mod tests {
             assert!(took <= WRITE.mul_f64(1.3), "commit took {took:?} for one {WRITE:?} write");
         }
         assert_eq!(sink.hardened.lock().len(), 2);
+    }
+
+    #[test]
+    fn a_commit_spanning_many_blocks_hardens_in_one_write() {
+        // Every block a commit finds sealed goes to the device in one run:
+        // a commit whose log fills seven blocks waits for one write, not
+        // one per window's worth of blocks.
+        const WRITE: Duration = Duration::from_millis(20);
+        let sink = Arc::new(TestSink::default());
+        sink.write_delay_us.store(WRITE.as_micros() as u64, Ordering::Relaxed);
+        let p = pipeline(Arc::clone(&sink), 4 << 10);
+        let mut lsn = Lsn::ZERO;
+        for i in 0..60 {
+            lsn = p.append(&record(i, 500));
+        }
+        let t0 = Instant::now();
+        p.commit_wait(lsn).unwrap();
+        let took = t0.elapsed();
+        let full = sink.hardened.lock().len() - 1;
+        assert!(full >= 6, "the commit's log filled only {full} blocks");
+        assert!(
+            took <= WRITE.mul_f64(1.5),
+            "{full} full blocks took {took:?} for {WRITE:?} writes"
+        );
+        assert_eq!(p.metrics().blocks_hardened.get(), full as u64 + 1);
     }
 
     #[test]

@@ -11,17 +11,20 @@
 use crate::block::{LogBlock, BLOCK_HEADER};
 use socrates_common::{Error, Lsn, Result};
 use socrates_storage::Fcb;
+use std::time::Instant;
 
-/// Write `block` at its circular position on `fcb`.
-pub fn write_block(fcb: &dyn Fcb, capacity: u64, block: &LogBlock) -> Result<()> {
+/// Issue the write of `block` at its circular position on `fcb` and
+/// return the instant it is durable. A block split at the wrap is two
+/// device writes issued together, so it costs one device round trip.
+pub fn write_block(fcb: &dyn Fcb, capacity: u64, block: &LogBlock) -> Result<Instant> {
     let data = block.as_bytes();
     let pos = block.start_lsn().offset() % capacity;
     let first = ((capacity - pos) as usize).min(data.len());
-    fcb.write_at(pos, &data[..first])?;
+    let durable = fcb.write_deadline(pos, &data[..first])?;
     if first < data.len() {
-        fcb.write_at(0, &data[first..])?;
+        return Ok(durable.max(fcb.write_deadline(0, &data[first..])?));
     }
-    Ok(())
+    Ok(durable)
 }
 
 /// Read and validate the block starting at `lsn` from its circular

@@ -39,9 +39,9 @@ pub trait LogStore: BlockSink {
     /// Re-establish the right to append after a (possible) writer
     /// restart, returning the LSN new appends must start at.
     ///
-    /// For the single-writer landing zone this fences the dead writer:
-    /// it waits until every write it left on the devices has returned,
-    /// drops whatever never became durable, and returns `head()`. For the
+    /// For the single-writer landing zone this rewinds past the dead
+    /// writer: every write it issued is already on the replicas, so it
+    /// drops whatever never became durable and returns `head()`. For the
     /// quorum tier it runs a leader campaign: bump the term, collect a
     /// majority of votes, truncate divergent acceptor tails, and catch
     /// stragglers up to the elected start position.

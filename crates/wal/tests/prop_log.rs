@@ -7,11 +7,11 @@ use socrates_common::fault::FaultRegistry;
 use socrates_common::{Error, Lsn, PageId, PartitionId, Result, TxnId};
 use socrates_storage::{Fcb, MemFcb};
 use socrates_wal::block::{BlockBuilder, LogBlock};
-use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig, LzWrite, IN_FLIGHT};
+use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig, LzWrite};
 use socrates_wal::record::{LogPayload, LogRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn payload_strategy() -> impl Strategy<Value = LogPayload> {
     prop_oneof![
@@ -152,9 +152,12 @@ proptest! {
     }
 }
 
-/// A replica that rejects or delays the writes of chosen blocks. Rules are
-/// keyed by the block's byte offset, so a rule follows its block to
-/// whichever worker runs it.
+/// Writes the test keeps unsettled at once. The LZ takes any number; a few
+/// are enough to complete, fail and rewind them in every order.
+const MAX_FLIGHTS: usize = 4;
+
+/// A replica that rejects or delays the writes of chosen blocks, keyed by
+/// the block's byte offset.
 struct ScriptedFcb {
     inner: MemFcb,
     /// offset → (reject, delay in ms)
@@ -166,12 +169,14 @@ impl Fcb for ScriptedFcb {
         self.inner.read_at(offset, buf)
     }
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.write_deadline(offset, data).map(drop)
+    }
+    fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
         let (reject, delay_ms) = self.rules.lock().get(&offset).copied().unwrap_or((false, 0));
-        std::thread::sleep(Duration::from_millis(delay_ms));
         if reject {
             return Err(Error::Io(format!("scripted reject at {offset}")));
         }
-        self.inner.write_at(offset, data)
+        Ok(self.inner.write_deadline(offset, data)? + Duration::from_millis(delay_ms))
     }
     fn len(&self) -> Result<u64> {
         self.inner.len()
@@ -249,7 +254,7 @@ proptest! {
             match op {
                 WriterOp::Submit { len, fail, slow, slow_ms } => {
                     let failed = flights.iter().any(|f| f.ok == Some(false));
-                    if flights.len() >= IN_FLIGHT || failed {
+                    if flights.len() >= MAX_FLIGHTS || failed {
                         continue;
                     }
                     fill = fill.wrapping_add(1);
@@ -323,7 +328,7 @@ proptest! {
             }
             prop_assert_eq!(lz.head(), at);
         }
-        // Fence everything still in flight, then look at every replica.
+        // Rewind whatever is unpublished, then look at every replica.
         lz.recover();
         let mut scanned = Vec::new();
         lz.scan_from(Lsn::ZERO, |b| { scanned.push(b); true }).unwrap();

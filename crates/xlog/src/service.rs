@@ -1,6 +1,7 @@
 //! The XLOG service implementation.
 
 use parking_lot::Mutex;
+use socrates_common::latency::precise_sleep;
 use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
 use socrates_common::metrics::Counter;
 use socrates_common::{BlobId, Error, Lsn, PartitionId, Result};
@@ -12,7 +13,7 @@ use socrates_xstore::XStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// XLOG tuning knobs.
 #[derive(Clone, Debug)]
@@ -103,9 +104,12 @@ impl SsdCache {
         let tail = if start == self.head.load() { self.tail.load() } else { start };
         // Retire what this write overwrites before writing it.
         self.tail.store(tail.max(Lsn::new(end.offset().saturating_sub(self.capacity))));
-        if block.len() as u64 <= self.capacity
-            && ring::write_block(&*self.fcb, self.capacity, block).is_ok()
-        {
+        if block.len() as u64 > self.capacity {
+            return;
+        }
+        // The destager waits out the device itself, then admits the block.
+        if let Ok(durable) = ring::write_block(&*self.fcb, self.capacity, block) {
+            precise_sleep(durable.saturating_duration_since(Instant::now()));
             self.head.store(end);
         }
     }
