@@ -157,32 +157,6 @@ impl Page {
         out
     }
 
-    /// Adopt a page image without checksum/identity verification.
-    ///
-    /// For payloads that are already integrity-protected by an outer
-    /// envelope (e.g. a full-page image inside a checksummed log record).
-    /// Only the length, magic, and type byte are validated.
-    pub fn from_io_bytes_unchecked(data: &[u8]) -> Result<Page> {
-        if data.len() != PAGE_SIZE {
-            return Err(Error::Corruption(format!(
-                "page image wrong size: {} != {PAGE_SIZE}",
-                data.len()
-            )));
-        }
-        if data[OFF_MAGIC..OFF_MAGIC + 4] != MAGIC {
-            return Err(Error::Corruption("bad page magic in image".into()));
-        }
-        let page = Page { bytes: data.to_vec().into_boxed_slice().try_into().unwrap() };
-        page.page_type()?;
-        Ok(page)
-    }
-
-    /// Rewrite the page's identity, e.g. when adopting a full-page image
-    /// captured from a different page id.
-    pub fn reset_identity(&mut self, id: PageId) {
-        self.set_page_id(id);
-    }
-
     /// Validate and adopt an on-disk image.
     ///
     /// Checks length, magic, checksum (seeded with `expected_id`), the page

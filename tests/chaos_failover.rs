@@ -22,6 +22,7 @@ use socrates_common::rng::Rng;
 use socrates_common::NodeId;
 use socrates_engine::value::{ColumnType, Schema, Value};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -294,9 +295,13 @@ fn failover_with_blocks_in_flight_keeps_exactly_the_acked_rows() {
     p.db().create_table("t", schema()).unwrap();
     const WRITERS: i64 = 3;
     const STRIDE: i64 = 1_000_000;
+    // Commits acknowledged to the writers (the pipeline's own commit count
+    // also holds the `create_table` commit).
+    let acks = Arc::new(AtomicUsize::new(0));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let p = Arc::clone(&p);
+            let acks = Arc::clone(&acks);
             std::thread::spawn(move || {
                 // Until a commit fails (the kill): acknowledged ids, and
                 // the one id whose commit was refused.
@@ -308,12 +313,16 @@ fn failover_with_blocks_in_flight_keeps_exactly_the_acked_rows() {
                         return (acked, id);
                     }
                     acked.push(id);
+                    // ordering: relaxed — a progress count; the rows are
+                    // checked through the joined `acked` lists
+                    acks.fetch_add(1, Ordering::Relaxed);
                 }
                 unreachable!("the id space outlasts the test")
             })
         })
         .collect();
-    eventually(|| p.pipeline().metrics().commit_latency.count() >= 30, "commits under way");
+    // ordering: relaxed — a progress count (see the writers)
+    eventually(|| acks.load(Ordering::Relaxed) >= 30, "commits under way");
     eventually(|| p.pipeline().blocks_in_flight() == 2, "two blocks in flight");
     // Kill with both on the devices; recovery fences them.
     sys.kill_primary();

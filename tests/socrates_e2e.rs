@@ -2,8 +2,10 @@
 //! feed, with secondaries, page-server convergence, and cache pressure.
 
 use socrates::{Socrates, SocratesConfig};
+use socrates_engine::io::PageAccess;
 use socrates_engine::value::{ColumnType, Schema, Value};
 use socrates_rbio::lossy::LossyConfig;
+use socrates_storage::page::PAGE_SIZE;
 use std::time::Duration;
 
 fn schema(cols: usize) -> Schema {
@@ -61,16 +63,20 @@ fn lossy_feed_still_converges_everywhere() {
 fn tiny_cache_forces_getpage_traffic() {
     // A cache far smaller than the database: correctness must not depend
     // on residency.
-    let config = SocratesConfig::fast_test().with_cache(24, 0);
+    let cache_pages = 24;
+    let config = SocratesConfig::fast_test().with_cache(cache_pages, 0);
     let sys = Socrates::launch(config).unwrap();
     let primary = sys.primary().unwrap();
     let db = primary.db();
     db.create_table("t", schema(2)).unwrap();
-    let n = 2000i64;
+    // Every row carries the 200-byte pad, so even a full leaf holds fewer
+    // than PAGE_SIZE / 200 rows: the table is at least 4x the cache.
+    let pad = "pad".repeat(67);
+    let n = (4 * cache_pages * PAGE_SIZE / 200).next_multiple_of(100) as i64;
     for batch in 0..(n / 100) {
         let h = db.begin();
         for i in 0..100 {
-            db.insert(&h, "t", &row(batch * 100 + i, 2, "padpadpadpad")).unwrap();
+            db.insert(&h, "t", &row(batch * 100 + i, 2, &pad)).unwrap();
         }
         db.commit(h).unwrap();
     }
@@ -80,13 +86,67 @@ fn tiny_cache_forces_getpage_traffic() {
     for _ in 0..500 {
         let id = rng.gen_range(n as u64) as i64;
         let got = db.get(&h, "t", &[Value::Int(id)]).unwrap().expect("present");
-        assert_eq!(got, row(id, 2, "padpadpadpad"));
+        assert_eq!(got, row(id, 2, &pad));
     }
     // The cache really was too small: remote fetches happened.
     assert!(
         primary.io().cache().stats().fetches.get() > 0,
         "expected GetPage@LSN traffic with a 24-page cache"
     );
+    sys.shutdown();
+}
+
+/// Splits log the records that moved, not page images, so replay builds
+/// each page from its predecessor: after an ascending load (right-edge
+/// splits) and a random one (50/50 splits), the page servers must hold
+/// every page byte for byte as the primary does.
+#[test]
+fn page_servers_hold_the_primarys_bytes_after_ascending_and_random_loads() {
+    let sys = Socrates::launch(SocratesConfig::fast_test()).unwrap();
+    let primary = sys.primary().unwrap();
+    let db = primary.db();
+    db.create_table("asc", schema(3)).unwrap();
+    db.create_table("rnd", schema(3)).unwrap();
+    let n = 2000i64;
+    let mut order: Vec<i64> = (0..n).collect();
+    let mut rng = socrates_common::rng::Rng::new(11);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range((i + 1) as u64) as usize);
+    }
+    for batch in 0..n / 100 {
+        let h = db.begin();
+        for i in batch * 100..(batch + 1) * 100 {
+            db.insert(&h, "asc", &row(i, 3, "asc")).unwrap();
+            db.insert(&h, "rnd", &row(order[i as usize], 3, "rnd")).unwrap();
+        }
+        db.commit(h).unwrap();
+    }
+    let lsn = primary.pipeline().hardened_lsn();
+    let fabric = sys.fabric();
+    fabric.wait_applied(lsn, Duration::from_secs(10)).unwrap();
+    // Byte 4..8 is the checksum, sealed only on the way to a device.
+    let canon = |p: &socrates_storage::Page| {
+        let mut b = p.as_bytes().to_vec();
+        b[4..8].fill(0);
+        b
+    };
+    let mut compared = 0;
+    for pid in fabric.partition_ids() {
+        let spec = fabric.partition_spec(pid);
+        let ps = &fabric.partition(pid).unwrap().servers[0];
+        for off in 0..spec.span {
+            let page = socrates_common::PageId::new(spec.base_page + off);
+            let Ok(served) = ps.get_page(page, lsn) else { continue };
+            let mine = primary.io().page(page).unwrap();
+            assert!(canon(&served) == canon(&mine.read()), "page {page} diverged");
+            compared += 1;
+        }
+    }
+    // Both tables' rows fill more than a few dozen pages.
+    assert!(compared > 40, "only {compared} pages compared");
+    let r = db.begin();
+    assert_eq!(db.scan_table(&r, "asc", usize::MAX).unwrap().len(), n as usize);
+    assert_eq!(db.scan_table(&r, "rnd", usize::MAX).unwrap().len(), n as usize);
     sys.shutdown();
 }
 

@@ -72,22 +72,27 @@ fn lz_backpressure_stalls_but_never_fails_commits() {
     let mut config =
         SocratesConfig::fast_test().with_fault_spec(1, "xstore.put@always=latency:2ms");
     config.lz_capacity = 128 << 10;
+    // Each commit's rows carry more bytes than the LZ holds, so no commit
+    // fits until destaging frees its first blocks: the stall is certain,
+    // not a race with the destager. Four such commits write at least four
+    // times the LZ's capacity of log.
+    let per_commit = (config.lz_capacity / 1600 + 1) as i64;
     let sys = Socrates::launch(config).unwrap();
     let primary = sys.primary().unwrap();
     let db = primary.db();
     db.create_table("t", schema()).unwrap();
     // Write more than the LZ can hold: commits must stall on destaging and
     // then succeed — never error.
-    for batch in 0..16 {
+    for batch in 0..4 {
         let h = db.begin();
-        for i in 0..8 {
-            db.upsert(&h, "t", &[Value::Int(batch * 8 + i), Value::Bytes(vec![1u8; 1600])])
-                .unwrap();
+        for i in 0..per_commit {
+            let id = batch * per_commit + i;
+            db.upsert(&h, "t", &[Value::Int(id), Value::Bytes(vec![1u8; 1600])]).unwrap();
         }
         db.commit(h).unwrap();
     }
     let r = db.begin();
-    assert_eq!(db.scan_table(&r, "t", usize::MAX).unwrap().len(), 128);
+    assert_eq!(db.scan_table(&r, "t", usize::MAX).unwrap().len() as i64, 4 * per_commit);
     // The stall is visible: committers waited on the full landing zone.
     assert!(primary.pipeline().metrics().store_full_waits.get() > 0);
     sys.shutdown();
