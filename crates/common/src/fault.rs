@@ -41,7 +41,8 @@ pub mod sites {
     pub const RBIO_RECV: &str = "rbio.transport.recv";
     /// Landing-zone quorum write (`LandingZone::write_block`).
     pub const LZ_WRITE: &str = "lz.write";
-    /// The XLOG feed pump delivering blocks into `offer_block`.
+    /// A hardened report delivering the feed's blocks into `offer_block`
+    /// (on the reporting committer's thread, so a latency rule delays it).
     pub const XLOG_FEED_POLL: &str = "xlog.feed.poll";
     /// Page-server RBIO request handling (GetPage@LSN and friends).
     pub const PAGESERVER_SERVE: &str = "pageserver.serve";

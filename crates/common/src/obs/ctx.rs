@@ -101,7 +101,7 @@ span_kinds! {
     CommitHarden => "commit.harden",
     /// One block's landing-zone harden inside the flush loop (primary).
     WalHarden => "wal.harden",
-    /// Lossy-feed pump delivering one block into XLOG (xlog).
+    /// The lossy feed delivering one block into XLOG (xlog).
     XlogFeed => "xlog.feed",
     /// Page-server apply of one pulled block (pageserver).
     PsApply => "ps.apply",

@@ -108,12 +108,6 @@ impl<T: Send + 'static> LossyChannel<T> {
 }
 
 impl<T> LossyReceiver<T> {
-    /// Receive, blocking until a message arrives. `None` once the sending
-    /// half is gone and everything it sent has been received.
-    pub fn recv(&self) -> Option<T> {
-        self.rx.recv().ok()
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
         match self.rx.try_recv() {
@@ -175,17 +169,6 @@ mod tests {
         assert_eq!(sorted, expect);
         // And the order actually differs somewhere.
         assert_ne!(got, sorted);
-    }
-
-    #[test]
-    fn recv_drains_then_ends_when_the_sender_is_gone() {
-        let (tx, rx) = LossyChannel::new(LossyConfig::reliable());
-        tx.send(1);
-        tx.send(2);
-        drop(tx);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), None);
     }
 
     #[test]

@@ -70,6 +70,16 @@ impl Slotted {
             && Self::contiguous_free(page) + Self::fragmented_free(page) >= len + SLOT_ENTRY
     }
 
+    /// Bytes a record of `len` bytes takes on a page, its slot included.
+    pub fn footprint(len: usize) -> usize {
+        len + SLOT_ENTRY
+    }
+
+    /// Whether `records` fit together on one freshly formatted page.
+    pub fn fits(records: &[Vec<u8>]) -> bool {
+        records.iter().map(|r| Self::footprint(r.len())).sum::<usize>() <= PAGE_SIZE - DIR_START
+    }
+
     fn slot_entry(page: &Page, idx: usize) -> (usize, usize) {
         let base = DIR_START + idx * SLOT_ENTRY;
         let off = u16::from_le_bytes(page.raw()[base..base + 2].try_into().unwrap()) as usize;

@@ -269,9 +269,8 @@ fn traced_commit_yields_causally_linked_spans_across_tiers() {
     sys.fabric().wait_applied(frontier, Duration::from_secs(30)).unwrap();
     sys.secondary(0).unwrap().wait_applied(frontier, Duration::from_secs(30)).unwrap();
 
-    // The feed pump and page-server apply record their spans
-    // asynchronously; wait until at least one trace has grown a
-    // page-server apply span.
+    // Page-server apply records its spans asynchronously; wait until at
+    // least one trace has grown a page-server apply span.
     let spans_of = |trace: u64| -> Vec<socrates_common::obs::SpanEvent> {
         sys.fabric().spans.spans().into_iter().filter(|s| s.trace_id == trace).collect()
     };
