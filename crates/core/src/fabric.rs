@@ -837,7 +837,7 @@ impl Fabric {
                 LatencyInjector::new(config.ssd_profile.clone(), config.seed ^ salt),
                 Some(Arc::clone(&cpu)),
             ));
-            let meta: Arc<dyn Fcb> = Arc::new(MemFcb::new(format!("{node}-rbpex-meta")));
+            let meta = Arc::new(MemFcb::new(format!("{node}-rbpex-meta")));
             Some(Arc::new(Rbpex::create(dev, meta, config.rbpex_pages)?))
         } else {
             None

@@ -80,6 +80,8 @@ const METHOD_BLOCKLIST: [&str; 49] = [
 type AcquireChains = Vec<(Acquire, Vec<String>)>;
 /// A hot-path offense description and the call chain that reaches it.
 type HotWitness = Option<(String, Vec<String>)>;
+/// The call chain from a function down to a device wait, if it reaches one.
+type WaitWitness = Option<Vec<String>>;
 
 /// One indexed function.
 struct Node {
@@ -96,6 +98,10 @@ pub struct CallGraph<'a> {
     by_name: BTreeMap<&'a str, Vec<usize>>,
     /// Per node: resolved `(target node, call line)` pairs.
     resolved_calls: Vec<Vec<(usize, usize)>>,
+    /// Per node: `(candidate node, call line)` for every method call too
+    /// ambiguous to resolve, one pair per method it may dispatch to (see
+    /// `dispatch_targets`). Only `lock-across-io` follows these edges.
+    dispatch_calls: Vec<Vec<(usize, usize)>>,
     /// Call sites resolved to a workspace function.
     pub resolved: usize,
     /// Call sites dropped as unresolvable or ambiguous.
@@ -116,10 +122,17 @@ impl<'a> CallGraph<'a> {
                 nodes.push(Node { file: fi, func: ni });
             }
         }
-        let mut g =
-            CallGraph { ws, nodes, by_name, resolved_calls: Vec::new(), resolved: 0, ambiguous: 0 };
+        let mut g = CallGraph {
+            ws,
+            nodes,
+            by_name,
+            resolved_calls: Vec::new(),
+            dispatch_calls: Vec::new(),
+            resolved: 0,
+            ambiguous: 0,
+        };
         for id in 0..g.nodes.len() {
-            let mut out = Vec::new();
+            let (mut out, mut dispatch) = (Vec::new(), Vec::new());
             let caller = g.fn_facts(id);
             for c in &caller.calls {
                 match g.resolve(id, &c.callee, &c.qual) {
@@ -127,12 +140,42 @@ impl<'a> CallGraph<'a> {
                         g.resolved += 1;
                         out.push((target, c.line));
                     }
-                    None => g.ambiguous += 1,
+                    None => {
+                        g.ambiguous += 1;
+                        dispatch
+                            .extend(g.dispatch_targets(&c.callee, &c.qual).map(|t| (t, c.line)));
+                    }
                 }
             }
             g.resolved_calls.push(out);
+            g.dispatch_calls.push(dispatch);
         }
         g
+    }
+
+    /// The methods an unresolved `recv.name()` call may dispatch to: the
+    /// receiver field's own type's, when it declares one, else every
+    /// trait impl's method called `name` — unless the name is too generic
+    /// to guess at. (An inherent method needs a concrete receiver, and the
+    /// graph cannot tell which one a local variable holds.)
+    fn dispatch_targets<'q>(
+        &'q self,
+        callee: &str,
+        qual: &'q CallQual,
+    ) -> impl Iterator<Item = usize> + 'q {
+        let candidates = match qual {
+            CallQual::Method | CallQual::Typed(_) if !METHOD_BLOCKLIST.contains(&callee) => {
+                self.by_name.get(callee)
+            }
+            _ => None,
+        };
+        candidates.into_iter().flatten().copied().filter(move |&id| {
+            let f = self.fn_facts(id);
+            match qual {
+                CallQual::Typed(t) => f.impl_type.as_deref() == Some(t.as_str()),
+                _ => f.impl_trait.is_some(),
+            }
+        })
     }
 
     /// Number of functions indexed.
@@ -224,7 +267,7 @@ impl<'a> CallGraph<'a> {
                 }
                 unique(candidates)
             }
-            CallQual::Method => {
+            CallQual::Method | CallQual::Typed(_) => {
                 if METHOD_BLOCKLIST.contains(&callee) {
                     return None;
                 }
@@ -338,6 +381,72 @@ impl<'a> CallGraph<'a> {
         acc.truncate(32);
         memo[id] = Some(acc.clone());
         acc
+    }
+
+    /// Rule `lock-across-io`: a call made while a lock is held whose
+    /// callee reaches a modelled device wait — `precise_sleep` or
+    /// `LatencyInjector::{read_delay, write_delay}` — through resolved
+    /// calls or the method calls a trait object may dispatch
+    /// (`Fcb::write_at` reaches `LatencyFcb::write_at`). Every thread that
+    /// wants the lock then waits out the device as well. The message
+    /// names functions, not lines, so a baseline key survives edits.
+    pub fn check_lock_across_io(&self, out: &mut Vec<Finding>) {
+        let mut memo: Vec<Option<WaitWitness>> = vec![None; self.nodes.len()];
+        for id in 0..self.nodes.len() {
+            let file = self.file_of(id);
+            let caller = self.fn_facts(id);
+            for c in caller.calls.iter().filter(|c| !c.held.is_empty()) {
+                let Some(chain) = self.resolved_calls[id]
+                    .iter()
+                    .chain(&self.dispatch_calls[id])
+                    .filter(|&&(t, line)| line == c.line && self.fn_facts(t).name == c.callee)
+                    .find_map(|&(t, _)| self.reach_wait(t, &mut memo))
+                else {
+                    continue;
+                };
+                let held: Vec<String> = c.held.iter().map(|h| format!("`{}`", h.lock)).collect();
+                out.push(Finding {
+                    rule: Rule::LockAcrossIo,
+                    file: file.rel.clone(),
+                    line: c.line,
+                    message: format!(
+                        "`{}` holds {} across a call that waits on a device: {} — release \
+                         the lock before the wait, or justify with soclint-allow",
+                        caller.name,
+                        held.join(", "),
+                        chain.join(" -> ")
+                    ),
+                    suppressed: Allows::from_map(&file.allows).covers(Rule::LockAcrossIo, c.line),
+                    baselined: false,
+                });
+            }
+        }
+    }
+
+    /// The chain of functions from `id` down to a device wait, `id` first.
+    fn reach_wait(&self, id: usize, memo: &mut Vec<Option<WaitWitness>>) -> WaitWitness {
+        if let Some(cached) = &memo[id] {
+            return cached.clone();
+        }
+        memo[id] = Some(None); // in-progress: cycles read as no wait
+        let f = self.fn_facts(id);
+        let step = match &f.impl_type {
+            Some(ty) => format!("{ty}::{}", f.name),
+            None => f.name.clone(),
+        };
+        let is_wait = f.name == "precise_sleep"
+            || (f.impl_type.as_deref() == Some("LatencyInjector")
+                && matches!(f.name.as_str(), "read_delay" | "write_delay"));
+        let result = if is_wait {
+            Some(vec![step])
+        } else {
+            self.resolved_calls[id].iter().chain(&self.dispatch_calls[id]).find_map(|&(t, _)| {
+                let below = self.reach_wait(t, memo).filter(|ch| ch.len() + 1 < DEPTH_CAP)?;
+                Some(std::iter::once(step.clone()).chain(below).collect())
+            })
+        };
+        memo[id] = Some(result.clone());
+        result
     }
 
     /// Rule `hot-path-transitive`: a function in a `soclint:hot` file
@@ -543,6 +652,46 @@ mod tests {
         // No held locks at either call, so no transitive edges — the test
         // is that the recursion terminates.
         assert!(edges.is_empty(), "{edges:?}");
+    }
+
+    fn lock_across_io(files: Vec<crate::facts::FileFacts>) -> Vec<Finding> {
+        let w = ws(files);
+        let mut out = Vec::new();
+        CallGraph::build(&w).check_lock_across_io(&mut out);
+        out
+    }
+
+    /// A device trait with one waiting and one instant impl, plus the
+    /// injector whose `write_delay` is a device wait.
+    const DEVICES: &str = "trait Dev {\n fn write_at(&self);\n}\nimpl Dev for Slow {\n fn write_at(&self) {\n  self.inj.write_delay();\n }\n}\nimpl Dev for Ram {\n fn write_at(&self) {}\n}\nimpl LatencyInjector {\n fn write_delay(&self) {}\n}\n";
+
+    #[test]
+    fn lock_across_io_follows_a_dyn_call_into_the_impl_that_waits() {
+        let a = file(
+            "crates/a/src/lib.rs",
+            "a",
+            "struct C {\n dev: Arc<dyn Dev>,\n}\nimpl C {\n fn put(&self) {\n  let g = self.dir.lock();\n  self.dev.write_at();\n }\n fn probe(&self) {\n  self.dev.write_at();\n }\n}\n",
+        );
+        let out = lock_across_io(vec![a, file("crates/a/src/dev.rs", "a", DEVICES)]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].rule, out[0].line), (Rule::LockAcrossIo, 7));
+        assert!(
+            out[0].message.contains("Slow::write_at -> LatencyInjector::write_delay"),
+            "{}",
+            out[0].message
+        );
+        assert!(!out[0].message.contains('@'), "no line numbers: {}", out[0].message);
+    }
+
+    #[test]
+    fn lock_across_io_trusts_a_concrete_field_type() {
+        let a = file(
+            "crates/a/src/lib.rs",
+            "a",
+            "struct C {\n journal: Arc<Ram>,\n}\nimpl C {\n fn put(&self) {\n  let g = self.dir.lock();\n  self.journal.write_at();\n }\n}\n",
+        );
+        let out = lock_across_io(vec![a, file("crates/a/src/dev.rs", "a", DEVICES)]);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

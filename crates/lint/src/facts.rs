@@ -54,6 +54,8 @@ pub struct CallFact {
 pub struct FnFacts {
     pub name: String,
     pub impl_type: Option<String>,
+    /// The trait, for a method of an `impl Trait for Type`.
+    pub impl_trait: Option<String>,
     pub start: usize,
     pub end: usize,
     pub test: bool,
@@ -352,6 +354,7 @@ fn attach_to_fns(
         .map(|f| FnFacts {
             name: f.name.clone(),
             impl_type: f.impl_type.clone(),
+            impl_trait: f.impl_trait.clone(),
             start: f.header_line,
             end: f.end_line,
             test: file.is_test.get(f.header_line - 1).copied().unwrap_or(false),
@@ -498,6 +501,10 @@ fn render_file(f: &FileFacts) -> String {
             Some(t) => out.push_str(&format!("\"impl\":\"{}\",", json::escape(t))),
             None => out.push_str("\"impl\":null,"),
         }
+        match &func.impl_trait {
+            Some(t) => out.push_str(&format!("\"trait\":\"{}\",", json::escape(t))),
+            None => out.push_str("\"trait\":null,"),
+        }
         out.push_str(&format!(
             "\"start\":{},\"end\":{},\"test\":{},",
             func.start, func.end, func.test
@@ -635,6 +642,7 @@ fn parse_file(v: &Json) -> Option<FileFacts> {
         let mut func = FnFacts {
             name: fv.str_field("name")?,
             impl_type: fv.get("impl").and_then(|t| t.as_str()).map(str::to_string),
+            impl_trait: fv.get("trait").and_then(|t| t.as_str()).map(str::to_string),
             start: fv.u64_field("start")? as usize,
             end: fv.u64_field("end")? as usize,
             test: fv.get("test")?.as_bool()?,

@@ -37,6 +37,8 @@ pub struct FnSpan {
     pub end_line: usize,
     /// Enclosing `impl` type name, if any.
     pub impl_type: Option<String>,
+    /// The trait, when the enclosing `impl` is `impl Trait for Type`.
+    pub impl_trait: Option<String>,
 }
 
 /// One lexed token with its position.
@@ -390,9 +392,11 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
         header_line: usize,
         open_depth: i32,
         impl_type: Option<String>,
+        impl_trait: Option<String>,
     }
     struct OpenImpl {
         ty: String,
+        trait_: Option<String>,
         open_depth: i32,
     }
     let mut out = Vec::new();
@@ -401,7 +405,7 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
     let mut open_impls: Vec<OpenImpl> = Vec::new();
     // Pending fn header: set when `fn name` seen, consumed at `{` or `;`.
     let mut pending: Option<(String, usize)> = None;
-    let mut pending_impl: Option<String> = None;
+    let mut pending_impl: Option<(String, Option<String>)> = None;
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
@@ -437,11 +441,12 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
                 // First ident is either the type or the trait; if a `for`
                 // follows before `{`, the type is after `for`.
                 let mut ty: Option<String> = None;
+                let mut trait_: Option<String> = None;
                 let mut k = j;
                 while k < tokens.len() {
                     match tokens[k].text.as_str() {
                         "for" => {
-                            ty = None; // what we saw was the trait
+                            trait_ = ty.take(); // what we saw was the trait
                             k += 1;
                             continue;
                         }
@@ -458,15 +463,22 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
                         }
                     }
                 }
-                pending_impl = ty;
+                pending_impl = ty.map(|ty| (ty, trait_));
             }
             "{" => {
                 depth += 1;
                 if let Some((name, header_line)) = pending.take() {
                     let impl_type = open_impls.last().map(|oi| oi.ty.clone());
-                    open_fns.push(OpenFn { name, header_line, open_depth: depth, impl_type });
-                } else if let Some(ty) = pending_impl.take() {
-                    open_impls.push(OpenImpl { ty, open_depth: depth });
+                    let impl_trait = open_impls.last().and_then(|oi| oi.trait_.clone());
+                    open_fns.push(OpenFn {
+                        name,
+                        header_line,
+                        open_depth: depth,
+                        impl_type,
+                        impl_trait,
+                    });
+                } else if let Some((ty, trait_)) = pending_impl.take() {
+                    open_impls.push(OpenImpl { ty, trait_, open_depth: depth });
                 }
             }
             "}" => {
@@ -478,6 +490,7 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
                             header_line: f.header_line,
                             end_line: t.line,
                             impl_type: f.impl_type,
+                            impl_trait: f.impl_trait,
                         });
                     }
                 }

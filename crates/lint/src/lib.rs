@@ -35,6 +35,7 @@
 //! | `fault-contract`   | fault sites ↔ chaos specs agree in both directions |
 //! | `metric-contract`  | SLO specs and by-name lookups resolve to registered metrics |
 //! | `config-doc`       | every `SocratesConfig` field is documented |
+//! | `lock-across-io`   | no lock is held across a call that waits on a modelled device |
 //!
 //! Findings are suppressed with `// soclint-allow: <rule> <reason>` on
 //! the offending line, the line above, or a `fn` header (which extends
@@ -277,6 +278,7 @@ pub fn analyze(ws: &WorkspaceFacts) -> Report {
     report.calls_ambiguous = graph.ambiguous;
     report.call_edges = graph.rendered_edges();
     graph.check_hot_transitive(&mut report.findings);
+    graph.check_lock_across_io(&mut report.findings);
 
     // Lock-order: direct edges from pass 1, transitive edges from the
     // call graph, cycles over the union. A cycle containing at least one

@@ -64,6 +64,11 @@ pub enum CallQual {
     /// `recv.foo()` on a non-self receiver — resolve only when the name
     /// uniquely identifies one workspace method.
     Method,
+    /// `self.field.foo()` where the struct declares `field` with a
+    /// concrete type (behind `Arc`/`Box`/`Rc`): resolves like
+    /// [`CallQual::Method`], but a trait call only dispatches to that
+    /// type's method. A `dyn`, `impl` or generic field stays `Method`.
+    Typed(String),
 }
 
 impl CallQual {
@@ -74,6 +79,7 @@ impl CallQual {
             CallQual::Qualified(q) => format!("q:{q}"),
             CallQual::Bare => "bare".into(),
             CallQual::Method => "method".into(),
+            CallQual::Typed(t) => format!("t:{t}"),
         }
     }
 
@@ -83,7 +89,10 @@ impl CallQual {
             "self" => CallQual::SelfRecv,
             "bare" => CallQual::Bare,
             "method" => CallQual::Method,
-            q => CallQual::Qualified(q.strip_prefix("q:").unwrap_or(q).to_string()),
+            q => match q.strip_prefix("t:") {
+                Some(t) => CallQual::Typed(t.to_string()),
+                None => CallQual::Qualified(q.strip_prefix("q:").unwrap_or(q).to_string()),
+            },
         }
     }
 }
@@ -127,8 +136,92 @@ pub fn extract_edges(file: &SourceFile) -> Vec<Edge> {
     analyze_file(file).edges
 }
 
-/// Classify the token at `i` as a call site, if it is one.
-fn call_at(toks: &[Token], i: usize) -> Option<(String, CallQual)> {
+/// `(struct, field) -> type` for every named struct field in the file
+/// whose declared type is concrete: `Arc<MemFcb>` and `PageFile` name a
+/// type, while `Arc<dyn Fcb>`, `impl Fcb` and a struct's own generic
+/// parameters do not and are left out.
+fn field_types(toks: &[Token]) -> BTreeMap<(String, String), String> {
+    let mut out = BTreeMap::new();
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        if toks[i].text != "struct" || !ident_like(&toks[i + 1]) {
+            i += 1;
+            continue;
+        }
+        let name = toks[i + 1].text.clone();
+        // Generic parameters and their bounds, up to the body.
+        let mut generics: BTreeSet<&str> = BTreeSet::new();
+        let mut j = i + 2;
+        while j < toks.len() && !matches!(toks[j].text.as_str(), "{" | "(" | ";") {
+            generics.insert(toks[j].text.as_str());
+            j += 1;
+        }
+        if toks.get(j).map(|t| t.text.as_str()) != Some("{") {
+            i = j;
+            continue;
+        }
+        // Fields: `[pub[(..)]] name : type ,` at nesting depth 0.
+        let mut k = j + 1;
+        while k < toks.len() && toks[k].text != "}" {
+            let start = k;
+            let mut depth = 0i32;
+            while k < toks.len() {
+                match toks[k].text.as_str() {
+                    "<" | "(" | "[" => depth += 1,
+                    ">" | ")" | "]" => depth -= 1,
+                    "," | "}" if depth <= 0 => break,
+                    _ => {}
+                }
+                k += 1;
+            }
+            let field = &toks[start..k];
+            if let Some(colon) = field.iter().position(|t| t.text == ":") {
+                let ty = &field[colon + 1..];
+                if let (Some(f), Some(t)) = (field[..colon].last(), concrete_type(ty, &generics)) {
+                    out.insert((name.clone(), f.text.clone()), t);
+                }
+            }
+            if toks.get(k).map(|t| t.text.as_str()) == Some(",") {
+                k += 1;
+            }
+        }
+        i = k;
+    }
+    out
+}
+
+/// The type a field's method calls go to: the head of `ty` once smart
+/// pointers and references are peeled, if it is a concrete type.
+fn concrete_type(ty: &[Token], generics: &BTreeSet<&str>) -> Option<String> {
+    let mut rest = ty;
+    loop {
+        let head = rest.first()?;
+        match head.text.as_str() {
+            "&" | "mut" | "'" => rest = &rest[1..],
+            "Arc" | "Box" | "Rc" if rest.get(1).is_some_and(|t| t.text == "<") => rest = &rest[2..],
+            "dyn" | "impl" => return None,
+            _ if head.text.starts_with(|c: char| c.is_ascii_uppercase())
+                && !generics.contains(head.text.as_str()) =>
+            {
+                return Some(head.text.clone())
+            }
+            _ if ident_like(head) && rest.get(1).is_some_and(|t| t.text == ":") => {
+                rest = &rest[1..] // path segment: `std::sync::Arc<..>`
+            }
+            ":" => rest = &rest[1..],
+            _ => return None,
+        }
+    }
+}
+
+/// Classify the token at `i` as a call site, if it is one. `fields`
+/// types a `self.field.foo()` receiver (see [`field_types`]).
+fn call_at(
+    file: &SourceFile,
+    fields: &BTreeMap<(String, String), String>,
+    i: usize,
+) -> Option<(String, CallQual)> {
+    let toks = &file.tokens;
     let t = &toks[i];
     if !ident_like(t) {
         return None;
@@ -152,8 +245,18 @@ fn call_at(toks: &[Token], i: usize) -> Option<(String, CallQual)> {
         return None; // attribute like #[inline(always)]
     }
     let qual = if i >= 1 && toks[i - 1].text == "." {
+        let self_field = i >= 4
+            && toks[i - 3].text == "."
+            && toks[i - 4].text == "self"
+            && (i < 5 || toks[i - 5].text != ".");
         if i >= 2 && toks[i - 2].text == "self" && (i < 3 || toks[i - 3].text != ".") {
             CallQual::SelfRecv
+        } else if let Some(ty) = self_field
+            .then(|| file.enclosing_fn(t.line).and_then(|f| f.impl_type.clone()))
+            .flatten()
+            .and_then(|owner| fields.get(&(owner, toks[i - 2].text.clone())))
+        {
+            CallQual::Typed(ty.clone())
         } else {
             CallQual::Method
         }
@@ -192,6 +295,7 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
         /// handled via `depth` of the match block).
         temp: bool,
     }
+    let fields = field_types(toks);
     let mut depth = 0i32;
     let mut live: Vec<Guard> = Vec::new();
     // Statement-start token index at the current depth, for `let` lookback.
@@ -264,7 +368,7 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
             }
             _ => {}
         }
-        if let Some((callee, qual)) = call_at(toks, i) {
+        if let Some((callee, qual)) = call_at(file, &fields, i) {
             let mut held: Vec<Acquire> = Vec::new();
             for g in &live {
                 if !held.iter().any(|h| h.lock == g.acq.lock) {
@@ -547,6 +651,25 @@ mod tests {
         let free = calls.iter().find(|c| c.callee == "free").expect("free call");
         assert_eq!(free.qual, CallQual::Bare);
         assert!(free.held.is_empty(), "drop(a) released the guard");
+    }
+
+    #[test]
+    fn self_field_calls_carry_a_concrete_field_type() {
+        let f = scan(
+            "struct S<F: Dev> {\n pub meta: Arc<MemFcb>,\n dev: Arc<dyn Dev>,\n pages: PageFile,\n inner: F,\n}\nimpl<F: Dev> S<F> {\n fn f(&self) {\n  self.meta.write_at();\n  self.dev.write_at();\n  self.pages.write_page();\n  self.inner.write_at();\n  other.meta.write_at();\n }\n}\n",
+        );
+        let quals: Vec<CallQual> = analyze_file(&f).calls.into_iter().map(|c| c.qual).collect();
+        assert_eq!(
+            quals,
+            [
+                CallQual::Typed("MemFcb".into()),
+                CallQual::Method,
+                CallQual::Typed("PageFile".into()),
+                CallQual::Method,
+                CallQual::Method,
+            ]
+        );
+        assert_eq!(CallQual::decode(&CallQual::Typed("MemFcb".into()).encode()), quals[0]);
     }
 
     #[test]

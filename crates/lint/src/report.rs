@@ -40,11 +40,14 @@ pub enum Rule {
     MetricContract,
     /// A `SocratesConfig` field not documented in README.md or DESIGN.md.
     ConfigDoc,
+    /// A call made under a held lock whose callee (transitively) waits on
+    /// a modelled device: every thread wanting the lock waits it out too.
+    LockAcrossIo,
 }
 
 impl Rule {
     /// Every rule, report order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 14] = [
         Rule::OrderingComment,
         Rule::SeqCstDefault,
         Rule::LockOrder,
@@ -58,6 +61,7 @@ impl Rule {
         Rule::FaultContract,
         Rule::MetricContract,
         Rule::ConfigDoc,
+        Rule::LockAcrossIo,
     ];
 
     /// Stable kebab-case identifier (used in reports and allow comments).
@@ -76,6 +80,7 @@ impl Rule {
             Rule::FaultContract => "fault-contract",
             Rule::MetricContract => "metric-contract",
             Rule::ConfigDoc => "config-doc",
+            Rule::LockAcrossIo => "lock-across-io",
         }
     }
 

@@ -3,8 +3,9 @@
 //! Nothing in this file is a violation on its own. It exists so the
 //! selftest can prove the interprocedural rules see through a crate
 //! boundary: `helper` forwards a call made under a lock back into
-//! crate A, and `spicy` panics when a hot function in crate A reaches
-//! it transitively.
+//! crate A, `spicy` panics when a hot function in crate A reaches
+//! it transitively, and `Disk::persist` waits on a device when crate A
+//! calls a `dyn Device` under a lock.
 
 /// Implemented in crate A; `helper` only sees the trait.
 pub trait Relay {
@@ -21,4 +22,30 @@ pub fn helper(r: &dyn Relay) {
 /// function in crate A calls it.
 pub fn spicy(v: Option<u64>) -> u64 {
     v.unwrap()
+}
+
+/// Stand-in for the workspace's modelled device wait; soclint matches
+/// it by name.
+pub fn precise_sleep(_us: u64) {}
+
+/// A device a caller holds as `dyn Device`: which impl runs is only
+/// known at run time.
+pub trait Device {
+    fn persist(&self);
+}
+
+/// Never waits.
+pub struct Ram;
+
+/// Waits out a modelled write.
+pub struct Disk;
+
+impl Device for Ram {
+    fn persist(&self) {}
+}
+
+impl Device for Disk {
+    fn persist(&self) {
+        precise_sleep(60);
+    }
 }

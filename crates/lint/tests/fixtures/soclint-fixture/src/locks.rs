@@ -1,6 +1,8 @@
 //! Lock-order fixture: two paths acquire the same pair of locks in
-//! opposite orders — the classic AB/BA deadlock shape.
+//! opposite orders — the classic AB/BA deadlock shape — and one holds a
+//! lock across a device that may wait.
 
+use soclint_fixture_b::Device;
 use std::cell::{RefCell, RefMut};
 
 /// Minimal lock stand-in so the fixture compiles without the workspace
@@ -38,5 +40,13 @@ impl Pair {
         let b = self.beta.lock();
         let a = self.alpha.lock();
         *b - *a
+    }
+
+    /// planted violation: holds `alpha` across `persist`, which may
+    /// dispatch to `Disk::persist` in crate B and wait on the device.
+    pub fn spill(&self, dev: &dyn Device) -> u64 {
+        let a = self.alpha.lock();
+        dev.persist();
+        *a
     }
 }

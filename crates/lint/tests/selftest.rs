@@ -66,6 +66,7 @@ fn findings_land_on_the_planted_files() {
         (Rule::HotPath, "soclint-fixture/src/hot.rs"),
         (Rule::HotPathTransitive, "soclint-fixture/src/hot.rs"),
         (Rule::LockOrder, "soclint-fixture/src/locks.rs"),
+        (Rule::LockAcrossIo, "soclint-fixture/src/locks.rs"),
         (Rule::LockOrderTransitive, "soclint-fixture/src/relay.rs"),
         (Rule::SpanPairing, "soclint-fixture/src/span.rs"),
         (Rule::FaultSite, "soclint-fixture/src/sites_catalog.rs"),
@@ -95,6 +96,16 @@ fn interprocedural_findings_carry_witness_chains() {
         lock.message.contains("leaf@"),
         "chain should name the cross-crate acquirer: {}",
         lock.message
+    );
+    let io = report
+        .findings
+        .iter()
+        .find(|f| f.rule == Rule::LockAcrossIo)
+        .expect("lock held across a device wait");
+    assert!(
+        io.message.contains("Disk::persist -> precise_sleep") && !io.message.contains("Ram::"),
+        "chain should follow the dyn call into the impl that waits: {}",
+        io.message
     );
     let hot = report
         .findings

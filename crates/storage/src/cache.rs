@@ -670,8 +670,8 @@ impl TieredCache {
     /// node: with RBPEX its own victim, noted before it leaves RBPEX's
     /// directory and flushed after; without RBPEX the page itself.
     // soclint-allow: hot-path-transitive a spill is a device write; what it
-    // reaches allocates only to compact RBPEX's journal, and its expects
-    // check that the clock's victim frame is mapped
+    // reaches takes rbpex.dir (never across the write) and allocates only
+    // to compact RBPEX's journal or to report a broken directory
     fn spill(&self, page: &Page) -> Result<()> {
         match &self.rbpex {
             Some(rbpex) => {
@@ -841,16 +841,25 @@ pub(crate) mod tests {
     /// Poll until `cond` holds: tests order their steps by observed state
     /// (5 s cap, so a regression fails instead of hanging).
     pub(crate) fn until(what: &str, cond: impl Fn() -> bool) {
+        assert!(eventually(cond), "timed out waiting for {what}");
+    }
+
+    /// Whether `cond` holds within 5 s of polling — for a test that must
+    /// release a gate before it asserts.
+    pub(crate) fn eventually(cond: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            if Instant::now() >= deadline {
+                return false;
+            }
             std::thread::sleep(Duration::from_millis(1));
         }
+        true
     }
 
     /// Run `f` on its own scoped thread and wait up to 5 s for its result;
     /// `None` means it is still blocked (a regression fails, not hangs).
-    fn within_5s<'scope, T: Send + 'scope>(
+    pub(crate) fn within_5s<'scope, T: Send + 'scope>(
         scope: &'scope std::thread::Scope<'scope, '_>,
         f: impl FnOnce() -> T + Send + 'scope,
     ) -> Option<T> {

@@ -23,12 +23,9 @@ fn restart_replays_only_the_delta() {
     let mut log: Vec<(PageId, Vec<u8>, Lsn)> = Vec::new();
     let mut next_lsn = 100u64;
     {
-        let cache = Rbpex::create(
-            Arc::clone(&ssd) as Arc<dyn Fcb>,
-            Arc::clone(&meta) as Arc<dyn Fcb>,
-            n_pages as usize,
-        )
-        .unwrap();
+        let cache =
+            Rbpex::create(Arc::clone(&ssd) as Arc<dyn Fcb>, Arc::clone(&meta), n_pages as usize)
+                .unwrap();
         for pid in 0..n_pages {
             let mut page = Page::new(PageId::new(pid), PageType::BTreeLeaf);
             apply_page_op(
@@ -63,12 +60,9 @@ fn restart_replays_only_the_delta() {
 
     // Life 2: recover the cache, then replay the tail with the standard
     // LSN-idempotence rule — count how many records actually apply.
-    let cache = Rbpex::recover(
-        Arc::clone(&ssd) as Arc<dyn Fcb>,
-        Arc::clone(&meta) as Arc<dyn Fcb>,
-        n_pages as usize,
-    )
-    .unwrap();
+    let cache =
+        Rbpex::recover(Arc::clone(&ssd) as Arc<dyn Fcb>, Arc::clone(&meta), n_pages as usize)
+            .unwrap();
     assert_eq!(cache.len(), n_pages as usize, "the whole cache survived the restart");
 
     let mut applied = 0usize;
