@@ -358,7 +358,7 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
                         }
                         // Liveness classification from the statement shape.
                         let stmt = &toks[stmt_start..=i];
-                        let let_var = stmt_let_binding(stmt);
+                        let let_var = stmt_let_binding(stmt, toks.get(i + 3));
                         let bound = let_var.is_some();
                         live.push(Guard { acq, depth, var: let_var, temp: !bound });
                         i += 3; // skip `( )`
@@ -451,23 +451,26 @@ fn ident_like(t: &Token) -> bool {
     t.text.chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_')
 }
 
-/// Find a `let [mut] name =` binding in a statement slice. `if let` /
-/// `while let` scrutinee guards are temporaries (dropped when the
-/// attached block ends), not bindings.
-fn stmt_let_binding(stmt: &[Token]) -> Option<String> {
+/// Find the `let [mut] name =` binding that holds the guard acquired at
+/// the end of `stmt`; `after` is the token following the acquire's `( )`.
+/// The guard is bound only when those parens end the initializer, or when
+/// the initializer starts with `&` (temporary lifetime extension). In
+/// `let n = m.lock().len();` it is a temporary dropped at the `;`, and
+/// `if let` / `while let` scrutinee guards are temporaries dropped when the
+/// attached block ends.
+fn stmt_let_binding(stmt: &[Token], after: Option<&Token>) -> Option<String> {
     let pos = stmt.iter().position(|t| t.text == "let")?;
     if pos > 0 && matches!(stmt[pos - 1].text.as_str(), "if" | "while") {
         return None;
     }
-    let mut j = pos + 1;
-    while let Some(t) = stmt.get(j) {
-        match t.text.as_str() {
-            "mut" => j += 1,
-            s if ident_like(t) => return Some(s.to_string()),
-            _ => return None,
-        }
-    }
-    None
+    let rest = &stmt[pos + 1..];
+    let name = rest.iter().find(|t| t.text != "mut").filter(|t| ident_like(t))?;
+    let borrowed = rest
+        .iter()
+        .position(|t| t.text == "=")
+        .and_then(|eq| rest.get(eq + 1))
+        .is_some_and(|t| t.text == "&");
+    (borrowed || after.is_some_and(|t| t.text == ";")).then(|| name.text.clone())
 }
 
 /// A strongly connected component with more than one lock (or a self
@@ -605,6 +608,31 @@ mod tests {
             "impl S { fn f(&self) {\n self.alpha.lock().touch();\n let b = self.beta.lock();\n} }\n",
         );
         assert!(extract_edges(&f).is_empty());
+    }
+
+    #[test]
+    fn a_let_whose_initializer_continues_past_the_guard_drops_it() {
+        let f = scan(
+            "impl S { fn f(&self) {\n let s = self.alpha.read().get(k).cloned()?;\n let b = self.beta.lock();\n} }\n",
+        );
+        assert!(extract_edges(&f).is_empty());
+        let f =
+            scan("impl S { fn f(&self) {\n let n = self.alpha.lock().len();\n sleep_on(n);\n} }\n");
+        let calls = analyze_file(&f).calls;
+        let sleep = calls.iter().find(|c| c.callee == "sleep_on").expect("sleep_on call");
+        assert!(sleep.held.is_empty(), "the guard died at the `;`");
+    }
+
+    #[test]
+    fn a_let_that_ends_at_the_guard_or_borrows_it_binds_it() {
+        for stmt in ["let a = self.alpha.lock();", "let a = &self.alpha.read().field;"] {
+            let f = scan(&format!(
+                "impl S {{ fn f(&self) {{\n {stmt}\n let b = self.beta.lock();\n}} }}\n"
+            ));
+            let e = extract_edges(&f);
+            assert_eq!(e.len(), 1, "{stmt}");
+            assert_eq!(e[0].outer.lock, "t::S.alpha");
+        }
     }
 
     #[test]

@@ -1397,7 +1397,7 @@ impl RbioHandler for PageServerHandler {
                 let t0 = std::time::Instant::now();
                 let resp =
                     self.ps.get_page_ctx(page_id, min_lsn, ctx).map(|page| RbioResponse::Page {
-                        bytes: page.to_io_bytes().to_vec(),
+                        bytes: page.to_io_vec(),
                         serve_us: (t0.elapsed().as_micros() as u64).max(1),
                     });
                 record_serve(&resp);
@@ -1407,7 +1407,7 @@ impl RbioHandler for PageServerHandler {
                 let t0 = std::time::Instant::now();
                 let resp = self.ps.get_page_range(first, count, min_lsn).map(|pages| {
                     RbioResponse::PageRange {
-                        pages: pages.iter().map(|p| p.to_io_bytes().to_vec()).collect(),
+                        pages: pages.iter().map(Page::to_io_vec).collect(),
                         serve_us: (t0.elapsed().as_micros() as u64).max(1),
                     }
                 });

@@ -43,7 +43,7 @@ pub enum RbioRequest {
 pub enum RbioResponse {
     /// A sealed page image.
     Page {
-        /// `Page::to_io_bytes()` output.
+        /// `Page::to_io_vec()` output.
         bytes: Vec<u8>,
         /// Microseconds the server spent producing the page (apply wait,
         /// cache/XStore reads), stamped by the server so clients can

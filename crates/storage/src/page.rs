@@ -152,9 +152,22 @@ impl Page {
     /// on-disk image.
     pub fn to_io_bytes(&self) -> [u8; PAGE_SIZE] {
         let mut out = *self.bytes;
-        let crc = crc32_with_seed(self.page_id().raw() as u32, &out[OFF_PAGE_ID..]);
-        out[OFF_CRC..OFF_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+        out[OFF_CRC..OFF_CRC + 4].copy_from_slice(&self.seal_crc());
         out
+    }
+
+    /// [`Page::to_io_bytes`] sealed straight into a heap buffer, for a
+    /// reply that owns its bytes.
+    pub fn to_io_vec(&self) -> Vec<u8> {
+        let mut out = self.bytes.to_vec();
+        out[OFF_CRC..OFF_CRC + 4].copy_from_slice(&self.seal_crc());
+        out
+    }
+
+    /// The checksum field of the sealed image: everything from the page id
+    /// on, seeded with the page id.
+    fn seal_crc(&self) -> [u8; 4] {
+        crc32_with_seed(self.page_id().raw() as u32, &self.bytes[OFF_PAGE_ID..]).to_le_bytes()
     }
 
     /// Validate and adopt an on-disk image.
@@ -162,23 +175,25 @@ impl Page {
     /// Checks length, magic, checksum (seeded with `expected_id`), the page
     /// type byte, and that the stored page id matches `expected_id`.
     pub fn from_io_bytes(expected_id: PageId, data: &[u8]) -> Result<Page> {
-        if data.len() != PAGE_SIZE {
-            return Err(Error::Corruption(format!(
-                "page image wrong size: {} != {PAGE_SIZE}",
-                data.len()
-            )));
-        }
-        if data[OFF_MAGIC..OFF_MAGIC + 4] != MAGIC {
+        let image: &[u8; PAGE_SIZE] = data.try_into().map_err(|_| {
+            Error::Corruption(format!("page image wrong size: {} != {PAGE_SIZE}", data.len()))
+        })?;
+        if image[OFF_MAGIC..OFF_MAGIC + 4] != MAGIC {
             return Err(Error::Corruption(format!("bad page magic for {expected_id}")));
         }
-        let stored_crc = u32::from_le_bytes(data[OFF_CRC..OFF_CRC + 4].try_into().unwrap());
-        let crc = crc32_with_seed(expected_id.raw() as u32, &data[OFF_PAGE_ID..]);
+        let stored_crc = u32::from_le_bytes([
+            image[OFF_CRC],
+            image[OFF_CRC + 1],
+            image[OFF_CRC + 2],
+            image[OFF_CRC + 3],
+        ]);
+        let crc = crc32_with_seed(expected_id.raw() as u32, &image[OFF_PAGE_ID..]);
         if stored_crc != crc {
             return Err(Error::Corruption(format!(
                 "checksum mismatch for {expected_id}: stored {stored_crc:#x} computed {crc:#x}"
             )));
         }
-        let page = Page { bytes: data.to_vec().into_boxed_slice().try_into().unwrap() };
+        let page = Page { bytes: Box::new(*image) };
         if page.page_id() != expected_id {
             return Err(Error::Corruption(format!(
                 "page identity mismatch: header says {}, expected {expected_id}",
@@ -226,11 +241,27 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let p = Page::new(PageId::new(9), PageType::Meta);
-        let mut img = p.to_io_bytes();
+        let mut p = Page::new(PageId::new(9), PageType::Meta);
+        for (i, b) in p.body_mut().iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        let mut img = p.to_io_vec();
+        assert_eq!(img.as_slice(), p.to_io_bytes().as_slice());
         img[5000] ^= 0xFF;
         let err = Page::from_io_bytes(PageId::new(9), &img).unwrap_err();
         assert_eq!(err.kind(), "corruption");
+        img[5000] ^= 0xFF;
+        // One flipped bit anywhere in the header, or at sampled positions
+        // across the body, fails the seal.
+        let header_bits = 0..PAGE_HEADER_SIZE * 8;
+        let body_bits = (PAGE_HEADER_SIZE * 8..PAGE_SIZE * 8).step_by(97);
+        for bit in header_bits.chain(body_bits).chain([PAGE_SIZE * 8 - 1]) {
+            img[bit / 8] ^= 1 << (bit % 8);
+            let err = Page::from_io_bytes(PageId::new(9), &img).unwrap_err();
+            assert_eq!(err.kind(), "corruption", "flip at bit {bit}");
+            img[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(Page::from_io_bytes(PageId::new(9), &img).is_ok());
     }
 
     #[test]

@@ -406,6 +406,27 @@ mod tests {
         let mut img2 = block.as_bytes().to_vec();
         img2[0] = b'X';
         assert!(LogBlock::decode(img2).is_err());
+
+        // A multi-KiB block: one flipped bit anywhere in the header, or at
+        // sampled positions across records and trailer, fails the decode.
+        let mut b = BlockBuilder::new(Lsn::new(4096), 1 << 16);
+        for i in 0..40u8 {
+            let op: Vec<u8> = (0..100).map(|j| i.wrapping_mul(7) ^ j).collect();
+            b.append(&page_write(u64::from(i), &op), Some(PartitionId::new(u32::from(i % 3))));
+        }
+        let block = b.seal();
+        assert!(block.len() > 4096, "{}", block.len());
+        let mut img = block.as_bytes().to_vec();
+        let bits = block.len() * 8;
+        for bit in
+            (0..BLOCK_HEADER * 8).chain((BLOCK_HEADER * 8..bits).step_by(89)).chain([bits - 1])
+        {
+            img[bit / 8] ^= 1 << (bit % 8);
+            let err = LogBlock::decode(img.clone()).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "flip at bit {bit}: {err}");
+            img[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(LogBlock::decode(img).unwrap(), block);
     }
 
     #[test]
