@@ -870,6 +870,11 @@ impl Fabric {
                 Arc::clone(hist),
             );
         }
+        let (inline, clean) = (Arc::clone(cache.stats()), Arc::clone(cache.stats()));
+        self.hub.register_counter_fn(node, "cache_inline_evictions", move || {
+            inline.inline_evictions.get()
+        });
+        self.hub.register_counter_fn(node, "cache_clean_spills", move || clean.clean_spills.get());
         cache.scheduler().register_metrics(&self.hub, node);
         Ok(cache)
     }

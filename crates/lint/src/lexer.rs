@@ -73,7 +73,8 @@ pub struct SourceFile {
     /// String literals in source order.
     pub strings: Vec<StrLit>,
     /// Per-line flag: line is inside a `#[cfg(test)]` block (or attribute
-    /// target).
+    /// target), or the file is a `tests.rs` module, which a parent declares
+    /// as `#[cfg(test)] mod tests;`.
     pub is_test: Vec<bool>,
     /// File carries the `#![doc = "soclint:hot"]` marker.
     pub hot: bool,
@@ -89,7 +90,11 @@ impl SourceFile {
         let raw: Vec<String> = text.lines().map(str::to_string).collect();
         let (code, comment, strings) = strip(text, raw.len());
         let tokens = tokenize(&code);
-        let is_test = mark_test_blocks(&code, raw.len());
+        let is_test = if rel.ends_with("/tests.rs") {
+            vec![true; raw.len().max(1)]
+        } else {
+            mark_test_blocks(&code, raw.len())
+        };
         let hot = raw.iter().take(40).any(|l| l.contains("#![doc = \"soclint:hot\"]"));
         let fns = find_fns(&tokens);
         SourceFile { rel, path, crate_name, raw, code, comment, strings, is_test, hot, fns, tokens }
@@ -556,6 +561,15 @@ mod tests {
         let f = scan(src);
         assert!(!f.is_test[0]);
         assert!(f.is_test[1] && f.is_test[2] && f.is_test[3] && f.is_test[4]);
+    }
+
+    #[test]
+    fn a_tests_module_file_is_all_test() {
+        let src = "use super::*;\nfn helper() {}\n";
+        let f = SourceFile::scan("c/src/m/tests.rs".into(), PathBuf::new(), "c".into(), src);
+        assert!(f.is_test.iter().all(|t| *t));
+        let f = SourceFile::scan("c/src/m/attests.rs".into(), PathBuf::new(), "c".into(), src);
+        assert!(!f.is_test.iter().any(|t| *t));
     }
 
     #[test]

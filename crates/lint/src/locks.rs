@@ -18,6 +18,10 @@
 //! un-bound (temporary) guards to the end of their statement, and `match`
 //! scrutinee temporaries to the end of the match — mirroring the
 //! language's actual temporary-lifetime rules closely enough for a lint.
+//! The one exception is a closure passed to a `spawn(…)` call: its body
+//! runs on another thread, so it holds none of the guards live where it
+//! is spawned. Every other closure is assumed to run under them, as
+//! `iter().for_each(|x| dev.write(x))` does.
 
 use crate::lexer::{SourceFile, Token};
 use std::collections::{BTreeMap, BTreeSet};
@@ -290,6 +294,8 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
         depth: i32,
         /// `let`-bound variable name, if any (killed by `drop(var)`).
         var: Option<String>,
+        /// Token index of the acquire.
+        at: usize,
         /// For temporaries: statement index bound — dies at the next `;`
         /// at or below `depth` (or block end for `match` scrutinees,
         /// handled via `depth` of the match block).
@@ -298,6 +304,8 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
     let fields = field_types(toks);
     let mut depth = 0i32;
     let mut live: Vec<Guard> = Vec::new();
+    // Token ranges of closure bodies passed to `spawn(…)`.
+    let mut spawned: Vec<(usize, usize)> = Vec::new();
     // Statement-start token index at the current depth, for `let` lookback.
     let mut stmt_start = 0usize;
     let mut i = 0usize;
@@ -340,7 +348,8 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
                     if let Some(lock) = receiver_key(file, toks, i - 1) {
                         let acq = Acquire { lock, method: t.text.clone(), line: t.line };
                         acquires.push(acq.clone());
-                        for g in &live {
+                        let floor = spawn_floor(&spawned, i);
+                        for g in live.iter().filter(|g| g.at >= floor) {
                             if g.acq.lock != acq.lock
                                 || !(g.acq.method == "read" && acq.method == "read")
                             {
@@ -360,7 +369,7 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
                         let stmt = &toks[stmt_start..=i];
                         let let_var = stmt_let_binding(stmt, toks.get(i + 3));
                         let bound = let_var.is_some();
-                        live.push(Guard { acq, depth, var: let_var, temp: !bound });
+                        live.push(Guard { acq, depth, var: let_var, at: i, temp: !bound });
                         i += 3; // skip `( )`
                         continue;
                     }
@@ -369,8 +378,12 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
             _ => {}
         }
         if let Some((callee, qual)) = call_at(file, &fields, i) {
+            if callee == "spawn" {
+                spawned.extend(spawned_closures(toks, i + 1));
+            }
             let mut held: Vec<Acquire> = Vec::new();
-            for g in &live {
+            let floor = spawn_floor(&spawned, i);
+            for g in live.iter().filter(|g| g.at >= floor) {
                 if !held.iter().any(|h| h.lock == g.acq.lock) {
                     held.push(g.acq.clone());
                 }
@@ -380,6 +393,51 @@ pub fn analyze_file(file: &SourceFile) -> FileWalk {
         i += 1;
     }
     FileWalk { edges, calls, acquires }
+}
+
+/// The first token a guard must be acquired at to be held at token `i`:
+/// the start of the innermost spawned closure body around `i`, else 0.
+fn spawn_floor(spawned: &[(usize, usize)], i: usize) -> usize {
+    spawned
+        .iter()
+        .filter(|(start, end)| (*start..*end).contains(&i))
+        .map(|s| s.0)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The token ranges of the closure bodies among the arguments of the call
+/// whose `(` is at `open`: an argument that starts `[move] |params|` runs
+/// from after the second `|` to the next top-level `,` or the `)`.
+fn spawned_closures(toks: &[Token], open: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    let mut arg_start = open + 1;
+    let mut i = open;
+    while i < toks.len() {
+        match toks[i].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" | "," if depth <= 1 => {
+                let mut p = arg_start;
+                if toks.get(p).is_some_and(|t| t.text == "move") {
+                    p += 1;
+                }
+                if toks.get(p).is_some_and(|t| t.text == "|") {
+                    if let Some(q) = (p + 1..i).find(|&q| toks[q].text == "|") {
+                        out.push((q + 1, i));
+                    }
+                }
+                if toks[i].text != "," {
+                    break;
+                }
+                arg_start = i + 1;
+            }
+            ")" | "]" | "}" => depth -= 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    out
 }
 
 /// Walk backwards from the `.` before the method to build the receiver
@@ -679,6 +737,33 @@ mod tests {
         let free = calls.iter().find(|c| c.callee == "free").expect("free call");
         assert_eq!(free.qual, CallQual::Bare);
         assert!(free.held.is_empty(), "drop(a) released the guard");
+    }
+
+    #[test]
+    fn a_closure_passed_to_spawn_holds_none_of_the_spawners_locks() {
+        let f = scan(
+            "impl S { fn f(self: &Arc<Self>) {\n let me = Arc::clone(self);\n *self.handle.lock() = Some(\n  thread::Builder::new()\n   .spawn(move || me.seed_loop())\n   .expect(\"spawn\"),\n );\n let g = self.alpha.lock();\n std::thread::spawn(|| { let b = self.beta.lock(); wait_here(); });\n} }\n",
+        );
+        let walk = analyze_file(&f);
+        let held = |callee: &str| -> Vec<String> {
+            let call = walk.calls.iter().find(|c| c.callee == callee).expect(callee);
+            call.held.iter().map(|h| h.lock.clone()).collect()
+        };
+        assert!(held("seed_loop").is_empty(), "the spawned closure runs on its own thread");
+        assert_eq!(held("expect"), ["t::S.handle"], "the spawning statement holds the guard");
+        assert_eq!(held("wait_here"), ["t::S.beta"], "only the closure's own guard");
+        assert!(walk.edges.is_empty(), "alpha is not held where beta is taken: {:?}", walk.edges);
+    }
+
+    #[test]
+    fn any_other_closure_runs_under_the_guard() {
+        let f = scan(
+            "impl S { fn f(&self) {\n let g = self.alpha.lock();\n pages.iter().for_each(|p| dev.write_page(p));\n} }\n",
+        );
+        let calls = analyze_file(&f).calls;
+        let write = calls.iter().find(|c| c.callee == "write_page").expect("write_page call");
+        assert_eq!(write.held.len(), 1);
+        assert_eq!(write.held[0].lock, "t::S.alpha");
     }
 
     #[test]

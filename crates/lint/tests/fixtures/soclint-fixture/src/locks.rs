@@ -43,10 +43,20 @@ impl Pair {
     }
 
     /// planted violation: holds `alpha` across `persist`, which may
-    /// dispatch to `Disk::persist` in crate B and wait on the device.
+    /// dispatch to `Disk::persist` in crate B and wait on the device. The
+    /// closure runs on this thread, under the guard.
     pub fn spill(&self, dev: &dyn Device) -> u64 {
         let a = self.alpha.lock();
-        dev.persist();
+        [*a].iter().for_each(|_| dev.persist());
         *a
+    }
+
+    /// Not a violation: the spawned closure waits on the device on its own
+    /// thread, which holds no guard of this one.
+    pub fn spill_behind(&self, dev: Box<dyn Device + Send>) -> std::thread::JoinHandle<()> {
+        let a = self.alpha.lock();
+        let handle = std::thread::spawn(move || dev.persist());
+        drop(a);
+        handle
     }
 }

@@ -257,3 +257,39 @@ fn unsampled_reads_record_no_spans_but_stage_histograms_count() {
     }
     sys.shutdown();
 }
+
+#[test]
+fn a_cache_smaller_than_the_table_counts_inline_evictions_and_clean_spills() {
+    // Four memory frames keep no free reserve, so every eviction runs on
+    // the thread that needs the frame. The table's pages sit in RBPEX, so
+    // a scan's SSD hits leave memory again at the PageLSN RBPEX holds:
+    // each of those spills writes nothing.
+    let sys = Socrates::launch(SocratesConfig::fast_test().with_cache(4, 256)).unwrap();
+    let primary = sys.primary().unwrap();
+    let db = primary.db();
+    db.create_table("t", schema()).unwrap();
+    for i in 0..ROWS {
+        let h = db.begin();
+        db.insert(&h, "t", &[Value::Int(i as i64), value(i)]).unwrap();
+        db.commit(h).unwrap();
+    }
+    let stats = primary.io().cache().stats();
+    stats.reset();
+    for _ in 0..2 {
+        let r = db.begin();
+        assert_eq!(db.scan_table(&r, "t", usize::MAX).unwrap().len(), ROWS as usize);
+    }
+    let snapshot = sys.hub().snapshot();
+    let counter = |name: &str| match snapshot.get(NodeId::PRIMARY, name) {
+        Some(MetricValue::Counter(v)) => *v,
+        other => panic!("primary {name} missing or wrong type: {other:?}"),
+    };
+    let (inline, clean) = (counter("cache_inline_evictions"), counter("cache_clean_spills"));
+    assert_eq!(inline, stats.inline_evictions.get());
+    assert_eq!(clean, stats.clean_spills.get());
+    let ssd_hits = stats.ssd_hits.get();
+    assert!(ssd_hits > 0, "the scans read nothing from RBPEX");
+    assert!(inline > 0, "a 4-frame cache evicted nothing on the reader's thread");
+    assert!(clean > 0 && clean <= ssd_hits, "{clean} clean spills against {ssd_hits} SSD hits");
+    sys.shutdown();
+}
