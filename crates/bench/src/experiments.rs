@@ -281,7 +281,7 @@ pub struct ColdScanArm {
     pub secs: f64,
     /// Pages per second (`pages / secs`).
     pub pages_per_sec: f64,
-    /// GetPageRange requests the page servers saw during the scan.
+    /// GetPages requests the page servers saw during the scan.
     pub range_requests: u64,
     /// Prefetched pages installed into the compute cache.
     pub prefetch_installs: u64,

@@ -145,9 +145,11 @@ impl Workload for CdbWorkload {
             TxnClass::RangeRead => {
                 cpu.charge_us(260);
                 let h = db.begin();
-                // A scan spanning a handful of leaf pages (the paper's
-                // scans read up to 128 pages, served by one range request;
-                // we keep spans modest since our reads are per-page).
+                // A scan spanning a handful of leaf pages. The paper's
+                // scans read up to 128 pages in one range request; here a
+                // scan's missing leaves go out as one GetPages call of at
+                // most 64 pages (a prefetch batch on the primary, a batch
+                // on the reader's thread on a secondary).
                 let span = 100.min(sf as i64);
                 let lo = self.pick_key(rng, sf.saturating_sub(span as u64).max(1));
                 let _ = db.scan_range(

@@ -129,9 +129,9 @@ pub struct PageServerMetrics {
     pub checkpoints_deferred: Counter,
     /// Pages restored from XStore on a cache miss (seeding fallback).
     pub xstore_fallback_reads: Counter,
-    /// GetPageRange requests served.
+    /// GetPages requests served.
     pub range_requests: Counter,
-    /// Pages served through GetPageRange (vs. one-page GetPage).
+    /// Pages served through GetPages (vs. one-page GetPage).
     pub range_pages_served: Counter,
     /// Open L0 layers sealed into immutable delta layers.
     pub layers_sealed: Counter,
@@ -974,13 +974,13 @@ impl PageServer {
         Ok(Some((page, replayed)))
     }
 
-    /// Multi-page read: plan every page, read each image the plans picked
-    /// once — one device I/O over the run of pages resolved to it — then
-    /// replay each page over its copy. A page its image does not hold
-    /// reaches the external base the single-page way.
-    pub fn get_page_range(&self, first: PageId, count: u32, min_lsn: Lsn) -> Result<Vec<Page>> {
-        let ids: Vec<PageId> = (first.raw()..first.raw() + count as u64).map(PageId::new).collect();
-        for id in &ids {
+    /// Multi-page read of `ids`, in their order: plan every page and, for
+    /// each contiguous run of ids, read each image the run's plans picked
+    /// once — one device I/O over the pages resolved to it — then replay
+    /// each page over its copy. A page its image does not hold reaches the
+    /// external base the single-page way.
+    pub fn get_pages(&self, ids: &[PageId], min_lsn: Lsn) -> Result<Vec<Page>> {
+        for id in ids {
             if !self.spec.contains(*id) {
                 return Err(Error::InvalidArgument(format!(
                     "{id} is not in partition {}",
@@ -989,11 +989,43 @@ impl PageServer {
             }
         }
         self.wait_fresh(min_lsn, self.config.get_page_timeout)?;
-        self.wiring.cpu.charge_us(5 + count as u64);
+        self.wiring.cpu.charge_us(5 + ids.len() as u64);
         self.metrics.range_requests.incr();
         let at = self.applied.load();
         let plans: Vec<Plan> = ids.iter().map(|id| self.plan(*id, at)).collect();
         let mut bases: Vec<Option<Page>> = vec![None; ids.len()];
+        let mut run_start = 0;
+        for end in 1..=ids.len() {
+            if end == ids.len() || ids[end].raw() != ids[end - 1].raw() + 1 {
+                self.read_images(
+                    &ids[run_start..end],
+                    &plans[run_start..end],
+                    &mut bases[run_start..end],
+                )?;
+                run_start = end;
+            }
+        }
+        let mut out = Vec::with_capacity(ids.len());
+        for ((id, plan), base) in ids.iter().zip(&plans).zip(bases) {
+            let (page, depth) = self
+                .replay(*id, at, &plan.deltas, base, TraceCtx::NONE)?
+                .ok_or_else(|| never_written(*id))?;
+            // Counted in `range_pages_served`, not as a GetPage.
+            self.metrics.replay_depth.record(depth as u64);
+            out.push(page);
+        }
+        self.metrics.range_pages_served.add(ids.len() as u64);
+        Ok(out)
+    }
+
+    /// Read the base copies of the contiguous run `ids` into `bases`: each
+    /// image its `plans` picked, once, over the pages resolved to it.
+    fn read_images(
+        &self,
+        ids: &[PageId],
+        plans: &[Plan],
+        bases: &mut [Option<Page>],
+    ) -> Result<()> {
         let mut read: Vec<&Arc<ImageLayer>> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             let Some(image) = &plan.image else { continue };
@@ -1010,16 +1042,7 @@ impl PageServer {
                 }
             }
         }
-        let mut out = Vec::with_capacity(ids.len());
-        for ((id, plan), base) in ids.iter().zip(&plans).zip(bases) {
-            let (page, depth) = self
-                .replay(*id, at, &plan.deltas, base, TraceCtx::NONE)?
-                .ok_or_else(|| never_written(*id))?;
-            self.note_served(depth);
-            out.push(page);
-        }
-        self.metrics.range_pages_served.add(ids.len() as u64);
-        Ok(out)
+        Ok(())
     }
 
     /// The GetPage@LSN freshness wait: `applied ≥ min_lsn` or a timeout.
@@ -1357,7 +1380,7 @@ impl PageServerHandler {
 
     fn check_serve_fault(&self, req: &RbioRequest) -> Result<()> {
         let lsn = match req {
-            RbioRequest::GetPage { min_lsn, .. } | RbioRequest::GetPageRange { min_lsn, .. } => {
+            RbioRequest::GetPage { min_lsn, .. } | RbioRequest::GetPages { min_lsn, .. } => {
                 Some(*min_lsn)
             }
             _ => None,
@@ -1403,13 +1426,11 @@ impl RbioHandler for PageServerHandler {
                 record_serve(&resp);
                 resp
             }
-            RbioRequest::GetPageRange { first, count, min_lsn } => {
+            RbioRequest::GetPages { page_ids, min_lsn } => {
                 let t0 = std::time::Instant::now();
-                let resp = self.ps.get_page_range(first, count, min_lsn).map(|pages| {
-                    RbioResponse::PageRange {
-                        pages: pages.iter().map(Page::to_io_vec).collect(),
-                        serve_us: (t0.elapsed().as_micros() as u64).max(1),
-                    }
+                let resp = self.ps.get_pages(&page_ids, min_lsn).map(|pages| RbioResponse::Pages {
+                    pages: pages.iter().map(Page::to_io_vec).collect(),
+                    serve_us: (t0.elapsed().as_micros() as u64).max(1),
                 });
                 record_serve(&resp);
                 resp
@@ -1715,13 +1736,19 @@ mod tests {
         }
         f.emit(&ops);
         ps.apply_once().unwrap();
-        let pages = ps.get_page_range(PageId::new(10), 10, Lsn::ZERO).unwrap();
+        let ids: Vec<PageId> = (10..20).map(PageId::new).collect();
+        let pages = ps.get_pages(&ids, Lsn::ZERO).unwrap();
         assert_eq!(pages.len(), 10);
         for (i, p) in pages.iter().enumerate() {
             assert_eq!(p.page_id(), PageId::new(10 + i as u64));
         }
-        // Out-of-partition ranges rejected.
-        assert!(ps.get_page_range(PageId::new(95), 10, Lsn::ZERO).is_err());
+        // A list with gaps, out of order, comes back in request order.
+        let ids = [PageId::new(17), PageId::new(11), PageId::new(12), PageId::new(15)];
+        let pages = ps.get_pages(&ids, Lsn::ZERO).unwrap();
+        assert_eq!(pages.iter().map(|p| p.page_id()).collect::<Vec<_>>(), ids);
+        // Out-of-partition pages rejected.
+        let ids: Vec<PageId> = (95..105).map(PageId::new).collect();
+        assert!(ps.get_pages(&ids, Lsn::ZERO).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Strongly typed and versioned: every envelope carries the protocol
 //! version, and a receiver rejects versions it does not speak — the
 //! paper's "automatic versioning" in its simplest faithful form. The
-//! messages cover what Socrates moves over RBIO: pages (single and
-//! stride-preserving ranges), applied-LSN probes, and health pings.
+//! messages cover what Socrates moves over RBIO: pages (one, or a list in
+//! one call), applied-LSN probes, and health pings.
 
 use socrates_common::obs::TraceCtx;
 use socrates_common::{Error, Lsn, PageId, Result};
@@ -22,14 +22,13 @@ pub enum RbioRequest {
         /// The page must reflect all log up to at least this LSN.
         min_lsn: Lsn,
     },
-    /// Stride-preserving multi-page read (scans read up to 128 pages per
-    /// request; a covering page-server cache serves it as one device I/O).
-    GetPageRange {
-        /// First page of the contiguous range.
-        first: PageId,
-        /// Number of pages.
-        count: u32,
-        /// Freshness floor, as in `GetPage`.
+    /// Multi-page read: the pages a scan is about to read, up to the
+    /// client's batch cap (64) per request. The server reads each
+    /// contiguous run of them from its image as one device I/O.
+    GetPages {
+        /// The pages, in the order the client wants them back.
+        page_ids: Vec<PageId>,
+        /// Freshness floor for every page, as in `GetPage`.
         min_lsn: Lsn,
     },
     /// Health probe / QoS latency measurement.
@@ -50,11 +49,11 @@ pub enum RbioResponse {
         /// split round-trip time into wire vs. serve for span tracing.
         serve_us: u64,
     },
-    /// Sealed images for a contiguous range.
-    PageRange {
-        /// One sealed image per page, in order.
+    /// Sealed images for a `GetPages` request.
+    Pages {
+        /// One sealed image per requested page, in request order.
         pages: Vec<Vec<u8>>,
-        /// Server-side serve time for the whole range, as in
+        /// Server-side serve time for the whole list, as in
         /// [`RbioResponse::Page::serve_us`].
         serve_us: u64,
     },

@@ -116,7 +116,7 @@ impl NetworkConfig {
 /// The LSN context a request carries, for `LsnWindow` fault schedules.
 fn lsn_context(req: &RbioRequest) -> Option<Lsn> {
     match req {
-        RbioRequest::GetPage { min_lsn, .. } | RbioRequest::GetPageRange { min_lsn, .. } => {
+        RbioRequest::GetPage { min_lsn, .. } | RbioRequest::GetPages { min_lsn, .. } => {
             Some(*min_lsn)
         }
         _ => None,
@@ -330,8 +330,8 @@ mod tests {
                     bytes: page_id.raw().to_le_bytes().to_vec(),
                     serve_us: 0,
                 }),
-                RbioRequest::GetPageRange { count, .. } => Ok(RbioResponse::PageRange {
-                    pages: (0..count).map(|i| vec![i as u8]).collect(),
+                RbioRequest::GetPages { page_ids, .. } => Ok(RbioResponse::Pages {
+                    pages: page_ids.iter().map(|id| vec![id.raw() as u8]).collect(),
                     serve_us: 0,
                 }),
             }
