@@ -289,6 +289,12 @@ impl LatencyInjector {
         self.sample(&self.inner.profile.write)
     }
 
+    /// Sample one read service time without waiting it out: for a caller
+    /// that issues several reads now and waits once, for the last.
+    pub fn read_sample(&self) -> Duration {
+        self.sample(&self.inner.profile.read)
+    }
+
     /// Modelled CPU microseconds for an I/O of `bytes` on this device.
     pub fn cpu_cost_us(&self, bytes: usize) -> u64 {
         self.inner.profile.cpu.cost_us(bytes)

@@ -18,12 +18,14 @@
 //!   consumed log up to the page's LSN — the paper's "pause and restart
 //!   the traversal" made systematic.
 //!
-//! A scan fetches the leaves it is about to read and lacks in memory and
-//! RBPEX in one GetPages call on the reader's thread
-//! ([`PageAccess::read_ahead`]), under both rules: every page is registered
-//! before the call, the floor covers every page, and the reader waits for
-//! apply to reach the newest page before any is installed. A page the
-//! batch does not land is a demand miss.
+//! A scan reads the leaves it is about to read and lacks in memory on the
+//! reader's thread ([`PageAccess::read_ahead`]): it issues a deadline read
+//! for each one RBPEX holds, fetches the rest in one GetPages call, and
+//! waits for the SSD reads only after the call, so their wait hides under
+//! the round trip. The call keeps both rules: every page is registered
+//! before it, the floor covers every page, and the reader waits for apply
+//! to reach the newest page before any is installed. A page the batch
+//! does not land is a demand miss.
 
 use crate::fabric::Fabric;
 use parking_lot::Mutex;
@@ -37,7 +39,6 @@ use socrates_storage::cache::{CacheTier, Frame, MissTiming, PageRef, TieredCache
 use socrates_storage::page::Page;
 use socrates_storage::pageops::{apply_page_op, PageOp};
 use socrates_wal::record::LogPayload;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,13 +112,6 @@ impl Registry {
     }
 }
 
-thread_local! {
-    /// The pages this thread's last scan batch installed that its walk has
-    /// not read yet, tagged with their [`SecondaryIo`]: the walk's first
-    /// read of each is noted as the batch's miss.
-    static UNREAD: RefCell<(usize, Vec<PageId>)> = const { RefCell::new((0, Vec::new())) };
-}
-
 /// The secondary's page I/O: read-only, cache + GetPage@LSN with the two
 /// race mitigations above.
 pub struct SecondaryIo {
@@ -131,6 +125,28 @@ pub struct SecondaryIo {
 }
 
 impl SecondaryIo {
+    /// The page I/O of a secondary whose apply loop advances `applied`.
+    fn new(
+        cache: Arc<TieredCache>,
+        evicted: Arc<EvictedLsnMap>,
+        applied: Arc<Watermark>,
+        metrics: Arc<SecondaryMetrics>,
+    ) -> SecondaryIo {
+        SecondaryIo {
+            cache,
+            evicted,
+            applied,
+            pending: Mutex::with_rank(
+                Registry::default(),
+                socrates_common::lock_rank::CORE_SECONDARY_PENDING,
+                "secondary.pending_fetches",
+            ),
+            metrics,
+            data_pages: Arc::default(),
+            future_wait: Duration::from_secs(10),
+        }
+    }
+
     /// The freshness floor of a fetch of `ids`, taken after they are
     /// registered. It includes our own applied cursor: the apply loop
     /// drops records for non-resident pages, so for a never-resident page
@@ -158,13 +174,14 @@ impl SecondaryIo {
         Ok(())
     }
 
-    /// Install a fetched page into its frame, apply the records the apply
-    /// loop queued for it meanwhile, and end its registration for every
-    /// reader: the page is resident, so the apply loop applies later
-    /// records to it, and a joined reader's install finds it in place.
-    fn install(&self, page: Page, frame: Frame<'_>) -> Result<PageRef> {
+    /// Install a fetched page into its frame (tagged `ahead` for a batch),
+    /// apply the records the apply loop queued for it meanwhile, and end
+    /// its registration for every reader: the page is resident, so the
+    /// apply loop applies later records to it, and a joined reader's
+    /// install finds it in place.
+    fn install(&self, page: Page, frame: Frame<'_>, ahead: Option<CacheTier>) -> Result<PageRef> {
         let id = page.page_id();
-        let pref = frame.install(page);
+        let pref = frame.install(page, ahead);
         if let Some(reg) = self.pending.lock().pages.remove(&id) {
             let mut pg = pref.write();
             for (lsn, op_bytes) in reg.ops {
@@ -185,18 +202,34 @@ impl SecondaryIo {
         }
     }
 
-    /// Whether this is the first read of `id` since a scan batch on this
-    /// thread installed it.
-    fn first_read_of_batched(&self, id: PageId) -> bool {
-        UNREAD.with_borrow_mut(|(io, ids)| {
-            let at = ids.iter().position(|&u| u == id).filter(|_| *io == self.key());
-            at.map(|i| ids.swap_remove(i)).is_some()
-        })
-    }
-
-    /// This node's tag in [`UNREAD`].
-    fn key(&self) -> usize {
-        self as *const SecondaryIo as usize
+    /// Fetch `batch` in one GetPages call, as [`PageAccess::read_ahead`]
+    /// says, and install each page it lands tagged as remote. On any error
+    /// every registration is given up and nothing is installed.
+    fn fetch_batch(&self, batch: &[PageId], tickets: &[u64], probe_t0: Instant) {
+        let probe = probe_t0.elapsed();
+        let fetch_t0 = Instant::now();
+        let fetched = (|| {
+            let frames: Vec<Frame<'_>> =
+                batch.iter().map(|_| self.cache.make_room()).collect::<Result<_>>()?;
+            let fetched = self.cache.scheduler().fetch_batch(batch, self.floor(batch))?;
+            let (fetch, sink_t0) = (fetch_t0.elapsed(), Instant::now());
+            let newest = fetched.iter().map(|(page, _)| page.page_lsn()).max();
+            self.hold_for_apply(newest.unwrap_or(Lsn::ZERO), &"a scan batch's page")?;
+            Ok::<_, Error>((fetched, frames, fetch, sink_t0))
+        })();
+        let Ok((fetched, frames, fetch, sink_t0)) = fetched else {
+            self.unregister(batch.iter().zip(tickets));
+            return;
+        };
+        let landed = |id: &PageId| fetched.iter().any(|(page, _)| page.page_id() == *id);
+        self.unregister(batch.iter().zip(tickets).filter(|(id, _)| !landed(id)));
+        for ((page, meta), frame) in fetched.into_iter().zip(frames) {
+            let id = page.page_id();
+            if self.install(page, frame, Some(CacheTier::Remote)).is_ok() {
+                let sink = sink_t0.elapsed();
+                self.cache.record_fetch(id, MissTiming { probe, fetch, sink }, meta);
+            }
+        }
     }
 }
 
@@ -208,9 +241,8 @@ impl PageAccess for SecondaryIo {
     /// what the reader paid for the miss.
     fn page(&self, id: PageId) -> Result<PageRef> {
         let probe_t0 = Instant::now();
-        if let Some(p) = self.cache.get_if_resident(id)? {
-            let batched = self.first_read_of_batched(id);
-            self.data_pages.note(&p, if batched { CacheTier::Remote } else { CacheTier::Memory });
+        if let Some((p, tier)) = self.cache.get_if_resident(id)? {
+            self.data_pages.note(&p, tier);
             return Ok(p);
         }
         // Register before fetching so concurrent log records are queued.
@@ -232,61 +264,39 @@ impl PageAccess for SecondaryIo {
                 return Err(e);
             }
         };
-        let pref = self.install(page, frame)?;
+        let pref = self.install(page, frame, None)?;
         self.cache.record_miss(id, MissTiming { probe, fetch, sink: sink_t0.elapsed() }, meta);
         self.data_pages.note(&pref, CacheTier::Remote);
         Ok(pref)
     }
 
-    /// A scan's batch: the pages of `ids` this node lacks, up to the
-    /// cache's batch cap, in one call, each registered, floored, held for
-    /// apply and drained as a demand miss is. A batch of one is left to
-    /// the demand miss, and on any error the walk's demand misses fetch
-    /// what the batch did not install. The walk's first read of a batched
-    /// page notes it as the miss.
+    /// A scan's read-ahead, over the first pages of `ids` not in memory,
+    /// up to the cache's batch cap. It issues a deadline read for each one
+    /// RBPEX holds, then fetches the others in one GetPages call, each
+    /// registered, floored, held for apply and drained as a demand miss
+    /// is, and only then waits for the SSD reads and installs their pages.
+    /// A walk that needs one off-memory read in all leaves it to the
+    /// demand path, and on any error the walk's demand reads fetch what
+    /// the read-ahead did not install. Each page's first read reports the
+    /// tier it came from.
     fn read_ahead(&self, ids: &[PageId]) {
         let probe_t0 = Instant::now();
-        let cap = self.cache.max_batch();
-        let missing: Vec<PageId> =
-            ids.iter().copied().filter(|&id| !self.cache.resident(id)).take(cap).collect();
-        if missing.len() < 2 {
+        let wanted = self.cache.ahead_of_memory(ids);
+        if wanted.len() < 2 {
             return;
         }
+        let Ok((local, ssd_done)) = self.cache.read_local(&wanted) else { return };
+        let read_locally = |id: &PageId| local.iter().any(|page| page.page_id() == *id);
+        let missing = wanted.iter().filter(|&id| !read_locally(id) && !self.cache.resident(*id));
         // A page already registered is on its way to another reader.
         let (batch, tickets): (Vec<PageId>, Vec<u64>) = {
             let mut pending = self.pending.lock();
-            missing.into_iter().filter_map(|id| Some((id, pending.claim(id)?))).unzip()
+            missing.filter_map(|&id| Some((id, pending.claim(id)?))).unzip()
         };
-        let probe = probe_t0.elapsed();
-        let fetch_t0 = Instant::now();
-        let fetched = (|| {
-            let frames: Vec<Frame<'_>> =
-                batch.iter().map(|_| self.cache.make_room()).collect::<Result<_>>()?;
-            let fetched = self.cache.scheduler().fetch_batch(&batch, self.floor(&batch))?;
-            let (fetch, sink_t0) = (fetch_t0.elapsed(), Instant::now());
-            let newest = fetched.iter().map(|(page, _)| page.page_lsn()).max();
-            self.hold_for_apply(newest.unwrap_or(Lsn::ZERO), &"a scan batch's page")?;
-            Ok::<_, Error>((fetched, frames, fetch, sink_t0))
-        })();
-        let Ok((fetched, frames, fetch, sink_t0)) = fetched else {
-            self.unregister(batch.iter().zip(&tickets));
-            return;
-        };
-        let landed = |id: &PageId| fetched.iter().any(|(page, _)| page.page_id() == *id);
-        self.unregister(batch.iter().zip(&tickets).filter(|(id, _)| !landed(id)));
-        let mut installed = Vec::with_capacity(fetched.len());
-        for ((page, meta), frame) in fetched.into_iter().zip(frames) {
-            let id = page.page_id();
-            if self.install(page, frame).is_ok() {
-                self.cache.record_miss(
-                    id,
-                    MissTiming { probe, fetch, sink: sink_t0.elapsed() },
-                    meta,
-                );
-                installed.push(id);
-            }
+        if !batch.is_empty() {
+            self.fetch_batch(&batch, &tickets, probe_t0);
         }
-        UNREAD.set((self.key(), installed));
+        let _ = self.cache.install_local(local, ssd_done);
     }
 }
 
@@ -336,19 +346,12 @@ impl Secondary {
             Arc::new(|_| {}), // read-only node: nothing to flush
             Arc::new(move |id, lsn| evicted_cb.note_eviction(id, lsn)),
         )?;
-        let io = Arc::new(SecondaryIo {
+        let io = Arc::new(SecondaryIo::new(
             cache,
-            evicted: Arc::clone(&evicted),
-            applied: Arc::clone(&applied),
-            pending: Mutex::with_rank(
-                Registry::default(),
-                socrates_common::lock_rank::CORE_SECONDARY_PENDING,
-                "secondary.pending_fetches",
-            ),
-            metrics: Arc::clone(&metrics),
-            data_pages: Arc::default(),
-            future_wait: Duration::from_secs(10),
-        });
+            Arc::clone(&evicted),
+            Arc::clone(&applied),
+            Arc::clone(&metrics),
+        ));
         let tm = Arc::new(TxnManager::with_base(SECONDARY_TXN_BASE));
         let sec = Arc::new(Secondary {
             node,
@@ -390,6 +393,11 @@ impl Secondary {
     /// This node's id.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// This node's page cache.
+    pub fn cache(&self) -> &Arc<TieredCache> {
+        &self.io.cache
     }
 
     /// Counters.
@@ -523,7 +531,7 @@ impl Secondary {
             }
         }
         match self.io.cache.get_if_resident(page_id)? {
-            Some(pref) => {
+            Some((pref, _)) => {
                 let mut page = pref.write();
                 if page.page_lsn() < lsn {
                     let (op, _) = PageOp::decode(op_bytes)?;
@@ -548,3 +556,6 @@ impl Drop for Secondary {
         self.stop();
     }
 }
+
+#[cfg(test)]
+mod tests;

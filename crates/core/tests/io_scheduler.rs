@@ -438,3 +438,47 @@ fn a_record_for_a_page_on_the_wire_is_applied_to_it() {
         assert_eq!(read(&sec, scan, 1_050), pad(1_050, "new"), "scan {scan}");
     }
 }
+
+/// A scan's RBPEX read is installed only if RBPEX still maps the page at
+/// the PageLSN read. Here the read's install waits behind the scan's
+/// batch, parked at page servers behind the secondary, while the leaf is
+/// loaded, updated by the apply loop and spilled again: the stale copy
+/// must not replace the update.
+#[test]
+fn a_stale_rbpex_read_is_not_installed_over_an_update() {
+    let (sys, sec) = with_secondary();
+    // Key 1 050's leaf goes to RBPEX; the scan's other leaves are cold.
+    assert_eq!(read(&sec, false, 1_050), pad(1_050, "v"));
+    let cache = sec.cache();
+    cache.flush_mem().unwrap();
+    // The secondary applies an update the stopped page servers have not,
+    // so the scan's batch waits for them to catch up.
+    for ps in servers(&sys) {
+        ps.stop();
+    }
+    let ahead = update(&sys, 1_500);
+    sec.wait_applied(ahead, Duration::from_secs(5)).unwrap();
+    let parked = || ps_total(&sys, |m| m.get_page_waits.get());
+    let requests = || ps_total(&sys, |m| m.range_requests.get());
+    let (parked_before, requests_before) = (parked(), requests());
+    std::thread::scope(|scope| {
+        let scan = scope.spawn(|| read(&sec, true, 1_050));
+        until("the scan's batch to park", || parked() > parked_before);
+        // The scan has read the leaf from RBPEX. The apply loop loads it
+        // and applies the update, and the leaf is spilled again: the scan
+        // pins only its inner pages.
+        let lsn = update(&sys, 1_050);
+        sec.wait_applied(lsn, Duration::from_secs(5)).unwrap();
+        let _ = cache.flush_mem();
+        assert_eq!(requests(), requests_before, "the batch, and the SSD read behind it, wait");
+        for ps in servers(&sys) {
+            while ps.applied_lsn() < lsn {
+                ps.apply_once().unwrap();
+            }
+        }
+        // The scan's snapshot predates the update.
+        assert_eq!(scan.join().unwrap(), pad(1_050, "v"));
+    });
+    assert_eq!(read(&sec, true, 1_050), pad(1_050, "new"));
+    assert_eq!(read(&sec, false, 1_050), pad(1_050, "new"));
+}

@@ -447,6 +447,9 @@ impl BTree {
     }
 
     /// Collect entries with `lo <= key < hi`, up to `limit`.
+    // soclint-allow: lock-across-io a walk holds the tree's read lock across
+    // its page reads so that no split moves keys past it; the read-ahead
+    // makes a scan's RBPEX reads one device wait instead of one per leaf
     pub fn range(
         &self,
         io: &dyn PageAccess,

@@ -280,6 +280,8 @@ impl Database {
     /// simple variant that requires *no* snapshots older than the aborted
     /// transactions to be open (run it between batches, after recovery,
     /// or from a maintenance window).
+    // soclint-allow: lock-across-io a maintenance pass keeps the table's
+    // writers out of its whole walk, page reads included
     pub fn cleanup_aborted(&self, table: &str) -> Result<usize> {
         let t = self.table(table)?;
         let sys = TxnId::new(0);

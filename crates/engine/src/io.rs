@@ -30,9 +30,10 @@ pub trait PageAccess: Send + Sync {
     fn page(&self, id: PageId) -> Result<PageRef>;
 
     /// Advisory read-ahead: the caller is about to read `ids`, in this
-    /// order (a scan's children in range). A primary prefetches them in the
-    /// background, a secondary fetches those it lacks in one batch before
-    /// returning; the default does nothing.
+    /// order (a scan's children in range). Both nodes read the ones RBPEX
+    /// holds before returning, waiting once for the last SSD read; a
+    /// primary prefetches the others in the background, a secondary
+    /// fetches them in one batch meanwhile. The default does nothing.
     fn read_ahead(&self, _ids: &[PageId]) {}
 }
 
@@ -203,13 +204,23 @@ impl PageAccess for LoggedPageIo {
         Ok(page)
     }
 
-    /// Post `ids` to the I/O scheduler's thread as one hint.
+    /// Post `ids` to the I/O scheduler's thread as one hint, and read the
+    /// ones RBPEX holds among the first of `ids` not in memory (up to the
+    /// cache's batch cap) with one SSD wait for all of them. A walk that
+    /// needs one off-memory read in all leaves it to the demand path.
     fn read_ahead(&self, ids: &[PageId]) {
         // A prefetched page must satisfy the same freshness floor a demand
         // read would use: the max evicted LSN over the hint is safe for
         // every member (GetPage@LSN may return newer).
         let min_lsn = ids.iter().map(|&id| self.evicted.lsn_for(id)).max().unwrap_or(Lsn::ZERO);
         self.cache.prefetch(ids, min_lsn);
+        let wanted = self.cache.ahead_of_memory(ids);
+        if wanted.len() < 2 {
+            return;
+        }
+        if let Ok((pages, done)) = self.cache.read_local(&wanted) {
+            let _ = self.cache.install_local(pages, done);
+        }
     }
 }
 
@@ -373,9 +384,35 @@ mod tests {
     use super::*;
     use socrates_storage::slotted::Slotted;
 
+    /// A source that holds no page: these tests never fetch, and any
+    /// miss is a test bug.
+    struct NoRemote;
+
+    impl socrates_storage::cache::PageSource for NoRemote {
+        fn fetch_page(&self, id: PageId, _min_lsn: Lsn) -> Result<Page> {
+            Err(Error::NotFound(format!("{id}")))
+        }
+    }
+
+    impl socrates_storage::RangedPageSource for NoRemote {
+        fn fetch_pages(&self, ids: &[PageId], _min_lsn: Lsn) -> Result<Vec<Page>> {
+            Err(Error::NotFound(format!("{ids:?}")))
+        }
+    }
+
     /// A `LoggedPageIo` over a one-replica in-memory landing zone, minting
     /// contexts from `spans`, with the commit-stage set it feeds.
     fn logged_io(
+        spans: &Arc<SpanRing>,
+        next_page: u64,
+    ) -> (Arc<LoggedPageIo>, Arc<StageHists<Stage>>) {
+        let cache = Arc::new(TieredCache::with_defaults(64, None, Arc::new(NoRemote)));
+        logged_io_over(cache, spans, next_page)
+    }
+
+    /// [`logged_io`] over `cache`.
+    fn logged_io_over(
+        cache: Arc<TieredCache>,
         spans: &Arc<SpanRing>,
         next_page: u64,
     ) -> (Arc<LoggedPageIo>, Arc<StageHists<Stage>>) {
@@ -383,14 +420,6 @@ mod tests {
         use socrates_storage::{Fcb, MemFcb};
         use socrates_wal::landing_zone::{LandingZone, LandingZoneConfig};
         use socrates_wal::pipeline::{BlockSink, LogPipelineConfig};
-
-        /// Commit path never fetches; any miss is a test bug.
-        struct NoRemote;
-        impl socrates_storage::cache::PageSource for NoRemote {
-            fn fetch_page(&self, id: PageId, _min_lsn: Lsn) -> Result<Page> {
-                Err(Error::NotFound(format!("{id}")))
-            }
-        }
 
         let lz = Arc::new(LandingZone::new(
             vec![Arc::new(MemFcb::new("lz")) as Arc<dyn Fcb>],
@@ -407,7 +436,7 @@ mod tests {
         ));
         let stages = Arc::new(StageHists::default());
         let io = Arc::new(LoggedPageIo::new(
-            Arc::new(TieredCache::with_defaults(64, None, Arc::new(NoRemote))),
+            cache,
             pipeline,
             Arc::new(EvictedLsnMap::new(16)),
             next_page,
@@ -484,6 +513,46 @@ mod tests {
             .rfind(|s| s.kind == SpanKind::CommitEngine)
             .expect("commit.engine span");
         assert!((5_000..=bound_us).contains(&(span.dur_ns / 1_000)), "span {} ns", span.dur_ns);
+    }
+
+    #[test]
+    fn a_scan_reads_its_rbpex_leaves_with_one_deadline_read_each() {
+        use crate::BTree;
+        use socrates_storage::{CountingFcb, Fcb, MemFcb, Rbpex};
+        // A tree of some ten leaves under one root, built in memory.
+        let built = MemIo::new(1);
+        let tree = BTree::create(&built, TxnId::new(1)).unwrap();
+        for k in 0u32..40 {
+            tree.insert(&built, TxnId::new(1), &k.to_be_bytes(), &[7; 1000]).unwrap();
+        }
+        // Every page of it in RBPEX only, on a counted device.
+        let ssd = Arc::new(CountingFcb::new(MemFcb::new("ssd")));
+        let meta = Arc::new(MemFcb::new("meta"));
+        let rbpex = Rbpex::create(Arc::clone(&ssd) as Arc<dyn Fcb>, meta, 64).unwrap();
+        for id in 1..=built.len() as u64 {
+            rbpex.put(&built.page(PageId::new(id)).unwrap().read()).unwrap();
+        }
+        let cache = TieredCache::with_scheduler(
+            64,
+            Some(Arc::new(rbpex)),
+            Arc::new(NoRemote),
+            Arc::new(|_| {}),
+            Arc::new(|_, _| {}),
+            (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
+            false,
+        );
+        let (io, _) = logged_io_over(cache, &Arc::new(SpanRing::disabled()), 100);
+        let rows = BTree::open(tree.root())
+            .range(&*io, &4u32.to_be_bytes(), &20u32.to_be_bytes(), 100)
+            .unwrap();
+        assert_eq!(rows.len(), 16);
+        // The root is read on demand; each leaf is one read issued by the
+        // read-ahead, and every read counts once, as an SSD hit.
+        let (reads, leaves) = (ssd.reads(), ssd.deadline_reads());
+        assert_eq!(reads, 1, "only the root is waited out alone");
+        assert!(leaves >= 3, "the scan read {leaves} leaves");
+        assert_eq!(io.cache().stats().ssd_hits.get(), reads + leaves);
+        assert_eq!(io.data_pages().hits.get(), leaves);
     }
 
     #[test]

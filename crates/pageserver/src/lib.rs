@@ -37,6 +37,7 @@ pub use compactor::CompactionWorker;
 
 use parking_lot::Mutex;
 use socrates_common::fault::{sites as fault_sites, FaultOutcome, FaultRegistry};
+use socrates_common::latency::precise_sleep;
 use socrates_common::lsn::{AtomicLsn, Watermark, IDLE_WAIT, RETRY_PAUSE};
 use socrates_common::metrics::{Counter, CpuAccountant, Histogram};
 use socrates_common::obs::{SpanKind, SpanRing, TraceCtx};
@@ -55,7 +56,7 @@ use socrates_xstore::{SnapshotId, XStore};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The background checkpointer runs once this many pages are dirty.
 const CHECKPOINT_DIRTY_PAGES: usize = 256;
@@ -975,10 +976,11 @@ impl PageServer {
     }
 
     /// Multi-page read of `ids`, in their order: plan every page and, for
-    /// each contiguous run of ids, read each image the run's plans picked
-    /// once — one device I/O over the pages resolved to it — then replay
-    /// each page over its copy. A page its image does not hold reaches the
-    /// external base the single-page way.
+    /// each contiguous run of ids, issue one read of each image the run's
+    /// plans picked — one device I/O over the pages resolved to it — then
+    /// wait once, for the last read, and replay each page over its copy.
+    /// The batch costs its slowest device read, not their sum. A page its
+    /// image does not hold reaches the external base the single-page way.
     pub fn get_pages(&self, ids: &[PageId], min_lsn: Lsn) -> Result<Vec<Page>> {
         for id in ids {
             if !self.spec.contains(*id) {
@@ -994,17 +996,18 @@ impl PageServer {
         let at = self.applied.load();
         let plans: Vec<Plan> = ids.iter().map(|id| self.plan(*id, at)).collect();
         let mut bases: Vec<Option<Page>> = vec![None; ids.len()];
-        let mut run_start = 0;
+        let (mut run_start, mut done) = (0, Instant::now());
         for end in 1..=ids.len() {
             if end == ids.len() || ids[end].raw() != ids[end - 1].raw() + 1 {
-                self.read_images(
+                done = done.max(self.read_images(
                     &ids[run_start..end],
                     &plans[run_start..end],
                     &mut bases[run_start..end],
-                )?;
+                )?);
                 run_start = end;
             }
         }
+        precise_sleep(done.saturating_duration_since(Instant::now()));
         let mut out = Vec::with_capacity(ids.len());
         for ((id, plan), base) in ids.iter().zip(&plans).zip(bases) {
             let (page, depth) = self
@@ -1020,12 +1023,14 @@ impl PageServer {
 
     /// Read the base copies of the contiguous run `ids` into `bases`: each
     /// image its `plans` picked, once, over the pages resolved to it.
+    /// Returns when the last of those reads completes, without waiting.
     fn read_images(
         &self,
         ids: &[PageId],
         plans: &[Plan],
         bases: &mut [Option<Page>],
-    ) -> Result<()> {
+    ) -> Result<Instant> {
+        let mut done = Instant::now();
         let mut read: Vec<&Arc<ImageLayer>> = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             let Some(image) = &plan.image else { continue };
@@ -1035,14 +1040,15 @@ impl PageServer {
             read.push(image);
             let mine = |p: &Plan| p.image.as_ref().is_some_and(|m| Arc::ptr_eq(m, image));
             let last = plans.iter().rposition(mine).unwrap_or(i);
-            let pages = image.get_range_partial(&ids[i..=last])?;
+            let (pages, read_done) = image.get_range_partial(&ids[i..=last])?;
+            done = done.max(read_done);
             for (j, page) in (i..=last).zip(pages) {
                 if mine(&plans[j]) {
                     bases[j] = page;
                 }
             }
         }
-        Ok(())
+        Ok(done)
     }
 
     /// The GetPage@LSN freshness wait: `applied ≥ min_lsn` or a timeout.
@@ -1749,6 +1755,44 @@ mod tests {
         // Out-of-partition pages rejected.
         let ids: Vec<PageId> = (95..105).map(PageId::new).collect();
         assert!(ps.get_pages(&ids, Lsn::ZERO).is_err());
+    }
+
+    #[test]
+    fn a_batch_issues_each_runs_image_read_and_waits_once() {
+        use socrates_storage::CountingFcb;
+        let mut f = Fixture::new();
+        let ps = f.server("ps0", spec(0));
+        let ops: Vec<(u64, PageOp)> =
+            (10..40).map(|p| (p, PageOp::Format { ptype: PageType::BTreeLeaf })).collect();
+        f.emit(&ops);
+        ps.apply_once().unwrap();
+        ps.checkpoint().unwrap();
+        let (data_blob, meta_blob) = ps.blobs();
+        // A replacement seeded from the blob holds every page in its base
+        // image, on the counted device.
+        let ssd = Arc::new(CountingFcb::new(MemFcb::new("ps0b-ssd")));
+        let b = PageServer::attach(
+            "ps0b",
+            spec(0),
+            PageServerConfig::default(),
+            Arc::clone(&ssd) as Arc<dyn Fcb>,
+            Arc::clone(&f.xstore),
+            data_blob,
+            meta_blob,
+            Arc::clone(&f.xlog),
+            PageServerWiring::unwired(),
+        )
+        .unwrap();
+        b.seed_blocking();
+        // Three runs that are not adjacent: one read each, none waited alone.
+        let ids: Vec<PageId> = [11, 12, 20, 21, 22, 35].into_iter().map(PageId::new).collect();
+        let before = (ssd.reads(), ssd.deadline_reads());
+        let pages = b.get_pages(&ids, Lsn::ZERO).unwrap();
+        assert_eq!(pages.iter().map(|p| p.page_id()).collect::<Vec<_>>(), ids);
+        assert_eq!((ssd.reads(), ssd.deadline_reads()), (before.0, before.1 + 3));
+        // A single GetPage still waits out its read.
+        b.get_page(PageId::new(30), Lsn::ZERO).unwrap();
+        assert_eq!((ssd.reads(), ssd.deadline_reads()), (before.0 + 1, before.1 + 3));
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! * **Hit-rate accounting** — Tables 3 and 4 of the paper report the
 //!   "local cache hit %", i.e. (memory + SSD hits) / all page reads.
 //!
+//! A scan's read-ahead reads the RBPEX-resident pages it names with
+//! deadline reads ([`TieredCache::read_local`]), waits once for the last,
+//! and installs each only if RBPEX still maps it at the PageLSN read
+//! ([`TieredCache::install_local`]). A page a read-ahead installed carries
+//! the tier it came from, and its first read counts against that tier.
+//!
 //! A remote miss reserves a memory frame, fetches its page on its own
 //! thread, and installs into that frame. With the I/O scheduler's
 //! background thread the frame is normally free already: the thread is the
@@ -115,8 +121,8 @@ pub struct CacheStats {
     pub fetches: Counter,
     /// Pages pushed out of the node entirely.
     pub node_evictions: Counter,
-    /// Pages installed by the I/O scheduler's background prefetch (they
-    /// turn later demand reads into memory hits).
+    /// Pages installed by the I/O scheduler's background prefetch (the
+    /// first read of each counts as the remote fetch it was).
     pub prefetch_installs: Counter,
     /// Memory evictions a reader ran on its own thread because no frame
     /// was free, rather than the lazy writer ahead of it.
@@ -154,6 +160,9 @@ impl CacheStats {
 struct MemEntry {
     page: PageRef,
     referenced: bool,
+    /// Where a read-ahead brought the page from, until its first read
+    /// reports it (`None` for every other install).
+    ahead: Option<CacheTier>,
 }
 
 struct MemTier {
@@ -186,13 +195,14 @@ pub struct Frame<'a> {
 impl Frame<'_> {
     /// Install the fetched `page` into this frame, without evicting. If the
     /// page is already resident (a concurrent miss of it installed first),
-    /// the existing entry wins and is returned.
-    pub fn install(self, page: Page) -> PageRef {
+    /// the existing entry wins and is returned. A read-ahead passes the
+    /// tier the page came from as `ahead`, for its first read to report.
+    pub fn install(self, page: Page, ahead: Option<CacheTier>) -> PageRef {
         let cache = self.cache;
         std::mem::forget(self);
         let mut mem = cache.mem.lock();
         mem.reserved -= 1;
-        admit(&mut mem, page)
+        admit(&mut mem, page, ahead)
     }
 }
 
@@ -202,16 +212,16 @@ impl Drop for Frame<'_> {
     }
 }
 
-/// Insert `page` unless it is already resident, in which case the existing
-/// entry wins.
-fn admit(mem: &mut MemTier, page: Page) -> PageRef {
+/// Insert `page`, tagged with the tier a read-ahead brought it from,
+/// unless it is already resident, in which case the existing entry wins.
+fn admit(mem: &mut MemTier, page: Page, ahead: Option<CacheTier>) -> PageRef {
     let id = page.page_id();
     if let Some(e) = mem.map.get_mut(&id) {
         e.referenced = true;
         return Arc::clone(&e.page);
     }
     let page_ref: PageRef = Arc::new(RwLock::new(page));
-    mem.map.insert(id, MemEntry { page: Arc::clone(&page_ref), referenced: true });
+    mem.map.insert(id, MemEntry { page: Arc::clone(&page_ref), referenced: true, ahead });
     mem.clock.push_back(id);
     page_ref
 }
@@ -406,7 +416,7 @@ impl TieredCache {
     /// resident entry always wins (it may carry newer local writes).
     pub fn install_prefetched(&self, page: Page) -> Result<PageRef> {
         self.stats.prefetch_installs.incr();
-        self.install_on(page, false)
+        self.install_on(page, false, Some(CacheTier::Remote))
     }
 
     /// Whether `id` is resident in memory (not merely on SSD).
@@ -427,15 +437,8 @@ impl TieredCache {
     // soclint-allow: hot-path one clock read per lookup starts the probe stage; the rest sit on the remote-miss path
     pub fn get(&self, id: PageId, min_lsn: impl FnOnce() -> Lsn) -> Result<(PageRef, CacheTier)> {
         let probe_t0 = Instant::now();
-        if let Some(p) = self.mem_lookup(id) {
-            self.stats.mem_hits.incr();
-            return Ok((p, CacheTier::Memory));
-        }
-        if let Some(rbpex) = &self.rbpex {
-            if let Some(page) = rbpex.get(id)? {
-                self.stats.ssd_hits.incr();
-                return Ok((self.install(page)?, CacheTier::Ssd));
-            }
+        if let Some(hit) = self.get_if_resident(id)? {
+            return Ok(hit);
         }
         let lsn = min_lsn();
         let probe = probe_t0.elapsed();
@@ -443,18 +446,25 @@ impl TieredCache {
         let (page, meta, frame) = self.fetch_remote(id, lsn)?;
         let fetch = fetch_t0.elapsed();
         let sink_t0 = Instant::now();
-        let page_ref = frame.install(page);
+        let page_ref = frame.install(page, None);
         self.record_miss(id, MissTiming { probe, fetch, sink: sink_t0.elapsed() }, meta);
         Ok((page_ref, CacheTier::Remote))
     }
 
-    /// Account one completed remote miss: count it, feed the five
-    /// read-stage histograms, and — when the source sampled it — close its
-    /// `getpage` root span (`arg` = page id) with the three cache-side
-    /// stage children (`rbio.net` and `ps.serve` were recorded by the
-    /// source and the server under the same root).
-    pub fn record_miss(&self, id: PageId, t: MissTiming, mut meta: FetchMeta) {
+    /// Account one completed remote miss: count it and
+    /// [`TieredCache::record_fetch`] it.
+    pub fn record_miss(&self, id: PageId, t: MissTiming, meta: FetchMeta) {
         self.stats.fetches.incr();
+        self.record_fetch(id, t, meta);
+    }
+
+    /// Time one completed remote fetch: feed the five read-stage
+    /// histograms, and — when the source sampled it — close its `getpage`
+    /// root span (`arg` = page id) with the three cache-side stage
+    /// children (`rbio.net` and `ps.serve` were recorded by the source and
+    /// the server under the same root). A read-ahead's fetch is counted
+    /// later, by the page's first read.
+    pub fn record_fetch(&self, id: PageId, t: MissTiming, mut meta: FetchMeta) {
         let fetch_ns = t.fetch.as_nanos() as u64;
         if meta.net_ns == 0 {
             // The source could not attribute the round trip; charge the
@@ -497,35 +507,41 @@ impl TieredCache {
     }
 
     /// Get `id` only if it is already resident on this node (no remote
-    /// fetch). Used by secondaries' apply loop, which ignores log records
-    /// for non-cached pages.
-    pub fn get_if_resident(&self, id: PageId) -> Result<Option<PageRef>> {
-        if let Some(p) = self.mem_lookup(id) {
-            self.stats.mem_hits.incr();
-            return Ok(Some(p));
-        }
-        if let Some(rbpex) = &self.rbpex {
-            if let Some(page) = rbpex.get(id)? {
-                self.stats.ssd_hits.incr();
-                return Ok(Some(self.install(page)?));
+    /// fetch), with the tier the read counts against: memory, RBPEX, or
+    /// — on the first read of a read-ahead's page — the tier the page
+    /// came from. Used by secondaries, whose apply loop ignores log
+    /// records for non-cached pages.
+    pub fn get_if_resident(&self, id: PageId) -> Result<Option<(PageRef, CacheTier)>> {
+        let hit = match self.mem_lookup(id) {
+            Some(hit) => hit,
+            None => {
+                let Some(rbpex) = &self.rbpex else { return Ok(None) };
+                let Some(page) = rbpex.get(id)? else { return Ok(None) };
+                (self.install(page)?, CacheTier::Ssd)
             }
+        };
+        match hit.1 {
+            CacheTier::Memory => self.stats.mem_hits.incr(),
+            CacheTier::Ssd => self.stats.ssd_hits.incr(),
+            CacheTier::Remote => self.stats.fetches.incr(),
         }
-        Ok(None)
+        Ok(Some(hit))
     }
 
     /// Install a page created by this node (allocation) or received out of
     /// band. If the page is already resident in memory the existing entry
     /// wins and is returned.
     pub fn install(&self, page: Page) -> Result<PageRef> {
-        self.install_on(page, true)
+        self.install_on(page, true, None)
     }
 
     /// [`TieredCache::install`] from a reader's thread, or the background
-    /// thread's (whose evictions are not counted as inline).
-    fn install_on(&self, page: Page, on_reader: bool) -> Result<PageRef> {
+    /// thread's (whose evictions are not counted as inline), tagged for a
+    /// read-ahead as `ahead`.
+    fn install_on(&self, page: Page, on_reader: bool, ahead: Option<CacheTier>) -> Result<PageRef> {
         let id = page.page_id();
         let mut mem = self.room(|mem| mem.map.contains_key(&id), on_reader)?;
-        let page_ref = admit(&mut mem, page);
+        let page_ref = admit(&mut mem, page, ahead);
         self.unlock_taken(mem);
         Ok(page_ref)
     }
@@ -555,11 +571,14 @@ impl TieredCache {
         }
     }
 
-    fn mem_lookup(&self, id: PageId) -> Option<PageRef> {
+    /// The memory entry of `id`, and the tier its read counts against:
+    /// the one a read-ahead brought it from, on its first read, and memory
+    /// after that.
+    fn mem_lookup(&self, id: PageId) -> Option<(PageRef, CacheTier)> {
         let mut mem = self.mem.lock();
         mem.map.get_mut(&id).map(|e| {
             e.referenced = true;
-            Arc::clone(&e.page)
+            (Arc::clone(&e.page), e.ahead.take().unwrap_or(CacheTier::Memory))
         })
     }
 
@@ -706,5 +725,6 @@ impl TieredCache {
     }
 }
 
+mod ahead;
 #[cfg(test)]
 pub(crate) mod tests;

@@ -621,3 +621,75 @@ fn a_64_frame_scheduled_cache_keeps_4_frames_free() {
     assert_eq!(cache.stats().inline_evictions.get(), 0, "a miss evicted on its own thread");
     assert_eq!(cache.mem.lock().map.len(), 60, "the writer evicted past the reserve");
 }
+
+/// A cache of `mem` frames over an 8-frame RBPEX on `device`, whose batch
+/// cap lets a read-ahead read RBPEX (no page is ever fetched).
+fn local_cache(mem: usize, device: Arc<dyn Fcb>) -> Arc<TieredCache> {
+    TieredCache::with_scheduler(
+        mem,
+        Some(rbpex_on(8, device)),
+        HookedSource::new(|id| panic!("{id} fetched")),
+        Arc::new(|_| {}),
+        Arc::new(|_, _| {}),
+        (Arc::new(SpanRing::disabled()), NodeId::PRIMARY),
+        false,
+    )
+}
+
+/// Page `id` at `lsn`, holding `fill`, in RBPEX only.
+fn spilled(cache: &TieredCache, id: u64, lsn: u64, fill: u8) {
+    let mut p = Page::new(PageId::new(id), PageType::BTreeLeaf);
+    p.set_page_lsn(Lsn::new(lsn));
+    p.body_mut()[0] = fill;
+    drop(cache.install(p).unwrap());
+    cache.flush_mem().unwrap();
+}
+
+#[test]
+fn a_local_read_that_went_stale_is_dropped() {
+    let cache = local_cache(16, Arc::new(MemFcb::new("ssd")));
+    let id = PageId::new(1);
+    spilled(&cache, 1, 10, 1);
+    let (read, _) = cache.read_local(&[id]).unwrap();
+    assert_eq!(read.len(), 1);
+    // Before the read is installed, the page is loaded, updated and
+    // spilled again: RBPEX maps it at a newer PageLSN.
+    let (p, _) = cache.get(id, || Lsn::ZERO).unwrap();
+    p.write().set_page_lsn(Lsn::new(20));
+    p.write().body_mut()[0] = 2;
+    drop(p);
+    cache.flush_mem().unwrap();
+    assert_eq!(cache.install_local(read, Instant::now()).unwrap(), 0, "the stale copy is dropped");
+    assert!(!cache.in_memory(id));
+    let (p, tier) = cache.get(id, || Lsn::ZERO).unwrap();
+    assert_eq!((p.read().page_lsn(), p.read().body()[0], tier), (Lsn::new(20), 2, CacheTier::Ssd));
+    // A copy RBPEX still maps is installed, and a memory entry wins over it.
+    drop(p);
+    cache.flush_mem().unwrap();
+    let (read, done) = cache.read_local(&[id]).unwrap();
+    assert_eq!(cache.install_local(read.clone(), done).unwrap(), 1);
+    assert_eq!(cache.install_local(read, done).unwrap(), 1);
+    assert!(cache.in_memory(id));
+}
+
+#[test]
+fn a_read_ahead_page_counts_once_against_the_tier_it_came_from() {
+    let cache = local_cache(16, Arc::new(MemFcb::new("ssd")));
+    spilled(&cache, 1, 10, 1);
+    let (read, done) = cache.read_local(&[PageId::new(1), PageId::new(2)]).unwrap();
+    assert_eq!(read.len(), 1, "page 2 is in no tier");
+    assert_eq!(cache.install_local(read, done).unwrap(), 1);
+    let mut prefetched = Page::new(PageId::new(3), PageType::BTreeLeaf);
+    prefetched.set_page_lsn(Lsn::new(30));
+    drop(cache.install_prefetched(prefetched).unwrap());
+    let stats = cache.stats();
+    let before = (stats.mem_hits.get(), stats.ssd_hits.get(), stats.fetches.get());
+    let tiers: Vec<CacheTier> = [1, 3, 1, 3]
+        .iter()
+        .map(|&id| cache.get_if_resident(PageId::new(id)).unwrap().unwrap().1)
+        .collect();
+    use CacheTier::*;
+    assert_eq!(tiers, [Ssd, Remote, Memory, Memory]);
+    let after = (stats.mem_hits.get(), stats.ssd_hits.get(), stats.fetches.get());
+    assert_eq!(after, (before.0 + 2, before.1 + 1, before.2 + 1));
+}

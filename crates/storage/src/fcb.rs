@@ -35,6 +35,14 @@ pub trait Fcb: Send + Sync {
         self.write_at(offset, data)?;
         Ok(Instant::now())
     }
+    /// Issue a read of `buf.len()` bytes at `offset` without waiting for
+    /// it: `buf` is filled when this returns, and the modelled read
+    /// completes at the returned instant. A caller with several reads
+    /// issues them all and waits once, for the last deadline.
+    fn read_deadline(&self, offset: u64, buf: &mut [u8]) -> Result<Instant> {
+        self.read_at(offset, buf)?;
+        Ok(Instant::now())
+    }
     /// Current device length in bytes.
     fn len(&self) -> Result<u64>;
     /// Whether the device is empty.
@@ -192,6 +200,13 @@ impl<F: Fcb> Fcb for LatencyFcb<F> {
         Ok(self.inner.write_deadline(offset, data)?.max(issued + service))
     }
 
+    fn read_deadline(&self, offset: u64, buf: &mut [u8]) -> Result<Instant> {
+        let issued = Instant::now();
+        let service = self.injector.read_sample();
+        self.charge(buf.len());
+        Ok(self.inner.read_deadline(offset, buf)?.max(issued + service))
+    }
+
     fn len(&self) -> Result<u64> {
         self.inner.len()
     }
@@ -284,6 +299,11 @@ impl<F: Fcb> Fcb for FaultFcb<F> {
         self.inner.write_deadline(offset, data)
     }
 
+    fn read_deadline(&self, offset: u64, buf: &mut [u8]) -> Result<Instant> {
+        self.check(&self.fail_next_reads, "read")?;
+        self.inner.read_deadline(offset, buf)
+    }
+
     fn len(&self) -> Result<u64> {
         self.inner.len()
     }
@@ -293,6 +313,73 @@ impl<F: Fcb> Fcb for FaultFcb<F> {
         if self.unavailable.load(Ordering::SeqCst) {
             return Err(Error::Unavailable(format!("{}: device offline", self.inner.name())));
         }
+        self.inner.flush()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+/// Counting wrapper: tallies the calls each device operation receives,
+/// so a test can check the shape of the I/O a path issues — how many
+/// reads, and whether it waits on each.
+pub struct CountingFcb<F: Fcb> {
+    inner: F,
+    reads: AtomicU64,
+    deadline_reads: AtomicU64,
+    writes: AtomicU64,
+}
+
+impl<F: Fcb> CountingFcb<F> {
+    /// Wrap `inner` with every count at zero.
+    pub fn new(inner: F) -> Self {
+        let zero = AtomicU64::new;
+        CountingFcb { inner, reads: zero(0), deadline_reads: zero(0), writes: zero(0) }
+    }
+
+    /// `read_at` calls so far: reads the caller waited out one by one.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed) // ordering: relaxed — a tally
+    }
+
+    /// `read_deadline` calls so far.
+    pub fn deadline_reads(&self) -> u64 {
+        self.deadline_reads.load(Ordering::Relaxed) // ordering: relaxed — a tally
+    }
+
+    /// `write_at` and `write_deadline` calls so far.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed) // ordering: relaxed — a tally
+    }
+}
+
+impl<F: Fcb> Fcb for CountingFcb<F> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.reads.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a tally
+        self.inner.read_at(offset, buf)
+    }
+
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.writes.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a tally
+        self.inner.write_at(offset, data)
+    }
+
+    fn write_deadline(&self, offset: u64, data: &[u8]) -> Result<Instant> {
+        self.writes.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a tally
+        self.inner.write_deadline(offset, data)
+    }
+
+    fn read_deadline(&self, offset: u64, buf: &mut [u8]) -> Result<Instant> {
+        self.deadline_reads.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a tally
+        self.inner.read_deadline(offset, buf)
+    }
+
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+
+    fn flush(&self) -> Result<()> {
         self.inner.flush()
     }
 
@@ -327,15 +414,36 @@ impl PageFile {
         Page::from_io_bytes(expected_id, &buf)
     }
 
-    /// Read `count` consecutive frames in one device I/O (stride-preserving
-    /// layout: one request at the device even for a 128-page scan read).
-    pub fn read_page_range(&self, first_frame: u64, ids: &[PageId]) -> Result<Vec<Page>> {
+    /// [`PageFile::read_page`] issued with [`Fcb::read_deadline`]: the
+    /// page is read and verified at once, and the modelled read completes
+    /// at the returned instant.
+    pub fn read_page_deadline(
+        &self,
+        frame_no: u64,
+        expected_id: PageId,
+    ) -> Result<(Page, Instant)> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let done = self.fcb.read_deadline(frame_no * PAGE_SIZE as u64, &mut buf)?;
+        Ok((Page::from_io_bytes(expected_id, &buf)?, done))
+    }
+
+    /// Issue a read of `count` consecutive frames as one device I/O
+    /// (stride-preserving layout: one request at the device even for a
+    /// 128-page scan read), returning the pages and the instant the read
+    /// completes ([`Fcb::read_deadline`]).
+    pub fn read_page_range(
+        &self,
+        first_frame: u64,
+        ids: &[PageId],
+    ) -> Result<(Vec<Page>, Instant)> {
         let mut buf = vec![0u8; PAGE_SIZE * ids.len()];
-        self.fcb.read_at(first_frame * PAGE_SIZE as u64, &mut buf)?;
-        ids.iter()
+        let done = self.fcb.read_deadline(first_frame * PAGE_SIZE as u64, &mut buf)?;
+        let pages = ids
+            .iter()
             .enumerate()
             .map(|(i, &id)| Page::from_io_bytes(id, &buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]))
-            .collect()
+            .collect::<Result<_>>()?;
+        Ok((pages, done))
     }
 
     /// Like [`PageFile::read_page_range`], but only the frames flagged
@@ -345,10 +453,10 @@ impl PageFile {
         &self,
         first_frame: u64,
         ids: &[(PageId, bool)],
-    ) -> Result<Vec<Option<Page>>> {
+    ) -> Result<(Vec<Option<Page>>, Instant)> {
         let mut buf = vec![0u8; PAGE_SIZE * ids.len()];
-        self.fcb.read_at(first_frame * PAGE_SIZE as u64, &mut buf)?;
-        Ok(ids
+        let done = self.fcb.read_deadline(first_frame * PAGE_SIZE as u64, &mut buf)?;
+        let pages = ids
             .iter()
             .enumerate()
             .map(|(i, &(id, present))| {
@@ -357,7 +465,8 @@ impl PageFile {
                 }
                 Page::from_io_bytes(id, &buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]).ok()
             })
-            .collect())
+            .collect();
+        Ok((pages, done))
     }
 
     /// Seal and write `page` into frame `frame_no`.
@@ -440,6 +549,38 @@ mod tests {
     }
 
     #[test]
+    fn fault_fcb_fails_deadline_reads_too() {
+        let f = FaultFcb::new(MemFcb::new("d"));
+        f.write_at(0, b"abc").unwrap();
+        f.fail_next_reads(1);
+        assert_eq!(f.read_deadline(0, &mut [0u8; 3]).unwrap_err().kind(), "io");
+        f.set_unavailable(true);
+        assert!(f.read_deadline(0, &mut [0u8; 3]).unwrap_err().is_transient());
+        f.set_unavailable(false);
+        let mut b = [0u8; 3];
+        f.read_deadline(0, &mut b).unwrap();
+        assert_eq!(&b, b"abc");
+    }
+
+    #[test]
+    fn a_deadline_read_fills_the_buffer_and_leaves_the_wait_to_the_caller() {
+        use socrates_common::latency::{DeviceProfile, LatencyModel};
+        // Reads take a minute, so the read returns long before its deadline.
+        let read = LatencyModel::fixed(60_000_000);
+        let profile = DeviceProfile { read, ..DeviceProfile::instant() };
+        let counted = CountingFcb::new(MemFcb::new("x"));
+        counted.write_at(0, b"hello").unwrap();
+        let f = LatencyFcb::new(counted, LatencyInjector::new(profile, 1), None);
+        let issued = Instant::now();
+        let mut buf = [0u8; 5];
+        let done = f.read_deadline(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"hello");
+        assert!(done >= issued + std::time::Duration::from_secs(60), "the read's deadline");
+        assert!(Instant::now() < done, "the read waited out its deadline");
+        assert_eq!((f.inner.reads(), f.inner.deadline_reads()), (0, 1));
+    }
+
+    #[test]
     fn page_file_roundtrip_and_range() {
         let pf = PageFile::new(Arc::new(MemFcb::new("pages")));
         let ids: Vec<PageId> = (0..4).map(PageId::new).collect();
@@ -451,7 +592,7 @@ mod tests {
         assert_eq!(pf.frame_count().unwrap(), 4);
         let p2 = pf.read_page(2, ids[2]).unwrap();
         assert_eq!(p2.body()[0], 2);
-        let all = pf.read_page_range(0, &ids).unwrap();
+        let (all, _) = pf.read_page_range(0, &ids).unwrap();
         assert_eq!(all.len(), 4);
         for (i, p) in all.iter().enumerate() {
             assert_eq!(p.body()[0], i as u8);

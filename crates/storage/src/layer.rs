@@ -28,6 +28,7 @@ use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One per-page delta: the LSN that produced it and the encoded
 /// [`PageOp`](crate::pageops::PageOp) bytes straight off the log.
@@ -263,7 +264,7 @@ impl BaseStore {
         }
     }
 
-    fn get_range_partial(&self, ids: &[PageId]) -> Result<Vec<Option<Page>>> {
+    fn get_range_partial(&self, ids: &[PageId]) -> Result<(Vec<Option<Page>>, Instant)> {
         let flagged: Vec<(PageId, bool)> =
             ids.iter().map(|&id| (id, self.held(id).is_some())).collect();
         let mut pages = vec![None; ids.len()];
@@ -273,14 +274,15 @@ impl BaseStore {
         let (Some(first), Some(last)) =
             (flagged.iter().position(|f| f.1), flagged.iter().rposition(|f| f.1))
         else {
-            return Ok(pages);
+            return Ok((pages, Instant::now()));
         };
         let first_frame = ids[first].raw() - self.base;
-        let window = self.file.read_page_range_partial(first_frame, &flagged[first..=last])?;
+        let (window, done) =
+            self.file.read_page_range_partial(first_frame, &flagged[first..=last])?;
         for (slot, page) in pages[first..=last].iter_mut().zip(window) {
             *slot = page;
         }
-        Ok(pages)
+        Ok((pages, done))
     }
 
     fn put(&self, page: &Page) -> Result<()> {
@@ -360,29 +362,33 @@ impl ImageLayer {
         }
     }
 
-    /// Read whichever pages of the contiguous run `ids` this image holds
-    /// in one device I/O; absent pages come back `None`. The pages a
+    /// Issue one device read for whichever pages of the contiguous run
+    /// `ids` this image holds, and return them (absent pages as `None`)
+    /// with the instant the read completes ([`Fcb::read_deadline`]): a
+    /// caller reading several runs waits once, for the last. The pages a
     /// packed image holds inside a contiguous run sit in consecutive
     /// frames, so a packed read is one device read too.
-    pub fn get_range_partial(&self, ids: &[PageId]) -> Result<Vec<Option<Page>>> {
+    pub fn get_range_partial(&self, ids: &[PageId]) -> Result<(Vec<Option<Page>>, Instant)> {
         let (ImageStore::Packed { ids: held, file }, Some(first), Some(last)) =
             (&self.store, ids.first(), ids.last())
         else {
             return match &self.store {
                 ImageStore::Base(store) => store.get_range_partial(ids),
-                ImageStore::Packed { .. } => Ok(Vec::new()),
+                ImageStore::Packed { .. } => Ok((Vec::new(), Instant::now())),
             };
         };
         let lo = held.partition_point(|p| p < first);
         let hi = held.partition_point(|p| p <= last);
         let mut out = vec![None; ids.len()];
-        if lo < hi {
-            for page in file.read_page_range(lo as u64, &held[lo..hi])? {
-                let slot = (page.page_id().raw() - first.raw()) as usize;
-                out[slot] = Some(page);
-            }
+        if lo >= hi {
+            return Ok((out, Instant::now()));
         }
-        Ok(out)
+        let (pages, done) = file.read_page_range(lo as u64, &held[lo..hi])?;
+        for page in pages {
+            let slot = (page.page_id().raw() - first.raw()) as usize;
+            out[slot] = Some(page);
+        }
+        Ok((out, done))
     }
 
     /// Whether `page` is held here (no I/O).
@@ -433,6 +439,7 @@ impl ImageLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fcb::CountingFcb;
     use crate::page::PageType;
     use crate::pageops::{apply_page_op, PageOp};
 
@@ -497,37 +504,8 @@ mod tests {
     }
 
     /// A device that counts the I/Os issued to it.
-    struct Counting {
-        inner: MemFcb,
-        writes: AtomicU64,
-        reads: AtomicU64,
-    }
-
-    impl Counting {
-        fn new() -> Arc<Counting> {
-            let (writes, reads) = (AtomicU64::new(0), AtomicU64::new(0));
-            Arc::new(Counting { inner: MemFcb::new("counting"), writes, reads })
-        }
-    }
-
-    impl Fcb for Counting {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.reads.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a test tally
-            self.inner.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.writes.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — a test tally
-            self.inner.write_at(offset, data)
-        }
-        fn len(&self) -> Result<u64> {
-            self.inner.len()
-        }
-        fn flush(&self) -> Result<()> {
-            Ok(())
-        }
-        fn name(&self) -> &str {
-            "counting"
-        }
+    fn counting() -> Arc<CountingFcb<MemFcb>> {
+        Arc::new(CountingFcb::new(MemFcb::new("counting")))
     }
 
     fn filled(page: u64, lsn: u64, fill: u8) -> Page {
@@ -551,23 +529,22 @@ mod tests {
 
     #[test]
     fn adopting_a_page_into_the_base_image_is_one_device_write() {
-        let dev = Counting::new();
+        let dev = counting();
         let img = ImageLayer::base(Lsn::new(100), Arc::clone(&dev) as Arc<dyn Fcb>, 1000, 256);
         let n = 40u64;
         for p in 0..n {
             img.put(&formatted(1000 + p * 3, 50)).unwrap();
         }
-        // ordering: relaxed — read after the puts on this thread
-        assert_eq!(dev.writes.load(Ordering::Relaxed), n, "one write per page, no journal");
+        assert_eq!(dev.writes(), n, "one write per page, no journal");
         assert_eq!(img.page_count(), n as usize);
         // `contains` is a bit test, not an I/O.
         assert!(img.contains(PageId::new(1003)) && !img.contains(PageId::new(1004)));
-        assert_eq!(dev.reads.load(Ordering::Relaxed), 0); // ordering: relaxed — as above
+        assert_eq!(dev.reads() + dev.deadline_reads(), 0);
     }
 
     #[test]
     fn base_image_stride_layout_and_range_read() {
-        let dev = Counting::new();
+        let dev = counting();
         let img = ImageLayer::base(Lsn::new(100), Arc::clone(&dev) as Arc<dyn Fcb>, 100, 16);
         for i in 0..8u64 {
             img.put(&filled(100 + i, i, i as u8)).unwrap();
@@ -575,16 +552,16 @@ mod tests {
         // Stride layout: page 103 lives at frame 3.
         let direct = PageFile::new(Arc::clone(&dev) as Arc<dyn Fcb>);
         assert_eq!(direct.read_page(3, PageId::new(103)).unwrap().body()[0], 3);
-        // A range of 4 held pages is one device read.
-        let reads = dev.reads.load(Ordering::Relaxed); // ordering: relaxed — test tally
+        // A range of 4 held pages is one device read, issued without a wait.
+        let reads = (dev.reads(), dev.deadline_reads());
         let ids: Vec<PageId> = (102..106).map(PageId::new).collect();
-        let pages = img.get_range_partial(&ids).unwrap();
-        assert_eq!(dev.reads.load(Ordering::Relaxed), reads + 1); // ordering: relaxed — as above
+        let pages = img.get_range_partial(&ids).unwrap().0;
+        assert_eq!((dev.reads(), dev.deadline_reads()), (reads.0, reads.1 + 1));
         let fills: Vec<u8> = pages.iter().map(|p| p.as_ref().unwrap().body()[0]).collect();
         assert_eq!(fills, [2, 3, 4, 5]);
         // A run past the seeded pages comes back absent.
         let ids2: Vec<PageId> = (108..112).map(PageId::new).collect();
-        assert!(img.get_range_partial(&ids2).unwrap().iter().all(Option::is_none));
+        assert!(img.get_range_partial(&ids2).unwrap().0.iter().all(Option::is_none));
         // Pages outside the covered range are refused.
         assert!(img.put(&filled(99, 0, 0)).is_err());
         assert!(img.put(&filled(116, 0, 0)).is_err());
@@ -600,7 +577,7 @@ mod tests {
         // A range straddling both ends: absent prefix (102, 103), held
         // middle (104..108), absent suffix (108, 109).
         let ids: Vec<PageId> = (102..110).map(PageId::new).collect();
-        let pages = img.get_range_partial(&ids).unwrap();
+        let pages = img.get_range_partial(&ids).unwrap().0;
         assert_eq!(pages.len(), 8);
         assert!(pages[0].is_none() && pages[1].is_none());
         for i in 2..6 {
@@ -612,7 +589,7 @@ mod tests {
         // A fully absent range past the device's high-water mark reads
         // nothing and reports every page absent.
         let ids2: Vec<PageId> = (110..114).map(PageId::new).collect();
-        assert!(img.get_range_partial(&ids2).unwrap().iter().all(Option::is_none));
+        assert!(img.get_range_partial(&ids2).unwrap().0.iter().all(Option::is_none));
     }
 
     #[test]
@@ -639,11 +616,11 @@ mod tests {
         // A contiguous run reads the held pages in one device read and
         // reports the rest absent.
         let run: Vec<PageId> = (2..11).map(PageId::new).collect();
-        let got = img.get_range_partial(&run).unwrap();
+        let got = img.get_range_partial(&run).unwrap().0;
         let held: Vec<u64> = got.iter().flatten().map(|p| p.page_id().raw()).collect();
         assert_eq!(held, [3, 4, 9]);
         assert!(got[0].is_none() && got[1].is_some() && got[7].is_some());
-        assert!(img.get_range_partial(&[PageId::new(41)]).unwrap()[0].is_none());
+        assert!(img.get_range_partial(&[PageId::new(41)]).unwrap().0[0].is_none());
         // Packed images are immutable.
         assert!(img.put(&formatted(5, 20)).is_err());
         // An image with no pages is well-formed (and empty).

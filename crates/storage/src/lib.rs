@@ -35,7 +35,7 @@ pub mod sched;
 pub mod slotted;
 
 pub use cache::{FetchMeta, PageRef, PageSource, RangedPageSource, TieredCache};
-pub use fcb::{FaultFcb, Fcb, FileFcb, LatencyFcb, MemFcb, PageFile};
+pub use fcb::{CountingFcb, FaultFcb, Fcb, FileFcb, LatencyFcb, MemFcb, PageFile};
 pub use layer::{DeltaLayer, ImageLayer, OpenLayer};
 pub use layermap::{LayerCounts, LayerMap};
 pub use page::{Page, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};

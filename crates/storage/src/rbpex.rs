@@ -29,6 +29,7 @@ use socrates_common::checksum::crc32;
 use socrates_common::{Error, Lsn, PageId, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 const JOURNAL_MAGIC: u8 = 0xA5;
 const J_PUT: u8 = 1;
@@ -264,10 +265,33 @@ impl Rbpex {
         self.dir.lock().map.contains_key(&id)
     }
 
+    /// Whether `id` is mapped at PageLSN `lsn`.
+    pub fn maps_at(&self, id: PageId, lsn: Lsn) -> bool {
+        self.dir.lock().map.get(&id).is_some_and(|&(_, mapped)| mapped == lsn)
+    }
+
     /// Fetch `id` from the cache. Returns `None` on miss, and while a
     /// put of `id` is in flight. A frame that fails verification is
     /// treated as a miss and dropped (self-healing).
     pub fn get(&self, id: PageId) -> Result<Option<Page>> {
+        self.read_with(id, |device, frame| device.read_page(frame, id))
+    }
+
+    /// [`Rbpex::get`] issued with [`Fcb::read_deadline`]: the page is read
+    /// at once, and the modelled read completes at the returned instant.
+    /// The bytes can go stale before the caller waits that out: whoever
+    /// installs the page checks [`Rbpex::maps_at`] its PageLSN first.
+    pub fn get_deadline(&self, id: PageId) -> Result<Option<(Page, Instant)>> {
+        self.read_with(id, |device, frame| device.read_page_deadline(frame, id))
+    }
+
+    /// Look up `id`'s frame, reference it, and `read` it with no lock
+    /// held; a torn frame is dropped and reads as a miss.
+    fn read_with<T>(
+        &self,
+        id: PageId,
+        read: impl FnOnce(&PageFile, u64) -> Result<T>,
+    ) -> Result<Option<T>> {
         let frame = {
             let mut dir = self.dir.lock();
             let Some(&(f, _)) = dir.map.get(&id) else {
@@ -276,7 +300,7 @@ impl Rbpex {
             dir.ref_bits[f as usize] = true;
             f
         };
-        match self.device.read_page(frame, id) {
+        match read(&self.device, frame) {
             Ok(p) => Ok(Some(p)),
             Err(Error::Corruption(_)) => {
                 // Torn frame (e.g. crash mid-write): drop the entry, unless

@@ -300,6 +300,26 @@ fn torn_frame_treated_as_miss_and_dropped() {
 }
 
 #[test]
+fn a_deadline_read_is_one_device_read_and_heals_a_torn_frame() {
+    let dev = Arc::new(crate::fcb::CountingFcb::new(MemFcb::new("ssd")));
+    let meta = Arc::new(MemFcb::new("meta"));
+    let r = Rbpex::create(Arc::clone(&dev) as Arc<dyn Fcb>, meta, 4).unwrap();
+    r.put(&page(1, 10, 1)).unwrap();
+    let (p, _) = r.get_deadline(PageId::new(1)).unwrap().unwrap();
+    assert_eq!((p.page_lsn(), p.body()[0]), (Lsn::new(10), 1));
+    assert_eq!((dev.reads(), dev.deadline_reads()), (0, 1));
+    assert!(r.get_deadline(PageId::new(2)).unwrap().is_none(), "a miss reads nothing");
+    // The copy read goes stale once RBPEX maps a newer PageLSN.
+    assert!(r.maps_at(PageId::new(1), Lsn::new(10)));
+    r.put(&page(1, 11, 2)).unwrap();
+    assert!(!r.maps_at(PageId::new(1), Lsn::new(10)) && r.maps_at(PageId::new(1), Lsn::new(11)));
+    // A torn frame reads as a miss and is dropped, as a `get` drops it.
+    dev.write_at(50, &[0xFF; 8]).unwrap();
+    assert!(r.get_deadline(PageId::new(1)).unwrap().is_none());
+    assert!(!r.contains(PageId::new(1)));
+}
+
+#[test]
 fn recovery_restores_contents() {
     let dev = Arc::new(MemFcb::new("ssd"));
     let meta = Arc::new(MemFcb::new("meta"));
